@@ -1,18 +1,10 @@
-"""Ablation: shared-memory results plane and portfolio history seeding.
+"""Ablation: shared-memory results plane versus the pickled return path.
 
-Two return/scheduling mechanisms land with the results plane and are measured
-against their PR 3/4 baselines on the same grid:
-
-* **Results plane.**  A pooled sweep either pickles every ``PointOutcome``
-  through the pool's result queue (``use_results_plane=False``, the old
-  behaviour) or publishes packed records into the shared-memory ring the
-  parent drains.  Both sweeps must produce identical points; the plane-path
-  run must additionally report **zero pickled result payloads** in
-  ``SweepResult.metadata["results_plane"]``.
-* **Portfolio history seeding.**  A portfolio sweep's workers each keep a
-  sliding window of race winners and skip rival launches once one backend
-  dominates; ``metadata["portfolio"]`` records the races run and the launches
-  avoided.
+A pooled sweep either pickles every ``PointOutcome`` through the pool's result
+queue (``use_results_plane=False``) or publishes packed records into the
+shared-memory ring the parent drains.  Both sweeps must produce identical
+points; the plane-path run must additionally report **zero pickled result
+payloads** in ``SweepResult.metadata["results_plane"]``.
 
 Timings and counters land in ``benchmarks/results/results_plane_ablation.csv``.
 """
@@ -48,43 +40,39 @@ COLUMNS = [
     "points",
     "via_plane",
     "via_pickle",
-    "portfolio_races",
-    "portfolio_launches_avoided",
     "errev_checksum",
 ]
 
-#: (label, use_results_plane, solver) sweep variants of the ablation.
+#: (label, use_results_plane) sweep variants of the ablation.
 SWEEP_VARIANTS = [
-    ("pickled-return-path", False, "policy_iteration"),
-    ("results-plane", True, "policy_iteration"),
-    ("results-plane-portfolio-seeded", True, "portfolio"),
+    ("pickled-return-path", False),
+    ("results-plane", True),
 ]
 
 _ROWS: list = []
 _SWEEPS: dict = {}
 
 
-def _sweep_config(use_plane: bool, solver: str) -> SweepConfig:
+def _sweep_config(use_plane: bool) -> SweepConfig:
     return SweepConfig(
         p_values=P_VALUES,
         gammas=GAMMAS,
         attack_configs=ATTACKS,
-        analysis=AnalysisConfig(epsilon=EPSILON, solver=solver),
+        analysis=AnalysisConfig(epsilon=EPSILON),
         workers=WORKERS,
         use_results_plane=use_plane,
     )
 
 
-def _run_variant(label: str, use_plane: bool, solver: str) -> dict:
+def _run_variant(label: str, use_plane: bool) -> dict:
     start = time.perf_counter()
-    sweep = run_sweep(_sweep_config(use_plane, solver))
+    sweep = run_sweep(_sweep_config(use_plane))
     seconds = time.perf_counter() - start
     assert not sweep.failures, [f.message for f in sweep.failures]
     plane_stats = sweep.metadata.get("results_plane", {})
     if use_plane:
         assert plane_stats.get("enabled"), "the plane must be active in plane variants"
         assert plane_stats.get("via_pickle") == 0, "plane variants must not pickle outcomes"
-    portfolio = sweep.metadata.get("portfolio", {})
     _SWEEPS[label] = sweep
     return {
         "variant": label,
@@ -93,37 +81,28 @@ def _run_variant(label: str, use_plane: bool, solver: str) -> dict:
         "points": len(sweep.points),
         "via_plane": plane_stats.get("via_plane", 0),
         "via_pickle": plane_stats.get("via_pickle", 0),
-        "portfolio_races": portfolio.get("races", ""),
-        "portfolio_launches_avoided": portfolio.get("launches_avoided", ""),
         "errev_checksum": round(sum(point.errev for point in sweep.points), 9),
     }
 
 
-@pytest.mark.parametrize("label,use_plane,solver", SWEEP_VARIANTS)
-def test_sweep_variant(benchmark, label, use_plane, solver):
-    """Time one pooled sweep per return-path / seeding variant."""
-    row = benchmark.pedantic(
-        _run_variant, args=(label, use_plane, solver), rounds=1, iterations=1
-    )
+@pytest.mark.parametrize("label,use_plane", SWEEP_VARIANTS)
+def test_sweep_variant(benchmark, label, use_plane):
+    """Time one pooled sweep per return-path variant."""
+    row = benchmark.pedantic(_run_variant, args=(label, use_plane), rounds=1, iterations=1)
     _ROWS.append(row)
 
 
 def test_variants_agree_and_persist(results_dir):
     """Both return paths must compute identical points; persist the ablation."""
     done = {row["variant"] for row in _ROWS}
-    for label, use_plane, solver in SWEEP_VARIANTS:
+    for label, use_plane in SWEEP_VARIANTS:
         if label not in done:
-            _ROWS.append(_run_variant(label, use_plane, solver))
+            _ROWS.append(_run_variant(label, use_plane))
     pickled = _SWEEPS["pickled-return-path"]
     plane = _SWEEPS["results-plane"]
     assert [(p.p, p.gamma, p.series, p.errev) for p in pickled.points] == [
         (p.p, p.gamma, p.series, p.errev) for p in plane.points
     ]
-    # The portfolio variant reproduces the same certified bounds within epsilon.
-    seeded = _SWEEPS["results-plane-portfolio-seeded"]
-    for exact, raced in zip(plane.points, seeded.points):
-        assert (exact.p, exact.gamma, exact.series) == (raced.p, raced.gamma, raced.series)
-        assert abs(exact.errev - raced.errev) < 2 * EPSILON
     rows = sorted(_ROWS, key=lambda row: row["variant"])
     path = write_csv(rows, results_dir / "results_plane_ablation.csv", columns=COLUMNS)
     print()

@@ -1,23 +1,13 @@
-"""Ablation: shared-memory model plane and cooperative portfolio cancellation.
+"""Ablation: shared-memory model plane versus per-worker prewarm.
 
-Two scaling mechanisms of the sweep engine are measured against their PR 2
-baselines on the same grid:
+A spawn-started pool (forced via ``REPRO_TEST_START_METHOD``) either lets every
+worker rebuild all model skeletons in its initializer (the prewarm baseline,
+``use_shared_structures=False``) or attaches the parent-built skeletons
+zero-copy from one shared-memory segment.  Both sweeps must produce identical
+points; the wall-clock difference is the per-worker exploration cost the plane
+eliminates.
 
-* **Model plane.**  A spawn-started pool (forced via
-  ``REPRO_TEST_START_METHOD``) either lets every worker rebuild all model
-  skeletons in its initializer (the PR 2 prewarm baseline,
-  ``use_shared_structures=False``) or attaches the parent-built skeletons
-  zero-copy from one shared-memory segment.  Both sweeps must produce identical
-  points; the wall-clock difference is the per-worker exploration cost the
-  plane eliminates.
-* **Cancellation.**  The racing portfolio solver now stops losers at the next
-  iteration boundary; ``cancelled_solver_iterations`` records the iterations
-  losers had completed when cancelled.  The saving versus PR 2 (losers ran
-  their full course) is the standalone iteration count of the losing backend
-  minus the iterations actually spent before cancellation.
-
-Timings plus the savings land in
-``benchmarks/results/shared_structure_ablation.csv``.
+Timings land in ``benchmarks/results/shared_structure_ablation.csv``.
 """
 
 from __future__ import annotations
@@ -27,9 +17,8 @@ import time
 
 import pytest
 
-from repro import AnalysisConfig, AttackParams, ProtocolParams, SweepConfig, run_sweep
-from repro.analysis import formal_analysis
-from repro.attacks import build_selfish_forks_mdp, clear_structure_cache
+from repro import AnalysisConfig, AttackParams, SweepConfig, run_sweep
+from repro.attacks import clear_structure_cache
 from repro.core.reporting import render_table, write_csv
 
 from conftest import smoke_mode
@@ -54,7 +43,6 @@ COLUMNS = [
     "wall_seconds",
     "points",
     "solver_iterations",
-    "cancelled_iterations",
     "errev_checksum",
 ]
 
@@ -102,46 +90,7 @@ def _run_sweep_variant(label: str, use_shared: bool) -> dict:
         "wall_seconds": seconds,
         "points": len(sweep.points),
         "solver_iterations": sweep.total_solver_iterations,
-        "cancelled_iterations": "",
         "errev_checksum": round(sum(point.errev for point in sweep.points), 9),
-    }
-
-
-def _run_cancellation_variant() -> dict:
-    """Portfolio run recording the iterations saved by cooperative cancellation.
-
-    The PR 2 baseline let losers run to completion, so the work it would have
-    burned is the standalone iteration count of each backend; the cancelled run
-    spends only ``cancelled_solver_iterations`` of loser work on top of the
-    winners'.
-    """
-    model = build_selfish_forks_mdp(ProtocolParams(p=0.3, gamma=0.5), ATTACKS[-1])
-    standalone_iterations = {}
-    for solver in ("policy_iteration", "value_iteration"):
-        result = formal_analysis(
-            model.mdp, AnalysisConfig(epsilon=EPSILON, solver=solver, solver_tolerance=1e-7)
-        )
-        standalone_iterations[solver] = result.total_solver_iterations
-    start = time.perf_counter()
-    portfolio = formal_analysis(
-        model.mdp,
-        AnalysisConfig(epsilon=EPSILON, solver="portfolio", solver_tolerance=1e-7),
-    )
-    seconds = time.perf_counter() - start
-    assert portfolio.interval_width < EPSILON
-    # PR 2 burned (roughly) both standalone budgets; the cancelled run spends
-    # the winners' iterations plus only the pre-cancellation slice of losers.
-    baseline_total = sum(standalone_iterations.values())
-    spent_total = portfolio.total_solver_iterations + portfolio.cancelled_solver_iterations
-    return {
-        "variant": "portfolio-cancellation",
-        "start_method": "",
-        "workers": 1,
-        "wall_seconds": seconds,
-        "points": 1,
-        "solver_iterations": spent_total,
-        "cancelled_iterations": max(baseline_total - spent_total, 0),
-        "errev_checksum": round(portfolio.errev_lower_bound, 9),
     }
 
 
@@ -152,20 +101,12 @@ def test_spawn_sweep_variant(benchmark, label, use_shared):
     _ROWS.append(row)
 
 
-def test_portfolio_cancellation_savings(benchmark):
-    """Measure the loser iterations the cooperative cancellation avoids."""
-    row = benchmark.pedantic(_run_cancellation_variant, rounds=1, iterations=1)
-    _ROWS.append(row)
-
-
 def test_variants_agree_and_persist(results_dir):
     """Both spawn variants must compute identical points; persist the ablation."""
     done = {row["variant"] for row in _ROWS}
     for label, use_shared in SWEEP_VARIANTS:
         if label not in done:
             _ROWS.append(_run_sweep_variant(label, use_shared))
-    if "portfolio-cancellation" not in done:
-        _ROWS.append(_run_cancellation_variant())
     baseline = _SWEEPS["spawn-prewarm-per-worker"]
     shared = _SWEEPS["spawn-shared-plane"]
     assert [(p.p, p.gamma, p.series, p.errev) for p in baseline.points] == [

@@ -28,7 +28,7 @@ def model():
     return build_selfish_forks_mdp(PROTOCOL, ATTACK)
 
 
-@pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration", "linear_program"])
+@pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
 def test_ablation_algorithm1_solver_backend(benchmark, model, solver):
     """Algorithm 1 with each mean-payoff solver backend."""
     result = benchmark.pedantic(
@@ -51,7 +51,7 @@ def test_ablation_dinkelbach(benchmark, model):
     _VALUES["dinkelbach/policy_iteration"] = result.errev
 
 
-@pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration", "linear_program"])
+@pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
 def test_ablation_single_mean_payoff_solve(benchmark, model, solver):
     """One mean-payoff solve (beta = 0.35), the inner loop of the analysis."""
     from repro.analysis.rewards import beta_reward_weights
@@ -83,7 +83,11 @@ def test_ablation_all_variants_agree(benchmark):
         rounds=1,
         iterations=1,
     )
-    assert len(values) >= 4
+    assert set(values) == {
+        "algorithm1/policy_iteration",
+        "algorithm1/value_iteration",
+        "dinkelbach/policy_iteration",
+    }
     reference = values["algorithm1/policy_iteration"]
     for key, value in values.items():
         assert value == pytest.approx(reference, abs=5e-3), key

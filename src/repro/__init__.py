@@ -39,7 +39,6 @@ from .exceptions import (
     ModelError,
     ReproError,
     SimulationError,
-    SolverCancelled,
     SolverError,
 )
 from .core import (
@@ -80,7 +79,6 @@ __all__ = [
     "ModelError",
     "SolverError",
     "ConvergenceError",
-    "SolverCancelled",
     "SimulationError",
     "SelfishMiningAnalyzer",
     "AnalysisResult",

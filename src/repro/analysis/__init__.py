@@ -15,7 +15,7 @@ from .rewards import (
     beta_reward_weights,
 )
 from .errev import evaluate_strategy_errev, honest_reference_errev
-from .algorithm1 import AdaptiveProbeScheduler, FormalAnalysisResult, formal_analysis
+from .algorithm1 import FormalAnalysisResult, formal_analysis
 from .dinkelbach import DinkelbachResult, dinkelbach_analysis
 from .certificates import CertificateReport, check_theorem_premises
 
@@ -26,7 +26,6 @@ __all__ = [
     "beta_reward_weights",
     "evaluate_strategy_errev",
     "honest_reference_errev",
-    "AdaptiveProbeScheduler",
     "FormalAnalysisResult",
     "formal_analysis",
     "DinkelbachResult",

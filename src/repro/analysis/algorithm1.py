@@ -9,52 +9,29 @@ and crosses zero exactly at ``ERRev*``).  On termination ``beta_low`` is an
 ``epsilon``-tight lower bound on ``ERRev*`` and the strategy that is optimal for
 ``r_{beta_low}`` achieves an ERRev within ``[ERRev* - epsilon, ERRev*]``.
 
-With ``AnalysisConfig.batch_probes = k > 1`` every round instead places ``k``
-evenly spaced probes inside the current interval and solves all of them in one
-vectorised batched call against the shared model structure
-(:func:`repro.mdp.solve_mean_payoff_batch`).  By Theorem 3.1 the probe gains
-are decreasing in beta, so the zero crossing lies between the last non-negative
-and the first negative probe: the interval shrinks by a factor of ``k + 1`` per
-round while the per-round cost grows far slower than ``k`` because the
-expensive solver passes are amortised over all probes.  The certified bounds
-are the same as the sequential search's up to ``epsilon``.
-
-With ``AnalysisConfig.batch_probes = "auto"`` the probe count is chosen
-*adaptively* per round: an :class:`AdaptiveProbeScheduler` fits the affine cost
-model ``seconds(k) = a + b*k`` to the observed round timings and picks the
-``k`` maximising the interval-shrink rate ``log(k + 1) / seconds(k)``.  Models
-whose batched solves are nearly free (small ``b``) converge to wide rounds;
-models where every extra probe costs as much as a fresh solve stay close to
-classic bisection.  Only the probe placement adapts -- every round still brackets
-the zero crossing, so the certified bounds are unchanged.
-
-Invariant: **certified-bound reproducibility**.  For a fixed probe schedule the
-final ``[beta_low, beta_up]`` interval is a deterministic function of the model
-and ``epsilon`` -- identical bit-for-bit across processes and hosts (the sweep
-engine asserts this for its serial, pooled and distributed backends) -- and
-every schedule's interval has width below ``epsilon`` with
-``beta_low <= ERRev* <= beta_up`` within the MDP's strategy class.  Warm starts
+Invariant: **certified-bound reproducibility**.  The final ``[beta_low,
+beta_up]`` interval is a deterministic function of the model, ``epsilon`` and
+the solver settings -- identical bit-for-bit across processes and hosts (the
+sweep engine asserts this for its serial, pooled and distributed backends) --
+with width below ``epsilon`` and ``beta_low <= ERRev* <= beta_up`` within the
+MDP's strategy class.  No wall-clock reading ever steers the search.  Warm starts
 (``AnalysisConfig.warm_start``) change solver iteration counts, never the
 certified interval beyond solver tolerance.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..config import AnalysisConfig
 from ..exceptions import ModelError
-from ..mdp import MDP, MeanPayoffSolution, Strategy, solve_mean_payoff, solve_mean_payoff_batch
+from ..mdp import MDP, MeanPayoffSolution, Strategy, solve_mean_payoff
 from .errev import evaluate_strategy_errev
 from .rewards import beta_reward_weights
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from ..mdp.portfolio import PortfolioHistory
 
 
 @dataclass
@@ -68,7 +45,7 @@ class BinarySearchIteration:
         beta_up: Upper end of the beta interval after the update.
         solve_seconds: Wall-clock time of the mean-payoff solve.
         solver_iterations: Iterations the mean-payoff backend needed (policy
-            improvement rounds or value-iteration sweeps; 0 for the LP).
+            improvement rounds or value-iteration sweeps).
     """
 
     beta: float
@@ -100,17 +77,8 @@ class FormalAnalysisResult:
         total_solver_iterations: Sum of backend iterations over every solve of
             the analysis (including the final strategy-extraction solve) -- the
             primary measure of warm-starting effectiveness.
-        cancelled_solver_iterations: For the ``"portfolio"`` solver, the sum of
-            iterations the cooperatively cancelled race losers had completed
-            when they stopped; 0 for the non-racing backends.  Together with
-            ``total_solver_iterations`` this quantifies how much work the
-            cancellation avoided relative to losers running their full budget.
         final_bias: Bias vector of the final solve, reusable as a warm start
-            for an adjacent parameter point (``None`` for the LP backend only
-            when no bias was produced).
-        backend_wins: For the ``"portfolio"`` solver, how many solves each
-            backend won (e.g. ``{"policy_iteration": 9, "value_iteration": 2}``);
-            empty for the non-racing backends.
+            for an adjacent parameter point.
     """
 
     errev_lower_bound: float
@@ -124,8 +92,6 @@ class FormalAnalysisResult:
     solver: str = "policy_iteration"
     total_solver_iterations: int = 0
     final_bias: Optional[np.ndarray] = None
-    backend_wins: Dict[str, int] = field(default_factory=dict)
-    cancelled_solver_iterations: int = 0
 
     @property
     def num_iterations(self) -> int:
@@ -137,83 +103,6 @@ class FormalAnalysisResult:
         """Width of the final beta interval (less than ``epsilon`` on success)."""
         return self.beta_up - self.beta_low
 
-    @property
-    def winning_solver(self) -> Optional[str]:
-        """The portfolio backend that won the most solves, ``None`` outside portfolio runs."""
-        if not self.backend_wins:
-            return None
-        return max(self.backend_wins, key=lambda backend: self.backend_wins[backend])
-
-
-class AdaptiveProbeScheduler:
-    """Pick the probe count of each batched round from observed solve costs.
-
-    The scheduler maintains the affine per-round cost model ``seconds(k) = a +
-    b*k`` (fixed round overhead ``a`` plus marginal per-probe cost ``b``),
-    refitted by least squares after every observed round, and proposes the
-    ``k`` maximising the interval-shrink rate ``log(k + 1) / seconds(k)``.
-    The first two rounds seed the model deterministically: a classic bisection
-    round (``k = 1``) measures the single-solve cost, a small batched round
-    measures the marginal probe cost.  The proposal is additionally capped at
-    the number of probes that would already finish the search in one round, so
-    the last round never solves probes the certificate cannot use.
-
-    Attributes:
-        max_probes: Hard ceiling on the probes of one round (memory of the
-            batched value matrix grows linearly in ``k``).
-        seed_probes: Probe count of the second (seeding) round.
-    """
-
-    def __init__(self, *, max_probes: int = 16, seed_probes: int = 4) -> None:
-        if max_probes < 1:
-            raise ValueError(f"max_probes must be >= 1, got {max_probes}")
-        self.max_probes = max_probes
-        self.seed_probes = max(2, min(seed_probes, max_probes))
-        self._observations: List[Tuple[int, float]] = []
-
-    def record(self, probes: int, seconds: float) -> None:
-        """Record one finished round (``probes`` solved jointly in ``seconds``)."""
-        self._observations.append((probes, max(seconds, 1e-9)))
-
-    def _fit_cost_model(self) -> Tuple[float, float]:
-        """Least-squares fit of ``seconds(k) = a + b*k``, clamped non-negative."""
-        ks = np.array([probes for probes, _ in self._observations], dtype=float)
-        secs = np.array([seconds for _, seconds in self._observations], dtype=float)
-        if np.ptp(ks) == 0.0:
-            # All rounds used the same k: no slope information, attribute the
-            # mean cost to the marginal term (pessimistic about batching).
-            return 0.0, float(np.mean(secs) / max(ks[0], 1.0))
-        design = np.stack([np.ones_like(ks), ks], axis=1)
-        (a, b), *_ = np.linalg.lstsq(design, secs, rcond=None)
-        return max(float(a), 0.0), max(float(b), 0.0)
-
-    def next_probes(self, width: float, epsilon: float) -> int:
-        """Probe count for the next round over interval ``width`` at ``epsilon``.
-
-        Returns 1 (classic bisection) while the cost model has no data, the
-        seeding batch size while it has a single observation, and the
-        rate-optimal ``k`` afterwards.
-        """
-        # k probes shrink width to width / (k + 1); k = finishing_probes ends
-        # the search this round.
-        if width / (self.max_probes + 1) >= epsilon:
-            finishing_probes = self.max_probes
-        else:
-            finishing_probes = max(1, math.ceil(width / epsilon) - 1)
-        cap = min(self.max_probes, finishing_probes)
-        if not self._observations:
-            return 1
-        if len(self._observations) == 1:
-            return min(self.seed_probes, cap)
-        a, b = self._fit_cost_model()
-        best_k, best_rate = 1, 0.0
-        for k in range(1, cap + 1):
-            cost = max(a + b * k, 1e-9)
-            rate = math.log(k + 1) / cost
-            if rate > best_rate:
-                best_k, best_rate = k, rate
-        return best_k
-
 
 def formal_analysis(
     mdp: MDP,
@@ -223,7 +112,6 @@ def formal_analysis(
     beta_up: float = 1.0,
     initial_strategy_rows: Optional[np.ndarray] = None,
     initial_bias: Optional[np.ndarray] = None,
-    portfolio_history: Optional["PortfolioHistory"] = None,
 ) -> FormalAnalysisResult:
     """Run the paper's Algorithm 1 on a selfish-mining MDP.
 
@@ -245,11 +133,6 @@ def formal_analysis(
             match ``mdp.num_states`` or it contains non-finite entries, so that
             vectors carried across structurally different sweep points can
             never crash an analysis mid-sweep.
-        portfolio_history: Optional :class:`~repro.mdp.portfolio.
-            PortfolioHistory` shared across analyses (e.g. one per sweep
-            worker): every ``"portfolio"`` race consults it to launch the
-            recently dominant backend first and records its winner back.
-            Ignored by the non-portfolio solvers.
 
     Returns:
         A :class:`FormalAnalysisResult` with the epsilon-tight lower bound, the
@@ -261,69 +144,40 @@ def formal_analysis(
 
     start_time = time.perf_counter()
     iterations: List[BinarySearchIteration] = []
-    backend_wins: Dict[str, int] = {}
     warm_strategy: Optional[Strategy] = None
     warm_bias: Optional[np.ndarray] = None
     if config.warm_start:
         warm_strategy = _strategy_from_rows(mdp, initial_strategy_rows)
         warm_bias = _bias_from_vector(mdp, initial_bias)
     total_solver_iterations = 0
-    cancelled_solver_iterations = 0
-    scheduler = AdaptiveProbeScheduler() if config.batch_probes == "auto" else None
 
     while beta_up - beta_low >= config.epsilon:
-        if scheduler is not None:
-            probes = scheduler.next_probes(beta_up - beta_low, config.epsilon)
+        beta = 0.5 * (beta_low + beta_up)
+        solve_start = time.perf_counter()
+        solution = _solve(mdp, beta, config, warm_strategy, warm_bias)
+        solve_seconds = time.perf_counter() - solve_start
+        if solution.gain < 0.0:
+            beta_up = beta
         else:
-            probes = int(config.batch_probes)
-        round_start = time.perf_counter()
-        if probes > 1:
-            beta_low, beta_up, solutions, anchor = _batched_round(
-                mdp,
-                beta_low,
-                beta_up,
-                probes,
-                config,
-                warm_strategy,
-                warm_bias,
-                iterations,
-                portfolio_history,
+            beta_low = beta
+        iterations.append(
+            BinarySearchIteration(
+                beta=beta,
+                optimal_mean_payoff=solution.gain,
+                beta_low=beta_low,
+                beta_up=beta_up,
+                solve_seconds=solve_seconds,
+                solver_iterations=solution.iterations,
             )
-        else:
-            beta = 0.5 * (beta_low + beta_up)
-            solution = _solve(mdp, beta, config, warm_strategy, warm_bias, portfolio_history)
-            solve_seconds = time.perf_counter() - round_start
-            if solution.gain < 0.0:
-                beta_up = beta
-            else:
-                beta_low = beta
-            iterations.append(
-                BinarySearchIteration(
-                    beta=beta,
-                    optimal_mean_payoff=solution.gain,
-                    beta_low=beta_low,
-                    beta_up=beta_up,
-                    solve_seconds=solve_seconds,
-                    solver_iterations=solution.iterations,
-                )
-            )
-            solutions, anchor = [solution], 0
-        if scheduler is not None:
-            scheduler.record(probes, time.perf_counter() - round_start)
-        for solution in solutions:
-            total_solver_iterations += solution.iterations
-            cancelled_solver_iterations += solution.cancelled_iterations
-            _record_backend_win(solution, backend_wins)
+        )
+        total_solver_iterations += solution.iterations
         if config.warm_start:
-            # The probe adjacent to the surviving interval seeds the next round.
-            warm_strategy = solutions[anchor].strategy
-            warm_bias = solutions[anchor].bias
+            warm_strategy = solution.strategy
+            warm_bias = solution.bias
 
     # Final solve at beta_low to extract the certified strategy.
-    final_solution = _solve(mdp, beta_low, config, warm_strategy, warm_bias, portfolio_history)
+    final_solution = _solve(mdp, beta_low, config, warm_strategy, warm_bias)
     total_solver_iterations += final_solution.iterations
-    cancelled_solver_iterations += final_solution.cancelled_iterations
-    _record_backend_win(final_solution, backend_wins)
     strategy = final_solution.strategy
     strategy_errev = (
         evaluate_strategy_errev(mdp, strategy) if config.evaluate_strategy else None
@@ -341,8 +195,6 @@ def formal_analysis(
         solver=config.solver,
         total_solver_iterations=total_solver_iterations,
         final_bias=final_solution.bias,
-        backend_wins=backend_wins,
-        cancelled_solver_iterations=cancelled_solver_iterations,
     )
 
 
@@ -364,81 +216,6 @@ def _bias_from_vector(mdp: MDP, bias) -> Optional[np.ndarray]:
     if bias.shape != (mdp.num_states,) or not np.all(np.isfinite(bias)):
         return None
     return bias
-
-
-def _record_backend_win(solution: MeanPayoffSolution, wins: Dict[str, int]) -> None:
-    """Tally which backend produced ``solution`` when the portfolio raced."""
-    if solution.solver.startswith("portfolio:"):
-        backend = solution.solver.split(":", 1)[1]
-        wins[backend] = wins.get(backend, 0) + 1
-
-
-def _batched_round(
-    mdp: MDP,
-    beta_low: float,
-    beta_up: float,
-    k: int,
-    config: AnalysisConfig,
-    warm_strategy: Optional[Strategy],
-    warm_bias: Optional[np.ndarray],
-    iterations: List[BinarySearchIteration],
-    portfolio_history: Optional["PortfolioHistory"] = None,
-) -> Tuple[float, float, List[MeanPayoffSolution], int]:
-    """One batched binary-search round with ``k`` probes.
-
-    Places ``k`` evenly spaced probes strictly inside ``(beta_low, beta_up)``,
-    solves them in a single vectorised batched call, and shrinks the interval
-    to the segment between the last probe with a non-negative gain and the
-    first with a negative one (Theorem 3.1: the gains are decreasing in beta).
-    ``k`` is either the fixed ``config.batch_probes`` or, in ``"auto"`` mode,
-    the round's pick of the :class:`AdaptiveProbeScheduler`.
-
-    Returns:
-        ``(new_low, new_up, solutions, anchor)`` with ``solutions`` in probe
-        order and ``anchor`` the index of the probe adjacent to the new
-        interval (the best warm start for the next round).
-    """
-    width = beta_up - beta_low
-    betas = [beta_low + (j + 1) * width / (k + 1) for j in range(k)]
-    weight_matrix = np.array([beta_reward_weights(beta) for beta in betas])
-    solve_start = time.perf_counter()
-    solutions = solve_mean_payoff_batch(
-        mdp,
-        weight_matrix,
-        solver=config.solver,
-        tolerance=config.solver_tolerance,
-        max_iterations=config.max_solver_iterations,
-        warm_start=warm_strategy if config.warm_start else None,
-        warm_start_bias=warm_bias if config.warm_start else None,
-        portfolio_deadline=config.portfolio_deadline,
-        portfolio_history=portfolio_history,
-    )
-    round_seconds = time.perf_counter() - solve_start
-
-    first_negative = next(
-        (j for j, solution in enumerate(solutions) if solution.gain < 0.0), None
-    )
-    if first_negative is None:
-        new_low, new_up = betas[-1], beta_up
-        anchor = k - 1
-    elif first_negative == 0:
-        new_low, new_up = beta_low, betas[0]
-        anchor = 0
-    else:
-        new_low, new_up = betas[first_negative - 1], betas[first_negative]
-        anchor = first_negative - 1
-    for beta, solution in zip(betas, solutions):
-        iterations.append(
-            BinarySearchIteration(
-                beta=beta,
-                optimal_mean_payoff=solution.gain,
-                beta_low=new_low,
-                beta_up=new_up,
-                solve_seconds=round_seconds / k,
-                solver_iterations=solution.iterations,
-            )
-        )
-    return new_low, new_up, solutions, anchor
 
 
 def _strategy_from_rows(mdp: MDP, rows: Optional[np.ndarray]) -> Optional[Strategy]:
@@ -467,7 +244,6 @@ def _solve(
     config: AnalysisConfig,
     warm_start: Optional[Strategy],
     warm_start_bias: Optional[np.ndarray],
-    portfolio_history: Optional["PortfolioHistory"] = None,
 ) -> MeanPayoffSolution:
     """Solve the mean-payoff MDP under ``r_beta`` with the configured backend."""
     return solve_mean_payoff(
@@ -478,6 +254,4 @@ def _solve(
         max_iterations=config.max_solver_iterations,
         warm_start=warm_start,
         warm_start_bias=warm_start_bias,
-        portfolio_deadline=config.portfolio_deadline,
-        portfolio_history=portfolio_history,
     )

@@ -40,24 +40,13 @@ identical CSV/plot pipeline -- bit-for-bit equal to a serial run.
 ``--heartbeat-seconds`` and ``--straggler-seconds`` tune failure detection and
 speculative reassignment.
 
-Solver selection and batched probes
------------------------------------
+Solver selection
+----------------
 
-``--solver`` picks the mean-payoff backend used inside Algorithm 1 and accepts
-both full names and short aliases: ``pi``/``policy_iteration`` (default,
-exact), ``vi``/``value_iteration`` (certified bounds),
-``lp``/``linear_program`` (independent cross-check) and ``portfolio`` (policy
-iteration raced against value iteration per probe; the first finisher wins and
-the winning backend is reported per sweep point in the CSV's
-``solver_backend`` column).
-
-``--batch-probes K`` switches the binary search to batched mode: every round
-stacks ``K`` evenly spaced beta probes against the shared model structure and
-solves them in one vectorised call, shrinking the interval by a factor of
-``K + 1`` per round instead of 2.  ``--batch-probes auto`` lets Algorithm 1
-pick ``K`` per round from the observed per-probe solve-cost curve instead of
-fixing it up front.  Either way the certified bounds match the sequential
-search's within ``--epsilon``.
+``--solver`` picks the mean-payoff backend that Algorithm 1 calls once per
+bisection probe and accepts both full names and short aliases:
+``pi``/``policy_iteration`` (default, exact) or ``vi``/``value_iteration``
+(certified bounds).
 
 Sweep-only engine flags: ``--workers N`` fans grid points out over N worker
 processes, ``--warm-start-across-points`` chains solver warm starts along the
@@ -98,16 +87,9 @@ from .lint.engine import add_lint_arguments
 SOLVER_ALIASES = {
     "pi": "policy_iteration",
     "vi": "value_iteration",
-    "lp": "linear_program",
 }
 
-_SOLVER_CHOICES = (
-    "policy_iteration",
-    "value_iteration",
-    "linear_program",
-    "portfolio",
-    *SOLVER_ALIASES,
-)
+_SOLVER_CHOICES = ("policy_iteration", "value_iteration", *SOLVER_ALIASES)
 
 
 def _resolve_solver(name: str) -> str:
@@ -186,18 +168,6 @@ def _attack_name(value: str) -> str:
     return value
 
 
-def _batch_probes(value: str):
-    """Parse ``--batch-probes``: a positive probe count or the string ``auto``."""
-    if value.strip().lower() == "auto":
-        return "auto"
-    try:
-        return _positive_int(value)
-    except (argparse.ArgumentTypeError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f'must be a positive integer or "auto", got {value}'
-        ) from None
-
-
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--attack",
@@ -233,15 +203,7 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
         "--solver",
         choices=_SOLVER_CHOICES,
         default="policy_iteration",
-        help="mean-payoff solver backend (pi/vi/lp aliases; portfolio races pi vs vi)",
-    )
-    parser.add_argument(
-        "--batch-probes",
-        type=_batch_probes,
-        default=1,
-        metavar="K",
-        help="beta probes per binary-search round: a count (1 = classic bisection) "
-        "or 'auto' to adapt K per round to the observed solve-cost curve",
+        help="mean-payoff solver backend (pi/vi aliases)",
     )
 
 
@@ -463,7 +425,6 @@ def _command_analyze(args: argparse.Namespace) -> int:
         AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
-            batch_probes=args.batch_probes,
         ),
     )
     result = analyzer.run()
@@ -525,7 +486,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         analysis=AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
-            batch_probes=args.batch_probes,
         ),
         workers=args.workers,
         use_structure_cache=not args.no_structure_cache,
@@ -632,7 +592,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
         AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
-            batch_probes=args.batch_probes,
         ),
     )
     result = analyzer.run()

@@ -16,7 +16,7 @@ collects solver choices for the formal analysis procedure (Algorithm 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 from ._validation import (
     check_positive_float,
@@ -168,10 +168,8 @@ class AnalysisConfig:
 
     Attributes:
         epsilon: Precision of the binary search over the reward parameter beta.
-        solver: Mean-payoff solver backend; one of ``"policy_iteration"``,
-            ``"value_iteration"``, ``"linear_program"`` or ``"portfolio"``
-            (policy iteration raced against value iteration per probe, first
-            finisher wins).
+        solver: Mean-payoff solver backend; ``"policy_iteration"`` (exact, the
+            default) or ``"value_iteration"`` (certified span bounds).
         solver_tolerance: Convergence tolerance used inside the solver.
         max_solver_iterations: Iteration budget for iterative solvers.
         evaluate_strategy: If true, the extracted strategy is additionally
@@ -182,18 +180,6 @@ class AnalysisConfig:
             previous iteration, and externally supplied warm starts (e.g. from
             an adjacent sweep grid point) are honoured.  Setting this to false
             forces every solve to start cold, which is useful for ablations.
-        batch_probes: Number of beta probes evaluated per binary-search round
-            (1 = classic bisection).  With ``k > 1`` probes the round stacks
-            ``k`` reward vectors against the shared model structure and solves
-            them in one vectorised batched call, shrinking the interval by a
-            factor of ``k + 1`` per round.  The string ``"auto"`` enables
-            adaptive scheduling: Algorithm 1 fits a per-round cost model to the
-            observed solve times and picks the probe count maximising interval
-            shrinkage per second, round by round (the certified bounds are
-            unchanged -- only the probe placement adapts).
-        portfolio_deadline: Seconds the ``"portfolio"`` solver waits for the
-            first backend to finish before blocking unconditionally; ignored by
-            the other backends.
     """
 
     epsilon: float = 1e-3
@@ -202,24 +188,13 @@ class AnalysisConfig:
     max_solver_iterations: int = 100_000
     evaluate_strategy: bool = True
     warm_start: bool = True
-    batch_probes: Union[int, str] = 1
-    portfolio_deadline: float = 30.0
 
-    _VALID_SOLVERS = ("policy_iteration", "value_iteration", "linear_program", "portfolio")
+    _VALID_SOLVERS = ("policy_iteration", "value_iteration")
 
     def __post_init__(self) -> None:
         check_positive_float(self.epsilon, "epsilon")
         check_positive_float(self.solver_tolerance, "solver_tolerance")
         check_positive_int(self.max_solver_iterations, "max_solver_iterations")
-        if isinstance(self.batch_probes, str):
-            if self.batch_probes != "auto":
-                raise ValueError(
-                    f'batch_probes must be a positive integer or "auto", '
-                    f"got {self.batch_probes!r}"
-                )
-        else:
-            check_positive_int(self.batch_probes, "batch_probes")
-        check_positive_float(self.portfolio_deadline, "portfolio_deadline")
         if self.solver not in self._VALID_SOLVERS:
             raise ValueError(
                 f"solver must be one of {self._VALID_SOLVERS}, got {self.solver!r}"
@@ -234,8 +209,6 @@ class AnalysisConfig:
             "max_solver_iterations": self.max_solver_iterations,
             "evaluate_strategy": self.evaluate_strategy,
             "warm_start": self.warm_start,
-            "batch_probes": self.batch_probes,
-            "portfolio_deadline": self.portfolio_deadline,
         }
 
 

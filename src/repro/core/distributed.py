@@ -41,8 +41,8 @@ unit wins, so a unit computed twice merges to the same value.
 
 Determinism
 -----------
-A distributed sweep reproduces the serial sweep bit-for-bit (portfolio solver
-timing metadata aside): workers run the exact per-task code of the local
+A distributed sweep reproduces the serial sweep bit-for-bit (timings aside):
+workers run the exact per-task code of the local
 engine against skeletons reconstructed bit-for-bit from the coordinator's flat
 buffers, and outcomes are re-assembled in canonical grid order regardless of
 which host computed them.
@@ -96,12 +96,11 @@ from .shared_structures import unpack_structures
 from .shared_structures import pack_structures  # noqa: F401  isort: skip
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from ..mdp.portfolio import PortfolioHistory
     from .execution import MergeSink
     from .sweep import SweepConfig
 
 #: Protocol version spoken by this module; a mismatch refuses the worker.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard cap on a single frame; anything larger is a protocol violation.
 MAX_FRAME_BYTES = 1 << 30
@@ -851,14 +850,6 @@ def run_worker(
                 # default behaviour (hard exit).
                 pass
 
-        # One race history per worker *process*: every unit computed on any
-        # connection seeds later units' portfolio scheduling (thread-safe,
-        # since capacity > 1 runs units concurrently against it), and
-        # reconnects keep the learned window warm.
-        from ..mdp.portfolio import PortfolioHistory
-
-        portfolio_history = PortfolioHistory()
-
         first_connection = True
         while True:
             budget = connect_retry_seconds if first_connection else reconnect_seconds
@@ -870,9 +861,7 @@ def run_worker(
                 summary.reconnects += 1
                 report(f"reconnected to coordinator at {host}:{port}")
             first_connection = False
-            clean = await _serve_connection(
-                loop, draining, reader, writer, portfolio_history
-            )
+            clean = await _serve_connection(loop, draining, reader, writer)
             if clean or draining.is_set() or reconnect_seconds <= 0:
                 break
             report("connection to coordinator lost; reconnecting")
@@ -885,7 +874,6 @@ def run_worker(
         draining: asyncio.Event,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        portfolio_history: "PortfolioHistory",
     ) -> bool:
         """Serve one established connection; return True on clean shutdown."""
         write_lock = asyncio.Lock()
@@ -905,7 +893,7 @@ def run_worker(
 
             def runner() -> None:
                 try:
-                    result = _run_attack_task(task, portfolio_history)
+                    result = _run_attack_task(task)
                 except BaseException as exc:  # noqa: BLE001 - marshalled to the loop
                     outcome: Tuple[bool, object] = (False, exc)
                 else:

@@ -27,10 +27,7 @@ Determinism and failure isolation are the two design invariants:
   order regardless of completion order.  (Relative to the pre-engine serial
   sweep, the default structure-cache path may differ in the last float ulp
   because probabilities are refilled vectorised; ``use_structure_cache=False``
-  reproduces the legacy construction exactly.  The ``"portfolio"`` solver is
-  the one exception: which backend wins a race is timing-dependent, so its
-  ``solver_iterations`` / ``solver_backend`` metadata -- though not the
-  certified bounds, which stay within ``epsilon`` -- can vary between runs.)
+  reproduces the legacy construction exactly.)
 * A point whose model construction or analysis raises is recorded as a
   :class:`~repro.core.results.SweepFailure` instead of aborting the grid; the
   remaining points are unaffected.  The same holds for the closed-form
@@ -71,7 +68,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -103,7 +99,6 @@ from .shared_structures import (
 from .shared_structures import publish_structures  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from ..mdp.portfolio import PortfolioHistory
     from .sweep import SweepConfig
 
 
@@ -156,10 +151,7 @@ class AttackTask:
 class PointOutcome:
     """Result of one attack grid point, as returned from a worker process.
 
-    ``portfolio_races`` / ``portfolio_launches_avoided`` are the point's slice
-    of the worker's :class:`~repro.mdp.portfolio.PortfolioHistory` activity
-    (``None`` outside portfolio runs); :func:`assemble_sweep_result` sums them
-    into ``SweepResult.metadata["portfolio"]``.  ``scenario`` is the versioned
+    ``scenario`` is the versioned
     ``name@version`` id of the attack scenario that computed the point (see
     :mod:`repro.attacks.registry`).  ``recovery_retries`` counts the transient
     failures this point survived through the bounded per-point retry loop
@@ -180,40 +172,12 @@ class PointOutcome:
     error: Optional[str] = None
     beta_low: Optional[float] = None
     beta_up: Optional[float] = None
-    solver_backend: Optional[str] = None
-    cancelled_iterations: Optional[int] = None
-    portfolio_races: Optional[int] = None
-    portfolio_launches_avoided: Optional[int] = None
     scenario: Optional[str] = None
     recovery_retries: Optional[int] = None
 
 
-#: Fallback race history of a *pool worker* process, shared by every task it
-#: computes (lazily created; dies with the worker at pool shutdown).  Serial
-#: sweeps and distributed workers pass an explicitly owned history instead.
-_WORKER_PORTFOLIO_HISTORY: Optional["PortfolioHistory"] = None
-_WORKER_PORTFOLIO_HISTORY_LOCK = threading.Lock()
-
-
-def _portfolio_history_for(analysis: AnalysisConfig) -> Optional["PortfolioHistory"]:
-    """This process's shared :class:`PortfolioHistory` (portfolio solver only)."""
-    global _WORKER_PORTFOLIO_HISTORY
-    if analysis.solver != "portfolio":
-        return None
-    # Pool workers are single-threaded today, but the history is also reachable
-    # from in-process threaded callers (e.g. the distributed worker's executor),
-    # so the lazy init is guarded.
-    with _WORKER_PORTFOLIO_HISTORY_LOCK:
-        if _WORKER_PORTFOLIO_HISTORY is None:
-            from ..mdp.portfolio import PortfolioHistory
-
-            _WORKER_PORTFOLIO_HISTORY = PortfolioHistory()
-        return _WORKER_PORTFOLIO_HISTORY
-
-
 def _run_attack_task(
     task: AttackTask,
-    portfolio_history: Optional["PortfolioHistory"] = None,
 ) -> List[PointOutcome]:
     """Worker entry point; must stay importable at module top level (pickling).
 
@@ -221,19 +185,9 @@ def _run_attack_task(
     computed outcome is published into its grid slot instead of being returned:
     the returned list then holds only the outcomes the plane refused (oversized
     error strings), which fall back to the pickled future path.
-
-    Args:
-        task: The unit of work.
-        portfolio_history: Optional externally owned race history (the
-            distributed fabric passes its per-connection one); defaults to this
-            process's shared history for the ``"portfolio"`` solver.
     """
     from .results_plane import installed_results_plane
 
-    if task.analysis.solver != "portfolio":
-        portfolio_history = None
-    elif portfolio_history is None:
-        portfolio_history = _portfolio_history_for(task.analysis)
     plane = installed_results_plane()
     outcomes: List[PointOutcome] = []
     warm_rows: Optional[np.ndarray] = None
@@ -244,14 +198,6 @@ def _run_attack_task(
         start = time.perf_counter()
         retries = 0
         while True:
-            # Per-point deltas come from the *calling thread's* counters: the
-            # history may be shared with concurrently racing threads
-            # (distributed capacity > 1), whose races must not leak into this
-            # point's stats.  Recaptured per attempt so an abandoned attempt's
-            # races don't count against the one that succeeds.
-            history_before = (
-                portfolio_history.thread_stats() if portfolio_history is not None else {}
-            )
             try:
                 if maybe_fail("engine.point_transient"):
                     raise InjectedFault("engine.point_transient")
@@ -276,7 +222,6 @@ def _run_attack_task(
                     beta_low=initial_beta_low,
                     initial_strategy_rows=warm_rows,
                     initial_bias=warm_bias,
-                    portfolio_history=portfolio_history,
                 )
                 if task.warm_start_across_points:
                     warm_rows = result.strategy.rows
@@ -302,21 +247,6 @@ def _run_attack_task(
                     num_states=model.mdp.num_states,
                     beta_low=result.beta_low,
                     beta_up=result.beta_up,
-                    solver_backend=result.winning_solver,
-                    cancelled_iterations=(
-                        result.cancelled_solver_iterations if result.backend_wins else None
-                    ),
-                    portfolio_races=(
-                        portfolio_history.thread_stats()["races"] - history_before["races"]
-                        if portfolio_history is not None
-                        else None
-                    ),
-                    portfolio_launches_avoided=(
-                        portfolio_history.thread_stats()["launches_avoided"]
-                        - history_before["launches_avoided"]
-                        if portfolio_history is not None
-                        else None
-                    ),
                     scenario=entry.scenario_id,
                     recovery_retries=retries or None,
                 )
@@ -599,13 +529,10 @@ def assemble_sweep_result(
     shaped :class:`SweepResult`.  A grid key with no collected outcome at all
     -- a distributed shutdown that lost a unit, a results-plane slot torn by a
     crashed writer -- becomes a :class:`SweepFailure` instead of a crash that
-    would discard every point that *was* collected.  Portfolio race statistics
-    carried by the outcomes are summed into ``metadata["portfolio"]``.
+    would discard every point that *was* collected.
     """
     points: List[SweepPoint] = []
     failures: List[SweepFailure] = []
-    portfolio = {"races": 0, "launches_avoided": 0, "backend_wins": {}}
-    portfolio_seen = False
     for gamma_index, gamma in enumerate(config.gammas):
         for p_index, p in enumerate(config.p_values):
             points.extend(_baseline_points(config, p, gamma, failures, report))
@@ -621,13 +548,6 @@ def assemble_sweep_result(
                         )
                     )
                     continue
-                if outcome.portfolio_races is not None:
-                    portfolio_seen = True
-                    portfolio["races"] += outcome.portfolio_races
-                    portfolio["launches_avoided"] += outcome.portfolio_launches_avoided or 0
-                    if outcome.solver_backend is not None:
-                        wins = portfolio["backend_wins"]
-                        wins[outcome.solver_backend] = wins.get(outcome.solver_backend, 0) + 1
                 if outcome.error is not None:
                     failures.append(
                         SweepFailure(
@@ -648,14 +568,10 @@ def assemble_sweep_result(
                         solver_iterations=outcome.solver_iterations,
                         beta_low=outcome.beta_low,
                         beta_up=outcome.beta_up,
-                        solver_backend=outcome.solver_backend,
-                        cancelled_iterations=outcome.cancelled_iterations,
                         scenario=outcome.scenario,
                     )
                 )
     result = SweepResult(points=points, description=description, failures=failures)
-    if portfolio_seen:
-        result.metadata["portfolio"] = portfolio
     point_retries = sum(o.recovery_retries or 0 for o in outcomes.values())
     if point_retries:
         # Degradation counter: the sweep completed, but only because the

@@ -84,7 +84,6 @@ from .reporting import ProgressReporter
 from .results import SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles broken at runtime
-    from ..mdp.portfolio import PortfolioHistory
     from .engine import AttackTask, PointOutcome
     from .journal import SweepJournal
     from .results_plane import ResultsPlane
@@ -410,9 +409,6 @@ class SerialBackend(ExecutionBackend):
     """In-process execution: units run in submission order on this thread.
 
     The reference backend: deterministic ordering, no IPC, no shared memory.
-    A per-sweep :class:`~repro.mdp.portfolio.PortfolioHistory` (portfolio
-    solver only) starts cold, exactly like a fresh pool worker, so independent
-    serial sweeps in a long-lived process never share race history.
     """
 
     name = "serial"
@@ -420,29 +416,19 @@ class SerialBackend(ExecutionBackend):
     def __init__(self) -> None:
         """Create an idle serial backend (resources acquired by ``start``)."""
         self._plan: Optional[SweepPlan] = None
-        self._history: Optional["PortfolioHistory"] = None
 
     def start(self, plan: SweepPlan) -> None:
-        """Prepare in-process execution (cold per-sweep portfolio history)."""
+        """Prepare in-process execution."""
         self._plan = plan
-        self._history = None
-        if plan.pending_units and plan.config.analysis.solver == "portfolio":
-            from ..mdp.portfolio import PortfolioHistory
-
-            self._history = PortfolioHistory()
 
     def outcomes(self) -> Iterator[BackendEvent]:
         """Compute each pending unit inline and stream its outcomes."""
         assert self._plan is not None  # start() ran
         for _unit_id, task in self._plan.pending_tasks():
             yield OutcomeBatch(
-                outcomes=tuple(_engine._run_attack_task(task, self._history)),
+                outcomes=tuple(_engine._run_attack_task(task)),
                 channel="in_process",
             )
-
-    def close(self) -> None:
-        """Drop the per-sweep portfolio history."""
-        self._history = None
 
 
 class PoolBackend(ExecutionBackend):

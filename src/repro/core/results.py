@@ -94,12 +94,6 @@ class SweepPoint:
         beta_up: Certified upper end of the final beta interval (``None`` for
             baseline points); satisfies ``ERRev* <= beta_up`` within the MDP's
             strategy class.
-        solver_backend: For portfolio-solved points, the backend that won the
-            majority of the point's races (``None`` otherwise).
-        cancelled_iterations: For portfolio-solved points, the iterations the
-            losing backends were cooperatively cancelled out of across the
-            point's races -- solver work the PR 2 portfolio would have burned
-            to completion (``None`` outside portfolio runs).
         scenario: Versioned ``name@version`` id of the attack scenario that
             computed the point (see :mod:`repro.attacks.registry`); ``None``
             for closed-form baseline points.
@@ -113,8 +107,6 @@ class SweepPoint:
     solver_iterations: Optional[int] = None
     beta_low: Optional[float] = None
     beta_up: Optional[float] = None
-    solver_backend: Optional[str] = None
-    cancelled_iterations: Optional[int] = None
     scenario: Optional[str] = None
 
     def to_row(self) -> Dict[str, object]:
@@ -133,10 +125,6 @@ class SweepPoint:
             row["beta_low"] = self.beta_low
         if self.beta_up is not None:
             row["beta_up"] = self.beta_up
-        if self.solver_backend is not None:
-            row["solver_backend"] = self.solver_backend
-        if self.cancelled_iterations is not None:
-            row["cancelled_iterations"] = self.cancelled_iterations
         if self.scenario is not None:
             row["scenario"] = self.scenario
         return row
@@ -175,9 +163,7 @@ class SweepResult:
             how each outcome returned to the parent under
             ``metadata["results_plane"]`` (``via_plane`` counts shared-memory
             records, ``via_pickle`` pickled future payloads, ``synthesized``
-            crash placeholders); portfolio-solved sweeps record their race
-            history under ``metadata["portfolio"]`` (``races``,
-            ``launches_avoided`` by history seeding, per-backend point wins).
+            crash placeholders).
     """
 
     points: List[SweepPoint] = field(default_factory=list)

@@ -42,7 +42,7 @@ synchronization point with its writer -- the task's future result arriving
 (queue IPC), the pool having joined, or the writer process having died --
 each of which guarantees the published payload is visible.
 
-Strings (series name, error message, backend name) live in fixed-size fields
+Strings (series name, error message, scenario id) live in fixed-size fields
 -- :data:`ERROR_BYTES` etc.  An outcome whose strings do not fit is *not*
 truncated: :meth:`ResultsPlane.write` refuses it and the worker falls back to
 returning that one outcome through the pickled future path (counted by the
@@ -85,10 +85,12 @@ PLANE_MAGIC = 0x5245_5052_4F52_4553
 
 #: Layout generation of the record payload, validated on attach by the
 #: substrate header so a stale worker from a previous layout fails loudly
-#: instead of decoding shifted fields.  Bumped to 4 for the substrate port
-#: (geometry moved into a named payload region behind the substrate header);
-#: 3 added the per-record ``recovery_retries`` counter, 2 the ``scenario`` id.
-RESULTS_PLANE_VERSION = 4
+#: instead of decoding shifted fields.  Bumped to 5 when the solver-race
+#: fields (winning backend, cancelled iterations, race counters) left the
+#: record; 4 was the substrate port (geometry moved into a named payload
+#: region behind the substrate header); 3 added the per-record
+#: ``recovery_retries`` counter, 2 the ``scenario`` id.
+RESULTS_PLANE_VERSION = 5
 
 #: Substrate identity of results-plane segments.
 _SPEC = SegmentSpec(kind="results-plane", magic=PLANE_MAGIC, version=RESULTS_PLANE_VERSION)
@@ -96,7 +98,6 @@ _SPEC = SegmentSpec(kind="results-plane", magic=PLANE_MAGIC, version=RESULTS_PLA
 #: Capacity of the fixed-size string fields of one record.
 SERIES_BYTES = 96
 ERROR_BYTES = 512
-BACKEND_BYTES = 48
 SCENARIO_BYTES = 64
 
 #: Bit flags marking which optional fields of a record are present.
@@ -104,11 +105,8 @@ _HAS_ERREV = 1 << 0
 _HAS_ERROR = 1 << 1
 _HAS_BETA_LOW = 1 << 2
 _HAS_BETA_UP = 1 << 3
-_HAS_BACKEND = 1 << 4
-_HAS_CANCELLED = 1 << 5
-_HAS_PORTFOLIO = 1 << 6
-_HAS_SCENARIO = 1 << 7
-_HAS_RECOVERY = 1 << 8
+_HAS_SCENARIO = 1 << 4
+_HAS_RECOVERY = 1 << 5
 
 #: Packed per-slot record: seqlock word, grid key, payload, flagged optionals.
 OUTCOME_DTYPE = np.dtype(
@@ -120,9 +118,6 @@ OUTCOME_DTYPE = np.dtype(
         ("attack_index", np.int32),
         ("solver_iterations", np.int64),
         ("num_states", np.int64),
-        ("cancelled_iterations", np.int64),
-        ("portfolio_races", np.int64),
-        ("portfolio_launches_avoided", np.int64),
         ("recovery_retries", np.int64),
         ("p", np.float64),
         ("gamma", np.float64),
@@ -132,7 +127,6 @@ OUTCOME_DTYPE = np.dtype(
         ("beta_up", np.float64),
         ("series", f"S{SERIES_BYTES}"),
         ("error", f"S{ERROR_BYTES}"),
-        ("solver_backend", f"S{BACKEND_BYTES}"),
         ("scenario", f"S{SCENARIO_BYTES}"),
     ]
 )
@@ -207,7 +201,7 @@ class ResultsPlane:
     def write(self, outcome: "PointOutcome") -> bool:
         """Publish one outcome into its grid slot; ``False`` if it does not fit.
 
-        An outcome whose series/error/backend strings exceed the fixed field
+        An outcome whose series/error/scenario strings exceed the fixed field
         sizes (or whose grid coordinates fall outside the plane's grid) is
         refused rather than truncated -- the caller must return it through the
         ordinary pickled path so the drained result stays byte-exact.
@@ -217,19 +211,17 @@ class ResultsPlane:
             return False
         series = outcome.series.encode("utf-8")
         error = (outcome.error or "").encode("utf-8")
-        backend = (outcome.solver_backend or "").encode("utf-8")
         scenario = (outcome.scenario or "").encode("utf-8")
         if (
             len(series) > SERIES_BYTES
             or len(error) > ERROR_BYTES
-            or len(backend) > BACKEND_BYTES
             or len(scenario) > SCENARIO_BYTES
         ):
             return False
         # Fixed-size numpy bytes fields strip trailing NULs on read, so a
         # string that *ends* in one cannot round-trip byte-exactly -- refuse
         # it (pathological, but correctness beats coverage here).
-        if any(text.endswith(b"\x00") for text in (series, error, backend, scenario)):
+        if any(text.endswith(b"\x00") for text in (series, error, scenario)):
             return False
         records = self._records
         assert records is not None  # a closed plane is never handed to writers
@@ -259,18 +251,6 @@ class ResultsPlane:
         if outcome.beta_up is not None:
             flags |= _HAS_BETA_UP
             records["beta_up"][slot] = outcome.beta_up
-        if outcome.solver_backend is not None:
-            flags |= _HAS_BACKEND
-        records["solver_backend"][slot] = backend
-        if outcome.cancelled_iterations is not None:
-            flags |= _HAS_CANCELLED
-            records["cancelled_iterations"][slot] = outcome.cancelled_iterations
-        if outcome.portfolio_races is not None:
-            flags |= _HAS_PORTFOLIO
-            records["portfolio_races"][slot] = outcome.portfolio_races
-            records["portfolio_launches_avoided"][slot] = (
-                outcome.portfolio_launches_avoided or 0
-            )
         if outcome.scenario is not None:
             flags |= _HAS_SCENARIO
         records["scenario"][slot] = scenario
@@ -303,20 +283,6 @@ class ResultsPlane:
             error=bytes(record["error"]).decode("utf-8") if flags & _HAS_ERROR else None,
             beta_low=float(record["beta_low"]) if flags & _HAS_BETA_LOW else None,
             beta_up=float(record["beta_up"]) if flags & _HAS_BETA_UP else None,
-            solver_backend=(
-                bytes(record["solver_backend"]).decode("utf-8")
-                if flags & _HAS_BACKEND
-                else None
-            ),
-            cancelled_iterations=(
-                int(record["cancelled_iterations"]) if flags & _HAS_CANCELLED else None
-            ),
-            portfolio_races=(
-                int(record["portfolio_races"]) if flags & _HAS_PORTFOLIO else None
-            ),
-            portfolio_launches_avoided=(
-                int(record["portfolio_launches_avoided"]) if flags & _HAS_PORTFOLIO else None
-            ),
             scenario=(
                 bytes(record["scenario"]).decode("utf-8") if flags & _HAS_SCENARIO else None
             ),
@@ -489,7 +455,6 @@ def active_results_plane_names() -> List[str]:
 
 
 __all__: Tuple[str, ...] = (
-    "BACKEND_BYTES",
     "ERROR_BYTES",
     "OUTCOME_DTYPE",
     "PLANE_MAGIC",

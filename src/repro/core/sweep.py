@@ -241,7 +241,6 @@ def sweep_figure2(
     attack_configs: Optional[Sequence[AttackParams]] = None,
     epsilon: float = 1e-3,
     solver: str = "policy_iteration",
-    batch_probes: int = 1,
     workers: int = 1,
     use_structure_cache: bool = True,
     warm_start_across_points: bool = False,
@@ -256,8 +255,7 @@ def sweep_figure2(
             ``fine_grid`` is set, otherwise to {0, 0.5, 1}.
         attack_configs: Attack configurations; defaults to the tractable subset.
         epsilon: Binary-search precision of the formal analysis.
-        solver: Mean-payoff solver backend (including ``"portfolio"``).
-        batch_probes: Beta probes per binary-search round (1 = classic bisection).
+        solver: Mean-payoff solver backend.
         workers: Worker processes for the sweep engine (1 = serial).
         use_structure_cache: Reuse cached model skeletons across grid points.
         warm_start_across_points: Chain solver warm starts along the p axis.
@@ -275,7 +273,7 @@ def sweep_figure2(
         p_values=p_values,
         gammas=tuple(gammas) if gammas is not None else default_gammas,
         attack_configs=tuple(attack_configs) if attack_configs is not None else DEFAULT_ATTACK_CONFIGS,
-        analysis=AnalysisConfig(epsilon=epsilon, solver=solver, batch_probes=batch_probes),
+        analysis=AnalysisConfig(epsilon=epsilon, solver=solver),
         workers=workers,
         use_structure_cache=use_structure_cache,
         warm_start_across_points=warm_start_across_points,

@@ -29,23 +29,5 @@ class ConvergenceError(SolverError):
     """An iterative solver exceeded its iteration budget before converging."""
 
 
-class SolverCancelled(SolverError):
-    """A solver stopped cooperatively because its cancellation token was set.
-
-    Raised at an iteration boundary by the iterative mean-payoff solvers when a
-    :class:`~repro.mdp.cancellation.CancellationToken` passed to them is
-    cancelled -- typically because a rival backend already won the portfolio
-    race.  Carries the number of iterations completed before stopping so the
-    portfolio can account for the work the loser did *not* burn.
-
-    Attributes:
-        iterations: Iterations the solver completed before it stopped.
-    """
-
-    def __init__(self, message: str, *, iterations: int = 0) -> None:
-        super().__init__(message)
-        self.iterations = int(iterations)
-
-
 class SimulationError(ReproError):
     """The discrete-time blockchain simulator reached an inconsistent state."""

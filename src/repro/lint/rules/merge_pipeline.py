@@ -21,7 +21,7 @@ Three drift modes would quietly fork the pipeline:
   conformance suite asserts on.
 
 This rule pins all three to ``core/execution.py`` (plus the body of the
-assembler itself, which builds the portfolio/recovery summaries it owns).
+assembler itself, which builds the recovery summary it owns).
 Backends report outcomes by yielding events or pushing into the sink; they
 contribute backend-specific metadata via ``ExecutionBackend.metadata``.
 """
@@ -37,7 +37,7 @@ from ..engine import LintViolation, ModuleInfo, Rule, dotted_name
 PIPELINE_MODULES: Tuple[str, ...] = ("core/execution.py",)
 
 #: Functions whose bodies are part of the pipeline wherever they live
-#: (the assembler builds its own portfolio/recovery metadata).
+#: (the assembler builds its own recovery metadata).
 PIPELINE_FUNCTIONS: Tuple[str, ...] = ("assemble_sweep_result",)
 
 

@@ -2,21 +2,17 @@
 
 This subpackage is the substrate that replaces the Storm probabilistic model
 checker used by the paper: a from-scratch finite MDP container together with
-mean-payoff solvers (relative value iteration, Howard policy iteration and a
-linear-programming formulation), discounted value iteration, induced-Markov-chain
-stationary analysis and structural (graph) analysis.
+mean-payoff solvers (Howard policy iteration and relative value iteration, plus
+a linear-programming formulation kept as a test reference), discounted value
+iteration, induced-Markov-chain stationary analysis and structural (graph)
+analysis.
 """
 
-from .cancellation import CancellationToken
 from .model import MDP, MDPBuilder, TransitionRow
 from .strategy import Strategy
 from .markov_chain import MarkovChain, induced_markov_chain
-from .value_iteration import (
-    RelativeValueIterationResult,
-    batched_relative_value_iteration,
-    relative_value_iteration,
-)
-from .policy_iteration import PolicyIterationResult, batched_policy_iteration, policy_iteration
+from .value_iteration import RelativeValueIterationResult, relative_value_iteration
+from .policy_iteration import PolicyIterationResult, policy_iteration
 from .linear_program import LinearProgramResult, solve_mean_payoff_lp
 from .discounted import DiscountedValueIterationResult, discounted_value_iteration
 from .mean_payoff import (
@@ -25,12 +21,10 @@ from .mean_payoff import (
     solve_mean_payoff,
     solve_mean_payoff_batch,
 )
-from .portfolio import PORTFOLIO_BACKENDS, PortfolioHistory, SolverPortfolio
 from .reachability import end_components, is_unichain, reachable_states
 from .validation import validate_mdp
 
 __all__ = [
-    "CancellationToken",
     "MDP",
     "MDPBuilder",
     "TransitionRow",
@@ -38,10 +32,8 @@ __all__ = [
     "MarkovChain",
     "induced_markov_chain",
     "RelativeValueIterationResult",
-    "batched_relative_value_iteration",
     "relative_value_iteration",
     "PolicyIterationResult",
-    "batched_policy_iteration",
     "policy_iteration",
     "LinearProgramResult",
     "solve_mean_payoff_lp",
@@ -51,9 +43,6 @@ __all__ = [
     "MeanPayoffSolution",
     "solve_mean_payoff",
     "solve_mean_payoff_batch",
-    "PORTFOLIO_BACKENDS",
-    "PortfolioHistory",
-    "SolverPortfolio",
     "end_components",
     "is_unichain",
     "reachable_states",

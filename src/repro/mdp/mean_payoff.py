@@ -2,39 +2,31 @@
 
 Algorithm 1 only needs a single entry point that, given an MDP and reward
 weights, returns the optimal gain together with an optimal (or epsilon-optimal)
-strategy.  :func:`solve_mean_payoff` dispatches to the configured backend and
-normalises the result into a :class:`MeanPayoffSolution`.
+strategy.  :func:`solve_mean_payoff` dispatches to policy iteration (exact, the
+default) or relative value iteration (certified span bounds) and normalises the
+result into a :class:`MeanPayoffSolution`.  :func:`solve_mean_payoff_batch` is
+a convenience loop over several reward weightings of the same model.
 
-Two scaling extensions share this front-end:
-
-* :func:`solve_mean_payoff_batch` solves several reward weightings over the
-  *same* model in one call (the batched beta probes of Algorithm 1), hitting
-  the vectorised batched backends where they exist.
-* The ``"portfolio"`` backend races policy iteration against value iteration
-  per probe and returns the first finisher
-  (:class:`~repro.mdp.portfolio.SolverPortfolio`).
+The LP formulation (:func:`repro.mdp.solve_mean_payoff_lp`) is deliberately
+not a backend here: it is an independent reference the tests compare policy
+iteration against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import SolverError
-from .cancellation import CancellationToken
-from .linear_program import solve_mean_payoff_lp
 from .model import MDP
-from .policy_iteration import batched_policy_iteration, policy_iteration
+from .policy_iteration import policy_iteration
 from .strategy import Strategy
-from .value_iteration import batched_relative_value_iteration, relative_value_iteration
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .portfolio import PortfolioHistory
+from .value_iteration import relative_value_iteration
 
 #: Names of the available solver backends.
-SOLVER_BACKENDS = ("policy_iteration", "value_iteration", "linear_program", "portfolio")
+SOLVER_BACKENDS = ("policy_iteration", "value_iteration")
 
 
 @dataclass
@@ -48,10 +40,7 @@ class MeanPayoffSolution:
         strategy: Optimal (or epsilon-optimal) positional strategy.
         bias: Bias vector associated with the solution.
         solver: Name of the backend that produced the result.
-        iterations: Iterations used by the backend (0 for the LP).
-        cancelled_iterations: For portfolio solves, the iterations the losing
-            backends were cooperatively cancelled out of -- the solver work the
-            race avoided burning (0 outside portfolio runs).
+        iterations: Iterations used by the backend.
     """
 
     gain: float
@@ -61,7 +50,6 @@ class MeanPayoffSolution:
     bias: np.ndarray
     solver: str
     iterations: int
-    cancelled_iterations: int = 0
 
 
 def solve_mean_payoff(
@@ -73,9 +61,6 @@ def solve_mean_payoff(
     max_iterations: int = 100_000,
     warm_start: Optional[Strategy] = None,
     warm_start_bias: Optional[np.ndarray] = None,
-    portfolio_deadline: float = 30.0,
-    portfolio_history: Optional["PortfolioHistory"] = None,
-    cancel_token: Optional[CancellationToken] = None,
 ) -> MeanPayoffSolution:
     """Compute the optimal mean payoff and an optimal strategy.
 
@@ -83,50 +68,21 @@ def solve_mean_payoff(
         mdp: The model to solve (assumed unichain under every strategy, which
             holds for the paper's selfish-mining MDP).
         reward_weights: Weights combining the model's reward components.
-        solver: One of ``"policy_iteration"`` (default; exact), ``"value_iteration"``
-            (certified bounds), ``"linear_program"`` (independent cross-check) or
-            ``"portfolio"`` (policy vs value iteration raced per probe; the
-            winner's name is recorded as ``"portfolio:<backend>"``).
+        solver: ``"policy_iteration"`` (default; exact) or
+            ``"value_iteration"`` (certified bounds).
         tolerance: Numerical tolerance of the backend.
         max_iterations: Iteration budget of the backend.
-        warm_start: Optional strategy to warm-start iterative backends with
-            (used by policy iteration as the initial policy).
+        warm_start: Optional strategy to warm-start policy iteration with (its
+            initial policy).
         warm_start_bias: Optional bias vector to warm-start value iteration with
             (e.g. the bias of the previous binary-search iterate); silently
             ignored when its shape does not match ``mdp.num_states`` so that
             callers can pass vectors carried across structurally different
             models without checking.
-        portfolio_deadline: Seconds the ``"portfolio"`` backend waits for the
-            first finisher before blocking unconditionally; ignored otherwise.
-        portfolio_history: Optional :class:`~repro.mdp.portfolio.
-            PortfolioHistory` seeding the ``"portfolio"`` race from recent
-            winners (the dominant backend launches first, rivals are delayed
-            or skipped); ignored by the other backends.
-        cancel_token: Optional cooperative stop signal polled at iteration
-            boundaries by the iterative backends (the portfolio additionally
-            creates per-backend tokens internally, linked to this one, to stop
-            race losers).
 
     Raises:
         SolverError: If ``solver`` is not a known backend.
-        SolverCancelled: If ``cancel_token`` was cancelled before completion.
     """
-    if warm_start_bias is not None:
-        warm_start_bias = np.asarray(warm_start_bias, dtype=float)
-        if warm_start_bias.shape != (mdp.num_states,):
-            warm_start_bias = None
-    if solver == "portfolio":
-        from .portfolio import SolverPortfolio  # local import: avoids a cycle
-
-        return SolverPortfolio(deadline=portfolio_deadline, history=portfolio_history).solve(
-            mdp,
-            reward_weights,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            warm_start=warm_start,
-            warm_start_bias=warm_start_bias,
-            cancel_token=cancel_token,
-        )
     if solver == "policy_iteration":
         result = policy_iteration(
             mdp,
@@ -134,7 +90,6 @@ def solve_mean_payoff(
             tolerance=tolerance,
             max_iterations=max(100, min(max_iterations, 10_000)),
             initial_strategy=warm_start,
-            cancel_token=cancel_token,
         )
         return MeanPayoffSolution(
             gain=result.gain,
@@ -146,44 +101,25 @@ def solve_mean_payoff(
             iterations=result.iterations,
         )
     if solver == "value_iteration":
-        result = relative_value_iteration(
+        if warm_start_bias is not None:
+            warm_start_bias = np.asarray(warm_start_bias, dtype=float)
+            if warm_start_bias.shape != (mdp.num_states,):
+                warm_start_bias = None
+        vi = relative_value_iteration(
             mdp,
             reward_weights,
             tolerance=tolerance,
             max_iterations=max_iterations,
             initial_bias=warm_start_bias,
-            cancel_token=cancel_token,
         )
         return MeanPayoffSolution(
-            gain=result.gain,
-            lower_bound=result.lower_bound,
-            upper_bound=result.upper_bound,
-            strategy=result.strategy,
-            bias=result.bias,
+            gain=vi.gain,
+            lower_bound=vi.lower_bound,
+            upper_bound=vi.upper_bound,
+            strategy=vi.strategy,
+            bias=vi.bias,
             solver=solver,
-            iterations=result.iterations,
-        )
-    if solver == "linear_program":
-        result = solve_mean_payoff_lp(mdp, reward_weights)
-        # The LP's optimal value is the optimal gain, but the bias of an optimal
-        # basic solution is not unique, so a greedy strategy extracted from it
-        # can be sub-optimal.  A policy-iteration refinement warm-started from
-        # the LP strategy fixes the strategy without changing the (LP) value.
-        refinement = policy_iteration(
-            mdp,
-            reward_weights,
-            tolerance=tolerance,
-            max_iterations=1_000,
-            initial_strategy=result.strategy,
-        )
-        return MeanPayoffSolution(
-            gain=result.gain,
-            lower_bound=result.gain - tolerance,
-            upper_bound=result.gain + tolerance,
-            strategy=refinement.strategy,
-            bias=result.bias,
-            solver=solver,
-            iterations=refinement.iterations,
+            iterations=vi.iterations,
         )
     raise SolverError(f"unknown mean-payoff solver {solver!r}; choose from {SOLVER_BACKENDS}")
 
@@ -197,45 +133,19 @@ def solve_mean_payoff_batch(
     max_iterations: int = 100_000,
     warm_start: Optional[Strategy] = None,
     warm_start_bias: Optional[np.ndarray] = None,
-    portfolio_deadline: float = 30.0,
-    portfolio_history: Optional["PortfolioHistory"] = None,
-    cancel_token: Optional[CancellationToken] = None,
 ) -> List[MeanPayoffSolution]:
-    """Solve several reward weightings of the *same* model in one call.
+    """Solve several reward weightings of the *same* model, one after another.
 
-    This is the batched entry point behind Algorithm 1's ``batch_probes`` mode:
-    ``k`` reward vectors (one per row of ``weight_matrix``) are stacked against
-    one shared transition structure and dispatched to the vectorised batched
-    backend -- a single joint value-iteration run, a reward-assembly-sharing
-    policy-iteration chain, or a portfolio race between the two.  The
-    ``"linear_program"`` backend has no batched formulation and falls back to
-    sequential solves.
-
-    Args:
-        mdp: The model to solve.
-        weight_matrix: Reward-weight matrix of shape ``(k, num_reward_components)``.
-        solver: Backend name, as for :func:`solve_mean_payoff`.
-        tolerance: Numerical tolerance of the backend.
-        max_iterations: Iteration budget of the backend (per column for value
-            iteration, per probe for policy iteration).
-        warm_start: Optional strategy seeding the first probe (policy iteration
-            chains subsequent probes from their predecessor's optimum).
-        warm_start_bias: Optional bias warm start for value iteration: either
-            one vector of shape ``(num_states,)`` broadcast to every column, or
-            a per-column matrix of shape ``(num_states, k)``; silently ignored
-            on shape mismatch.
-        portfolio_deadline: Deadline of the ``"portfolio"`` race; ignored otherwise.
-        portfolio_history: Optional race history seeding the ``"portfolio"``
-            backend, as for :func:`solve_mean_payoff`; ignored otherwise.
-        cancel_token: Optional cooperative stop signal polled at iteration
-            boundaries by the iterative backends.
+    Each row of ``weight_matrix`` is one :func:`solve_mean_payoff` call, warm
+    started with the strategy and bias of the previous row (the first row uses
+    ``warm_start`` / ``warm_start_bias``).
 
     Returns:
         One :class:`MeanPayoffSolution` per row of ``weight_matrix``, in order.
 
     Raises:
-        SolverError: If ``solver`` is not a known backend.
-        SolverCancelled: If ``cancel_token`` was cancelled before completion.
+        SolverError: If ``weight_matrix`` is not ``(k, num_reward_components)``
+            or ``solver`` is not a known backend.
     """
     weight_matrix = np.asarray(weight_matrix, dtype=float)
     if weight_matrix.ndim != 2 or weight_matrix.shape[1] != mdp.num_reward_components:
@@ -243,78 +153,17 @@ def solve_mean_payoff_batch(
             f"weight_matrix must have shape (k, {mdp.num_reward_components}), "
             f"got {weight_matrix.shape}"
         )
-    num_probes = weight_matrix.shape[0]
-    if num_probes == 0:
-        return []
-    if warm_start_bias is not None:
-        warm_start_bias = np.asarray(warm_start_bias, dtype=float)
-        if warm_start_bias.shape not in ((mdp.num_states,), (mdp.num_states, num_probes)):
-            warm_start_bias = None
-    if solver == "portfolio":
-        from .portfolio import SolverPortfolio  # local import: avoids a cycle
-
-        return SolverPortfolio(deadline=portfolio_deadline, history=portfolio_history).solve_batch(
+    solutions: List[MeanPayoffSolution] = []
+    for weights in weight_matrix:
+        solution = solve_mean_payoff(
             mdp,
-            weight_matrix,
+            weights,
+            solver=solver,
             tolerance=tolerance,
             max_iterations=max_iterations,
             warm_start=warm_start,
             warm_start_bias=warm_start_bias,
-            cancel_token=cancel_token,
         )
-    if solver == "policy_iteration":
-        results = batched_policy_iteration(
-            mdp,
-            weight_matrix,
-            tolerance=tolerance,
-            max_iterations=max(100, min(max_iterations, 10_000)),
-            initial_strategy=warm_start,
-            cancel_token=cancel_token,
-        )
-        return [
-            MeanPayoffSolution(
-                gain=result.gain,
-                lower_bound=result.gain - tolerance,
-                upper_bound=result.gain + tolerance,
-                strategy=result.strategy,
-                bias=result.bias,
-                solver=solver,
-                iterations=result.iterations,
-            )
-            for result in results
-        ]
-    if solver == "value_iteration":
-        results = batched_relative_value_iteration(
-            mdp,
-            weight_matrix,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            initial_bias=warm_start_bias,
-            cancel_token=cancel_token,
-        )
-        return [
-            MeanPayoffSolution(
-                gain=result.gain,
-                lower_bound=result.lower_bound,
-                upper_bound=result.upper_bound,
-                strategy=result.strategy,
-                bias=result.bias,
-                solver=solver,
-                iterations=result.iterations,
-            )
-            for result in results
-        ]
-    if solver == "linear_program":
-        return [
-            solve_mean_payoff(
-                mdp,
-                weight_matrix[j],
-                solver=solver,
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-                warm_start=warm_start,
-                warm_start_bias=warm_start_bias,
-            )
-            for j in range(weight_matrix.shape[0])
-        ]
-    raise SolverError(f"unknown mean-payoff solver {solver!r}; choose from {SOLVER_BACKENDS}")
+        solutions.append(solution)
+        warm_start, warm_start_bias = solution.strategy, solution.bias
+    return solutions

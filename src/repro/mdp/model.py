@@ -175,14 +175,6 @@ class MDP:
         contributions = scalar * self.trans_prob
         return np.add.reduceat(contributions, self.row_trans_offsets[:-1]) if self.num_rows else np.zeros(0)
 
-    def expected_row_reward_components(self) -> np.ndarray:
-        """Return the expected reward vector of every row, shape ``(num_rows, k)``."""
-        weighted = self.trans_reward * self.trans_prob[:, None]
-        out = np.zeros((self.num_rows, self.num_reward_components))
-        if self.num_rows:
-            out = np.add.reduceat(weighted, self.row_trans_offsets[:-1], axis=0)
-        return out
-
     # ------------------------------------------------------------------ utilities
 
     def uniform_random_row_choice(self) -> np.ndarray:

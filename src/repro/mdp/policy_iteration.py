@@ -5,23 +5,16 @@ a sparse linear solve on the induced Markov chain) and then improves it greedily
 For unichain models the procedure terminates after finitely many iterations with
 an optimal positional strategy and the exact optimal gain, which makes it the
 default solver of the formal analysis.
-
-Both entry points accept an optional
-:class:`~repro.mdp.cancellation.CancellationToken`, polled once per improvement
-round; a cancelled token raises :class:`~repro.exceptions.SolverCancelled` at
-the next round boundary so portfolio losers stop instead of evaluating policies
-nobody will use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import ConvergenceError
-from .cancellation import CancellationToken, check_cancelled
 from .markov_chain import induced_markov_chain
 from .model import MDP
 from .strategy import Strategy
@@ -78,7 +71,6 @@ def policy_iteration(
     tolerance: float = 1e-9,
     max_iterations: int = 1_000,
     initial_strategy: Optional[Strategy] = None,
-    cancel_token: Optional[CancellationToken] = None,
 ) -> PolicyIterationResult:
     """Solve the mean-payoff MDP with Howard policy iteration.
 
@@ -90,43 +82,11 @@ def policy_iteration(
         max_iterations: Maximum number of improvement rounds.
         initial_strategy: Optional warm start (e.g. the previous binary-search
             iterate); defaults to the first-action strategy.
-        cancel_token: Optional cooperative stop signal, polled once per
-            improvement round.
 
     Raises:
         ConvergenceError: If no fixed point is reached within the budget.
-        SolverCancelled: If ``cancel_token`` was cancelled before convergence.
     """
     row_rewards = mdp.expected_row_rewards(reward_weights)
-    return _policy_iteration_core(
-        mdp,
-        reward_weights,
-        row_rewards,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        initial_strategy=initial_strategy,
-        cancel_token=cancel_token,
-    )
-
-
-def _policy_iteration_core(
-    mdp: MDP,
-    reward_weights: Sequence[float],
-    row_rewards: np.ndarray,
-    *,
-    tolerance: float,
-    max_iterations: int,
-    initial_strategy: Optional[Strategy],
-    cancel_token: Optional[CancellationToken] = None,
-    iterations_before: int = 0,
-) -> PolicyIterationResult:
-    """Howard iteration with the expected row rewards already assembled.
-
-    ``iterations_before`` offsets the iteration count reported on a
-    :class:`~repro.exceptions.SolverCancelled` so that a cancelled chain of
-    batched problems accounts for all rounds it completed, not just the rounds
-    of the problem it was cancelled in.
-    """
     strategy = initial_strategy if initial_strategy is not None else Strategy.first_action(mdp)
     rows = strategy.rows.copy()
     gain = 0.0
@@ -135,11 +95,6 @@ def _policy_iteration_core(
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        check_cancelled(
-            cancel_token,
-            solver="policy iteration",
-            iterations=iterations_before + iterations - 1,
-        )
         chain = induced_markov_chain(mdp, Strategy(mdp, rows))
         gain, bias = chain.gain_and_bias(reward_weights, reference_state=mdp.initial_state)
         new_rows = _greedy_improvement(mdp, row_rewards, bias, gain, rows, tolerance)
@@ -159,63 +114,3 @@ def _policy_iteration_core(
         iterations=iterations,
         converged=converged,
     )
-
-
-def batched_policy_iteration(
-    mdp: MDP,
-    weight_matrix: np.ndarray,
-    *,
-    tolerance: float = 1e-9,
-    max_iterations: int = 1_000,
-    initial_strategy: Optional[Strategy] = None,
-    cancel_token: Optional[CancellationToken] = None,
-) -> List[PolicyIterationResult]:
-    """Solve ``k`` mean-payoff problems over one model with shared reward assembly.
-
-    The expected per-row rewards of all ``k`` weight vectors are assembled in a
-    single matrix product against the model's reward components; the Howard
-    iterations themselves still run per problem because each policy evaluation
-    is a separate sparse linear solve.  Problems are additionally chained:
-    problem ``j + 1`` is warm-started with the optimal strategy of problem
-    ``j``, which is effective when the weight rows are adjacent beta probes
-    (their optimal policies differ in few states).
-
-    Args:
-        mdp: The model to solve (assumed unichain under every strategy).
-        weight_matrix: Reward-weight matrix of shape ``(k, num_reward_components)``.
-        tolerance: Improvement threshold below which actions are not switched.
-        max_iterations: Maximum improvement rounds per problem.
-        initial_strategy: Optional warm start for the first problem; subsequent
-            problems chain from their predecessor's optimum.
-        cancel_token: Optional cooperative stop signal, polled once per
-            improvement round; a cancellation aborts the remaining problems of
-            the chain and reports the rounds completed across all of them.
-
-    Returns:
-        One :class:`PolicyIterationResult` per row of ``weight_matrix``, in order.
-    """
-    weight_matrix = np.asarray(weight_matrix, dtype=float)
-    if weight_matrix.ndim != 2 or weight_matrix.shape[1] != mdp.num_reward_components:
-        raise ValueError(
-            f"weight_matrix must have shape (k, {mdp.num_reward_components}), "
-            f"got {weight_matrix.shape}"
-        )
-    row_reward_matrix = mdp.expected_row_reward_components() @ weight_matrix.T
-    results: List[PolicyIterationResult] = []
-    warm = initial_strategy
-    completed_iterations = 0
-    for j in range(weight_matrix.shape[0]):
-        result = _policy_iteration_core(
-            mdp,
-            weight_matrix[j],
-            row_reward_matrix[:, j],
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            initial_strategy=warm,
-            cancel_token=cancel_token,
-            iterations_before=completed_iterations,
-        )
-        results.append(result)
-        completed_iterations += result.iterations
-        warm = result.strategy
-    return results

@@ -7,23 +7,16 @@ and upper bounds on the optimal gain at every iteration (Puterman 1994, Section
 
 An aperiodicity transformation (damping) is applied so that convergence does not
 depend on the periodicity of the underlying graph.
-
-Both entry points accept an optional
-:class:`~repro.mdp.cancellation.CancellationToken` and poll it once per sweep,
-raising :class:`~repro.exceptions.SolverCancelled` at the next iteration
-boundary when it is set -- this is how portfolio losers stop early instead of
-running out their full budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import ConvergenceError
-from .cancellation import CancellationToken, check_cancelled
 from .model import MDP
 from .strategy import Strategy
 
@@ -78,27 +71,6 @@ def _bellman_backup(
     return state_values, _first_best_rows(mdp, row_values, state_values)
 
 
-def _batched_bellman_backup(
-    mdp: MDP, row_rewards: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised backup over ``k`` reward columns at once.
-
-    Args:
-        mdp: The model being solved.
-        row_rewards: Expected immediate rewards, shape ``(num_rows, k)``.
-        values: Current value estimates, shape ``(num_states, k)``.
-
-    Returns:
-        ``(state_values, row_values)`` of shapes ``(num_states, k)`` and
-        ``(num_rows, k)``; the arg-max rows are extracted per column only when
-        needed (at termination) since they are not used inside the iteration.
-    """
-    continuation = mdp.trans_prob[:, None] * values[mdp.trans_succ]
-    row_values = row_rewards + np.add.reduceat(continuation, mdp.row_trans_offsets[:-1], axis=0)
-    state_values = np.maximum.reduceat(row_values, mdp.state_row_offsets[:-1], axis=0)
-    return state_values, row_values
-
-
 def relative_value_iteration(
     mdp: MDP,
     reward_weights: Sequence[float],
@@ -108,7 +80,6 @@ def relative_value_iteration(
     damping: float = 0.5,
     initial_bias: Optional[np.ndarray] = None,
     raise_on_divergence: bool = True,
-    cancel_token: Optional[CancellationToken] = None,
 ) -> RelativeValueIterationResult:
     """Solve the mean-payoff MDP with relative value iteration.
 
@@ -126,14 +97,10 @@ def relative_value_iteration(
         raise_on_divergence: If true, exceeding the budget raises
             :class:`~repro.exceptions.ConvergenceError`; otherwise the best
             available bounds are returned with ``converged=False``.
-        cancel_token: Optional cooperative stop signal, polled once per sweep.
 
     Returns:
         A :class:`RelativeValueIterationResult` with certified gain bounds and a
         greedy strategy.
-
-    Raises:
-        SolverCancelled: If ``cancel_token`` was cancelled before convergence.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
@@ -154,7 +121,6 @@ def relative_value_iteration(
     converged = False
 
     for iterations in range(1, max_iterations + 1):
-        check_cancelled(cancel_token, solver="relative value iteration", iterations=iterations - 1)
         backup, best_rows = _bellman_backup(mdp, row_rewards, values)
         # Damped update keeps the iteration aperiodic:  T_damp h = (1-d) h + d T h.
         residual = backup - values
@@ -188,116 +154,3 @@ def relative_value_iteration(
         iterations=iterations,
         converged=converged,
     )
-
-
-def batched_relative_value_iteration(
-    mdp: MDP,
-    weight_matrix: np.ndarray,
-    *,
-    tolerance: float = 1e-9,
-    max_iterations: int = 100_000,
-    damping: float = 0.5,
-    initial_bias: Optional[np.ndarray] = None,
-    raise_on_divergence: bool = True,
-    cancel_token: Optional[CancellationToken] = None,
-) -> List[RelativeValueIterationResult]:
-    """Solve ``k`` mean-payoff problems over one model in a single vectorised run.
-
-    All problems share the MDP's transition structure and differ only in the
-    reward weights (one row of ``weight_matrix`` per problem), which is exactly
-    the shape of Algorithm 1's batched beta probes: the expensive gather
-    ``values[trans_succ]`` and both ``reduceat`` passes are performed once per
-    iteration for all ``k`` columns instead of ``k`` times.
-
-    Args:
-        mdp: The model to solve.
-        weight_matrix: Reward-weight matrix of shape ``(k, num_reward_components)``;
-            column ``j`` of the internal value matrix solves the problem with
-            weights ``weight_matrix[j]``.
-        tolerance: Per-column termination threshold on the Bellman-residual span.
-        max_iterations: Iteration budget shared by all columns.
-        damping: Aperiodicity-transformation parameter in (0, 1].
-        initial_bias: Optional warm-start bias, either one vector of shape
-            ``(num_states,)`` (broadcast to every column) or a matrix of shape
-            ``(num_states, k)``.
-        raise_on_divergence: If true, any column exceeding the budget raises
-            :class:`~repro.exceptions.ConvergenceError`.
-        cancel_token: Optional cooperative stop signal, polled once per joint
-            sweep; cancellation aborts all columns at the same boundary.
-
-    Returns:
-        One :class:`RelativeValueIterationResult` per row of ``weight_matrix``,
-        in order.  Per-column ``iterations`` records the sweep at which that
-        column's span first dropped below ``tolerance``; the certified bounds
-        are recomputed from the final (joint) iterate, so columns that converged
-        early can only have tightened further.
-    """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
-    weight_matrix = np.asarray(weight_matrix, dtype=float)
-    if weight_matrix.ndim != 2 or weight_matrix.shape[1] != mdp.num_reward_components:
-        raise ValueError(
-            f"weight_matrix must have shape (k, {mdp.num_reward_components}), "
-            f"got {weight_matrix.shape}"
-        )
-    num_probes = weight_matrix.shape[0]
-    if num_probes == 0:
-        return []
-    row_rewards = mdp.expected_row_reward_components() @ weight_matrix.T
-
-    values = np.zeros((mdp.num_states, num_probes))
-    if initial_bias is not None:
-        initial_bias = np.asarray(initial_bias, dtype=float)
-        if initial_bias.shape == (mdp.num_states,):
-            values = np.repeat(initial_bias[:, None], num_probes, axis=1)
-        elif initial_bias.shape == (mdp.num_states, num_probes):
-            values = initial_bias.copy()
-        else:
-            raise ValueError(
-                f"initial_bias must have shape ({mdp.num_states},) or "
-                f"({mdp.num_states}, {num_probes}), got {initial_bias.shape}"
-            )
-    reference = mdp.initial_state
-    converged_at = np.zeros(num_probes, dtype=np.int64)
-
-    for iteration in range(1, max_iterations + 1):
-        check_cancelled(
-            cancel_token, solver="batched relative value iteration", iterations=iteration - 1
-        )
-        backup, _ = _batched_bellman_backup(mdp, row_rewards, values)
-        residual = backup - values
-        span = residual.max(axis=0) - residual.min(axis=0)
-        newly = (span < tolerance) & (converged_at == 0)
-        converged_at[newly] = iteration
-        if np.all(converged_at > 0):
-            break
-        values = (1.0 - damping) * values + damping * backup
-        values = values - values[reference]
-
-    if not np.all(converged_at > 0) and raise_on_divergence:
-        stuck = int(np.sum(converged_at == 0))
-        raise ConvergenceError(
-            f"batched relative value iteration: {stuck} of {num_probes} columns did not "
-            f"converge within {max_iterations} iterations"
-        )
-
-    backup, row_values = _batched_bellman_backup(mdp, row_rewards, values)
-    residual = backup - values
-    results: List[RelativeValueIterationResult] = []
-    for j in range(num_probes):
-        lower = float(np.min(residual[:, j]))
-        upper = float(np.max(residual[:, j]))
-        state_values = np.maximum.reduceat(row_values[:, j], mdp.state_row_offsets[:-1])
-        best_rows = _first_best_rows(mdp, row_values[:, j], state_values)
-        results.append(
-            RelativeValueIterationResult(
-                gain=0.5 * (lower + upper),
-                lower_bound=lower,
-                upper_bound=upper,
-                bias=values[:, j] - values[reference, j],
-                strategy=Strategy(mdp, best_rows),
-                iterations=int(converged_at[j]) if converged_at[j] > 0 else max_iterations,
-                converged=bool(converged_at[j] > 0),
-            )
-        )
-    return results

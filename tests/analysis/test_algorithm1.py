@@ -14,62 +14,36 @@ from repro.analysis import (
 )
 
 
-class TestBatchedBisection:
-    """Batched probes must reproduce the sequential search's certified bounds."""
+class TestTable1Pin:
+    """Table 1's ``d=2,f=2,l=4`` point at ``gamma=0.5, p=0.3``, pinned bit-for-bit."""
 
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
-    @pytest.mark.parametrize("batch_probes", [2, 3, 7])
-    def test_matches_sequential_within_epsilon(
-        self, model_d2f1, analysis_d2f1, solver, batch_probes
-    ):
-        batched = formal_analysis(
-            model_d2f1.mdp,
-            AnalysisConfig(epsilon=1e-3, solver=solver, batch_probes=batch_probes),
-        )
-        assert batched.interval_width < 1e-3
-        assert batched.errev_lower_bound == pytest.approx(
-            analysis_d2f1.errev_lower_bound, abs=1e-3
-        )
-        assert batched.beta_up == pytest.approx(analysis_d2f1.beta_up, abs=1e-3)
-        # The certified intervals of both searches must overlap: each brackets ERRev*.
-        assert batched.beta_low <= analysis_d2f1.beta_up + 1e-12
-        assert batched.beta_up >= analysis_d2f1.beta_low - 1e-12
+    CERTIFIED = [0.4384765625, 0.439453125]
 
-    def test_fewer_rounds_than_sequential(self, model_d2f1, analysis_d2f1):
-        batched = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, batch_probes=7)
-        )
-        # 7 probes shrink the interval 8x per round: ceil(log_8(1000)) = 4 rounds
-        # instead of 10 sequential halvings.
-        rounds = batched.num_iterations // 7
-        assert rounds < analysis_d2f1.num_iterations
-        assert batched.num_iterations % 7 == 0
+    @pytest.fixture(scope="class")
+    def mdp_d2f2(self):
+        from repro import AttackParams, ProtocolParams
+        from repro.attacks import get_model_structure
 
-    def test_portfolio_batched(self, model_d2f1, analysis_d2f1):
-        batched = formal_analysis(
-            model_d2f1.mdp,
-            AnalysisConfig(epsilon=1e-3, solver="portfolio", batch_probes=3),
-        )
-        assert batched.errev_lower_bound == pytest.approx(
-            analysis_d2f1.errev_lower_bound, abs=1e-3
-        )
-        assert batched.backend_wins
-        assert batched.winning_solver in ("policy_iteration", "value_iteration")
+        protocol = ProtocolParams(p=0.3, gamma=0.5)
+        attack = AttackParams(depth=2, forks=2, max_fork_length=4)
+        return get_model_structure(attack, protocol).instantiate(protocol)
 
-    def test_strategy_achieves_lower_bound(self, model_d2f1):
-        batched = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, batch_probes=4)
-        )
-        achieved = evaluate_strategy_errev(model_d2f1.mdp, batched.strategy)
-        assert achieved >= batched.errev_lower_bound - 1e-9
+    @pytest.fixture(scope="class")
+    def default_result(self, mdp_d2f2):
+        return formal_analysis(mdp_d2f2, AnalysisConfig())
 
-    def test_iteration_log_has_per_probe_entries(self, model_d2f1):
-        batched = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-2, batch_probes=3)
+    def test_default_interval_is_exact(self, default_result):
+        assert [default_result.beta_low, default_result.beta_up] == self.CERTIFIED
+
+    def test_strategy_errev_inside_interval(self, default_result):
+        assert default_result.beta_low <= default_result.strategy_errev <= default_result.beta_up
+
+    def test_value_iteration_interval_overlaps(self, mdp_d2f2):
+        vi = formal_analysis(
+            mdp_d2f2, AnalysisConfig(solver="value_iteration", evaluate_strategy=False)
         )
-        for record in batched.iterations:
-            assert record.solver_iterations > 0
-            assert record.beta_low <= record.beta_up
+        low, up = self.CERTIFIED
+        assert vi.beta_low <= up and low <= vi.beta_up
 
 
 class TestInitialBiasValidation:
@@ -170,7 +144,7 @@ class TestAlgorithm1:
         )
         assert result.strategy_errev is None
 
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration", "linear_program"])
+    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
     def test_solver_backends_agree(self, model_d1f1, solver):
         result = formal_analysis(
             model_d1f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver)

@@ -1,0 +1,172 @@
+"""Algorithm 1 is one bisection over beta with one mean-payoff solve per probe.
+
+Every property is checked across the parameter space -- both ends of the
+gamma range, small and large p, the smallest model and a forking one -- and
+for both solver backends, because the search loop is shared by all of them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from repro import AnalysisConfig, AttackParams, ProtocolParams
+from repro.analysis import formal_analysis
+from repro.analysis.rewards import beta_reward_weights
+from repro.attacks import get_model_structure
+from repro.mdp import solve_mean_payoff_batch, solve_mean_payoff_lp
+
+EPSILON = 1e-3
+
+SOLVERS = ["policy_iteration", "value_iteration"]
+
+#: (depth, forks, gamma, p) of the analysed points.
+CASES = [
+    (1, 1, 0.5, 0.3),
+    (1, 1, 1.0, 0.4),
+    (2, 1, 0.0, 0.1),
+    (2, 1, 0.5, 0.3),
+    (2, 1, 1.0, 0.4),
+    (2, 1, 0.25, 0.45),
+]
+
+CASE_IDS = [f"d{d}f{f}-g{gamma}-p{p}" for d, f, gamma, p in CASES]
+
+_MODELS: dict = {}
+_RESULTS: dict = {}
+
+
+def _mdp(case):
+    if case not in _MODELS:
+        depth, forks, gamma, p = case
+        protocol = ProtocolParams(p=p, gamma=gamma)
+        attack = AttackParams(depth=depth, forks=forks, max_fork_length=4)
+        _MODELS[case] = get_model_structure(attack, protocol).instantiate(protocol)
+    return _MODELS[case]
+
+
+def _analysis(case, solver):
+    key = (case, solver)
+    if key not in _RESULTS:
+        _RESULTS[key] = formal_analysis(
+            _mdp(case), AnalysisConfig(epsilon=EPSILON, solver=solver)
+        )
+    return _RESULTS[key]
+
+
+with_case = pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+with_solver = pytest.mark.parametrize("solver", SOLVERS)
+
+
+@with_case
+@with_solver
+def test_each_probe_is_the_midpoint(case, solver):
+    result = _analysis(case, solver)
+    low, up = 0.0, 1.0
+    for record in result.iterations:
+        assert record.beta == 0.5 * (low + up)
+        low, up = record.beta_low, record.beta_up
+    assert (low, up) == (result.beta_low, result.beta_up)
+
+
+@with_case
+@with_solver
+def test_gain_sign_picks_the_half(case, solver):
+    result = _analysis(case, solver)
+    for record in result.iterations:
+        if record.optimal_mean_payoff < 0.0:
+            assert record.beta_up == record.beta
+        else:
+            assert record.beta_low == record.beta
+
+
+@with_case
+@with_solver
+def test_interval_brackets_the_strategy(case, solver):
+    result = _analysis(case, solver)
+    assert result.interval_width < EPSILON
+    assert result.errev_lower_bound == result.beta_low
+    # Theorem 3.1: the strategy optimal for r_{beta_low} achieves at least
+    # beta_low, and no strategy exceeds beta_up.
+    assert result.beta_low - 1e-9 <= result.strategy_errev <= result.beta_up + 1e-9
+
+
+@with_case
+@with_solver
+def test_probe_log_replays_as_one_warm_chained_batch(case, solver):
+    """The search warm-chains its probes exactly like ``solve_mean_payoff_batch``."""
+    result = _analysis(case, solver)
+    weights = np.array([beta_reward_weights(record.beta) for record in result.iterations])
+    batch = solve_mean_payoff_batch(_mdp(case), weights, solver=solver)
+    assert [solution.gain for solution in batch] == [
+        record.optimal_mean_payoff for record in result.iterations
+    ]
+    assert [solution.iterations for solution in batch] == [
+        record.solver_iterations for record in result.iterations
+    ]
+
+
+@with_case
+@with_solver
+def test_total_iterations_add_up(case, solver):
+    result = _analysis(case, solver)
+    probe_iterations = sum(record.solver_iterations for record in result.iterations)
+    # The remainder is the final solve at beta_low that extracts the strategy.
+    assert result.total_solver_iterations > probe_iterations
+    assert result.solver == solver
+
+
+@with_case
+def test_lp_reference_certifies_the_interval(case):
+    """The LP gain is >= 0 at the certified beta_low and < 0 past beta_up."""
+    result = _analysis(case, "policy_iteration")
+    mdp = _mdp(case)
+    assert solve_mean_payoff_lp(mdp, beta_reward_weights(result.beta_low)).gain >= -1e-7
+    if result.beta_up < 1.0:
+        assert solve_mean_payoff_lp(mdp, beta_reward_weights(result.beta_up)).gain <= 1e-7
+
+
+@with_case
+def test_policy_and_value_iteration_intervals_overlap(case):
+    pi = _analysis(case, "policy_iteration")
+    vi = _analysis(case, "value_iteration")
+    assert vi.beta_low <= pi.beta_up and pi.beta_low <= vi.beta_up
+
+
+@with_case
+def test_cold_start_certifies_the_same_interval(case):
+    warm = _analysis(case, "policy_iteration")
+    cold = formal_analysis(
+        _mdp(case), AnalysisConfig(epsilon=EPSILON, warm_start=False)
+    )
+    assert (cold.beta_low, cold.beta_up) == (warm.beta_low, warm.beta_up)
+    assert [record.beta for record in cold.iterations] == [
+        record.beta for record in warm.iterations
+    ]
+
+
+@pytest.mark.parametrize(
+    "beta_low, beta_up, epsilon",
+    [
+        (0.0, 1.0, 2**-3),
+        (0.0, 1.0, 0.01),
+        (0.25, 0.75, 2**-6),
+        (0.3, 0.6, 1e-3),
+        (0.4, 0.45, 0.02),
+    ],
+)
+def test_round_count_is_the_number_of_halvings(beta_low, beta_up, epsilon):
+    """Rounds stop once the width drops *below* epsilon: one probe per halving."""
+    case = (2, 1, 0.5, 0.3)
+    result = formal_analysis(
+        _mdp(case),
+        AnalysisConfig(epsilon=epsilon, evaluate_strategy=False),
+        beta_low=beta_low,
+        beta_up=beta_up,
+    )
+    expected = math.floor(math.log2((beta_up - beta_low) / epsilon)) + 1
+    assert result.num_iterations == expected
+    assert len(result.iterations) == expected
+    assert beta_low <= result.beta_low <= result.beta_up <= beta_up

@@ -9,7 +9,6 @@ from repro.analysis import evaluate_strategy_errev, formal_analysis
 from repro.attacks import clear_structure_cache, structure_cache_stats
 from repro.attacks.registry import SupportSignature, get_attack
 from repro.attacks.sm_actions import (
-    ACTIVE,
     IRRELEVANT,
     RELEVANT,
     SmActionsStructure,

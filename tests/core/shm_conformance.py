@@ -130,7 +130,6 @@ def _results_outcome() -> Any:
         seconds=0.5,
         solver_iterations=11,
         num_states=42,
-        solver_backend="test",
         scenario="selfish-forks",
     )
 

@@ -120,25 +120,16 @@ class TestAnalysisConfig:
             "max_solver_iterations",
             "evaluate_strategy",
             "warm_start",
-            "batch_probes",
-            "portfolio_deadline",
         }
 
     def test_negative_epsilon_message_names_parameter(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
             AnalysisConfig(epsilon=-1e-3)
 
-    def test_portfolio_solver_accepted(self):
-        assert AnalysisConfig(solver="portfolio").solver == "portfolio"
-
-    @pytest.mark.parametrize("batch_probes", [0, -1, 1.5])
-    def test_invalid_batch_probes_rejected(self, batch_probes):
-        with pytest.raises(ConfigurationError, match="batch_probes"):
-            AnalysisConfig(batch_probes=batch_probes)
-
-    def test_invalid_portfolio_deadline_rejected(self):
-        with pytest.raises(ConfigurationError, match="portfolio_deadline"):
-            AnalysisConfig(portfolio_deadline=0.0)
+    @pytest.mark.parametrize("solver", ["portfolio", "linear_program"])
+    def test_removed_solvers_rejected(self, solver):
+        with pytest.raises(ValueError, match="solver"):
+            AnalysisConfig(solver=solver)
 
 
 class TestSweepConfigValidation:

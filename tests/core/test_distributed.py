@@ -21,7 +21,9 @@ import pytest
 from repro.config import AnalysisConfig, AttackParams, ProtocolParams
 from repro.core.distributed import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     ProtocolError,
+    _validate_hello,
     decode_frame,
     encode_frame,
     outcome_from_wire,
@@ -102,7 +104,7 @@ def test_task_wire_roundtrip():
         p_values=(0.0, 0.1),
         gammas=(0.25,),
         attack_configs=(AttackParams(depth=2, forks=1),),
-        analysis=AnalysisConfig(epsilon=1e-2, solver="value_iteration", batch_probes=3),
+        analysis=AnalysisConfig(epsilon=1e-2, solver="value_iteration"),
         reuse_p_axis_bounds=True,
     )
     for task in _build_tasks(config):
@@ -125,8 +127,6 @@ def test_outcome_wire_roundtrip_preserves_floats_exactly():
         num_states=148,
         beta_low=0.3386230468750001,
         beta_up=0.33935546875,
-        solver_backend="policy_iteration",
-        cancelled_iterations=None,
     )
     restored = outcome_from_wire(outcome_to_wire(outcome))
     assert restored == outcome
@@ -136,6 +136,25 @@ def test_outcome_wire_roundtrip_preserves_floats_exactly():
         num_states=0, error="ValueError: boom",
     )
     assert outcome_from_wire(outcome_to_wire(failed)) == failed
+
+
+def test_protocol_1_outcome_wire_does_not_decode():
+    """Why protocol 1 peers are refused at hello: their outcomes carry solver-race keys."""
+    outcome = PointOutcome(
+        gamma_index=0, p_index=0, attack_index=0, p=0.1, gamma=0.5,
+        series="s", errev=0.1, seconds=0.0, solver_iterations=3, num_states=14,
+    )
+    wire = outcome_to_wire(outcome)
+    assert not {"solver_backend", "cancelled_iterations"} & set(wire)
+    with pytest.raises(TypeError):
+        outcome_from_wire({**wire, "solver_backend": "policy_iteration"})
+
+
+@pytest.mark.parametrize("protocol", [1, PROTOCOL_VERSION + 1])
+def test_hello_from_another_protocol_version_is_refused(protocol):
+    with pytest.raises(ProtocolError, match=f"protocol {protocol} unsupported"):
+        _validate_hello({"type": "hello", "protocol": protocol, "capacity": 1})
+    assert _validate_hello({"type": "hello", "protocol": PROTOCOL_VERSION, "capacity": 2})[0] == 2
 
 
 def test_pack_unpack_structures_bit_for_bit():
@@ -376,19 +395,22 @@ def test_garbage_hello_is_rejected_and_sweep_survives():
     assert listening.wait(timeout=30.0), "coordinator never started listening"
     port = bound["port"]
 
+    version = PROTOCOL_VERSION
     garbage_hellos = [
-        {"type": "hello", "protocol": 1, "capacity": "lots"},  # non-integer capacity
-        {"type": "hello", "protocol": 1, "capacity": 2.9},  # truncation is not consent
-        {"type": "hello", "protocol": 1, "capacity": 0},  # starves the scheduler
-        {"type": "hello", "protocol": 1, "heartbeat_seconds": -3},  # immortal worker
-        {"type": "hello", "protocol": 1, "heartbeat_seconds": "soon"},  # non-numeric
+        ({"type": "hello", "protocol": version, "capacity": "lots"}, "capacity"),  # non-integer
+        ({"type": "hello", "protocol": version, "capacity": 2.9}, "capacity"),  # truncation
+        ({"type": "hello", "protocol": version, "capacity": 0}, "capacity"),  # starves
+        ({"type": "hello", "protocol": version, "heartbeat_seconds": -3}, "heartbeat"),  # immortal
+        ({"type": "hello", "protocol": version, "heartbeat_seconds": "soon"}, "heartbeat"),
+        # A peer from before the wire dicts lost the solver-race keys.
+        ({"type": "hello", "protocol": 1, "capacity": 1}, "protocol 1 unsupported"),
     ]
-    for hello in garbage_hellos:
+    for hello, reason in garbage_hellos:
         with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
             sock.sendall(encode_frame(hello))
             header = _read_frame_blocking(sock)
             assert header["type"] == "error", hello
-            assert "capacity" in header["message"] or "heartbeat" in header["message"]
+            assert reason in header["message"], header["message"]
 
     worker = _spawn_worker(port)
     try:

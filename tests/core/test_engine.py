@@ -314,41 +314,6 @@ class TestMonotonePAxisBoundReuse:
         assert [point.p for point in sweep.points] == [0.1, 0.3]
         assert len(sweep.failures) == 1
 
-    def test_portfolio_backend_recorded_per_point(self):
-        config = SweepConfig(
-            p_values=(0.3,),
-            gammas=(0.5,),
-            attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
-            include_honest=False,
-            include_single_tree=False,
-            analysis=AnalysisConfig(epsilon=1e-2, solver="portfolio"),
-        )
-        sweep = run_sweep(config)
-        (point,) = sweep.points
-        assert point.solver_backend in ("policy_iteration", "value_iteration")
-        assert point.to_row()["solver_backend"] == point.solver_backend
-
-
-class TestPortfolioSweepMetadata:
-    def test_portfolio_history_stats_in_metadata(self):
-        """A portfolio sweep records its race history under metadata["portfolio"]."""
-        config = SweepConfig(
-            p_values=(0.1, 0.2, 0.3),
-            gammas=(0.5,),
-            attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
-            include_honest=False,
-            include_single_tree=False,
-            analysis=AnalysisConfig(epsilon=1e-2, solver="portfolio"),
-        )
-        sweep = run_sweep(config)
-        stats = sweep.metadata["portfolio"]
-        assert stats["races"] > 0
-        assert 0 <= stats["launches_avoided"] <= stats["races"]
-        assert sum(stats["backend_wins"].values()) == len(sweep.points)
-        # Non-portfolio sweeps carry no portfolio metadata at all.
-        cold = run_sweep(small_grid(workers=1))
-        assert "portfolio" not in cold.metadata
-
 
 class TestAssembleMissingOutcomes:
     """Regression: a grid key nobody reported must become a failure, not a crash.
@@ -444,43 +409,3 @@ class TestWarmStartedAlgorithm1:
             record.solver_iterations for record in result.iterations
         )
         assert result.final_bias is not None
-
-
-class TestWorkerPortfolioHistory:
-    def test_concurrent_lazy_init_yields_one_history(self):
-        """Racing threads must share one history (regression: unguarded global).
-
-        The lazy ``_WORKER_PORTFOLIO_HISTORY`` init is now lock-guarded
-        (RL002); without the lock, two threads could each construct a history
-        and record races into an instance the other never consults.
-        """
-        import threading
-
-        from repro.core import engine as engine_mod
-        from repro.core.engine import _portfolio_history_for
-
-        engine_mod._WORKER_PORTFOLIO_HISTORY = None
-        try:
-            config = AnalysisConfig(epsilon=1e-2, solver="portfolio")
-            barrier = threading.Barrier(8)
-            histories = []
-
-            def hit():
-                barrier.wait()
-                histories.append(_portfolio_history_for(config))
-
-            threads = [threading.Thread(target=hit) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert len(histories) == 8
-            assert len({id(history) for history in histories}) == 1
-            assert histories[0] is not None
-        finally:
-            engine_mod._WORKER_PORTFOLIO_HISTORY = None
-
-    def test_non_portfolio_solver_gets_no_history(self):
-        from repro.core.engine import _portfolio_history_for
-
-        assert _portfolio_history_for(AnalysisConfig(epsilon=1e-2)) is None

@@ -186,6 +186,21 @@ def test_resume_refuses_foreign_fingerprint(tmp_path):
         run_sweep(SweepConfig(**other, journal_path=str(path), journal_resume=True))
 
 
+def test_resume_refuses_journal_with_removed_analysis_keys(tmp_path):
+    """A journal whose analysis settings carry the removed search options is foreign."""
+    path = tmp_path / "sweep.journal"
+    grid = _grid()
+    run_sweep(SweepConfig(**grid, journal_path=str(path)))
+    lines = _journal_lines(path)
+    meta = decode_record(lines[0])
+    assert meta is not None and meta["kind"] == "meta"
+    meta["fingerprint"]["analysis"].update(batch_probes=1, portfolio_deadline=None)
+    lines[0] = encode_record(meta)[:-1]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ModelError, match="different sweep"):
+        run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+
+
 def test_errored_records_are_recomputed_on_resume(tmp_path):
     path = tmp_path / "sweep.journal"
     grid = _grid()

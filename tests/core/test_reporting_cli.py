@@ -218,7 +218,7 @@ class TestCli:
         with pytest.raises(ConfigurationError):
             main(["analyze", "--p", "1.5", "--epsilon", "0.01"])
 
-    def test_analyze_with_solver_alias_and_batched_probes(self, capsys):
+    def test_analyze_with_solver_alias(self, capsys):
         exit_code = main(
             [
                 "analyze",
@@ -230,16 +230,14 @@ class TestCli:
                 "0.01",
                 "--solver",
                 "vi",
-                "--batch-probes",
-                "3",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "ERRev lower bound" in captured.out
 
-    def test_sweep_with_portfolio_and_reuse_records_backend(self, tmp_path, capsys):
-        out_csv = tmp_path / "portfolio.csv"
+    def test_sweep_with_value_iteration_and_reuse_bounds(self, tmp_path, capsys):
+        out_csv = tmp_path / "vi.csv"
         exit_code = main(
             [
                 "sweep",
@@ -254,9 +252,7 @@ class TestCli:
                 "--max-depth",
                 "1",
                 "--solver",
-                "portfolio",
-                "--batch-probes",
-                "2",
+                "vi",
                 "--reuse-p-bounds",
                 "--csv",
                 str(out_csv),
@@ -268,29 +264,8 @@ class TestCli:
             rows = list(csv.DictReader(handle))
         attack_rows = [row for row in rows if row["series"].startswith("ours")]
         assert attack_rows
-        assert all(
-            row["solver_backend"] in ("policy_iteration", "value_iteration")
-            for row in attack_rows
-        )
+        assert "solver_backend" not in rows[0]
         assert all(float(row["beta_up"]) - float(row["beta_low"]) < 0.02 for row in attack_rows)
-
-    def test_analyze_with_auto_batch_probes(self, capsys):
-        exit_code = main(
-            [
-                "analyze",
-                "--p",
-                "0.3",
-                "--depth",
-                "1",
-                "--epsilon",
-                "0.01",
-                "--batch-probes",
-                "auto",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "ERRev lower bound" in captured.out
 
     def test_attacks_command_lists_scenarios(self, capsys):
         assert main(["attacks"]) == 0
@@ -353,11 +328,21 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["sweep", "--attack", "no-such-attack"])
 
-    def test_help_documents_auto_batch_probes(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--batch-probes", "3"],
+            ["sweep", "--batch-probes", "auto"],
+            ["analyze", "--solver", "lp"],
+            ["analyze", "--solver", "linear_program"],
+            ["sweep", "--solver", "portfolio"],
+        ],
+    )
+    def test_removed_search_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--help"])
-        assert excinfo.value.code == 0
-        assert "'auto'" in capsys.readouterr().out
+            main(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "argv",
@@ -365,8 +350,6 @@ class TestCli:
             ["sweep", "--epsilon", "-1"],
             ["sweep", "--workers", "0"],
             ["analyze", "--epsilon", "0"],
-            ["analyze", "--batch-probes", "0"],
-            ["analyze", "--batch-probes", "adaptive"],
         ],
     )
     def test_invalid_numeric_flags_rejected_cleanly(self, argv, capsys):

@@ -52,10 +52,6 @@ def full_outcome(**overrides) -> PointOutcome:
         error=None,
         beta_low=0.3386230468750001,
         beta_up=0.33935546875,
-        solver_backend="policy_iteration",
-        cancelled_iterations=42,
-        portfolio_races=9,
-        portfolio_launches_avoided=4,
     )
     values.update(overrides)
     return PointOutcome(**values)
@@ -83,10 +79,6 @@ class TestRecordRoundTrip:
             error="ConfigurationError: p must lie in [0, 1], got 1.5",
             beta_low=None,
             beta_up=None,
-            solver_backend=None,
-            cancelled_iterations=None,
-            portfolio_races=None,
-            portfolio_launches_avoided=None,
             solver_iterations=0,
             num_states=0,
         )
@@ -253,7 +245,7 @@ class TestEngineIntegration:
 
         names = capture_results_plane_names(monkeypatch)
 
-        def die(task, portfolio_history=None):
+        def die(task):
             os._exit(1)
 
         monkeypatch.setattr(engine_module, "_run_attack_task", die)

@@ -22,8 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.attacks.registry import scenario_id_for
-from repro.config import AnalysisConfig, AttackParams, ProtocolParams
+from repro.config import AnalysisConfig, AttackParams
 from repro.core.distributed import (
+    PROTOCOL_VERSION,
     decode_frame,
     encode_frame,
     run_distributed_sweep,
@@ -235,11 +236,12 @@ class TestScenarioHandshake:
         assert listening.wait(timeout=30.0), "coordinator never started listening"
         port = bound["port"]
 
+        base = {"type": "hello", "protocol": PROTOCOL_VERSION, "capacity": 1}
         mismatched_hellos = [
-            {"type": "hello", "protocol": 1, "capacity": 1, "scenarios": ["sm-actions@999"]},
-            {"type": "hello", "protocol": 1, "capacity": 1, "scenarios": ["selfish-forks@1"]},
-            {"type": "hello", "protocol": 1, "capacity": 1},  # advertises nothing
-            {"type": "hello", "protocol": 1, "capacity": 1, "scenarios": "sm-actions@1"},
+            {**base, "scenarios": ["sm-actions@999"]},
+            {**base, "scenarios": ["selfish-forks@1"]},
+            base,  # advertises nothing
+            {**base, "scenarios": "sm-actions@1"},
         ]
         for hello in mismatched_hellos:
             with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.core.engine import PointOutcome
 from repro.core.journal import _scan, decode_record, encode_record
 from repro.core.results_plane import (
-    BACKEND_BYTES,
     ERROR_BYTES,
     SCENARIO_BYTES,
     SERIES_BYTES,
@@ -47,19 +46,8 @@ def _field_text(capacity: int) -> st.SearchStrategy:
 
 
 def _outcomes() -> st.SearchStrategy:
-    # The record format carries one _HAS_PORTFOLIO flag for the pair
-    # (portfolio_races, portfolio_launches_avoided) -- the engine always sets
-    # them together -- so only outcomes with both-or-neither are representable.
-    portfolio = st.one_of(
-        st.tuples(st.none(), st.none()), st.tuples(_counts, _counts)
-    )
     return st.builds(
-        lambda races_avoided, **kwargs: PointOutcome(
-            portfolio_races=races_avoided[0],
-            portfolio_launches_avoided=races_avoided[1],
-            **kwargs,
-        ),
-        races_avoided=portfolio,
+        PointOutcome,
         gamma_index=st.integers(0, 1),
         p_index=st.integers(0, 1),
         attack_index=st.integers(0, 1),
@@ -73,8 +61,6 @@ def _outcomes() -> st.SearchStrategy:
         error=st.none() | _field_text(ERROR_BYTES),
         beta_low=st.none() | _finite,
         beta_up=st.none() | _finite,
-        solver_backend=st.none() | _field_text(BACKEND_BYTES),
-        cancelled_iterations=st.none() | _counts,
         scenario=st.none() | _field_text(SCENARIO_BYTES),
         recovery_retries=st.none() | _counts,
     )

@@ -675,13 +675,13 @@ def test_rl007_quiet_inside_the_execution_plane(harness):
 
 
 def test_rl007_quiet_inside_the_assembler_itself(harness):
-    # assemble_sweep_result owns the portfolio/recovery summaries it builds.
+    # assemble_sweep_result owns the recovery summary it builds.
     violations = harness.lint(
         "core/engine.py",
         """
         def assemble_sweep_result(config, outcomes, report, description):
             result = build(config, outcomes, description)
-            result.metadata["portfolio"] = {"races": 0}
+            result.metadata["recovery"] = {"point_retries": 0}
             return result
         """,
         RL007,
@@ -690,7 +690,7 @@ def test_rl007_quiet_inside_the_assembler_itself(harness):
 
 
 def test_rl007_quiet_on_non_journal_record_calls(harness):
-    # algorithm1's probe scheduler has a record() too -- not a journal.
+    # Any object may have a record() method -- only the journal's counts.
     violations = harness.lint(
         "analysis/algorithm1.py",
         """

@@ -173,11 +173,6 @@ class TestMDPQueries:
         with pytest.raises(ModelError):
             mdp.expected_row_rewards([1.0, 2.0])
 
-    def test_expected_row_reward_components_shape(self):
-        mdp = build_two_state_mdp()
-        components = mdp.expected_row_reward_components()
-        assert components.shape == (mdp.num_rows, 1)
-
     def test_reward_weights_scale_linearly(self):
         mdp = build_two_state_mdp()
         single = mdp.expected_row_rewards([1.0])

@@ -6,9 +6,8 @@ import pytest
 
 from repro.exceptions import ConvergenceError, SolverError
 from repro.mdp import (
-    PORTFOLIO_BACKENDS,
+    SOLVER_BACKENDS,
     MDPBuilder,
-    SolverPortfolio,
     discounted_value_iteration,
     policy_iteration,
     relative_value_iteration,
@@ -168,7 +167,7 @@ class TestDiscountedValueIteration:
 
 
 class TestSolveMeanPayoffFrontend:
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration", "linear_program"])
+    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
     def test_backends_agree(self, solver):
         solution = solve_mean_payoff(stochastic_mdp(), [1.0], solver=solver)
         assert solution.gain == pytest.approx(1.5, abs=1e-6)
@@ -177,6 +176,12 @@ class TestSolveMeanPayoffFrontend:
     def test_unknown_backend_raises(self):
         with pytest.raises(SolverError):
             solve_mean_payoff(choice_mdp(), [1.0], solver="magic")
+
+    def test_only_pi_and_vi_are_backends(self):
+        # The LP stays a test-only reference (solve_mean_payoff_lp), not a backend.
+        assert SOLVER_BACKENDS == ("policy_iteration", "value_iteration")
+        with pytest.raises(SolverError):
+            solve_mean_payoff(stochastic_mdp(), [1.0], solver="linear_program")
 
     def test_bounds_contain_gain(self):
         solution = solve_mean_payoff(cycle_mdp(), [1.0], solver="value_iteration")
@@ -211,9 +216,18 @@ class TestBatchedSolvers:
             assert solution.lower_bound <= solution.gain <= solution.upper_bound
             assert solution.upper_bound - solution.lower_bound < 1e-8
 
-    def test_linear_program_falls_back_to_sequential(self):
-        batch = solve_mean_payoff_batch(stochastic_mdp(), [[1.0]], solver="linear_program")
-        assert batch[0].gain == pytest.approx(1.5, abs=1e-6)
+    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
+    def test_batch_is_a_warm_chained_loop(self, solver):
+        mdp = stochastic_mdp()
+        batch = solve_mean_payoff_batch(mdp, self.WEIGHTS, solver=solver)
+        warm, warm_bias = None, None
+        for weights, solution in zip(self.WEIGHTS, batch):
+            expected = solve_mean_payoff(
+                mdp, weights, solver=solver, warm_start=warm, warm_start_bias=warm_bias
+            )
+            assert solution.gain == expected.gain
+            assert solution.iterations == expected.iterations
+            warm, warm_bias = expected.strategy, expected.bias
 
     def test_empty_batch(self):
         import numpy as np
@@ -235,48 +249,3 @@ class TestBatchedSolvers:
             mdp, self.WEIGHTS, warm_start=first.strategy, warm_start_bias=first.bias
         )
         assert batch[0].gain == pytest.approx(first.gain)
-
-
-class TestSolverPortfolio:
-    @pytest.mark.parametrize("factory", [choice_mdp, cycle_mdp, stochastic_mdp])
-    def test_race_matches_reference(self, factory):
-        mdp = factory()
-        reference = solve_mean_payoff(mdp, [1.0], solver="policy_iteration")
-        solution = solve_mean_payoff(mdp, [1.0], solver="portfolio")
-        assert solution.gain == pytest.approx(reference.gain, abs=1e-6)
-        assert solution.solver.startswith("portfolio:")
-        assert solution.solver.split(":", 1)[1] in PORTFOLIO_BACKENDS
-
-    def test_batched_race(self):
-        batch = solve_mean_payoff_batch(
-            stochastic_mdp(), [[1.0], [0.5]], solver="portfolio"
-        )
-        assert [s.gain for s in batch] == [
-            pytest.approx(1.5, abs=1e-6),
-            pytest.approx(0.75, abs=1e-6),
-        ]
-        assert all(s.solver.startswith("portfolio:") for s in batch)
-
-    def test_survives_one_failing_backend(self):
-        """A backend that raises must not lose the race for its rival.
-
-        With ``max_iterations=1`` value iteration exceeds its budget and raises
-        :class:`ConvergenceError`, while policy iteration (whose budget is
-        floored at 100 improvement rounds by the front-end) still converges.
-        """
-        solution = SolverPortfolio().solve(stochastic_mdp(), [1.0], max_iterations=1)
-        assert solution.gain == pytest.approx(1.5, abs=1e-6)
-        assert solution.solver == "portfolio:policy_iteration"
-
-    def test_all_backends_failing_reraises(self):
-        portfolio = SolverPortfolio(backends=("value_iteration",))
-        with pytest.raises(ConvergenceError):
-            portfolio.solve(stochastic_mdp(), [1.0], max_iterations=1)
-
-    def test_invalid_portfolio_configs_rejected(self):
-        with pytest.raises(SolverError):
-            SolverPortfolio(backends=())
-        with pytest.raises(SolverError):
-            SolverPortfolio(backends=("portfolio",))
-        with pytest.raises(SolverError):
-            SolverPortfolio(deadline=0.0)
