@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..config import AnalysisConfig
+from ..exceptions import SolverError
 from ..mdp import MDP, Strategy, induced_markov_chain, is_unichain, solve_mean_payoff
 from .rewards import TOTAL_WEIGHTS, beta_reward_weights
 
@@ -31,7 +32,8 @@ class CertificateReport:
 
     Attributes:
         unichain: Whether all sampled strategies induced a single recurrent class.
-        min_total_block_rate: Smallest long-run finalised-block rate observed.
+        min_total_block_rate: Smallest long-run finalised-block rate observed
+            (NaN if a chain's stationary distribution could not be solved).
         monotone: Whether the probed optimal mean payoffs were non-increasing in beta.
         probed_betas: The beta grid probed for monotonicity.
         probed_gains: The corresponding optimal mean payoffs.
@@ -82,7 +84,12 @@ def check_theorem_premises(
     min_rate = float("inf")
     for strategy in (Strategy.first_action(mdp),):
         chain = induced_markov_chain(mdp, strategy)
-        rate = float(chain.long_run_reward() @ TOTAL_WEIGHTS)
+        try:
+            rate = float(chain.long_run_reward() @ TOTAL_WEIGHTS)
+        except SolverError as exc:
+            problems.append(f"long-run finalised-block rate is undefined: {exc}")
+            min_rate = float("nan")
+            break
         min_rate = min(min_rate, rate)
     if min_rate <= 0.0:
         problems.append(f"long-run finalised-block rate {min_rate} is not positive")

@@ -3,7 +3,11 @@
 The formal analysis needs two quantities of the induced chain: the stationary
 distribution (to evaluate the exact expected relative revenue of a strategy)
 and the gain/bias pair (for policy evaluation inside Howard policy iteration).
-Both are computed with sparse linear algebra.
+
+Both are whole-array operations, so an evaluation costs about one sparse LU:
+the chain is one gather from the MDP's flat transition arrays, and each linear
+system is one COO matrix, converted once to CSC and solved by one ``spsolve``.
+A singular system (the chain is not unichain) raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -61,21 +65,24 @@ class MarkovChain:
         solution is unique.
 
         Raises:
-            SolverError: If the linear solve fails or produces an invalid
-                distribution.
+            SolverError: If the system is singular (the chain is not unichain)
+                or the solve produces an invalid distribution.
         """
         n = self.num_states
         if n == 1:
             return np.ones(1)
-        # Build (P^T - I) and replace the last equation with the normalisation.
-        matrix = (self.transition_matrix.T - sp.identity(n, format="csr")).tolil()
-        matrix[n - 1, :] = np.ones(n)
+        # (P^T - I) with its last equation replaced by the normalisation sum(pi) = 1.
+        balance = (self.transition_matrix.T - sp.identity(n, format="csr")).tocoo()
+        keep = balance.row != n - 1
+        data = np.concatenate([balance.data[keep], np.ones(n)])
+        row = np.concatenate([balance.row[keep], np.full(n, n - 1)])
+        col = np.concatenate([balance.col[keep], np.arange(n)])
+        matrix = sp.coo_matrix((data, (row, col)), shape=(n, n)).tocsc()
         rhs = np.zeros(n)
         rhs[n - 1] = 1.0
-        try:
-            pi = spla.spsolve(matrix.tocsc(), rhs)
-        except Exception as exc:  # pragma: no cover - scipy failure path
-            raise SolverError(f"stationary distribution solve failed: {exc}") from exc
+        pi = spla.spsolve(matrix, rhs)
+        if not np.all(np.isfinite(pi)):
+            raise SolverError("singular stationary system: the chain is not unichain")
         pi = np.asarray(pi, dtype=float)
         pi[np.abs(pi) < tolerance] = 0.0
         if np.any(pi < -1e-6):
@@ -106,31 +113,27 @@ class MarkovChain:
 
         Returns:
             The scalar gain ``g`` and the bias vector ``h``.
+
+        Raises:
+            SolverError: If the system is singular, i.e. the chain is not
+                unichain and its gain and bias are not unique.
         """
         n = self.num_states
         rewards = self.expected_rewards @ np.asarray(weights, dtype=float)
-        # Unknowns: h[0..n-1] with h[reference_state] eliminated, plus g.
-        # Equation per state s: h[s] - sum_t P[s,t] h[t] + g = r[s].
-        identity = sp.identity(n, format="csr")
-        a_matrix = (identity - self.transition_matrix).tolil()
-        # Append the gain column and the normalisation h[ref] = 0.
-        gain_column = np.ones((n, 1))
-        top = sp.hstack([a_matrix.tocsr(), sp.csr_matrix(gain_column)], format="csr")
-        normalisation = sp.lil_matrix((1, n + 1))
-        normalisation[0, reference_state] = 1.0
-        full = sp.vstack([top, normalisation.tocsr()], format="csc")
+        # Unknowns h[0..n-1] and g (column n).  Equation per state s:
+        # h[s] - sum_t P[s,t] h[t] + g = r[s]; row n is the normalisation h[ref] = 0.
+        poisson = (sp.identity(n, format="csr") - self.transition_matrix).tocoo()
+        data = np.concatenate([poisson.data, np.ones(n), [1.0]])
+        row = np.concatenate([poisson.row, np.arange(n), [n]])
+        col = np.concatenate([poisson.col, np.full(n, n), [reference_state]])
+        full = sp.coo_matrix((data, (row, col)), shape=(n + 1, n + 1)).tocsc()
         rhs = np.concatenate([rewards, [0.0]])
-        try:
-            solution = spla.spsolve(full, rhs)
-            if not np.all(np.isfinite(solution)):
-                raise SolverError("singular Poisson system")
-        except Exception:
-            # Unichain models with transient structure can make the square system
-            # ill-conditioned; fall back to a least-squares solve.
-            try:
-                solution = spla.lsqr(full, rhs, atol=1e-12, btol=1e-12)[0]
-            except Exception as exc:  # pragma: no cover - scipy failure path
-                raise SolverError(f"gain/bias solve failed: {exc}") from exc
+        solution = spla.spsolve(full, rhs)
+        if not np.all(np.isfinite(solution)):
+            raise SolverError(
+                "singular Poisson system: the chain is not unichain, so its gain "
+                "and bias are not unique"
+            )
         h = np.asarray(solution[:n], dtype=float)
         g = float(solution[n])
         return g, h
@@ -160,21 +163,15 @@ def induced_markov_chain(mdp: MDP, strategy: Strategy) -> MarkovChain:
         raise ModelError("strategy does not belong to this MDP")
     rows = strategy.rows
     n = mdp.num_states
-    data: list = []
-    indices: list = []
-    indptr = [0]
-    expected = np.zeros((n, mdp.num_reward_components))
-    for state in range(n):
-        row = int(rows[state])
-        start, end = int(mdp.row_trans_offsets[row]), int(mdp.row_trans_offsets[row + 1])
-        probs = mdp.trans_prob[start:end]
-        succs = mdp.trans_succ[start:end]
-        rewards = mdp.trans_reward[start:end]
-        data.extend(probs.tolist())
-        indices.extend(succs.tolist())
-        indptr.append(len(data))
-        expected[state] = probs @ rewards
-    matrix = sp.csr_matrix((np.asarray(data), np.asarray(indices), np.asarray(indptr)), shape=(n, n))
+    starts = mdp.row_trans_offsets[rows]
+    lengths = mdp.row_trans_offsets[rows + 1] - starts
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    picked = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    probs = mdp.trans_prob[picked]
+    # Computed before the matrix exists: csr_matrix keeps ``probs`` as its data
+    # buffer and sum_duplicates() rewrites it in place.
+    expected = np.add.reduceat(probs[:, None] * mdp.trans_reward[picked], indptr[:-1], axis=0)
+    matrix = sp.csr_matrix((probs, mdp.trans_succ[picked], indptr), shape=(n, n))
     # Merge duplicate successor columns within a row (e.g. several capped forks).
     matrix.sum_duplicates()
     return MarkovChain(

@@ -18,6 +18,7 @@ class TestTable1Pin:
     """Table 1's ``d=2,f=2,l=4`` point at ``gamma=0.5, p=0.3``, pinned bit-for-bit."""
 
     CERTIFIED = [0.4384765625, 0.439453125]
+    STRATEGY_ERREV = 0.43926890947519537
 
     @pytest.fixture(scope="class")
     def mdp_d2f2(self):
@@ -34,6 +35,10 @@ class TestTable1Pin:
 
     def test_default_interval_is_exact(self, default_result):
         assert [default_result.beta_low, default_result.beta_up] == self.CERTIFIED
+
+    def test_strategy_errev_is_exact(self, default_result):
+        # Pins the bits of the induced-chain and stationary-distribution path.
+        assert default_result.strategy_errev == self.STRATEGY_ERREV
 
     def test_strategy_errev_inside_interval(self, default_result):
         assert default_result.beta_low <= default_result.strategy_errev <= default_result.beta_up

@@ -345,6 +345,10 @@ def test_sigkilled_coordinator_resumes_bit_for_bit(tmp_path):
             "--gamma", "0.5", "--p-max", "0.15", "--p-step", "0.05",
             "--epsilon", "0.01",
             "--journal", str(journal), "--journal-fsync", "always",
+            # Both workers serve this coordinator, so every worker serving
+            # the resumed one must have reconnected.  The sweep then takes a
+            # fraction of a second, hence the tight polling below.
+            "--min-workers", "2",
         ],
         env=env,
         stdout=subprocess.DEVNULL,
@@ -358,7 +362,7 @@ def test_sigkilled_coordinator_resumes_bit_for_bit(tmp_path):
                 break
             if coordinator.poll() is not None:
                 pytest.fail("coordinator exited before any kill")
-            time.sleep(0.1)
+            time.sleep(0.005)
         else:
             pytest.fail("no journaled points before the deadline")
         coordinator.kill()  # SIGKILL: no atexit, no flush beyond per-record
