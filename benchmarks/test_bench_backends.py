@@ -2,7 +2,7 @@
 
 Every sweep backend (:mod:`repro.core.execution`) pays a per-point tax on top
 of the solver itself: serial pays only the merge sink, the pool adds
-future scheduling plus the shared-memory planes, and the loopback fabric adds
+future scheduling plus pickled outcome returns, and the loopback fabric adds
 TCP framing and streamed scheduling.  This benchmark separates that tax from
 solver time: each variant runs the identical grid, and
 

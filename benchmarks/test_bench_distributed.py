@@ -3,12 +3,12 @@
 Three execution backends compute an identical ``(p, gamma, attack)`` grid:
 
 * ``serial``            -- the in-process reference (``workers=1``),
-* ``local-pool``        -- the process-pool engine with the shared-memory
-                           model plane (``workers=2``),
+* ``local-pool``        -- the process-pool engine, workers installing the
+                           packed skeletons (``workers=2``),
 * ``distributed-loopback`` -- the TCP coordinator/worker fabric
                            (:mod:`repro.core.distributed`) with two worker
                            *processes* connected over 127.0.0.1, model
-                           skeletons shipped as flat buffers over the socket.
+                           skeletons shipped as the same payload over the socket.
 
 All three must produce bit-for-bit identical points (asserted); the wall-clock
 spread quantifies the fabric's overhead (connection setup, framing, streamed

@@ -1,7 +1,7 @@
 """Attack-scenario registry: the public boundary between engine and attacks.
 
-The sweep engine, the distributed fabric and the shared-memory planes never
-care *which* attack family they are running -- they only need a handful of
+The sweep engine, its worker pool and the distributed fabric never care
+*which* attack family they are running -- they only need a handful of
 capabilities from it:
 
 * an exploration of a ``(p, gamma)``-independent structural skeleton
@@ -10,8 +10,8 @@ capabilities from it:
 * a cheap vectorised probability refill for one concrete parameter point
   (:meth:`ScenarioStructure.instantiate`),
 * a flat-buffer serialisation (:meth:`ScenarioStructure.to_buffers` /
-  :meth:`ScenarioStructure.from_buffers`) so skeletons travel zero-copy
-  through shared memory and the distributed wire,
+  :meth:`ScenarioStructure.from_buffers`) so skeletons travel as one packed
+  payload to pool workers and over the distributed wire,
 * replay glue (policy construction plus a matching chain simulator) for
   validating formal strategies by simulation.
 
@@ -23,9 +23,9 @@ This module makes that implicit interface explicit.  A scenario is a
 
 Consumers resolve scenarios with :func:`get_attack` / :func:`list_attacks` and
 identify them on the wire by the versioned ``scenario_id`` (``"name@version"``).
-The id is embedded in shared-memory plane directories, distributed hello/work
-frames, results-plane records and CSV rows, so mixed-scenario sweeps and
-cross-version attaches fail loudly instead of silently decoding garbage.
+The id is embedded in packed structure payload directories, distributed
+hello/work frames and CSV rows, so mixed-scenario sweeps and cross-version
+peers fail loudly instead of silently decoding garbage.
 """
 
 from __future__ import annotations
@@ -43,12 +43,59 @@ from .fork_state import (
     PROB_GAMMA,
     PROB_GAMMA_HONEST,
     PROB_HONEST,
+    PROB_ONE,
     PROB_ONE_MINUS_GAMMA,
     PROB_ONE_MINUS_GAMMA_HONEST,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..mdp import MDP
+
+#: Every symbolic probability tag :meth:`ScenarioStructure.instantiate` refills.
+_PROB_KINDS = (
+    PROB_ONE,
+    PROB_ADVERSARY,
+    PROB_HONEST,
+    PROB_GAMMA,
+    PROB_ONE_MINUS_GAMMA,
+    PROB_GAMMA_HONEST,
+    PROB_ONE_MINUS_GAMMA_HONEST,
+)
+
+
+def check_buffer(
+    name: str, array: np.ndarray, shape: Tuple[Optional[int], ...], kinds: str
+) -> None:
+    """Refuse a skeleton buffer of the wrong dtype kind, rank or length.
+
+    ``shape`` entries of ``None`` match any length; ``kinds`` lists the
+    accepted :attr:`numpy.dtype.kind` codes (``"iu"`` for index arrays).
+
+    Raises:
+        ModelError: If ``array`` does not match.
+    """
+    kind = getattr(getattr(array, "dtype", None), "kind", None)
+    if kind is None or kind not in kinds:
+        raise ModelError(
+            f"malformed skeleton: buffer {name!r} has dtype "
+            f"{getattr(array, 'dtype', type(array).__name__)}, expected kind {kinds!r}"
+        )
+    if array.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ):
+        raise ModelError(
+            f"malformed skeleton: buffer {name!r} has shape {array.shape}, expected "
+            f"{tuple('*' if want is None else want for want in shape)}"
+        )
+
+
+def _check_offsets(name: str, offsets: np.ndarray, total: int) -> None:
+    """Refuse CSR offsets that do not rise strictly from 0 to ``total``."""
+    if offsets[0] != 0 or offsets[-1] != total or bool((np.diff(offsets) < 1).any()):
+        raise ModelError(
+            f"malformed skeleton: {name!r} must rise strictly from 0 to {total} "
+            f"(every state needs an action row, every row a transition)"
+        )
 
 
 @dataclass(frozen=True)
@@ -176,6 +223,52 @@ class ScenarioStructure:
         self._trans_row = np.repeat(
             np.arange(self.num_rows, dtype=np.int64), np.diff(row_trans_offsets)
         )
+
+    def check_layout(self) -> None:
+        """Check that the skeleton arrays describe one well-formed CSR model.
+
+        Explored skeletons satisfy this by construction.  Skeletons decoded
+        from a received payload (:func:`repro.core.shared_structures.
+        unpack_structures`) are checked before any worker instantiates them,
+        so a malformed peer payload is refused up front instead of raising an
+        ``IndexError`` -- or silently mis-solving -- inside a sweep.
+        Subclasses with extra arrays extend the check.
+
+        Raises:
+            ModelError: On the first inconsistency found.
+        """
+        states, rows, trans = self.num_states, self.num_rows, self.num_transitions
+        check_buffer("row_state", self.row_state, (rows,), "iu")
+        check_buffer("state_row_offsets", self.state_row_offsets, (states + 1,), "iu")
+        check_buffer("row_trans_offsets", self.row_trans_offsets, (rows + 1,), "iu")
+        for name in ("trans_succ", "trans_kind", "trans_sigma"):
+            check_buffer(name, getattr(self, name), (trans,), "iu")
+        check_buffer("trans_mult", self.trans_mult, (trans,), "f")
+        check_buffer("trans_reward", self.trans_reward, (trans, 2), "f")
+        if len(self.row_actions) != rows:
+            raise ModelError(
+                f"malformed skeleton: {len(self.row_actions)} action labels for {rows} rows"
+            )
+        if not 0 <= self.initial_state < states:
+            raise ModelError(
+                f"malformed skeleton: initial state {self.initial_state} outside "
+                f"the {states} states"
+            )
+        _check_offsets("state_row_offsets", self.state_row_offsets, rows)
+        _check_offsets("row_trans_offsets", self.row_trans_offsets, trans)
+        owners = np.repeat(np.arange(states), np.diff(self.state_row_offsets))
+        if not np.array_equal(self.row_state, owners):
+            raise ModelError("malformed skeleton: 'row_state' disagrees with 'state_row_offsets'")
+        if self.trans_succ.min() < 0 or self.trans_succ.max() >= states:
+            raise ModelError(f"malformed skeleton: a successor lies outside the {states} states")
+        if not np.isin(self.trans_kind, _PROB_KINDS).all():
+            raise ModelError("malformed skeleton: unknown probability tag in 'trans_kind'")
+        if self.trans_sigma.min() < 0:
+            raise ModelError("malformed skeleton: negative mining-target count in 'trans_sigma'")
+        if not (np.isfinite(self.trans_mult).all() and (self.trans_mult > 0).all()):
+            raise ModelError("malformed skeleton: 'trans_mult' must be finite and positive")
+        if not np.isfinite(self.trans_reward).all():
+            raise ModelError("malformed skeleton: non-finite reward in 'trans_reward'")
 
     # ------------------------------------------------------------------ identity
 
@@ -531,7 +624,7 @@ def resolve_scenario(scenario_id: str) -> AttackScenario:
     """Resolve a wire ``scenario_id`` against this process's registry.
 
     Used wherever a scenario identity crosses a process or host boundary
-    (shared-memory plane directories, distributed frames); any mismatch is an
+    (structure payload directories, distributed frames); any mismatch is an
     error, never a silent fallback.
 
     Raises:
@@ -560,6 +653,7 @@ __all__ = [
     "AttackScenario",
     "ScenarioStructure",
     "SupportSignature",
+    "check_buffer",
     "get_attack",
     "list_attacks",
     "register_attack",

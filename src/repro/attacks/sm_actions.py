@@ -3,8 +3,8 @@
 This is the classic single-fork action space of Sapirshtein et al. ("Optimal
 selfish mining strategies in Bitcoin"), registered as the ``"sm-actions"``
 scenario behind the same skeleton-cache and flat-buffer interface as the
-paper's multi-fork family, so every engine feature (warm starts, batched
-probes, shared-memory planes, the distributed fabric) applies to it unchanged.
+paper's multi-fork family, so every engine feature (warm starts, the worker
+pool, the distributed fabric) applies to it unchanged.
 
 State and actions
 -----------------
@@ -50,7 +50,7 @@ from .fork_state import (
     PROB_HONEST,
     PROB_ONE_MINUS_GAMMA_HONEST,
 )
-from .registry import ScenarioStructure, SupportSignature, register_attack
+from .registry import ScenarioStructure, SupportSignature, check_buffer, register_attack
 
 #: Fork-flag values of the ``(a, h, fork)`` state.
 IRRELEVANT = 0
@@ -131,6 +131,16 @@ class SmActionsStructure(ScenarioStructure):
         self.settle_ah = (
             settle_ah if settle_ah is not None else np.empty((0, 2), dtype=np.int32)
         )
+
+    def check_layout(self) -> None:
+        """Extend the CSR check to the overpaying settlement arrays."""
+        super().check_layout()
+        check_buffer("settle_trans", self.settle_trans, (None,), "iu")
+        check_buffer("settle_ah", self.settle_ah, (self.settle_trans.shape[0], 2), "iu")
+        if self.settle_trans.size and (
+            self.settle_trans.min() < 0 or self.settle_trans.max() >= self.num_transitions
+        ):
+            raise ModelError("malformed skeleton: a settlement lies outside the transitions")
 
     # -------------------------------------------------------------------- refill
 
@@ -484,6 +494,11 @@ class SmActionsStructure(ScenarioStructure):
     @classmethod
     def from_buffers(cls, buffers: Dict[str, np.ndarray]) -> "SmActionsStructure":
         """Reconstruct a structure from :meth:`to_buffers` output (zero-copy)."""
+        check_buffer("header", buffers["header"], (9,), "iu")
+        check_buffer("state_labels", buffers["state_labels"], (None, 3), "iu")
+        check_buffer("row_actions", buffers["row_actions"], (None,), "iu")
+        if not np.isin(buffers["row_actions"], tuple(_ACTION_LABELS)).all():
+            raise ModelError("malformed skeleton: unknown action code in 'row_actions'")
         header = [int(value) for value in buffers["header"]]
         attack = AttackParams(
             depth=header[0],

@@ -22,9 +22,9 @@ Structures are memoised in a process-local cache so that a parameter sweep pays
 the exploration cost once per ``(attack, signature)`` instead of once per grid
 point.  Sweep worker processes never explore at all: the parent builds each
 skeleton once, serialises it into flat buffers (:meth:`SelfishForksStructure.
-to_buffers`) and publishes them through the shared-memory model plane
-(:mod:`repro.core.shared_structures`); workers attach the buffers zero-copy and
-:func:`install_structure` them into this cache.  The cache keeps separate
+to_buffers`) packed into one payload (:mod:`repro.core.shared_structures`), and
+every worker decodes the payload zero-copy into this cache
+(:func:`replace_structure_cache`).  The cache keeps separate
 ``builds`` / ``attaches`` counters so tests can assert that workers performed
 zero explorations.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mdp import MDP
 
 from ..config import AttackParams, ProtocolParams
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, ModelError
 from . import fork_state
 from .fork_state import (
     ForkState,
@@ -52,6 +52,7 @@ from .fork_state import (
 from .registry import (
     ScenarioStructure,
     SupportSignature,
+    check_buffer,
     get_attack,
     register_attack,
 )
@@ -73,7 +74,7 @@ class SelfishForksStructure(ScenarioStructure):
     """
 
     SCENARIO_VERSION = 1
-    #: The base plane layout, declared explicitly: the shm buffer schema is
+    #: The base buffer layout, declared explicitly: the buffer schema is
     #: part of the worker/wire contract, not an inheritance accident (RL005).
     BUFFER_KEYS = ScenarioStructure.BUFFER_KEYS
     #: ``(p, k)``-mining: d*f concurrent targets need ``k >= d*f``, which PoS
@@ -206,7 +207,7 @@ class SelfishForksStructure(ScenarioStructure):
         bit-for-bit identical structure from them.  The numeric transition
         arrays are returned as-is (no copy); the python-object state labels and
         action labels are encoded into fixed-width integer matrices so that the
-        whole structure can live in one shared-memory segment.
+        whole structure packs into one flat payload.
 
         Label encoding: each :data:`~repro.attacks.fork_state.ForkState`
         ``(C, O, type)`` flattens to ``d*f`` fork lengths, ``d-1`` ownership
@@ -257,15 +258,19 @@ class SelfishForksStructure(ScenarioStructure):
         """Reconstruct a structure from :meth:`to_buffers` output.
 
         The numeric transition arrays are adopted without copying, so buffers
-        backed by a shared-memory segment stay zero-copy: every attached worker
-        reads the same physical pages.  Only the python-object labels (state
-        tuples, action tuples) are materialised, which is a plain decode loop --
-        orders of magnitude cheaper than re-running the breadth-first
-        exploration.
+        that are views into a received payload stay zero-copy.  Only the
+        python-object labels (state tuples, action tuples) are materialised,
+        which is a plain decode loop -- orders of magnitude cheaper than
+        re-running the breadth-first exploration.
         """
+        check_buffer("header", buffers["header"], (8,), "iu")
         header = [int(value) for value in buffers["header"]]
         d, f, l = header[0], header[1], header[2]
         attack = AttackParams(depth=d, forks=f, max_fork_length=l)
+        check_buffer("state_labels", buffers["state_labels"], (None, d * f + d), "iu")
+        check_buffer("row_actions", buffers["row_actions"], (None, 4), "iu")
+        if not np.isin(buffers["row_actions"][:, 0], (0, 1)).all():
+            raise ModelError("malformed skeleton: unknown action tag in 'row_actions'")
         signature = SupportSignature(
             adversary_mines=bool(header[3]),
             honest_mines=bool(header[4]),
@@ -409,10 +414,10 @@ def build_model_structure(
 _STRUCTURE_CACHE: Dict[Tuple[AttackParams, SupportSignature], ScenarioStructure] = {}
 _CACHE_LOCK = threading.Lock()
 #: Number of breadth-first explorations performed by this process since the
-#: last :func:`clear_structure_cache` -- sweep workers attached to the shared
-#: model plane must keep this at 0.
+#: last :func:`clear_structure_cache` -- sweep workers, which install the
+#: parent's packed skeletons, must keep this at 0.
 _BUILD_COUNT = 0
-#: Number of structures installed from shared-memory buffers.
+#: Number of structures installed from outside (not explored here).
 _ATTACH_COUNT = 0
 
 
@@ -426,9 +431,8 @@ def get_model_structure(
 
     Dispatches the exploration through the scenario registry, so any registered
     scenario shares this cache (and its builds/attaches accounting).  The cache
-    is process-local; sweep workers have it populated up front by the
-    shared-memory model plane (or, as a fallback, by a per-worker prewarm) and
-    therefore always hit.
+    is process-local; sweep workers have it populated up front from the
+    parent's packed skeletons and therefore always hit.
     """
     global _BUILD_COUNT
     signature = SupportSignature.of(protocol)
@@ -452,10 +456,8 @@ def get_model_structure(
 def install_structure(structure: ScenarioStructure) -> None:
     """Install an externally built structure (idempotent, counts as an attach).
 
-    Sweep workers call this with structures reconstructed from the shared-memory
-    model plane (:mod:`repro.core.shared_structures`); subsequent
-    :func:`get_model_structure` calls for the same ``(attack, signature)`` hit
-    the cache without ever exploring.
+    Subsequent :func:`get_model_structure` calls for the same ``(attack,
+    signature)`` hit the cache without ever exploring.
     """
     global _ATTACH_COUNT
     key = (structure.attack, structure.signature)
@@ -464,18 +466,32 @@ def install_structure(structure: ScenarioStructure) -> None:
         _ATTACH_COUNT += 1
 
 
+def replace_structure_cache(structures: Iterable[ScenarioStructure]) -> None:
+    """Swap the whole cache for ``structures`` (each counted as an attach).
+
+    Drops every cached structure, resets the build/attach counters and
+    installs ``structures``, all under the module lock, so a concurrent
+    :func:`get_model_structure` sees either the old cache or the new one and
+    never explores in between.  Sweep workers install the parent's packed
+    skeletons through this (:func:`repro.core.shared_structures.
+    install_structure_payload`).
+    """
+    global _BUILD_COUNT, _ATTACH_COUNT
+    structure_list = list(structures)
+    with _CACHE_LOCK:
+        _STRUCTURE_CACHE.clear()
+        for structure in structure_list:
+            _STRUCTURE_CACHE[(structure.attack, structure.signature)] = structure
+        _BUILD_COUNT = 0
+        _ATTACH_COUNT = len(structure_list)
+
+
 def clear_structure_cache() -> None:
     """Drop every cached structure and reset the build/attach counters.
 
-    Mainly for tests and memory pressure.  The whole reset happens under the
-    module lock so that a concurrent :func:`get_model_structure` can never
-    observe a cleared cache with stale counters (or vice versa).
+    Mainly for tests and memory pressure; see :func:`replace_structure_cache`.
     """
-    global _BUILD_COUNT, _ATTACH_COUNT
-    with _CACHE_LOCK:
-        _STRUCTURE_CACHE.clear()
-        _BUILD_COUNT = 0
-        _ATTACH_COUNT = 0
+    replace_structure_cache(())
 
 
 def structure_cache_stats() -> Dict[str, int]:
@@ -489,8 +505,8 @@ def structure_cache_stats() -> Dict[str, int]:
     Returns:
         ``entries`` / ``states`` / ``transitions``: current cache contents;
         ``builds``: breadth-first explorations this process performed since the
-        last clear (0 inside workers attached to the shared model plane);
-        ``attaches``: structures installed from shared-memory buffers.
+        last clear (0 inside sweep workers);
+        ``attaches``: structures installed from outside (packed payloads).
     """
     with _CACHE_LOCK:
         structures = list(_STRUCTURE_CACHE.values())

@@ -33,8 +33,8 @@ Distributed sweeps
 ``repro sweep --distributed --listen HOST:PORT`` runs the sweep as the
 coordinator of a multi-host fabric (:mod:`repro.core.distributed`): grid units
 stream over TCP to every ``repro worker --connect HOST:PORT`` process that
-joins, model skeletons travel as the same flat buffers the shared-memory plane
-uses (remote workers perform zero explorations), and results merge into the
+joins, model skeletons travel as the same packed payload local pool workers
+install (remote workers perform zero explorations), and results merge into the
 identical CSV/plot pipeline -- bit-for-bit equal to a serial run.
 ``--min-workers N`` delays scheduling until N workers have joined;
 ``--heartbeat-seconds`` and ``--straggler-seconds`` tune failure detection and
@@ -50,10 +50,9 @@ bisection probe and accepts both full names and short aliases:
 
 Sweep-only engine flags: ``--workers N`` fans grid points out over N worker
 processes, ``--warm-start-across-points`` chains solver warm starts along the
-p axis, ``--reuse-p-bounds`` additionally starts each point's binary search
+p axis, and ``--reuse-p-bounds`` additionally starts each point's binary search
 from the previous p point's certified lower bound (sound because ERRev* is
-monotone in p), and ``--no-results-plane`` returns worker outcomes by pickling
-instead of the shared-memory results plane (ablation).
+monotone in p).
 
 Crash safety
 ------------
@@ -261,12 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-structure-cache",
         action="store_true",
         help="rebuild the MDP from scratch at every grid point (disable the skeleton cache)",
-    )
-    sweep.add_argument(
-        "--no-results-plane",
-        action="store_true",
-        help="return worker outcomes by pickling instead of the shared-memory "
-        "results plane (ablation switch; workers > 1 only)",
     )
     sweep.add_argument(
         "--distributed",
@@ -489,7 +482,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         ),
         workers=args.workers,
         use_structure_cache=not args.no_structure_cache,
-        use_results_plane=not args.no_results_plane,
         warm_start_across_points=args.warm_start_across_points,
         reuse_p_axis_bounds=args.reuse_p_bounds,
         coordinator=args.listen if args.distributed else None,

@@ -1,10 +1,9 @@
-"""Distributed multi-host sweep fabric over the flat-buffer model plane.
+"""Distributed multi-host sweep fabric.
 
 The local sweep engine (:mod:`repro.core.engine`) fans the ``(p, gamma,
-attack)`` grid over a process pool and distributes model structures through a
-zero-copy shared-memory segment.  This module ships the *same* work units and
-the *same* flat buffers over plain TCP instead, so a sweep can span several
-hosts:
+attack)`` grid over a process pool whose workers install the parent's packed
+model skeletons.  This module ships the *same* work units and the *same*
+packed skeletons over plain TCP instead, so a sweep can span several hosts:
 
 * A **coordinator** (``repro sweep --distributed --listen HOST:PORT``) listens
   on a socket, decomposes the grid into the engine's :class:`~repro.core.
@@ -15,14 +14,13 @@ hosts:
   the monotone bound reuse stays sound across the wire.
 * **Workers** (``repro worker --connect HOST:PORT``) connect, advertise the
   versioned attack scenarios they implement, receive every parent-built
-  :class:`~repro.attacks.registry.ScenarioStructure` as one
-  flat-buffer payload (:func:`~repro.core.shared_structures.pack_structures`,
-  the exact byte layout of the shared-memory segment -- substrate header
-  included, so magic and layout version are validated on the wire exactly as
-  on attach; see :mod:`repro.core.shm`), install the
-  reconstructed skeletons into their structure cache and therefore perform
-  **zero explorations** -- ``structure_cache_stats()["builds"] == 0`` on a
-  remote worker, the same invariant the local shared-memory plane guarantees.
+  :class:`~repro.attacks.registry.ScenarioStructure` as one payload
+  (:func:`~repro.core.shared_structures.pack_structures`, the bytes a local
+  pool worker receives in its initializer; magic, layout version and bounds
+  are validated before anything is decoded), install it through the same
+  helper as pool workers and therefore perform **zero explorations** --
+  ``structure_cache_stats()["builds"] == 0`` on a remote worker, the same
+  invariant every pool worker keeps.
 * Results stream back as :class:`~repro.core.engine.PointOutcome` rows and are
   merged into the same :class:`~repro.core.results.SweepResult` / CSV pipeline
   the local engine feeds; the single-process and process-pool paths are
@@ -55,11 +53,10 @@ Frames are length-prefixed binary::
 
 with a JSON header carrying the message (``hello`` / ``welcome`` / ``work`` /
 ``result`` / ``heartbeat`` / ``shutdown``) and the binary payload carrying the
-packed structure buffers of the ``welcome`` message.  All integers are
-big-endian; frames above :data:`MAX_FRAME_BYTES` are rejected.  The fabric
-authenticates nothing and pickles the (integer/string) buffer directory --
-bind the coordinator to a trusted network only, exactly like any in-cluster
-scheduler.
+packed structure payload of the ``welcome`` message.  All integers are
+big-endian; frames above :data:`MAX_FRAME_BYTES` are rejected.  Nothing on
+the wire is unpickled, but the fabric authenticates nothing either -- bind the
+coordinator to a trusted network only, exactly like any in-cluster scheduler.
 """
 
 from __future__ import annotations
@@ -77,7 +74,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..attacks.registry import list_attacks, resolve_scenario, scenario_id_for
-from ..attacks.structure import install_structure, structure_cache_stats
+from ..attacks.structure import structure_cache_stats
 from ..config import AnalysisConfig, AttackParams
 from ..exceptions import ModelError
 from .engine import (
@@ -88,12 +85,7 @@ from .engine import (
 from .faults import backoff_delays, maybe_fail
 from .reporting import ProgressReporter
 from .results import SweepResult
-from .shared_structures import unpack_structures
-
-# Re-exported as a module attribute: the execution plane's DistributedBackend
-# packs the welcome-frame structures via ``fabric.pack_structures`` so tests
-# can monkeypatch the wire encoding on this module.
-from .shared_structures import pack_structures  # noqa: F401  isort: skip
+from .shared_structures import install_structure_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .execution import MergeSink
@@ -714,7 +706,7 @@ class WorkerSummary:
         outcomes: Individual grid points inside those units.
         builds: Breadth-first explorations the worker performed -- 0 whenever
             the coordinator shipped structures over the wire.
-        attaches: Structures installed from the coordinator's flat buffers.
+        attaches: Structures installed from the coordinator's payload.
         clean_shutdown: True when the coordinator said ``shutdown`` (or the
             worker drained gracefully on SIGTERM/SIGINT); False when the
             connection dropped and could not be re-established.
@@ -745,8 +737,8 @@ def run_worker(
     The worker connects to ``connect`` (with capped exponential backoff for up
     to ``connect_retry_seconds``, so it can be started before the
     coordinator), installs the structures received in the ``welcome`` frame
-    into its process-local cache (zero explorations, exactly like a
-    shared-memory pool worker), and computes up to ``capacity`` units
+    into its process-local cache (zero explorations, through the same helper
+    as a pool worker), and computes up to ``capacity`` units
     concurrently on a thread pool -- the solvers release the GIL inside their
     numpy kernels, so thread-level capacity scales on numeric workloads while
     keeping the structure cache shared.
@@ -1006,9 +998,7 @@ def run_worker(
                 kind = header.get("type")
                 if kind == "welcome":
                     if header.get("structures") and payload:
-                        for structure in unpack_structures(payload):
-                            install_structure(structure)
-                        report(f"installed {structure_cache_stats()['attaches']} structure(s)")
+                        report(f"installed {install_structure_payload(payload)} structure(s)")
                 elif kind == "work":
                     task = task_from_wire(header["task"])
                     unit = asyncio.ensure_future(run_unit(int(header["unit_id"]), task))

@@ -33,18 +33,13 @@ Determinism and failure isolation are the two design invariants:
   remaining points are unaffected.  The same holds for the closed-form
   baseline series evaluated in the parent.
 
-Model-structure caching (:mod:`repro.attacks.structure`) is enabled by default
-and, with ``workers > 1``, is distributed through the zero-copy shared-memory
-model plane (:mod:`repro.core.shared_structures`): the parent builds every
-``(attack, support)`` skeleton exactly once, publishes the flat buffers in one
-``multiprocessing.shared_memory`` segment, and every worker -- fork- and
-spawn-started alike -- *attaches* in its pool initializer instead of exploring.
-The numeric transition arrays of all workers are views of the same physical
-pages; no worker ever rebuilds a skeleton (``structure_cache_stats()["builds"]
-== 0`` inside workers).  The segment is reference-counted and unlinked in a
-``finally`` once the pool exits, even when a worker crashed mid-sweep.  If
-shared memory is unavailable on a platform, the engine falls back to the
-legacy per-worker prewarm.
+Model-structure caching (:mod:`repro.attacks.structure`) is enabled by default.
+With ``workers > 1`` the parent builds every ``(attack, support)`` skeleton
+exactly once and packs them into one payload
+(:func:`~repro.core.shared_structures.pack_structures`); every pool worker --
+fork- and spawn-started alike -- installs that payload in its initializer
+instead of exploring (``structure_cache_stats()["builds"] == 0`` inside
+workers).  Outcomes come back pickled through each unit's future.
 
 The pool start method follows the platform default (fork on Linux, spawn
 elsewhere) and can be forced with the ``REPRO_TEST_START_METHOD`` environment
@@ -52,8 +47,8 @@ variable (used by CI to exercise the spawn path on Linux runners).
 
 With ``SweepConfig.coordinator`` set the engine delegates to the distributed
 multi-host fabric (:mod:`repro.core.distributed`): the same tasks stream over
-TCP to remote ``repro worker`` processes and the same flat buffers replace the
-local shared-memory segment.  Every execution backend upholds the same two
+TCP to remote ``repro worker`` processes, and the same payload travels in the
+coordinator's ``welcome`` frame.  Every execution backend upholds the same two
 invariants:
 
 * **Zero worker explorations** -- pool and remote workers alike receive every
@@ -82,21 +77,9 @@ from ..attacks import (
     single_tree_errev,
 )
 from ..attacks.registry import ScenarioStructure, get_attack
-from ..attacks.structure import clear_structure_cache
 from ..config import AnalysisConfig, AttackParams, ProtocolParams
-from ..exceptions import ModelError
 from .faults import InjectedFault, is_transient_error, maybe_fail, point_retry_limit
 from .results import SweepFailure, SweepPoint, SweepResult
-from .shared_structures import (
-    attach_and_install,
-    forget_inherited_planes,
-)
-
-# Deliberate module attribute, not an unused import: the pool backend
-# (core/execution.py) publishes the model plane via
-# ``engine.publish_structures`` so tests can monkeypatch the engine module, as
-# they always have.
-from .shared_structures import publish_structures  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .sweep import SweepConfig
@@ -179,16 +162,7 @@ class PointOutcome:
 def _run_attack_task(
     task: AttackTask,
 ) -> List[PointOutcome]:
-    """Worker entry point; must stay importable at module top level (pickling).
-
-    When the pool initializer installed a results plane in this process, every
-    computed outcome is published into its grid slot instead of being returned:
-    the returned list then holds only the outcomes the plane refused (oversized
-    error strings), which fall back to the pickled future path.
-    """
-    from .results_plane import installed_results_plane
-
-    plane = installed_results_plane()
+    """Worker entry point; must stay importable at module top level (pickling)."""
     outcomes: List[PointOutcome] = []
     warm_rows: Optional[np.ndarray] = None
     warm_bias: Optional[np.ndarray] = None
@@ -278,15 +252,10 @@ def _run_attack_task(
                 prev_p = None
             break
         if maybe_fail("engine.worker_crash_pre_result"):
-            # Simulated hard death before the outcome is recorded anywhere:
-            # resume/requeue must recompute this point.
+            # Simulated hard death before the unit returns: every point of the
+            # unit is lost with the worker, and resume/requeue recomputes it.
             os._exit(17)
-        if plane is None or not plane.write(outcome):
-            outcomes.append(outcome)
-        if maybe_fail("engine.worker_crash_post_result"):
-            # Simulated hard death after the plane write: the parent's
-            # post-join drain must still surface the published record.
-            os._exit(23)
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -327,8 +296,8 @@ def _prewarm_structure_cache(config: "SweepConfig") -> List[ScenarioStructure]:
     their worker) are skipped.
 
     Returns:
-        The distinct structures of the grid, ready to be published on the
-        shared-memory model plane.
+        The distinct structures of the grid, ready to be packed for the
+        workers (:func:`~repro.core.shared_structures.pack_structures`).
     """
     structures: List[ScenarioStructure] = []
     seen = set()
@@ -350,59 +319,6 @@ def _prewarm_structure_cache(config: "SweepConfig") -> List[ScenarioStructure]:
                     # where it is isolated as a SweepFailure.
                     continue
     return structures
-
-
-def _initialize_worker(
-    plane_name: Optional[str],
-    config: "SweepConfig",
-    results_plane_name: Optional[str] = None,
-) -> None:
-    """Pool initializer: attach the shared model plane (or prewarm as fallback).
-
-    With a published plane the worker's structure cache and inherited plane
-    handles are cleared (fork-started workers inherit the parent's private
-    copies and its creator-flagged plane handle, neither of which may be used)
-    and the cache is refilled with zero-copy attachments, so the worker
-    performs zero explorations (``structure_cache_stats()["builds"] == 0``)
-    and its numeric arrays are views of the shared segment on fork and spawn
-    alike.  Without a plane -- shared memory unavailable, or disabled via
-    ``SweepConfig.use_shared_structures`` -- the worker falls back to building
-    every skeleton of the grid once, up front.
-
-    With ``results_plane_name`` set the worker additionally attaches the
-    results plane (:mod:`repro.core.results_plane`) and installs it as this
-    process's outcome sink, so computed :class:`PointOutcome`\\ s are published
-    as packed shared-memory records instead of pickled future results; a
-    vanished segment degrades to the pickled path.  Must stay importable at
-    module top level (pickling).
-
-    Both planes live on the shared substrate (:mod:`repro.core.shm`), so the
-    per-plane forgets below delegate to one registry: fork-started workers
-    drop every inherited creator-flagged handle before attaching their own
-    untracked mappings, and attach failures surface as clean
-    :class:`~repro.exceptions.ModelError`\\ s (magic/version validated).
-    """
-    from .results_plane import forget_inherited_results_planes, install_results_plane
-
-    forget_inherited_planes()
-    forget_inherited_results_planes()
-    if results_plane_name is not None:
-        try:
-            install_results_plane(results_plane_name)
-        except ModelError:
-            # Segment vanished: fall back to returning outcomes by pickling.
-            pass
-    if plane_name is not None:
-        try:
-            clear_structure_cache()
-            attach_and_install(plane_name)
-            return
-        except ModelError:
-            # Segment vanished (or the platform rejected the mapping): rebuild
-            # locally rather than failing every task of this worker.
-            pass
-    if config.use_structure_cache:
-        _prewarm_structure_cache(config)
 
 
 def _pool_start_method() -> str:
@@ -527,9 +443,9 @@ def assemble_sweep_result(
     -- are re-ordered into the canonical ``gamma -> p -> series`` order with
     failures isolated, so every execution backend produces an identically
     shaped :class:`SweepResult`.  A grid key with no collected outcome at all
-    -- a distributed shutdown that lost a unit, a results-plane slot torn by a
-    crashed writer -- becomes a :class:`SweepFailure` instead of a crash that
-    would discard every point that *was* collected.
+    -- a distributed shutdown that lost a unit -- becomes a
+    :class:`SweepFailure` instead of a crash that would discard every point
+    that *was* collected.
     """
     points: List[SweepPoint] = []
     failures: List[SweepFailure] = []
@@ -544,7 +460,7 @@ def assemble_sweep_result(
                             p=p,
                             gamma=gamma,
                             series=attack_series_name(attack),
-                            message="outcome never reported (worker lost or result torn)",
+                            message="outcome never reported (worker lost)",
                         )
                     )
                     continue

@@ -22,19 +22,18 @@ layers, shared by every way a sweep can run:
    ``start(plan)`` acquires resources, ``outcomes()`` streams outcome events,
    ``close()`` releases resources (idempotent).  :class:`SerialBackend` runs
    units in-process in submission order, :class:`PoolBackend` fans them over a
-   :class:`~concurrent.futures.ProcessPoolExecutor` with the shared-memory
-   model plane and results-plane drain, and :class:`DistributedBackend` wraps
-   the TCP coordinator fabric.  Backends never journal, never merge, never
-   synthesize failures.
+   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers install the
+   parent's packed skeletons and return outcomes through their futures, and
+   :class:`DistributedBackend` wraps the TCP coordinator fabric.  Backends
+   never journal, never merge, never synthesize failures.
 
 3. :class:`MergeSink` -- the single merge pipeline that the engine's old
    ``collect()`` closure and the coordinator's ``_record_result`` /
    ``_journal`` used to duplicate: idempotent grid-key merge, journal append
    (a no-op for replayed keys), unit-level first-result-wins with
-   fewer-errors-wins recompute replacement, per-channel counters
-   (``in_process`` / ``via_plane`` / ``via_pickle`` / ``synthesized``),
-   synthesized failures for crashed units, progress reporting through
-   :class:`~repro.core.reporting.ProgressReporter`, and final assembly into a
+   fewer-errors-wins recompute replacement, synthesized failures for crashed
+   units, progress reporting through :class:`~repro.core.reporting.
+   ProgressReporter`, and final assembly into a
    :class:`~repro.core.results.SweepResult`.  The sink is also the streaming
    seam a future query API will sit on: every outcome flows through
    :meth:`MergeSink.accept` (or :meth:`MergeSink.accept_unit`) the moment it
@@ -82,12 +81,11 @@ from . import engine as _engine
 from .journal import GridKey
 from .reporting import ProgressReporter
 from .results import SweepResult
+from .shared_structures import install_structure_payload, pack_structures
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles broken at runtime
     from .engine import AttackTask, PointOutcome
     from .journal import SweepJournal
-    from .results_plane import ResultsPlane
-    from .shared_structures import SharedStructurePlane
     from .sweep import SweepConfig
 
 
@@ -177,19 +175,17 @@ class SweepPlan:
 
 
 class MergeSink:
-    """The one merge pipeline: journal, retry accounting, counters, assembly.
+    """The one merge pipeline: journal, retry accounting, assembly.
 
     Every computed :class:`~repro.core.engine.PointOutcome` -- whatever backend
-    produced it, whatever channel carried it -- flows through this object
-    exactly once.  The sink owns the idempotent grid-key merge (last write
-    wins at key level; :meth:`accept_unit` adds the coordinator's unit-level
-    first-result-wins / fewer-errors-wins discipline on top), the durable
-    journal append (``record`` is a no-op for replayed keys), the per-channel
-    delivery counters behind ``metadata["results_plane"]``, synthesized
-    failures for units whose worker died, and progress reporting.  Baseline
-    synthesis and per-point transient-retry accounting
-    (``metadata["recovery"]``) happen in :meth:`assemble`, which re-orders the
-    merged outcomes into the canonical ``gamma -> p -> series``
+    produced it -- flows through this object exactly once.  The sink owns the
+    idempotent grid-key merge (last write wins at key level; :meth:`accept_unit`
+    adds the coordinator's unit-level first-result-wins / fewer-errors-wins
+    discipline on top), the durable journal append (``record`` is a no-op for
+    replayed keys), synthesized failures for units whose worker died, and
+    progress reporting.  Baseline synthesis and per-point transient-retry
+    accounting (``metadata["recovery"]``) happen in :meth:`assemble`, which
+    re-orders the merged outcomes into the canonical ``gamma -> p -> series``
     :class:`~repro.core.results.SweepResult`.
     """
 
@@ -205,12 +201,6 @@ class MergeSink:
         self.reporter = reporter
         self.journal = journal
         self.outcomes: Dict[GridKey, "PointOutcome"] = {}
-        self.channels: Dict[str, int] = {
-            "via_plane": 0,
-            "via_pickle": 0,
-            "in_process": 0,
-            "synthesized": 0,
-        }
         self._unit_outcomes: Dict[int, List["PointOutcome"]] = {}
 
     @staticmethod
@@ -222,13 +212,10 @@ class MergeSink:
         """Seed journal-replayed outcomes: merged silently, never re-journaled."""
         self.outcomes.update(replayed)
 
-    def accept(
-        self, outcomes: Iterable["PointOutcome"], *, channel: str = "via_pickle"
-    ) -> None:
-        """Merge computed outcomes at key level: count, journal, report each one."""
+    def accept(self, outcomes: Iterable["PointOutcome"]) -> None:
+        """Merge computed outcomes at key level: journal and report each one."""
         for outcome in outcomes:
             self.outcomes[self.key_of(outcome)] = outcome
-            self.channels[channel] += 1
             if self.journal is not None:
                 self.journal.record(outcome)
             self.reporter(_engine.describe_outcome(outcome))
@@ -271,9 +258,8 @@ class MergeSink:
     def synthesize_missing(self, task: "AttackTask", message: str) -> None:
         """Record synthesized failures for a crashed unit's unreported keys.
 
-        Only grid keys that never made it anywhere (no plane record, no
-        pickled result, no duplicate delivery) become failures, so each key is
-        merged exactly once.
+        Only grid keys that never made it anywhere (no result, no duplicate
+        delivery) become failures, so each key is merged exactly once.
         """
         self.accept(
             [
@@ -292,8 +278,7 @@ class MergeSink:
                 )
                 for p, p_index in zip(task.p_values, task.p_indices)
                 if (task.gamma_index, p_index, task.attack_index) not in self.outcomes
-            ],
-            channel="synthesized",
+            ]
         )
 
     def assemble(self, *, description: str) -> SweepResult:
@@ -320,10 +305,9 @@ class MergeSink:
 
 @dataclass(frozen=True)
 class OutcomeBatch:
-    """One streamed batch of computed outcomes plus the channel that carried it."""
+    """One streamed batch of computed outcomes (one unit's, in p order)."""
 
     outcomes: Tuple["PointOutcome", ...]
-    channel: str
 
 
 @dataclass(frozen=True)
@@ -348,7 +332,7 @@ class ExecutionBackend:
     :class:`~repro.core.engine.PointOutcome`\\ s; it never journals, merges or
     assembles.  The contract is
 
-    * :meth:`start` -- acquire resources for a plan (pools, planes, sockets),
+    * :meth:`start` -- acquire resources for a plan (pools, sockets),
     * :meth:`outcomes` -- stream :class:`OutcomeBatch` / :class:`UnitCrash`
       events as units complete,
     * :meth:`close` -- release every resource; must be idempotent and safe
@@ -397,7 +381,7 @@ class ExecutionBackend:
                 if isinstance(event, UnitCrash):
                     sink.synthesize_missing(plan.tasks[event.unit_id], event.message)
                 else:
-                    sink.accept(event.outcomes, channel=event.channel)
+                    sink.accept(event.outcomes)
         finally:
             close_stream = getattr(stream, "close", None)
             if close_stream is not None:
@@ -408,7 +392,7 @@ class ExecutionBackend:
 class SerialBackend(ExecutionBackend):
     """In-process execution: units run in submission order on this thread.
 
-    The reference backend: deterministic ordering, no IPC, no shared memory.
+    The reference backend: deterministic ordering, no IPC.
     """
 
     name = "serial"
@@ -425,24 +409,20 @@ class SerialBackend(ExecutionBackend):
         """Compute each pending unit inline and stream its outcomes."""
         assert self._plan is not None  # start() ran
         for _unit_id, task in self._plan.pending_tasks():
-            yield OutcomeBatch(
-                outcomes=tuple(_engine._run_attack_task(task)),
-                channel="in_process",
-            )
+            yield OutcomeBatch(outcomes=tuple(_engine._run_attack_task(task)))
 
 
 class PoolBackend(ExecutionBackend):
-    """Process-pool execution with the shared model plane and results plane.
+    """Process-pool execution: skeletons in as one payload, outcomes out by pickle.
 
-    The parent builds every skeleton of the grid once, publishes the flat
-    buffers on the shared-memory model plane, and each worker -- fork- or
-    spawn-started -- attaches zero-copy in its initializer (zero explorations;
-    ``structure_cache_stats()["builds"] == 0`` in workers).  Outcomes return
-    through the pickle-free results plane where possible, drained per task
-    once the task's future result provides the memory barrier the per-slot
-    seqlock does not; a post-join full drain catches records published by
-    crashed workers, and only keys that never made it anywhere become
-    :class:`UnitCrash` synthesized failures.
+    The parent builds every skeleton of the grid once and packs them with
+    :func:`~repro.core.shared_structures.pack_structures` -- the bytes the
+    distributed coordinator sends in its ``welcome`` frame.  Every worker,
+    fork- or spawn-started, installs them in its initializer through the same
+    helper remote workers use, so workers perform zero explorations
+    (``structure_cache_stats()["builds"] == 0``).  Each unit's outcomes return
+    through its future; a unit whose worker died becomes a :class:`UnitCrash`
+    once the pool has joined, and every point of it a synthesized failure.
     """
 
     name = "pool"
@@ -450,93 +430,32 @@ class PoolBackend(ExecutionBackend):
     def __init__(self) -> None:
         """Create an idle pool backend (resources acquired by ``start``)."""
         self._plan: Optional[SweepPlan] = None
-        self._plane: Optional["SharedStructurePlane"] = None
-        self._results_plane: Optional["ResultsPlane"] = None
         self._pool_kwargs: Dict[str, object] = {}
         self._workers: int = 0
-        self._released = False
 
     def start(self, plan: SweepPlan) -> None:
-        """Publish the model plane, create the results plane, size the pool.
-
-        When shared memory is unavailable the backend degrades to the legacy
-        behaviour: forked workers inherit the parent's prewarmed cache,
-        spawned workers prewarm once per worker via the same initializer, and
-        outcomes return by pickling.
-        """
+        """Pick the start method, build and pack the skeletons, size the pool."""
         self._plan = plan
         config = plan.config
         self._workers = int(config.workers)
-        self._released = False
         if not plan.pending_units:
             return
-        start_method = _engine._pool_start_method()
         pool_kwargs: Dict[str, object] = {
-            "mp_context": multiprocessing.get_context(start_method)
+            "mp_context": multiprocessing.get_context(_engine._pool_start_method())
         }
-        plane: Optional["SharedStructurePlane"] = None
         if config.use_structure_cache:
             structures = _engine._prewarm_structure_cache(config)
-            if structures and config.use_shared_structures:
-                try:
-                    plane = _engine.publish_structures(structures)
-                except ModelError:
-                    plane = None
-        self._plane = plane
-        results_plane: Optional["ResultsPlane"] = None
-        if getattr(config, "use_results_plane", True):
-            from .results_plane import create_results_plane
-
-            try:
-                results_plane = create_results_plane(
-                    len(config.gammas), len(config.p_values), len(config.attack_configs)
-                )
-            except ModelError:
-                results_plane = None
-        self._results_plane = results_plane
-        if plane is not None or results_plane is not None or (
-            start_method != "fork" and config.use_structure_cache
-        ):
-            # Fresh (spawn) interpreters cannot inherit the parent's cache, and
-            # any shared plane must be attached inside the worker.
-            pool_kwargs["initializer"] = _engine._initialize_worker
-            pool_kwargs["initargs"] = (
-                plane.name if plane is not None else None,
-                config,
-                results_plane.name if results_plane is not None else None,
-            )
+            if structures:
+                pool_kwargs["initializer"] = install_structure_payload
+                pool_kwargs["initargs"] = (pack_structures(structures),)
         self._pool_kwargs = pool_kwargs
 
     def outcomes(self) -> Iterator[BackendEvent]:
         """Fan pending units over the pool and stream outcomes as they land."""
         assert self._plan is not None  # start() ran
-        plan = self._plan
-        pending = plan.pending_tasks()
+        pending = self._plan.pending_tasks()
         if not pending:
             return
-        results_plane = self._results_plane
-
-        def drain_task_slots(task: "AttackTask") -> Tuple["PointOutcome", ...]:
-            """Consume one task's plane slots (call only after syncing with its writer).
-
-            The per-slot seqlock detects torn records but is not a memory
-            barrier, so slots are only consumed once the writer has
-            synchronized with this process: here via the task's future
-            *result* (queue IPC).  Failed futures don't qualify -- a broken
-            pool fails every in-flight future while sibling workers may still
-            be writing -- so crashed units are handled after the pool joins.
-            """
-            if results_plane is None:
-                return ()
-            ready = []
-            for p_index in task.p_indices:
-                outcome = results_plane.take_new(
-                    results_plane.slot_of(task.gamma_index, p_index, task.attack_index)
-                )
-                if outcome is not None:
-                    ready.append(outcome)
-            return tuple(ready)
-
         crashed: List[Tuple[int, str]] = []
         with ProcessPoolExecutor(max_workers=self._workers, **self._pool_kwargs) as pool:  # type: ignore[arg-type]
             futures = {
@@ -544,61 +463,19 @@ class PoolBackend(ExecutionBackend):
                 for unit_id, task in pending
             }
             for future in as_completed(futures):
-                unit_id = futures[future]
-                task = plan.tasks[unit_id]
                 try:
-                    spilled = future.result()
+                    outcomes = future.result()
                 except Exception as exc:
                     # A worker that died (OOM kill, segfault, broken pool)
                     # must not discard the outcomes already collected from
-                    # others.  A broken pool marks *every* in-flight future
-                    # failed while sibling workers may still be writing, so
-                    # neither plane slots nor failure placeholders may be
-                    # touched here -- both wait for the post-join drain,
-                    # where no concurrent writer can exist.
-                    crashed.append((unit_id, f"worker crashed: {type(exc).__name__}: {exc}"))
+                    # others; its unit is reported once the pool has joined.
+                    crashed.append(
+                        (futures[future], f"worker crashed: {type(exc).__name__}: {exc}")
+                    )
                     continue
-                # Outcomes the plane absorbed are drained here, once their
-                # task's future confirms the records are published; anything
-                # the plane refused (oversized strings, no plane at all)
-                # arrives pickled.
-                yield OutcomeBatch(outcomes=drain_task_slots(task), channel="via_plane")
-                yield OutcomeBatch(outcomes=tuple(spilled), channel="via_pickle")
-        # The pool has joined: every worker is gone, so a full drain is
-        # race-free and catches anything published by crashed or interrupted
-        # workers; only grid keys that never made it anywhere become
-        # synthesized failures (each key is collected exactly once).
-        if results_plane is not None:
-            yield OutcomeBatch(outcomes=tuple(results_plane.drain_new()), channel="via_plane")
+                yield OutcomeBatch(outcomes=tuple(outcomes))
         for unit_id, message in crashed:
             yield UnitCrash(unit_id=unit_id, message=message)
-
-    def close(self) -> None:
-        """Release both shared segments (parent-owned: release means unlink)."""
-        if self._released:
-            return
-        self._released = True
-        plane, self._plane = self._plane, None
-        if plane is not None:
-            plane.release()
-        if self._results_plane is not None:
-            # Keep the handle for metadata (num_slots) but release the segment.
-            self._results_plane.release()
-
-    def metadata(self, plan: SweepPlan, sink: MergeSink) -> Dict[str, object]:
-        """The ``metadata["results_plane"]`` block (only when the pool ran)."""
-        if not plan.pending_units:
-            return {}
-        results_plane = self._results_plane
-        return {
-            "results_plane": {
-                "enabled": results_plane is not None,
-                "slots": results_plane.num_slots if results_plane is not None else 0,
-                "via_plane": sink.channels["via_plane"],
-                "via_pickle": sink.channels["via_pickle"],
-                "synthesized": sink.channels["synthesized"],
-            }
-        }
 
 
 class DistributedBackend(ExecutionBackend):
@@ -655,7 +532,7 @@ class DistributedBackend(ExecutionBackend):
         if tasks and config.use_structure_cache:
             structures = _engine._prewarm_structure_cache(config)
             if structures:
-                structures_blob = fabric.pack_structures(structures)
+                structures_blob = pack_structures(structures)
                 if len(structures_blob) >= fabric.MAX_FRAME_BYTES - 4096:
                     # Fail fast: otherwise every worker handshake would raise
                     # on the oversized welcome frame and the sweep would hang
@@ -742,10 +619,10 @@ def execute_plan(
     :class:`MergeSink` and attaches result metadata -- every execution path
     (:func:`repro.core.engine.execute_sweep`,
     :func:`repro.core.distributed.run_distributed_sweep`) funnels through it,
-    so resume semantics, channel counters and metadata shapes cannot drift
-    between backends.  The journal is sealed in a ``finally`` *before* the
-    result is assembled, so its durability policy runs even when the backend
-    (or a progress callback used for cancellation) raises.
+    so resume semantics and metadata shapes cannot drift between backends.
+    The journal is sealed in a ``finally`` *before* the result is assembled,
+    so its durability policy runs even when the backend (or a progress
+    callback used for cancellation) raises.
     """
     reporter = ProgressReporter.wrap(progress)
     plan = SweepPlan.build(config)

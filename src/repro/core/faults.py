@@ -70,11 +70,7 @@ FAULT_SITES: Dict[str, str] = {
     ),
     "engine.worker_crash_pre_result": (
         "worker process dies (os._exit) after computing a point but before "
-        "its outcome is recorded anywhere"
-    ),
-    "engine.worker_crash_post_result": (
-        "worker process dies (os._exit) after its outcome reached the "
-        "results plane / outcome list but before the unit completes"
+        "its unit returns (every point of the unit is lost with it)"
     ),
     "distributed.result_drop": (
         "worker silently drops one result frame (the coordinator must "
@@ -88,14 +84,6 @@ FAULT_SITES: Dict[str, str] = {
         "worker skips sending one heartbeat frame (enough stalls in a row "
         "make the coordinator presume it dead and requeue its units)"
     ),
-    "shm.attach_fail": (
-        "shared-memory model plane attach fails (workers must fall back to "
-        "prewarming their own skeletons)"
-    ),
-    "results_plane.attach_fail": (
-        "shared-memory results plane attach fails (workers must fall back "
-        "to the pickled return path)"
-    ),
 }
 
 
@@ -104,7 +92,7 @@ class InjectedFault(ModelError):
 
     Subclasses :class:`~repro.exceptions.ModelError` so injected faults flow
     through exactly the handlers that catch the real failures they simulate
-    (shm attach fallbacks, per-point failure isolation), while staying
+    (per-point failure isolation), while staying
     distinguishable -- and classified as *transient* -- for the retry paths.
 
     Attributes:
@@ -297,8 +285,8 @@ def fault_stats() -> Dict[str, Dict[str, int]]:
 def is_transient_error(exc: BaseException) -> bool:
     """Whether ``exc`` warrants a bounded retry of the failing grid point.
 
-    Injected faults and OS-level hiccups (shared-memory blips, connection
-    resets) are transient; deterministic model/configuration errors are not
+    Injected faults and OS-level hiccups (I/O errors, connection resets) are
+    transient; deterministic model/configuration errors are not
     -- retrying them burns the budget to fail identically.
     """
     if isinstance(exc, InjectedFault):

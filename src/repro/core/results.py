@@ -159,11 +159,7 @@ class SweepResult:
         metadata: Execution metadata attached by the engine -- a distributed
             sweep records its fabric statistics under ``metadata["distributed"]``
             (per-worker ``builds``/``attaches``/``units`` counters, reassigned
-            and speculatively duplicated unit counts); a pooled sweep records
-            how each outcome returned to the parent under
-            ``metadata["results_plane"]`` (``via_plane`` counts shared-memory
-            records, ``via_pickle`` pickled future payloads, ``synthesized``
-            crash placeholders).
+            and speculatively duplicated unit counts).
     """
 
     points: List[SweepPoint] = field(default_factory=list)

@@ -1,249 +1,104 @@
-"""Zero-copy shared-memory model plane for cached MDP structures.
+"""The structure payload: every parent-built skeleton of a sweep as one byte string.
 
 The sweep engine's unit of reuse is the :class:`~repro.attacks.registry.
 ScenarioStructure`: the ``(p, gamma)``-independent skeleton of one attack
 configuration, a pure-Python breadth-first exploration that dominates model
-construction cost.  Before this module existed, spawn-started workers re-ran
-that exploration once per worker (the PR 2 prewarm initializer), so a 16-worker
-sweep paid the exploration 16 times.
+construction cost.  Sweep workers never explore.  The parent builds every
+skeleton of the grid once (:func:`repro.core.engine._prewarm_structure_cache`),
+:func:`pack_structures` serialises them into one flat byte string, and every
+worker installs that payload with :func:`install_structure_payload`:
 
-The model plane removes every redundant exploration:
+* pool workers in their initializer, fork- and spawn-started alike
+  (:class:`repro.core.execution.PoolBackend`);
+* remote workers when the coordinator's ``welcome`` frame arrives
+  (:mod:`repro.core.distributed`).
 
-1. The parent builds each structure once and serialises it into flat numpy
-   buffers (:meth:`ScenarioStructure.to_buffers`).
-2. :func:`publish_structures` packs all buffers of all structures into a single
-   shared-memory segment -- a small pickled directory of ``(key, dtype, shape,
-   offset)`` entries followed by the raw array bytes.
-3. Each pool worker (fork- and spawn-started alike) calls
-   :func:`attach_structures` in its initializer: the segment is mapped into the
-   worker, every array becomes a read-only numpy view *backed by the shared
-   pages* (zero-copy -- all workers read the same physical memory), and the
-   reconstructed structures are installed into the worker's structure cache.
-   Only the python-object state/action labels are materialised per worker; the
-   numeric transition arrays, which dominate the footprint, are never copied.
+One decode path therefore serves every worker, and
+``structure_cache_stats()["builds"]`` stays 0 in all of them -- the
+backend-conformance suite asserts it on fork, spawn and remote workers.
 
-The invariant all of this buys: **workers never explore**.  Every worker's
-``structure_cache_stats()["builds"]`` stays 0 for the lifetime of the sweep --
-the test suite asserts it on fork, spawn and remote (distributed) workers
-alike.  The distributed fabric (:mod:`repro.core.distributed`) reuses the
-exact segment byte layout over TCP via :func:`pack_structures` /
-:func:`unpack_structures`, so "the model plane" means the same bytes whether
-they live in a local segment or crossed a socket.
+Payload format
+--------------
+A 64-byte header of little-endian ``uint64`` words::
 
-Lifecycle and cleanup
----------------------
-Segment lifecycle -- refcounted release with creator-unlink, the ``atexit``
-backstop, fork-inheritance forget, the resource-tracker workaround, and the
-magic + layout-version header every attach validates -- is implemented once
-by the substrate (:mod:`repro.core.shm`) and merely *used* here: the plane
-wraps a :class:`~repro.core.shm.ManagedSegment` whose header carries
-:data:`MODEL_PLANE_MAGIC` and :data:`MODEL_PLANE_VERSION`.  The engine
-releases its creator reference in a ``finally`` block after the pool exits,
-so the segment is unlinked even when a worker crashed or the sweep raised;
-workers attach untracked, never unlink, and fork-started workers first call
-:func:`forget_inherited_planes`.  The lifecycle contract is proven by the
-substrate conformance suite (``tests/core/shm_conformance.py``), which this
-plane passes alongside every other plane.
+    [0] REPRO_MAGIC         -- identifies a repro payload
+    [1] STRUCTURES_MAGIC    -- identifies a structure payload
+    [2] STRUCTURES_VERSION  -- layout generation; a reader built for another
+                               generation refuses instead of decoding shifted
+                               fields
+    [3] body size           -- bytes following the header
+    [4] directory size      -- bytes of the JSON directory opening the body
+    [5..7] reserved (zero)
+
+The body is a JSON directory listing every array of every structure as
+``[structure_index, scenario_id, buffer_key, dtype, shape, offset]``, followed
+by the raw array bytes.  Offsets count from the first 64-byte aligned position
+after the directory.  The versioned ``scenario_id`` selects the
+:class:`~repro.attacks.registry.ScenarioStructure` subclass that decodes the
+arrays, so a reader that does not implement the scenario (or implements
+another version of it) refuses the payload.
+
+The payload crosses TCP from remote peers, so decoding trusts nothing: the
+directory is JSON (never unpickled), every structure must carry exactly its
+scenario's buffers, every decoded skeleton passes
+:meth:`~repro.attacks.registry.ScenarioStructure.check_layout` (CSR offsets,
+index ranges, probability tags, finite rewards) before a worker can
+instantiate it, and every malformed payload raises
+:class:`~repro.exceptions.ModelError`.
 """
 
 from __future__ import annotations
 
-import pickle
-from typing import Dict, Iterable, List, Optional, Tuple
+import json
+import struct
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from ..attacks.registry import ScenarioStructure, resolve_scenario
-from ..attacks.structure import install_structure
+from ..attacks.structure import replace_structure_cache
 from ..exceptions import ModelError
-from .faults import InjectedFault, maybe_fail
-from .shm import (
-    HEADER_BYTES as _SHM_HEADER_BYTES,
-)
-from .shm import (
-    ManagedSegment,
-    SegmentSpec,
-    align,
-    attach_segment,
-    attach_segment_untracked,
-    create_segment,
-    forget_inherited_segments,
-    segment_refcount,
-    validate_header,
-    write_header,
-)
-from .shm import (
-    active_segment_names as _active_segment_names,
-)
 
 __all__ = [
-    "MODEL_PLANE_MAGIC",
-    "MODEL_PLANE_VERSION",
-    "SharedStructurePlane",
-    "active_plane_names",
-    "attach_and_install",
-    "attach_segment_untracked",
-    "attach_structures",
-    "forget_inherited_planes",
+    "HEADER_BYTES",
+    "REPRO_MAGIC",
+    "STRUCTURES_MAGIC",
+    "STRUCTURES_VERSION",
+    "install_structure_payload",
     "pack_structures",
-    "plane_refcount",
-    "publish_structures",
     "unpack_structures",
 ]
 
-#: Plane magic stamped into the substrate header (b"REPROMDL" as an integer).
-MODEL_PLANE_MAGIC = 0x5245_5052_4F4D_444C
+#: First header word of every repro payload (b"REPROSHM" as an integer tag).
+REPRO_MAGIC = 0x5245_5052_4F53_484D
 
-#: Layout generation of the packed-directory payload.  Bump whenever the
-#: directory tuple shape or the array packing changes, so a stale peer
-#: (worker, or remote host via :func:`unpack_structures`) refuses to decode
-#: instead of misinterpreting the arrays.  Generation 1 is the substrate
-#: port: the payload gained the 64-byte substrate header in front of it.
-MODEL_PLANE_VERSION = 1
+#: Second header word: the payload holds packed structures (b"REPROMDL").
+STRUCTURES_MAGIC = 0x5245_5052_4F4D_444C
 
-#: Substrate identity of model-plane segments (and wire payloads).
-_SPEC = SegmentSpec(kind="model-plane", magic=MODEL_PLANE_MAGIC, version=MODEL_PLANE_VERSION)
+#: Layout generation of the payload.  Bump whenever the header, the directory
+#: entries or the array packing change.  Generation 2 replaced the pickled
+#: directory by JSON.
+STRUCTURES_VERSION = 2
 
-#: Fixed payload prefix: ``[directory_length: uint64][data_start: uint64]``
-#: (offsets relative to the start of the payload, after the substrate header).
-_PREFIX_BYTES = 16
+_HEADER = struct.Struct("<8Q")
 
+#: Fixed size of the header preceding the body.
+HEADER_BYTES = _HEADER.size
 
-class SharedStructurePlane:
-    """One published set of model structures living in a shared-memory segment.
+#: Alignment (bytes) of every array inside the body.
+ALIGNMENT = 64
 
-    Instances are created by :func:`publish_structures` (creator side, owns the
-    segment) or :func:`attach_structures` (worker side, maps it read-only).
-    The plane keeps the underlying :class:`~repro.core.shm.ManagedSegment`
-    alive for as long as any reconstructed structure may reference its pages;
-    dropping the last in-process reference via :meth:`release` closes the
-    mapping, and the creator's release also unlinks the segment.
-    """
-
-    def __init__(
-        self,
-        handle: ManagedSegment,
-        structures: List[ScenarioStructure],
-    ) -> None:
-        """Wrap a substrate handle; use the module factories, not this."""
-        self._handle = handle
-        self.structures = structures
-        handle.owner = self
-        handle.drop_views = self._drop_views
-
-    def _drop_views(self) -> None:
-        """Drop the reconstructed structures' views before the mapping closes."""
-        self.structures = []
-
-    @property
-    def name(self) -> str:
-        """System-wide name of the shared-memory segment."""
-        return self._handle.name
-
-    @property
-    def closed(self) -> bool:
-        """Whether this process has dropped its mapping of the segment."""
-        return self._handle.closed
-
-    def release(self) -> None:
-        """Drop one reference; close (and, as creator, unlink) on the last one.
-
-        Idempotent once the count reaches zero -- double releases and the
-        substrate's ``atexit`` backstop must never raise during interpreter
-        shutdown.
-        """
-        self._handle.release()
+#: dtype kinds a payload array may have: bool, signed and unsigned int, float.
+_NUMERIC_KINDS = "biuf"
 
 
-class _PackedLayout:
-    """Directory and sizing of a set of structures packed into one flat buffer.
-
-    The layout is shared by the shared-memory segment (:func:`publish_structures`
-    / :func:`attach_structures`) and the wire payload of the distributed fabric
-    (:func:`pack_structures` / :func:`unpack_structures`): a 16-byte prefix
-    ``[directory_length: uint64][data_start: uint64]``, a pickled directory
-    listing every array of every structure as ``(structure_index, scenario_id,
-    buffer_key, dtype, shape, offset)``, then the 64-byte-aligned raw array
-    bytes.  Offsets are relative to ``data_start``, so the directory can be
-    built before the prefix is known.  The versioned ``scenario_id`` stamped on
-    every entry selects the :class:`~repro.attacks.registry.ScenarioStructure`
-    subclass that decodes the buffers; a reader that does not implement the
-    scenario (or implements another version of it) fails loudly at attach time
-    instead of silently misinterpreting the arrays.
-    """
-
-    def __init__(self, structures: List[ScenarioStructure]) -> None:
-        self.buffer_sets = [structure.to_buffers() for structure in structures]
-        self.directory: List[Tuple[int, str, str, str, Tuple[int, ...], int]] = []
-        offset = 0
-        for index, (structure, buffers) in enumerate(zip(structures, self.buffer_sets)):
-            scenario_id = structure.scenario_id
-            for key in type(structure).BUFFER_KEYS:
-                array = np.ascontiguousarray(buffers[key])
-                buffers[key] = array
-                offset = align(offset)
-                self.directory.append(
-                    (index, scenario_id, key, array.dtype.str, array.shape, offset)
-                )
-                offset += array.nbytes
-        self.directory_bytes = pickle.dumps(self.directory, protocol=pickle.HIGHEST_PROTOCOL)
-        self.data_start = align(_PREFIX_BYTES + len(self.directory_bytes))
-        self.total_size = max(1, self.data_start + offset)
-
-    def write_into(self, buf: memoryview) -> None:
-        """Serialise the prefix, directory and every array into ``buf``."""
-        header = np.ndarray((2,), dtype=np.uint64, buffer=buf)
-        header[0] = len(self.directory_bytes)
-        header[1] = self.data_start
-        buf[_PREFIX_BYTES : _PREFIX_BYTES + len(self.directory_bytes)] = self.directory_bytes
-        for index, _scenario_id, key, dtype, shape, rel_offset in self.directory:
-            target = np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=buf, offset=self.data_start + rel_offset
-            )
-            target[...] = self.buffer_sets[index][key]
-
-
-def _read_structures(buf: memoryview) -> List[ScenarioStructure]:
-    """Reconstruct every structure from a payload written by :class:`_PackedLayout`.
-
-    ``buf`` is the plane payload (the bytes *after* the substrate header).
-    Every numeric array of every reconstructed structure is a *read-only*
-    numpy view into ``buf`` -- nothing is copied, so structures decoded from a
-    shared-memory segment (or from a received wire payload kept alive by the
-    structure itself) stay zero-copy.  Each structure is decoded by the
-    :class:`~repro.attacks.registry.ScenarioStructure` subclass its directory
-    entries name; an unknown scenario or a version mismatch raises
-    :class:`~repro.exceptions.ModelError` (see
-    :func:`repro.attacks.registry.resolve_scenario`).
-    """
-    header = np.ndarray((2,), dtype=np.uint64, buffer=buf)
-    directory_length = int(header[0])
-    data_start = int(header[1])
-    directory = pickle.loads(bytes(buf[_PREFIX_BYTES : _PREFIX_BYTES + directory_length]))
-    buffer_sets: Dict[int, Dict[str, np.ndarray]] = {}
-    scenario_ids: Dict[int, str] = {}
-    for index, scenario_id, key, dtype, shape, rel_offset in directory:
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=buf, offset=data_start + rel_offset)
-        if view.flags.writeable:
-            view.flags.writeable = False
-        scenario_ids[index] = scenario_id
-        buffer_sets.setdefault(index, {})[key] = view
-    return [
-        resolve_scenario(scenario_ids[index]).structure_cls.from_buffers(buffer_sets[index])
-        for index in sorted(buffer_sets)
-    ]
+def _align(offset: int) -> int:
+    """Round ``offset`` up to :data:`ALIGNMENT`."""
+    return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
 def pack_structures(structures: Iterable[ScenarioStructure]) -> bytes:
-    """Serialise structures into one self-contained flat byte string.
-
-    The byte layout is identical to the shared-memory segment layout of
-    :func:`publish_structures` -- substrate header included -- so "the model
-    plane" means the same bytes whether they live in a segment or crossed a
-    socket; the distributed sweep fabric (:mod:`repro.core.distributed`) ships
-    these bytes so remote workers can reconstruct every skeleton without
-    exploring, and a remote peer built for another layout generation refuses
-    the payload exactly like a stale local worker refuses the segment.
+    """Serialise structures into one self-contained byte string.
 
     Raises:
         ModelError: If ``structures`` is empty (packing nothing is always a
@@ -252,127 +107,158 @@ def pack_structures(structures: Iterable[ScenarioStructure]) -> bytes:
     structure_list = list(structures)
     if not structure_list:
         raise ModelError("cannot pack an empty set of structures")
-    layout = _PackedLayout(structure_list)
-    out = bytearray(_SHM_HEADER_BYTES + layout.total_size)
-    buf = memoryview(out)
-    write_header(_SPEC, buf, layout.total_size)
-    layout.write_into(buf[_SHM_HEADER_BYTES:])
+    directory: List[Tuple[int, str, str, str, List[int], int]] = []
+    arrays: List[np.ndarray] = []
+    offset = 0
+    for index, structure in enumerate(structure_list):
+        buffers = structure.to_buffers()
+        for key in type(structure).BUFFER_KEYS:
+            array = np.ascontiguousarray(buffers[key])
+            offset = _align(offset)
+            directory.append(
+                (index, structure.scenario_id, key, array.dtype.str, list(array.shape), offset)
+            )
+            arrays.append(array)
+            offset += array.nbytes
+    directory_bytes = json.dumps(directory).encode("ascii")
+    data_start = _align(HEADER_BYTES + len(directory_bytes))
+    out = bytearray(data_start + offset)
+    _HEADER.pack_into(
+        out,
+        0,
+        REPRO_MAGIC,
+        STRUCTURES_MAGIC,
+        STRUCTURES_VERSION,
+        len(out) - HEADER_BYTES,
+        len(directory_bytes),
+        0,
+        0,
+        0,
+    )
+    out[HEADER_BYTES : HEADER_BYTES + len(directory_bytes)] = directory_bytes
+    for (_index, _scenario_id, _key, _dtype, shape, rel_offset), array in zip(directory, arrays):
+        target = np.ndarray(
+            tuple(shape), dtype=array.dtype, buffer=out, offset=data_start + rel_offset
+        )
+        target[...] = array
     return bytes(out)
+
+
+def _read_header(buf: memoryview) -> Tuple[int, int]:
+    """Validate the header of a structure payload; return ``(body, directory)`` sizes."""
+    if len(buf) < HEADER_BYTES:
+        raise ModelError(
+            f"structure payload of {len(buf)} bytes is too small to hold the "
+            f"{HEADER_BYTES}-byte header"
+        )
+    magic, kind, version, body_size, directory_size = _HEADER.unpack_from(buf)[:5]
+    if magic != REPRO_MAGIC:
+        raise ModelError("not a repro payload (magic mismatch)")
+    if kind != STRUCTURES_MAGIC:
+        raise ModelError(
+            f"not a structure payload (kind magic mismatch: found 0x{kind:x}, "
+            f"expected 0x{STRUCTURES_MAGIC:x})"
+        )
+    if version != STRUCTURES_VERSION:
+        raise ModelError(
+            f"structure payload uses layout version {version}, but this build "
+            f"implements version {STRUCTURES_VERSION}; refusing to decode shifted fields"
+        )
+    if len(buf) - HEADER_BYTES < body_size:
+        raise ModelError(
+            f"structure payload records a {body_size}-byte body but only "
+            f"{len(buf) - HEADER_BYTES} bytes follow the header"
+        )
+    if directory_size > body_size:
+        raise ModelError(
+            f"structure payload directory ({directory_size} bytes) overruns its "
+            f"{body_size}-byte body"
+        )
+    return body_size, directory_size
 
 
 def unpack_structures(data: bytes) -> List[ScenarioStructure]:
     """Reconstruct the structures serialised by :func:`pack_structures`.
 
     The numeric arrays of the returned structures are read-only views into
-    ``data`` (zero-copy); the caller's bytes object is kept alive by those
-    views for as long as any structure is.
+    ``data`` (zero-copy); those views keep ``data`` alive for as long as any
+    structure is.
 
     Raises:
-        ModelError: If ``data`` is not a :func:`pack_structures` payload of
-            this build's layout generation.
+        ModelError: If ``data`` is not a well-formed :func:`pack_structures`
+            payload of this build's layout generation, names a scenario (or
+            scenario version) this process does not implement, or decodes to
+            a skeleton that fails its layout check.
     """
-    buf = memoryview(data)
-    validate_header(_SPEC, buf, source="structure payload")
     try:
-        return _read_structures(buf[_SHM_HEADER_BYTES:])
+        buf = memoryview(data)
+        body_size, directory_size = _read_header(buf)
+        body = buf[: HEADER_BYTES + body_size]
+        directory = json.loads(bytes(body[HEADER_BYTES : HEADER_BYTES + directory_size]))
+        data_start = _align(HEADER_BYTES + directory_size)
+        buffer_sets: Dict[int, Dict[str, np.ndarray]] = {}
+        scenario_ids: Dict[int, str] = {}
+        for index, scenario_id, key, dtype_str, shape, rel_offset in directory:
+            dtype = np.dtype(dtype_str)
+            if dtype.kind not in _NUMERIC_KINDS:
+                # Object (pointer) arrays over foreign bytes would dereference
+                # whatever the peer sent.
+                raise ModelError(
+                    f"malformed structure payload: buffer {key!r} has non-numeric "
+                    f"dtype {dtype_str!r}"
+                )
+            view = np.ndarray(
+                tuple(shape), dtype=dtype, buffer=body, offset=data_start + rel_offset
+            )
+            view.flags.writeable = False
+            if scenario_ids.setdefault(index, scenario_id) != scenario_id:
+                raise ModelError(
+                    f"malformed structure payload: structure {index} names two scenarios"
+                )
+            buffers = buffer_sets.setdefault(index, {})
+            if key in buffers:
+                raise ModelError(
+                    f"malformed structure payload: buffer {key!r} of structure {index} "
+                    f"appears twice"
+                )
+            buffers[key] = view
+        structures = []
+        for index in sorted(buffer_sets):
+            structure_cls = resolve_scenario(scenario_ids[index]).structure_cls
+            expected, found = set(structure_cls.BUFFER_KEYS), set(buffer_sets[index])
+            if found != expected:
+                raise ModelError(
+                    f"malformed structure payload: structure {index} "
+                    f"({scenario_ids[index]}) lacks buffers {sorted(expected - found)} "
+                    f"and has unexpected buffers {sorted(found - expected)}"
+                )
+            structure = structure_cls.from_buffers(buffer_sets[index])
+            structure.check_layout()
+            structures.append(structure)
+        return structures
     except ModelError:
         raise
     except Exception as exc:
-        raise ModelError(f"malformed structure payload: {exc}") from exc
+        raise ModelError(f"malformed structure payload: {type(exc).__name__}: {exc}") from exc
 
 
-def publish_structures(
-    structures: Iterable[ScenarioStructure],
-) -> SharedStructurePlane:
-    """Pack structures into one shared-memory segment and return the owner plane.
+def install_structure_payload(payload: bytes) -> int:
+    """Replace this process's structure cache with the skeletons in ``payload``.
 
-    The segment holds the substrate header followed by the flat
-    :class:`_PackedLayout` byte layout (prefix, pickled directory,
-    64-byte-aligned raw array bytes).
+    The one install path of every sweep worker: the pool initializer (fork and
+    spawn) and the distributed worker's ``welcome`` handling.  The payload is
+    decoded first, so a malformed one leaves the cache untouched; the swap
+    then drops whatever the process held before -- including the private
+    copies and build counters a fork-started worker inherits from its parent
+    -- so the worker reports zero builds.  Must stay importable at module top
+    level (it is pickled as the pool initializer).
 
-    Raises:
-        ModelError: If ``structures`` is empty (publishing nothing is always a
-            caller bug) or the platform cannot allocate shared memory.
-    """
-    structure_list = list(structures)
-    if not structure_list:
-        raise ModelError("cannot publish an empty set of structures")
-    layout = _PackedLayout(structure_list)
-    handle = create_segment(_SPEC, layout.total_size)
-    try:
-        layout.write_into(handle.buf[_SHM_HEADER_BYTES:])
-    except Exception:
-        handle.release()
-        raise
-    return SharedStructurePlane(handle, structure_list)
-
-
-def attach_structures(name: str) -> SharedStructurePlane:
-    """Attach a published plane by segment name and reconstruct its structures.
-
-    Every numeric array of every reconstructed structure is a *read-only* view
-    into the shared segment -- nothing is copied, all attached processes read
-    the same physical pages.  Attaching the same segment twice in one process
-    returns the already-open plane with its reference count bumped.
+    Returns:
+        The number of structures installed.
 
     Raises:
-        ModelError: If no segment with ``name`` exists (e.g. the parent
-            already unlinked it -- an attacher racing the creator-unlink gets
-            this clean error, never a raw ``FileNotFoundError``), its header
-            is not this build's model-plane layout, or its payload is
-            malformed.
+        ModelError: If ``payload`` is malformed (see :func:`unpack_structures`).
     """
-    if maybe_fail("shm.attach_fail"):
-        # Chaos site: a vanished/unmappable segment.  InjectedFault is a
-        # ModelError, so the worker initializer's existing fallback (local
-        # prewarm, counted by its build counters) absorbs it.
-        raise InjectedFault("shm.attach_fail")
-    handle = attach_segment(_SPEC, name)
-    owner = handle.owner
-    if isinstance(owner, SharedStructurePlane):
-        # In-process dedup: attach_segment returned the open handle (refcount
-        # bumped); hand back the plane already wrapping it.
-        return owner
-    try:
-        structures = _read_structures(handle.buf[_SHM_HEADER_BYTES:])
-    except ModelError:
-        handle.release()
-        raise
-    except Exception as exc:
-        handle.release()
-        raise ModelError(f"shared structure plane {name!r} is malformed: {exc}") from exc
-    return SharedStructurePlane(handle, structures)
-
-
-def attach_and_install(name: str) -> SharedStructurePlane:
-    """Attach a plane and install every structure into the process-local cache.
-
-    This is the worker-side entry point used by the sweep pool initializer; the
-    plane is kept open for the lifetime of the worker (released by the
-    substrate's ``atexit`` backstop) because the installed structures reference
-    its pages.
-    """
-    plane = attach_structures(name)
-    for structure in plane.structures:
-        install_structure(structure)
-    return plane
-
-
-def forget_inherited_planes() -> None:
-    """Drop model-plane handles inherited through ``fork`` without closing.
-
-    Delegates to :func:`repro.core.shm.forget_inherited_segments` for this
-    plane's segments; see there for why fork-started workers must start from
-    a clean registry (COW dedup hazard, inherited creator unlink).
-    """
-    forget_inherited_segments(kind=_SPEC.kind)
-
-
-def active_plane_names() -> List[str]:
-    """Names of the model planes this process currently holds open (for tests)."""
-    return _active_segment_names(kind=_SPEC.kind)
-
-
-def plane_refcount(name: str) -> Optional[int]:
-    """Current in-process reference count of a plane (``None`` if unknown)."""
-    return segment_refcount(name)
+    structures = unpack_structures(payload)
+    replace_structure_cache(structures)
+    return len(structures)

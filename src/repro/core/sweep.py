@@ -73,22 +73,6 @@ class SweepConfig:
             (use ``use_structure_cache=False`` for the legacy construction).
         use_structure_cache: Reuse the cached ``(d, f, l)`` model skeleton
             across grid points and only refill probabilities per point.
-        use_shared_structures: With ``workers > 1``, publish the parent-built
-            skeletons on the zero-copy shared-memory model plane
-            (:mod:`repro.core.shared_structures`) so workers attach instead of
-            re-exploring (the default).  Setting this to false restores the
-            PR 2 behaviour -- forked workers inherit private copies, spawned
-            workers rebuild every skeleton once per worker -- which the
-            shared-structure ablation benchmark uses as its baseline.
-        use_results_plane: With ``workers > 1``, return every computed
-            :class:`~repro.core.engine.PointOutcome` through the fixed-record
-            shared-memory results plane (:mod:`repro.core.results_plane`)
-            instead of pickling it through the pool's result queue (the
-            default).  Setting this to false restores the pickled future path
-            -- the results-plane ablation benchmark uses it as its baseline.
-            Either way the computed values are identical; only the return
-            transport changes (``SweepResult.metadata["results_plane"]``
-            records which path each outcome took).
         warm_start_across_points: Chain each attack series along the ``p``
             axis, seeding every Algorithm 1 run with the optimal strategy and
             bias of the previous grid point.  Changes results only within
@@ -106,7 +90,7 @@ class SweepConfig:
             distributed multi-host sweep (:mod:`repro.core.distributed`): grid
             units are streamed to remote ``repro worker`` processes over TCP
             instead of a local pool, with the model skeletons shipped as the
-            same flat buffers the shared-memory plane uses.  ``None`` (default)
+            same packed payload pool workers install.  ``None`` (default)
             keeps execution local.  CLI: ``repro sweep --distributed --listen``.
         connect: ``HOST:PORT`` of a remote coordinator this config's process
             should serve as a *worker* (consumed by ``repro worker --connect`` /
@@ -143,8 +127,6 @@ class SweepConfig:
     analysis: AnalysisConfig = field(default_factory=lambda: AnalysisConfig(epsilon=1e-3))
     workers: int = 1
     use_structure_cache: bool = True
-    use_shared_structures: bool = True
-    use_results_plane: bool = True
     warm_start_across_points: bool = False
     reuse_p_axis_bounds: bool = False
     coordinator: Optional[str] = None

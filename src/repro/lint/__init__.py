@@ -1,18 +1,15 @@
 """repro-lint: AST-based invariant checker for the package's own source.
 
 The engine's correctness rests on cross-cutting invariants that no single
-test file owns -- shared-memory segments must be lifecycle-paired with their
-release backstops, workers must never rebuild skeletons, certified-bound
+test file owns -- workers must never rebuild skeletons, certified-bound
 kernels must stay bit-for-bit deterministic, the coordinator and the workers
-must agree on the wire schema, and every registered attack scenario must
-honour the structure contract.  ``repro lint`` codifies those invariants as
-static rules over the package's abstract syntax trees, so they are enforced
-by a tool instead of reviewer memory:
+must agree on the wire schema, every registered attack scenario must honour
+the structure contract, every fault site must be registered, and every
+outcome must merge through one pipeline.  ``repro lint`` codifies those
+invariants as static rules over the package's abstract syntax trees, so a
+tool enforces them on every run:
 
 ========  ==============================================================
-RL001     shm-lifecycle: ``SharedMemory`` stays inside the substrate
-          modules, and every segment creation is paired with try/atexit
-          release machinery.
 RL002     fork/async safety: no blocking calls inside coroutines, no
           unguarded module-global mutation on worker call paths, no bare
           ``lock.acquire()`` statements.
@@ -25,8 +22,14 @@ RL004     wire-schema agreement: every frame-header key and frame type
           both sides.
 RL005     scenario contract: every ``@register_attack`` class declares
           ``BUFFER_KEYS`` and overrides the required engine hooks.
+RL006     fault-site registration: every ``maybe_fail`` call names a
+          string-literal site registered in ``FAULT_SITES``.
+RL007     merge pipeline: only ``core/execution.py`` journals outcomes,
+          mutates sweep-result metadata or assembles the result.
 ========  ==============================================================
 
+RL001 (shared-memory lifecycle) is retired: the package no longer uses
+shared memory.
 Run it as ``repro lint [PATHS]`` or ``python -m repro.lint [PATHS]``; with no
 paths it lints the installed ``repro`` package itself.  A violation can be
 waived on one line with ``# repro-lint: disable=RL002`` (comma-separated ids,

@@ -43,7 +43,7 @@ class LintViolation:
     """One reported invariant violation.
 
     Attributes:
-        rule_id: Identifier of the violated rule (``RL001`` .. ``RL005``, or
+        rule_id: Identifier of the violated rule (``RL002`` .. ``RL007``, or
             :data:`PARSE_ERROR_RULE` for unparseable files).
         path: Path of the offending file as given on the command line.
         line: 1-based source line of the violation.

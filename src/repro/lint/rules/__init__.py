@@ -12,12 +12,10 @@ from .determinism import CertifiedPathDeterminismRule
 from .fault_sites import FaultSiteRegistrationRule
 from .merge_pipeline import MergePipelineRule
 from .scenario_contract import ScenarioContractRule
-from .shm_lifecycle import SharedMemoryLifecycleRule
 from .wire_schema import WireSchemaAgreementRule
 
 #: Every built-in rule, in id order.
 ALL_RULES: Tuple[Rule, ...] = (
-    SharedMemoryLifecycleRule(),
     ForkAsyncSafetyRule(),
     CertifiedPathDeterminismRule(),
     WireSchemaAgreementRule(),
@@ -33,6 +31,5 @@ __all__ = [
     "ForkAsyncSafetyRule",
     "MergePipelineRule",
     "ScenarioContractRule",
-    "SharedMemoryLifecycleRule",
     "WireSchemaAgreementRule",
 ]

@@ -2,8 +2,8 @@
 
 The execution plane (:mod:`repro.core.execution`) owns the single merge
 pipeline of every sweep backend: the :class:`~repro.core.execution.MergeSink`
-is the one place that appends outcomes to the durable journal, maintains the
-transport channel counters in ``SweepResult.metadata`` and calls the
+is the one place that appends outcomes to the durable journal, attaches the
+journal and backend blocks of ``SweepResult.metadata`` and calls the
 assembler.  That is what makes serial, pool and distributed sweeps bit-for-bit
 identical -- and what keeps the crash-safety story auditable: a point is
 journaled exactly when the sink merged it, never elsewhere.
@@ -17,8 +17,8 @@ Three drift modes would quietly fork the pipeline:
   desynchronises the journal from the merged outcome map, so a resumed sweep
   replays points the merge never saw (or misses points it did).
 * **Ad-hoc metadata counters** -- mutating ``result.metadata[...]`` outside
-  the plane forks the results-plane / journal / fabric accounting that the
-  conformance suite asserts on.
+  the plane forks the journal / fabric accounting that the conformance suite
+  asserts on.
 
 This rule pins all three to ``core/execution.py`` (plus the body of the
 assembler itself, which builds the recovery summary it owns).

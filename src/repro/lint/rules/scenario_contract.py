@@ -1,11 +1,11 @@
 """RL005: every registered attack scenario honours the structure contract.
 
 The scenario registry (:mod:`repro.attacks.registry`) promises that *every*
-engine feature -- shared-structure planes, sweep workers, the distributed
+engine feature -- the packed structure payload, sweep workers, the distributed
 coordinator, reporting -- works on *any* registered scenario.  That promise
 holds only if each ``@register_attack`` class implements the full contract:
 
-* an explicit ``BUFFER_KEYS`` declaration (the shm plane layout is part of
+* an explicit ``BUFFER_KEYS`` declaration (the packed buffer layout is part of
   the wire/worker contract, so inheriting it silently hides mismatches);
 * the nine engine hooks the registry documents (``explore``, ``to_buffers``,
   ``from_buffers``, ``series_name``, ``grid_configs``, ``build_model``,
@@ -84,7 +84,7 @@ class ScenarioContractRule(Rule):
                     module,
                     node,
                     f"registered scenario {node.name!r} does not declare "
-                    "BUFFER_KEYS in its own body; the plane layout must be an "
+                    "BUFFER_KEYS in its own body; the buffer layout must be an "
                     "explicit part of the contract",
                     fix_hint=(
                         "add `BUFFER_KEYS = ScenarioStructure.BUFFER_KEYS` (or the "

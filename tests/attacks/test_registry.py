@@ -147,7 +147,7 @@ class TestConcurrency:
         assert registry_mod._BUILTINS_LOADED
 
     def test_builtin_scenarios_declare_buffer_keys_explicitly(self):
-        """The plane layout is contract, not inheritance accident (RL005)."""
+        """The buffer layout is contract, not inheritance accident (RL005)."""
         for entry in list_attacks():
             assert "BUFFER_KEYS" in entry.structure_cls.__dict__, entry.name
             assert entry.structure_cls.BUFFER_KEYS[: len(ScenarioStructure.BUFFER_KEYS)] == (

@@ -136,7 +136,7 @@ class TestBuffersAndCache:
             original, copy = structure.to_buffers()[key], restored.to_buffers()[key]
             assert np.array_equal(original, copy), key
 
-    def test_shared_memory_pack_roundtrip(self):
+    def test_structure_payload_roundtrip(self):
         structures = [
             get_attack("sm-actions").explore(sm_attack(l=4), SupportSignature.of(PROTOCOL)),
             get_attack("sm-actions").explore(

@@ -21,33 +21,6 @@ from repro import AnalysisConfig, AttackParams, ProtocolParams  # noqa: E402
 from repro.analysis import formal_analysis  # noqa: E402
 from repro.attacks import build_selfish_forks_mdp  # noqa: E402
 
-#: Platform directory where POSIX shared-memory segments appear as files.
-_SHM_DIR = Path("/dev/shm")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _no_leaked_shm_segments(request):
-    """Fail the offending test module on leaked ``repro-`` shm segments.
-
-    Every substrate segment (:mod:`repro.core.shm`) is named ``repro-...``, so
-    a snapshot of ``/dev/shm`` around each test module attributes a leaked
-    kernel object to the module that created it -- instead of the leak
-    silently poisoning later tests or CI jobs.  Segments that predate the
-    module (e.g. created by other processes on a shared host) are ignored.
-    """
-    if not _SHM_DIR.is_dir():  # pragma: no cover - non-Linux platform
-        yield
-        return
-    before = {entry.name for entry in _SHM_DIR.glob("repro-*")}
-    yield
-    leaked = {entry.name for entry in _SHM_DIR.glob("repro-*")} - before
-    if leaked:
-        raise AssertionError(
-            f"test module {request.module.__name__} leaked shared-memory "
-            f"segment(s): {sorted(leaked)}; every create_segment() must be "
-            "paired with a release on all paths (see tests/core/shm_conformance.py)"
-        )
-
 
 @pytest.fixture(scope="session")
 def protocol_default() -> ProtocolParams:

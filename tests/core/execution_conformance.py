@@ -4,8 +4,9 @@ Every backend of the execution plane (:mod:`repro.core.execution`) must
 satisfy the same observable contract: bit-for-bit equality with the serial
 reference on every certified value, zero structure builds inside worker
 processes, journal resume that recomputes only the missing delta, per-point
-failure isolation, and graceful cancellation that leaks no shared memory and
-leaves a resumable journal behind.
+failure isolation, a hard worker crash that loses no grid point silently, and
+graceful cancellation that leaves no worker process and a resumable journal
+behind.
 
 Instead of every backend re-proving these with a hand-rolled copy of the same
 tests, a backend registers a :class:`BackendContract` here and
@@ -26,14 +27,16 @@ import socket
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.attacks.structure import structure_cache_stats
 from repro.config import AnalysisConfig, AttackParams
 from repro.core.execution import PoolBackend, SweepPlan
+from repro.core.faults import FAULTS_ENV_VAR, reset_fault_plan
 from repro.core.results import SweepResult
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.exceptions import ModelError
@@ -48,19 +51,38 @@ class SweepCancelled(Exception):
 # ------------------------------------------------------------------- the grid
 
 
-def base_grid(**overrides) -> dict:
+#: Scenarios every grid-level invariant is checked on.
+SCENARIOS = ("selfish-forks", "sm-actions")
+
+_ATTACKS = {
+    "selfish-forks": (
+        AttackParams(depth=1, forks=1, max_fork_length=4),
+        AttackParams(depth=2, forks=1, max_fork_length=4),
+    ),
+    "sm-actions": (
+        AttackParams(depth=1, forks=1, max_fork_length=4, scenario="sm-actions"),
+        AttackParams(
+            depth=1, forks=1, max_fork_length=4, scenario="sm-actions", variant="overpaying"
+        ),
+    ),
+}
+
+
+def base_grid(scenario: str = "selfish-forks", **overrides) -> dict:
     """The tiny conformance grid: 2 p-values x 1 gamma x 2 attack series."""
     grid = dict(
         p_values=(0.0, 0.1),
         gammas=(0.5,),
-        attack_configs=(
-            AttackParams(depth=1, forks=1, max_fork_length=4),
-            AttackParams(depth=2, forks=1, max_fork_length=4),
-        ),
+        attack_configs=_ATTACKS[scenario],
         analysis=AnalysisConfig(epsilon=1e-2),
     )
     grid.update(overrides)
     return grid
+
+
+def chained_grid() -> dict:
+    """The base grid with warm starts and bounds chained along p (one unit per series)."""
+    return base_grid(warm_start_across_points=True, reuse_p_axis_bounds=True)
 
 
 def failing_grid() -> dict:
@@ -76,10 +98,16 @@ def failing_grid() -> dict:
 
 
 @lru_cache(maxsize=None)
-def serial_reference(chained: bool = False) -> SweepResult:
+def serial_reference(chained: bool = False, scenario: str = "selfish-forks") -> SweepResult:
     """The uninterrupted serial run every backend must reproduce bit-for-bit."""
-    grid = base_grid(reuse_p_axis_bounds=True) if chained else base_grid()
+    grid = chained_grid() if chained else base_grid(scenario)
     return run_sweep(SweepConfig(**grid, workers=1))
+
+
+def attack_keys(result: SweepResult) -> List[tuple]:
+    """``(p, gamma, series)`` of every certified attack point and every failure."""
+    keys = [(p.p, p.gamma, p.series) for p in result.points if p.beta_low is not None]
+    return keys + [(f.p, f.gamma, f.series) for f in result.failures]
 
 
 def value_rows(result: SweepResult) -> List[Dict[str, object]]:
@@ -135,25 +163,43 @@ def _pool_execute(grid: dict, *, progress=None, journal_path=None, resume=False)
 def _pool_worker_builds(grid: dict) -> List[int]:
     """Per-worker build counts under the pool backend's own worker wiring.
 
-    Uses the backend's ``start()`` to publish the model plane and derive the
-    exact pool configuration a sweep would use (start method included, via
+    Uses the backend's ``start()`` to pack the skeletons and derive the exact
+    pool configuration a sweep would use (start method included, via
     ``REPRO_TEST_START_METHOD``), then asks every worker for its
     ``structure_cache_stats()`` instead of computing points.
     """
     backend = PoolBackend()
     backend.start(SweepPlan.build(_config(grid, workers=2)))
-    try:
-        kwargs = dict(backend._pool_kwargs)
-        assert "initializer" in kwargs, "the pool backend must configure its workers"
-        with ProcessPoolExecutor(max_workers=2, **kwargs) as pool:
-            stats = [
-                future.result()
-                for future in [pool.submit(structure_cache_stats) for _ in range(4)]
-            ]
-    finally:
-        backend.close()
+    kwargs = dict(backend._pool_kwargs)
+    assert "initializer" in kwargs, "the pool backend must configure its workers"
+    with ProcessPoolExecutor(max_workers=2, **kwargs) as pool:
+        stats = [
+            future.result() for future in [pool.submit(structure_cache_stats) for _ in range(4)]
+        ]
     assert all(entry["attaches"] > 0 for entry in stats)
     return [entry["builds"] for entry in stats]
+
+
+@contextmanager
+def _faults_armed(spec: str) -> Iterator[None]:
+    """Arm a fault plan for this process and every pool worker it starts."""
+    previous = os.environ.get(FAULTS_ENV_VAR)
+    os.environ[FAULTS_ENV_VAR] = spec
+    reset_fault_plan()
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(FAULTS_ENV_VAR, None)
+        else:
+            os.environ[FAULTS_ENV_VAR] = previous
+        reset_fault_plan()
+
+
+def _pool_crash(grid: dict, journal_path, fault_spec: str) -> SweepResult:
+    """A pool sweep whose workers die as ``fault_spec`` says."""
+    with _faults_armed(fault_spec):
+        return _pool_execute(grid, journal_path=journal_path)
 
 
 # -------------------------------------------------------------- distributed
@@ -167,8 +213,11 @@ def _free_port() -> int:
     return port
 
 
-def _spawn_worker(port: int) -> subprocess.Popen:
+def _spawn_worker(port: int, faults: Optional[str] = None) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(_SRC))
+    env.pop(FAULTS_ENV_VAR, None)
+    if faults is not None:
+        env[FAULTS_ENV_VAR] = faults
     return subprocess.Popen(
         [
             sys.executable,
@@ -188,9 +237,11 @@ def _spawn_worker(port: int) -> subprocess.Popen:
     )
 
 
-def _distributed_execute(grid: dict, *, progress=None, journal_path=None, resume=False):
+def _distributed_execute(
+    grid: dict, *, progress=None, journal_path=None, resume=False, faults=(None, None)
+):
     port = _free_port()
-    workers = [_spawn_worker(port) for _ in range(2)]
+    workers = [_spawn_worker(port, spec) for spec in faults]
     try:
         return run_sweep(
             _config(
@@ -210,6 +261,15 @@ def _distributed_execute(grid: dict, *, progress=None, journal_path=None, resume
             if worker.poll() is None:
                 worker.terminate()
             worker.wait(timeout=60)
+
+
+def _distributed_crash(grid: dict, journal_path, fault_spec: str) -> SweepResult:
+    """A loopback sweep in which one of the two workers dies as ``fault_spec`` says.
+
+    The coordinator waits for both workers, so each starts on its own unit
+    and the faulty one is sure to crash inside one.
+    """
+    return _distributed_execute(grid, journal_path=journal_path, faults=(fault_spec, None))
 
 
 def _distributed_worker_builds(grid: dict) -> List[int]:
@@ -268,9 +328,13 @@ class BackendContract:
     backend needs them); ``cancel`` provokes a mid-sweep cancellation and
     returns the exception that aborted it; ``worker_builds`` reports the
     structure builds performed inside worker processes (``None`` for backends
-    without workers); ``cross_process`` opts the contract into the fork/spawn
-    start-method matrix; ``journals_before_cancel`` states whether a
-    cancellation can leave already-merged points in the journal.
+    without workers); ``crash`` runs a sweep whose workers die as a fault
+    plan says (``None`` for backends without workers), and ``crash_requeues``
+    states whether the backend recomputes a dead worker's unit elsewhere
+    (else its points come back as failures); ``cross_process`` opts the
+    contract into the fork/spawn start-method matrix;
+    ``journals_before_cancel`` states whether a cancellation can leave
+    already-merged points in the journal.
     """
 
     kind: str
@@ -280,6 +344,8 @@ class BackendContract:
     cancelled_type: type
     journals_before_cancel: bool
     worker_builds: Optional[Callable[[dict], List[int]]] = None
+    crash: Optional[Callable[[dict, Any, str], SweepResult]] = None
+    crash_requeues: bool = False
 
 
 CONTRACTS: Dict[str, BackendContract] = {
@@ -299,6 +365,7 @@ CONTRACTS: Dict[str, BackendContract] = {
         cancelled_type=SweepCancelled,
         journals_before_cancel=True,
         worker_builds=_pool_worker_builds,
+        crash=_pool_crash,
     ),
     "distributed": BackendContract(
         kind="distributed",
@@ -308,5 +375,7 @@ CONTRACTS: Dict[str, BackendContract] = {
         cancelled_type=ModelError,
         journals_before_cancel=False,
         worker_builds=_distributed_worker_builds,
+        crash=_distributed_crash,
+        crash_requeues=True,
     ),
 }

@@ -190,7 +190,7 @@ class TestTaskDecomposition:
 
 
 class TestSpawnContextPrewarm:
-    """On spawn platforms workers must attach the shared plane (or prewarm).
+    """On spawn platforms workers must install the parent's packed skeletons.
 
     Regression tests: the engine used to skip cache population entirely off
     Linux, so every spawned worker silently rebuilt every skeleton per task.
@@ -224,24 +224,24 @@ class TestSpawnContextPrewarm:
         assert not spawned.failures
 
     def test_initializer_importable_and_idempotent(self):
-        """The initializer must be a picklable top-level callable."""
+        """The initializer and its payload must survive the spawn pickling."""
         import pickle
 
-        from repro.core.engine import _initialize_worker
+        from repro.attacks import clear_structure_cache, structure_cache_stats
+        from repro.core.execution import PoolBackend, SweepPlan
 
-        config = self.spawn_grid()
-        assert pickle.loads(pickle.dumps(_initialize_worker)) is _initialize_worker
-        pickle.dumps(config)  # the initargs must survive the spawn pickling too
-        # Without a plane name the initializer falls back to the local prewarm.
-        _initialize_worker(None, config)
-        _initialize_worker(None, config)
-
-    def test_initializer_with_vanished_plane_falls_back(self):
-        """A plane unlinked before the worker attaches must not kill the worker."""
-        from repro.core.engine import _initialize_worker
-
-        config = self.spawn_grid()
-        _initialize_worker("repro-no-such-plane", config)
+        backend = PoolBackend()
+        backend.start(SweepPlan.build(self.spawn_grid(workers=2)))
+        initializer = backend._pool_kwargs["initializer"]
+        (payload,) = pickle.loads(pickle.dumps(backend._pool_kwargs["initargs"]))
+        assert pickle.loads(pickle.dumps(initializer)) is initializer
+        try:
+            initializer(payload)
+            initializer(payload)
+            stats = structure_cache_stats()
+            assert (stats["builds"], stats["attaches"], stats["entries"]) == (0, 1, 1)
+        finally:
+            clear_structure_cache()
 
 
 class TestMonotonePAxisBoundReuse:
@@ -319,7 +319,7 @@ class TestAssembleMissingOutcomes:
     """Regression: a grid key nobody reported must become a failure, not a crash.
 
     ``assemble_sweep_result`` used to index ``outcomes[...]`` bare, so a
-    distributed shutdown that lost a unit (or a torn results-plane slot)
+    distributed shutdown that lost a unit
     raised ``KeyError`` and discarded every point that *was* collected.
     """
 

@@ -7,21 +7,26 @@ registering one :class:`~execution_conformance.BackendContract`.
 
 The invariants are the acceptance criteria of the execution plane: bit-for-bit
 equality with the serial reference, zero builds inside workers, delta-only
-journal resume, per-point failure isolation, and graceful cancellation with no
-shared-memory residue and a resumable journal.
+journal resume, per-point failure isolation, hard worker crashes that lose no
+point silently, and graceful cancellation that leaves no worker process and a
+resumable journal behind.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 from execution_conformance import (
     CONTRACTS,
+    SCENARIOS,
     assert_bit_for_bit,
+    attack_keys,
     base_grid,
+    chained_grid,
     failing_grid,
     serial_reference,
 )
-from shm_conformance import shm_residue
 
 pytestmark = pytest.mark.parametrize("kind", sorted(CONTRACTS))
 
@@ -36,29 +41,31 @@ def start_method(request, kind, monkeypatch):
 
 
 class TestBitForBit:
-    def test_matches_serial_reference(self, kind, start_method):
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_matches_serial_reference(self, kind, start_method, scenario):
         """Certified bounds and CSV value columns agree with serial exactly."""
         contract = CONTRACTS[kind]
-        result = contract.execute(base_grid())
+        result = contract.execute(base_grid(scenario))
         assert not result.failures
-        assert_bit_for_bit(serial_reference(), result)
+        assert_bit_for_bit(serial_reference(scenario=scenario), result)
         assert result.description
 
     def test_chained_series_match_reference(self, kind, start_method):
-        """Bound-reuse chains (one unit per series) reproduce serial exactly."""
+        """Warm-start and bound-reuse chains (one unit per series) reproduce serial exactly."""
         contract = CONTRACTS[kind]
-        result = contract.execute(base_grid(reuse_p_axis_bounds=True))
+        result = contract.execute(chained_grid())
         assert not result.failures
         assert_bit_for_bit(serial_reference(chained=True), result)
 
 
 class TestWorkerBuilds:
-    def test_workers_never_explore(self, kind, start_method):
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_workers_never_explore(self, kind, start_method, scenario):
         """Acceptance invariant: worker processes perform zero builds."""
         contract = CONTRACTS[kind]
         if contract.worker_builds is None:
             pytest.skip("backend has no worker processes")
-        builds = contract.worker_builds(base_grid())
+        builds = contract.worker_builds(base_grid(scenario))
         assert builds and all(count == 0 for count in builds)
 
 
@@ -93,15 +100,44 @@ class TestFailureIsolation:
         assert "ConfigurationError" in failure.message
 
 
+class TestHardWorkerCrash:
+    def test_crash_inside_chained_unit_loses_no_point(self, kind, start_method, tmp_path):
+        """A worker hard-killed inside a chained unit loses no point silently.
+
+        The worker dies (``os._exit``) after computing the second point of its
+        unit, before the unit returns.  A backend that requeues recomputes the
+        unit elsewhere; otherwise every point of it comes back as a failure.
+        Either way a journal resume reproduces the serial run bit for bit.
+        """
+        contract = CONTRACTS[kind]
+        if contract.crash is None:
+            pytest.skip("backend has no worker processes")
+        reference = serial_reference(chained=True)
+        journal_path = tmp_path / "sweep.journal"
+        crashed = contract.crash(
+            chained_grid(), journal_path, "engine.worker_crash_pre_result:2"
+        )
+        assert sorted(attack_keys(crashed)) == sorted(attack_keys(reference))
+        if contract.crash_requeues:
+            assert not crashed.failures
+            assert_bit_for_bit(reference, crashed)
+        else:
+            assert crashed.failures
+            assert all("worker crashed" in f.message for f in crashed.failures)
+
+        resumed = contract.execute(chained_grid(), journal_path=journal_path, resume=True)
+        assert not resumed.failures
+        assert_bit_for_bit(reference, resumed)
+
+
 class TestGracefulCancellation:
     def test_cancellation_leaves_resumable_journal_and_no_residue(self, kind, tmp_path):
-        """Cancellation propagates, leaks nothing, and the journal resumes."""
+        """Cancellation propagates, leaves no worker behind, and the journal resumes."""
         contract = CONTRACTS[kind]
-        residue_before = shm_residue()
         journal_path = tmp_path / "sweep.journal"
         exc = contract.cancel(base_grid(), journal_path)
         assert isinstance(exc, contract.cancelled_type)
-        assert shm_residue() == residue_before, "cancellation leaked shared memory"
+        assert not multiprocessing.active_children(), "cancellation left workers behind"
         assert journal_path.exists(), "the journal must survive a cancellation"
 
         resumed = contract.execute(base_grid(), journal_path=journal_path, resume=True)

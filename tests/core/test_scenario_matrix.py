@@ -1,7 +1,7 @@
 """Cross-scenario engine matrix: every engine feature on every registered scenario.
 
-The tentpole contract of the attack registry: the sweep engine, the shared
-model/results planes and the distributed fabric are scenario-generic.  This
+The tentpole contract of the attack registry: the sweep engine, its worker
+pool and the distributed fabric are scenario-generic.  This
 module runs both built-in scenarios through serial, pooled (fork and spawn)
 and distributed-loopback execution and checks bit-for-bit agreement with the
 serial run, plus the loud-failure paths (mixed grids, scenario-mismatched

@@ -1,17 +1,18 @@
-"""Tests of the shared-memory model plane (:mod:`repro.core.shared_structures`).
+"""Tests of the structure payload (:mod:`repro.core.shared_structures`).
 
-Three contracts are exercised: the buffer round trip reproduces the in-process
-structure bit for bit, attached workers perform zero explorations, and the
-segment lifecycle never leaks -- unlinked after a clean pool shutdown and after
-a simulated worker crash alike.
+Four contracts are exercised: the buffer round trip reproduces the in-process
+structure bit for bit, the packed payload decodes zero-copy into identical
+skeletons, every malformed payload -- it arrives over TCP from remote peers --
+is refused with a clean :class:`~repro.exceptions.ModelError`, and pool
+workers install the payload without ever exploring.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
-import os
+import struct
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -23,18 +24,20 @@ from repro.attacks import (
     structure_cache_stats,
 )
 from repro.attacks.structure import SelfishForksStructure
-from repro.core.engine import _initialize_worker, execute_sweep
+from repro.core.engine import execute_sweep
 from repro.core.shared_structures import (
-    active_plane_names,
-    attach_structures,
-    forget_inherited_planes,
-    plane_refcount,
-    publish_structures,
+    HEADER_BYTES,
+    STRUCTURES_VERSION,
+    install_structure_payload,
+    pack_structures,
+    unpack_structures,
 )
 from repro.exceptions import ModelError
 
 PROTOCOL = ProtocolParams(p=0.3, gamma=0.5)
 ATTACK = AttackParams(depth=2, forks=1, max_fork_length=4)
+
+_HEADER = struct.Struct("<8Q")
 
 
 @pytest.fixture(autouse=True)
@@ -42,15 +45,6 @@ def _fresh_cache():
     clear_structure_cache()
     yield
     clear_structure_cache()
-
-
-def segment_exists(name: str) -> bool:
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    segment.close()
-    return True
 
 
 def assert_structures_identical(left: SelfishForksStructure, right: SelfishForksStructure):
@@ -97,82 +91,189 @@ class TestBufferRoundTrip:
         assert_structures_identical(structure, rebuilt)
 
 
-class TestPlaneLifecycle:
-    def test_attached_plane_equals_in_process_structure(self):
-        """A real attach (as a worker performs it) is bit-for-bit and zero-copy.
+# ------------------------------------------------------------------- payload
 
-        Attaching within the publishing process normally dedups to the open
-        creator plane, so the substrate registry is forgotten first (exactly
-        what a fork-started worker does) to force the worker-side mapping path.
-        """
-        structure = get_model_structure(ATTACK, PROTOCOL)
-        plane = publish_structures([structure])
-        try:
-            forget_inherited_planes()
-            attached = attach_structures(plane.name)
-            try:
-                (remote,) = attached.structures
-                assert_structures_identical(structure, remote)
-                # The numeric arrays of the attachment are read-only shared views.
-                assert not remote.trans_succ.flags.writeable
-                assert not remote.trans_reward.flags.owndata
-            finally:
-                attached.release()
-        finally:
-            plane.release()
 
-    def test_in_process_attach_dedups_to_the_open_plane(self):
-        """Attaching within the publishing process bumps the refcount instead
-        of mapping the segment twice (release/unlink discipline itself is
-        proven by the conformance suite, ``test_shm_conformance.py``)."""
-        plane = publish_structures([get_model_structure(ATTACK, PROTOCOL)])
-        name = plane.name
-        assert attach_structures(name) is plane
-        assert plane_refcount(name) == 2
-        plane.release()
-        assert segment_exists(name), "segment must survive while a reference is held"
-        plane.release()
-        assert name not in active_plane_names()
-        assert plane_refcount(name) is None
+def _payload() -> bytes:
+    return pack_structures(
+        [
+            get_model_structure(AttackParams(1, 1, 4), PROTOCOL),
+            get_model_structure(ATTACK, PROTOCOL),
+        ]
+    )
 
-    def test_publish_empty_rejected(self):
+
+def _with_word(payload: bytes, index: int, value: int) -> bytes:
+    """``payload`` with header word ``index`` replaced by ``value``."""
+    words = list(_HEADER.unpack_from(payload))
+    words[index] = value
+    return _HEADER.pack(*words) + payload[HEADER_BYTES:]
+
+
+def _rebuilt(payload: bytes, *, directory=None, data_cut: int = 0) -> bytes:
+    """Re-assemble ``payload`` with a new directory and/or a shortened array
+    region, keeping the header's sizes consistent so only the body is bad."""
+
+    def align(offset: int) -> int:
+        return (offset + 63) // 64 * 64
+
+    words = list(_HEADER.unpack_from(payload))
+    old_directory = payload[HEADER_BYTES : HEADER_BYTES + words[4]]
+    data = payload[align(HEADER_BYTES + words[4]) :]
+    if data_cut:
+        data = data[:-data_cut]
+    directory_bytes = (
+        old_directory if directory is None else json.dumps(directory).encode("ascii")
+    )
+    data_start = align(HEADER_BYTES + len(directory_bytes))
+    padding = bytes(data_start - HEADER_BYTES - len(directory_bytes))
+    body = directory_bytes + padding + data
+    words[3], words[4] = len(body), len(directory_bytes)
+    return _HEADER.pack(*words) + body
+
+
+def _directory(payload: bytes) -> list:
+    size = _HEADER.unpack_from(payload)[4]
+    return json.loads(payload[HEADER_BYTES : HEADER_BYTES + size])
+
+
+def assert_refused(payload, match: str) -> None:
+    """``payload`` raises a clean ModelError (never a raw decoding error)."""
+    with pytest.raises(ModelError, match=match) as excinfo:
+        unpack_structures(payload)
+    assert not isinstance(excinfo.value, (IndexError, ValueError, TypeError))
+
+
+class TestPayload:
+    def test_round_trip_is_bit_for_bit_and_zero_copy(self):
+        structures = [
+            get_model_structure(AttackParams(1, 1, 4), PROTOCOL),
+            get_model_structure(ATTACK, PROTOCOL),
+        ]
+        restored = unpack_structures(pack_structures(structures))
+        assert len(restored) == 2
+        for original, copy in zip(structures, restored):
+            assert_structures_identical(original, copy)
+            # The numeric arrays are read-only views into the payload bytes.
+            assert not copy.trans_succ.flags.writeable
+            assert not copy.trans_reward.flags.owndata
+
+    def test_header_round_trip(self):
+        payload = _payload()
+        words = _HEADER.unpack_from(payload)
+        assert words[2] == STRUCTURES_VERSION
+        assert words[3] == len(payload) - HEADER_BYTES
+        assert words[5:] == (0, 0, 0)
+
+    def test_pack_empty_rejected(self):
         with pytest.raises(ModelError):
-            publish_structures([])
+            pack_structures([])
 
-    def test_attach_racing_creator_unlink_gets_clean_error(self):
-        """An attacher that loses the race against the creator's unlink must
-        get a :class:`ModelError`, never a raw ``FileNotFoundError``."""
-        plane = publish_structures([get_model_structure(ATTACK, PROTOCOL)])
-        name = plane.name
-        forget_inherited_planes()  # the attach must take the real mapping path
-        plane.release()  # creator unlinks before the attacher looks up the name
-        with pytest.raises(ModelError, match="not available") as excinfo:
-            attach_structures(name)
-        assert not isinstance(excinfo.value, FileNotFoundError)
+    def test_short_buffer_refused(self):
+        assert_refused(b"\x00" * 8, "too small")
 
-    def test_attach_winning_the_unlink_race_stays_usable(self, monkeypatch):
-        """POSIX keeps a mapping alive after unlink: an attacher that mapped
-        the segment just before the creator unlinked it reads valid data and
-        releases without error."""
-        import repro.core.shm as shm_module
+    def test_foreign_magic_refused(self):
+        assert_refused(bytes(HEADER_BYTES), "not a repro payload")
 
-        structure = get_model_structure(ATTACK, PROTOCOL)
-        plane = publish_structures([structure])
-        forget_inherited_planes()
-        real_attach = shm_module.attach_segment_untracked
+    def test_kind_magic_mismatch_refused(self):
+        assert_refused(_with_word(_payload(), 1, 0x99), "kind magic mismatch")
 
-        def attach_then_creator_unlinks(name):
-            segment = real_attach(name)
-            plane.release()  # the creator unlinks between mmap and validation
-            return segment
+    def test_version_mismatch_refused(self):
+        assert_refused(
+            _with_word(_payload(), 2, STRUCTURES_VERSION - 1),
+            f"layout version {STRUCTURES_VERSION - 1}",
+        )
 
-        monkeypatch.setattr(shm_module, "attach_segment_untracked", attach_then_creator_unlinks)
-        attached = attach_structures(plane.name)
-        try:
-            assert_structures_identical(structure, attached.structures[0])
-        finally:
-            attached.release()
-        assert not segment_exists(plane.name)
+    def test_body_overrun_refused(self):
+        payload = _payload()
+        assert_refused(_with_word(payload, 3, len(payload)), "bytes follow the header")
+        assert_refused(payload[:-100], "bytes follow the header")
+
+    def test_directory_overrun_refused(self):
+        payload = _payload()
+        assert_refused(_with_word(payload, 4, len(payload)), "overruns")
+
+    def test_truncated_array_region_refused(self):
+        assert_refused(_rebuilt(_payload(), data_cut=100), "malformed structure payload")
+
+    def test_unknown_scenario_refused(self):
+        payload = _payload()
+        directory = _directory(payload)
+        for entry in directory:
+            entry[1] = "no-such-scenario@1"
+        assert_refused(_rebuilt(payload, directory=directory), "no-such-scenario")
+
+    def test_scenario_version_mismatch_refused(self):
+        payload = _payload()
+        directory = _directory(payload)
+        for entry in directory:
+            entry[1] = "selfish-forks@99"
+        assert_refused(_rebuilt(payload, directory=directory), "version mismatch")
+
+    def test_duplicate_buffer_entry_refused(self):
+        payload = _payload()
+        directory = _directory(payload)
+        directory.append(list(directory[0]))
+        assert_refused(_rebuilt(payload, directory=directory), "appears twice")
+
+    def test_structure_naming_two_scenarios_refused(self):
+        payload = _payload()
+        directory = _directory(payload)
+        directory[1][1] = "sm-actions@1"
+        assert_refused(_rebuilt(payload, directory=directory), "names two scenarios")
+
+    @pytest.mark.parametrize(
+        "directory",
+        [
+            "not a list",
+            [[0, "selfish-forks@1", "header"]],
+            [[0, "selfish-forks@1", "header", "|O", [1], 0]],
+            [[0, "selfish-forks@1", "header", "<i8", [-1], 0]],
+            [[0, "selfish-forks@1", "header", "<i8", [8], -64]],
+            [[0, "selfish-forks@1", "header", "<i8", [8], 0]],
+        ],
+        ids=[
+            "not-a-list",
+            "short-entry",
+            "object-dtype",
+            "negative-shape",
+            "negative-offset",
+            "missing-keys",
+        ],
+    )
+    def test_malformed_directory_refused(self, directory):
+        assert_refused(_rebuilt(_payload(), directory=directory), "malformed structure payload")
+
+    def test_garbage_directory_bytes_refused(self):
+        payload = _payload()
+        size = _HEADER.unpack_from(payload)[4]
+        garbled = payload[:HEADER_BYTES] + b"\xff" * size + payload[HEADER_BYTES + size :]
+        assert_refused(garbled, "malformed structure payload")
+
+    def test_non_bytes_refused(self):
+        assert_refused(None, "malformed structure payload")
+
+
+class TestInstallPayload:
+    def test_install_replaces_cache_without_building(self):
+        payload = _payload()  # explores two skeletons in this process
+        get_model_structure(AttackParams(3, 1, 4), PROTOCOL)
+        assert structure_cache_stats()["builds"] == 3
+        assert install_structure_payload(payload) == 2
+        stats = structure_cache_stats()
+        assert (stats["builds"], stats["attaches"], stats["entries"]) == (0, 2, 2)
+        get_model_structure(ATTACK, PROTOCOL)
+        assert structure_cache_stats()["builds"] == 0
+
+    def test_malformed_payload_leaves_cache_untouched(self):
+        stale = _with_word(_payload(), 2, 0)
+        before = structure_cache_stats()
+        with pytest.raises(ModelError):
+            install_structure_payload(stale)
+        assert structure_cache_stats() == before
+
+
+# ------------------------------------------------------------- pool workers
 
 
 def report_attack_array_flags():
@@ -194,53 +295,7 @@ def sweep_grid(**kwargs) -> SweepConfig:
     )
 
 
-def capture_plane_names(monkeypatch) -> list:
-    """Record the segment names the engine publishes during a sweep."""
-    import repro.core.engine as engine_module
-
-    names = []
-    original = engine_module.publish_structures
-
-    def capturing(structures):
-        plane = original(structures)
-        names.append(plane.name)
-        return plane
-
-    monkeypatch.setattr(engine_module, "publish_structures", capturing)
-    return names
-
-
 class TestEngineIntegration:
-    def test_segment_unlinked_after_pool_shutdown(self, monkeypatch):
-        names = capture_plane_names(monkeypatch)
-        sweep = execute_sweep(sweep_grid(workers=2))
-        assert not sweep.failures
-        assert names, "the engine must publish a plane for a multi-worker sweep"
-        for name in names:
-            assert not segment_exists(name)
-            assert name not in active_plane_names()
-
-    def test_worker_crash_does_not_leak_segment(self, monkeypatch):
-        """A pool whose workers die must still unlink the shared segment."""
-        import repro.core.engine as engine_module
-
-        names = capture_plane_names(monkeypatch)
-
-        def die(task):
-            os._exit(1)
-
-        # Fork-started workers inherit the patched module, so every task's
-        # worker kills itself and the pool breaks.
-        monkeypatch.setattr(engine_module, "_run_attack_task", die)
-        monkeypatch.setenv("REPRO_TEST_START_METHOD", "fork")
-        sweep = execute_sweep(sweep_grid(workers=2))
-        assert sweep.failures and all(
-            "worker crashed" in failure.message for failure in sweep.failures
-        )
-        assert names
-        for name in names:
-            assert not segment_exists(name)
-
     def test_spawn_sweep_matches_serial(self, monkeypatch):
         serial = execute_sweep(sweep_grid(workers=1))
         monkeypatch.setenv("REPRO_TEST_START_METHOD", "spawn")
@@ -250,80 +305,62 @@ class TestEngineIntegration:
             (p.p, p.gamma, p.series, p.errev) for p in serial.points
         ]
 
-    def test_spawn_workers_attach_without_building(self):
+    def test_spawn_workers_install_without_building(self):
         """Acceptance: spawn workers at >= 4 parallelism perform zero builds.
 
-        The pool uses the engine's own initializer and a published plane, then
-        asks every worker for its ``structure_cache_stats()``: the parent built
-        the skeletons once, the workers only attached.
+        The pool uses the engine's own initializer and payload, then asks
+        every worker for its ``structure_cache_stats()``: the parent built the
+        skeletons once, the workers only installed them.
         """
         config = sweep_grid(workers=4)
         structures = [
             get_model_structure(attack, PROTOCOL) for attack in config.attack_configs
         ]
-        plane = publish_structures(structures)
-        try:
-            context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(
-                max_workers=4,
-                mp_context=context,
-                initializer=_initialize_worker,
-                initargs=(plane.name, config),
-            ) as pool:
-                stats = [
-                    future.result()
-                    for future in [pool.submit(structure_cache_stats) for _ in range(8)]
-                ]
-        finally:
-            plane.release()
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(
+            max_workers=4,
+            mp_context=context,
+            initializer=install_structure_payload,
+            initargs=(pack_structures(structures),),
+        ) as pool:
+            stats = [
+                future.result()
+                for future in [pool.submit(structure_cache_stats) for _ in range(8)]
+            ]
         assert stats
         for worker_stats in stats:
             assert worker_stats["builds"] == 0
-            assert worker_stats["attaches"] >= len(structures)
-            assert worker_stats["entries"] >= len(structures)
+            assert worker_stats["attaches"] == len(structures)
+            assert worker_stats["entries"] == len(structures)
 
-    def test_fork_workers_map_the_segment_not_inherited_copies(self):
-        """Fork workers must attach real shared views, not reuse COW copies.
+    def test_fork_workers_use_the_payload_not_inherited_copies(self):
+        """Fork workers must decode the payload, not reuse inherited copies.
 
-        A fork-started worker inherits the parent's cache *and* the parent's
-        creator plane handle; the initializer must discard both so the cached
-        structure's arrays are read-only views of the shared segment
-        (``owndata=False``) instead of the inherited private arrays.
+        A fork-started worker inherits the parent's cache and build counters;
+        the initializer must replace both, so the cached structure's arrays
+        are read-only views of the payload (``owndata=False``) instead of the
+        inherited private arrays.
         """
         config = sweep_grid(workers=2)
         structures = [
             get_model_structure(attack, PROTOCOL) for attack in config.attack_configs
         ]
-        plane = publish_structures(structures)
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=2,
-                mp_context=context,
-                initializer=_initialize_worker,
-                initargs=(plane.name, config),
-            ) as pool:
-                flags = [pool.submit(report_attack_array_flags).result() for _ in range(4)]
-        finally:
-            plane.release()
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            max_workers=2,
+            mp_context=context,
+            initializer=install_structure_payload,
+            initargs=(pack_structures(structures),),
+        ) as pool:
+            flags = [pool.submit(report_attack_array_flags).result() for _ in range(4)]
+            stats = pool.submit(structure_cache_stats).result()
         # In the parent the same structure owns writable arrays.
         assert report_attack_array_flags() == (True, True)
         assert all(worker_flags == (False, False) for worker_flags in flags)
+        assert stats["builds"] == 0
 
     def test_invalid_start_method_override_raises(self, monkeypatch):
         """A typo in REPRO_TEST_START_METHOD must fail loudly, not run fork."""
         monkeypatch.setenv("REPRO_TEST_START_METHOD", "spwan")
         with pytest.raises(ValueError, match="REPRO_TEST_START_METHOD"):
             execute_sweep(sweep_grid(workers=2))
-
-    def test_shared_plane_disabled_still_matches(self, monkeypatch):
-        """The ``use_shared_structures=False`` fallback reproduces the values."""
-        serial = execute_sweep(sweep_grid(workers=1))
-        names = capture_plane_names(monkeypatch)
-        monkeypatch.setenv("REPRO_TEST_START_METHOD", "spawn")
-        fallback = execute_sweep(sweep_grid(workers=2, use_shared_structures=False))
-        assert not names, "no plane may be published when shared structures are off"
-        assert not fallback.failures
-        assert [(p.p, p.gamma, p.series, p.errev) for p in fallback.points] == [
-            (p.p, p.gamma, p.series, p.errev) for p in serial.points
-        ]

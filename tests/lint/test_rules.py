@@ -13,10 +13,8 @@ from repro.lint.rules.determinism import CertifiedPathDeterminismRule
 from repro.lint.rules.fault_sites import FaultSiteRegistrationRule
 from repro.lint.rules.merge_pipeline import MergePipelineRule
 from repro.lint.rules.scenario_contract import REQUIRED_HOOKS, ScenarioContractRule
-from repro.lint.rules.shm_lifecycle import SharedMemoryLifecycleRule
 from repro.lint.rules.wire_schema import WireSchemaAgreementRule
 
-RL001 = [SharedMemoryLifecycleRule()]
 RL002 = [ForkAsyncSafetyRule()]
 RL003 = [CertifiedPathDeterminismRule()]
 RL004 = [WireSchemaAgreementRule()]
@@ -27,122 +25,6 @@ RL007 = [MergePipelineRule()]
 
 def ids(violations):
     return [v.rule_id for v in violations]
-
-
-# --------------------------------------------------------------------- RL001
-
-
-def test_rl001_fires_on_shared_memory_outside_substrate(harness):
-    violations = harness.lint(
-        "core/engine.py",
-        """
-        from multiprocessing import shared_memory
-
-        def grab(name):
-            return shared_memory.SharedMemory(name=name)
-        """,
-        RL001,
-    )
-    assert ids(violations) == ["RL001", "RL001"]  # the import and the call
-    assert "substrate" in violations[0].message
-    assert violations[0].fix_hint
-
-
-def test_rl001_quiet_on_plane_api_users(harness):
-    violations = harness.lint(
-        "core/sweep.py",
-        """
-        from .shared_structures import publish_structures
-
-        def run(structure):
-            return publish_structures(structure)
-        """,
-        RL001,
-    )
-    assert violations == []
-
-
-def test_rl001_fires_on_planes_touching_shared_memory_directly(harness):
-    """The planes lost their exemption: only core/shm.py may touch SharedMemory."""
-    for plane in ("core/shared_structures.py", "core/results_plane.py"):
-        violations = harness.lint(
-            plane,
-            """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                return shared_memory.SharedMemory(name=name)
-            """,
-            RL001,
-        )
-        assert ids(violations) == ["RL001", "RL001"], plane
-        assert "core/shm.py" in violations[0].message
-
-
-def test_rl001_fires_on_unpaired_create_inside_substrate(harness):
-    violations = harness.lint(
-        "core/shm.py",
-        """
-        from multiprocessing import shared_memory
-
-        def leak(num_bytes):
-            segment = shared_memory.SharedMemory(create=True, size=num_bytes)
-            return segment.name
-        """,
-        RL001,
-    )
-    messages = " ".join(v.message for v in violations)
-    assert ids(violations) == ["RL001", "RL001", "RL001"]
-    assert "not wrapped in a try" in messages
-    assert "release machinery" in messages
-    assert "atexit" in messages
-
-
-def test_rl001_quiet_on_release_paired_create(harness):
-    violations = harness.lint(
-        "core/shm.py",
-        """
-        import atexit
-        from multiprocessing import shared_memory
-
-        _ACTIVE = {}
-
-        @atexit.register
-        def _backstop():
-            for segment in _ACTIVE.values():
-                segment.close()
-                segment.unlink()
-
-        def publish(num_bytes):
-            segment = None
-            try:
-                segment = shared_memory.SharedMemory(create=True, size=num_bytes)
-                _ACTIVE[segment.name] = segment
-            except Exception:
-                if segment is not None:
-                    segment.close()
-                    segment.unlink()
-                raise
-            return segment.name
-        """,
-        RL001,
-    )
-    assert violations == []
-
-
-def test_rl001_flags_module_level_create(harness):
-    violations = harness.lint(
-        "core/shm.py",
-        """
-        import atexit
-        from multiprocessing import shared_memory
-
-        SEGMENT = shared_memory.SharedMemory(create=True, size=8)
-        atexit.register(SEGMENT.close)
-        """,
-        RL001,
-    )
-    assert any("module level" in v.message for v in violations)
 
 
 # --------------------------------------------------------------------- RL002
@@ -712,7 +594,6 @@ def test_all_rules_have_unique_ids_and_metadata():
         seen.add(rule.rule_id)
         assert rule.title and rule.invariant and rule.fix_hint
     assert sorted(seen) == [
-        "RL001",
         "RL002",
         "RL003",
         "RL004",
