@@ -6,8 +6,15 @@ and the gain/bias pair (for policy evaluation inside Howard policy iteration).
 
 Both are whole-array operations, so an evaluation costs about one sparse LU:
 the chain is one gather from the MDP's flat transition arrays, and each linear
-system is one COO matrix, converted once to CSC and solved by one ``spsolve``.
-A singular system (the chain is not unichain) raises ``SolverError``.
+system is one COO matrix, converted once to CSC.  The Poisson matrix does not
+depend on the rewards, so :meth:`MarkovChain.poisson_factor` factors it once
+(SuperLU via ``splu``) and :meth:`MarkovChain.gain_and_bias` solves any reward
+weighting with that factor; policy iteration keeps the factor of the strategy
+it evaluates across solves.  The factor is bit-identical to the one ``spsolve``
+builds internally (same SuperLU, COLAMD ordering and pivot threshold), so reuse
+changes no value.  The stationary system is solved once per chain by
+``spsolve``.  A singular system (the chain is not unichain) raises
+``SolverError``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ import scipy.sparse.linalg as spla
 from ..exceptions import ModelError, SolverError
 from .model import MDP
 from .strategy import Strategy
+
+_NOT_UNICHAIN = (
+    "singular Poisson system: the chain is not unichain, so its gain and bias are not unique"
+)
 
 
 @dataclass
@@ -106,10 +117,44 @@ class MarkovChain:
             return averages
         return np.asarray([float(averages @ np.asarray(weights, dtype=float))])
 
+    def poisson_factor(self, reference_state: int = 0) -> spla.SuperLU:
+        """Factor the unichain Poisson system ``h + g = r + P h``, ``h[ref] = 0``.
+
+        The matrix depends on the transition matrix and the reference state
+        only, never on the rewards, so one factor serves every reward weighting
+        passed to :meth:`gain_and_bias`.
+
+        Raises:
+            SolverError: If the system is exactly singular, i.e. the chain is
+                not unichain and its gain and bias are not unique.
+        """
+        n = self.num_states
+        # Unknowns h[0..n-1] and g (column n).  Equation per state s:
+        # h[s] - sum_t P[s,t] h[t] + g = r[s]; row n is the normalisation h[ref] = 0.
+        poisson = (sp.identity(n, format="csr") - self.transition_matrix).tocoo()
+        data = np.concatenate([poisson.data, np.ones(n), [1.0]])
+        row = np.concatenate([poisson.row, np.arange(n), [n]])
+        col = np.concatenate([poisson.col, np.full(n, n), [reference_state]])
+        full = sp.coo_matrix((data, (row, col)), shape=(n + 1, n + 1)).tocsc()
+        try:
+            return spla.splu(full)
+        except RuntimeError as exc:
+            raise SolverError(_NOT_UNICHAIN) from exc
+
     def gain_and_bias(
-        self, weights: Sequence[float], reference_state: int = 0
+        self,
+        weights: Sequence[float],
+        reference_state: int = 0,
+        factor: Optional[spla.SuperLU] = None,
     ) -> Tuple[float, np.ndarray]:
         """Solve the unichain Poisson equation ``h + g = r + P h``, ``h[ref] = 0``.
+
+        Args:
+            weights: Reward-component weights giving the scalar reward ``r``.
+            reference_state: State whose bias is pinned to zero.
+            factor: This chain's :meth:`poisson_factor` for ``reference_state``,
+                to skip refactoring when the chain is solved again under other
+                weights; factored here when omitted.
 
         Returns:
             The scalar gain ``g`` and the bias vector ``h``.
@@ -119,21 +164,13 @@ class MarkovChain:
                 unichain and its gain and bias are not unique.
         """
         n = self.num_states
+        if factor is None:
+            factor = self.poisson_factor(reference_state)
         rewards = self.expected_rewards @ np.asarray(weights, dtype=float)
-        # Unknowns h[0..n-1] and g (column n).  Equation per state s:
-        # h[s] - sum_t P[s,t] h[t] + g = r[s]; row n is the normalisation h[ref] = 0.
-        poisson = (sp.identity(n, format="csr") - self.transition_matrix).tocoo()
-        data = np.concatenate([poisson.data, np.ones(n), [1.0]])
-        row = np.concatenate([poisson.row, np.arange(n), [n]])
-        col = np.concatenate([poisson.col, np.full(n, n), [reference_state]])
-        full = sp.coo_matrix((data, (row, col)), shape=(n + 1, n + 1)).tocsc()
-        rhs = np.concatenate([rewards, [0.0]])
-        solution = spla.spsolve(full, rhs)
+        solution = factor.solve(np.concatenate([rewards, [0.0]]))
+        # A numerically singular factor solves without error but yields NaN/inf.
         if not np.all(np.isfinite(solution)):
-            raise SolverError(
-                "singular Poisson system: the chain is not unichain, so its gain "
-                "and bias are not unique"
-            )
+            raise SolverError(_NOT_UNICHAIN)
         h = np.asarray(solution[:n], dtype=float)
         g = float(solution[n])
         return g, h

@@ -5,6 +5,15 @@ a sparse linear solve on the induced Markov chain) and then improves it greedily
 For unichain models the procedure terminates after finitely many iterations with
 an optimal positional strategy and the exact optimal gain, which makes it the
 default solver of the formal analysis.
+
+A strategy's Poisson matrix does not depend on the reward weights, so the
+evaluation of the strategy being improved -- its rows, induced chain and sparse
+LU factor, one :class:`PolicyEvaluation` -- outlives the solve: the result
+returns the final strategy's evaluation, and a solve warm-started with that
+strategy under other weights passes it back in and skips the first chain build
+and factorization.  Only one evaluation is held at a time, and one is reused
+only when its rows equal the rows being evaluated, so reuse never changes a
+value, only the number of factorizations.
 """
 
 from __future__ import annotations
@@ -13,11 +22,27 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from ..exceptions import ConvergenceError
-from .markov_chain import induced_markov_chain
+from .markov_chain import MarkovChain, induced_markov_chain
 from .model import MDP
 from .strategy import Strategy
+
+
+@dataclass
+class PolicyEvaluation:
+    """A strategy's induced chain with its Poisson system factored once.
+
+    Attributes:
+        rows: The evaluated row choices (one per state).
+        chain: The Markov chain induced by ``rows``.
+        factor: ``chain.poisson_factor`` at the model's initial state.
+    """
+
+    rows: np.ndarray
+    chain: MarkovChain
+    factor: spla.SuperLU
 
 
 @dataclass
@@ -30,6 +55,8 @@ class PolicyIterationResult:
         strategy: The optimal positional strategy found.
         iterations: Number of policy-improvement rounds performed.
         converged: Whether a fixed point was reached within the budget.
+        evaluation: The evaluation of ``strategy``, for warm-starting a solve
+            of the same model under other weights.
     """
 
     gain: float
@@ -37,6 +64,7 @@ class PolicyIterationResult:
     strategy: Strategy
     iterations: int
     converged: bool
+    evaluation: Optional[PolicyEvaluation] = None
 
 
 def _greedy_improvement(
@@ -71,6 +99,7 @@ def policy_iteration(
     tolerance: float = 1e-9,
     max_iterations: int = 1_000,
     initial_strategy: Optional[Strategy] = None,
+    initial_evaluation: Optional[PolicyEvaluation] = None,
 ) -> PolicyIterationResult:
     """Solve the mean-payoff MDP with Howard policy iteration.
 
@@ -82,6 +111,10 @@ def policy_iteration(
         max_iterations: Maximum number of improvement rounds.
         initial_strategy: Optional warm start (e.g. the previous binary-search
             iterate); defaults to the first-action strategy.
+        initial_evaluation: Optional evaluation of a strategy of this same
+            model (typically ``evaluation`` of the solve that produced
+            ``initial_strategy``); used only while its rows match the rows
+            being evaluated.
 
     Raises:
         ConvergenceError: If no fixed point is reached within the budget.
@@ -93,10 +126,15 @@ def policy_iteration(
     bias = np.zeros(mdp.num_states)
     converged = False
     iterations = 0
+    evaluation = initial_evaluation
 
     for iterations in range(1, max_iterations + 1):
-        chain = induced_markov_chain(mdp, Strategy(mdp, rows))
-        gain, bias = chain.gain_and_bias(reward_weights, reference_state=mdp.initial_state)
+        if evaluation is None or not np.array_equal(evaluation.rows, rows):
+            evaluation = None  # release the stale factor before building the next
+            evaluation = _evaluate(mdp, rows)
+        gain, bias = evaluation.chain.gain_and_bias(
+            reward_weights, reference_state=mdp.initial_state, factor=evaluation.factor
+        )
         new_rows = _greedy_improvement(mdp, row_rewards, bias, gain, rows, tolerance)
         if np.array_equal(new_rows, rows):
             converged = True
@@ -113,4 +151,12 @@ def policy_iteration(
         strategy=Strategy(mdp, rows),
         iterations=iterations,
         converged=converged,
+        evaluation=evaluation,
     )
+
+
+def _evaluate(mdp: MDP, rows: np.ndarray) -> PolicyEvaluation:
+    """Build the induced chain of ``rows`` and factor its Poisson system."""
+    chain = induced_markov_chain(mdp, Strategy(mdp, rows))
+    # A private copy: the returned strategy shares ``rows`` with its caller.
+    return PolicyEvaluation(rows.copy(), chain, chain.poisson_factor(mdp.initial_state))

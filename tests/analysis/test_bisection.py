@@ -8,12 +8,14 @@ for both solver backends, because the search loop is shared by all of them.
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro import AnalysisConfig, AttackParams, ProtocolParams
-from repro.analysis import formal_analysis
+from repro.analysis import dinkelbach_analysis, formal_analysis
 from repro.analysis.rewards import beta_reward_weights
 from repro.attacks import get_model_structure
 from repro.mdp import solve_mean_payoff_batch, solve_mean_payoff_lp
@@ -145,6 +147,55 @@ def test_cold_start_certifies_the_same_interval(case):
     assert [record.beta for record in cold.iterations] == [
         record.beta for record in warm.iterations
     ]
+
+
+@pytest.fixture()
+def factorizations(monkeypatch):
+    """Count the Poisson factorizations (the stationary solve does not factor through splu)."""
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+@pytest.mark.parametrize("case", CASES[:3], ids=CASE_IDS[:3])
+def test_warm_solves_reuse_the_incumbent_factor(case, factorizations):
+    """Every solve after the first starts from the previous strategy and its factor."""
+    warm = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
+    assert len(factorizations) == warm.total_solver_iterations - warm.num_iterations
+    factorizations.clear()
+    cold = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON, warm_start=False))
+    assert len(factorizations) == cold.total_solver_iterations
+    assert (cold.beta_low, cold.beta_up, cold.strategy_errev) == (
+        warm.beta_low, warm.beta_up, warm.strategy_errev
+    )
+
+
+@pytest.mark.parametrize("case", CASES[:3], ids=CASE_IDS[:3])
+def test_dinkelbach_reuses_the_incumbent_factor(case, factorizations):
+    result = dinkelbach_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
+    solver_iterations = sum(record.solver_iterations for record in result.iterations)
+    assert len(factorizations) == solver_iterations - (result.num_iterations - 1)
+
+
+def test_batch_returns_no_factor():
+    weights = np.array([beta_reward_weights(beta) for beta in (0.2, 0.4, 0.3)])
+    batch = solve_mean_payoff_batch(_mdp(CASES[2]), weights)
+    assert [solution.evaluation for solution in batch] == [None, None, None]
+
+
+@with_solver
+def test_result_pickles_without_a_factor(solver):
+    """Pool workers return results by pickle; a SuperLU factor would not pickle."""
+    result = _analysis(CASES[3], solver)
+    clone = pickle.loads(pickle.dumps(result))
+    assert (clone.beta_low, clone.beta_up) == (result.beta_low, result.beta_up)
+    assert np.array_equal(clone.strategy.rows, result.strategy.rows)
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,17 @@ import scipy.sparse as sp
 
 from repro.analysis import beta_reward_weights, check_theorem_premises, evaluate_strategy_errev
 from repro.exceptions import ModelError, SolverError
-from repro.mdp import MDPBuilder, MarkovChain, Strategy, induced_markov_chain
+from repro.mdp import (
+    MDPBuilder,
+    MarkovChain,
+    PolicyEvaluation,
+    Strategy,
+    induced_markov_chain,
+    policy_iteration,
+)
 
-#: spsolve warns before returning NaN on the singular systems of a multichain chain.
+#: The stationary solve's spsolve warns before returning NaN on a multichain
+#: chain's singular system; the Poisson factorization raises instead.
 SINGULAR = pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 
 
@@ -246,3 +254,92 @@ class TestVectorisedChain:
             assert np.max(np.abs(bias + gain - rewards - matrix @ bias)) <= 1e-10
             pi = chain.stationary_distribution()
             assert np.max(np.abs(matrix.T @ pi - pi)) <= 1e-10
+
+
+def sampled_strategies(mdp, count=6, seed=16):
+    rng = np.random.default_rng(seed)
+    counts = np.diff(mdp.state_row_offsets)
+    return [
+        Strategy(mdp, mdp.state_row_offsets[:-1] + rng.integers(0, counts)) for _ in range(count)
+    ]
+
+
+class _NaNFactor:
+    """A factor of a numerically singular matrix: it solves, but to NaN."""
+
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
+
+
+def test_numerically_singular_factor_is_loud():
+    with pytest.raises(SolverError, match="not unichain"):
+        two_state_chain().gain_and_bias([1.0], factor=_NaNFactor())
+
+
+class _UnusableFactor:
+    """Stands in for a SuperLU factor that must never be solved with."""
+
+    def solve(self, rhs):
+        raise AssertionError("a factor of other rows was used")
+
+
+class TestFactorReuse:
+    """One Poisson factor per strategy serves every reward weighting, bit for bit."""
+
+    @pytest.fixture(params=["model_d1f1", "model_d2f2"])
+    def mdp(self, request):
+        return request.getfixturevalue(request.param).mdp
+
+    def test_reused_factor_matches_fresh_factorization(self, mdp):
+        for strategy in sampled_strategies(mdp):
+            chain = induced_markov_chain(mdp, strategy)
+            factor = chain.poisson_factor(mdp.initial_state)
+            for beta in (0.0, 0.3, 0.61, 1.0):
+                weights = beta_reward_weights(beta)
+                fresh_gain, fresh_bias = chain.gain_and_bias(weights, mdp.initial_state)
+                gain, bias = chain.gain_and_bias(weights, mdp.initial_state, factor=factor)
+                assert gain == fresh_gain
+                assert bias.tobytes() == fresh_bias.tobytes()
+
+    def test_returned_evaluation_is_of_the_final_strategy(self, mdp):
+        result = policy_iteration(mdp, beta_reward_weights(0.3))
+        evaluation = result.evaluation
+        assert np.array_equal(evaluation.rows, result.strategy.rows)
+        assert evaluation.rows is not result.strategy.rows
+        gain, bias = evaluation.chain.gain_and_bias(
+            beta_reward_weights(0.3), mdp.initial_state, factor=evaluation.factor
+        )
+        assert gain == result.gain
+        assert bias.tobytes() == result.bias.tobytes()
+
+    def test_warm_evaluation_gives_the_cold_values(self, mdp):
+        incumbent = policy_iteration(mdp, beta_reward_weights(0.2))
+        weights = beta_reward_weights(0.45)
+        cold = policy_iteration(mdp, weights, initial_strategy=incumbent.strategy)
+        warm = policy_iteration(
+            mdp, weights, initial_strategy=incumbent.strategy,
+            initial_evaluation=incumbent.evaluation,
+        )
+        assert warm.gain == cold.gain
+        assert warm.bias.tobytes() == cold.bias.tobytes()
+        assert np.array_equal(warm.strategy.rows, cold.strategy.rows)
+        assert warm.iterations == cold.iterations
+
+    @pytest.mark.parametrize("mismatch", ["other_row", "shorter", "longer"])
+    def test_evaluation_of_other_rows_is_never_used(self, mdp, mismatch):
+        start = Strategy.first_action(mdp)
+        rows = {
+            # -1 is no row of any state, so no iterate of the solve can match it.
+            "other_row": np.concatenate([[-1], start.rows[1:]]),
+            "shorter": start.rows[:-1],
+            "longer": np.concatenate([start.rows, [0]]),
+        }[mismatch]
+        poisoned = PolicyEvaluation(
+            rows=rows, chain=induced_markov_chain(mdp, start), factor=_UnusableFactor()
+        )
+        weights = beta_reward_weights(0.3)
+        cold = policy_iteration(mdp, weights, initial_strategy=start)
+        result = policy_iteration(mdp, weights, initial_strategy=start, initial_evaluation=poisoned)
+        assert result.gain == cold.gain
+        assert result.bias.tobytes() == cold.bias.tobytes()
+        assert result.evaluation is not poisoned
