@@ -19,9 +19,10 @@ MDP's strategy class.  No wall-clock reading ever steers the search.  Warm start
 never a value: each solve starts from the previous probe's strategy and reuses
 that strategy's Poisson LU factor (bit-identical to refactoring the same matrix),
 so a warm-started search factors ``total_solver_iterations - num_iterations``
-times instead of ``total_solver_iterations``.  The factor lives only between two
-solves of one search; it is released before the final strategy evaluation and
-never enters the result.
+times instead of ``total_solver_iterations``.  One :class:`EvaluationSlot` holds
+the factor between solves, so at most one is alive: a solve frees it before
+factoring another strategy, the search drops it before the final strategy
+evaluation, and it never enters the result.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from ..config import AnalysisConfig
 from ..exceptions import ModelError
-from ..mdp import MDP, MeanPayoffSolution, PolicyEvaluation, Strategy, solve_mean_payoff
+from ..mdp import MDP, EvaluationSlot, MeanPayoffSolution, Strategy, solve_mean_payoff
 from .errev import evaluate_strategy_errev
 from .rewards import beta_reward_weights
 
@@ -151,16 +152,18 @@ def formal_analysis(
     iterations: List[BinarySearchIteration] = []
     warm_strategy: Optional[Strategy] = None
     warm_bias: Optional[np.ndarray] = None
-    warm_evaluation: Optional[PolicyEvaluation] = None
+    # Holds the last solve's Poisson factor for the next, warm-started solve.
+    slot: Optional[EvaluationSlot] = None
     if config.warm_start:
         warm_strategy = _strategy_from_rows(mdp, initial_strategy_rows)
         warm_bias = _bias_from_vector(mdp, initial_bias)
+        slot = EvaluationSlot()
     total_solver_iterations = 0
 
     while beta_up - beta_low >= config.epsilon:
         beta = 0.5 * (beta_low + beta_up)
         solve_start = time.perf_counter()
-        solution = _solve(mdp, beta, config, warm_strategy, warm_bias, warm_evaluation)
+        solution = _solve(mdp, beta, config, warm_strategy, warm_bias, slot)
         solve_seconds = time.perf_counter() - solve_start
         if solution.gain < 0.0:
             beta_up = beta
@@ -180,14 +183,11 @@ def formal_analysis(
         if config.warm_start:
             warm_strategy = solution.strategy
             warm_bias = solution.bias
-            warm_evaluation = solution.evaluation
-        # Only ``warm_evaluation`` may keep the factor alive into the next solve.
-        solution.evaluation = None
 
     # Final solve at beta_low to extract the certified strategy.
-    final_solution = _solve(mdp, beta_low, config, warm_strategy, warm_bias, warm_evaluation)
-    # Release the last factor before the stationary solve builds its own.
-    warm_evaluation = final_solution.evaluation = None
+    final_solution = _solve(mdp, beta_low, config, warm_strategy, warm_bias, slot)
+    # The slot is the factor's only holder: free it before the stationary solve.
+    slot = None
     total_solver_iterations += final_solution.iterations
     strategy = final_solution.strategy
     strategy_errev = (
@@ -255,7 +255,7 @@ def _solve(
     config: AnalysisConfig,
     warm_start: Optional[Strategy],
     warm_start_bias: Optional[np.ndarray],
-    warm_start_evaluation: Optional[PolicyEvaluation],
+    evaluation_slot: Optional[EvaluationSlot],
 ) -> MeanPayoffSolution:
     """Solve the mean-payoff MDP under ``r_beta`` with the configured backend."""
     return solve_mean_payoff(
@@ -266,5 +266,5 @@ def _solve(
         max_iterations=config.max_solver_iterations,
         warm_start=warm_start,
         warm_start_bias=warm_start_bias,
-        warm_start_evaluation=warm_start_evaluation,
+        evaluation_slot=evaluation_slot,
     )

@@ -12,6 +12,8 @@ ratio, typically in a handful of iterations.  The library ships it as
 
 Like Algorithm 1, each solve is warm-started with the previous strategy and
 reuses its Poisson LU factor, which changes factorization counts, never a value.
+That factor stays in its :class:`~repro.mdp.EvaluationSlot` while each
+iteration's strategy is evaluated, so the stationary solve's LU runs beside it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import List, Optional
 
 from ..config import AnalysisConfig
 from ..exceptions import ConvergenceError
-from ..mdp import MDP, PolicyEvaluation, Strategy, solve_mean_payoff
+from ..mdp import MDP, EvaluationSlot, Strategy, solve_mean_payoff
 from .errev import evaluate_strategy_errev
 from .rewards import beta_reward_weights
 
@@ -41,7 +43,7 @@ class DinkelbachIteration:
     beta: float
     optimal_mean_payoff: float
     next_beta: float
-    solver_iterations: int = 0
+    solver_iterations: int
 
 
 @dataclass
@@ -90,7 +92,7 @@ def dinkelbach_analysis(
     beta = float(initial_beta)
     iterations: List[DinkelbachIteration] = []
     strategy: Optional[Strategy] = None
-    evaluation: Optional[PolicyEvaluation] = None
+    slot = EvaluationSlot()
 
     for _ in range(max_iterations):
         solution = solve_mean_payoff(
@@ -100,10 +102,9 @@ def dinkelbach_analysis(
             tolerance=config.solver_tolerance,
             max_iterations=config.max_solver_iterations,
             warm_start=strategy,
-            warm_start_evaluation=evaluation,
+            evaluation_slot=slot,
         )
         strategy = solution.strategy
-        evaluation, solution.evaluation = solution.evaluation, None
         next_beta = evaluate_strategy_errev(mdp, strategy)
         iterations.append(
             DinkelbachIteration(

@@ -12,7 +12,12 @@ from .model import MDP, MDPBuilder, TransitionRow
 from .strategy import Strategy
 from .markov_chain import MarkovChain, induced_markov_chain
 from .value_iteration import RelativeValueIterationResult, relative_value_iteration
-from .policy_iteration import PolicyEvaluation, PolicyIterationResult, policy_iteration
+from .policy_iteration import (
+    EvaluationSlot,
+    PolicyEvaluation,
+    PolicyIterationResult,
+    policy_iteration,
+)
 from .linear_program import LinearProgramResult, solve_mean_payoff_lp
 from .discounted import DiscountedValueIterationResult, discounted_value_iteration
 from .mean_payoff import (
@@ -33,6 +38,7 @@ __all__ = [
     "induced_markov_chain",
     "RelativeValueIterationResult",
     "relative_value_iteration",
+    "EvaluationSlot",
     "PolicyEvaluation",
     "PolicyIterationResult",
     "policy_iteration",

@@ -7,11 +7,11 @@ default) or relative value iteration (certified span bounds) and normalises the
 result into a :class:`MeanPayoffSolution`.  :func:`solve_mean_payoff_batch` is
 a convenience loop over several reward weightings of the same model.
 
-A policy-iteration solution carries the :class:`PolicyEvaluation` (induced
-chain and Poisson LU factor) of its strategy.  Callers that warm-start the next
-solve of the same model with that strategy pass it back as
-``warm_start_evaluation`` and should drop their own reference right away, so
-that at most one factor stays alive between solves.
+Callers that warm-start each solve of a model with the previous solve's
+strategy also pass one :class:`EvaluationSlot` to every solve: policy iteration
+leaves the final strategy's :class:`PolicyEvaluation` (induced chain and
+Poisson LU factor) in it, and the next solve takes it out and skips that
+strategy's factorization.  No solution holds a factor.
 
 The LP formulation (:func:`repro.mdp.solve_mean_payoff_lp`) is deliberately
 not a backend here: it is an independent reference the tests compare policy
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..exceptions import SolverError
 from .model import MDP
-from .policy_iteration import PolicyEvaluation, policy_iteration
+from .policy_iteration import EvaluationSlot, policy_iteration
 from .strategy import Strategy
 from .value_iteration import relative_value_iteration
 
@@ -47,9 +47,6 @@ class MeanPayoffSolution:
         bias: Bias vector associated with the solution.
         solver: Name of the backend that produced the result.
         iterations: Iterations used by the backend.
-        evaluation: Policy iteration's evaluation of ``strategy`` (``None``
-            for value iteration), to pass as ``warm_start_evaluation`` to the
-            next solve of the same model.
     """
 
     gain: float
@@ -59,7 +56,6 @@ class MeanPayoffSolution:
     bias: np.ndarray
     solver: str
     iterations: int
-    evaluation: Optional[PolicyEvaluation] = None
 
 
 def solve_mean_payoff(
@@ -71,7 +67,7 @@ def solve_mean_payoff(
     max_iterations: int = 100_000,
     warm_start: Optional[Strategy] = None,
     warm_start_bias: Optional[np.ndarray] = None,
-    warm_start_evaluation: Optional[PolicyEvaluation] = None,
+    evaluation_slot: Optional[EvaluationSlot] = None,
 ) -> MeanPayoffSolution:
     """Compute the optimal mean payoff and an optimal strategy.
 
@@ -90,9 +86,10 @@ def solve_mean_payoff(
             ignored when its shape does not match ``mdp.num_states`` so that
             callers can pass vectors carried across structurally different
             models without checking.
-        warm_start_evaluation: Optional ``evaluation`` of an earlier
-            policy-iteration solution of this same model; skips refactoring
-            the Poisson system of ``warm_start`` when its rows match.
+        evaluation_slot: Optional slot shared by the solves of this same
+            model; policy iteration reuses the evaluation it holds while the
+            rows match and leaves the final strategy's in it (value iteration
+            ignores it).
 
     Raises:
         SolverError: If ``solver`` is not a known backend.
@@ -104,7 +101,7 @@ def solve_mean_payoff(
             tolerance=tolerance,
             max_iterations=max(100, min(max_iterations, 10_000)),
             initial_strategy=warm_start,
-            initial_evaluation=warm_start_evaluation,
+            evaluation_slot=evaluation_slot,
         )
         return MeanPayoffSolution(
             gain=result.gain,
@@ -114,7 +111,6 @@ def solve_mean_payoff(
             bias=result.bias,
             solver=solver,
             iterations=result.iterations,
-            evaluation=result.evaluation,
         )
     if solver == "value_iteration":
         if warm_start_bias is not None:
@@ -154,11 +150,11 @@ def solve_mean_payoff_batch(
 
     Each row of ``weight_matrix`` is one :func:`solve_mean_payoff` call, warm
     started with the strategy, bias and evaluation of the previous row (the
-    first row uses ``warm_start`` / ``warm_start_bias``).
+    first row uses ``warm_start`` / ``warm_start_bias``).  The evaluation slot
+    is local, so the last factor is freed on return.
 
     Returns:
-        One :class:`MeanPayoffSolution` per row of ``weight_matrix``, in order,
-        each with ``evaluation`` cleared so the list holds no LU factor.
+        One :class:`MeanPayoffSolution` per row of ``weight_matrix``, in order.
 
     Raises:
         SolverError: If ``weight_matrix`` is not ``(k, num_reward_components)``
@@ -171,7 +167,7 @@ def solve_mean_payoff_batch(
             f"got {weight_matrix.shape}"
         )
     solutions: List[MeanPayoffSolution] = []
-    warm_evaluation: Optional[PolicyEvaluation] = None
+    slot = EvaluationSlot()
     for weights in weight_matrix:
         solution = solve_mean_payoff(
             mdp,
@@ -181,9 +177,8 @@ def solve_mean_payoff_batch(
             max_iterations=max_iterations,
             warm_start=warm_start,
             warm_start_bias=warm_start_bias,
-            warm_start_evaluation=warm_evaluation,
+            evaluation_slot=slot,
         )
-        warm_evaluation, solution.evaluation = solution.evaluation, None
         solutions.append(solution)
         warm_start, warm_start_bias = solution.strategy, solution.bias
     return solutions

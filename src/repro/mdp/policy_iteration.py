@@ -8,12 +8,13 @@ default solver of the formal analysis.
 
 A strategy's Poisson matrix does not depend on the reward weights, so the
 evaluation of the strategy being improved -- its rows, induced chain and sparse
-LU factor, one :class:`PolicyEvaluation` -- outlives the solve: the result
-returns the final strategy's evaluation, and a solve warm-started with that
-strategy under other weights passes it back in and skips the first chain build
-and factorization.  Only one evaluation is held at a time, and one is reused
-only when its rows equal the rows being evaluated, so reuse never changes a
-value, only the number of factorizations.
+LU factor, one :class:`PolicyEvaluation` -- can outlive the solve.  A caller
+that solves the same model again under other weights hands it over in an
+:class:`EvaluationSlot`: the solve takes the incumbent out of the slot, reuses it
+only while its rows equal the rows being evaluated, frees it before factoring
+another strategy, and puts the final strategy's evaluation back.  At most one
+factor is therefore alive at a time, and reuse never changes a value, only the
+number of factorizations.
 """
 
 from __future__ import annotations
@@ -46,6 +47,22 @@ class PolicyEvaluation:
 
 
 @dataclass
+class EvaluationSlot:
+    """Holds at most one :class:`PolicyEvaluation` between solves of one model.
+
+    The owner keeps the slot and passes it to every solve; the slot is the only
+    reference to the evaluation, so emptying or dropping it frees the factor.
+    """
+
+    evaluation: Optional[PolicyEvaluation] = None
+
+    def take(self) -> Optional[PolicyEvaluation]:
+        """Empty the slot and return what it held."""
+        evaluation, self.evaluation = self.evaluation, None
+        return evaluation
+
+
+@dataclass
 class PolicyIterationResult:
     """Result of Howard policy iteration.
 
@@ -55,8 +72,6 @@ class PolicyIterationResult:
         strategy: The optimal positional strategy found.
         iterations: Number of policy-improvement rounds performed.
         converged: Whether a fixed point was reached within the budget.
-        evaluation: The evaluation of ``strategy``, for warm-starting a solve
-            of the same model under other weights.
     """
 
     gain: float
@@ -64,7 +79,6 @@ class PolicyIterationResult:
     strategy: Strategy
     iterations: int
     converged: bool
-    evaluation: Optional[PolicyEvaluation] = None
 
 
 def _greedy_improvement(
@@ -99,7 +113,7 @@ def policy_iteration(
     tolerance: float = 1e-9,
     max_iterations: int = 1_000,
     initial_strategy: Optional[Strategy] = None,
-    initial_evaluation: Optional[PolicyEvaluation] = None,
+    evaluation_slot: Optional[EvaluationSlot] = None,
 ) -> PolicyIterationResult:
     """Solve the mean-payoff MDP with Howard policy iteration.
 
@@ -111,10 +125,11 @@ def policy_iteration(
         max_iterations: Maximum number of improvement rounds.
         initial_strategy: Optional warm start (e.g. the previous binary-search
             iterate); defaults to the first-action strategy.
-        initial_evaluation: Optional evaluation of a strategy of this same
-            model (typically ``evaluation`` of the solve that produced
-            ``initial_strategy``); used only while its rows match the rows
-            being evaluated.
+        evaluation_slot: Optional slot handing over the evaluation of a
+            strategy of this same model (typically the one an earlier solve
+            converged to, passed as ``initial_strategy``).  It is taken out
+            when the solve starts and used only while its rows match the rows
+            being evaluated; the final strategy's evaluation is put back.
 
     Raises:
         ConvergenceError: If no fixed point is reached within the budget.
@@ -126,11 +141,11 @@ def policy_iteration(
     bias = np.zeros(mdp.num_states)
     converged = False
     iterations = 0
-    evaluation = initial_evaluation
+    evaluation = evaluation_slot.take() if evaluation_slot is not None else None
 
     for iterations in range(1, max_iterations + 1):
         if evaluation is None or not np.array_equal(evaluation.rows, rows):
-            evaluation = None  # release the stale factor before building the next
+            evaluation = None  # the only reference: free the stale factor first
             evaluation = _evaluate(mdp, rows)
         gain, bias = evaluation.chain.gain_and_bias(
             reward_weights, reference_state=mdp.initial_state, factor=evaluation.factor
@@ -145,13 +160,14 @@ def policy_iteration(
         raise ConvergenceError(
             f"policy iteration did not converge within {max_iterations} iterations"
         )
+    if evaluation_slot is not None:
+        evaluation_slot.evaluation = evaluation
     return PolicyIterationResult(
         gain=float(gain),
         bias=bias,
         strategy=Strategy(mdp, rows),
         iterations=iterations,
         converged=converged,
-        evaluation=evaluation,
     )
 
 

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.analysis import beta_reward_weights, check_theorem_premises, evaluate_strategy_errev
 from repro.exceptions import ModelError, SolverError
 from repro.mdp import (
     MDPBuilder,
+    EvaluationSlot,
     MarkovChain,
     PolicyEvaluation,
     Strategy,
@@ -301,9 +305,10 @@ class TestFactorReuse:
                 assert gain == fresh_gain
                 assert bias.tobytes() == fresh_bias.tobytes()
 
-    def test_returned_evaluation_is_of_the_final_strategy(self, mdp):
-        result = policy_iteration(mdp, beta_reward_weights(0.3))
-        evaluation = result.evaluation
+    def test_slot_receives_the_final_strategy_evaluation(self, mdp):
+        slot = EvaluationSlot()
+        result = policy_iteration(mdp, beta_reward_weights(0.3), evaluation_slot=slot)
+        evaluation = slot.evaluation
         assert np.array_equal(evaluation.rows, result.strategy.rows)
         assert evaluation.rows is not result.strategy.rows
         gain, bias = evaluation.chain.gain_and_bias(
@@ -313,12 +318,12 @@ class TestFactorReuse:
         assert bias.tobytes() == result.bias.tobytes()
 
     def test_warm_evaluation_gives_the_cold_values(self, mdp):
-        incumbent = policy_iteration(mdp, beta_reward_weights(0.2))
+        slot = EvaluationSlot()
+        incumbent = policy_iteration(mdp, beta_reward_weights(0.2), evaluation_slot=slot)
         weights = beta_reward_weights(0.45)
         cold = policy_iteration(mdp, weights, initial_strategy=incumbent.strategy)
         warm = policy_iteration(
-            mdp, weights, initial_strategy=incumbent.strategy,
-            initial_evaluation=incumbent.evaluation,
+            mdp, weights, initial_strategy=incumbent.strategy, evaluation_slot=slot
         )
         assert warm.gain == cold.gain
         assert warm.bias.tobytes() == cold.bias.tobytes()
@@ -339,7 +344,31 @@ class TestFactorReuse:
         )
         weights = beta_reward_weights(0.3)
         cold = policy_iteration(mdp, weights, initial_strategy=start)
-        result = policy_iteration(mdp, weights, initial_strategy=start, initial_evaluation=poisoned)
+        slot = EvaluationSlot(poisoned)
+        result = policy_iteration(mdp, weights, initial_strategy=start, evaluation_slot=slot)
         assert result.gain == cold.gain
         assert result.bias.tobytes() == cold.bias.tobytes()
-        assert result.evaluation is not poisoned
+        assert slot.evaluation is not poisoned
+        assert np.array_equal(slot.evaluation.rows, result.strategy.rows)
+
+    def test_incumbent_is_freed_before_another_strategy_is_factored(self, mdp, monkeypatch):
+        """The slot hands the factor over: no second factor is built beside it."""
+        slot = EvaluationSlot()
+        incumbent = policy_iteration(mdp, beta_reward_weights(0.0), evaluation_slot=slot)
+        alive = weakref.ref(slot.evaluation)
+        alive_at_factorization = []
+        splu = spla.splu
+
+        def recording_splu(*args, **kwargs):
+            alive_at_factorization.append(alive() is not None)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        warm = policy_iteration(
+            mdp, beta_reward_weights(0.9), initial_strategy=incumbent.strategy,
+            evaluation_slot=slot,
+        )
+        # The first evaluation reused the incumbent; every later one factored.
+        assert warm.iterations >= 2
+        assert alive_at_factorization == [False] * (warm.iterations - 1)
+        assert alive() is None
