@@ -2,8 +2,9 @@
 
 Set the environment variable ``REPRO_FULL=1`` to run the paper's full parameter
 grid (all attack configurations of Table 1 and the 0.01-step p-grid of
-Figure 2).  The default configuration keeps every benchmark laptop-scale; see
-DESIGN.md for the rationale.
+Figure 2).  The default configuration keeps every benchmark laptop-scale,
+because the pure-Python solver cannot finish the largest Table 1 models within
+a test run (see ``test_bench_table1_runtimes.py``).
 
 Set ``REPRO_BENCH_SMOKE=1`` (used by the CI benchmark job) to shrink the grids
 further so every perf path is exercised within a couple of minutes on a shared

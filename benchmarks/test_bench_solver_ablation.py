@@ -1,10 +1,10 @@
 """Ablation: mean-payoff solver backends and ratio-optimisation schemes.
 
-DESIGN.md calls out two design choices of the formal analysis that the paper
-delegates to Storm: (i) which mean-payoff solver to use inside the binary
-search, and (ii) whether to use the paper's bisection (Algorithm 1) or a
-Dinkelbach ratio iteration.  This benchmark times all variants on the same
-model and checks they agree on the computed ERRev.
+The paper delegates two design choices of the formal analysis to Storm: (i)
+which mean-payoff solver to use inside the binary search, and (ii) whether to
+use the paper's bisection (Algorithm 1) or a Dinkelbach ratio iteration.
+This benchmark times all variants on the same model and checks they agree on
+the computed ERRev.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Attack-scenario registry: the public boundary between engine and attacks.
 
-The sweep engine, its worker pool and the distributed fabric never care
+The sweep engine and its worker pool never care
 *which* attack family they are running -- they only need a handful of
 capabilities from it:
 
@@ -11,7 +11,7 @@ capabilities from it:
   (:meth:`ScenarioStructure.instantiate`),
 * a flat-buffer serialisation (:meth:`ScenarioStructure.to_buffers` /
   :meth:`ScenarioStructure.from_buffers`) so skeletons travel as one packed
-  payload to pool workers and over the distributed wire,
+  payload to pool workers,
 * replay glue (policy construction plus a matching chain simulator) for
   validating formal strategies by simulation.
 
@@ -22,10 +22,10 @@ This module makes that implicit interface explicit.  A scenario is a
     class SelfishForksStructure(ScenarioStructure): ...
 
 Consumers resolve scenarios with :func:`get_attack` / :func:`list_attacks` and
-identify them on the wire by the versioned ``scenario_id`` (``"name@version"``).
-The id is embedded in packed structure payload directories, distributed
-hello/work frames and CSV rows, so mixed-scenario sweeps and cross-version
-peers fail loudly instead of silently decoding garbage.
+identify them across process boundaries by the versioned ``scenario_id``
+(``"name@version"``).  The id is embedded in packed structure payload
+directories, journal records and CSV rows, so mixed-scenario sweeps and
+cross-version payloads fail loudly instead of silently decoding garbage.
 """
 
 from __future__ import annotations
@@ -159,10 +159,10 @@ class ScenarioStructure:
     (:meth:`to_buffers` / :meth:`from_buffers`) and the replay glue
     (:meth:`make_policy` / :meth:`simulate`).  Bump :attr:`SCENARIO_VERSION`
     whenever the buffer layout or the transition semantics change, so stale
-    peers are refused instead of silently mis-decoded.
+    payloads are refused instead of silently mis-decoded.
     """
 
-    #: Wire/compat version of the scenario; part of ``scenario_id``.
+    #: Compatibility version of the scenario; part of ``scenario_id``.
     SCENARIO_VERSION = 1
     #: Registered name; set by :func:`register_attack`.
     SCENARIO_NAME: Optional[str] = None
@@ -285,7 +285,7 @@ class ScenarioStructure:
 
     @property
     def scenario_id(self) -> str:
-        """Versioned wire identity of this structure's scenario."""
+        """Versioned identity (``"name@version"``) of this structure's scenario."""
         return f"{self.scenario_name}@{type(self).SCENARIO_VERSION}"
 
     # -------------------------------------------------------------------- refill
@@ -433,7 +433,7 @@ class AttackScenario:
 
     @property
     def scenario_id(self) -> str:
-        """Versioned wire identity (``"name@version"``)."""
+        """Versioned identity (``"name@version"``)."""
         return f"{self.name}@{self.version}"
 
     def explore(
@@ -616,15 +616,15 @@ def unregister_attack(name: str) -> None:
 
 
 def scenario_id_for(name: str) -> str:
-    """Versioned wire id (``"name@version"``) of a registered scenario."""
+    """Versioned id (``"name@version"``) of a registered scenario."""
     return get_attack(name).scenario_id
 
 
 def resolve_scenario(scenario_id: str) -> AttackScenario:
-    """Resolve a wire ``scenario_id`` against this process's registry.
+    """Resolve a versioned ``scenario_id`` against this process's registry.
 
-    Used wherever a scenario identity crosses a process or host boundary
-    (structure payload directories, distributed frames); any mismatch is an
+    Used wherever a scenario identity crosses a process boundary (structure
+    payload directories); any mismatch is an
     error, never a silent fallback.
 
     Raises:

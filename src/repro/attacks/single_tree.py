@@ -2,8 +2,8 @@
 
 The baseline "exactly follows the classic selfish mining attack in Bitcoin
 [Eyal-Sirer], however it grows a private tree fork rather than a private chain."
-The paper omits its formal model; DESIGN.md documents our interpretation, which
-transplants the Eyal-Sirer publication rule onto a private tree:
+The paper omits its formal model; this docstring documents our interpretation,
+which transplants the Eyal-Sirer publication rule onto a private tree:
 
 * Each *round* starts at a common tip.  The adversary roots a private tree at
   that tip; the tree has depth at most ``max_depth`` (the paper's ``l``) and at

@@ -4,7 +4,7 @@ This is the classic single-fork action space of Sapirshtein et al. ("Optimal
 selfish mining strategies in Bitcoin"), registered as the ``"sm-actions"``
 scenario behind the same skeleton-cache and flat-buffer interface as the
 paper's multi-fork family, so every engine feature (warm starts, the worker
-pool, the distributed fabric) applies to it unchanged.
+pool, the journal) applies to it unchanged.
 
 State and actions
 -----------------

@@ -75,7 +75,7 @@ class SelfishForksStructure(ScenarioStructure):
 
     SCENARIO_VERSION = 1
     #: The base buffer layout, declared explicitly: the buffer schema is
-    #: part of the worker/wire contract, not an inheritance accident (RL005).
+    #: part of the worker payload contract, not an inheritance accident (RL005).
     BUFFER_KEYS = ScenarioStructure.BUFFER_KEYS
     #: ``(p, k)``-mining: d*f concurrent targets need ``k >= d*f``, which PoS
     #: (k = inf) and PoSpaceTime (configurable k) provide; PoW/VDF cover d=f=1.

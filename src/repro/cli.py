@@ -1,18 +1,16 @@
 """Command-line interface.
 
-Six subcommands mirror the library's main entry points (installed as both
+Five subcommands mirror the library's main entry points (installed as both
 ``repro`` and the legacy ``repro-selfish-mining``)::
 
     repro analyze  --p 0.3 --gamma 0.5 --depth 2 --forks 1
     repro sweep    --gamma 0.5 --p-step 0.05 --csv out.csv
     repro simulate --p 0.3 --gamma 0.5 --depth 2 --forks 1 --steps 100000
-    repro worker   --connect HOST:PORT
     repro attacks
     repro lint
 
 ``analyze`` runs Algorithm 1 for one parameter point, ``sweep`` regenerates a
 Figure 2 panel, ``simulate`` Monte-Carlo-validates the computed strategy,
-``worker`` serves a remote distributed-sweep coordinator (see below),
 ``attacks`` lists the registered attack scenarios, and ``lint`` runs the
 AST-based invariant checker (:mod:`repro.lint`) over the package source.
 
@@ -26,19 +24,6 @@ or scenario-specific tokens such as ``d2f1l4`` / ``l8:overpaying``), and
 ``--max-depth`` is deprecated in favour of ``--grid max-depth=N``.
 
 The full flag-by-flag reference lives in ``docs/cli.md``.
-
-Distributed sweeps
-------------------
-
-``repro sweep --distributed --listen HOST:PORT`` runs the sweep as the
-coordinator of a multi-host fabric (:mod:`repro.core.distributed`): grid units
-stream over TCP to every ``repro worker --connect HOST:PORT`` process that
-joins, model skeletons travel as the same packed payload local pool workers
-install (remote workers perform zero explorations), and results merge into the
-identical CSV/plot pipeline -- bit-for-bit equal to a serial run.
-``--min-workers N`` delays scheduling until N workers have joined;
-``--heartbeat-seconds`` and ``--straggler-seconds`` tune failure detection and
-speculative reassignment.
 
 Solver selection
 ----------------
@@ -61,10 +46,8 @@ Crash safety
 checksummed journal (:mod:`repro.core.journal`); ``--resume`` replays an
 existing journal and recomputes only the missing delta, bit-for-bit identical
 to an uninterrupted run.  ``--journal-fsync {never,close,always}`` tunes
-durability.  ``repro worker --reconnect-seconds S`` keeps a worker dialling a
-restarted coordinator for S seconds instead of exiting when the connection
-drops.  ``--inject-faults SPEC`` (both subcommands) installs a deterministic
-fault plan (:mod:`repro.core.faults`) for chaos testing.
+durability.  ``--inject-faults SPEC`` installs a deterministic fault plan
+(:mod:`repro.core.faults`) for chaos testing.
 """
 
 from __future__ import annotations
@@ -77,7 +60,6 @@ from dataclasses import replace
 
 from .config import AnalysisConfig, AttackParams, ProtocolParams, known_scenario_names
 from .core import SelfishMiningAnalyzer, ascii_plot, render_table, write_csv
-from .core.distributed import parse_address, run_worker
 from .core.reporting import ProgressReporter
 from .core.sweep import SweepConfig, run_sweep
 from .lint.engine import add_lint_arguments
@@ -110,13 +92,6 @@ def _positive_float(value: str) -> float:
     return number
 
 
-def _nonnegative_float(value: str) -> float:
-    number = float(value)
-    if number < 0.0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {value}")
-    return number
-
-
 def _fault_plan_spec(value: str) -> str:
     """Validate an ``--inject-faults`` plan early; return the spec unchanged."""
     from .core.faults import parse_fault_plan
@@ -133,8 +108,8 @@ def _install_faults(args: argparse.Namespace) -> None:
     """Install the ``--inject-faults`` plan process-wide (and for children).
 
     The spec is exported through ``REPRO_FAULTS`` so forked/spawned pool
-    workers and ``repro worker`` subprocesses self-install the same plan, and
-    installed in-process so the current command sees it immediately.
+    workers self-install the same plan, and installed in-process so the
+    current command sees it immediately.
     """
     spec = getattr(args, "inject_faults", None)
     if spec is None:
@@ -145,15 +120,6 @@ def _install_faults(args: argparse.Namespace) -> None:
 
     os.environ[FAULTS_ENV_VAR] = spec
     install_fault_plan(spec)
-
-
-def _address(value: str) -> str:
-    """Validate a ``HOST:PORT`` argument and return it unchanged."""
-    try:
-        parse_address(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
 def _attack_name(value: str) -> str:
@@ -262,42 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rebuild the MDP from scratch at every grid point (disable the skeleton cache)",
     )
     sweep.add_argument(
-        "--distributed",
-        action="store_true",
-        help="coordinate the sweep over remote `repro worker` processes instead of a local pool",
-    )
-    sweep.add_argument(
-        "--listen",
-        type=_address,
-        default="127.0.0.1:7355",
-        metavar="HOST:PORT",
-        help="address the distributed coordinator listens on (port 0 = ephemeral; "
-        "requires --distributed)",
-    )
-    sweep.add_argument(
-        "--min-workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="workers to wait for before streaming distributed work units",
-    )
-    sweep.add_argument(
-        "--heartbeat-seconds",
-        type=_positive_float,
-        default=None,
-        metavar="S",
-        help="worker heartbeat interval; a worker silent for 3x this is presumed dead "
-        "(default 5, or REPRO_HEARTBEAT_SECONDS)",
-    )
-    sweep.add_argument(
-        "--straggler-seconds",
-        type=_positive_float,
-        default=None,
-        metavar="S",
-        help="age after which an outstanding unit is speculatively duplicated onto an "
-        "idle worker (default 30, or REPRO_STRAGGLER_SECONDS)",
-    )
-    sweep.add_argument(
         "--journal",
         type=str,
         default=None,
@@ -323,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="deterministic fault plan for chaos testing, e.g. "
-        "'engine.point_transient:2,distributed.result_drop:1:*' "
+        "'engine.point_transient:2,engine.worker_crash_pre_result:1' "
         "(also read from REPRO_FAULTS)",
     )
     sweep.add_argument(
@@ -331,58 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress progress and summary diagnostics on stderr "
         "(the plot, failures and CSV path still print)",
-    )
-
-    worker = subparsers.add_parser(
-        "worker", help="serve a distributed-sweep coordinator as a remote worker"
-    )
-    worker.add_argument(
-        "--connect",
-        type=_address,
-        required=True,
-        metavar="HOST:PORT",
-        help="address of the coordinator started with `repro sweep --distributed --listen`",
-    )
-    worker.add_argument(
-        "--capacity",
-        type=_positive_int,
-        default=1,
-        metavar="K",
-        help="work units this worker computes concurrently (thread pool size)",
-    )
-    worker.add_argument(
-        "--heartbeat-seconds",
-        type=_positive_float,
-        default=None,
-        metavar="S",
-        help="interval between heartbeat frames sent to the coordinator",
-    )
-    worker.add_argument(
-        "--connect-retry-seconds",
-        type=_positive_float,
-        default=10.0,
-        metavar="S",
-        help="how long to keep retrying the initial connection (workers may start first)",
-    )
-    worker.add_argument(
-        "--reconnect-seconds",
-        type=_nonnegative_float,
-        default=60.0,
-        metavar="S",
-        help="after losing the coordinator, keep redialling for S seconds before "
-        "giving up (0 = exit on first disconnect; default 60)",
-    )
-    worker.add_argument(
-        "--inject-faults",
-        type=_fault_plan_spec,
-        default=None,
-        metavar="SPEC",
-        help="deterministic fault plan for chaos testing (also read from REPRO_FAULTS)",
-    )
-    worker.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress per-unit progress lines on stderr",
     )
 
     simulate = subparsers.add_parser("simulate", help="Monte-Carlo validate the computed strategy")
@@ -484,34 +362,15 @@ def _command_sweep(args: argparse.Namespace) -> int:
         use_structure_cache=not args.no_structure_cache,
         warm_start_across_points=args.warm_start_across_points,
         reuse_p_axis_bounds=args.reuse_p_bounds,
-        coordinator=args.listen if args.distributed else None,
-        distributed_workers=args.min_workers if args.distributed else 0,
         journal_path=args.journal,
         journal_resume=args.resume,
         journal_fsync=args.journal_fsync,
     )
     # One reporter for every diagnostic line: per-point progress from the
-    # execution plane plus the fabric/journal summaries below.  --quiet
-    # silences all of it while stdout keeps the actual results.
+    # execution plane plus the journal summary below.  --quiet silences all
+    # of it while stdout keeps the actual results.
     reporter = ProgressReporter.stderr(quiet=args.quiet)
-    if args.distributed:
-        from .core.distributed import run_distributed_sweep
-
-        sweep = run_distributed_sweep(
-            config,
-            progress=reporter,
-            heartbeat_seconds=args.heartbeat_seconds,
-            straggler_seconds=args.straggler_seconds,
-        )
-        fabric = sweep.metadata.get("distributed", {})
-        reporter(
-            f"distributed: {fabric.get('units', 0)} unit(s) over "
-            f"{len(fabric.get('workers', {}))} worker(s), "
-            f"{fabric.get('reassigned_units', 0)} reassigned, "
-            f"{fabric.get('duplicated_units', 0)} duplicated"
-        )
-    else:
-        sweep = run_sweep(config, progress=reporter)
+    sweep = run_sweep(config, progress=reporter)
     journal_meta = sweep.metadata.get("journal")
     if journal_meta:
         reporter(
@@ -530,25 +389,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         path = write_csv([point.to_row() for point in sweep.points], args.csv)
         print(f"\nwrote {path}")
     return 0 if not sweep.failures else 1
-
-
-def _command_worker(args: argparse.Namespace) -> int:
-    _install_faults(args)
-    summary = run_worker(
-        args.connect,
-        capacity=args.capacity,
-        heartbeat_seconds=args.heartbeat_seconds,
-        connect_retry_seconds=args.connect_retry_seconds,
-        reconnect_seconds=args.reconnect_seconds,
-        progress=ProgressReporter.stderr(quiet=args.quiet),
-    )
-    print(
-        f"worker done: {summary.units} unit(s), {summary.outcomes} point(s), "
-        f"builds={summary.builds}, attaches={summary.attaches}, "
-        f"reconnects={summary.reconnects}, "
-        f"{'clean shutdown' if summary.clean_shutdown else 'connection lost'}"
-    )
-    return 0 if summary.clean_shutdown else 1
 
 
 def _command_attacks(args: argparse.Namespace) -> int:
@@ -603,8 +443,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_analyze(args)
     if args.command == "sweep":
         return _command_sweep(args)
-    if args.command == "worker":
-        return _command_worker(args)
     if args.command == "simulate":
         return _command_simulate(args)
     if args.command == "attacks":

@@ -152,7 +152,7 @@ class AttackParams:
         return self.depth * self.forks
 
     def to_dict(self) -> Dict[str, object]:
-        """Serialise to a plain dictionary (for CSV / JSON / wire reporting)."""
+        """Serialise to a plain dictionary (for CSV / JSON reporting)."""
         return {
             "depth": self.depth,
             "forks": self.forks,

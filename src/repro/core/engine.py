@@ -45,17 +45,13 @@ The pool start method follows the platform default (fork on Linux, spawn
 elsewhere) and can be forced with the ``REPRO_TEST_START_METHOD`` environment
 variable (used by CI to exercise the spawn path on Linux runners).
 
-With ``SweepConfig.coordinator`` set the engine delegates to the distributed
-multi-host fabric (:mod:`repro.core.distributed`): the same tasks stream over
-TCP to remote ``repro worker`` processes, and the same payload travels in the
-coordinator's ``welcome`` frame.  Every execution backend upholds the same two
-invariants:
+Both execution backends uphold the same two invariants:
 
-* **Zero worker explorations** -- pool and remote workers alike receive every
-  skeleton pre-built (``structure_cache_stats()["builds"] == 0`` in workers).
+* **Zero worker explorations** -- pool workers receive every skeleton
+  pre-built (``structure_cache_stats()["builds"] == 0`` in workers).
 * **Certified-bound reproducibility** -- the certified ``beta_low``/``beta_up``
-  of every point are bit-for-bit identical across worker counts, hosts and
-  scheduling order; only wall-clock metadata may differ.
+  of every point are bit-for-bit identical across worker counts, start
+  methods and scheduling order; only wall-clock metadata may differ.
 """
 
 from __future__ import annotations
@@ -401,20 +397,6 @@ def execute_sweep(
         (honest, single-tree, attacks...)`` independent of worker scheduling,
         with per-point timings attached and failures isolated.
     """
-    if getattr(config, "connect", None):
-        raise ValueError(
-            "SweepConfig.connect designates this process as a remote worker; "
-            "run `repro worker --connect HOST:PORT` (repro.core.distributed."
-            "run_worker) instead of run_sweep"
-        )
-    if getattr(config, "coordinator", None):
-        # Distributed execution: fan the same tasks out to remote workers over
-        # TCP instead of a local process pool.  Imported lazily to break the
-        # engine <-> distributed import cycle.
-        from .distributed import run_distributed_sweep
-
-        return run_distributed_sweep(config, progress=progress)
-
     workers = int(config.workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {config.workers}")
@@ -439,13 +421,12 @@ def assemble_sweep_result(
 
     The closed-form baseline series are evaluated here, in the calling process,
     and ``outcomes`` -- keyed by ``(gamma_index, p_index, attack_index)`` grid
-    coordinates, however they were computed (local pool or distributed fabric)
-    -- are re-ordered into the canonical ``gamma -> p -> series`` order with
-    failures isolated, so every execution backend produces an identically
+    coordinates, however they were computed (in-process or on the pool) --
+    are re-ordered into the canonical ``gamma -> p -> series`` order with
+    failures isolated, so both execution backends produce an identically
     shaped :class:`SweepResult`.  A grid key with no collected outcome at all
-    -- a distributed shutdown that lost a unit -- becomes a
-    :class:`SweepFailure` instead of a crash that would discard every point
-    that *was* collected.
+    becomes a :class:`SweepFailure` instead of a crash that would discard
+    every point that *was* collected.
     """
     points: List[SweepPoint] = []
     failures: List[SweepFailure] = []

@@ -1,11 +1,6 @@
 """One execution plane: sweep scheduling, backend protocol and merge pipeline.
 
-Historically the sweep machinery lived twice: ``execute_sweep``
-(:mod:`repro.core.engine`) and ``run_distributed_sweep``
-(:mod:`repro.core.distributed`) each reimplemented scheduling, journaling,
-retry bookkeeping, baseline synthesis and progress reporting inside one big
-batch driver.  This module decomposes that machinery into three explicit
-layers, shared by every way a sweep can run:
+The sweep machinery is split into three explicit layers:
 
 1. :class:`SweepPlan` -- the *schedulable* form of a sweep grid.  The plan
    owns the task list (one unit per grid point, or one unit per ``(gamma,
@@ -21,45 +16,37 @@ layers, shared by every way a sweep can run:
    :class:`~repro.core.engine.PointOutcome`\\ s, and *nothing else*:
    ``start(plan)`` acquires resources, ``outcomes()`` streams outcome events,
    ``close()`` releases resources (idempotent).  :class:`SerialBackend` runs
-   units in-process in submission order, :class:`PoolBackend` fans them over a
-   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers install the
-   parent's packed skeletons and return outcomes through their futures, and
-   :class:`DistributedBackend` wraps the TCP coordinator fabric.  Backends
-   never journal, never merge, never synthesize failures.
+   units in-process in submission order and :class:`PoolBackend` fans them
+   over a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
+   install the parent's packed skeletons and return outcomes through their
+   futures.  Backends never journal, never merge, never synthesize failures.
 
-3. :class:`MergeSink` -- the single merge pipeline that the engine's old
-   ``collect()`` closure and the coordinator's ``_record_result`` /
-   ``_journal`` used to duplicate: idempotent grid-key merge, journal append
-   (a no-op for replayed keys), unit-level first-result-wins with
-   fewer-errors-wins recompute replacement, synthesized failures for crashed
-   units, progress reporting through :class:`~repro.core.reporting.
-   ProgressReporter`, and final assembly into a
-   :class:`~repro.core.results.SweepResult`.  The sink is also the streaming
-   seam a future query API will sit on: every outcome flows through
-   :meth:`MergeSink.accept` (or :meth:`MergeSink.accept_unit`) the moment it
-   exists, so an observer can serve certified bounds *while* the sweep runs.
+3. :class:`MergeSink` -- the single merge pipeline: idempotent grid-key merge,
+   journal append (a no-op for replayed keys), synthesized failures for
+   crashed units, progress reporting through
+   :class:`~repro.core.reporting.ProgressReporter`, and final assembly into a
+   :class:`~repro.core.results.SweepResult`.  Every outcome flows through
+   :meth:`MergeSink.accept` the moment it exists, so the journal is
+   crash-safe mid-sweep.
 
 :func:`execute_plan` is the thin orchestration over the three layers::
 
-    plan -> journal resume-filter -> backend.run(plan, sink) -> assemble
+    plan -> journal resume-filter -> backend events -> sink -> assemble
 
-and is what :func:`repro.core.engine.execute_sweep` and
-:func:`repro.core.distributed.run_distributed_sweep` now delegate to.  Lint
-rule RL007 (:mod:`repro.lint.rules.merge_pipeline`) pins the design: no module
+and is what :func:`repro.core.engine.execute_sweep` delegates to.  Lint rule
+RL007 (:mod:`repro.lint.rules.merge_pipeline`) pins the design: no module
 outside this one may append to a sweep journal, mutate sweep-result metadata
 or call ``assemble_sweep_result``.
 
-Behavioral contract: every backend produces bit-for-bit the values of the
-pre-refactor serial path (certified bounds, ERRev, CSV value columns, journal
-records); only wall-clock metadata may differ.  The conformance suite
-(``tests/core/execution_conformance.py``) asserts this for all three backends
-under fork and spawn.
+Behavioral contract: both backends produce bit-for-bit the same values
+(certified bounds, ERRev, CSV value columns, journal records); only
+wall-clock metadata may differ.  The conformance suite
+(``tests/core/execution_conformance.py``) asserts this under fork and spawn.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import (
@@ -76,7 +63,6 @@ from typing import (
     Union,
 )
 
-from ..exceptions import ModelError
 from . import engine as _engine
 from .journal import GridKey
 from .reporting import ProgressReporter
@@ -128,7 +114,7 @@ class SweepPlan:
         Non-empty only when ``warm_start_across_points`` or
         ``reuse_p_axis_bounds`` chains a series, in which case every point of a
         unit (except the first) depends on the previous p point -- the reason
-        a whole series travels as one unit and never crosses a process or host
+        a whole series travels as one unit and never crosses a process
         boundary.  Keys absent from the mapping may start immediately.
         """
         edges: Dict[GridKey, GridKey] = {}
@@ -179,12 +165,11 @@ class MergeSink:
 
     Every computed :class:`~repro.core.engine.PointOutcome` -- whatever backend
     produced it -- flows through this object exactly once.  The sink owns the
-    idempotent grid-key merge (last write wins at key level; :meth:`accept_unit`
-    adds the coordinator's unit-level first-result-wins / fewer-errors-wins
-    discipline on top), the durable journal append (``record`` is a no-op for
-    replayed keys), synthesized failures for units whose worker died, and
-    progress reporting.  Baseline synthesis and per-point transient-retry
-    accounting (``metadata["recovery"]``) happen in :meth:`assemble`, which
+    idempotent grid-key merge (last write wins at key level), the durable
+    journal append (``record`` is a no-op for replayed keys), synthesized
+    failures for units whose worker died, and progress reporting.  Baseline
+    synthesis and per-point transient-retry accounting
+    (``metadata["recovery"]``) happen in :meth:`assemble`, which
     re-orders the merged outcomes into the canonical ``gamma -> p -> series``
     :class:`~repro.core.results.SweepResult`.
     """
@@ -201,7 +186,6 @@ class MergeSink:
         self.reporter = reporter
         self.journal = journal
         self.outcomes: Dict[GridKey, "PointOutcome"] = {}
-        self._unit_outcomes: Dict[int, List["PointOutcome"]] = {}
 
     @staticmethod
     def key_of(outcome: "PointOutcome") -> GridKey:
@@ -220,46 +204,11 @@ class MergeSink:
                 self.journal.record(outcome)
             self.reporter(_engine.describe_outcome(outcome))
 
-    def accept_unit(self, unit_id: int, outcomes: List["PointOutcome"]) -> int:
-        """Merge one whole unit's outcomes with duplicate-delivery discipline.
-
-        The first result per unit wins -- a straggler-duplicated or
-        reassigned-but-alive worker recomputes the same grid keys to the same
-        values -- unless the accepted result carried errors and the recompute
-        has fewer (a host-specific transient failure must not outrank a clean
-        value), in which case the recompute replaces it.
-
-        Returns:
-            The number of errored points replaced (0 for a first delivery or
-            an ignored duplicate), so the caller can attribute the replacement
-            to the worker that computed it.
-        """
-        previous = self._unit_outcomes.get(unit_id)
-        if previous is not None:
-            previous_errors = sum(1 for o in previous if o.error is not None)
-            new_errors = sum(1 for o in outcomes if o.error is not None)
-            if previous_errors and new_errors < previous_errors:
-                self._unit_outcomes[unit_id] = list(outcomes)
-                for outcome in outcomes:
-                    self.outcomes[self.key_of(outcome)] = outcome
-                    if self.journal is not None:
-                        self.journal.record(outcome)
-                return previous_errors
-            return 0
-        self._unit_outcomes[unit_id] = list(outcomes)
-        for outcome in outcomes:
-            self.outcomes[self.key_of(outcome)] = outcome
-            if self.journal is not None:
-                self.journal.record(outcome)
-        for outcome in outcomes:
-            self.reporter(_engine.describe_outcome(outcome))
-        return 0
-
     def synthesize_missing(self, task: "AttackTask", message: str) -> None:
         """Record synthesized failures for a crashed unit's unreported keys.
 
-        Only grid keys that never made it anywhere (no result, no duplicate
-        delivery) become failures, so each key is merged exactly once.
+        Only grid keys that never made it anywhere become failures, so each
+        key is merged exactly once.
         """
         self.accept(
             [
@@ -332,22 +281,15 @@ class ExecutionBackend:
     :class:`~repro.core.engine.PointOutcome`\\ s; it never journals, merges or
     assembles.  The contract is
 
-    * :meth:`start` -- acquire resources for a plan (pools, sockets),
+    * :meth:`start` -- acquire resources for a plan (the process pool),
     * :meth:`outcomes` -- stream :class:`OutcomeBatch` / :class:`UnitCrash`
       events as units complete,
     * :meth:`close` -- release every resource; must be idempotent and safe
       after a partial :meth:`start`,
 
-    and :meth:`run` is the pull-mode driver over those three, feeding each
-    event into the :class:`MergeSink`.  :class:`DistributedBackend` overrides
-    :meth:`run` to push outcomes into the sink from its event loop instead
-    (same seam, push mode).  :meth:`describe` and :meth:`metadata` supply the
-    backend-specific result description and metadata blocks, so the
-    orchestration in :func:`execute_plan` stays backend-agnostic.
+    and :func:`execute_plan` drives those three, feeding each event into the
+    :class:`MergeSink`.
     """
-
-    #: Short identifier used by harnesses and benchmarks.
-    name: str = "backend"
 
     def start(self, plan: SweepPlan) -> None:
         """Acquire the resources needed to execute ``plan``'s pending units."""
@@ -360,42 +302,12 @@ class ExecutionBackend:
     def close(self) -> None:
         """Release every resource acquired by :meth:`start` (idempotent)."""
 
-    def describe(self, plan: SweepPlan) -> str:
-        """One-line description of how the sweep ran (``SweepResult.description``)."""
-        config = plan.config
-        return (
-            f"figure-2 sweep over p={list(config.p_values)} and gamma={list(config.gammas)} "
-            f"(workers={int(config.workers)})"
-        )
-
-    def metadata(self, plan: SweepPlan, sink: MergeSink) -> Dict[str, object]:
-        """Backend-specific ``SweepResult.metadata`` entries (may be empty)."""
-        return {}
-
-    def run(self, plan: SweepPlan, sink: MergeSink) -> None:
-        """Default driver: start, feed every streamed event to the sink, close."""
-        self.start(plan)
-        stream = self.outcomes()
-        try:
-            for event in stream:
-                if isinstance(event, UnitCrash):
-                    sink.synthesize_missing(plan.tasks[event.unit_id], event.message)
-                else:
-                    sink.accept(event.outcomes)
-        finally:
-            close_stream = getattr(stream, "close", None)
-            if close_stream is not None:
-                close_stream()
-            self.close()
-
 
 class SerialBackend(ExecutionBackend):
     """In-process execution: units run in submission order on this thread.
 
     The reference backend: deterministic ordering, no IPC.
     """
-
-    name = "serial"
 
     def __init__(self) -> None:
         """Create an idle serial backend (resources acquired by ``start``)."""
@@ -416,16 +328,14 @@ class PoolBackend(ExecutionBackend):
     """Process-pool execution: skeletons in as one payload, outcomes out by pickle.
 
     The parent builds every skeleton of the grid once and packs them with
-    :func:`~repro.core.shared_structures.pack_structures` -- the bytes the
-    distributed coordinator sends in its ``welcome`` frame.  Every worker,
-    fork- or spawn-started, installs them in its initializer through the same
-    helper remote workers use, so workers perform zero explorations
+    :func:`~repro.core.shared_structures.pack_structures`.  Every worker,
+    fork- or spawn-started, installs them in its initializer through
+    :func:`~repro.core.shared_structures.install_structure_payload`, so
+    workers perform zero explorations
     (``structure_cache_stats()["builds"] == 0``).  Each unit's outcomes return
     through its future; a unit whose worker died becomes a :class:`UnitCrash`
     once the pool has joined, and every point of it a synthesized failure.
     """
-
-    name = "pool"
 
     def __init__(self) -> None:
         """Create an idle pool backend (resources acquired by ``start``)."""
@@ -478,132 +388,6 @@ class PoolBackend(ExecutionBackend):
             yield UnitCrash(unit_id=unit_id, message=message)
 
 
-class DistributedBackend(ExecutionBackend):
-    """TCP coordinator execution: units stream to remote ``repro worker``\\ s.
-
-    Wraps the fabric of :mod:`repro.core.distributed`.  This backend is
-    *push-mode*: outcome frames arrive inside the coordinator's asyncio event
-    loop, which feeds them to :meth:`MergeSink.accept_unit` the moment they
-    land (unit-level merge: first result wins, fewer-errors-wins recompute
-    replacement) -- so journal appends stay crash-safe mid-sweep instead of
-    buffering until the loop exits.  :meth:`run` is overridden accordingly;
-    :meth:`outcomes` therefore never yields and raises if called.
-    """
-
-    name = "distributed"
-
-    def __init__(
-        self,
-        *,
-        heartbeat_seconds: Optional[float] = None,
-        straggler_seconds: Optional[float] = None,
-        timeout: Optional[float] = None,
-        on_listen: Optional[Callable[[str, int], None]] = None,
-    ) -> None:
-        """Configure the fabric (``None`` tunables resolve to env defaults)."""
-        self._heartbeat_seconds = heartbeat_seconds
-        self._straggler_seconds = straggler_seconds
-        self._timeout = timeout
-        self._on_listen = on_listen
-        self._listen: Optional[Tuple[str, int]] = None
-        self._coordinator: Optional[object] = None
-
-    def start(self, plan: SweepPlan) -> None:
-        """No-op: the fabric's lifetime is contained in :meth:`run`."""
-
-    def outcomes(self) -> Iterator[BackendEvent]:
-        """Unused: outcomes are pushed into the sink from the event loop."""
-        raise RuntimeError(
-            "DistributedBackend streams outcomes by pushing into the MergeSink "
-            "from the coordinator event loop; drive it with run(plan, sink)"
-        )
-
-    def run(self, plan: SweepPlan, sink: MergeSink) -> None:
-        """Serve the coordinator fabric until every pending unit completes."""
-        from . import distributed as fabric
-
-        config = plan.config
-        heartbeat_seconds = fabric.resolve_heartbeat_seconds(self._heartbeat_seconds)
-        straggler_seconds = fabric.resolve_straggler_seconds(self._straggler_seconds)
-        host, port = fabric.parse_address(str(config.coordinator))
-        self._listen = (host, port)
-        tasks = list(plan.tasks)
-        structures_blob: Optional[bytes] = None
-        if tasks and config.use_structure_cache:
-            structures = _engine._prewarm_structure_cache(config)
-            if structures:
-                structures_blob = pack_structures(structures)
-                if len(structures_blob) >= fabric.MAX_FRAME_BYTES - 4096:
-                    # Fail fast: otherwise every worker handshake would raise
-                    # on the oversized welcome frame and the sweep would hang
-                    # with no worker ever accepted.
-                    raise ModelError(
-                        f"packed model structures ({len(structures_blob)} bytes) exceed the "
-                        f"wire frame cap of {fabric.MAX_FRAME_BYTES} bytes; reduce the grid "
-                        f"or disable use_structure_cache"
-                    )
-        coordinator = fabric._Coordinator(
-            tasks,
-            structures_blob,
-            min_workers=int(config.distributed_workers),
-            heartbeat_seconds=heartbeat_seconds,
-            straggler_seconds=straggler_seconds,
-            report=sink.reporter,
-            sink=sink,
-        )
-        self._coordinator = coordinator
-        # Journal resume: replayed units pre-complete before the fabric even
-        # listens, so a resumed sweep streams only the delta to workers.
-        if plan.replayed_units:
-            coordinator.completed_units.update(plan.replayed_units)
-            coordinator.pending = deque(
-                unit_id
-                for unit_id in range(len(tasks))
-                if unit_id not in coordinator.completed_units
-            )
-        if sink.journal is not None and sink.journal.replayed:
-            sink.reporter(
-                f"journal resume: {len(plan.replayed_units)} of {len(tasks)} unit(s) "
-                f"replayed from {sink.journal.path}"
-            )
-        if len(coordinator.completed_units) < len(tasks):
-            coordinator.serve(host, port, timeout=self._timeout, on_listen=self._on_listen)
-        elif tasks:
-            sink.reporter("journal resume: every unit already journaled; skipping the fabric")
-
-    def describe(self, plan: SweepPlan) -> str:
-        """Distributed description: worker count and the listen address."""
-        from .distributed import _Coordinator
-
-        config = plan.config
-        coordinator = self._coordinator
-        assert isinstance(coordinator, _Coordinator) and self._listen is not None  # run() ran
-        host, port = self._listen
-        return (
-            f"figure-2 sweep over p={list(config.p_values)} and gamma={list(config.gammas)} "
-            f"(distributed over {len(coordinator.worker_stats) or coordinator.workers_ever} "
-            f"worker(s) via {host}:{port})"
-        )
-
-    def metadata(self, plan: SweepPlan, sink: MergeSink) -> Dict[str, object]:
-        """The ``metadata["distributed"]`` fabric-statistics block."""
-        from .distributed import _Coordinator
-
-        coordinator = self._coordinator
-        assert isinstance(coordinator, _Coordinator) and self._listen is not None  # run() ran
-        host, port = self._listen
-        return {
-            "distributed": {
-                "listen": f"{host}:{port}",
-                "workers": coordinator.worker_stats,
-                "reassigned_units": coordinator.reassigned_units,
-                "duplicated_units": coordinator.duplicated_units,
-                "rejoined_workers": coordinator.rejoined_workers,
-                "units": len(plan.tasks),
-            }
-        }
-
-
 # -------------------------------------------------------------- orchestration
 
 
@@ -613,16 +397,15 @@ def execute_plan(
     *,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
-    """Thin orchestration: plan -> resume filter -> ``backend.run`` -> assemble.
+    """Thin orchestration: plan -> resume filter -> backend events -> assemble.
 
     The only function in the package that opens a sweep journal, constructs a
-    :class:`MergeSink` and attaches result metadata -- every execution path
-    (:func:`repro.core.engine.execute_sweep`,
-    :func:`repro.core.distributed.run_distributed_sweep`) funnels through it,
-    so resume semantics and metadata shapes cannot drift between backends.
-    The journal is sealed in a ``finally`` *before* the result is assembled,
-    so its durability policy runs even when the backend (or a progress
-    callback used for cancellation) raises.
+    :class:`MergeSink` and attaches result metadata -- both backends funnel
+    through it, so resume semantics and metadata shapes cannot drift between
+    them.  The backend's stream and resources are released, and the journal
+    is sealed, in ``finally`` blocks *before* the result is assembled, so the
+    durability policy runs even when the backend (or a progress callback used
+    for cancellation) raises.
     """
     reporter = ProgressReporter.wrap(progress)
     plan = SweepPlan.build(config)
@@ -645,13 +428,28 @@ def execute_plan(
     if replayed:
         sink.replay(replayed)
     try:
-        backend.run(plan, sink)
+        backend.start(plan)
+        stream = backend.outcomes()
+        try:
+            for event in stream:
+                if isinstance(event, UnitCrash):
+                    sink.synthesize_missing(plan.tasks[event.unit_id], event.message)
+                else:
+                    sink.accept(event.outcomes)
+        finally:
+            close_stream = getattr(stream, "close", None)
+            if close_stream is not None:
+                close_stream()
+            backend.close()
     finally:
         if journal is not None:
             journal.close()
-    result = sink.assemble(description=backend.describe(plan))
-    for key, value in backend.metadata(plan, sink).items():
-        result.metadata[key] = value
+    result = sink.assemble(
+        description=(
+            f"figure-2 sweep over p={list(config.p_values)} and gamma={list(config.gammas)} "
+            f"(workers={int(config.workers)})"
+        )
+    )
     journal_meta = sink.journal_metadata()
     if journal_meta is not None:
         result.metadata["journal"] = journal_meta
@@ -660,7 +458,6 @@ def execute_plan(
 
 __all__ = [
     "BackendEvent",
-    "DistributedBackend",
     "ExecutionBackend",
     "MergeSink",
     "OutcomeBatch",

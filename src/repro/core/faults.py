@@ -1,20 +1,19 @@
-"""Deterministic fault injection for the sweep fabric's recovery paths.
+"""Deterministic fault injection for the sweep engine's recovery paths.
 
 Recovery logic that is never driven through its failure space should be
-presumed wrong: the heartbeat requeue, straggler duplication, journal resume
-and worker-reconnect paths all exist to handle events (crashes, drops,
-corruption) that ordinary test runs never produce.  This module makes those
-events *reproducible*: a :class:`FaultPlan` names injection **sites** and the
-exact hit at which each fires, so "the second result frame this process sends
-is corrupted" is a deterministic test input rather than a prayer to the
-scheduler.
+presumed wrong: the per-point retry, crashed-unit isolation and journal
+resume paths all exist to handle events (transient errors, worker deaths)
+that ordinary test runs never produce.  This module makes those events
+*reproducible*: a :class:`FaultPlan` names injection **sites** and the exact
+hit at which each fires, so "the second point this process computes raises"
+is a deterministic test input rather than a prayer to the scheduler.
 
 Sites and actions
 -----------------
 Every injection point in the package calls ``maybe_fail("<site>")`` with a
 name registered in :data:`FAULT_SITES`; the call returns ``True`` when the
 active plan says this hit fires.  What happens then is decided *at the call
-site* (raise, ``os._exit``, drop a frame, ...), so the effect of each fault is
+site* (raise or ``os._exit``), so the effect of each fault is
 visible exactly where it strikes.  Calling :func:`maybe_fail` with an
 unregistered name raises -- and the ``repro lint`` rule RL006 enforces the
 same registration statically, so no injection point can silently rot.
@@ -29,16 +28,14 @@ A plan is a comma-separated list of specs::
 
 installed either programmatically (:func:`install_fault_plan`) or through the
 ``REPRO_FAULTS`` environment variable, which the CLI's ``--inject-faults``
-flag sets so pool workers (fork and spawn alike) and distributed worker
-subprocesses inherit the plan.  Hit counters are **per process**: each worker
-counts its own hits, which keeps the Nth-hit semantics deterministic per
-process regardless of how work is scheduled across processes.
+flag sets so pool workers (fork and spawn alike) inherit the plan.  Hit
+counters are **per process**: each worker counts its own hits, which keeps
+the Nth-hit semantics deterministic per process regardless of how work is
+scheduled across processes.
 
-The module also hosts the shared recovery knobs: transient-error
-classification for the engine's bounded per-point retries
-(:func:`is_transient_error`, limit from ``REPRO_POINT_RETRIES``) and the
-capped exponential backoff schedule used by worker connect/reconnect loops
-(:func:`backoff_delays`).
+The module also hosts the recovery knobs of the engine's bounded per-point
+retries: transient-error classification (:func:`is_transient_error`) and the
+retry limit (:func:`point_retry_limit`, from ``REPRO_POINT_RETRIES``).
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..exceptions import ConfigurationError, ModelError
 
@@ -71,18 +68,6 @@ FAULT_SITES: Dict[str, str] = {
     "engine.worker_crash_pre_result": (
         "worker process dies (os._exit) after computing a point but before "
         "its unit returns (every point of the unit is lost with it)"
-    ),
-    "distributed.result_drop": (
-        "worker silently drops one result frame (the coordinator must "
-        "recover via heartbeat requeue or straggler duplication)"
-    ),
-    "distributed.result_corrupt": (
-        "worker corrupts the bytes of one result frame (the coordinator "
-        "must reject the frame and drop the worker, which then reconnects)"
-    ),
-    "distributed.heartbeat_stall": (
-        "worker skips sending one heartbeat frame (enough stalls in a row "
-        "make the coordinator presume it dead and requeue its units)"
     ),
 }
 
@@ -131,8 +116,7 @@ class FaultPlan:
     """A set of :class:`FaultSpec` entries plus per-process hit counters.
 
     Counters are mutated under an instance lock so concurrently computing
-    threads (a distributed worker with ``capacity > 1``) observe a total
-    order of hits.  Plans are process-local by design -- they carry a lock
+    threads observe a total order of hits.  Plans are process-local by design -- they carry a lock
     and never cross a pickle boundary; subprocesses re-parse ``REPRO_FAULTS``.
     """
 
@@ -312,21 +296,6 @@ def point_retry_limit() -> int:
     return limit
 
 
-def backoff_delays(
-    *, initial: float = 0.25, factor: float = 2.0, cap: float = 5.0
-) -> Iterator[float]:
-    """Yield capped exponential backoff delays: ``initial``, ``initial*factor``, ...
-
-    Used by the distributed worker's initial-connect and reconnect loops; the
-    cap keeps a long outage from inflating the probe interval past the point
-    where a restarted coordinator sits unnoticed.
-    """
-    delay = initial
-    while True:
-        yield min(delay, cap)
-        delay = min(delay * factor, cap)
-
-
 __all__: Tuple[str, ...] = (
     "DEFAULT_POINT_RETRIES",
     "FAULTS_ENV_VAR",
@@ -336,7 +305,6 @@ __all__: Tuple[str, ...] = (
     "FaultSpec",
     "InjectedFault",
     "active_fault_plan",
-    "backoff_delays",
     "fault_stats",
     "install_fault_plan",
     "is_transient_error",

@@ -45,10 +45,10 @@ Resume semantics
 ----------------
 :meth:`SweepJournal.replayed_outcomes` returns the journaled *successful*
 points keyed by grid coordinates.  Records carrying an ``error`` are replayed
-as absent so failed points get a fresh chance on resume.  The engine and the
-distributed coordinator skip a unit of work only when **all** of its grid keys
-are replayed; a partially journaled chained series (``warm_start_across_points``
-/ ``reuse_p_axis_bounds``) is recomputed whole, which is safe because the
+as absent so failed points get a fresh chance on resume.  The engine skips a
+unit of work only when **all** of its grid keys are replayed; a partially
+journaled chained series (``warm_start_across_points`` /
+``reuse_p_axis_bounds``) is recomputed whole, which is safe because the
 recomputed values are identical and the journal merge is last-write-wins on
 equal values.
 """
@@ -180,8 +180,8 @@ class SweepJournal:
     Create via :meth:`open`; call :meth:`record` per computed outcome and
     :meth:`close` (or use as a context manager) when the sweep finishes.
     Instances are process-local and must only be written from the process that
-    owns the sweep (engine parent or distributed coordinator) -- workers ship
-    outcomes to the owner, which journals them exactly once.
+    owns the sweep (the engine parent) -- workers ship outcomes to the owner,
+    which journals them exactly once.
     """
 
     def __init__(

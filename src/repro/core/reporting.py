@@ -5,9 +5,8 @@ figures as ASCII plots (one chart per gamma, one marker per series) and to dump
 machine-readable CSV files next to the benchmark output.
 
 :class:`ProgressReporter` is the one progress channel of the execution plane
-(:mod:`repro.core.execution`): the engine, the distributed coordinator and the
-remote worker all report through it instead of each wrapping its own
-``if progress is not None`` closure, and the CLI builds it once with consistent
+(:mod:`repro.core.execution`): the engine reports through it instead of
+wrapping its own ``if progress is not None`` closure, and the CLI builds it once with consistent
 ``--quiet`` semantics (progress always goes to stderr, never stdout).
 """
 
@@ -32,8 +31,7 @@ class ProgressReporter:
 
     Wraps an optional ``Callable[[str], None]`` callback so reporting sites
     can simply call the reporter (``reporter("gamma=... p=...")``) without the
-    ``if progress is not None`` guard that used to be copy-pasted into the
-    engine, the distributed coordinator and the remote worker.  A reporter
+    ``if progress is not None`` guard at every reporting site.  A reporter
     whose callback is ``None`` is *disabled* and swallows every message --
     exactly what ``--quiet`` means.
 

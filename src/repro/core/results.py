@@ -156,10 +156,11 @@ class SweepResult:
         description: Human-readable description of the sweep.
         failures: Points whose analysis raised; the sweep engine isolates
             per-point failures instead of aborting the whole grid.
-        metadata: Execution metadata attached by the engine -- a distributed
-            sweep records its fabric statistics under ``metadata["distributed"]``
-            (per-worker ``builds``/``attaches``/``units`` counters, reassigned
-            and speculatively duplicated unit counts).
+        metadata: Execution metadata attached by the engine -- a journaled
+            sweep records its journal statistics under ``metadata["journal"]``
+            (path, fsync policy, replayed and recorded point counts, skipped
+            units), and a sweep that survived transient failures records
+            ``metadata["recovery"]["point_retries"]``.
     """
 
     points: List[SweepPoint] = field(default_factory=list)
@@ -205,8 +206,8 @@ class SweepResult:
         """Return a new sweep containing the points of both sweeps.
 
         Points and failures concatenate; ``metadata`` merges *shallowly* with
-        ``other`` winning on key collisions -- merging two distributed sweeps
-        keeps only the second fabric's ``metadata["distributed"]`` stats.
+        ``other`` winning on key collisions -- merging two journaled sweeps
+        keeps only the second one's ``metadata["journal"]`` block.
         """
         return SweepResult(
             points=self.points + other.points,

@@ -6,16 +6,13 @@ configuration, a pure-Python breadth-first exploration that dominates model
 construction cost.  Sweep workers never explore.  The parent builds every
 skeleton of the grid once (:func:`repro.core.engine._prewarm_structure_cache`),
 :func:`pack_structures` serialises them into one flat byte string, and every
-worker installs that payload with :func:`install_structure_payload`:
-
-* pool workers in their initializer, fork- and spawn-started alike
-  (:class:`repro.core.execution.PoolBackend`);
-* remote workers when the coordinator's ``welcome`` frame arrives
-  (:mod:`repro.core.distributed`).
+pool worker installs that payload in its initializer with
+:func:`install_structure_payload`, fork- and spawn-started alike
+(:class:`repro.core.execution.PoolBackend`).
 
 One decode path therefore serves every worker, and
 ``structure_cache_stats()["builds"]`` stays 0 in all of them -- the
-backend-conformance suite asserts it on fork, spawn and remote workers.
+backend-conformance suite asserts it on fork and spawn workers.
 
 Payload format
 --------------
@@ -38,7 +35,7 @@ after the directory.  The versioned ``scenario_id`` selects the
 arrays, so a reader that does not implement the scenario (or implements
 another version of it) refuses the payload.
 
-The payload crosses TCP from remote peers, so decoding trusts nothing: the
+The payload crosses a process boundary, so decoding trusts nothing: the
 directory is JSON (never unpickled), every structure must carry exactly its
 scenario's buffers, every decoded skeleton passes
 :meth:`~repro.attacks.registry.ScenarioStructure.check_layout` (CSR offsets,
@@ -246,7 +243,7 @@ def install_structure_payload(payload: bytes) -> int:
     """Replace this process's structure cache with the skeletons in ``payload``.
 
     The one install path of every sweep worker: the pool initializer (fork and
-    spawn) and the distributed worker's ``welcome`` handling.  The payload is
+    spawn).  The payload is
     decoded first, so a malformed one leaves the cache untouched; the swap
     then drops whatever the process held before -- including the private
     copies and build counters a fork-started worker inherits from its parent

@@ -5,7 +5,8 @@ resource fraction ``p`` for several switching probabilities ``gamma``, comparing
 the paper's attack (for several ``(d, f)`` configurations) against honest mining
 and the single-tree baseline.  :func:`sweep_figure2` regenerates those series;
 the grid density and configuration list are configurable so the default harness
-stays within a laptop-scale time budget (see DESIGN.md).
+stays within a laptop-scale time budget: the paper's 0.01 p-step and its larger
+``(d, f)`` configurations are opt-in (``fine_grid``, ``attack_configs``).
 
 Execution is delegated to the sweep engine (:mod:`repro.core.engine`), which
 fans the attack grid out over a process pool (``workers``), reuses cached model
@@ -86,22 +87,6 @@ class SweepConfig:
             a process boundary.  Certified intervals still have width below
             ``epsilon``; the computed values can differ from cold-interval
             results by at most ``epsilon``.
-        coordinator: ``HOST:PORT`` to listen on as the coordinator of a
-            distributed multi-host sweep (:mod:`repro.core.distributed`): grid
-            units are streamed to remote ``repro worker`` processes over TCP
-            instead of a local pool, with the model skeletons shipped as the
-            same packed payload pool workers install.  ``None`` (default)
-            keeps execution local.  CLI: ``repro sweep --distributed --listen``.
-        connect: ``HOST:PORT`` of a remote coordinator this config's process
-            should serve as a *worker* (consumed by ``repro worker --connect`` /
-            :func:`repro.core.distributed.run_worker`, so one config object can
-            describe a whole fabric).  A config with ``connect`` set cannot be
-            passed to :func:`run_sweep` -- workers compute other sweeps' units,
-            they do not own a grid.  Mutually exclusive with ``coordinator``.
-        distributed_workers: Number of remote workers the coordinator waits
-            for before streaming work (0 = start with the first worker to
-            connect; late joiners are always welcome either way).  Only
-            meaningful together with ``coordinator``.
         journal_path: Path of the durable sweep journal
             (:mod:`repro.core.journal`).  When set, every computed
             :class:`~repro.core.engine.PointOutcome` is appended to this
@@ -129,9 +114,6 @@ class SweepConfig:
     use_structure_cache: bool = True
     warm_start_across_points: bool = False
     reuse_p_axis_bounds: bool = False
-    coordinator: Optional[str] = None
-    connect: Optional[str] = None
-    distributed_workers: int = 0
     journal_path: Optional[str] = None
     journal_resume: bool = False
     journal_fsync: str = "close"
@@ -166,19 +148,6 @@ class SweepConfig:
                 f"attack={self.attack!r} conflicts with attack_configs of scenario "
                 f"{next(iter(scenarios))!r}"
             )
-        if self.coordinator is not None and self.connect is not None:
-            raise ConfigurationError(
-                "coordinator and connect are mutually exclusive: a process either "
-                "listens for workers or serves a remote coordinator"
-            )
-        if self.distributed_workers < 0:
-            raise ConfigurationError(
-                f"distributed_workers must be >= 0, got {self.distributed_workers}"
-            )
-        if self.distributed_workers > 0 and self.coordinator is None:
-            raise ConfigurationError(
-                "distributed_workers requires coordinator (the listen address)"
-            )
         if self.journal_resume and self.journal_path is None:
             raise ConfigurationError(
                 "journal_resume requires journal_path (the journal to resume from)"
@@ -190,14 +159,6 @@ class SweepConfig:
                 f"journal_fsync must be one of {FSYNC_POLICIES}, "
                 f"got {self.journal_fsync!r}"
             )
-        from .distributed import parse_address  # deferred: import cycle
-
-        for address in (self.coordinator, self.connect):
-            if address is not None:
-                try:
-                    parse_address(str(address))
-                except ValueError as exc:
-                    raise ConfigurationError(str(exc)) from exc
 
 
 def run_sweep(

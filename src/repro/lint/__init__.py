@@ -2,24 +2,18 @@
 
 The engine's correctness rests on cross-cutting invariants that no single
 test file owns -- workers must never rebuild skeletons, certified-bound
-kernels must stay bit-for-bit deterministic, the coordinator and the workers
-must agree on the wire schema, every registered attack scenario must honour
-the structure contract, every fault site must be registered, and every
-outcome must merge through one pipeline.  ``repro lint`` codifies those
+kernels must stay bit-for-bit deterministic, every registered attack
+scenario must honour the structure contract, every fault site must be
+registered, and every outcome must merge through one pipeline.  ``repro lint`` codifies those
 invariants as static rules over the package's abstract syntax trees, so a
 tool enforces them on every run:
 
 ========  ==============================================================
-RL002     fork/async safety: no blocking calls inside coroutines, no
-          unguarded module-global mutation on worker call paths, no bare
-          ``lock.acquire()`` statements.
+RL002     fork safety: no unguarded module-global mutation on worker
+          call paths, no bare ``lock.acquire()`` statements.
 RL003     determinism: no unseeded RNGs, wall-clock reads or set-order
           iteration in the certified solver paths (``attacks/``,
           ``mdp/``, ``analysis/``).
-RL004     wire-schema agreement: every frame-header key and frame type
-          consumed in ``core/distributed.py`` is produced there too (and
-          vice versa for frame types), and ``PROTOCOL_VERSION`` guards
-          both sides.
 RL005     scenario contract: every ``@register_attack`` class declares
           ``BUFFER_KEYS`` and overrides the required engine hooks.
 RL006     fault-site registration: every ``maybe_fail`` call names a
@@ -28,12 +22,13 @@ RL007     merge pipeline: only ``core/execution.py`` journals outcomes,
           mutates sweep-result metadata or assembles the result.
 ========  ==============================================================
 
-RL001 (shared-memory lifecycle) is retired: the package no longer uses
-shared memory.
+RL001 (shared-memory lifecycle) and RL004 (wire-schema agreement) are
+retired: the package no longer uses shared memory or a network fabric.
+
 Run it as ``repro lint [PATHS]`` or ``python -m repro.lint [PATHS]``; with no
 paths it lints the installed ``repro`` package itself.  A violation can be
 waived on one line with ``# repro-lint: disable=RL002`` (comma-separated ids,
-or ``all``) and for a whole file with ``# repro-lint: disable-file=RL004``.
+or ``all``) and for a whole file with ``# repro-lint: disable-file=RL003``.
 The exit status is 0 iff no violations were reported.
 """
 

@@ -7,18 +7,16 @@ the tests; rules run in id order.
 from typing import Tuple
 
 from ..engine import Rule
-from .async_safety import ForkAsyncSafetyRule
 from .determinism import CertifiedPathDeterminismRule
 from .fault_sites import FaultSiteRegistrationRule
+from .fork_safety import ForkSafetyRule
 from .merge_pipeline import MergePipelineRule
 from .scenario_contract import ScenarioContractRule
-from .wire_schema import WireSchemaAgreementRule
 
 #: Every built-in rule, in id order.
 ALL_RULES: Tuple[Rule, ...] = (
-    ForkAsyncSafetyRule(),
+    ForkSafetyRule(),
     CertifiedPathDeterminismRule(),
-    WireSchemaAgreementRule(),
     ScenarioContractRule(),
     FaultSiteRegistrationRule(),
     MergePipelineRule(),
@@ -28,8 +26,7 @@ __all__ = [
     "ALL_RULES",
     "CertifiedPathDeterminismRule",
     "FaultSiteRegistrationRule",
-    "ForkAsyncSafetyRule",
+    "ForkSafetyRule",
     "MergePipelineRule",
     "ScenarioContractRule",
-    "WireSchemaAgreementRule",
 ]

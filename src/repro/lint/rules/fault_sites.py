@@ -1,7 +1,7 @@
 """RL006: every fault-injection site is registered and statically resolvable.
 
 The deterministic fault harness (:mod:`repro.core.faults`) only works if a
-plan like ``REPRO_FAULTS=distributed.result_drop:2`` can name every site that
+plan like ``REPRO_FAULTS=engine.point_transient:2`` can name every site that
 exists in the code.  Two drift modes would silently break that contract:
 
 * **Unregistered sites** -- a ``maybe_fail("new.site")`` call whose name is

@@ -1,13 +1,10 @@
-"""RL002: fork/async safety on the engine's concurrency paths.
+"""RL002: fork safety on the engine's concurrency paths.
 
-The engine mixes three concurrency regimes -- an asyncio coordinator
-(:mod:`repro.core.distributed`), forked worker pools with module-global
-caches (:mod:`repro.core.engine`), and thread-shared registries
-(:mod:`repro.attacks.registry`).  Three hazards recur at their seams:
+The engine mixes two concurrency regimes -- forked or spawned worker pools
+with module-global caches (:mod:`repro.core.engine`) and thread-shared
+registries (:mod:`repro.attacks.registry`).  Two hazards recur at their
+seams:
 
-* **Blocking calls in coroutines** -- a ``time.sleep`` or ``subprocess.run``
-  inside ``async def`` stalls the whole event loop, silently serialising the
-  coordinator.
 * **Unguarded module-global rebinding** -- worker initialisers and lazy
   caches rebind module globals; without a lock, two threads racing through
   the lazy path each build (and half-install) the value.
@@ -21,25 +18,6 @@ import ast
 from typing import Iterator, List, Set
 
 from ..engine import LintViolation, ModuleInfo, Rule, dotted_name
-
-#: Calls that block the event loop when issued from a coroutine.
-BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "os.system",
-        "os.popen",
-        "os.wait",
-        "os.waitpid",
-        "socket.create_connection",
-        "socket.getaddrinfo",
-        "urllib.request.urlopen",
-        "input",
-    }
-)
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -88,57 +66,23 @@ def _assigned_names(node: ast.stmt) -> List[ast.Name]:
     return names
 
 
-class ForkAsyncSafetyRule(Rule):
-    """Coroutines stay non-blocking; global rebinding stays lock-guarded."""
+class ForkSafetyRule(Rule):
+    """Global rebinding stays lock-guarded; locks are held via with-blocks."""
 
     rule_id = "RL002"
-    title = "fork/async safety: blocking coroutines, unguarded globals, bare acquire"
+    title = "fork safety: unguarded globals, bare acquire"
     invariant = (
-        "coroutines never issue blocking calls, module globals are rebound only "
-        "under a lock, and locks are held via with-blocks"
+        "module globals are rebound only under a lock, and locks are held via "
+        "with-blocks"
     )
     fix_hint = "see the per-violation hint"
-    #: Global-rebinding checks are confined to the engine-facing trees; the
-    #: coroutine and acquire checks run wherever the rule applies.
+    #: Both checks are confined to the engine-facing trees.
     scopes = ("core/", "attacks/", "mdp/", "analysis/")
 
     def check(self, module: ModuleInfo) -> Iterator[LintViolation]:
-        """Yield blocking-coroutine, unguarded-global and bare-acquire violations."""
-        yield from self._check_blocking_calls(module)
+        """Yield unguarded-global and bare-acquire violations."""
         yield from self._check_global_rebinding(module)
         yield from self._check_bare_acquire(module)
-
-    # -- blocking calls inside ``async def`` --------------------------------
-
-    def _check_blocking_calls(self, module: ModuleInfo) -> Iterator[LintViolation]:
-        violations: List[LintViolation] = []
-
-        def visit(node: ast.AST, in_async: bool) -> None:
-            for child in ast.iter_child_nodes(node):
-                child_async = in_async
-                if isinstance(child, _FUNCTION_NODES):
-                    # The *innermost* function decides: a sync helper nested
-                    # inside a coroutine runs wherever it is called from.
-                    child_async = isinstance(child, ast.AsyncFunctionDef)
-                elif isinstance(child, ast.Call) and in_async:
-                    name = dotted_name(child.func)
-                    if name in BLOCKING_CALLS:
-                        violations.append(
-                            self.violation(
-                                module,
-                                child,
-                                f"blocking call {name}() inside a coroutine stalls "
-                                "the event loop",
-                                fix_hint=(
-                                    "await the asyncio equivalent (e.g. asyncio.sleep, "
-                                    "loop.run_in_executor) instead"
-                                ),
-                            )
-                        )
-                visit(child, child_async)
-
-        visit(module.tree, False)
-        yield from violations
 
     # -- module-global rebinding without a lock -----------------------------
 
@@ -203,4 +147,4 @@ class ForkAsyncSafetyRule(Rule):
                 )
 
 
-__all__ = ["BLOCKING_CALLS", "ForkAsyncSafetyRule"]
+__all__ = ["ForkSafetyRule"]

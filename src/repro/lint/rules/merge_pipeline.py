@@ -1,29 +1,28 @@
 """RL007: point-outcome merging flows through the execution plane's MergeSink.
 
 The execution plane (:mod:`repro.core.execution`) owns the single merge
-pipeline of every sweep backend: the :class:`~repro.core.execution.MergeSink`
+pipeline of both sweep backends: the :class:`~repro.core.execution.MergeSink`
 is the one place that appends outcomes to the durable journal, attaches the
-journal and backend blocks of ``SweepResult.metadata`` and calls the
-assembler.  That is what makes serial, pool and distributed sweeps bit-for-bit
-identical -- and what keeps the crash-safety story auditable: a point is
-journaled exactly when the sink merged it, never elsewhere.
+journal block of ``SweepResult.metadata`` and calls the assembler.  That is
+what makes serial and pool sweeps bit-for-bit identical -- and what keeps the
+crash-safety story auditable: a point is journaled exactly when the sink
+merged it, never elsewhere.
 
 Three drift modes would quietly fork the pipeline:
 
 * **Direct assembly** -- a backend calling ``assemble_sweep_result`` itself
-  would bypass the sink's merge (first-result-wins, fewer-errors-wins,
-  synthesized failures) and resume filtering.
+  would bypass the sink's merge (synthesized failures) and resume
+  filtering.
 * **Side-channel journaling** -- ``journal.record(...)`` outside the sink
   desynchronises the journal from the merged outcome map, so a resumed sweep
   replays points the merge never saw (or misses points it did).
 * **Ad-hoc metadata counters** -- mutating ``result.metadata[...]`` outside
-  the plane forks the journal / fabric accounting that the conformance suite
+  the plane forks the journal accounting that the conformance suite
   asserts on.
 
 This rule pins all three to ``core/execution.py`` (plus the body of the
 assembler itself, which builds the recovery summary it owns).
-Backends report outcomes by yielding events or pushing into the sink; they
-contribute backend-specific metadata via ``ExecutionBackend.metadata``.
+Backends report outcomes only by yielding events to the sink.
 """
 
 from __future__ import annotations
@@ -61,9 +60,8 @@ class MergePipelineRule(Rule):
         "a sweep journal, mutates SweepResult.metadata or calls the assembler"
     )
     fix_hint = (
-        "report outcomes through the MergeSink (accept / accept_unit / "
-        "synthesize_missing) and contribute backend metadata via "
-        "ExecutionBackend.metadata(plan, sink)"
+        "yield OutcomeBatch / UnitCrash events from the backend and let "
+        "execute_plan feed them to the MergeSink (accept / synthesize_missing)"
     )
     scopes = None  # the whole package: a forked pipeline may hide anywhere
 
@@ -100,7 +98,7 @@ class MergePipelineRule(Rule):
                         module,
                         node,
                         f"journal append {name!r} outside the execution plane; "
-                        "only MergeSink.accept/accept_unit journal outcomes, "
+                        "only MergeSink.accept journals outcomes, "
                         "keeping the journal in lockstep with the merge",
                     )
                 elif (
@@ -112,8 +110,8 @@ class MergePipelineRule(Rule):
                         module,
                         node,
                         f"sweep metadata mutated via {name!r} outside the "
-                        "execution plane; backends contribute metadata through "
-                        "ExecutionBackend.metadata(plan, sink)",
+                        "execution plane; only execute_plan attaches sweep "
+                        "metadata",
                     )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 if in_pipeline(node):
@@ -128,8 +126,8 @@ class MergePipelineRule(Rule):
                             module,
                             node,
                             f"sweep metadata key assigned on {name!r} outside "
-                            "the execution plane; backends contribute metadata "
-                            "through ExecutionBackend.metadata(plan, sink)",
+                            "the execution plane; only execute_plan attaches "
+                            "sweep metadata",
                         )
 
 

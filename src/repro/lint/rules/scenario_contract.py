@@ -1,12 +1,12 @@
 """RL005: every registered attack scenario honours the structure contract.
 
 The scenario registry (:mod:`repro.attacks.registry`) promises that *every*
-engine feature -- the packed structure payload, sweep workers, the distributed
-coordinator, reporting -- works on *any* registered scenario.  That promise
+engine feature -- the packed structure payload, sweep workers, reporting --
+works on *any* registered scenario.  That promise
 holds only if each ``@register_attack`` class implements the full contract:
 
 * an explicit ``BUFFER_KEYS`` declaration (the packed buffer layout is part of
-  the wire/worker contract, so inheriting it silently hides mismatches);
+  the worker payload contract, so inheriting it silently hides mismatches);
 * the nine engine hooks the registry documents (``explore``, ``to_buffers``,
   ``from_buffers``, ``series_name``, ``grid_configs``, ``build_model``,
   ``make_policy``, ``simulate``, ``honest_strategy``).

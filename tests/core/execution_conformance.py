@@ -11,9 +11,9 @@ behind.
 Instead of every backend re-proving these with a hand-rolled copy of the same
 tests, a backend registers a :class:`BackendContract` here and
 ``tests/core/test_execution_conformance.py`` runs the whole invariant suite
-against it -- cross-process backends additionally under both the ``fork`` and
-``spawn`` start methods.  A future backend (a remote batch queue, a GPU
-dispatcher) picks the entire suite up by adding one contract.
+against it -- the pool backend additionally under both the ``fork`` and
+``spawn`` start methods.  A new backend picks the entire suite up by adding
+one contract.
 
 This module is deliberately *not* named ``test_*``: it is imported by the
 conformance test module, and its probe targets must be importable at module
@@ -23,14 +23,10 @@ top level so spawn-started pool workers can unpickle them by qualified name.
 from __future__ import annotations
 
 import os
-import socket
-import subprocess
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.attacks.structure import structure_cache_stats
@@ -39,9 +35,6 @@ from repro.core.execution import PoolBackend, SweepPlan
 from repro.core.faults import FAULTS_ENV_VAR, reset_fault_plan
 from repro.core.results import SweepResult
 from repro.core.sweep import SweepConfig, run_sweep
-from repro.exceptions import ModelError
-
-_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class SweepCancelled(Exception):
@@ -202,84 +195,6 @@ def _pool_crash(grid: dict, journal_path, fault_spec: str) -> SweepResult:
         return _pool_execute(grid, journal_path=journal_path)
 
 
-# -------------------------------------------------------------- distributed
-
-
-def _free_port() -> int:
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
-
-
-def _spawn_worker(port: int, faults: Optional[str] = None) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(_SRC))
-    env.pop(FAULTS_ENV_VAR, None)
-    if faults is not None:
-        env[FAULTS_ENV_VAR] = faults
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "worker",
-            "--connect",
-            f"127.0.0.1:{port}",
-            "--heartbeat-seconds",
-            "1",
-            "--connect-retry-seconds",
-            "30",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
-def _distributed_execute(
-    grid: dict, *, progress=None, journal_path=None, resume=False, faults=(None, None)
-):
-    port = _free_port()
-    workers = [_spawn_worker(port, spec) for spec in faults]
-    try:
-        return run_sweep(
-            _config(
-                grid,
-                journal_path=journal_path,
-                resume=resume,
-                coordinator=f"127.0.0.1:{port}",
-                distributed_workers=2,
-            ),
-            progress=progress,
-        )
-    finally:
-        for worker in workers:
-            # A resume that replays every unit never opens the fabric, so
-            # workers may still be dialling; a terminate triggers their
-            # graceful drain instead of a 30 s connect-retry wait.
-            if worker.poll() is None:
-                worker.terminate()
-            worker.wait(timeout=60)
-
-
-def _distributed_crash(grid: dict, journal_path, fault_spec: str) -> SweepResult:
-    """A loopback sweep in which one of the two workers dies as ``fault_spec`` says.
-
-    The coordinator waits for both workers, so each starts on its own unit
-    and the faulty one is sure to crash inside one.
-    """
-    return _distributed_execute(grid, journal_path=journal_path, faults=(fault_spec, None))
-
-
-def _distributed_worker_builds(grid: dict) -> List[int]:
-    """Per-worker build counts reported by the fabric after a loopback sweep."""
-    result = _distributed_execute(grid)
-    stats = result.metadata["distributed"]["workers"]
-    assert stats and all(entry["attaches"] > 0 for entry in stats.values())
-    return [entry["builds"] for entry in stats.values()]
-
-
 # -------------------------------------------------------------- cancellation
 
 
@@ -300,23 +215,6 @@ def _cancel_via_progress(execute: Callable[..., SweepResult]):
     return cancel
 
 
-def _distributed_cancel(grid: dict, journal_path) -> BaseException:
-    """Cancel by deadline: no worker ever connects, the coordinator times out."""
-    config = _config(
-        grid,
-        journal_path=journal_path,
-        coordinator="127.0.0.1:0",
-        distributed_workers=1,
-    )
-    from repro.core.distributed import run_distributed_sweep
-
-    try:
-        run_distributed_sweep(config, timeout=0.5)
-    except ModelError as exc:
-        return exc
-    raise AssertionError("coordinator finished without any worker")
-
-
 # -------------------------------------------------------------------- registry
 
 
@@ -324,28 +222,21 @@ def _distributed_cancel(grid: dict, journal_path) -> BaseException:
 class BackendContract:
     """What one execution backend must provide to inherit the suite.
 
-    ``execute`` runs a sweep end-to-end (spawning loopback workers if the
-    backend needs them); ``cancel`` provokes a mid-sweep cancellation and
-    returns the exception that aborted it; ``worker_builds`` reports the
-    structure builds performed inside worker processes (``None`` for backends
-    without workers); ``crash`` runs a sweep whose workers die as a fault
-    plan says (``None`` for backends without workers), and ``crash_requeues``
-    states whether the backend recomputes a dead worker's unit elsewhere
-    (else its points come back as failures); ``cross_process`` opts the
-    contract into the fork/spawn start-method matrix;
-    ``journals_before_cancel`` states whether a cancellation can leave
-    already-merged points in the journal.
+    ``execute`` runs a sweep end-to-end; ``cancel`` provokes a mid-sweep
+    cancellation and returns the exception that aborted it;
+    ``worker_builds`` reports the structure builds performed inside worker
+    processes (``None`` for backends without workers); ``crash`` runs a
+    sweep whose workers die as a fault plan says (``None`` for backends
+    without workers); ``cross_process`` opts the contract into the
+    fork/spawn start-method matrix.
     """
 
     kind: str
     cross_process: bool
     execute: Callable[..., SweepResult]
     cancel: Callable[[dict, Any], BaseException]
-    cancelled_type: type
-    journals_before_cancel: bool
     worker_builds: Optional[Callable[[dict], List[int]]] = None
     crash: Optional[Callable[[dict, Any, str], SweepResult]] = None
-    crash_requeues: bool = False
 
 
 CONTRACTS: Dict[str, BackendContract] = {
@@ -354,28 +245,13 @@ CONTRACTS: Dict[str, BackendContract] = {
         cross_process=False,
         execute=_serial_execute,
         cancel=_cancel_via_progress(_serial_execute),
-        cancelled_type=SweepCancelled,
-        journals_before_cancel=True,
     ),
     "pool": BackendContract(
         kind="pool",
         cross_process=True,
         execute=_pool_execute,
         cancel=_cancel_via_progress(_pool_execute),
-        cancelled_type=SweepCancelled,
-        journals_before_cancel=True,
         worker_builds=_pool_worker_builds,
         crash=_pool_crash,
-    ),
-    "distributed": BackendContract(
-        kind="distributed",
-        cross_process=False,
-        execute=_distributed_execute,
-        cancel=_distributed_cancel,
-        cancelled_type=ModelError,
-        journals_before_cancel=False,
-        worker_builds=_distributed_worker_builds,
-        crash=_distributed_crash,
-        crash_requeues=True,
     ),
 }

@@ -189,6 +189,14 @@ class TestTaskDecomposition:
         assert all(task.reuse_p_axis_bounds for task in tasks)
 
 
+class TestExecutionPaths:
+    @pytest.mark.parametrize("field", ["coordinator", "connect", "distributed_workers"])
+    def test_no_multi_host_options(self, field):
+        """Sweeps run serially or on the local pool; there is no multi-host mode."""
+        with pytest.raises(TypeError):
+            SweepConfig(**{field: 1})
+
+
 class TestSpawnContextPrewarm:
     """On spawn platforms workers must install the parent's packed skeletons.
 
@@ -318,9 +326,8 @@ class TestMonotonePAxisBoundReuse:
 class TestAssembleMissingOutcomes:
     """Regression: a grid key nobody reported must become a failure, not a crash.
 
-    ``assemble_sweep_result`` used to index ``outcomes[...]`` bare, so a
-    distributed shutdown that lost a unit
-    raised ``KeyError`` and discarded every point that *was* collected.
+    ``assemble_sweep_result`` used to index ``outcomes[...]`` bare, so a lost
+    unit raised ``KeyError`` and discarded every point that *was* collected.
     """
 
     def test_missing_outcome_becomes_sweep_failure(self):

@@ -2,8 +2,8 @@
 
 Unit tests cover the record format (checksums, torn tails, mid-file
 corruption, fingerprint pinning); the integration tests prove the acceptance
-property of the PR: a sweep -- serial, pooled or a loopback distributed
-fabric whose coordinator is SIGKILLed mid-run -- restarted with
+property of the journal: a sweep -- serial or pooled, including a pooled
+``repro sweep`` process SIGKILLed mid-run -- restarted with
 ``--journal PATH --resume`` recomputes only the unjournaled delta and
 produces a bit-for-bit identical result.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-import re
+import signal
 import subprocess
 import sys
 import time
@@ -46,7 +46,7 @@ def _grid(**overrides) -> dict:
     return base
 
 
-def _distributed_grid(**overrides) -> dict:
+def _sigkill_grid(**overrides) -> dict:
     return _grid(
         p_values=(0.0, 0.05, 0.1, 0.15),
         attack_configs=(AttackParams(depth=1, forks=1), AttackParams(depth=2, forks=1)),
@@ -297,140 +297,65 @@ def test_fsync_policies_produce_identical_journals(tmp_path):
     assert journals["never"] == journals["close"] == journals["always"]
 
 
-# ------------------------------------------- distributed SIGKILL acceptance
+# ------------------------------------------------------ SIGKILL acceptance
 
 
-def _free_port() -> int:
-    import socket
+def test_sigkilled_pool_sweep_resumes_bit_for_bit(tmp_path):
+    """SIGKILL a pooled ``repro sweep`` once it has journaled two points, then
+    resume on a pool: only the unjournaled delta is recomputed, and the result
+    is bit-for-bit equal to an uninterrupted serial run.
 
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
-
-
-def _spawn_worker(port: int, *extra: str) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(_SRC))
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker",
-            "--connect", f"127.0.0.1:{port}",
-            "--heartbeat-seconds", "1",
-            "--connect-retry-seconds", "60",
-            "--reconnect-seconds", "180",
-            *extra,
-        ],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-    )
-
-
-def test_sigkilled_coordinator_resumes_bit_for_bit(tmp_path):
-    """The PR's acceptance scenario: SIGKILL the distributed coordinator
-    mid-sweep, restart it on the same port with ``--resume``, and the fleet
-    reconnects and completes only the unjournaled delta -- bit-for-bit equal
-    to an uninterrupted serial run."""
-    grid = _distributed_grid()
+    The sweep runs in its own session and the whole process group is killed,
+    so its pool workers die with it (as on a host crash) instead of lingering
+    as orphans.
+    """
+    grid = _sigkill_grid()
     serial = run_sweep(SweepConfig(**grid))
+    total = len(grid["p_values"]) * len(grid["gammas"]) * len(grid["attack_configs"])
     journal = tmp_path / "sweep.journal"
-    port = _free_port()
     env = dict(os.environ, PYTHONPATH=str(_SRC))
-    coordinator = subprocess.Popen(
+    env.pop("REPRO_FAULTS", None)
+    sweep = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "sweep",
-            "--distributed", "--listen", f"127.0.0.1:{port}",
             "--gamma", "0.5", "--p-max", "0.15", "--p-step", "0.05",
-            "--epsilon", "0.01",
+            "--epsilon", "0.01", "--workers", "2",
             "--journal", str(journal), "--journal-fsync", "always",
-            # Both workers serve this coordinator, so every worker serving
-            # the resumed one must have reconnected.  The sweep then takes a
-            # fraction of a second, hence the tight polling below.
-            "--min-workers", "2",
         ],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
-    workers = [_spawn_worker(port) for _ in range(2)]
     try:
         deadline = time.monotonic() + 180.0
+        # The points land within a few milliseconds of each other, hence the
+        # tight polling.
         while time.monotonic() < deadline:
             if _point_record_count(journal) >= 2:
                 break
-            if coordinator.poll() is not None:
-                pytest.fail("coordinator exited before any kill")
-            time.sleep(0.005)
+            if sweep.poll() is not None:
+                pytest.fail("sweep exited before any kill")
+            time.sleep(0.002)
         else:
             pytest.fail("no journaled points before the deadline")
-        coordinator.kill()  # SIGKILL: no atexit, no flush beyond per-record
-        coordinator.wait(timeout=30)
-        replay_floor = _point_record_count(journal)
-        assert replay_floor >= 2
-        resumed = run_sweep(
-            SweepConfig(
-                **grid,
-                coordinator=f"127.0.0.1:{port}",
-                journal_path=str(journal),
-                journal_resume=True,
-            )
-        )
     finally:
-        if coordinator.poll() is None:
-            coordinator.kill()
-        outputs = []
-        for worker in workers:
-            try:
-                out, _ = worker.communicate(timeout=30)
-            except subprocess.TimeoutExpired:
-                # A worker whose reconnect backoff straddled the resumed
-                # coordinator's (short) listener window never hears the
-                # shutdown frame and keeps dialing the now-closed port for
-                # the rest of its --reconnect-seconds budget.  That is the
-                # documented behaviour, not a hang: drain it over the
-                # signal path it advertises instead of waiting it out.
-                worker.terminate()
-                out, _ = worker.communicate(timeout=30)
-            outputs.append(out)
+        # SIGKILL: no atexit, no flush beyond the per-record fsync.
+        try:
+            os.killpg(sweep.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the whole group already exited
+        sweep.wait(timeout=30)
+    assert _point_record_count(journal) >= 2
+    resumed = run_sweep(
+        SweepConfig(**grid, workers=2, journal_path=str(journal), journal_resume=True)
+    )
     assert not resumed.failures
     _assert_same_points(serial, resumed)
     meta = resumed.metadata["journal"]
     assert meta["replayed"] >= 2
-    assert meta["replayed"] + meta["recorded"] == 8
+    assert meta["replayed"] + meta["recorded"] == total
     assert meta["skipped_units"] == meta["replayed"]
-    # The fleet self-healed: worker processes that re-established served the
-    # resumed coordinator and exited cleanly on its shutdown.  A worker that
-    # lost the reconnect race above exits over the drain path instead; the
-    # scenario only requires that the delta was computed by a reconnected
-    # worker, which the journal arithmetic above already pins.
-    for out in outputs:
-        assert "reconnects=" in out
-    healed = [
-        out
-        for worker, out in zip(workers, outputs)
-        if worker.returncode == 0 and "clean shutdown" in out
-    ]
-    assert healed, outputs
-    assert any(re.search(r"reconnects=[1-9]", out) for out in healed), outputs
-
-
-def test_fully_journaled_distributed_sweep_skips_the_fabric(tmp_path):
-    """Resuming a complete journal must not wait for any worker."""
-    grid = _grid()
-    journal = tmp_path / "sweep.journal"
-    clean = run_sweep(SweepConfig(**grid, journal_path=str(journal)))
-    resumed = run_sweep(
-        SweepConfig(
-            **grid,
-            coordinator=f"127.0.0.1:{_free_port()}",
-            journal_path=str(journal),
-            journal_resume=True,
-        )
-    )
-    _assert_same_points(clean, resumed)
-    assert resumed.metadata["journal"]["recorded"] == 0
 
 
 def test_journal_lines_are_valid_json(tmp_path):

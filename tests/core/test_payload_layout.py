@@ -1,6 +1,6 @@
 """Layout checks of decoded skeletons (:meth:`ScenarioStructure.check_layout`).
 
-The structure payload crosses TCP from remote peers, so a payload whose header
+The structure payload crosses a process boundary, so a payload whose header
 and directory are well formed can still carry arrays that do not describe a
 model: a missing or extra buffer, an array one element short, an index array
 sent as floats, a successor past the last state, an empty action row.  Every

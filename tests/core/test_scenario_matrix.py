@@ -1,34 +1,19 @@
 """Cross-scenario engine matrix: every engine feature on every registered scenario.
 
-The tentpole contract of the attack registry: the sweep engine, its worker
-pool and the distributed fabric are scenario-generic.  This
-module runs both built-in scenarios through serial, pooled (fork and spawn)
-and distributed-loopback execution and checks bit-for-bit agreement with the
-serial run, plus the loud-failure paths (mixed grids, scenario-mismatched
-workers).
+The tentpole contract of the attack registry: the sweep engine and its worker
+pool are scenario-generic.  This module runs both built-in scenarios through
+serial and pooled (fork and spawn) execution and checks bit-for-bit agreement
+with the serial run, plus the loud-failure paths (mixed grids, unknown or
+conflicting scenario names).
 """
 
 from __future__ import annotations
 
-import os
-import socket
-import struct
-import subprocess
-import sys
-import threading
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.attacks.registry import scenario_id_for
 from repro.config import AnalysisConfig, AttackParams
-from repro.core.distributed import (
-    PROTOCOL_VERSION,
-    decode_frame,
-    encode_frame,
-    run_distributed_sweep,
-)
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.exceptions import ConfigurationError
 
@@ -129,138 +114,3 @@ class TestConfigurationGuards:
     def test_unknown_attack_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown attack scenario"):
             SweepConfig(p_values=(0.1,), gammas=(0.5,), attack="no-such-attack")
-
-
-# ------------------------------------------------------------------ loopback
-
-_SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-def _free_port() -> int:
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
-
-
-def _spawn_worker(port: int, *, capacity: int = 1) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(_SRC))
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "worker",
-            "--connect",
-            f"127.0.0.1:{port}",
-            "--capacity",
-            str(capacity),
-            "--heartbeat-seconds",
-            "1",
-            "--connect-retry-seconds",
-            "30",
-        ],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-    )
-
-
-class TestDistributedLoopback:
-    def test_sm_actions_distributed_matches_serial_with_zero_builds(self):
-        grid = scenario_grid("sm-actions")
-        serial = run_sweep(grid)
-        port = _free_port()
-        worker = _spawn_worker(port, capacity=2)
-        try:
-            distributed = run_sweep(
-                scenario_grid("sm-actions", coordinator=f"127.0.0.1:{port}")
-            )
-        finally:
-            out, _ = worker.communicate(timeout=30)
-        assert not distributed.failures
-        assert point_tuples(distributed) == point_tuples(serial)
-        fabric = distributed.metadata["distributed"]
-        for name, stats in fabric["workers"].items():
-            assert stats["builds"] == 0, name
-            assert stats["attaches"] > 0, name
-        assert worker.returncode == 0
-        assert "builds=0" in out
-
-
-def _read_frame_blocking(sock: socket.socket) -> dict:
-    def read_exact(count: int) -> bytes:
-        data = b""
-        while len(data) < count:
-            chunk = sock.recv(count - len(data))
-            if not chunk:
-                raise ConnectionError("peer closed")
-            data += chunk
-        return data
-
-    (body_len,) = struct.unpack(">I", read_exact(4))
-    header, _ = decode_frame(read_exact(body_len))
-    return header
-
-
-class TestScenarioHandshake:
-    def test_mismatched_worker_hello_is_refused(self):
-        """A worker not implementing the sweep's scenario draws an error frame.
-
-        The hello is otherwise perfectly valid (right protocol, sane capacity
-        and heartbeat) -- only the advertised scenario list is wrong: stale
-        version, wrong family, or no list at all (a pre-registry worker).  The
-        sweep itself must survive and complete on a healthy worker.
-        """
-        listening = threading.Event()
-        bound = {}
-
-        def on_listen(host: str, port: int) -> None:
-            bound["port"] = port
-            listening.set()
-
-        grid = scenario_grid(
-            "sm-actions", p_values=(0.0, 0.15), coordinator="127.0.0.1:0"
-        )
-        result = {}
-
-        def coordinate() -> None:
-            result["sweep"] = run_distributed_sweep(
-                grid, timeout=120.0, on_listen=on_listen
-            )
-
-        coordinator = threading.Thread(target=coordinate, daemon=True)
-        coordinator.start()
-        assert listening.wait(timeout=30.0), "coordinator never started listening"
-        port = bound["port"]
-
-        base = {"type": "hello", "protocol": PROTOCOL_VERSION, "capacity": 1}
-        mismatched_hellos = [
-            {**base, "scenarios": ["sm-actions@999"]},
-            {**base, "scenarios": ["selfish-forks@1"]},
-            base,  # advertises nothing
-            {**base, "scenarios": "sm-actions@1"},
-        ]
-        for hello in mismatched_hellos:
-            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
-                sock.sendall(encode_frame(hello))
-                header = _read_frame_blocking(sock)
-                assert header["type"] == "error", hello
-                assert "scenario" in header["message"], header["message"]
-
-        worker = _spawn_worker(port)
-        try:
-            deadline = time.monotonic() + 120.0
-            while coordinator.is_alive() and time.monotonic() < deadline:
-                coordinator.join(timeout=0.5)
-        finally:
-            out, _ = worker.communicate(timeout=30)
-        assert not coordinator.is_alive(), "sweep never completed after bad hellos"
-        sweep = result["sweep"]
-        assert not sweep.failures
-        serial = run_sweep(scenario_grid("sm-actions", p_values=(0.0, 0.15)))
-        assert point_tuples(sweep) == point_tuples(serial)
-        assert worker.returncode == 0
-        assert "clean shutdown" in out

@@ -2,8 +2,8 @@
 
 Four contracts are exercised: the buffer round trip reproduces the in-process
 structure bit for bit, the packed payload decodes zero-copy into identical
-skeletons, every malformed payload -- it arrives over TCP from remote peers --
-is refused with a clean :class:`~repro.exceptions.ModelError`, and pool
+skeletons, every malformed payload -- it arrives from another process -- is
+refused with a clean :class:`~repro.exceptions.ModelError`, and pool
 workers install the payload without ever exploring.
 """
 

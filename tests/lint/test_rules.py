@@ -8,16 +8,14 @@ not leak outside their path scopes.
 from __future__ import annotations
 
 from repro.lint.rules import ALL_RULES
-from repro.lint.rules.async_safety import ForkAsyncSafetyRule
 from repro.lint.rules.determinism import CertifiedPathDeterminismRule
 from repro.lint.rules.fault_sites import FaultSiteRegistrationRule
+from repro.lint.rules.fork_safety import ForkSafetyRule
 from repro.lint.rules.merge_pipeline import MergePipelineRule
 from repro.lint.rules.scenario_contract import REQUIRED_HOOKS, ScenarioContractRule
-from repro.lint.rules.wire_schema import WireSchemaAgreementRule
 
-RL002 = [ForkAsyncSafetyRule()]
+RL002 = [ForkSafetyRule()]
 RL003 = [CertifiedPathDeterminismRule()]
-RL004 = [WireSchemaAgreementRule()]
 RL005 = [ScenarioContractRule()]
 RL006 = [FaultSiteRegistrationRule()]
 RL007 = [MergePipelineRule()]
@@ -28,42 +26,6 @@ def ids(violations):
 
 
 # --------------------------------------------------------------------- RL002
-
-
-def test_rl002_fires_on_blocking_call_in_coroutine(harness):
-    violations = harness.lint(
-        "core/distributed.py",
-        """
-        import time
-
-        async def heartbeat():
-            time.sleep(1.0)
-        """,
-        RL002,
-    )
-    assert ids(violations) == ["RL002"]
-    assert "blocking call time.sleep()" in violations[0].message
-
-
-def test_rl002_quiet_on_async_sleep_and_nested_sync_def(harness):
-    violations = harness.lint(
-        "core/distributed.py",
-        """
-        import asyncio
-        import time
-
-        async def heartbeat():
-            await asyncio.sleep(1.0)
-
-            def measure():
-                # Runs wherever it is called from, not on the event loop.
-                time.sleep(0.01)
-
-            return measure
-        """,
-        RL002,
-    )
-    assert violations == []
 
 
 def test_rl002_fires_on_unguarded_global_rebinding(harness):
@@ -240,131 +202,6 @@ def test_rl003_scoped_to_certified_paths(harness):
     assert violations == []
 
 
-# --------------------------------------------------------------------- RL004
-
-
-def test_rl004_fires_on_consumed_key_never_produced(harness):
-    violations = harness.lint(
-        "core/distributed.py",
-        """
-        def send(writer):
-            writer.write({"type": "hello", "capacity": 4})
-
-        def receive(header):
-            kind = header.get("type")
-            if kind == "hello":
-                return header.get("capacityy")
-            return None
-        """,
-        RL004,
-    )
-    assert ids(violations) == ["RL004"]
-    assert "capacityy" in violations[0].message
-
-
-def test_rl004_fires_on_dispatch_type_never_produced(harness):
-    violations = harness.lint(
-        "core/distributed.py",
-        """
-        def send(writer):
-            writer.write({"type": "hello"})
-
-        def receive(header):
-            kind = header.get("type")
-            if kind == "hello":
-                return 1
-            if kind == "wellcome":
-                return 2
-            return 0
-        """,
-        RL004,
-    )
-    messages = " ".join(v.message for v in violations)
-    assert "'wellcome' is dispatched on but never produced" in messages
-
-
-def test_rl004_fires_on_produced_type_never_dispatched(harness):
-    violations = harness.lint(
-        "core/distributed.py",
-        """
-        def send(writer):
-            writer.write({"type": "hello"})
-            writer.write({"type": "goodbye"})
-
-        def receive(header):
-            kind = header.get("type")
-            if kind == "hello":
-                return 1
-            return 0
-        """,
-        RL004,
-    )
-    messages = " ".join(v.message for v in violations)
-    assert "'goodbye' is produced but never dispatched on" in messages
-
-
-def test_rl004_fires_on_one_sided_protocol_version(harness):
-    violations = harness.lint(
-        "core/distributed.py",
-        """
-        PROTOCOL_VERSION = 3
-
-        def send(writer):
-            writer.write({"type": "hello", "protocol": PROTOCOL_VERSION})
-
-        def receive(header):
-            kind = header.get("type")
-            if kind == "hello":
-                return header.get("protocol")
-            return None
-        """,
-        RL004,
-    )
-    messages = " ".join(v.message for v in violations)
-    assert "PROTOCOL_VERSION is sent but never checked" in messages
-
-
-def test_rl004_quiet_on_agreeing_schema(harness):
-    violations = harness.lint(
-        "core/distributed.py",
-        """
-        PROTOCOL_VERSION = 3
-
-        def send(writer):
-            writer.write({"type": "hello", "protocol": PROTOCOL_VERSION})
-            writer.write({"type": "work", "task": 1})
-
-        def receive(header):
-            kind = header.get("type")
-            if kind == "hello":
-                if header.get("protocol") != PROTOCOL_VERSION:
-                    raise ValueError("protocol mismatch")
-                return None
-            if kind == "work":
-                return header["task"]
-            return None
-        """,
-        RL004,
-    )
-    assert violations == []
-
-
-def test_rl004_scoped_to_distributed_module(harness):
-    # The same drifted fixture elsewhere in core/ is out of scope.
-    violations = harness.lint(
-        "core/engine.py",
-        """
-        def send(writer):
-            writer.write({"type": "hello"})
-
-        def receive(header):
-            return header.get("unproduced")
-        """,
-        RL004,
-    )
-    assert violations == []
-
-
 # --------------------------------------------------------------------- RL005
 
 
@@ -451,7 +288,7 @@ def test_rl006_fires_on_unregistered_site(harness):
 
 def test_rl006_fires_on_dynamic_site_name(harness):
     violations = harness.lint(
-        "core/distributed.py",
+        "core/engine.py",
         """
         from repro.core.faults import maybe_fail
 
@@ -474,7 +311,7 @@ def test_rl006_quiet_on_registered_literal_sites(harness):
         def run():
             if maybe_fail("engine.point_transient"):
                 raise RuntimeError("boom")
-            if faults.maybe_fail("distributed.result_drop"):
+            if faults.maybe_fail("engine.worker_crash_pre_result"):
                 return None
         """,
         RL006,
@@ -540,7 +377,7 @@ def test_rl007_fires_on_ad_hoc_metadata_counters(harness):
         RL007,
     )
     assert ids(violations) == ["RL007", "RL007"]
-    assert all("ExecutionBackend.metadata" in v.message for v in violations)
+    assert all("execute_plan" in v.message for v in violations)
 
 
 def test_rl007_quiet_inside_the_execution_plane(harness):
@@ -596,7 +433,6 @@ def test_all_rules_have_unique_ids_and_metadata():
     assert sorted(seen) == [
         "RL002",
         "RL003",
-        "RL004",
         "RL005",
         "RL006",
         "RL007",

@@ -73,7 +73,7 @@ def test_no_broken_documentation_links():
     assert not broken, "\n".join(broken)
 
 
-@pytest.mark.parametrize("example", ["quickstart.py", "distributed_sweep.py"])
+@pytest.mark.parametrize("example", ["quickstart.py"])
 def test_examples_referenced_by_readme_exist(example):
     assert (REPO_ROOT / "examples" / example).exists()
     assert example in (REPO_ROOT / "README.md").read_text(encoding="utf-8")
