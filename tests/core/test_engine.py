@@ -8,6 +8,9 @@ solver iterations.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro import (
@@ -20,6 +23,9 @@ from repro import (
 from repro.analysis import formal_analysis
 from repro.attacks import build_selfish_forks_mdp
 from repro.core.engine import _build_tasks, execute_sweep
+
+
+PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def small_grid(**engine_kwargs) -> SweepConfig:
@@ -195,6 +201,23 @@ class TestExecutionPaths:
         """Sweeps run serially or on the local pool; there is no multi-host mode."""
         with pytest.raises(TypeError):
             SweepConfig(**{field: 1})
+
+    @pytest.mark.parametrize("module", ["asyncio", "socket"])
+    def test_package_has_no_network_transport(self, module):
+        """No module of the package imports a networking or event-loop stack."""
+        offenders = []
+        for path in sorted(PACKAGE.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name == module or name.startswith(module + ".") for name in names):
+                    offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+        assert offenders == []
 
 
 class TestSpawnContextPrewarm:

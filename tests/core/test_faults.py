@@ -108,6 +108,17 @@ def test_parse_fault_plan_rejects_malformed(spec):
         parse_fault_plan(spec)
 
 
+@pytest.mark.parametrize(
+    "site",
+    ["distributed.result_drop", "distributed.result_corrupt", "distributed.heartbeat_stall"],
+)
+def test_retired_distributed_sites_are_unknown(site):
+    with pytest.raises(ConfigurationError, match="unknown fault site"):
+        parse_fault_plan(f"{site}:1")
+    with pytest.raises(ModelError, match="unregistered"):
+        maybe_fail(site)
+
+
 def test_fault_spec_windows():
     assert [FaultSpec("s", nth=2).fires_on(hit) for hit in (1, 2, 3)] == [
         False, True, False,

@@ -345,6 +345,29 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--distributed", "2"),
+            ("--listen", "127.0.0.1:7355"),
+            ("--min-workers", "1"),
+            ("--heartbeat-seconds", "1"),
+            ("--straggler-seconds", "5"),
+        ],
+    )
+    def test_removed_fabric_flags_rejected(self, flag, value, capsys):
+        """Sweeps run serially or on the local pool; no multi-host flag remains."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", flag, value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_worker_subcommand_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--connect", "127.0.0.1:7355"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["sweep", "--epsilon", "-1"],

@@ -181,6 +181,17 @@ def test_list_rules_names_every_rule(capsys):
         assert rule.invariant in out
 
 
+@pytest.mark.parametrize("rule_id", ["RL001", "RL004"])
+def test_retired_rule_ids_are_unknown(tmp_path, capsys, rule_id):
+    clean = tmp_path / "core" / "engine.py"
+    clean.parent.mkdir(parents=True)
+    clean.write_text("x = 1\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match="unknown rule id"):
+        lint_main(["--select", rule_id, str(tmp_path)])
+    assert lint_main(["--list-rules"]) == 0
+    assert rule_id not in capsys.readouterr().out
+
+
 def test_python_dash_m_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "repro.lint", str(PACKAGE)],

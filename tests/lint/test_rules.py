@@ -7,8 +7,10 @@ not leak outside their path scopes.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.lint.rules import ALL_RULES
-from repro.lint.rules.determinism import CertifiedPathDeterminismRule
+from repro.lint.rules.determinism import WALL_CLOCK_CALLS, CertifiedPathDeterminismRule
 from repro.lint.rules.fault_sites import FaultSiteRegistrationRule
 from repro.lint.rules.fork_safety import ForkSafetyRule
 from repro.lint.rules.merge_pipeline import MergePipelineRule
@@ -99,6 +101,140 @@ def test_rl002_global_check_scoped_to_engine_trees(harness):
             global _CACHE
             _CACHE = object()
             return _CACHE
+        """,
+        RL002,
+    )
+    assert violations == []
+
+
+def test_rl002_fires_on_tuple_unpacked_global_rebinding(harness):
+    violations = harness.lint(
+        "core/engine.py",
+        """
+        _PAYLOAD = None
+        _COUNT = 0
+
+        def install(payload):
+            global _PAYLOAD, _COUNT
+            _PAYLOAD, _COUNT = payload, len(payload)
+        """,
+        RL002,
+    )
+    assert ids(violations) == ["RL002", "RL002"]
+    messages = " ".join(v.message for v in violations)
+    assert "_PAYLOAD" in messages and "_COUNT" in messages
+
+
+def test_rl002_fires_on_augmented_global_rebinding(harness):
+    violations = harness.lint(
+        "attacks/registry.py",
+        """
+        _BUILDS = 0
+
+        def count_build():
+            global _BUILDS
+            _BUILDS += 1
+        """,
+        RL002,
+    )
+    assert ids(violations) == ["RL002"]
+    assert "_BUILDS" in violations[0].message
+
+
+def test_rl002_nested_def_has_its_own_global_scope(harness):
+    # The outer ``global`` does not reach the inner def: the inner assignment
+    # binds a local.  Only the inner def that declares the global fires.
+    violations = harness.lint(
+        "core/engine.py",
+        """
+        _STATE = None
+
+        def outer():
+            global _STATE
+
+            def local_only():
+                _STATE = 1
+                return _STATE
+
+            def rebinds():
+                global _STATE
+                _STATE = 2
+
+            return local_only, rebinds
+        """,
+        RL002,
+    )
+    assert ids(violations) == ["RL002"]
+    assert violations[0].line == 13
+
+
+def test_rl002_quiet_under_lock_returned_by_call(harness):
+    violations = harness.lint(
+        "mdp/cache.py",
+        """
+        _CACHE = None
+
+        def cache(registry):
+            global _CACHE
+            with registry.cache_lock():
+                _CACHE = object()
+            return _CACHE
+        """,
+        RL002,
+    )
+    assert violations == []
+
+
+def test_rl002_non_lock_context_manager_does_not_guard(harness):
+    violations = harness.lint(
+        "core/journal.py",
+        """
+        _HANDLE = None
+
+        def open_journal(path):
+            global _HANDLE
+            with open(path) as stream:
+                _HANDLE = stream.read()
+        """,
+        RL002,
+    )
+    assert ids(violations) == ["RL002"]
+
+
+def test_rl002_bare_acquire_scoped_to_engine_trees(harness):
+    violations = harness.lint(
+        "reporting/tables.py",
+        """
+        import threading
+
+        LOCK = threading.Lock()
+
+        def critical():
+            LOCK.acquire()
+            LOCK.release()
+        """,
+        RL002,
+    )
+    assert violations == []
+
+
+def test_rl002_quiet_on_acquire_whose_result_is_used(harness):
+    # Only an acquire *statement* is flagged; a non-blocking acquire whose
+    # result decides the branch is an explicit protocol, not a leak.
+    violations = harness.lint(
+        "core/engine.py",
+        """
+        import threading
+
+        LOCK = threading.Lock()
+
+        def try_critical():
+            if not LOCK.acquire(blocking=False):
+                return None
+            try:
+                return 1
+            finally:
+                LOCK.release()
         """,
         RL002,
     )
@@ -202,6 +338,101 @@ def test_rl003_scoped_to_certified_paths(harness):
     assert violations == []
 
 
+def test_rl003_fires_on_from_random_import(harness):
+    violations = harness.lint(
+        "analysis/bisection.py",
+        """
+        from random import uniform
+
+        def probe(low, high):
+            return uniform(low, high)
+        """,
+        RL003,
+    )
+    assert ids(violations) == ["RL003"]
+    assert "from random import" in violations[0].message
+
+
+@pytest.mark.parametrize("call", sorted(WALL_CLOCK_CALLS))
+def test_rl003_fires_on_every_wall_clock_read(harness, call):
+    violations = harness.lint(
+        "mdp/solver.py",
+        f"""
+        def stamp():
+            return {call}()
+        """,
+        RL003,
+    )
+    assert ids(violations) == ["RL003"]
+    assert f"wall-clock read {call}()" in violations[0].message
+
+
+@pytest.mark.parametrize(
+    "call", ["time.perf_counter", "time.perf_counter_ns", "time.monotonic", "time.process_time"]
+)
+def test_rl003_quiet_on_duration_timers(harness, call):
+    violations = harness.lint(
+        "analysis/algorithm1.py",
+        f"""
+        import time
+
+        def timed(solve):
+            start = {call}()
+            solve()
+            return {call}() - start
+        """,
+        RL003,
+    )
+    assert violations == []
+
+
+def test_rl003_quiet_on_explicit_numpy_generator_construction(harness):
+    violations = harness.lint(
+        "attacks/simulate.py",
+        """
+        import numpy as np
+
+        def generator(seed):
+            return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        """,
+        RL003,
+    )
+    assert violations == []
+
+
+def test_rl003_fires_on_fully_qualified_legacy_numpy_seed(harness):
+    violations = harness.lint(
+        "mdp/solver.py",
+        """
+        import numpy
+
+        def reseed():
+            numpy.random.seed(0)
+        """,
+        RL003,
+    )
+    assert ids(violations) == ["RL003"]
+    assert "numpy.random.seed()" in violations[0].message
+
+
+@pytest.mark.parametrize(
+    "source, described",
+    [
+        ("for edge in {1, 2}:\n    yield edge", "a set literal"),
+        ("for edge in {e for e in edges}:\n    yield edge", "a set comprehension"),
+        ("for edge in frozenset(edges):\n    yield edge", "frozenset(...)"),
+        ("yield {edge: 1 for edge in set(edges)}", "set(...)"),
+        ("yield sum(edge for edge in set(edges))", "set(...)"),
+    ],
+    ids=["for-set-literal", "for-set-comprehension", "for-frozenset", "dict-comp", "genexp"],
+)
+def test_rl003_fires_on_each_set_iteration_form(harness, source, described):
+    body = "\n".join("    " + line for line in source.splitlines())
+    violations = harness.lint("attacks/structure.py", f"def build(edges):\n{body}\n", RL003)
+    assert ids(violations) == ["RL003"]
+    assert f"iterating {described}" in violations[0].message
+
+
 # --------------------------------------------------------------------- RL005
 
 
@@ -264,6 +495,58 @@ def test_rl005_ignores_unregistered_classes(harness):
         RL005,
     )
     assert violations == []
+
+
+def test_rl005_checks_bare_decorator(harness):
+    violations = harness.lint(
+        "attacks/custom.py",
+        """
+        from repro.attacks.registry import register_attack
+
+        @register_attack
+        class BareStructure:
+            pass
+        """,
+        RL005,
+    )
+    assert ids(violations) == ["RL005", "RL005"]
+    assert "BUFFER_KEYS" in violations[0].message
+    assert "missing required hook(s)" in violations[1].message
+
+
+def test_rl005_checks_module_qualified_decorator(harness):
+    source = _scenario_source(buffer_keys=False, hooks=REQUIRED_HOOKS).replace(
+        "from repro.attacks.registry import register_attack",
+        "from repro.attacks import registry",
+    ).replace('@register_attack("custom")', '@registry.register_attack("custom")')
+    violations = harness.lint("attacks/custom.py", source, RL005)
+    assert ids(violations) == ["RL005"]
+    assert "BUFFER_KEYS" in violations[0].message
+
+
+def test_rl005_accepts_annotated_buffer_keys(harness):
+    source = _scenario_source(buffer_keys=True, hooks=REQUIRED_HOOKS).replace(
+        'BUFFER_KEYS = ("states",)', 'BUFFER_KEYS: tuple = ("states",)'
+    )
+    assert harness.lint("attacks/custom.py", source, RL005) == []
+
+
+def test_rl005_inherited_hooks_do_not_count(harness):
+    violations = harness.lint(
+        "attacks/custom.py",
+        """
+        from repro.attacks.registry import register_attack
+        from repro.attacks.structure import SelfishForksStructure
+
+        @register_attack("derived")
+        class DerivedStructure(SelfishForksStructure):
+            BUFFER_KEYS = SelfishForksStructure.BUFFER_KEYS
+        """,
+        RL005,
+    )
+    assert ids(violations) == ["RL005"]
+    for hook in REQUIRED_HOOKS:
+        assert hook in violations[0].message
 
 
 # --------------------------------------------------------------------- RL006
@@ -332,6 +615,55 @@ def test_rl006_applies_outside_core(harness):
         RL006,
     )
     assert ids(violations) == ["RL006"]
+
+
+def test_rl006_fires_on_missing_site_argument(harness):
+    violations = harness.lint(
+        "core/engine.py",
+        """
+        from repro.core.faults import maybe_fail
+
+        def run():
+            return maybe_fail()
+        """,
+        RL006,
+    )
+    assert ids(violations) == ["RL006"]
+    assert "without a site name" in violations[0].message
+
+
+def test_rl006_fires_on_formatted_site_name(harness):
+    violations = harness.lint(
+        "core/engine.py",
+        """
+        from repro.core.faults import maybe_fail
+
+        def run(kind):
+            return maybe_fail(f"engine.{kind}")
+        """,
+        RL006,
+    )
+    assert ids(violations) == ["RL006"]
+    assert "string literal" in violations[0].message
+
+
+@pytest.mark.parametrize(
+    "site",
+    ["distributed.result_drop", "distributed.result_corrupt", "distributed.heartbeat_stall"],
+)
+def test_rl006_fires_on_retired_distributed_sites(harness, site):
+    violations = harness.lint(
+        "core/engine.py",
+        f"""
+        from repro.core.faults import maybe_fail
+
+        def run():
+            return maybe_fail("{site}")
+        """,
+        RL006,
+    )
+    assert ids(violations) == ["RL006"]
+    assert site in violations[0].message
 
 
 # --------------------------------------------------------------------- RL007
@@ -415,6 +747,80 @@ def test_rl007_quiet_on_non_journal_record_calls(harness):
         """
         def solve(scheduler, probes, elapsed):
             scheduler.record(probes, elapsed)
+        """,
+        RL007,
+    )
+    assert violations == []
+
+
+def test_rl007_fires_on_augmented_metadata_counter(harness):
+    violations = harness.lint(
+        "core/engine.py",
+        """
+        def bump(result):
+            result.metadata["retries"] += 1
+        """,
+        RL007,
+    )
+    assert ids(violations) == ["RL007"]
+    assert "result.metadata" in violations[0].message
+
+
+def test_rl007_fires_on_module_qualified_assembly(harness):
+    violations = harness.lint(
+        "core/sweep.py",
+        """
+        from repro.core import engine
+
+        def finish(config, outcomes, report):
+            return engine.assemble_sweep_result(config, outcomes, report, description="x")
+        """,
+        RL007,
+    )
+    assert ids(violations) == ["RL007"]
+
+
+def test_rl007_fires_on_private_journal_attribute(harness):
+    violations = harness.lint(
+        "core/sweep.py",
+        """
+        class Runner:
+            def merge(self, outcome):
+                self._journal.record(outcome)
+        """,
+        RL007,
+    )
+    assert ids(violations) == ["RL007"]
+    assert "self._journal.record" in violations[0].message
+
+
+def test_rl007_quiet_in_helpers_nested_in_the_assembler(harness):
+    violations = harness.lint(
+        "core/engine.py",
+        """
+        def assemble_sweep_result(config, outcomes, report, description):
+            result = build(config, outcomes, description)
+
+            def note(key, value):
+                result.metadata[key] = value
+
+            note("recovery", {"point_retries": 0})
+            return result
+        """,
+        RL007,
+    )
+    assert violations == []
+
+
+def test_rl007_quiet_on_other_dicts(harness):
+    violations = harness.lint(
+        "core/reporting.py",
+        """
+        def row(point, extra):
+            fields = point.to_row()
+            fields["series"] = point.series
+            fields.update(extra)
+            return fields
         """,
         RL007,
     )
