@@ -47,7 +47,6 @@ from .structure import (
     build_model_structure,
     clear_structure_cache,
     get_model_structure,
-    install_structure,
     structure_cache_stats,
 )
 from .honest import honest_errev, honest_strategy, honest_strategy_rows
@@ -100,7 +99,6 @@ __all__ = [
     "build_model_structure",
     "clear_structure_cache",
     "get_model_structure",
-    "install_structure",
     "structure_cache_stats",
     "honest_errev",
     "honest_strategy",

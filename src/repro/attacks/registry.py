@@ -9,9 +9,6 @@ capabilities from it:
   ``(AttackParams, SupportSignature)``,
 * a cheap vectorised probability refill for one concrete parameter point
   (:meth:`ScenarioStructure.instantiate`),
-* a flat-buffer serialisation (:meth:`ScenarioStructure.to_buffers` /
-  :meth:`ScenarioStructure.from_buffers`) so skeletons travel as one packed
-  payload to pool workers,
 * replay glue (policy construction plus a matching chain simulator) for
   validating formal strategies by simulation.
 
@@ -22,10 +19,9 @@ This module makes that implicit interface explicit.  A scenario is a
     class SelfishForksStructure(ScenarioStructure): ...
 
 Consumers resolve scenarios with :func:`get_attack` / :func:`list_attacks` and
-identify them across process boundaries by the versioned ``scenario_id``
-(``"name@version"``).  The id is embedded in packed structure payload
-directories, journal records and CSV rows, so mixed-scenario sweeps and
-cross-version payloads fail loudly instead of silently decoding garbage.
+identify persisted results by the versioned ``scenario_id``
+(``"name@version"``).  The id is embedded in journal records and CSV rows, so
+mixed-scenario sweeps and resumes across scenario versions fail loudly.
 """
 
 from __future__ import annotations
@@ -43,59 +39,12 @@ from .fork_state import (
     PROB_GAMMA,
     PROB_GAMMA_HONEST,
     PROB_HONEST,
-    PROB_ONE,
     PROB_ONE_MINUS_GAMMA,
     PROB_ONE_MINUS_GAMMA_HONEST,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..mdp import MDP
-
-#: Every symbolic probability tag :meth:`ScenarioStructure.instantiate` refills.
-_PROB_KINDS = (
-    PROB_ONE,
-    PROB_ADVERSARY,
-    PROB_HONEST,
-    PROB_GAMMA,
-    PROB_ONE_MINUS_GAMMA,
-    PROB_GAMMA_HONEST,
-    PROB_ONE_MINUS_GAMMA_HONEST,
-)
-
-
-def check_buffer(
-    name: str, array: np.ndarray, shape: Tuple[Optional[int], ...], kinds: str
-) -> None:
-    """Refuse a skeleton buffer of the wrong dtype kind, rank or length.
-
-    ``shape`` entries of ``None`` match any length; ``kinds`` lists the
-    accepted :attr:`numpy.dtype.kind` codes (``"iu"`` for index arrays).
-
-    Raises:
-        ModelError: If ``array`` does not match.
-    """
-    kind = getattr(getattr(array, "dtype", None), "kind", None)
-    if kind is None or kind not in kinds:
-        raise ModelError(
-            f"malformed skeleton: buffer {name!r} has dtype "
-            f"{getattr(array, 'dtype', type(array).__name__)}, expected kind {kinds!r}"
-        )
-    if array.ndim != len(shape) or any(
-        want is not None and got != want for got, want in zip(array.shape, shape)
-    ):
-        raise ModelError(
-            f"malformed skeleton: buffer {name!r} has shape {array.shape}, expected "
-            f"{tuple('*' if want is None else want for want in shape)}"
-        )
-
-
-def _check_offsets(name: str, offsets: np.ndarray, total: int) -> None:
-    """Refuse CSR offsets that do not rise strictly from 0 to ``total``."""
-    if offsets[0] != 0 or offsets[-1] != total or bool((np.diff(offsets) < 1).any()):
-        raise ModelError(
-            f"malformed skeleton: {name!r} must rise strictly from 0 to {total} "
-            f"(every state needs an action row, every row a transition)"
-        )
 
 
 @dataclass(frozen=True)
@@ -155,11 +104,14 @@ class ScenarioStructure:
     the probability array.
 
     Subclasses registered with :func:`register_attack` additionally implement
-    the exploration (:meth:`explore`), the flat-buffer codec
-    (:meth:`to_buffers` / :meth:`from_buffers`) and the replay glue
+    the exploration (:meth:`explore`) and the replay glue
     (:meth:`make_policy` / :meth:`simulate`).  Bump :attr:`SCENARIO_VERSION`
-    whenever the buffer layout or the transition semantics change, so stale
-    payloads are refused instead of silently mis-decoded.
+    whenever the transition semantics change, so journals written by the old
+    semantics are refused on resume instead of silently mixed in.
+
+    Pool workers receive skeletons as pickled (spawn) or inherited (fork)
+    objects; the structure cache freezes their numeric arrays, so a cached
+    skeleton is read-only in every process.
     """
 
     #: Compatibility version of the scenario; part of ``scenario_id``.
@@ -169,22 +121,6 @@ class ScenarioStructure:
     #: Proof systems usable as refill parameterisations of this scenario
     #: (names resolved by :meth:`AttackScenario.proof_systems`).
     PROOF_SYSTEMS: Tuple[str, ...] = ()
-
-    #: Buffer keys of :meth:`to_buffers`, in canonical order; subclasses with
-    #: extra per-scenario arrays extend this tuple.
-    BUFFER_KEYS = (
-        "header",
-        "state_labels",
-        "row_actions",
-        "row_state",
-        "state_row_offsets",
-        "row_trans_offsets",
-        "trans_succ",
-        "trans_kind",
-        "trans_sigma",
-        "trans_mult",
-        "trans_reward",
-    )
 
     def __init__(
         self,
@@ -223,52 +159,6 @@ class ScenarioStructure:
         self._trans_row = np.repeat(
             np.arange(self.num_rows, dtype=np.int64), np.diff(row_trans_offsets)
         )
-
-    def check_layout(self) -> None:
-        """Check that the skeleton arrays describe one well-formed CSR model.
-
-        Explored skeletons satisfy this by construction.  Skeletons decoded
-        from a received payload (:func:`repro.core.shared_structures.
-        unpack_structures`) are checked before any worker instantiates them,
-        so a malformed peer payload is refused up front instead of raising an
-        ``IndexError`` -- or silently mis-solving -- inside a sweep.
-        Subclasses with extra arrays extend the check.
-
-        Raises:
-            ModelError: On the first inconsistency found.
-        """
-        states, rows, trans = self.num_states, self.num_rows, self.num_transitions
-        check_buffer("row_state", self.row_state, (rows,), "iu")
-        check_buffer("state_row_offsets", self.state_row_offsets, (states + 1,), "iu")
-        check_buffer("row_trans_offsets", self.row_trans_offsets, (rows + 1,), "iu")
-        for name in ("trans_succ", "trans_kind", "trans_sigma"):
-            check_buffer(name, getattr(self, name), (trans,), "iu")
-        check_buffer("trans_mult", self.trans_mult, (trans,), "f")
-        check_buffer("trans_reward", self.trans_reward, (trans, 2), "f")
-        if len(self.row_actions) != rows:
-            raise ModelError(
-                f"malformed skeleton: {len(self.row_actions)} action labels for {rows} rows"
-            )
-        if not 0 <= self.initial_state < states:
-            raise ModelError(
-                f"malformed skeleton: initial state {self.initial_state} outside "
-                f"the {states} states"
-            )
-        _check_offsets("state_row_offsets", self.state_row_offsets, rows)
-        _check_offsets("row_trans_offsets", self.row_trans_offsets, trans)
-        owners = np.repeat(np.arange(states), np.diff(self.state_row_offsets))
-        if not np.array_equal(self.row_state, owners):
-            raise ModelError("malformed skeleton: 'row_state' disagrees with 'state_row_offsets'")
-        if self.trans_succ.min() < 0 or self.trans_succ.max() >= states:
-            raise ModelError(f"malformed skeleton: a successor lies outside the {states} states")
-        if not np.isin(self.trans_kind, _PROB_KINDS).all():
-            raise ModelError("malformed skeleton: unknown probability tag in 'trans_kind'")
-        if self.trans_sigma.min() < 0:
-            raise ModelError("malformed skeleton: negative mining-target count in 'trans_sigma'")
-        if not (np.isfinite(self.trans_mult).all() and (self.trans_mult > 0).all()):
-            raise ModelError("malformed skeleton: 'trans_mult' must be finite and positive")
-        if not np.isfinite(self.trans_reward).all():
-            raise ModelError("malformed skeleton: non-finite reward in 'trans_reward'")
 
     # ------------------------------------------------------------------ identity
 
@@ -361,15 +251,6 @@ class ScenarioStructure:
     ) -> "ScenarioStructure":
         """Breadth-first exploration of the reachable fragment (expensive)."""
         raise NotImplementedError(f"{cls.__name__} does not implement explore()")
-
-    def to_buffers(self) -> Dict[str, np.ndarray]:
-        """Serialise the structure into flat numpy buffers (:attr:`BUFFER_KEYS`)."""
-        raise NotImplementedError(f"{type(self).__name__} does not implement to_buffers()")
-
-    @classmethod
-    def from_buffers(cls, buffers: Dict[str, np.ndarray]) -> "ScenarioStructure":
-        """Reconstruct a structure from :meth:`to_buffers` output (zero-copy)."""
-        raise NotImplementedError(f"{cls.__name__} does not implement from_buffers()")
 
     @classmethod
     def series_name(cls, attack: AttackParams) -> str:
@@ -623,9 +504,9 @@ def scenario_id_for(name: str) -> str:
 def resolve_scenario(scenario_id: str) -> AttackScenario:
     """Resolve a versioned ``scenario_id`` against this process's registry.
 
-    Used wherever a scenario identity crosses a process boundary (structure
-    payload directories); any mismatch is an
-    error, never a silent fallback.
+    The inverse of :attr:`AttackScenario.scenario_id` for ids read back from
+    persisted results (journal records, the CSV ``scenario`` column); any
+    mismatch is an error, never a silent fallback.
 
     Raises:
         ModelError: If the id is malformed, names an unknown scenario, or names
@@ -643,7 +524,7 @@ def resolve_scenario(scenario_id: str) -> AttackScenario:
         raise ModelError(f"cannot resolve scenario id {scenario_id!r}: {exc}") from exc
     if str(entry.version) != version_text:
         raise ModelError(
-            f"scenario version mismatch for {name!r}: peer speaks {scenario_id}, "
+            f"scenario version mismatch for {name!r}: the id names {scenario_id}, "
             f"this process implements {entry.scenario_id}"
         )
     return entry
@@ -653,7 +534,6 @@ __all__ = [
     "AttackScenario",
     "ScenarioStructure",
     "SupportSignature",
-    "check_buffer",
     "get_attack",
     "list_attacks",
     "register_attack",

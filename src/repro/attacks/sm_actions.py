@@ -2,9 +2,9 @@
 
 This is the classic single-fork action space of Sapirshtein et al. ("Optimal
 selfish mining strategies in Bitcoin"), registered as the ``"sm-actions"``
-scenario behind the same skeleton-cache and flat-buffer interface as the
-paper's multi-fork family, so every engine feature (warm starts, the worker
-pool, the journal) applies to it unchanged.
+scenario behind the same skeleton-cache interface as the paper's multi-fork
+family, so every engine feature (warm starts, the worker pool, the journal)
+applies to it unchanged.
 
 State and actions
 -----------------
@@ -50,7 +50,7 @@ from .fork_state import (
     PROB_HONEST,
     PROB_ONE_MINUS_GAMMA_HONEST,
 )
-from .registry import ScenarioStructure, SupportSignature, check_buffer, register_attack
+from .registry import ScenarioStructure, SupportSignature, register_attack
 
 #: Fork-flag values of the ``(a, h, fork)`` state.
 IRRELEVANT = 0
@@ -65,13 +65,9 @@ MATCH = ("match",)
 #: Forced terminal action of overpaying boundary states.
 SETTLE = ("settle",)
 
-_ACTION_CODES = {ADOPT: 0, OVERRIDE: 1, WAIT: 2, MATCH: 3, SETTLE: 4}
-_ACTION_LABELS = {code: label for label, code in _ACTION_CODES.items()}
-
 _REGIME_UNDERPAYING = 0
 _REGIME_OVERPAYING = 1
 _REGIME_CODES = {"": _REGIME_UNDERPAYING, "overpaying": _REGIME_OVERPAYING}
-_REGIME_VARIANTS = {code: variant for variant, code in _REGIME_CODES.items()}
 
 #: Number of reward components per transition: ``(r_A, r_H)``.
 NUM_REWARD_COMPONENTS = 2
@@ -84,9 +80,8 @@ def _regime_of(attack: AttackParams) -> int:
 
     Raises:
         ConfigurationError: If the attack belongs to another scenario or names
-            an unknown variant (only ``""`` and ``"overpaying"`` exist; the
-            underpaying regime is spelled ``""`` so that serialised skeletons
-            round-trip to an identical cache key).
+            an unknown variant (only ``""``, the underpaying default, and
+            ``"overpaying"`` exist).
     """
     if attack.scenario != "sm-actions":
         raise ConfigurationError(
@@ -105,17 +100,15 @@ def _regime_of(attack: AttackParams) -> int:
 class SmActionsStructure(ScenarioStructure):
     """ADOPT/OVERRIDE/WAIT/MATCH selfish mining (single fork, ``gamma`` race).
 
-    The skeleton layout extends the canonical buffers with the indices and
-    ``(a, h)`` labels of the overpaying settlement transitions, whose rewards
-    are ``p``-dependent and therefore refilled per parameter point by
+    The skeleton extends the canonical arrays with the indices and ``(a, h)``
+    labels of the overpaying settlement transitions, whose rewards are
+    ``p``-dependent and therefore refilled per parameter point by
     :meth:`_rewards_for` (underpaying skeletons carry empty settle arrays).
     """
 
     SCENARIO_VERSION = 1
     #: Single concurrent mining target, so every proof system's ``k`` suffices.
     PROOF_SYSTEMS = ("pow", "pos", "pospacetime", "vdf")
-
-    BUFFER_KEYS = ScenarioStructure.BUFFER_KEYS + ("settle_trans", "settle_ah")
 
     def __init__(
         self,
@@ -131,16 +124,6 @@ class SmActionsStructure(ScenarioStructure):
         self.settle_ah = (
             settle_ah if settle_ah is not None else np.empty((0, 2), dtype=np.int32)
         )
-
-    def check_layout(self) -> None:
-        """Extend the CSR check to the overpaying settlement arrays."""
-        super().check_layout()
-        check_buffer("settle_trans", self.settle_trans, (None,), "iu")
-        check_buffer("settle_ah", self.settle_ah, (self.settle_trans.shape[0], 2), "iu")
-        if self.settle_trans.size and (
-            self.settle_trans.min() < 0 or self.settle_trans.max() >= self.num_transitions
-        ):
-            raise ModelError("malformed skeleton: a settlement lies outside the transitions")
 
     # -------------------------------------------------------------------- refill
 
@@ -444,98 +427,6 @@ class SmActionsStructure(ScenarioStructure):
     def honest_strategy(cls, mdp: MDP) -> Strategy:
         """Protocol-following baseline: override a lead, else adopt, else wait."""
         return Strategy(mdp, honest_strategy_rows(mdp))
-
-    # ------------------------------------------------------------- serialisation
-
-    def to_buffers(self) -> Dict[str, np.ndarray]:
-        """Serialise the structure into a dict of flat numpy buffers.
-
-        State labels ``(a, h, fork)`` encode as int32 triples and action labels
-        as single int32 codes; the numeric transition arrays (including the
-        settle arrays) are returned as-is, so :meth:`from_buffers` is zero-copy
-        for everything that matters.
-        """
-        state_labels = np.asarray(self.state_labels, dtype=np.int32).reshape(
-            self.num_states, 3
-        )
-        row_actions = np.asarray(
-            [_ACTION_CODES[action] for action in self.row_actions], dtype=np.int32
-        )
-        header = np.array(
-            [
-                self.attack.depth,
-                self.attack.forks,
-                self.attack.max_fork_length,
-                _regime_of(self.attack),
-                int(self.signature.adversary_mines),
-                int(self.signature.honest_mines),
-                int(self.signature.race_win),
-                int(self.signature.race_loss),
-                self.initial_state,
-            ],
-            dtype=np.int64,
-        )
-        return {
-            "header": header,
-            "state_labels": state_labels,
-            "row_actions": row_actions,
-            "row_state": self.row_state,
-            "state_row_offsets": self.state_row_offsets,
-            "row_trans_offsets": self.row_trans_offsets,
-            "trans_succ": self.trans_succ,
-            "trans_kind": self.trans_kind,
-            "trans_sigma": self.trans_sigma,
-            "trans_mult": self.trans_mult,
-            "trans_reward": self.trans_reward,
-            "settle_trans": self.settle_trans,
-            "settle_ah": self.settle_ah,
-        }
-
-    @classmethod
-    def from_buffers(cls, buffers: Dict[str, np.ndarray]) -> "SmActionsStructure":
-        """Reconstruct a structure from :meth:`to_buffers` output (zero-copy)."""
-        check_buffer("header", buffers["header"], (9,), "iu")
-        check_buffer("state_labels", buffers["state_labels"], (None, 3), "iu")
-        check_buffer("row_actions", buffers["row_actions"], (None,), "iu")
-        if not np.isin(buffers["row_actions"], tuple(_ACTION_LABELS)).all():
-            raise ModelError("malformed skeleton: unknown action code in 'row_actions'")
-        header = [int(value) for value in buffers["header"]]
-        attack = AttackParams(
-            depth=header[0],
-            forks=header[1],
-            max_fork_length=header[2],
-            scenario="sm-actions",
-            variant=_REGIME_VARIANTS[header[3]],
-        )
-        signature = SupportSignature(
-            adversary_mines=bool(header[4]),
-            honest_mines=bool(header[5]),
-            race_win=bool(header[6]),
-            race_loss=bool(header[7]),
-        )
-        labels: List[Hashable] = [
-            (int(a), int(h), int(fork)) for a, h, fork in buffers["state_labels"].tolist()
-        ]
-        actions: List[Hashable] = [
-            _ACTION_LABELS[code] for code in buffers["row_actions"].tolist()
-        ]
-        return cls(
-            attack=attack,
-            signature=signature,
-            initial_state=header[8],
-            state_labels=labels,
-            row_state=buffers["row_state"],
-            state_row_offsets=buffers["state_row_offsets"],
-            row_trans_offsets=buffers["row_trans_offsets"],
-            row_actions=actions,
-            trans_succ=buffers["trans_succ"],
-            trans_kind=buffers["trans_kind"],
-            trans_sigma=buffers["trans_sigma"],
-            trans_mult=buffers["trans_mult"],
-            trans_reward=buffers["trans_reward"],
-            settle_trans=buffers["settle_trans"],
-            settle_ah=buffers["settle_ah"],
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

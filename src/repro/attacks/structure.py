@@ -21,12 +21,12 @@ This module therefore splits model construction into
 Structures are memoised in a process-local cache so that a parameter sweep pays
 the exploration cost once per ``(attack, signature)`` instead of once per grid
 point.  Sweep worker processes never explore at all: the parent builds each
-skeleton once, serialises it into flat buffers (:meth:`SelfishForksStructure.
-to_buffers`) packed into one payload (:mod:`repro.core.shared_structures`), and
-every worker decodes the payload zero-copy into this cache
-(:func:`replace_structure_cache`).  The cache keeps separate
-``builds`` / ``attaches`` counters so tests can assert that workers performed
-zero explorations.
+skeleton once and hands the objects to every pool worker, which installs them
+into this cache in its initializer (:func:`replace_structure_cache`).  The
+cache keeps separate ``builds`` / ``attaches`` counters so tests can assert
+that workers performed zero explorations.  Cached skeletons are shared by every
+model instantiated from them, so their numeric arrays are frozen (read-only)
+the moment they enter the cache.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mdp import MDP
 
 from ..config import AttackParams, ProtocolParams
-from ..exceptions import ConfigurationError, ModelError
+from ..exceptions import ConfigurationError
 from . import fork_state
 from .fork_state import (
     ForkState,
@@ -52,7 +52,6 @@ from .fork_state import (
 from .registry import (
     ScenarioStructure,
     SupportSignature,
-    check_buffer,
     get_attack,
     register_attack,
 )
@@ -74,9 +73,6 @@ class SelfishForksStructure(ScenarioStructure):
     """
 
     SCENARIO_VERSION = 1
-    #: The base buffer layout, declared explicitly: the buffer schema is
-    #: part of the worker payload contract, not an inheritance accident (RL005).
-    BUFFER_KEYS = ScenarioStructure.BUFFER_KEYS
     #: ``(p, k)``-mining: d*f concurrent targets need ``k >= d*f``, which PoS
     #: (k = inf) and PoSpaceTime (configurable k) provide; PoW/VDF cover d=f=1.
     PROOF_SYSTEMS = ("pow", "pos", "pospacetime", "vdf")
@@ -198,111 +194,6 @@ class SelfishForksStructure(ScenarioStructure):
 
         return immediate_release_strategy(mdp)
 
-    # ------------------------------------------------------------- serialisation
-
-    def to_buffers(self) -> Dict[str, np.ndarray]:
-        """Serialise the structure into a dict of flat numpy buffers.
-
-        The buffers are self-contained: :meth:`from_buffers` reconstructs a
-        bit-for-bit identical structure from them.  The numeric transition
-        arrays are returned as-is (no copy); the python-object state labels and
-        action labels are encoded into fixed-width integer matrices so that the
-        whole structure packs into one flat payload.
-
-        Label encoding: each :data:`~repro.attacks.fork_state.ForkState`
-        ``(C, O, type)`` flattens to ``d*f`` fork lengths, ``d-1`` ownership
-        flags and the state type.  Action encoding: ``("mine",)`` becomes
-        ``(0, 0, 0, 0)`` and ``("release", i, j, k)`` becomes ``(1, i, j, k)``.
-        """
-        d, f = self.attack.depth, self.attack.forks
-        label_width = d * f + (d - 1) + 1
-        state_labels = np.empty((self.num_states, label_width), dtype=np.int32)
-        for index, (c_matrix, owners, state_type) in enumerate(self.state_labels):
-            flat = [length for row in c_matrix for length in row]
-            flat.extend(owners)
-            flat.append(state_type)
-            state_labels[index] = flat
-        row_actions = np.zeros((self.num_rows, 4), dtype=np.int32)
-        for index, action in enumerate(self.row_actions):
-            if action[0] == "release":
-                row_actions[index] = (1, action[1], action[2], action[3])
-        header = np.array(
-            [
-                d,
-                f,
-                self.attack.max_fork_length,
-                int(self.signature.adversary_mines),
-                int(self.signature.honest_mines),
-                int(self.signature.race_win),
-                int(self.signature.race_loss),
-                self.initial_state,
-            ],
-            dtype=np.int64,
-        )
-        return {
-            "header": header,
-            "state_labels": state_labels,
-            "row_actions": row_actions,
-            "row_state": self.row_state,
-            "state_row_offsets": self.state_row_offsets,
-            "row_trans_offsets": self.row_trans_offsets,
-            "trans_succ": self.trans_succ,
-            "trans_kind": self.trans_kind,
-            "trans_sigma": self.trans_sigma,
-            "trans_mult": self.trans_mult,
-            "trans_reward": self.trans_reward,
-        }
-
-    @classmethod
-    def from_buffers(cls, buffers: Dict[str, np.ndarray]) -> "SelfishForksStructure":
-        """Reconstruct a structure from :meth:`to_buffers` output.
-
-        The numeric transition arrays are adopted without copying, so buffers
-        that are views into a received payload stay zero-copy.  Only the
-        python-object labels (state tuples, action tuples) are materialised,
-        which is a plain decode loop -- orders of magnitude cheaper than
-        re-running the breadth-first exploration.
-        """
-        check_buffer("header", buffers["header"], (8,), "iu")
-        header = [int(value) for value in buffers["header"]]
-        d, f, l = header[0], header[1], header[2]
-        attack = AttackParams(depth=d, forks=f, max_fork_length=l)
-        check_buffer("state_labels", buffers["state_labels"], (None, d * f + d), "iu")
-        check_buffer("row_actions", buffers["row_actions"], (None, 4), "iu")
-        if not np.isin(buffers["row_actions"][:, 0], (0, 1)).all():
-            raise ModelError("malformed skeleton: unknown action tag in 'row_actions'")
-        signature = SupportSignature(
-            adversary_mines=bool(header[3]),
-            honest_mines=bool(header[4]),
-            race_win=bool(header[5]),
-            race_loss=bool(header[6]),
-        )
-        labels: List[Hashable] = []
-        forks_end = d * f
-        for flat in buffers["state_labels"].tolist():
-            c_matrix = tuple(tuple(flat[i * f : (i + 1) * f]) for i in range(d))
-            owners = tuple(flat[forks_end : forks_end + d - 1])
-            labels.append((c_matrix, owners, flat[-1]))
-        actions: List[Hashable] = [
-            ("mine",) if tag == 0 else ("release", i, j, k)
-            for tag, i, j, k in buffers["row_actions"].tolist()
-        ]
-        return cls(
-            attack=attack,
-            signature=signature,
-            initial_state=int(header[7]),
-            state_labels=labels,
-            row_state=buffers["row_state"],
-            state_row_offsets=buffers["state_row_offsets"],
-            row_trans_offsets=buffers["row_trans_offsets"],
-            row_actions=actions,
-            trans_succ=buffers["trans_succ"],
-            trans_kind=buffers["trans_kind"],
-            trans_sigma=buffers["trans_sigma"],
-            trans_mult=buffers["trans_mult"],
-            trans_reward=buffers["trans_reward"],
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SelfishForksStructure(d={self.attack.depth}, f={self.attack.forks}, "
@@ -415,10 +306,24 @@ _STRUCTURE_CACHE: Dict[Tuple[AttackParams, SupportSignature], ScenarioStructure]
 _CACHE_LOCK = threading.Lock()
 #: Number of breadth-first explorations performed by this process since the
 #: last :func:`clear_structure_cache` -- sweep workers, which install the
-#: parent's packed skeletons, must keep this at 0.
+#: parent's skeletons, must keep this at 0.
 _BUILD_COUNT = 0
 #: Number of structures installed from outside (not explored here).
 _ATTACH_COUNT = 0
+
+
+def _freeze(structure: ScenarioStructure) -> ScenarioStructure:
+    """Make every numeric array of ``structure`` read-only, in place.
+
+    Every model instantiated from a cached skeleton shares its arrays, so a
+    write through one model would corrupt every later grid point.  Pickling
+    (spawn-started workers) drops the flag below protocol 5, so installed
+    skeletons are frozen again.
+    """
+    for value in vars(structure).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return structure
 
 
 def get_model_structure(
@@ -431,8 +336,9 @@ def get_model_structure(
 
     Dispatches the exploration through the scenario registry, so any registered
     scenario shares this cache (and its builds/attaches accounting).  The cache
-    is process-local; sweep workers have it populated up front from the
-    parent's packed skeletons and therefore always hit.
+    is process-local; sweep workers have it populated up front with the
+    parent's skeletons and therefore always hit.  The returned skeleton's
+    numeric arrays are read-only.
     """
     global _BUILD_COUNT
     signature = SupportSignature.of(protocol)
@@ -441,7 +347,7 @@ def get_model_structure(
         structure = _STRUCTURE_CACHE.get(key)
         if structure is None:
             entry = get_attack(attack.scenario)
-            structure = entry.explore(attack, signature, max_states=max_states)
+            structure = _freeze(entry.explore(attack, signature, max_states=max_states))
             _STRUCTURE_CACHE[key] = structure
             _BUILD_COUNT += 1
     # The cap must hold even when a previous caller already paid the exploration.
@@ -453,31 +359,21 @@ def get_model_structure(
     return structure
 
 
-def install_structure(structure: ScenarioStructure) -> None:
-    """Install an externally built structure (idempotent, counts as an attach).
-
-    Subsequent :func:`get_model_structure` calls for the same ``(attack,
-    signature)`` hit the cache without ever exploring.
-    """
-    global _ATTACH_COUNT
-    key = (structure.attack, structure.signature)
-    with _CACHE_LOCK:
-        _STRUCTURE_CACHE[key] = structure
-        _ATTACH_COUNT += 1
-
-
 def replace_structure_cache(structures: Iterable[ScenarioStructure]) -> None:
     """Swap the whole cache for ``structures`` (each counted as an attach).
 
     Drops every cached structure, resets the build/attach counters and
-    installs ``structures``, all under the module lock, so a concurrent
-    :func:`get_model_structure` sees either the old cache or the new one and
-    never explores in between.  Sweep workers install the parent's packed
-    skeletons through this (:func:`repro.core.shared_structures.
-    install_structure_payload`).
+    installs ``structures`` (frozen read-only), all under the module lock, so
+    a concurrent :func:`get_model_structure` sees either the old cache or the
+    new one and never explores in between.  It is the pool initializer of
+    every sweep worker (:class:`repro.core.execution.PoolBackend`): the swap
+    drops whatever the process held before -- including the cache and build
+    counters a fork-started worker inherits -- so the worker reports zero
+    builds.  Idempotent, and importable at module top level so spawn-started
+    workers can unpickle it.
     """
     global _BUILD_COUNT, _ATTACH_COUNT
-    structure_list = list(structures)
+    structure_list = [_freeze(structure) for structure in structures]
     with _CACHE_LOCK:
         _STRUCTURE_CACHE.clear()
         for structure in structure_list:
@@ -506,7 +402,8 @@ def structure_cache_stats() -> Dict[str, int]:
         ``entries`` / ``states`` / ``transitions``: current cache contents;
         ``builds``: breadth-first explorations this process performed since the
         last clear (0 inside sweep workers);
-        ``attaches``: structures installed from outside (packed payloads).
+        ``attaches``: structures installed from outside (the pool
+        initializer's skeletons).
     """
     with _CACHE_LOCK:
         structures = list(_STRUCTURE_CACHE.values())

@@ -35,11 +35,12 @@ Determinism and failure isolation are the two design invariants:
 
 Model-structure caching (:mod:`repro.attacks.structure`) is enabled by default.
 With ``workers > 1`` the parent builds every ``(attack, support)`` skeleton
-exactly once and packs them into one payload
-(:func:`~repro.core.shared_structures.pack_structures`); every pool worker --
-fork- and spawn-started alike -- installs that payload in its initializer
-instead of exploring (``structure_cache_stats()["builds"] == 0`` inside
-workers).  Outcomes come back pickled through each unit's future.
+exactly once and passes the list to the pool initializer
+(:func:`~repro.attacks.structure.replace_structure_cache`); every pool worker
+-- fork-started workers inherit the objects, spawn-started ones receive them
+pickled -- installs them instead of exploring
+(``structure_cache_stats()["builds"] == 0`` inside workers).  Outcomes come
+back pickled through each unit's future.
 
 The pool start method follows the platform default (fork on Linux, spawn
 elsewhere) and can be forced with the ``REPRO_TEST_START_METHOD`` environment
@@ -292,8 +293,8 @@ def _prewarm_structure_cache(config: "SweepConfig") -> List[ScenarioStructure]:
     their worker) are skipped.
 
     Returns:
-        The distinct structures of the grid, ready to be packed for the
-        workers (:func:`~repro.core.shared_structures.pack_structures`).
+        The distinct structures of the grid, ready to be handed to the
+        workers' pool initializer.
     """
     structures: List[ScenarioStructure] = []
     seen = set()

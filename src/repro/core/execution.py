@@ -4,22 +4,19 @@ The sweep machinery is split into three explicit layers:
 
 1. :class:`SweepPlan` -- the *schedulable* form of a sweep grid.  The plan
    owns the task list (one unit per grid point, or one unit per ``(gamma,
-   attack)`` series under chaining) and makes the implicit ordering of
-   ``_build_tasks`` explicit data: :meth:`SweepPlan.dependencies` is the
-   chain-edge graph induced by ``warm_start_across_points`` /
-   ``reuse_p_axis_bounds``, and "what may run concurrently" is exactly
+   attack)`` series under chaining); "what may run concurrently" is exactly
    "units are independent; points inside a unit are chained in p order".
    Resume filtering (:meth:`SweepPlan.with_replayed`) is a plan-to-plan
    transform, so every backend skips journal-replayed units the same way.
 
 2. :class:`ExecutionBackend` -- the protocol that turns a plan's tasks into
    :class:`~repro.core.engine.PointOutcome`\\ s, and *nothing else*:
-   ``start(plan)`` acquires resources, ``outcomes()`` streams outcome events,
-   ``close()`` releases resources (idempotent).  :class:`SerialBackend` runs
-   units in-process in submission order and :class:`PoolBackend` fans them
-   over a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-   install the parent's packed skeletons and return outcomes through their
-   futures.  Backends never journal, never merge, never synthesize failures.
+   ``start(plan)`` prepares a plan and ``outcomes()`` streams outcome events.
+   :class:`SerialBackend` runs units in-process in submission order and
+   :class:`PoolBackend` fans them over a
+   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers install the
+   parent's skeletons and return outcomes through their futures.  Backends
+   never journal, never merge, never synthesize failures.
 
 3. :class:`MergeSink` -- the single merge pipeline: idempotent grid-key merge,
    journal append (a no-op for replayed keys), synthesized failures for
@@ -63,11 +60,11 @@ from typing import (
     Union,
 )
 
+from ..attacks.structure import replace_structure_cache
 from . import engine as _engine
 from .journal import GridKey
 from .reporting import ProgressReporter
 from .results import SweepResult
-from .shared_structures import install_structure_payload, pack_structures
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles broken at runtime
     from .engine import AttackTask, PointOutcome
@@ -80,14 +77,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycles broken at runtime
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """The schedulable form of a sweep grid: tasks plus explicit dependencies.
+    """The schedulable form of a sweep grid: tasks plus journal-replayed units.
 
     ``tasks`` are the engine's :class:`~repro.core.engine.AttackTask` units in
     deterministic grid order; the unit id of a task is its index.  Units are
     mutually independent and may run concurrently on any backend; the only
     ordering constraints are *inside* a unit, where chained warm starts /
-    certified-bound reuse tie each point to its predecessor on the p axis --
-    :meth:`dependencies` returns exactly those edges.  ``replayed_units`` are
+    certified-bound reuse tie each point to its predecessor on the p axis,
+    which is why a chained series travels as one unit.  ``replayed_units`` are
     the units a journal resume already completed; backends schedule only
     :attr:`pending_units`.
     """
@@ -107,24 +104,6 @@ class SweepPlan:
         return tuple(
             (task.gamma_index, p_index, task.attack_index) for p_index in task.p_indices
         )
-
-    def dependencies(self) -> Dict[GridKey, GridKey]:
-        """Chain edges: each chained grid key mapped to its p-axis predecessor.
-
-        Non-empty only when ``warm_start_across_points`` or
-        ``reuse_p_axis_bounds`` chains a series, in which case every point of a
-        unit (except the first) depends on the previous p point -- the reason
-        a whole series travels as one unit and never crosses a process
-        boundary.  Keys absent from the mapping may start immediately.
-        """
-        edges: Dict[GridKey, GridKey] = {}
-        for unit_id, task in enumerate(self.tasks):
-            if not (task.warm_start_across_points or task.reuse_p_axis_bounds):
-                continue
-            keys = self.unit_keys(unit_id)
-            for previous, current in zip(keys, keys[1:]):
-                edges[current] = previous
-        return edges
 
     @property
     def pending_units(self) -> Tuple[int, ...]:
@@ -281,26 +260,22 @@ class ExecutionBackend:
     :class:`~repro.core.engine.PointOutcome`\\ s; it never journals, merges or
     assembles.  The contract is
 
-    * :meth:`start` -- acquire resources for a plan (the process pool),
+    * :meth:`start` -- prepare a plan (for the pool: build the skeletons),
     * :meth:`outcomes` -- stream :class:`OutcomeBatch` / :class:`UnitCrash`
-      events as units complete,
-    * :meth:`close` -- release every resource; must be idempotent and safe
-      after a partial :meth:`start`,
+      events as units complete, releasing every resource when the stream ends
+      or is closed,
 
-    and :func:`execute_plan` drives those three, feeding each event into the
+    and :func:`execute_plan` drives those two, feeding each event into the
     :class:`MergeSink`.
     """
 
     def start(self, plan: SweepPlan) -> None:
-        """Acquire the resources needed to execute ``plan``'s pending units."""
+        """Prepare the execution of ``plan``'s pending units."""
         raise NotImplementedError
 
     def outcomes(self) -> Iterator[BackendEvent]:
         """Stream outcome events until every pending unit is accounted for."""
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release every resource acquired by :meth:`start` (idempotent)."""
 
 
 class SerialBackend(ExecutionBackend):
@@ -310,7 +285,7 @@ class SerialBackend(ExecutionBackend):
     """
 
     def __init__(self) -> None:
-        """Create an idle serial backend (resources acquired by ``start``)."""
+        """Create an idle serial backend (the plan arrives with ``start``)."""
         self._plan: Optional[SweepPlan] = None
 
     def start(self, plan: SweepPlan) -> None:
@@ -325,26 +300,27 @@ class SerialBackend(ExecutionBackend):
 
 
 class PoolBackend(ExecutionBackend):
-    """Process-pool execution: skeletons in as one payload, outcomes out by pickle.
+    """Process-pool execution: skeletons in as objects, outcomes out by pickle.
 
-    The parent builds every skeleton of the grid once and packs them with
-    :func:`~repro.core.shared_structures.pack_structures`.  Every worker,
-    fork- or spawn-started, installs them in its initializer through
-    :func:`~repro.core.shared_structures.install_structure_payload`, so
-    workers perform zero explorations
-    (``structure_cache_stats()["builds"] == 0``).  Each unit's outcomes return
-    through its future; a unit whose worker died becomes a :class:`UnitCrash`
-    once the pool has joined, and every point of it a synthesized failure.
+    The parent builds every skeleton of the grid once and hands the list to
+    the pool initializer,
+    :func:`~repro.attacks.structure.replace_structure_cache`.  Fork-started
+    workers inherit the objects and spawn-started workers receive them
+    pickled; either way every worker installs them in its structure cache and
+    performs zero explorations (``structure_cache_stats()["builds"] == 0``).
+    Each unit's outcomes return through its future; a unit whose worker died
+    becomes a :class:`UnitCrash` once the pool has joined, and every point of
+    it a synthesized failure.
     """
 
     def __init__(self) -> None:
-        """Create an idle pool backend (resources acquired by ``start``)."""
+        """Create an idle pool backend (the pool opens in ``outcomes``)."""
         self._plan: Optional[SweepPlan] = None
         self._pool_kwargs: Dict[str, object] = {}
         self._workers: int = 0
 
     def start(self, plan: SweepPlan) -> None:
-        """Pick the start method, build and pack the skeletons, size the pool."""
+        """Pick the start method, build the skeletons, size the pool."""
         self._plan = plan
         config = plan.config
         self._workers = int(config.workers)
@@ -356,8 +332,8 @@ class PoolBackend(ExecutionBackend):
         if config.use_structure_cache:
             structures = _engine._prewarm_structure_cache(config)
             if structures:
-                pool_kwargs["initializer"] = install_structure_payload
-                pool_kwargs["initargs"] = (pack_structures(structures),)
+                pool_kwargs["initializer"] = replace_structure_cache
+                pool_kwargs["initargs"] = (structures,)
         self._pool_kwargs = pool_kwargs
 
     def outcomes(self) -> Iterator[BackendEvent]:
@@ -402,10 +378,10 @@ def execute_plan(
     The only function in the package that opens a sweep journal, constructs a
     :class:`MergeSink` and attaches result metadata -- both backends funnel
     through it, so resume semantics and metadata shapes cannot drift between
-    them.  The backend's stream and resources are released, and the journal
-    is sealed, in ``finally`` blocks *before* the result is assembled, so the
-    durability policy runs even when the backend (or a progress callback used
-    for cancellation) raises.
+    them.  The backend's stream is closed (which shuts a pool down), and the
+    journal is sealed, in ``finally`` blocks *before* the result is assembled,
+    so the durability policy runs even when the backend (or a progress
+    callback used for cancellation) raises.
     """
     reporter = ProgressReporter.wrap(progress)
     plan = SweepPlan.build(config)
@@ -440,7 +416,6 @@ def execute_plan(
             close_stream = getattr(stream, "close", None)
             if close_stream is not None:
                 close_stream()
-            backend.close()
     finally:
         if journal is not None:
             journal.close()

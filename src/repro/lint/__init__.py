@@ -14,8 +14,8 @@ RL002     fork safety: no unguarded module-global mutation on worker
 RL003     determinism: no unseeded RNGs, wall-clock reads or set-order
           iteration in the certified solver paths (``attacks/``,
           ``mdp/``, ``analysis/``).
-RL005     scenario contract: every ``@register_attack`` class declares
-          ``BUFFER_KEYS`` and overrides the required engine hooks.
+RL005     scenario contract: every ``@register_attack`` class defines
+          the seven engine hooks in its own body.
 RL006     fault-site registration: every ``maybe_fail`` call names a
           string-literal site registered in ``FAULT_SITES``.
 RL007     merge pipeline: only ``core/execution.py`` journals outcomes,

@@ -1,15 +1,11 @@
 """RL005: every registered attack scenario honours the structure contract.
 
 The scenario registry (:mod:`repro.attacks.registry`) promises that *every*
-engine feature -- the packed structure payload, sweep workers, reporting --
-works on *any* registered scenario.  That promise
-holds only if each ``@register_attack`` class implements the full contract:
-
-* an explicit ``BUFFER_KEYS`` declaration (the packed buffer layout is part of
-  the worker payload contract, so inheriting it silently hides mismatches);
-* the nine engine hooks the registry documents (``explore``, ``to_buffers``,
-  ``from_buffers``, ``series_name``, ``grid_configs``, ``build_model``,
-  ``make_policy``, ``simulate``, ``honest_strategy``).
+engine feature -- the structure cache, sweep workers, reporting -- works on
+*any* registered scenario.  That promise holds only if each
+``@register_attack`` class defines, in its own body, the seven engine hooks
+the registry documents (``explore``, ``series_name``, ``grid_configs``,
+``build_model``, ``make_policy``, ``simulate``, ``honest_strategy``).
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ from ..engine import LintViolation, ModuleInfo, Rule, dotted_name
 #: by redeclaring -- the lint demands a definition in the class body).
 REQUIRED_HOOKS = (
     "explore",
-    "to_buffers",
-    "from_buffers",
     "series_name",
     "grid_configs",
     "build_model",
@@ -57,18 +51,15 @@ def _class_definitions(node: ast.ClassDef) -> Set[str]:
 
 
 class ScenarioContractRule(Rule):
-    """``@register_attack`` classes declare ``BUFFER_KEYS`` and all hooks."""
+    """``@register_attack`` classes define every engine hook in their own body."""
 
     rule_id = "RL005"
     title = "scenario contract completeness for registered attacks"
     invariant = (
-        "every @register_attack class declares BUFFER_KEYS and defines all "
-        f"{len(REQUIRED_HOOKS)} engine hooks in its own body"
+        f"every @register_attack class defines all {len(REQUIRED_HOOKS)} engine "
+        "hooks in its own body"
     )
-    fix_hint = (
-        "declare BUFFER_KEYS explicitly (e.g. ScenarioStructure.BUFFER_KEYS) and "
-        "define every missing hook"
-    )
+    fix_hint = "define every missing hook"
     scopes = None  # registration can happen anywhere
 
     def check(self, module: ModuleInfo) -> Iterator[LintViolation]:
@@ -79,18 +70,6 @@ class ScenarioContractRule(Rule):
             if not any(_is_register_attack_decorator(d) for d in node.decorator_list):
                 continue
             defined = _class_definitions(node)
-            if "BUFFER_KEYS" not in defined:
-                yield self.violation(
-                    module,
-                    node,
-                    f"registered scenario {node.name!r} does not declare "
-                    "BUFFER_KEYS in its own body; the buffer layout must be an "
-                    "explicit part of the contract",
-                    fix_hint=(
-                        "add `BUFFER_KEYS = ScenarioStructure.BUFFER_KEYS` (or the "
-                        "extended tuple) to the class body"
-                    ),
-                )
             missing = [hook for hook in REQUIRED_HOOKS if hook not in defined]
             if missing:
                 yield self.violation(

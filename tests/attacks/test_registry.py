@@ -16,6 +16,7 @@ from repro.attacks.registry import (
 )
 from repro.config import AttackParams, known_scenario_names
 from repro.exceptions import ConfigurationError, ModelError
+from repro.lint.rules.scenario_contract import REQUIRED_HOOKS
 
 
 class TestLookup:
@@ -146,10 +147,8 @@ class TestConcurrency:
         assert errors == []
         assert registry_mod._BUILTINS_LOADED
 
-    def test_builtin_scenarios_declare_buffer_keys_explicitly(self):
-        """The buffer layout is contract, not inheritance accident (RL005)."""
+    @pytest.mark.parametrize("hook", REQUIRED_HOOKS)
+    def test_builtin_scenarios_define_every_hook_in_their_own_body(self, hook):
+        """The hooks are contract, not inheritance accident (RL005)."""
         for entry in list_attacks():
-            assert "BUFFER_KEYS" in entry.structure_cls.__dict__, entry.name
-            assert entry.structure_cls.BUFFER_KEYS[: len(ScenarioStructure.BUFFER_KEYS)] == (
-                ScenarioStructure.BUFFER_KEYS
-            )
+            assert hook in entry.structure_cls.__dict__, (entry.name, hook)

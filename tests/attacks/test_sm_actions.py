@@ -11,13 +11,11 @@ from repro.attacks.registry import SupportSignature, get_attack
 from repro.attacks.sm_actions import (
     IRRELEVANT,
     RELEVANT,
-    SmActionsStructure,
     build_sm_actions_mdp,
     honest_strategy_rows,
     simulate_sm_actions,
 )
 from repro.config import AnalysisConfig, AttackParams, ProtocolParams
-from repro.core.shared_structures import pack_structures, unpack_structures
 from repro.exceptions import ConfigurationError, ModelError
 from repro.mdp import Strategy
 
@@ -124,34 +122,7 @@ class TestSimulationAgreement:
         assert result.relative_revenue == pytest.approx(0.3, abs=0.02)
 
 
-class TestBuffersAndCache:
-    def test_buffer_roundtrip_bit_for_bit(self):
-        structure = get_attack("sm-actions").explore(
-            sm_attack(l=5), SupportSignature.of(PROTOCOL)
-        )
-        restored = SmActionsStructure.from_buffers(structure.to_buffers())
-        assert restored.attack == structure.attack
-        assert restored.scenario_id == structure.scenario_id
-        for key in SmActionsStructure.BUFFER_KEYS:
-            original, copy = structure.to_buffers()[key], restored.to_buffers()[key]
-            assert np.array_equal(original, copy), key
-
-    def test_structure_payload_roundtrip(self):
-        structures = [
-            get_attack("sm-actions").explore(sm_attack(l=4), SupportSignature.of(PROTOCOL)),
-            get_attack("sm-actions").explore(
-                sm_attack(l=4, variant="overpaying"), SupportSignature.of(PROTOCOL)
-            ),
-        ]
-        restored = unpack_structures(pack_structures(structures))
-        assert len(restored) == 2
-        for original, copy in zip(structures, restored):
-            assert type(copy) is SmActionsStructure
-            assert copy.attack == original.attack
-            refilled = copy.instantiate(PROTOCOL)
-            baseline = original.instantiate(PROTOCOL)
-            assert np.array_equal(refilled.trans_prob, baseline.trans_prob)
-
+class TestStructureCache:
     def test_structure_cache_hit_across_points(self):
         clear_structure_cache()
         attack = sm_attack(l=5)

@@ -156,7 +156,7 @@ def _pool_execute(grid: dict, *, progress=None, journal_path=None, resume=False)
 def _pool_worker_builds(grid: dict) -> List[int]:
     """Per-worker build counts under the pool backend's own worker wiring.
 
-    Uses the backend's ``start()`` to pack the skeletons and derive the exact
+    Uses the backend's ``start()`` to build the skeletons and derive the exact
     pool configuration a sweep would use (start method included, via
     ``REPRO_TEST_START_METHOD``), then asks every worker for its
     ``structure_cache_stats()`` instead of computing points.
@@ -165,11 +165,13 @@ def _pool_worker_builds(grid: dict) -> List[int]:
     backend.start(SweepPlan.build(_config(grid, workers=2)))
     kwargs = dict(backend._pool_kwargs)
     assert "initializer" in kwargs, "the pool backend must configure its workers"
+    (structures,) = kwargs["initargs"]
     with ProcessPoolExecutor(max_workers=2, **kwargs) as pool:
         stats = [
             future.result() for future in [pool.submit(structure_cache_stats) for _ in range(4)]
         ]
-    assert all(entry["attaches"] > 0 for entry in stats)
+    # Every worker holds exactly the parent's skeletons, nothing it built itself.
+    assert all(entry["attaches"] == entry["entries"] == len(structures) for entry in stats)
     return [entry["builds"] for entry in stats]
 
 

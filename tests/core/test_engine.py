@@ -221,7 +221,7 @@ class TestExecutionPaths:
 
 
 class TestSpawnContextPrewarm:
-    """On spawn platforms workers must install the parent's packed skeletons.
+    """On spawn platforms workers must install the parent's skeletons.
 
     Regression tests: the engine used to skip cache population entirely off
     Linux, so every spawned worker silently rebuilt every skeleton per task.
@@ -255,7 +255,7 @@ class TestSpawnContextPrewarm:
         assert not spawned.failures
 
     def test_initializer_importable_and_idempotent(self):
-        """The initializer and its payload must survive the spawn pickling."""
+        """The initializer and its skeletons must survive the spawn pickling."""
         import pickle
 
         from repro.attacks import clear_structure_cache, structure_cache_stats
@@ -264,11 +264,11 @@ class TestSpawnContextPrewarm:
         backend = PoolBackend()
         backend.start(SweepPlan.build(self.spawn_grid(workers=2)))
         initializer = backend._pool_kwargs["initializer"]
-        (payload,) = pickle.loads(pickle.dumps(backend._pool_kwargs["initargs"]))
+        (structures,) = pickle.loads(pickle.dumps(backend._pool_kwargs["initargs"]))
         assert pickle.loads(pickle.dumps(initializer)) is initializer
         try:
-            initializer(payload)
-            initializer(payload)
+            initializer(structures)
+            initializer(structures)
             stats = structure_cache_stats()
             assert (stats["builds"], stats["attaches"], stats["entries"]) == (0, 1, 1)
         finally:

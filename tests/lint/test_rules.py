@@ -436,8 +436,8 @@ def test_rl003_fires_on_each_set_iteration_form(harness, source, described):
 # --------------------------------------------------------------------- RL005
 
 
-def _scenario_source(*, buffer_keys: bool, hooks) -> str:
-    """A ``@register_attack`` class fixture with the chosen contract pieces."""
+def _scenario_source(hooks) -> str:
+    """A ``@register_attack`` class fixture defining the chosen hooks."""
     lines = [
         "from repro.attacks.registry import register_attack",
         "",
@@ -445,44 +445,44 @@ def _scenario_source(*, buffer_keys: bool, hooks) -> str:
         '@register_attack("custom")',
         "class CustomStructure:",
     ]
-    if buffer_keys:
-        lines.append('    BUFFER_KEYS = ("states",)')
     for hook in hooks:
         lines.extend(["", f"    def {hook}(self):", "        return None"])
-    if not buffer_keys and not hooks:
+    if not hooks:
         lines.append("    pass")
     return "\n".join(lines) + "\n"
 
 
-def test_rl005_fires_on_missing_buffer_keys(harness):
-    violations = harness.lint(
-        "attacks/custom.py",
-        _scenario_source(buffer_keys=False, hooks=REQUIRED_HOOKS),
-        RL005,
-    )
-    assert ids(violations) == ["RL005"]
-    assert "BUFFER_KEYS" in violations[0].message
-
-
 def test_rl005_fires_on_missing_hooks(harness):
-    violations = harness.lint(
-        "attacks/custom.py",
-        _scenario_source(buffer_keys=True, hooks=["explore"]),
-        RL005,
-    )
+    violations = harness.lint("attacks/custom.py", _scenario_source(["explore"]), RL005)
     assert ids(violations) == ["RL005"]
     missing = set(REQUIRED_HOOKS) - {"explore"}
     for hook in missing:
         assert hook in violations[0].message
 
 
+@pytest.mark.parametrize("hook", REQUIRED_HOOKS)
+def test_rl005_fires_on_each_missing_hook(harness, hook):
+    present = [other for other in REQUIRED_HOOKS if other != hook]
+    violations = harness.lint("attacks/custom.py", _scenario_source(present), RL005)
+    assert ids(violations) == ["RL005"]
+    assert violations[0].message.endswith(f"missing required hook(s): {hook}")
+
+
 def test_rl005_quiet_on_complete_contract(harness):
-    violations = harness.lint(
-        "attacks/custom.py",
-        _scenario_source(buffer_keys=True, hooks=REQUIRED_HOOKS),
-        RL005,
-    )
+    violations = harness.lint("attacks/custom.py", _scenario_source(REQUIRED_HOOKS), RL005)
     assert violations == []
+
+
+def test_rl005_requires_the_seven_engine_hooks():
+    assert REQUIRED_HOOKS == (
+        "explore",
+        "series_name",
+        "grid_configs",
+        "build_model",
+        "make_policy",
+        "simulate",
+        "honest_strategy",
+    )
 
 
 def test_rl005_ignores_unregistered_classes(harness):
@@ -509,25 +509,28 @@ def test_rl005_checks_bare_decorator(harness):
         """,
         RL005,
     )
-    assert ids(violations) == ["RL005", "RL005"]
-    assert "BUFFER_KEYS" in violations[0].message
-    assert "missing required hook(s)" in violations[1].message
+    assert ids(violations) == ["RL005"]
+    assert "missing required hook(s)" in violations[0].message
 
 
 def test_rl005_checks_module_qualified_decorator(harness):
-    source = _scenario_source(buffer_keys=False, hooks=REQUIRED_HOOKS).replace(
+    source = _scenario_source(REQUIRED_HOOKS[:-1]).replace(
         "from repro.attacks.registry import register_attack",
         "from repro.attacks import registry",
     ).replace('@register_attack("custom")', '@registry.register_attack("custom")')
     violations = harness.lint("attacks/custom.py", source, RL005)
     assert ids(violations) == ["RL005"]
-    assert "BUFFER_KEYS" in violations[0].message
+    assert REQUIRED_HOOKS[-1] in violations[0].message
 
 
-def test_rl005_accepts_annotated_buffer_keys(harness):
-    source = _scenario_source(buffer_keys=True, hooks=REQUIRED_HOOKS).replace(
-        'BUFFER_KEYS = ("states",)', 'BUFFER_KEYS: tuple = ("states",)'
-    )
+@pytest.mark.parametrize(
+    "binding",
+    ["simulate = staticmethod(replay)", "simulate: object = staticmethod(replay)"],
+    ids=["assigned", "annotated"],
+)
+def test_rl005_accepts_a_hook_bound_by_assignment(harness, binding):
+    source = _scenario_source([hook for hook in REQUIRED_HOOKS if hook != "simulate"])
+    source += f"\n    {binding}\n"
     assert harness.lint("attacks/custom.py", source, RL005) == []
 
 
@@ -540,7 +543,7 @@ def test_rl005_inherited_hooks_do_not_count(harness):
 
         @register_attack("derived")
         class DerivedStructure(SelfishForksStructure):
-            BUFFER_KEYS = SelfishForksStructure.BUFFER_KEYS
+            PROOF_SYSTEMS = ("pow",)
         """,
         RL005,
     )
