@@ -9,6 +9,7 @@ finalised by a transition, which Algorithm 1 combines into ``r_beta``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -18,7 +19,7 @@ from ..exceptions import ConfigurationError
 from ..mdp import MDP, MDPBuilder, Strategy
 from . import fork_state
 from .fork_state import ForkState, action_label
-from .structure import DEFAULT_MAX_STATES, get_model_structure
+from .structure import DEFAULT_MAX_STATES, get_model_structure, state_code_radices
 
 #: Number of reward components attached to every transition (r_A, r_H).
 NUM_REWARD_COMPONENTS = 2
@@ -74,10 +75,11 @@ def estimate_state_space_size(attack: AttackParams) -> int:
     """Upper bound on the state-space size of the full (non-reachable-pruned) MDP.
 
     ``(l + 1)^(d*f)`` fork configurations times ``2^(d-1)`` ownership vectors
-    times three state types.  The reachable state space is typically smaller.
+    times three state types -- the size of the state-code space of
+    :func:`~repro.attacks.structure.state_code_radices`.  The reachable state
+    space is typically smaller.
     """
-    d, f, l = attack.depth, attack.forks, attack.max_fork_length
-    return (l + 1) ** (d * f) * 2 ** (d - 1) * 3
+    return math.prod(state_code_radices(attack))
 
 
 def build_selfish_forks_mdp(

@@ -14,7 +14,8 @@ This module therefore splits model construction into
 1. a :class:`SelfishForksStructure` -- the breadth-first exploration of the
    reachable fragment for one ``(d, f, l)`` and one :class:`SupportSignature`,
    stored as flat arrays of successors, probability tags and constant rewards
-   (the expensive part: pure-Python state enumeration), and
+   (the expensive part; states are int64 codes and whole BFS levels are
+   expanded with numpy, see :func:`build_model_structure`), and
 2. :meth:`SelfishForksStructure.instantiate` -- a cheap, fully vectorised refill
    of the probability array for a concrete ``(p, gamma)``.
 
@@ -31,9 +32,9 @@ the moment they enter the cache.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
-from collections import deque
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -45,9 +46,20 @@ from ..config import AttackParams, ProtocolParams
 from ..exceptions import ConfigurationError
 from . import fork_state
 from .fork_state import (
+    ADVERSARY,
+    PROB_ADVERSARY,
+    PROB_GAMMA,
+    PROB_HONEST,
+    PROB_ONE,
+    PROB_ONE_MINUS_GAMMA,
+    PROB_ONE_MINUS_GAMMA_HONEST,
+    TYPE_ADVERSARY,
+    TYPE_HONEST,
+    TYPE_MINING,
     ForkState,
+    MineAction,
+    ReleaseAction,
     action_label,
-    symbolic_successor_distribution,
 )
 from .registry import (
     ScenarioStructure,
@@ -202,6 +214,281 @@ class SelfishForksStructure(ScenarioStructure):
         )
 
 
+# ------------------------------------------------------------------ state codes
+
+
+def state_code_radices(attack: AttackParams) -> Tuple[int, ...]:
+    """Mixed radices of a state code, most significant digit first.
+
+    A code packs the ``d*f`` fork lengths ``C`` row by row (base ``l + 1``),
+    the ``d - 1`` ownership flags ``O`` (base 2) and the state type (base 3);
+    the digit values are the lengths, flags and ``TYPE_*`` tags themselves.
+    The product of the radices is the size of the code space.
+    """
+    d, f, l = attack.depth, attack.forks, attack.max_fork_length
+    return (l + 1,) * (d * f) + (2,) * (d - 1) + (3,)
+
+
+def state_code(state: ForkState, attack: AttackParams) -> int:
+    """Encode ``state`` as its integer code (see :func:`state_code_radices`)."""
+    c_matrix, owners, state_type = state
+    code = 0
+    for digit, radix in zip(
+        (*(length for row in c_matrix for length in row), *owners, state_type),
+        state_code_radices(attack),
+    ):
+        code = code * radix + digit
+    return code
+
+
+def _tuples(values: np.ndarray, radix: int) -> List[Tuple[int, ...]]:
+    """The rows of a 2-D digit array as tuples, one tuple object per distinct row."""
+    keys = values @ radix ** np.arange(values.shape[1] - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    table = list(map(tuple, values[first].tolist()))
+    return list(map(table.__getitem__, inverse.tolist()))
+
+
+#: One block of transitions of a BFS level, field by field: owning state
+#: (position in the level), action template, transition slot within the row,
+#: successor code, probability tag, sigma, multiplicity, ``r_A``, ``r_H``.
+_Emits = Tuple[np.ndarray, ...]
+
+
+class _CodeKernel:
+    """The fork-state kernel of one ``(d, f, l)`` as array maps over state codes.
+
+    Every successor code the kernel produces is an affine function of the
+    predecessor's digits, so each map is a weight vector over the digits plus a
+    constant:
+
+    * ``mine`` in a ``TYPE_MINING`` state adds one of the per-target deltas of
+      :meth:`_mining`, and in a ``TYPE_ADVERSARY`` state it only resets the
+      type digit;
+    * ``mine`` in a ``TYPE_HONEST`` state, and the lost gamma-race, apply
+      :func:`~repro.attacks.fork_state.incorporate_pending_honest_block`
+      (``inc_weights``);
+    * action template ``r >= 1`` is the ``r``-th release ``(i, j, k)`` of
+      :func:`~repro.attacks.fork_state.available_actions` (template 0 is
+      ``mine``); its accepted successor is column ``r - 1`` of
+      ``release_weights`` plus ``release_const[r - 1]``.
+
+    Finality rewards count adversarial ownership flags leaving the window, so
+    they are weight vectors over the ``O`` digits as well.
+    """
+
+    def __init__(self, attack: AttackParams) -> None:
+        d, f, l = attack.depth, attack.forks, attack.max_fork_length
+        radices = state_code_radices(attack)
+        if math.prod(radices) > np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"the state codes of d={d}, f={f}, l={l} do not fit in int64; reduce d, f or l"
+            )
+        self.depth, self.forks, self.max_length = d, f, l
+        self.radices = np.asarray(radices, dtype=np.int64)
+        num_digits = self.radices.size
+        place = np.ones(num_digits, dtype=np.int64)
+        place[:-1] = np.cumprod(self.radices[:0:-1])[::-1]
+        self.place = place
+        self.fork_place = place[: d * f].reshape(d, f)
+        owner_digit = d * f  # digit of the flag at depth 1; the type digit is last
+
+        # The pending honest block joins the chain: rows and flags move one
+        # deeper, the new tip is honest with empty forks, the depth-d flag is final.
+        self.inc_weights = np.zeros(num_digits, dtype=np.int64)
+        self.inc_weights[: (d - 1) * f] = place[f : d * f]
+        flags = slice(owner_digit, owner_digit + d - 2)
+        self.inc_weights[flags] = place[owner_digit + 1 : owner_digit + d - 1]
+        self.inc_final = np.zeros(num_digits, dtype=np.int64)
+        if d >= 2:
+            self.inc_final[owner_digit + d - 2] = 1
+
+        labels: List[Hashable] = [action_label(MineAction())]
+        weights: List[np.ndarray] = []
+        finals: List[np.ndarray] = []
+        consts: List[int] = []
+        fresh: List[int] = []
+        fork_digits: List[int] = []
+        blocks: List[int] = []
+        races: List[bool] = []
+        for i in range(1, d + 1):
+            for j in range(1, f + 1):
+                for k in range(i, l + 1):
+                    labels.append(action_label(ReleaseAction(depth=i, fork=j, blocks=k)))
+                    shift = k - (i - 1)
+                    fork_digit = (i - 1) * f + (j - 1)
+                    weight = np.zeros(num_digits, dtype=np.int64)
+                    # The unpublished remainder C[i][j] - k becomes fork (1, 1).
+                    weight[fork_digit] = place[0]
+                    const = -k * int(place[0])
+                    for old_depth in range(i, d + 1 - shift):
+                        for jj in range(f):
+                            if old_depth > i or jj != j - 1:  # the released fork is consumed
+                                new_digit = (old_depth + shift - 1) * f + jj
+                                weight[(old_depth - 1) * f + jj] += place[new_digit]
+                    for depth in range(1, d):
+                        if depth <= k:
+                            const += ADVERSARY * int(place[owner_digit + depth - 1])
+                        else:
+                            old_flag = owner_digit + depth - shift - 1
+                            weight[old_flag] += place[owner_digit + depth - 1]
+                    final = np.zeros(num_digits, dtype=np.int64)
+                    final[owner_digit + max(i, d - shift) - 1 : owner_digit + d - 1] = 1
+                    weights.append(weight)
+                    consts.append(const)
+                    finals.append(final)
+                    fresh.append(max(0, k - d + 1))  # published blocks at depth >= d
+                    fork_digits.append(fork_digit)
+                    blocks.append(k)
+                    races.append(k == i)
+        self.action_labels = labels
+        self.num_templates = len(labels)
+        self.release_weights = np.asarray(weights, dtype=np.int64).T
+        self.release_const = np.asarray(consts, dtype=np.int64)
+        self.release_final = np.asarray(finals, dtype=np.int64).T
+        self.release_final_count = self.release_final.sum(axis=0)
+        self.release_fresh = np.asarray(fresh, dtype=np.int64)
+        self.release_fork_digit = np.asarray(fork_digits, dtype=np.int64)
+        self.release_blocks = np.asarray(blocks, dtype=np.int64)
+        self.release_race = np.asarray(races, dtype=bool)
+        #: Transition slots of a ``mine`` row: per depth ``f`` forks and one
+        #: new-fork slot, then the honest outcome.
+        self.num_slots = d * (f + 1) + 1
+
+    def digits(self, codes: np.ndarray) -> np.ndarray:
+        """Decode ``codes`` into an ``(n, num_digits)`` digit array."""
+        return codes[:, None] // self.place % self.radices
+
+    def labels(self, codes: np.ndarray) -> List[Hashable]:
+        """The :data:`~repro.attacks.fork_state.ForkState` tuples of ``codes``."""
+        d, f = self.depth, self.forks
+        digits = self.digits(codes)
+        rows = _tuples(digits[:, : d * f].reshape(-1, f), self.max_length + 1)
+        forks = zip(*(rows[depth::d] for depth in range(d)))
+        owners = _tuples(digits[:, d * f : -1], 2)
+        return list(zip(forks, owners, digits[:, -1].tolist()))
+
+    def expand(self, codes: np.ndarray, keep: np.ndarray) -> _Emits:
+        """Every kept transition of the states ``codes``, in BFS emission order.
+
+        ``keep[kind]`` says whether probability tag ``kind`` survives the
+        support signature.  The result is one :data:`_Emits` block ordered by
+        (state, action template, slot), the order in which
+        :func:`~repro.attacks.fork_state.available_actions` and
+        :func:`~repro.attacks.fork_state.symbolic_successor_distribution` list
+        them.
+        """
+        digits = self.digits(codes)
+        types = digits[:, -1]
+        blocks: List[_Emits] = []
+        mining = np.flatnonzero(types == TYPE_MINING)
+        if mining.size:
+            blocks.append(self._mining(mining, codes[mining], digits[mining], keep))
+        decision = np.flatnonzero(types != TYPE_MINING)
+        if decision.size:
+            blocks.extend(self._decision(decision, codes[decision], digits[decision], keep))
+        if len(blocks) == 1:  # a single block is built in order
+            return blocks[0]
+        fields = [np.concatenate(column) for column in zip(*blocks)]
+        owner, template, slot = fields[:3]
+        order = np.argsort((owner * self.num_templates + template) * self.num_slots + slot)
+        return tuple(field[order] for field in fields)
+
+    def _mining(
+        self, states: np.ndarray, codes: np.ndarray, digits: np.ndarray, keep: np.ndarray
+    ) -> _Emits:
+        """``mine`` in ``TYPE_MINING`` states: one transition per mining target.
+
+        Follows :func:`~repro.attacks.fork_state.adversary_mining_targets`:
+        depth by depth, every non-empty fork, then the lowest empty slot.
+        Capped forks (length ``l``) all leave the fork matrix unchanged and
+        merge into one transition at the first capped slot, with multiplicity
+        the number of capped forks.  The honest outcome comes last.
+        """
+        d, f = self.depth, self.forks
+        n = codes.size
+        forks = digits[:, : d * f].reshape(n, d, f)
+        empty = forks == 0
+        capped = forks == self.max_length
+        target = np.zeros((n, d, f + 1), dtype=bool)
+        target[:, :, :f] = ~empty
+        target[:, :, f] = empty.any(axis=2)
+        delta = np.empty((n, d, f + 1), dtype=np.int64)
+        delta[:, :, :f] = np.where(capped, 0, self.fork_place)
+        delta[:, :, f] = self.fork_place[np.arange(d), empty.argmax(axis=2)]
+        sigma = target.sum(axis=(1, 2), dtype=np.int64)
+
+        capped_slot = np.zeros((n, d, f + 1), dtype=bool)
+        capped_slot[:, :, :f] = capped
+        capped_slot = capped_slot.reshape(n, -1)
+        merged_away = capped_slot.copy()
+        merged_away[np.arange(n), capped_slot.argmax(axis=1)] = False
+
+        kept = np.empty((n, self.num_slots), dtype=bool)
+        kept[:, :-1] = target.reshape(n, -1) & ~merged_away & keep[PROB_ADVERSARY]
+        kept[:, -1] = keep[PROB_HONEST]
+        successor = np.empty((n, self.num_slots), dtype=np.int64)
+        successor[:, :-1] = delta.reshape(n, -1) + (codes + (TYPE_ADVERSARY - TYPE_MINING))[:, None]
+        successor[:, -1] = codes + (TYPE_HONEST - TYPE_MINING)
+        multiplicity = np.ones((n, self.num_slots), dtype=np.int64)
+        multiplicity[:, :-1] = np.where(capped_slot, capped_slot.sum(axis=1)[:, None], 1)
+        kinds = np.full(self.num_slots, PROB_ADVERSARY, dtype=np.int8)
+        kinds[-1] = PROB_HONEST
+
+        owner, slot = np.nonzero(kept)
+        zeros = np.zeros(owner.size, dtype=np.int64)
+        return (
+            states[owner], zeros, slot, successor[owner, slot], kinds[slot],
+            sigma[owner], multiplicity[owner, slot], zeros, zeros,
+        )
+
+    def _decision(
+        self, states: np.ndarray, codes: np.ndarray, digits: np.ndarray, keep: np.ndarray
+    ) -> List[_Emits]:
+        """``mine`` and every release in ``TYPE_HONEST`` / ``TYPE_ADVERSARY`` states.
+
+        A release of fork ``(i, j)`` is offered for every ``k`` from ``i`` up to
+        the fork's length.  In a ``TYPE_HONEST`` state ``k = i`` races the
+        pending block: slot 0 wins (``PROB_GAMMA``), slot 1 loses and
+        incorporates the pending block (``PROB_ONE_MINUS_GAMMA``).
+        """
+        n = codes.size
+        honest = digits[:, -1] == TYPE_HONEST
+        inc_succ = digits @ self.inc_weights
+        inc_adversary = digits @ self.inc_final
+        zeros, ones = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+        mine = (
+            states, zeros, zeros,
+            np.where(honest, inc_succ, codes + (TYPE_MINING - TYPE_ADVERSARY)),
+            np.full(n, PROB_ONE, dtype=np.int8), zeros, ones,
+            np.where(honest, inc_adversary, 0), np.where(honest, 1 - inc_adversary, 0),
+        )
+
+        offered = digits[:, self.release_fork_digit] >= self.release_blocks
+        race = offered & self.release_race & honest[:, None]
+        kind = np.where(race, PROB_GAMMA, PROB_ONE).astype(np.int8)
+        owner, release = np.nonzero(offered & keep[kind])
+        final_adversary = (digits @ self.release_final)[owner, release]
+        zeros, ones = np.zeros(owner.size, dtype=np.int64), np.ones(owner.size, dtype=np.int64)
+        accepted = (
+            states[owner], release + 1, zeros,
+            (digits @ self.release_weights)[owner, release] + self.release_const[release],
+            kind[owner, release], zeros, ones,
+            self.release_fresh[release] + final_adversary,
+            self.release_final_count[release] - final_adversary,
+        )
+        if not keep[PROB_ONE_MINUS_GAMMA]:
+            return [mine, accepted]
+        owner, release = np.nonzero(race)
+        zeros, ones = np.zeros(owner.size, dtype=np.int64), np.ones(owner.size, dtype=np.int64)
+        rejected = (
+            states[owner], release + 1, ones, inc_succ[owner],
+            np.full(owner.size, PROB_ONE_MINUS_GAMMA, dtype=np.int8), zeros, ones,
+            inc_adversary[owner], 1 - inc_adversary[owner],
+        )
+        return [mine, accepted, rejected]
+
+
 def build_model_structure(
     attack: AttackParams,
     signature: SupportSignature,
@@ -210,93 +497,108 @@ def build_model_structure(
 ) -> SelfishForksStructure:
     """Explore the reachable fragment for ``(attack, signature)`` breadth-first.
 
-    The exploration mirrors the legacy :class:`~repro.mdp.MDPBuilder` path of
-    :func:`repro.attacks.selfish_forks.build_selfish_forks_mdp` exactly -- same
-    discovery order, hence the same state indices, row order and transition
-    order -- but records symbolic probability tags instead of numbers.
+    Each state is an int64 code (:func:`state_code_radices`).  The search is
+    level-synchronous: the states discovered while expanding one BFS level form
+    the next, and each level is decoded into digit arrays and expanded at once,
+    every action template as array arithmetic over the codes.  Its transitions
+    are ordered by (state, action, transition), and successors not seen before
+    get the next ids in first-occurrence order -- the order in which a
+    one-state-at-a-time BFS meets them.  State indices, row order and
+    transition order therefore match the legacy :class:`~repro.mdp.MDPBuilder`
+    path of :func:`repro.attacks.selfish_forks.build_selfish_forks_mdp`
+    exactly, but transitions carry symbolic probability tags instead of
+    numbers.  Known codes are looked up by binary search, so memory grows with
+    the reachable states, not with the code space.
 
     Raises:
-        ConfigurationError: If the exploration exceeds ``max_states``.
+        ConfigurationError: If the exploration exceeds ``max_states``, or a
+            reachable state keeps no transition under ``signature``.
     """
-    start = fork_state.initial_state(attack)
-    state_ids: Dict[ForkState, int] = {start: 0}
-    labels: List[Hashable] = [start]
-    queue: deque[ForkState] = deque([start])
+    kernel = _CodeKernel(attack)
+    keep = np.array([signature.keeps(kind) for kind in range(PROB_ONE_MINUS_GAMMA_HONEST + 1)])
+    frontier = np.array([state_code(fork_state.initial_state(attack), attack)], dtype=np.int64)
+    known_codes, known_ids = frontier, np.zeros(1, dtype=np.int64)
+    num_states = 1
+    level_codes: List[np.ndarray] = []
+    levels: List[Tuple[np.ndarray, ...]] = []
 
-    row_state: List[int] = []
-    row_actions: List[Hashable] = []
-    state_row_counts: List[int] = []
-    trans_succ: List[int] = []
-    trans_kind: List[int] = []
-    trans_sigma: List[int] = []
-    trans_mult: List[int] = []
-    trans_reward: List[Tuple[float, float]] = []
-    row_trans_offsets: List[int] = [0]
+    while frontier.size:
+        level_start = num_states - frontier.size
+        level_codes.append(frontier)
+        owner, template, _, succ, kind, sigma, mult, reward_adversary, reward_honest = (
+            kernel.expand(frontier, keep)
+        )
+        new_row = np.ones(owner.size, dtype=bool)
+        new_row[1:] = (owner[1:] != owner[:-1]) | (template[1:] != template[:-1])
+        row_start = np.flatnonzero(new_row)
+        rows_per_state = np.bincount(owner[row_start], minlength=frontier.size)
 
-    def state_index(label: ForkState) -> int:
-        index = state_ids.get(label)
-        if index is None:
-            index = len(labels)
-            state_ids[label] = index
-            labels.append(label)
-            queue.append(label)
-            if max_states is not None and len(labels) > max_states:
-                raise ConfigurationError(
-                    f"state-space exploration exceeded max_states={max_states}; "
-                    f"reduce d, f or l, or raise the cap explicitly"
-                )
-        return index
+        # Known successors by binary search; unseen codes are numbered in the
+        # order of their first occurrence.
+        position = np.minimum(np.searchsorted(known_codes, succ), known_codes.size - 1)
+        succ_ids = known_ids[position]
+        unseen = np.flatnonzero(known_codes[position] != succ)
+        new_codes, first, inverse = np.unique(succ[unseen], return_index=True, return_inverse=True)
+        discovery = np.argsort(first)
+        new_ids = np.empty(new_codes.size, dtype=np.int64)
+        new_ids[discovery] = np.arange(num_states, num_states + new_codes.size, dtype=np.int64)
 
-    while queue:
-        # Each state enters the queue exactly once (on first discovery), and
-        # discovery order equals index order, so rows are emitted grouped by
-        # owning state in increasing index order.
-        state = queue.popleft()
-        owner_index = state_ids[state]
-        num_rows_before = len(row_state)
-        for action in fork_state.available_actions(state, attack):
-            transitions = [
-                symbolic
-                for symbolic in symbolic_successor_distribution(state, action, attack)
-                if signature.keeps(symbolic.kind)
-            ]
-            if not transitions:
-                continue
-            row_state.append(owner_index)
-            row_actions.append(action_label(action))
-            for symbolic in transitions:
-                trans_succ.append(state_index(symbolic.successor))
-                trans_kind.append(symbolic.kind)
-                trans_sigma.append(symbolic.sigma)
-                trans_mult.append(symbolic.multiplicity)
-                trans_reward.append(symbolic.reward)
-            row_trans_offsets.append(len(trans_succ))
-        if len(row_state) == num_rows_before:
+        # Raise whichever failure the state-by-state search meets first: the
+        # cap is checked on each discovery, a state without rows once expanded.
+        overflow_owner = None
+        room = new_codes.size if max_states is None else max(0, max_states - num_states)
+        if new_codes.size > room:
+            overflow_owner = owner[unseen[first[discovery[room]]]]
+        rowless = np.flatnonzero(rows_per_state == 0)
+        if rowless.size and (overflow_owner is None or rowless[0] < overflow_owner):
+            state = kernel.labels(frontier[rowless[:1]])[0]
             raise ConfigurationError(
                 f"state {state!r} has no actions with positive probability under "
                 f"support {signature}"
             )
-        state_row_counts.append(len(row_state) - num_rows_before)
+        if overflow_owner is not None:
+            raise ConfigurationError(
+                f"state-space exploration exceeded max_states={max_states}; "
+                f"reduce d, f or l, or raise the cap explicitly"
+            )
 
-    # The BFS expands states in index order, so row blocks are already grouped
-    # by owning state and the per-state counts accumulate into CSR offsets.
-    state_row_offsets = np.zeros(len(labels) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(state_row_counts, dtype=np.int64), out=state_row_offsets[1:])
+        succ_ids[unseen] = new_ids[inverse]
+        # Both parts are sorted, so the stable sort is a linear merge.
+        merged = np.argsort(np.concatenate((known_codes, new_codes)), kind="stable")
+        known_codes = np.concatenate((known_codes, new_codes))[merged]
+        known_ids = np.concatenate((known_ids, new_ids))[merged]
+        num_states += new_codes.size
+        frontier = new_codes[discovery]
+        levels.append((
+            owner[row_start] + level_start, template[row_start],
+            np.diff(row_start, append=owner.size), rows_per_state,
+            succ_ids, kind, sigma, mult, reward_adversary, reward_honest,
+        ))
+
+    (row_state, row_template, row_sizes, state_rows, trans_succ, trans_kind, trans_sigma,
+     trans_mult, reward_adversary, reward_honest) = (
+        np.concatenate(column) for column in zip(*levels)
+    )
+    state_row_offsets = np.zeros(num_states + 1, dtype=np.int64)
+    np.cumsum(state_rows, out=state_row_offsets[1:])
+    row_trans_offsets = np.zeros(row_state.size + 1, dtype=np.int64)
+    np.cumsum(row_sizes, out=row_trans_offsets[1:])
+    action_labels = kernel.action_labels
 
     return SelfishForksStructure(
         attack=attack,
         signature=signature,
         initial_state=0,
-        state_labels=labels,
-        row_state=np.asarray(row_state, dtype=np.int64),
+        state_labels=kernel.labels(np.concatenate(level_codes)),
+        row_state=row_state,
         state_row_offsets=state_row_offsets,
-        row_trans_offsets=np.asarray(row_trans_offsets, dtype=np.int64),
-        row_actions=row_actions,
-        trans_succ=np.asarray(trans_succ, dtype=np.int64),
-        trans_kind=np.asarray(trans_kind, dtype=np.int8),
-        trans_sigma=np.asarray(trans_sigma, dtype=np.int64),
-        trans_mult=np.asarray(trans_mult, dtype=float),
-        trans_reward=np.asarray(trans_reward, dtype=float).reshape(len(trans_reward), 2),
+        row_trans_offsets=row_trans_offsets,
+        row_actions=[action_labels[index] for index in row_template.tolist()],
+        trans_succ=trans_succ,
+        trans_kind=trans_kind,
+        trans_sigma=trans_sigma,
+        trans_mult=trans_mult.astype(float),
+        trans_reward=np.column_stack((reward_adversary, reward_honest)).astype(float),
     )
 
 

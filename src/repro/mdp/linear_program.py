@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from ..exceptions import SolverError
 from .model import MDP
@@ -53,6 +52,10 @@ def solve_mean_payoff_lp(mdp: MDP, reward_weights: Sequence[float]) -> LinearPro
     Raises:
         SolverError: If the LP solver does not report success.
     """
+    # Imported here: scipy.optimize is slow to import and no certified path
+    # solves an LP.
+    from scipy.optimize import linprog
+
     num_states = mdp.num_states
     num_rows = mdp.num_rows
     row_rewards = mdp.expected_row_rewards(reward_weights)

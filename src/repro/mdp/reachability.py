@@ -9,17 +9,24 @@ suite verify that claim mechanically on constructed models.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import TYPE_CHECKING, List, Set
 
-import networkx as nx
 import numpy as np
 
 from .model import MDP
 from .strategy import Strategy
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
+# networkx is imported inside each function: no certified path builds a graph,
+# and importing it at module level would cost every ``import repro``.
+
 
 def underlying_digraph(mdp: MDP) -> nx.DiGraph:
     """Return the directed graph with an edge for every positive-probability move."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(range(mdp.num_states))
     for row in range(mdp.num_rows):
@@ -32,6 +39,8 @@ def underlying_digraph(mdp: MDP) -> nx.DiGraph:
 
 def reachable_states(mdp: MDP, from_state: int | None = None) -> Set[int]:
     """Return the set of states reachable from ``from_state`` (default: initial)."""
+    import networkx as nx
+
     source = mdp.initial_state if from_state is None else from_state
     graph = underlying_digraph(mdp)
     return {source} | set(nx.descendants(graph, source))
@@ -39,6 +48,8 @@ def reachable_states(mdp: MDP, from_state: int | None = None) -> Set[int]:
 
 def strategy_digraph(mdp: MDP, strategy: Strategy) -> nx.DiGraph:
     """Return the directed graph of the Markov chain induced by ``strategy``."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(range(mdp.num_states))
     for state in range(mdp.num_states):
@@ -51,6 +62,8 @@ def strategy_digraph(mdp: MDP, strategy: Strategy) -> nx.DiGraph:
 
 def recurrent_classes(mdp: MDP, strategy: Strategy) -> List[Set[int]]:
     """Return the recurrent classes (bottom SCCs) of the induced Markov chain."""
+    import networkx as nx
+
     graph = strategy_digraph(mdp, strategy)
     condensation = nx.condensation(graph)
     classes: List[Set[int]] = []
@@ -86,6 +99,8 @@ def end_components(mdp: MDP) -> List[Set[int]]:
     Implementation: iteratively decompose into SCCs of the underlying graph and
     remove state-action pairs that can leave their SCC, until a fixed point.
     """
+    import networkx as nx
+
     # Start with every state keeping every action row.
     remaining_rows = {row for row in range(mdp.num_rows)}
     states = set(range(mdp.num_states))
