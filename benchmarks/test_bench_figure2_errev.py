@@ -172,11 +172,9 @@ class TestEngineAblation:
         rows = []
         sweeps = {}
         modes = [
-            ("serial-nocache", dict(workers=1, use_structure_cache=False)),
-            ("serial-cached", dict(workers=1, use_structure_cache=True)),
-            ("serial-cached-warm", dict(workers=1, use_structure_cache=True,
-                                        warm_start_across_points=True)),
-            ("parallel4-cached", dict(workers=4, use_structure_cache=True)),
+            ("serial-cached", dict(workers=1)),
+            ("serial-cached-warm", dict(workers=1, warm_start_across_points=True)),
+            ("parallel4-cached", dict(workers=4)),
         ]
         for label, engine_kwargs in modes:
             clear_structure_cache()
@@ -188,7 +186,6 @@ class TestEngineAblation:
                 {
                     "mode": label,
                     "workers": engine_kwargs.get("workers", 1),
-                    "structure_cache": engine_kwargs.get("use_structure_cache", True),
                     "warm_start_across_points": engine_kwargs.get(
                         "warm_start_across_points", False
                     ),
@@ -202,7 +199,7 @@ class TestEngineAblation:
         path = write_csv(
             rows,
             results_dir / "engine_ablation.csv",
-            columns=["mode", "workers", "structure_cache", "warm_start_across_points",
+            columns=["mode", "workers", "warm_start_across_points",
                      "wall_seconds", "compute_seconds", "solver_iterations", "points"],
         )
         print(f"\nengine ablation written to {path}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import AttackParams, ProtocolParams
-from repro.attacks import build_selfish_forks_mdp
+from repro.attacks import SupportSignature, build_model_structure
 from repro.attacks.selfish_forks import estimate_state_space_size
 from repro.chain import SelfishMiningSimulator
 from repro.attacks.policies import GreedyLeadPolicy
@@ -34,16 +34,16 @@ _ROWS: list[dict] = []
     "attack", GRID, ids=lambda a: f"d{a.depth}_f{a.forks}_l{a.max_fork_length}"
 )
 def test_model_construction_scaling(benchmark, attack):
-    """Time the reachable-state exploration for one configuration.
+    """Time the skeleton exploration every sweep runs, for one configuration.
 
-    The structure cache is bypassed here on purpose: earlier benchmarks in the
-    session have already populated it, and a cache hit would measure a dict
-    lookup instead of the exploration this benchmark is about.
+    ``build_model_structure`` is called directly rather than through the
+    structure cache: earlier benchmarks in the session have already populated
+    the cache, and a cache hit would measure a dict lookup instead of the
+    exploration this benchmark is about.
     """
-    model = benchmark.pedantic(
-        build_selfish_forks_mdp,
-        args=(PROTOCOL, attack),
-        kwargs={"use_structure_cache": False},
+    structure = benchmark.pedantic(
+        build_model_structure,
+        args=(attack, SupportSignature.of(PROTOCOL)),
         rounds=1,
         iterations=1,
     )
@@ -52,13 +52,13 @@ def test_model_construction_scaling(benchmark, attack):
             "d": attack.depth,
             "f": attack.forks,
             "l": attack.max_fork_length,
-            "states": model.num_states,
-            "transitions": model.mdp.num_transitions,
+            "states": structure.num_states,
+            "transitions": structure.num_transitions,
             "bound": estimate_state_space_size(attack),
             "seconds": benchmark.stats.stats.mean,
         }
     )
-    assert model.num_states <= estimate_state_space_size(attack)
+    assert structure.num_states <= estimate_state_space_size(attack)
 
 
 def test_model_construction_report(benchmark, results_dir):

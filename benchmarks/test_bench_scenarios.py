@@ -17,7 +17,7 @@ import pytest
 
 from conftest import smoke_mode
 from repro import AttackParams, ProtocolParams
-from repro.attacks.registry import SupportSignature, get_attack
+from repro.attacks.registry import SupportSignature, get_attack, scenario_id_for
 from repro.core.reporting import write_csv
 
 PROTOCOL = ProtocolParams(p=0.3, gamma=0.5)
@@ -51,18 +51,18 @@ _ROWS: list[dict] = []
 )
 def test_scenario_structure_costs(benchmark, attack):
     """Time one scenario's exploration, then its per-point probability refill."""
-    entry = get_attack(attack.scenario)
+    scenario = get_attack(attack.scenario)
     signature = SupportSignature.of(PROTOCOL)
     structure = benchmark.pedantic(
-        entry.explore, args=(attack, signature), rounds=1, iterations=1
+        scenario.explore, args=(attack, signature), rounds=1, iterations=1
     )
     refill_start = time.perf_counter()
     instantiated = structure.instantiate(PROTOCOL)
     refill_seconds = time.perf_counter() - refill_start
     _ROWS.append(
         {
-            "scenario": entry.scenario_id,
-            "series": entry.series_name(attack),
+            "scenario": scenario_id_for(attack.scenario),
+            "series": scenario.series_name(attack),
             "states": instantiated.num_states,
             "transitions": int(instantiated.trans_prob.size),
             "explore_seconds": benchmark.stats.stats.mean,

@@ -12,7 +12,7 @@ and crosses zero exactly at ``ERRev*``).  On termination ``beta_low`` is an
 Invariant: **certified-bound reproducibility**.  The final ``[beta_low,
 beta_up]`` interval is a deterministic function of the model, ``epsilon`` and
 the solver settings -- identical bit-for-bit across processes (the sweep
-engine asserts this for its serial and pool backends) --
+engine asserts this for its serial and pool runs) --
 with width below ``epsilon`` and ``beta_low <= ERRev* <= beta_up`` within the
 MDP's strategy class.  No wall-clock reading ever steers the search.  Warm starts
 (``AnalysisConfig.warm_start``) change solver iteration and factorization counts,

@@ -16,12 +16,10 @@
 """
 
 from .registry import (
-    AttackScenario,
     ScenarioStructure,
     get_attack,
     list_attacks,
     register_attack,
-    resolve_scenario,
     scenario_id_for,
     unregister_attack,
 )
@@ -66,12 +64,10 @@ from .sm_actions import (
 )
 
 __all__ = [
-    "AttackScenario",
     "ScenarioStructure",
     "get_attack",
     "list_attacks",
     "register_attack",
-    "resolve_scenario",
     "scenario_id_for",
     "unregister_attack",
     "SmActionsModel",

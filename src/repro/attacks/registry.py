@@ -18,17 +18,19 @@ This module makes that implicit interface explicit.  A scenario is a
     @register_attack("selfish-forks")
     class SelfishForksStructure(ScenarioStructure): ...
 
-Consumers resolve scenarios with :func:`get_attack` / :func:`list_attacks` and
-identify persisted results by the versioned ``scenario_id``
-(``"name@version"``).  The id is embedded in journal records and CSV rows, so
-mixed-scenario sweeps and resumes across scenario versions fail loudly.
+Consumers look scenarios up with :func:`get_attack` / :func:`list_attacks`,
+which return the registered classes themselves (every hook is a
+classmethod), and identify persisted results by the versioned id
+:func:`scenario_id_for` (``"name@version"``).  The id is embedded in journal
+fingerprints and CSV rows, so mixed-scenario sweeps and resumes across
+scenario versions fail loudly.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -114,12 +116,13 @@ class ScenarioStructure:
     skeleton is read-only in every process.
     """
 
-    #: Compatibility version of the scenario; part of ``scenario_id``.
+    #: Compatibility version of the scenario; part of its ``name@version`` id
+    #: (:func:`scenario_id_for`).
     SCENARIO_VERSION = 1
     #: Registered name; set by :func:`register_attack`.
-    SCENARIO_NAME: Optional[str] = None
+    SCENARIO_NAME: str = ""
     #: Proof systems usable as refill parameterisations of this scenario
-    #: (names resolved by :meth:`AttackScenario.proof_systems`).
+    #: (names resolved by :meth:`proof_systems`).
     PROOF_SYSTEMS: Tuple[str, ...] = ()
 
     def __init__(
@@ -159,24 +162,6 @@ class ScenarioStructure:
         self._trans_row = np.repeat(
             np.arange(self.num_rows, dtype=np.int64), np.diff(row_trans_offsets)
         )
-
-    # ------------------------------------------------------------------ identity
-
-    @property
-    def scenario_name(self) -> str:
-        """Registered name of this structure's scenario."""
-        name = type(self).SCENARIO_NAME
-        if name is None:
-            raise ModelError(
-                f"{type(self).__name__} is not registered; decorate it with "
-                f"repro.attacks.registry.register_attack"
-            )
-        return name
-
-    @property
-    def scenario_id(self) -> str:
-        """Versioned identity (``"name@version"``) of this structure's scenario."""
-        return f"{self.scenario_name}@{type(self).SCENARIO_VERSION}"
 
     # -------------------------------------------------------------------- refill
 
@@ -269,9 +254,13 @@ class ScenarioStructure:
         attack: AttackParams,
         *,
         max_states: Optional[int] = None,
-        use_structure_cache: bool = True,
     ) -> object:
-        """Build the scenario model (an object exposing ``.mdp``) for one point."""
+        """Build the scenario model (an object exposing ``.mdp``) for one point.
+
+        The skeleton comes from the process-local structure cache
+        (:func:`~repro.attacks.structure.get_model_structure`); only the
+        probabilities are refilled for ``protocol``.
+        """
         raise NotImplementedError(f"{cls.__name__} does not implement build_model()")
 
     @classmethod
@@ -297,90 +286,15 @@ class ScenarioStructure:
         """In-MDP strategy emulating protocol-following behaviour (baseline)."""
         raise NotImplementedError(f"{cls.__name__} does not implement honest_strategy()")
 
-
-class AttackScenario:
-    """One registry entry: a named, versioned :class:`ScenarioStructure` class.
-
-    Thin delegation layer so engine code can hold a scenario handle without
-    importing the concrete structure class.
-    """
-
-    def __init__(self, name: str, structure_cls: type) -> None:
-        self.name = name
-        self.structure_cls = structure_cls
-        self.version = int(getattr(structure_cls, "SCENARIO_VERSION", 1))
-        doc = (structure_cls.__doc__ or "").strip()
-        self.description = doc.splitlines()[0] if doc else name
-
-    @property
-    def scenario_id(self) -> str:
-        """Versioned identity (``"name@version"``)."""
-        return f"{self.name}@{self.version}"
-
-    def explore(
-        self,
-        attack: AttackParams,
-        signature: SupportSignature,
-        *,
-        max_states: Optional[int] = None,
-    ) -> ScenarioStructure:
-        """Explore the scenario skeleton for ``(attack, signature)``."""
-        return self.structure_cls.explore(attack, signature, max_states=max_states)
-
-    def series_name(self, attack: AttackParams) -> str:
-        """Sweep series label of one attack configuration."""
-        return self.structure_cls.series_name(attack)
-
-    def grid_configs(self, spec: str = "default") -> Tuple[AttackParams, ...]:
-        """Parse a grid specification into attack configurations."""
-        return self.structure_cls.grid_configs(spec)
-
-    def build_model(
-        self,
-        protocol: ProtocolParams,
-        attack: AttackParams,
-        *,
-        max_states: Optional[int] = None,
-        use_structure_cache: bool = True,
-    ) -> object:
-        """Build the scenario model for one parameter point."""
-        return self.structure_cls.build_model(
-            protocol,
-            attack,
-            max_states=max_states,
-            use_structure_cache=use_structure_cache,
-        )
-
-    def make_policy(self, strategy: object) -> object:
-        """Wrap a formal strategy into the scenario's replay policy."""
-        return self.structure_cls.make_policy(strategy)
-
-    def simulate(
-        self,
-        protocol: ProtocolParams,
-        attack: AttackParams,
-        policy: object,
-        *,
-        num_steps: int,
-        seed: int = 0,
-    ) -> object:
-        """Replay ``policy`` in the scenario's chain simulator."""
-        return self.structure_cls.simulate(
-            protocol, attack, policy, num_steps=num_steps, seed=seed
-        )
-
-    def honest_strategy(self, mdp: "MDP") -> object:
-        """In-MDP strategy emulating the scenario's protocol-following baseline."""
-        return self.structure_cls.honest_strategy(mdp)
-
-    def proof_systems(self) -> Dict[str, type]:
+    @classmethod
+    def proof_systems(cls) -> Dict[str, type]:
         """Proof systems usable as refill parameterisations of this scenario.
 
         The ``(p, k)``-mining abstraction enters the skeleton refill only
         through the number of concurrent mining targets ``sigma``; a proof
         system is compatible when its ``k`` covers the scenario's target count.
-        Returns a mapping from proof-system name to its model class from
-        :mod:`repro.proofs`.
+        Returns a mapping from proof-system name (:attr:`PROOF_SYSTEMS`) to its
+        model class from :mod:`repro.proofs`.
         """
         from .. import proofs
 
@@ -390,19 +304,12 @@ class AttackScenario:
             "pospacetime": proofs.ProofOfSpaceTime,
             "vdf": proofs.VerifiableDelayFunction,
         }
-        return {
-            name: available[name]
-            for name in getattr(self.structure_cls, "PROOF_SYSTEMS", ())
-            if name in available
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AttackScenario({self.scenario_id}, {self.structure_cls.__name__})"
+        return {name: available[name] for name in cls.PROOF_SYSTEMS if name in available}
 
 
 # ---------------------------------------------------------------------- registry
 
-_REGISTRY: Dict[str, AttackScenario] = {}
+_REGISTRY: Dict[str, Type[ScenarioStructure]] = {}
 _REGISTRY_LOCK = threading.Lock()
 #: Guards the lazy built-in import; distinct from ``_REGISTRY_LOCK`` because
 #: the imports re-enter ``register_attack`` (which takes the registry lock).
@@ -410,7 +317,10 @@ _BUILTINS_LOCK = threading.Lock()
 _BUILTINS_LOADED = False
 
 
-def register_attack(name: str) -> Callable[[type], type]:
+_Scenario = TypeVar("_Scenario", bound=ScenarioStructure)
+
+
+def register_attack(name: str) -> Callable[[Type[_Scenario]], Type[_Scenario]]:
     """Class decorator registering a :class:`ScenarioStructure` under ``name``.
 
     Registration is idempotent for the same class (module re-import), but a
@@ -423,16 +333,15 @@ def register_attack(name: str) -> Callable[[type], type]:
             class.
     """
 
-    def decorator(cls: type) -> type:
+    def decorator(cls: Type[_Scenario]) -> Type[_Scenario]:
         with _REGISTRY_LOCK:
             existing = _REGISTRY.get(name)
-            if existing is not None and existing.structure_cls is not cls:
+            if existing is not None and existing is not cls:
                 raise ConfigurationError(
                     f"attack scenario {name!r} is already registered by "
-                    f"{existing.structure_cls.__name__}; pick a different name"
+                    f"{existing.__name__}; pick a different name"
                 )
-            if existing is None:
-                _REGISTRY[name] = AttackScenario(name, cls)
+            _REGISTRY[name] = cls
         cls.SCENARIO_NAME = name
         _register_scenario_name(name)
         return cls
@@ -456,8 +365,8 @@ def _ensure_builtin_scenarios() -> None:
         _BUILTINS_LOADED = True
 
 
-def get_attack(name: str) -> AttackScenario:
-    """Look up a registered scenario by name.
+def get_attack(name: str) -> Type[ScenarioStructure]:
+    """Look up the :class:`ScenarioStructure` subclass registered as ``name``.
 
     Raises:
         ConfigurationError: If ``name`` is not registered; the message lists
@@ -474,8 +383,8 @@ def get_attack(name: str) -> AttackScenario:
     return entry
 
 
-def list_attacks() -> Tuple[AttackScenario, ...]:
-    """Every registered scenario, in registration order (built-ins first)."""
+def list_attacks() -> Tuple[Type[ScenarioStructure], ...]:
+    """Every registered scenario class, in registration order (built-ins first)."""
     _ensure_builtin_scenarios()
     with _REGISTRY_LOCK:
         return tuple(_REGISTRY.values())
@@ -497,47 +406,20 @@ def unregister_attack(name: str) -> None:
 
 
 def scenario_id_for(name: str) -> str:
-    """Versioned id (``"name@version"``) of a registered scenario."""
-    return get_attack(name).scenario_id
+    """Versioned id (``"name@version"``) of a registered scenario.
 
-
-def resolve_scenario(scenario_id: str) -> AttackScenario:
-    """Resolve a versioned ``scenario_id`` against this process's registry.
-
-    The inverse of :attr:`AttackScenario.scenario_id` for ids read back from
-    persisted results (journal records, the CSV ``scenario`` column); any
-    mismatch is an error, never a silent fallback.
-
-    Raises:
-        ModelError: If the id is malformed, names an unknown scenario, or names
-            a different :attr:`ScenarioStructure.SCENARIO_VERSION` than this
-            process implements.
+    The id is embedded in journal fingerprints and CSV rows; bump
+    :attr:`ScenarioStructure.SCENARIO_VERSION` to change it.
     """
-    name, sep, version_text = str(scenario_id).partition("@")
-    if not name or not sep or not version_text:
-        raise ModelError(
-            f"malformed scenario id {scenario_id!r} (expected 'name@version')"
-        )
-    try:
-        entry = get_attack(name)
-    except ConfigurationError as exc:
-        raise ModelError(f"cannot resolve scenario id {scenario_id!r}: {exc}") from exc
-    if str(entry.version) != version_text:
-        raise ModelError(
-            f"scenario version mismatch for {name!r}: the id names {scenario_id}, "
-            f"this process implements {entry.scenario_id}"
-        )
-    return entry
+    return f"{name}@{get_attack(name).SCENARIO_VERSION}"
 
 
 __all__ = [
-    "AttackScenario",
     "ScenarioStructure",
     "SupportSignature",
     "get_attack",
     "list_attacks",
     "register_attack",
-    "resolve_scenario",
     "scenario_id_for",
     "unregister_attack",
 ]

@@ -91,19 +91,23 @@ def build_selfish_forks_mdp(
 ) -> SelfishForksModel:
     """Build the reachable fragment of the selfish-mining MDP.
 
-    By default the state/action/successor skeleton -- which depends only on
-    ``(d, f, l)`` and the support of ``(p, gamma)`` -- is taken from the
-    process-local structure cache (:mod:`repro.attacks.structure`) and only the
-    probability array is refilled for the concrete parameter point.  Passing
-    ``use_structure_cache=False`` forces the legacy from-scratch exploration via
-    :class:`~repro.mdp.MDPBuilder`, which serves as an independent reference
-    implementation in the test suite.
+    The state/action/successor skeleton -- which depends only on ``(d, f, l)``
+    and the support of ``(p, gamma)`` -- is taken from the process-local
+    structure cache (:mod:`repro.attacks.structure`) and only the probability
+    array is refilled for the concrete parameter point.  This is the path every
+    sweep point takes.
+
+    ``use_structure_cache=False`` is not a sweep option: it selects the
+    independent reference builder, a from-scratch object-level exploration
+    through :class:`~repro.mdp.MDPBuilder` that the structure-cache tests and
+    the benchmark's reference values cross-check the cached path against.
 
     Args:
         protocol: Blockchain / network parameters ``(p, gamma)``.
         attack: Attack parameters ``(d, f, l)``.
         max_states: Safety cap on explored states (``None`` disables the cap).
-        use_structure_cache: Build through the cached structural skeleton.
+        use_structure_cache: ``False`` builds with the reference builder
+            instead of the cached skeleton.
 
     Raises:
         ConfigurationError: If the exploration exceeds ``max_states``.

@@ -397,13 +397,10 @@ class SmActionsStructure(ScenarioStructure):
         attack: AttackParams,
         *,
         max_states: Optional[int] = None,
-        use_structure_cache: bool = True,
     ) -> "SmActionsModel":
         """Build the sm-actions model for one parameter point."""
         kwargs = {} if max_states is None else {"max_states": max_states}
-        return build_sm_actions_mdp(
-            protocol, attack, use_structure_cache=use_structure_cache, **kwargs
-        )
+        return build_sm_actions_mdp(protocol, attack, **kwargs)
 
     @classmethod
     def make_policy(cls, strategy: Strategy) -> "SmActionsPolicy":
@@ -478,27 +475,21 @@ def build_sm_actions_mdp(
     attack: AttackParams,
     *,
     max_states: Optional[int] = _DEFAULT_MAX_STATES,
-    use_structure_cache: bool = True,
 ) -> SmActionsModel:
     """Build the ADOPT/OVERRIDE/WAIT/MATCH MDP for one parameter point.
 
-    With ``use_structure_cache`` (the default) the ``(p, gamma)``-independent
-    skeleton is memoised in the process-local structure cache shared with every
-    other scenario; without it the exploration runs afresh.
+    The ``(p, gamma)``-independent skeleton is memoised in the process-local
+    structure cache shared with every other scenario; only the probabilities
+    (and the overpaying settlement rewards) are refilled for ``protocol``.
 
     Raises:
         ConfigurationError: If ``attack`` names another scenario or an unknown
             variant.
     """
-    _regime_of(attack)
-    if use_structure_cache:
-        from .structure import get_model_structure
+    from .structure import get_model_structure
 
-        structure = get_model_structure(attack, protocol, max_states=max_states)
-    else:
-        structure = SmActionsStructure.explore(
-            attack, SupportSignature.of(protocol), max_states=max_states
-        )
+    _regime_of(attack)
+    structure = get_model_structure(attack, protocol, max_states=max_states)
     return SmActionsModel(mdp=structure.instantiate(protocol), protocol=protocol, attack=attack)
 
 

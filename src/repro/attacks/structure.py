@@ -112,8 +112,9 @@ class SelfishForksStructure(ScenarioStructure):
         """Parse a selfish-forks grid specification.
 
         Accepted forms: ``"default"`` (the d<=2 CLI default), ``"paper"``
-        (Table 1 / Figure 2 configurations), ``"max-depth=N"`` (the legacy
-        ``--max-depth`` ladder) and comma-separated ``dXfY[lZ]`` tokens
+        (Table 1 / Figure 2 configurations), ``"max-depth=N"`` (the depth
+        ladder: ``d1f1``, then ``d2f1`` from N=2, ``d2f2`` from N=3) and
+        comma-separated ``dXfY[lZ]`` tokens
         (``l`` defaults to 4), e.g. ``"d1f1,d2f2l6"``.
 
         Raises:
@@ -166,15 +167,12 @@ class SelfishForksStructure(ScenarioStructure):
         attack: AttackParams,
         *,
         max_states: Optional[int] = None,
-        use_structure_cache: bool = True,
     ) -> object:
         """Build the selfish-forks model for one parameter point."""
         from .selfish_forks import build_selfish_forks_mdp
 
         kwargs = {} if max_states is None else {"max_states": max_states}
-        return build_selfish_forks_mdp(
-            protocol, attack, use_structure_cache=use_structure_cache, **kwargs
-        )
+        return build_selfish_forks_mdp(protocol, attack, **kwargs)
 
     @classmethod
     def make_policy(cls, strategy: object) -> object:
@@ -648,8 +646,8 @@ def get_model_structure(
     with _CACHE_LOCK:
         structure = _STRUCTURE_CACHE.get(key)
         if structure is None:
-            entry = get_attack(attack.scenario)
-            structure = _freeze(entry.explore(attack, signature, max_states=max_states))
+            scenario = get_attack(attack.scenario)
+            structure = _freeze(scenario.explore(attack, signature, max_states=max_states))
             _STRUCTURE_CACHE[key] = structure
             _BUILD_COUNT += 1
     # The cap must hold even when a previous caller already paid the exploration.
@@ -668,7 +666,7 @@ def replace_structure_cache(structures: Iterable[ScenarioStructure]) -> None:
     installs ``structures`` (frozen read-only), all under the module lock, so
     a concurrent :func:`get_model_structure` sees either the old cache or the
     new one and never explores in between.  It is the pool initializer of
-    every sweep worker (:class:`repro.core.execution.PoolBackend`): the swap
+    every sweep worker (:func:`repro.core.execution.pool_kwargs`): the swap
     drops whatever the process held before -- including the cache and build
     counters a fork-started worker inherits -- so the worker reports zero
     builds.  Idempotent, and importable at module top level so spawn-started

@@ -21,7 +21,6 @@ space, plus anything registered at runtime.  ``sweep`` additionally takes
 ``--grid SPEC``, interpreted by the selected scenario (``default``, ``paper``,
 or scenario-specific tokens such as ``d2f1l4`` / ``l8:overpaying``), and
 ``--variant`` to select a scenario variant for every grid configuration.
-``--max-depth`` is deprecated in favour of ``--grid max-depth=N``.
 
 The full flag-by-flag reference lives in ``docs/cli.md``.
 
@@ -196,13 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="attack grid specification interpreted by the selected scenario "
         "('default', 'paper', or scenario tokens such as 'd1f1,d2f1l6' / 'l4,l8')",
     )
-    sweep.add_argument(
-        "--max-depth",
-        type=int,
-        default=None,
-        help="deprecated: largest selfish-forks attack depth to include "
-        "(use --grid max-depth=N instead)",
-    )
     sweep.add_argument("--csv", type=str, default=None, help="optional CSV output path")
     _add_solver_arguments(sweep)
     sweep.add_argument(
@@ -221,11 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="start each point's binary search from the previous p point's certified "
         "lower bound (ERRev* is monotone in p)",
-    )
-    sweep.add_argument(
-        "--no-structure-cache",
-        action="store_true",
-        help="rebuild the MDP from scratch at every grid point (disable the skeleton cache)",
     )
     sweep.add_argument(
         "--journal",
@@ -310,34 +297,11 @@ def _command_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-_MAX_DEPTH_DEPRECATION_WARNED = False
-
-
 def _sweep_attack_configs(args: argparse.Namespace):
-    """Resolve the sweep's attack grid through the selected scenario's builder.
-
-    The legacy ``--max-depth N`` flag is a deprecation shim for
-    ``--grid max-depth=N`` (same ladder, built by the scenario's
-    ``grid_configs``); it warns once per process and cannot be combined with
-    an explicit ``--grid``.
-    """
+    """Resolve the sweep's attack grid through the selected scenario's builder."""
     from .attacks.registry import get_attack
 
-    global _MAX_DEPTH_DEPRECATION_WARNED
-    entry = get_attack(args.attack)
-    grid_spec = args.grid
-    if args.max_depth is not None:
-        if grid_spec is not None:
-            raise SystemExit("repro sweep: --max-depth and --grid are mutually exclusive")
-        if not _MAX_DEPTH_DEPRECATION_WARNED:
-            print(
-                "warning: --max-depth is deprecated; use --grid max-depth=N "
-                "(or explicit --grid tokens such as d1f1,d2f1)",
-                file=sys.stderr,
-            )
-            _MAX_DEPTH_DEPRECATION_WARNED = True
-        grid_spec = f"max-depth={args.max_depth}"
-    configs = entry.grid_configs(grid_spec or "default")
+    configs = get_attack(args.attack).grid_configs(args.grid or "default")
     if args.variant:
         configs = tuple(replace(attack, variant=args.variant) for attack in configs)
     return configs
@@ -359,7 +323,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             solver=_resolve_solver(args.solver),
         ),
         workers=args.workers,
-        use_structure_cache=not args.no_structure_cache,
         warm_start_across_points=args.warm_start_across_points,
         reuse_p_axis_bounds=args.reuse_p_bounds,
         journal_path=args.journal,
@@ -392,15 +355,16 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_attacks(args: argparse.Namespace) -> int:
-    from .attacks.registry import list_attacks
+    from .attacks.registry import list_attacks, scenario_id_for
 
-    for entry in list_attacks():
+    for scenario in list_attacks():
         default_grid = ", ".join(
-            entry.series_name(attack) for attack in entry.grid_configs("default")
+            scenario.series_name(attack) for attack in scenario.grid_configs("default")
         )
-        proof_systems = ", ".join(sorted(entry.proof_systems())) or "-"
-        print(entry.scenario_id)
-        print(f"  {entry.description}")
+        proof_systems = ", ".join(sorted(scenario.proof_systems())) or "-"
+        doc = (scenario.__doc__ or "").strip()
+        print(scenario_id_for(scenario.SCENARIO_NAME))
+        print(f"  {doc.splitlines()[0] if doc else scenario.SCENARIO_NAME}")
         print(f"  default grid:  {default_grid}")
         print(f"  proof systems: {proof_systems}")
     return 0

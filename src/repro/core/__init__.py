@@ -8,7 +8,8 @@ reporting helpers regenerate the paper's Figure 2 series and Table 1 rows.
 
 from .results import AnalysisResult, SweepFailure, SweepPoint, SweepResult
 from .analyzer import SelfishMiningAnalyzer
-from .engine import attack_series_name, execute_sweep
+from .engine import attack_series_name
+from .execution import execute_sweep
 from .sweep import SweepConfig, run_sweep, sweep_figure2
 from .reporting import ascii_plot, render_table, write_csv
 

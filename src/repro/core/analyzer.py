@@ -42,7 +42,7 @@ class SelfishMiningAnalyzer:
         self.protocol = protocol or ProtocolParams()
         self.attack = attack or AttackParams()
         self.config = config or AnalysisConfig()
-        self._entry = get_attack(self.attack.scenario)
+        self._scenario = get_attack(self.attack.scenario)
         self._model: Optional[object] = None
 
     # ------------------------------------------------------------------ pipeline
@@ -50,7 +50,7 @@ class SelfishMiningAnalyzer:
     def build_model(self, force: bool = False) -> object:
         """Build (or return the cached) scenario MDP model."""
         if self._model is None or force:
-            self._model = self._entry.build_model(self.protocol, self.attack)
+            self._model = self._scenario.build_model(self.protocol, self.attack)
         return self._model
 
     def run(self) -> AnalysisResult:
@@ -87,7 +87,7 @@ class SelfishMiningAnalyzer:
         sanity-check the model on their parameter point.
         """
         model = self.build_model()
-        return evaluate_strategy_errev(model.mdp, self._entry.honest_strategy(model.mdp))
+        return evaluate_strategy_errev(model.mdp, self._scenario.honest_strategy(model.mdp))
 
     def validate_by_simulation(
         self,
@@ -102,8 +102,8 @@ class SelfishMiningAnalyzer:
         whose revenue accounting is independent of the MDP's reward bookkeeping.
         The estimate is stored in ``result.simulated_errev`` and also returned.
         """
-        policy = self._entry.make_policy(result.formal.strategy)
-        simulation = self._entry.simulate(
+        policy = self._scenario.make_policy(result.formal.strategy)
+        simulation = self._scenario.simulate(
             self.protocol, self.attack, policy, num_steps=num_steps, seed=seed
         )
         result.simulated_errev = simulation.relative_revenue

@@ -1,7 +1,11 @@
-"""Parallel, cache-aware execution engine for parameter sweeps.
+"""Units of work of a parameter sweep: task decomposition, execution, assembly.
 
-The engine decomposes a Figure 2 style grid into independent units of work and
-fans them out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
+The engine decomposes a Figure 2 style grid into independent units of work
+(:func:`_build_tasks`), computes one unit (:func:`_run_attack_task`, also the
+pool workers' entry point) and assembles collected outcomes into a
+:class:`~repro.core.results.SweepResult` (:func:`assemble_sweep_result`).
+Running the units -- inline or on a process pool -- and merging them is
+:func:`repro.core.execution.execute_sweep`.
 
 * Baseline series (honest mining, single tree) are closed forms and are
   evaluated inline in the parent process.
@@ -24,18 +28,16 @@ Determinism and failure isolation are the two design invariants:
   runs exactly the same per-task code in subprocesses, so the computed values
   are bit-for-bit identical across worker counts and only the wall-clock
   changes.  Results are re-assembled in the canonical ``gamma -> p -> series``
-  order regardless of completion order.  (Relative to the pre-engine serial
-  sweep, the default structure-cache path may differ in the last float ulp
-  because probabilities are refilled vectorised; ``use_structure_cache=False``
-  reproduces the legacy construction exactly.)
+  order regardless of completion order.
 * A point whose model construction or analysis raises is recorded as a
   :class:`~repro.core.results.SweepFailure` instead of aborting the grid; the
   remaining points are unaffected.  The same holds for the closed-form
   baseline series evaluated in the parent.
 
-Model-structure caching (:mod:`repro.attacks.structure`) is enabled by default.
-With ``workers > 1`` the parent builds every ``(attack, support)`` skeleton
-exactly once and passes the list to the pool initializer
+Every point refills its model from the cached ``(attack, support)`` skeleton
+(:mod:`repro.attacks.structure`).  With ``workers > 1`` the parent builds every
+skeleton exactly once (:func:`_prewarm_structure_cache`) and passes the list
+to the pool initializer
 (:func:`~repro.attacks.structure.replace_structure_cache`); every pool worker
 -- fork-started workers inherit the objects, spawn-started ones receive them
 pickled -- installs them instead of exploring
@@ -45,14 +47,6 @@ back pickled through each unit's future.
 The pool start method follows the platform default (fork on Linux, spawn
 elsewhere) and can be forced with the ``REPRO_TEST_START_METHOD`` environment
 variable (used by CI to exercise the spawn path on Linux runners).
-
-Both execution backends uphold the same two invariants:
-
-* **Zero worker explorations** -- pool workers receive every skeleton
-  pre-built (``structure_cache_stats()["builds"] == 0`` in workers).
-* **Certified-bound reproducibility** -- the certified ``beta_low``/``beta_up``
-  of every point are bit-for-bit identical across worker counts, start
-  methods and scheduling order; only wall-clock metadata may differ.
 """
 
 from __future__ import annotations
@@ -73,7 +67,7 @@ from ..attacks import (
     honest_errev,
     single_tree_errev,
 )
-from ..attacks.registry import ScenarioStructure, get_attack
+from ..attacks.registry import ScenarioStructure, get_attack, scenario_id_for
 from ..config import AnalysisConfig, AttackParams, ProtocolParams
 from .faults import InjectedFault, is_transient_error, maybe_fail, point_retry_limit
 from .results import SweepFailure, SweepPoint, SweepResult
@@ -122,7 +116,6 @@ class AttackTask:
     p_indices: Tuple[int, ...]
     series: str
     analysis: AnalysisConfig
-    use_structure_cache: bool
     warm_start_across_points: bool
     reuse_p_axis_bounds: bool = False
 
@@ -172,11 +165,8 @@ def _run_attack_task(
             try:
                 if maybe_fail("engine.point_transient"):
                     raise InjectedFault("engine.point_transient")
-                entry = get_attack(task.attack.scenario)
                 protocol = ProtocolParams(p=p, gamma=task.gamma)
-                model = entry.build_model(
-                    protocol, task.attack, use_structure_cache=task.use_structure_cache
-                )
+                model = get_attack(task.attack.scenario).build_model(protocol, task.attack)
                 initial_beta_low = 0.0
                 if (
                     task.reuse_p_axis_bounds
@@ -218,7 +208,7 @@ def _run_attack_task(
                     num_states=model.mdp.num_states,
                     beta_low=result.beta_low,
                     beta_up=result.beta_up,
-                    scenario=entry.scenario_id,
+                    scenario=scenario_id_for(task.attack.scenario),
                     recovery_retries=retries or None,
                 )
             except Exception as exc:  # noqa: BLE001 - failure isolation is the point
@@ -271,7 +261,6 @@ def _build_tasks(config: "SweepConfig") -> List[AttackTask]:
                 attack_index=attack_index,
                 series=attack_series_name(attack),
                 analysis=config.analysis,
-                use_structure_cache=config.use_structure_cache,
                 warm_start_across_points=config.warm_start_across_points,
                 reuse_p_axis_bounds=reuse_bounds,
             )
@@ -379,38 +368,6 @@ def _baseline_points(
     return points
 
 
-def execute_sweep(
-    config: "SweepConfig",
-    *,
-    progress: Optional[Callable[[str], None]] = None,
-) -> SweepResult:
-    """Run a Figure 2 style sweep, serially or over a process pool.
-
-    Args:
-        config: The sweep configuration; ``config.workers`` selects the degree
-            of parallelism (1 = in-process serial execution).
-        progress: Optional callback invoked with a short message per attack
-            point (and per failure) as results become available -- in task
-            order when serial, in completion order when parallel.
-
-    Returns:
-        A :class:`SweepResult` whose points are ordered ``gamma -> p ->
-        (honest, single-tree, attacks...)`` independent of worker scheduling,
-        with per-point timings attached and failures isolated.
-    """
-    workers = int(config.workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {config.workers}")
-
-    # Thin orchestration over the execution plane (imported lazily to break
-    # the engine <-> execution import cycle): the plan/backend/sink layers in
-    # core/execution.py own scheduling, journaling, merge and assembly.
-    from .execution import PoolBackend, SerialBackend, execute_plan
-
-    backend = SerialBackend() if workers == 1 else PoolBackend()
-    return execute_plan(config, backend, progress=progress)
-
-
 def assemble_sweep_result(
     config: "SweepConfig",
     outcomes: Dict[Tuple[int, int, int], PointOutcome],
@@ -424,8 +381,8 @@ def assemble_sweep_result(
     and ``outcomes`` -- keyed by ``(gamma_index, p_index, attack_index)`` grid
     coordinates, however they were computed (in-process or on the pool) --
     are re-ordered into the canonical ``gamma -> p -> series`` order with
-    failures isolated, so both execution backends produce an identically
-    shaped :class:`SweepResult`.  A grid key with no collected outcome at all
+    failures isolated, so inline and pool runs produce an identically shaped
+    :class:`SweepResult`.  A grid key with no collected outcome at all
     becomes a :class:`SweepFailure` instead of a crash that would discard
     every point that *was* collected.
     """

@@ -1,22 +1,18 @@
-"""One execution plane: sweep scheduling, backend protocol and merge pipeline.
-
-The sweep machinery is split into three explicit layers:
+"""The sweep path: plan -> run units (inline or on the pool) -> merge.
 
 1. :class:`SweepPlan` -- the *schedulable* form of a sweep grid.  The plan
    owns the task list (one unit per grid point, or one unit per ``(gamma,
    attack)`` series under chaining); "what may run concurrently" is exactly
    "units are independent; points inside a unit are chained in p order".
    Resume filtering (:meth:`SweepPlan.with_replayed`) is a plan-to-plan
-   transform, so every backend skips journal-replayed units the same way.
+   transform, so a resumed sweep skips journal-replayed units before any of
+   them is scheduled.
 
-2. :class:`ExecutionBackend` -- the protocol that turns a plan's tasks into
-   :class:`~repro.core.engine.PointOutcome`\\ s, and *nothing else*:
-   ``start(plan)`` prepares a plan and ``outcomes()`` streams outcome events.
-   :class:`SerialBackend` runs units in-process in submission order and
-   :class:`PoolBackend` fans them over a
-   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers install the
-   parent's skeletons and return outcomes through their futures.  Backends
-   never journal, never merge, never synthesize failures.
+2. :func:`execute_sweep` runs the pending units: in-process in submission
+   order when ``workers == 1``, otherwise on a
+   :class:`~concurrent.futures.ProcessPoolExecutor` configured by
+   :func:`pool_kwargs`, whose workers install the parent's skeletons and
+   return outcomes through their futures.
 
 3. :class:`MergeSink` -- the single merge pipeline: idempotent grid-key merge,
    journal append (a no-op for replayed keys), synthesized failures for
@@ -26,16 +22,11 @@ The sweep machinery is split into three explicit layers:
    :meth:`MergeSink.accept` the moment it exists, so the journal is
    crash-safe mid-sweep.
 
-:func:`execute_plan` is the thin orchestration over the three layers::
+Lint rule RL007 (:mod:`repro.lint.rules.merge_pipeline`) pins the design: no
+module outside this one may append to a sweep journal, mutate sweep-result
+metadata or call ``assemble_sweep_result``.
 
-    plan -> journal resume-filter -> backend events -> sink -> assemble
-
-and is what :func:`repro.core.engine.execute_sweep` delegates to.  Lint rule
-RL007 (:mod:`repro.lint.rules.merge_pipeline`) pins the design: no module
-outside this one may append to a sweep journal, mutate sweep-result metadata
-or call ``assemble_sweep_result``.
-
-Behavioral contract: both backends produce bit-for-bit the same values
+Behavioral contract: inline and pool runs produce bit-for-bit the same values
 (certified bounds, ERRev, CSV value columns, journal records); only
 wall-clock metadata may differ.  The conformance suite
 (``tests/core/execution_conformance.py``) asserts this under fork and spawn.
@@ -52,23 +43,20 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
     Tuple,
-    Union,
 )
 
 from ..attacks.structure import replace_structure_cache
 from . import engine as _engine
-from .journal import GridKey
+from .journal import GridKey, SweepJournal
 from .reporting import ProgressReporter
 from .results import SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles broken at runtime
     from .engine import AttackTask, PointOutcome
-    from .journal import SweepJournal
     from .sweep import SweepConfig
 
 
@@ -81,12 +69,12 @@ class SweepPlan:
 
     ``tasks`` are the engine's :class:`~repro.core.engine.AttackTask` units in
     deterministic grid order; the unit id of a task is its index.  Units are
-    mutually independent and may run concurrently on any backend; the only
+    mutually independent and may run concurrently on the pool; the only
     ordering constraints are *inside* a unit, where chained warm starts /
     certified-bound reuse tie each point to its predecessor on the p axis,
     which is why a chained series travels as one unit.  ``replayed_units`` are
-    the units a journal resume already completed; backends schedule only
-    :attr:`pending_units`.
+    the units a journal resume already completed; only :meth:`pending_tasks`
+    are scheduled.
     """
 
     config: "SweepConfig"
@@ -105,16 +93,13 @@ class SweepPlan:
             (task.gamma_index, p_index, task.attack_index) for p_index in task.p_indices
         )
 
-    @property
-    def pending_units(self) -> Tuple[int, ...]:
-        """Unit ids still to be executed (everything not replayed), in order."""
-        return tuple(
-            unit_id for unit_id in range(len(self.tasks)) if unit_id not in self.replayed_units
-        )
-
-    def pending_tasks(self) -> List[Tuple[int, "AttackTask"]]:
-        """``(unit_id, task)`` pairs of the pending units, in submission order."""
-        return [(unit_id, self.tasks[unit_id]) for unit_id in self.pending_units]
+    def pending_tasks(self) -> List["AttackTask"]:
+        """Tasks of the units still to be executed (everything not replayed), in order."""
+        return [
+            task
+            for unit_id, task in enumerate(self.tasks)
+            if unit_id not in self.replayed_units
+        ]
 
     def with_replayed(self, replayed: Mapping[GridKey, "PointOutcome"]) -> "SweepPlan":
         """Resume filter: mark every unit whose grid keys are all replayed.
@@ -142,8 +127,8 @@ class SweepPlan:
 class MergeSink:
     """The one merge pipeline: journal, retry accounting, assembly.
 
-    Every computed :class:`~repro.core.engine.PointOutcome` -- whatever backend
-    produced it -- flows through this object exactly once.  The sink owns the
+    Every computed :class:`~repro.core.engine.PointOutcome` -- computed inline
+    or on the pool -- flows through this object exactly once.  The sink owns the
     idempotent grid-key merge (last write wins at key level), the durable
     journal append (``record`` is a no-op for replayed keys), synthesized
     failures for units whose worker died, and progress reporting.  Baseline
@@ -228,201 +213,104 @@ class MergeSink:
         }
 
 
-# ------------------------------------------------------------ backend events
-
-
-@dataclass(frozen=True)
-class OutcomeBatch:
-    """One streamed batch of computed outcomes (one unit's, in p order)."""
-
-    outcomes: Tuple["PointOutcome", ...]
-
-
-@dataclass(frozen=True)
-class UnitCrash:
-    """A unit whose worker died; unreported keys become synthesized failures."""
-
-    unit_id: int
-    message: str
-
-
-#: Events an :meth:`ExecutionBackend.outcomes` iterator may stream.
-BackendEvent = Union[OutcomeBatch, UnitCrash]
-
-
-# -------------------------------------------------------------------- backends
-
-
-class ExecutionBackend:
-    """Protocol of every sweep execution backend: tasks in, outcomes out.
-
-    A backend's only job is turning a plan's pending tasks into
-    :class:`~repro.core.engine.PointOutcome`\\ s; it never journals, merges or
-    assembles.  The contract is
-
-    * :meth:`start` -- prepare a plan (for the pool: build the skeletons),
-    * :meth:`outcomes` -- stream :class:`OutcomeBatch` / :class:`UnitCrash`
-      events as units complete, releasing every resource when the stream ends
-      or is closed,
-
-    and :func:`execute_plan` drives those two, feeding each event into the
-    :class:`MergeSink`.
-    """
-
-    def start(self, plan: SweepPlan) -> None:
-        """Prepare the execution of ``plan``'s pending units."""
-        raise NotImplementedError
-
-    def outcomes(self) -> Iterator[BackendEvent]:
-        """Stream outcome events until every pending unit is accounted for."""
-        raise NotImplementedError
-
-
-class SerialBackend(ExecutionBackend):
-    """In-process execution: units run in submission order on this thread.
-
-    The reference backend: deterministic ordering, no IPC.
-    """
-
-    def __init__(self) -> None:
-        """Create an idle serial backend (the plan arrives with ``start``)."""
-        self._plan: Optional[SweepPlan] = None
-
-    def start(self, plan: SweepPlan) -> None:
-        """Prepare in-process execution."""
-        self._plan = plan
-
-    def outcomes(self) -> Iterator[BackendEvent]:
-        """Compute each pending unit inline and stream its outcomes."""
-        assert self._plan is not None  # start() ran
-        for _unit_id, task in self._plan.pending_tasks():
-            yield OutcomeBatch(outcomes=tuple(_engine._run_attack_task(task)))
-
-
-class PoolBackend(ExecutionBackend):
-    """Process-pool execution: skeletons in as objects, outcomes out by pickle.
-
-    The parent builds every skeleton of the grid once and hands the list to
-    the pool initializer,
-    :func:`~repro.attacks.structure.replace_structure_cache`.  Fork-started
-    workers inherit the objects and spawn-started workers receive them
-    pickled; either way every worker installs them in its structure cache and
-    performs zero explorations (``structure_cache_stats()["builds"] == 0``).
-    Each unit's outcomes return through its future; a unit whose worker died
-    becomes a :class:`UnitCrash` once the pool has joined, and every point of
-    it a synthesized failure.
-    """
-
-    def __init__(self) -> None:
-        """Create an idle pool backend (the pool opens in ``outcomes``)."""
-        self._plan: Optional[SweepPlan] = None
-        self._pool_kwargs: Dict[str, object] = {}
-        self._workers: int = 0
-
-    def start(self, plan: SweepPlan) -> None:
-        """Pick the start method, build the skeletons, size the pool."""
-        self._plan = plan
-        config = plan.config
-        self._workers = int(config.workers)
-        if not plan.pending_units:
-            return
-        pool_kwargs: Dict[str, object] = {
-            "mp_context": multiprocessing.get_context(_engine._pool_start_method())
-        }
-        if config.use_structure_cache:
-            structures = _engine._prewarm_structure_cache(config)
-            if structures:
-                pool_kwargs["initializer"] = replace_structure_cache
-                pool_kwargs["initargs"] = (structures,)
-        self._pool_kwargs = pool_kwargs
-
-    def outcomes(self) -> Iterator[BackendEvent]:
-        """Fan pending units over the pool and stream outcomes as they land."""
-        assert self._plan is not None  # start() ran
-        pending = self._plan.pending_tasks()
-        if not pending:
-            return
-        crashed: List[Tuple[int, str]] = []
-        with ProcessPoolExecutor(max_workers=self._workers, **self._pool_kwargs) as pool:  # type: ignore[arg-type]
-            futures = {
-                pool.submit(_engine._run_attack_task, task): unit_id
-                for unit_id, task in pending
-            }
-            for future in as_completed(futures):
-                try:
-                    outcomes = future.result()
-                except Exception as exc:
-                    # A worker that died (OOM kill, segfault, broken pool)
-                    # must not discard the outcomes already collected from
-                    # others; its unit is reported once the pool has joined.
-                    crashed.append(
-                        (futures[future], f"worker crashed: {type(exc).__name__}: {exc}")
-                    )
-                    continue
-                yield OutcomeBatch(outcomes=tuple(outcomes))
-        for unit_id, message in crashed:
-            yield UnitCrash(unit_id=unit_id, message=message)
-
-
 # -------------------------------------------------------------- orchestration
 
 
-def execute_plan(
+def pool_kwargs(config: "SweepConfig") -> Dict[str, object]:
+    """Keyword arguments (besides ``max_workers``) of the sweep's process pool.
+
+    The start method comes from :func:`~repro.core.engine._pool_start_method`.
+    The parent builds every skeleton of the grid once and hands the list to
+    the pool initializer,
+    :func:`~repro.attacks.structure.replace_structure_cache`: fork-started
+    workers inherit the objects and spawn-started workers receive them
+    pickled.  Either way every worker installs them in its structure cache
+    and performs zero explorations (``structure_cache_stats()["builds"] ==
+    0``).
+    """
+    return {
+        "mp_context": multiprocessing.get_context(_engine._pool_start_method()),
+        "initializer": replace_structure_cache,
+        "initargs": (_engine._prewarm_structure_cache(config),),
+    }
+
+
+def execute_sweep(
     config: "SweepConfig",
-    backend: ExecutionBackend,
     *,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
-    """Thin orchestration: plan -> resume filter -> backend events -> assemble.
+    """Run a Figure 2 style sweep: plan -> run units -> merge -> assemble.
+
+    ``config.workers == 1`` runs every pending unit in-process in submission
+    order; ``workers > 1`` fans them over a process pool (:func:`pool_kwargs`)
+    and merges each unit's outcomes as its future completes.  A unit whose
+    worker died (OOM kill, segfault, broken pool) must not discard the
+    outcomes already collected from the others: its unreported points become
+    synthesized "worker crashed" failures once the pool has joined.
 
     The only function in the package that opens a sweep journal, constructs a
-    :class:`MergeSink` and attaches result metadata -- both backends funnel
-    through it, so resume semantics and metadata shapes cannot drift between
-    them.  The backend's stream is closed (which shuts a pool down), and the
-    journal is sealed, in ``finally`` blocks *before* the result is assembled,
-    so the durability policy runs even when the backend (or a progress
-    callback used for cancellation) raises.
+    :class:`MergeSink` and attaches result metadata.  The pool is shut down,
+    and the journal sealed, before the result is assembled -- also when a
+    unit or a progress callback used for cancellation raises.
+
+    Args:
+        config: The sweep configuration; ``config.workers`` selects the degree
+            of parallelism (1 = in-process serial execution).
+        progress: Optional callback invoked with a short message per attack
+            point (and per failure) as results become available -- in task
+            order when serial, in completion order when parallel.
+
+    Returns:
+        A :class:`SweepResult` whose points are ordered ``gamma -> p ->
+        (honest, single-tree, attacks...)`` independent of worker scheduling,
+        with per-point timings attached and failures isolated.
     """
+    workers = int(config.workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {config.workers}")
     reporter = ProgressReporter.wrap(progress)
     plan = SweepPlan.build(config)
-    journal: Optional["SweepJournal"] = None
-    journal_path = getattr(config, "journal_path", None)
-    if journal_path is not None:
-        from .journal import SweepJournal
-
+    journal: Optional[SweepJournal] = None
+    replayed: Mapping[GridKey, "PointOutcome"] = {}
+    if config.journal_path is not None:
         journal = SweepJournal.open(
-            journal_path,
+            config.journal_path,
             config,
             resume=config.journal_resume,
             fsync=config.journal_fsync,
         )
-    replayed: Mapping[GridKey, "PointOutcome"] = {}
-    if journal is not None:
         replayed = journal.replayed_outcomes()
         plan = plan.with_replayed(replayed)
     sink = MergeSink(plan, reporter=reporter, journal=journal)
-    if replayed:
-        sink.replay(replayed)
+    sink.replay(replayed)
     try:
-        backend.start(plan)
-        stream = backend.outcomes()
-        try:
-            for event in stream:
-                if isinstance(event, UnitCrash):
-                    sink.synthesize_missing(plan.tasks[event.unit_id], event.message)
-                else:
-                    sink.accept(event.outcomes)
-        finally:
-            close_stream = getattr(stream, "close", None)
-            if close_stream is not None:
-                close_stream()
+        pending = plan.pending_tasks()
+        if workers == 1:
+            for task in pending:
+                sink.accept(_engine._run_attack_task(task))
+        elif pending:
+            crashed: List[Tuple["AttackTask", str]] = []
+            with ProcessPoolExecutor(max_workers=workers, **pool_kwargs(config)) as pool:  # type: ignore[arg-type]
+                futures = {pool.submit(_engine._run_attack_task, task): task for task in pending}
+                for future in as_completed(futures):
+                    try:
+                        outcomes = future.result()
+                    except Exception as exc:
+                        crashed.append(
+                            (futures[future], f"worker crashed: {type(exc).__name__}: {exc}")
+                        )
+                        continue
+                    sink.accept(outcomes)
+            for task, message in crashed:
+                sink.synthesize_missing(task, message)
     finally:
         if journal is not None:
             journal.close()
     result = sink.assemble(
         description=(
             f"figure-2 sweep over p={list(config.p_values)} and gamma={list(config.gammas)} "
-            f"(workers={int(config.workers)})"
+            f"(workers={workers})"
         )
     )
     journal_meta = sink.journal_metadata()
@@ -431,14 +319,4 @@ def execute_plan(
     return result
 
 
-__all__ = [
-    "BackendEvent",
-    "ExecutionBackend",
-    "MergeSink",
-    "OutcomeBatch",
-    "PoolBackend",
-    "SerialBackend",
-    "SweepPlan",
-    "UnitCrash",
-    "execute_plan",
-]
+__all__ = ["MergeSink", "SweepPlan", "execute_sweep", "pool_kwargs"]

@@ -69,7 +69,7 @@ from .engine import PointOutcome
 FSYNC_POLICIES = ("never", "close", "always")
 
 #: Format version stamped into (and checked against) every journal's meta record.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 GridKey = Tuple[int, int, int]
 
@@ -114,10 +114,10 @@ def journal_fingerprint(config: "object") -> Dict[str, object]:
     Two sweeps with equal fingerprints compute bit-for-bit identical certified
     bounds for every grid key, so replaying one's journal into the other is
     sound.  Anything that could change a computed value is included: the grid,
-    the attack configurations, the analysis settings, the flags selecting the
-    model-construction path, the versioned scenario ids and the package
-    version.  Worker counts, transport choices and fault plans are excluded --
-    they change scheduling, never values.
+    the attack configurations, the analysis settings, the chaining flags, the
+    versioned scenario ids and the package version.  Worker counts, start
+    methods and fault plans are excluded -- they change scheduling, never
+    values.
     """
     from .. import __version__
     from ..attacks.registry import scenario_id_for
@@ -134,7 +134,6 @@ def journal_fingerprint(config: "object") -> Dict[str, object]:
         "scenarios": sorted(
             {scenario_id_for(attack.scenario) for attack in config.attack_configs}
         ),
-        "use_structure_cache": bool(config.use_structure_cache),
         "warm_start_across_points": bool(config.warm_start_across_points),
         "reuse_p_axis_bounds": bool(config.reuse_p_axis_bounds),
     }

@@ -27,7 +27,7 @@ def _print_stderr(message: str) -> None:
 
 
 class ProgressReporter:
-    """Uniform per-event progress channel of every sweep execution backend.
+    """Uniform per-event progress channel of every sweep, serial or pooled.
 
     Wraps an optional ``Callable[[str], None]`` callback so reporting sites
     can simply call the reporter (``reporter("gamma=... p=...")``) without the

@@ -8,11 +8,10 @@ the grid density and configuration list are configurable so the default harness
 stays within a laptop-scale time budget: the paper's 0.01 p-step and its larger
 ``(d, f)`` configurations are opt-in (``fine_grid``, ``attack_configs``).
 
-Execution is delegated to the sweep engine (:mod:`repro.core.engine`), which
-fans the attack grid out over a process pool (``workers``), reuses cached model
-structures across grid points and can chain solver warm starts along the ``p``
-axis (``warm_start_across_points``).  ``workers=1`` with chaining disabled is
-the legacy serial behaviour.
+:func:`run_sweep` is :func:`repro.core.execution.execute_sweep`: it plans the
+grid, runs the units in-process (``workers=1``) or on a local process pool,
+refills every point from the cached model skeleton and can chain solver warm
+starts along the ``p`` axis (``warm_start_across_points``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from .._validation import check_positive_int
 from ..attacks.single_tree import SingleTreeParams
 from ..config import AnalysisConfig, AttackParams
 from ..exceptions import ConfigurationError
-from .engine import attack_series_name, execute_sweep
+from .engine import attack_series_name
+from .execution import execute_sweep
 from .results import SweepResult
 
 __all__ = [
@@ -61,19 +61,15 @@ class SweepConfig:
             scenario from ``attack_configs``.  When set while
             ``attack_configs`` still holds the selfish-forks default grid, the
             grid is replaced by the named scenario's default grid
-            (``entry.grid_configs("default")``); an explicitly supplied grid of
-            a different scenario is a configuration error.
+            (``get_attack(attack).grid_configs("default")``); an explicitly
+            supplied grid of a different scenario is a configuration error.
         include_honest: Whether to include the honest baseline series.
         include_single_tree: Whether to include the single-tree baseline series.
         single_tree: Parameters of the single-tree baseline.
         analysis: Formal-analysis configuration used for every attack point.
-        workers: Worker processes the engine fans attack points out over;
+        workers: Worker processes the attack points are fanned out over;
             1 (default) executes in-process.  Results are bit-for-bit
-            identical across worker counts; relative to the pre-engine serial
-            sweep the default cached build may differ in the last float ulp
-            (use ``use_structure_cache=False`` for the legacy construction).
-        use_structure_cache: Reuse the cached ``(d, f, l)`` model skeleton
-            across grid points and only refill probabilities per point.
+            identical across worker counts.
         warm_start_across_points: Chain each attack series along the ``p``
             axis, seeding every Algorithm 1 run with the optimal strategy and
             bias of the previous grid point.  Changes results only within
@@ -111,7 +107,6 @@ class SweepConfig:
     single_tree: SingleTreeParams = DEFAULT_SINGLE_TREE
     analysis: AnalysisConfig = field(default_factory=lambda: AnalysisConfig(epsilon=1e-3))
     workers: int = 1
-    use_structure_cache: bool = True
     warm_start_across_points: bool = False
     reuse_p_axis_bounds: bool = False
     journal_path: Optional[str] = None
@@ -131,12 +126,12 @@ class SweepConfig:
         if self.attack is not None:
             from ..attacks.registry import get_attack  # deferred: import cycle
 
-            entry = get_attack(self.attack)  # unknown names raise here
+            scenario = get_attack(self.attack)  # unknown names raise here
             if (
                 tuple(self.attack_configs) == DEFAULT_ATTACK_CONFIGS
                 and self.attack != "selfish-forks"
             ):
-                self.attack_configs = entry.grid_configs("default")
+                self.attack_configs = scenario.grid_configs("default")
         scenarios = {attack.scenario for attack in self.attack_configs}
         if len(scenarios) > 1:
             raise ConfigurationError(
@@ -161,20 +156,9 @@ class SweepConfig:
             )
 
 
-def run_sweep(
-    config: SweepConfig,
-    *,
-    progress: Optional[Callable[[str], None]] = None,
-) -> SweepResult:
-    """Run a Figure 2 style sweep and return all computed points.
-
-    Args:
-        config: The sweep configuration (including engine settings such as
-            ``workers``).
-        progress: Optional callback invoked with a short message per computed
-            attack point.
-    """
-    return execute_sweep(config, progress=progress)
+#: Run a Figure 2 style sweep and return all computed points (the public name
+#: of :func:`repro.core.execution.execute_sweep`).
+run_sweep = execute_sweep
 
 
 def sweep_figure2(
@@ -185,7 +169,6 @@ def sweep_figure2(
     epsilon: float = 1e-3,
     solver: str = "policy_iteration",
     workers: int = 1,
-    use_structure_cache: bool = True,
     warm_start_across_points: bool = False,
     reuse_p_axis_bounds: bool = False,
     progress: Optional[Callable[[str], None]] = None,
@@ -200,7 +183,6 @@ def sweep_figure2(
         epsilon: Binary-search precision of the formal analysis.
         solver: Mean-payoff solver backend.
         workers: Worker processes for the sweep engine (1 = serial).
-        use_structure_cache: Reuse cached model skeletons across grid points.
         warm_start_across_points: Chain solver warm starts along the p axis.
         reuse_p_axis_bounds: Start each binary search from the previous p
             point's certified lower bound (monotonicity of ERRev* in p).
@@ -218,7 +200,6 @@ def sweep_figure2(
         attack_configs=tuple(attack_configs) if attack_configs is not None else DEFAULT_ATTACK_CONFIGS,
         analysis=AnalysisConfig(epsilon=epsilon, solver=solver),
         workers=workers,
-        use_structure_cache=use_structure_cache,
         warm_start_across_points=warm_start_across_points,
         reuse_p_axis_bounds=reuse_p_axis_bounds,
     )

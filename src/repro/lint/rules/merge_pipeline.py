@@ -1,18 +1,18 @@
 """RL007: point-outcome merging flows through the execution plane's MergeSink.
 
 The execution plane (:mod:`repro.core.execution`) owns the single merge
-pipeline of both sweep backends: the :class:`~repro.core.execution.MergeSink`
-is the one place that appends outcomes to the durable journal, attaches the
-journal block of ``SweepResult.metadata`` and calls the assembler.  That is
-what makes serial and pool sweeps bit-for-bit identical -- and what keeps the
-crash-safety story auditable: a point is journaled exactly when the sink
-merged it, never elsewhere.
+pipeline of every sweep, inline or pooled: the
+:class:`~repro.core.execution.MergeSink` is the one place that appends
+outcomes to the durable journal, and ``execute_sweep`` the one place that
+attaches the journal block of ``SweepResult.metadata`` and has the sink call
+the assembler.  That is what makes serial and pool sweeps bit-for-bit
+identical -- and what keeps the crash-safety story auditable: a point is
+journaled exactly when the sink merged it, never elsewhere.
 
 Three drift modes would quietly fork the pipeline:
 
-* **Direct assembly** -- a backend calling ``assemble_sweep_result`` itself
-  would bypass the sink's merge (synthesized failures) and resume
-  filtering.
+* **Direct assembly** -- code calling ``assemble_sweep_result`` itself would
+  bypass the sink's merge (synthesized failures) and resume filtering.
 * **Side-channel journaling** -- ``journal.record(...)`` outside the sink
   desynchronises the journal from the merged outcome map, so a resumed sweep
   replays points the merge never saw (or misses points it did).
@@ -21,8 +21,9 @@ Three drift modes would quietly fork the pipeline:
   asserts on.
 
 This rule pins all three to ``core/execution.py`` (plus the body of the
-assembler itself, which builds the recovery summary it owns).
-Backends report outcomes only by yielding events to the sink.
+assembler itself, which builds the recovery summary it owns).  The run loop
+hands each unit's outcomes to ``MergeSink.accept`` and each crashed unit to
+``MergeSink.synthesize_missing``; nothing else merges.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, List, Tuple
 
 from ..engine import LintViolation, ModuleInfo, Rule, dotted_name
 
-#: Modules that *are* the merge pipeline: the sink/backends themselves.
+#: Modules that *are* the merge pipeline: the sink and the run loop.
 PIPELINE_MODULES: Tuple[str, ...] = ("core/execution.py",)
 
 #: Functions whose bodies are part of the pipeline wherever they live
@@ -60,8 +61,8 @@ class MergePipelineRule(Rule):
         "a sweep journal, mutates SweepResult.metadata or calls the assembler"
     )
     fix_hint = (
-        "yield OutcomeBatch / UnitCrash events from the backend and let "
-        "execute_plan feed them to the MergeSink (accept / synthesize_missing)"
+        "return outcomes to execute_sweep and let it feed them to the "
+        "MergeSink (accept / synthesize_missing)"
     )
     scopes = None  # the whole package: a forked pipeline may hide anywhere
 
@@ -87,7 +88,7 @@ class MergePipelineRule(Rule):
                         node,
                         "assemble_sweep_result called outside the execution "
                         "plane; assembly must run once, in MergeSink.assemble, "
-                        "after every backend outcome has merged",
+                        "after every unit's outcomes have merged",
                     )
                 elif (
                     parts[-1] == "record"
@@ -110,7 +111,7 @@ class MergePipelineRule(Rule):
                         module,
                         node,
                         f"sweep metadata mutated via {name!r} outside the "
-                        "execution plane; only execute_plan attaches sweep "
+                        "execution plane; only execute_sweep attaches sweep "
                         "metadata",
                     )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -126,7 +127,7 @@ class MergePipelineRule(Rule):
                             module,
                             node,
                             f"sweep metadata key assigned on {name!r} outside "
-                            "the execution plane; only execute_plan attaches "
+                            "the execution plane; only execute_sweep attaches "
                             "sweep metadata",
                         )
 

@@ -5,43 +5,46 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.registry import (
-    AttackScenario,
     ScenarioStructure,
     get_attack,
     list_attacks,
     register_attack,
-    resolve_scenario,
     scenario_id_for,
     unregister_attack,
 )
+from repro.attacks.sm_actions import SmActionsStructure
+from repro.attacks.structure import SelfishForksStructure
 from repro.config import AttackParams, known_scenario_names
-from repro.exceptions import ConfigurationError, ModelError
+from repro.exceptions import ConfigurationError
 from repro.lint.rules.scenario_contract import REQUIRED_HOOKS
 
 
 class TestLookup:
     def test_builtins_are_registered(self):
-        names = [entry.name for entry in list_attacks()]
+        assert list_attacks() == (SelfishForksStructure, SmActionsStructure)
+        names = [scenario.SCENARIO_NAME for scenario in list_attacks()]
         assert names == ["selfish-forks", "sm-actions"]
 
     def test_get_attack_returns_entry(self):
-        entry = get_attack("selfish-forks")
-        assert isinstance(entry, AttackScenario)
-        assert entry.name == "selfish-forks"
-        assert issubclass(entry.structure_cls, ScenarioStructure)
+        """The registry hands out the registered structure class itself."""
+        scenario = get_attack("selfish-forks")
+        assert scenario is SelfishForksStructure
+        assert issubclass(scenario, ScenarioStructure)
+        assert scenario.SCENARIO_NAME == "selfish-forks"
 
     def test_unknown_name_raises_and_lists_known(self):
         with pytest.raises(ConfigurationError, match="selfish-forks"):
             get_attack("no-such-attack")
 
     def test_scenario_id_format(self):
-        for entry in list_attacks():
-            assert entry.scenario_id == f"{entry.name}@{entry.version}"
-            assert scenario_id_for(entry.name) == entry.scenario_id
+        for scenario in list_attacks():
+            name = scenario.SCENARIO_NAME
+            assert scenario_id_for(name) == f"{name}@{scenario.SCENARIO_VERSION}"
 
     def test_entries_carry_descriptions(self):
-        for entry in list_attacks():
-            assert entry.description.strip()
+        """`repro attacks` prints the first docstring line of every scenario."""
+        for scenario in list_attacks():
+            assert (scenario.__doc__ or "").strip()
 
     def test_proof_systems_resolve_to_classes(self):
         systems = get_attack("selfish-forks").proof_systems()
@@ -58,9 +61,9 @@ class TestRegistration:
                 """An imposter scenario."""
 
     def test_reregistering_same_class_is_idempotent(self):
-        cls = get_attack("sm-actions").structure_cls
+        cls = get_attack("sm-actions")
         assert register_attack("sm-actions")(cls) is cls
-        assert [entry.name for entry in list_attacks()].count("sm-actions") == 1
+        assert list_attacks().count(cls) == 1
 
     def test_runtime_registration_roundtrip(self):
         @register_attack("test-dummy-scenario")
@@ -70,8 +73,8 @@ class TestRegistration:
             SCENARIO_VERSION = 7
 
         try:
-            entry = get_attack("test-dummy-scenario")
-            assert entry.scenario_id == "test-dummy-scenario@7"
+            assert get_attack("test-dummy-scenario") is Dummy
+            assert scenario_id_for("test-dummy-scenario") == "test-dummy-scenario@7"
             assert "test-dummy-scenario" in known_scenario_names()
             # AttackParams accepts the runtime-registered name.
             AttackParams(scenario="test-dummy-scenario")
@@ -84,25 +87,6 @@ class TestRegistration:
     def test_builtins_cannot_be_unregistered(self):
         with pytest.raises(ConfigurationError, match="built-in"):
             unregister_attack("selfish-forks")
-
-
-class TestResolveScenario:
-    def test_resolves_builtin_ids(self):
-        for entry in list_attacks():
-            assert resolve_scenario(entry.scenario_id) is entry
-
-    @pytest.mark.parametrize("bad", ["selfish-forks", "@1", "selfish-forks@"])
-    def test_malformed_id_raises(self, bad):
-        with pytest.raises(ModelError, match="malformed"):
-            resolve_scenario(bad)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ModelError, match="cannot resolve"):
-            resolve_scenario("no-such-attack@1")
-
-    def test_version_mismatch_raises(self):
-        with pytest.raises(ModelError, match="version mismatch"):
-            resolve_scenario("selfish-forks@999")
 
 
 class TestAttackParamsIntegration:
@@ -150,5 +134,5 @@ class TestConcurrency:
     @pytest.mark.parametrize("hook", REQUIRED_HOOKS)
     def test_builtin_scenarios_define_every_hook_in_their_own_body(self, hook):
         """The hooks are contract, not inheritance accident (RL005)."""
-        for entry in list_attacks():
-            assert hook in entry.structure_cls.__dict__, (entry.name, hook)
+        for scenario in list_attacks():
+            assert hook in scenario.__dict__, (scenario.SCENARIO_NAME, hook)

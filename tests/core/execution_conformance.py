@@ -1,19 +1,19 @@
-"""Reusable conformance harness for sweep execution backends.
+"""Reusable conformance harness for the two ways a sweep runs its units.
 
-Every backend of the execution plane (:mod:`repro.core.execution`) must
-satisfy the same observable contract: bit-for-bit equality with the serial
+A sweep (:func:`repro.core.execution.execute_sweep`) runs its units inline
+(``workers=1``) or on the local process pool, and both must satisfy the same
+observable contract: bit-for-bit equality with the serial
 reference on every certified value, zero structure builds inside worker
 processes, journal resume that recomputes only the missing delta, per-point
 failure isolation, a hard worker crash that loses no grid point silently, and
 graceful cancellation that leaves no worker process and a resumable journal
 behind.
 
-Instead of every backend re-proving these with a hand-rolled copy of the same
-tests, a backend registers a :class:`BackendContract` here and
+Instead of re-proving these per execution path with a hand-rolled copy of
+the same tests, each path registers an :class:`ExecutionContract` here and
 ``tests/core/test_execution_conformance.py`` runs the whole invariant suite
-against it -- the pool backend additionally under both the ``fork`` and
-``spawn`` start methods.  A new backend picks the entire suite up by adding
-one contract.
+against it -- the pool additionally under both the ``fork`` and ``spawn``
+start methods.
 
 This module is deliberately *not* named ``test_*``: it is imported by the
 conformance test module, and its probe targets must be importable at module
@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.attacks.structure import structure_cache_stats
 from repro.config import AnalysisConfig, AttackParams
-from repro.core.execution import PoolBackend, SweepPlan
+from repro.core.execution import pool_kwargs
 from repro.core.faults import FAULTS_ENV_VAR, reset_fault_plan
 from repro.core.results import SweepResult
 from repro.core.sweep import SweepConfig, run_sweep
@@ -92,7 +92,7 @@ def failing_grid() -> dict:
 
 @lru_cache(maxsize=None)
 def serial_reference(chained: bool = False, scenario: str = "selfish-forks") -> SweepResult:
-    """The uninterrupted serial run every backend must reproduce bit-for-bit."""
+    """The uninterrupted serial run every execution path must reproduce bit-for-bit."""
     grid = chained_grid() if chained else base_grid(scenario)
     return run_sweep(SweepConfig(**grid, workers=1))
 
@@ -154,17 +154,14 @@ def _pool_execute(grid: dict, *, progress=None, journal_path=None, resume=False)
 
 
 def _pool_worker_builds(grid: dict) -> List[int]:
-    """Per-worker build counts under the pool backend's own worker wiring.
+    """Per-worker build counts under a sweep's own pool wiring.
 
-    Uses the backend's ``start()`` to build the skeletons and derive the exact
-    pool configuration a sweep would use (start method included, via
+    Uses :func:`pool_kwargs` to build the skeletons and derive the exact pool
+    configuration a sweep would use (start method included, via
     ``REPRO_TEST_START_METHOD``), then asks every worker for its
     ``structure_cache_stats()`` instead of computing points.
     """
-    backend = PoolBackend()
-    backend.start(SweepPlan.build(_config(grid, workers=2)))
-    kwargs = dict(backend._pool_kwargs)
-    assert "initializer" in kwargs, "the pool backend must configure its workers"
+    kwargs = pool_kwargs(_config(grid, workers=2))
     (structures,) = kwargs["initargs"]
     with ProcessPoolExecutor(max_workers=2, **kwargs) as pool:
         stats = [
@@ -221,15 +218,14 @@ def _cancel_via_progress(execute: Callable[..., SweepResult]):
 
 
 @dataclass(frozen=True)
-class BackendContract:
-    """What one execution backend must provide to inherit the suite.
+class ExecutionContract:
+    """What one execution path must provide to inherit the suite.
 
     ``execute`` runs a sweep end-to-end; ``cancel`` provokes a mid-sweep
     cancellation and returns the exception that aborted it;
     ``worker_builds`` reports the structure builds performed inside worker
-    processes (``None`` for backends without workers); ``crash`` runs a
-    sweep whose workers die as a fault plan says (``None`` for backends
-    without workers); ``cross_process`` opts the contract into the
+    processes (``None`` without workers); ``crash`` runs a sweep whose
+    workers die as a fault plan says (``None`` without workers); ``cross_process`` opts the contract into the
     fork/spawn start-method matrix.
     """
 
@@ -241,14 +237,14 @@ class BackendContract:
     crash: Optional[Callable[[dict, Any, str], SweepResult]] = None
 
 
-CONTRACTS: Dict[str, BackendContract] = {
-    "serial": BackendContract(
+CONTRACTS: Dict[str, ExecutionContract] = {
+    "serial": ExecutionContract(
         kind="serial",
         cross_process=False,
         execute=_serial_execute,
         cancel=_cancel_via_progress(_serial_execute),
     ),
-    "pool": BackendContract(
+    "pool": ExecutionContract(
         kind="pool",
         cross_process=True,
         execute=_pool_execute,

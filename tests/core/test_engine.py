@@ -22,7 +22,8 @@ from repro import (
 )
 from repro.analysis import formal_analysis
 from repro.attacks import build_selfish_forks_mdp
-from repro.core.engine import _build_tasks, execute_sweep
+from repro.core import execute_sweep
+from repro.core.engine import _build_tasks
 
 
 PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -152,7 +153,7 @@ class TestFailureIsolation:
             analysis=AnalysisConfig(epsilon=1e-2),
             workers=2,
         )
-        sweep = engine_module.execute_sweep(config)
+        sweep = execute_sweep(config)
         assert len(sweep.failures) == 2
         assert all("worker crashed" in failure.message for failure in sweep.failures)
         # Baselines computed in the parent survive.
@@ -247,24 +248,16 @@ class TestSpawnContextPrewarm:
         assert not spawned.failures
         assert point_tuples(spawned) == point_tuples(serial)
 
-    def test_spawn_pool_without_structure_cache(self, monkeypatch):
-        import repro.core.engine as engine_module
-
-        monkeypatch.setattr(engine_module.sys, "platform", "darwin")
-        spawned = execute_sweep(self.spawn_grid(workers=2, use_structure_cache=False))
-        assert not spawned.failures
-
     def test_initializer_importable_and_idempotent(self):
         """The initializer and its skeletons must survive the spawn pickling."""
         import pickle
 
         from repro.attacks import clear_structure_cache, structure_cache_stats
-        from repro.core.execution import PoolBackend, SweepPlan
+        from repro.core.execution import pool_kwargs
 
-        backend = PoolBackend()
-        backend.start(SweepPlan.build(self.spawn_grid(workers=2)))
-        initializer = backend._pool_kwargs["initializer"]
-        (structures,) = pickle.loads(pickle.dumps(backend._pool_kwargs["initargs"]))
+        kwargs = pool_kwargs(self.spawn_grid(workers=2))
+        initializer = kwargs["initializer"]
+        (structures,) = pickle.loads(pickle.dumps(kwargs["initargs"]))
         assert pickle.loads(pickle.dumps(initializer)) is initializer
         try:
             initializer(structures)

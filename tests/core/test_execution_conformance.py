@@ -1,9 +1,7 @@
-"""The backend-conformance suite: every execution backend, one set of invariants.
+"""The execution-conformance suite: inline and pool runs, one set of invariants.
 
 Parametrized over every :data:`execution_conformance.CONTRACTS` entry (serial,
-pool) and -- for cross-process backends -- over the ``fork`` and ``spawn``
-start methods.  A future backend inherits this entire suite by
-registering one :class:`~execution_conformance.BackendContract`.
+pool) and -- for the pool -- over the ``fork`` and ``spawn`` start methods.
 
 The invariants are the acceptance criteria of the execution plane: bit-for-bit
 equality with the serial reference, zero builds inside workers, delta-only
@@ -34,9 +32,9 @@ pytestmark = pytest.mark.parametrize("kind", sorted(CONTRACTS))
 
 @pytest.fixture(params=["fork", "spawn"])
 def start_method(request, kind, monkeypatch):
-    """Pin the pool start method; single run for non-pool backends."""
+    """Pin the pool start method; single run for the inline path."""
     if not CONTRACTS[kind].cross_process and request.param != "fork":
-        pytest.skip("start method does not apply to this backend")
+        pytest.skip("start method does not apply to inline execution")
     monkeypatch.setenv("REPRO_TEST_START_METHOD", request.param)
     return request.param
 
@@ -65,7 +63,7 @@ class TestWorkerBuilds:
         """Acceptance invariant: worker processes perform zero builds."""
         contract = CONTRACTS[kind]
         if contract.worker_builds is None:
-            pytest.skip("backend has no worker processes")
+            pytest.skip("inline execution has no worker processes")
         builds = contract.worker_builds(base_grid(scenario))
         assert builds and all(count == 0 for count in builds)
 
@@ -111,7 +109,7 @@ class TestHardWorkerCrash:
         """
         contract = CONTRACTS[kind]
         if contract.crash is None:
-            pytest.skip("backend has no worker processes")
+            pytest.skip("inline execution has no worker processes")
         reference = serial_reference(chained=True)
         journal_path = tmp_path / "sweep.journal"
         crashed = contract.crash(

@@ -20,10 +20,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.attacks.structure import SelfishForksStructure
 from repro.config import AnalysisConfig, AttackParams
 from repro.core.engine import PointOutcome
 from repro.core.journal import (
     FSYNC_POLICIES,
+    JOURNAL_VERSION,
     SweepJournal,
     decode_record,
     encode_record,
@@ -199,6 +201,40 @@ def test_resume_refuses_journal_with_removed_analysis_keys(tmp_path):
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(ModelError, match="different sweep"):
         run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+
+
+def test_resume_refuses_other_scenario_version(tmp_path, monkeypatch):
+    """Points computed under another scenario version are never replayed."""
+    path = tmp_path / "sweep.journal"
+    grid = _grid()
+    run_sweep(SweepConfig(**grid, journal_path=str(path)))
+    monkeypatch.setattr(
+        SelfishForksStructure, "SCENARIO_VERSION", SelfishForksStructure.SCENARIO_VERSION + 1
+    )
+    with pytest.raises(ModelError, match="different sweep"):
+        run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+
+
+def test_resume_refuses_version_1_journal(tmp_path):
+    """A format-1 journal (which fingerprinted the structure-cache switch) is foreign."""
+    path = tmp_path / "sweep.journal"
+    grid = _grid()
+    run_sweep(SweepConfig(**grid, journal_path=str(path)))
+    lines = _journal_lines(path)
+    meta = decode_record(lines[0])
+    assert meta is not None and meta["fingerprint"]["journal_version"] == JOURNAL_VERSION == 2
+    meta["fingerprint"].update(journal_version=1, use_structure_cache=True)
+    lines[0] = encode_record(meta)[:-1]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ModelError, match="different sweep"):
+        run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+
+
+def test_structure_cache_switch_is_gone():
+    """Every sweep point refills the cached skeleton; there is no switch to pin."""
+    assert "use_structure_cache" not in journal_fingerprint(SweepConfig(**_grid()))
+    with pytest.raises(TypeError):
+        SweepConfig(**_grid(), use_structure_cache=True)
 
 
 def test_errored_records_are_recomputed_on_resume(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests of how sweep workers get their skeletons (:class:`repro.core.execution.PoolBackend`).
+"""Tests of how sweep workers get their skeletons (:func:`repro.core.execution.pool_kwargs`).
 
 The pool initializer, :func:`repro.attacks.structure.replace_structure_cache`,
 receives the parent's skeletons as objects: fork-started workers inherit them,
@@ -25,7 +25,7 @@ from repro.attacks import (
 )
 from repro.attacks.registry import ScenarioStructure
 from repro.attacks.structure import replace_structure_cache
-from repro.core.engine import execute_sweep
+from repro.core import execute_sweep
 from repro.exceptions import ModelError
 
 PROTOCOL = ProtocolParams(p=0.3, gamma=0.5)
@@ -87,7 +87,6 @@ def numeric_arrays(structure: ScenarioStructure) -> dict:
 
 def assert_structures_identical(left: ScenarioStructure, right: ScenarioStructure) -> None:
     assert type(left) is type(right)
-    assert left.scenario_id == right.scenario_id
     assert left.attack == right.attack
     assert left.signature == right.signature
     assert left.initial_state == right.initial_state
@@ -250,7 +249,7 @@ def point_values(result) -> list:
 
 
 def _pool(start_method: str, structures, workers: int) -> ProcessPoolExecutor:
-    """A pool wired like the sweep backend's: the skeletons go to the initializer."""
+    """A pool wired like a sweep's: the skeletons go to the initializer."""
     return ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context(start_method),

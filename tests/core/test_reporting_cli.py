@@ -174,8 +174,8 @@ class TestCli:
                 "0.1",
                 "--epsilon",
                 "0.02",
-                "--max-depth",
-                "1",
+                "--grid",
+                "max-depth=1",
                 "--csv",
                 str(out_csv),
             ]
@@ -249,8 +249,8 @@ class TestCli:
                 "0.1",
                 "--epsilon",
                 "0.02",
-                "--max-depth",
-                "1",
+                "--grid",
+                "max-depth=1",
                 "--solver",
                 "vi",
                 "--reuse-p-bounds",
@@ -309,21 +309,6 @@ class TestCli:
         assert attack_rows
         assert all(row["scenario"] == "sm-actions@1" for row in attack_rows)
 
-    def test_max_depth_shim_warns_once_and_matches_grid_spec(self, capsys, monkeypatch):
-        import repro.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "_MAX_DEPTH_DEPRECATION_WARNED", False)
-        argv = ["sweep", "--p-max", "0.1", "--p-step", "0.1", "--epsilon", "0.02"]
-        assert main([*argv, "--max-depth", "1"]) == 0
-        first = capsys.readouterr().err
-        assert first.count("--max-depth is deprecated") == 1
-        assert main([*argv, "--max-depth", "1"]) == 0
-        assert "--max-depth is deprecated" not in capsys.readouterr().err
-
-    def test_max_depth_conflicts_with_grid(self):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["sweep", "--max-depth", "1", "--grid", "default"])
-
     def test_unknown_attack_rejected(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--attack", "no-such-attack"])
@@ -360,6 +345,20 @@ class TestCli:
             main(["sweep", flag, value])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--no-structure-cache"],
+            ["--max-depth", "1"],
+        ],
+    )
+    def test_removed_sweep_flags_rejected(self, argv, capsys):
+        """Every point refills the cached skeleton; the grid comes only from --grid."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *argv])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
     def test_worker_subcommand_is_unknown(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

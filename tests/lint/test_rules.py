@@ -712,7 +712,7 @@ def test_rl007_fires_on_ad_hoc_metadata_counters(harness):
         RL007,
     )
     assert ids(violations) == ["RL007", "RL007"]
-    assert all("execute_plan" in v.message for v in violations)
+    assert all("execute_sweep" in v.message for v in violations)
 
 
 def test_rl007_quiet_inside_the_execution_plane(harness):
