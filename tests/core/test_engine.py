@@ -220,6 +220,30 @@ class TestExecutionPaths:
                     offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
         assert offenders == []
 
+    def test_single_worker_runs_inline_without_a_pool(self, monkeypatch):
+        """``workers == 1`` runs every unit in-process; no pool is ever opened."""
+        import repro.core.execution as execution_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 must not open a process pool")
+
+        monkeypatch.setattr(execution_module, "ProcessPoolExecutor", no_pool)
+        result = execute_sweep(small_grid(workers=1))
+        assert not result.failures
+        assert len(result.points) == len(point_tuples(run_sweep(small_grid(workers=1))))
+
+    def test_engine_does_not_import_the_orchestration(self):
+        """The engine runs units; only ``execution`` orchestrates (no import cycle)."""
+        tree = ast.parse((PACKAGE / "core" / "engine.py").read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+                imported.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.extend(alias.name for alias in node.names)
+        assert not [name for name in imported if name.split(".")[-1] == "execution"]
+
 
 class TestSpawnContextPrewarm:
     """On spawn platforms workers must install the parent's skeletons.
@@ -247,6 +271,17 @@ class TestSpawnContextPrewarm:
         spawned = execute_sweep(self.spawn_grid(workers=2))
         assert not spawned.failures
         assert point_tuples(spawned) == point_tuples(serial)
+
+    def test_pool_kwargs_start_method_follows_platform(self, monkeypatch):
+        """Off Linux (and without an override) the pool context is spawn."""
+        import repro.core.engine as engine_module
+        from repro.core.execution import pool_kwargs
+
+        monkeypatch.delenv("REPRO_TEST_START_METHOD", raising=False)
+        monkeypatch.setattr(engine_module.sys, "platform", "darwin")
+        kwargs = pool_kwargs(self.spawn_grid(workers=2))
+        assert kwargs["mp_context"].get_start_method() == "spawn"
+        assert set(kwargs) == {"mp_context", "initializer", "initargs"}
 
     def test_initializer_importable_and_idempotent(self):
         """The initializer and its skeletons must survive the spawn pickling."""
