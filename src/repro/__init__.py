@@ -9,8 +9,8 @@ Karrabi, Pietrzak, Yeo and Žikelić.  The package provides:
   honest, single-tree and Eyal-Sirer baselines,
 * :mod:`repro.analysis` -- Algorithm 1 (binary search over ``r_beta``), exact
   strategy evaluation and a Dinkelbach cross-check,
-* :mod:`repro.chain` / :mod:`repro.proofs` -- a discrete-time blockchain
-  simulator and efficient-proof-system models for Monte-Carlo validation,
+* :mod:`repro.chain` -- a discrete-time blockchain simulator for Monte-Carlo
+  validation,
 * :mod:`repro.core` -- the high-level analyzer, sweeps and reporting.
 
 Quickstart::

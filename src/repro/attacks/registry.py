@@ -121,8 +121,8 @@ class ScenarioStructure:
     SCENARIO_VERSION = 1
     #: Registered name; set by :func:`register_attack`.
     SCENARIO_NAME: str = ""
-    #: Proof systems usable as refill parameterisations of this scenario
-    #: (names resolved by :meth:`proof_systems`).
+    #: Names of the proof systems usable as refill parameterisations of this
+    #: scenario (listed by ``repro attacks``).
     PROOF_SYSTEMS: Tuple[str, ...] = ()
 
     def __init__(
@@ -285,26 +285,6 @@ class ScenarioStructure:
     def honest_strategy(cls, mdp: "MDP") -> object:
         """In-MDP strategy emulating protocol-following behaviour (baseline)."""
         raise NotImplementedError(f"{cls.__name__} does not implement honest_strategy()")
-
-    @classmethod
-    def proof_systems(cls) -> Dict[str, type]:
-        """Proof systems usable as refill parameterisations of this scenario.
-
-        The ``(p, k)``-mining abstraction enters the skeleton refill only
-        through the number of concurrent mining targets ``sigma``; a proof
-        system is compatible when its ``k`` covers the scenario's target count.
-        Returns a mapping from proof-system name (:attr:`PROOF_SYSTEMS`) to its
-        model class from :mod:`repro.proofs`.
-        """
-        from .. import proofs
-
-        available = {
-            "pow": proofs.ProofOfWork,
-            "pos": proofs.ProofOfStake,
-            "pospacetime": proofs.ProofOfSpaceTime,
-            "vdf": proofs.VerifiableDelayFunction,
-        }
-        return {name: available[name] for name in cls.PROOF_SYSTEMS if name in available}
 
 
 # ---------------------------------------------------------------------- registry

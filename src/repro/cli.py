@@ -45,8 +45,8 @@ Crash safety
 checksummed journal (:mod:`repro.core.journal`); ``--resume`` replays an
 existing journal and recomputes only the missing delta, bit-for-bit identical
 to an uninterrupted run.  ``--journal-fsync {never,close,always}`` tunes
-durability.  ``--inject-faults SPEC`` installs a deterministic fault plan
-(:mod:`repro.core.faults`) for chaos testing.
+durability.  A worker that dies mid-unit turns that unit's points into
+failures; ``--resume`` recomputes them.
 """
 
 from __future__ import annotations
@@ -89,36 +89,6 @@ def _positive_float(value: str) -> float:
     if not number > 0.0:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {value}")
     return number
-
-
-def _fault_plan_spec(value: str) -> str:
-    """Validate an ``--inject-faults`` plan early; return the spec unchanged."""
-    from .core.faults import parse_fault_plan
-    from .exceptions import ConfigurationError
-
-    try:
-        parse_fault_plan(value)
-    except ConfigurationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _install_faults(args: argparse.Namespace) -> None:
-    """Install the ``--inject-faults`` plan process-wide (and for children).
-
-    The spec is exported through ``REPRO_FAULTS`` so forked/spawned pool
-    workers self-install the same plan, and installed in-process so the
-    current command sees it immediately.
-    """
-    spec = getattr(args, "inject_faults", None)
-    if spec is None:
-        return
-    import os
-
-    from .core.faults import FAULTS_ENV_VAR, install_fault_plan
-
-    os.environ[FAULTS_ENV_VAR] = spec
-    install_fault_plan(spec)
 
 
 def _attack_name(value: str) -> str:
@@ -235,15 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="journal durability: fsync never, once on close (default), or per record",
     )
     sweep.add_argument(
-        "--inject-faults",
-        type=_fault_plan_spec,
-        default=None,
-        metavar="SPEC",
-        help="deterministic fault plan for chaos testing, e.g. "
-        "'engine.point_transient:2,engine.worker_crash_pre_result:1' "
-        "(also read from REPRO_FAULTS)",
-    )
-    sweep.add_argument(
         "--quiet",
         action="store_true",
         help="suppress progress and summary diagnostics on stderr "
@@ -310,7 +271,6 @@ def _sweep_attack_configs(args: argparse.Namespace):
 def _command_sweep(args: argparse.Namespace) -> int:
     if args.resume and args.journal is None:
         raise SystemExit("repro sweep: --resume requires --journal PATH")
-    _install_faults(args)
     num_points = int(round(args.p_max / args.p_step)) + 1
     p_values = tuple(round(index * args.p_step, 4) for index in range(num_points))
     config = SweepConfig(
@@ -361,7 +321,7 @@ def _command_attacks(args: argparse.Namespace) -> int:
         default_grid = ", ".join(
             scenario.series_name(attack) for attack in scenario.grid_configs("default")
         )
-        proof_systems = ", ".join(sorted(scenario.proof_systems())) or "-"
+        proof_systems = ", ".join(sorted(scenario.PROOF_SYSTEMS)) or "-"
         doc = (scenario.__doc__ or "").strip()
         print(scenario_id_for(scenario.SCENARIO_NAME))
         print(f"  {doc.splitlines()[0] if doc else scenario.SCENARIO_NAME}")

@@ -69,7 +69,6 @@ from ..attacks import (
 )
 from ..attacks.registry import ScenarioStructure, get_attack, scenario_id_for
 from ..config import AnalysisConfig, AttackParams, ProtocolParams
-from .faults import InjectedFault, is_transient_error, maybe_fail, point_retry_limit
 from .results import SweepFailure, SweepPoint, SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -124,12 +123,8 @@ class AttackTask:
 class PointOutcome:
     """Result of one attack grid point, as returned from a worker process.
 
-    ``scenario`` is the versioned
-    ``name@version`` id of the attack scenario that computed the point (see
-    :mod:`repro.attacks.registry`).  ``recovery_retries`` counts the transient
-    failures this point survived through the bounded per-point retry loop
-    (``None`` when it succeeded first try); :func:`assemble_sweep_result` sums
-    them into ``SweepResult.metadata["recovery"]``.
+    ``scenario`` is the versioned ``name@version`` id of the attack scenario
+    that computed the point (see :mod:`repro.attacks.registry`).
     """
 
     gamma_index: int
@@ -146,7 +141,6 @@ class PointOutcome:
     beta_low: Optional[float] = None
     beta_up: Optional[float] = None
     scenario: Optional[str] = None
-    recovery_retries: Optional[int] = None
 
 
 def _run_attack_task(
@@ -160,88 +154,71 @@ def _run_attack_task(
     prev_p: Optional[float] = None
     for p, p_index in zip(task.p_values, task.p_indices):
         start = time.perf_counter()
-        retries = 0
-        while True:
-            try:
-                if maybe_fail("engine.point_transient"):
-                    raise InjectedFault("engine.point_transient")
-                protocol = ProtocolParams(p=p, gamma=task.gamma)
-                model = get_attack(task.attack.scenario).build_model(protocol, task.attack)
-                initial_beta_low = 0.0
-                if (
-                    task.reuse_p_axis_bounds
-                    and prev_beta_low is not None
-                    and prev_p is not None
-                    and p >= prev_p
-                ):
-                    # ERRev* is monotone in p, so the previous point's certified
-                    # lower bound is a valid initial lower bound here.
-                    initial_beta_low = min(max(prev_beta_low, 0.0), 1.0)
-                result = formal_analysis(
-                    model.mdp,
-                    task.analysis,
-                    beta_low=initial_beta_low,
-                    initial_strategy_rows=warm_rows,
-                    initial_bias=warm_bias,
-                )
-                if task.warm_start_across_points:
-                    warm_rows = result.strategy.rows
-                    warm_bias = result.final_bias
-                if task.reuse_p_axis_bounds:
-                    prev_beta_low = result.beta_low
-                    prev_p = p
-                errev = (
-                    result.strategy_errev
-                    if result.strategy_errev is not None
-                    else result.errev_lower_bound
-                )
-                outcome = PointOutcome(
-                    gamma_index=task.gamma_index,
-                    p_index=p_index,
-                    attack_index=task.attack_index,
-                    p=p,
-                    gamma=task.gamma,
-                    series=task.series,
-                    errev=errev,
-                    seconds=time.perf_counter() - start,
-                    solver_iterations=result.total_solver_iterations,
-                    num_states=model.mdp.num_states,
-                    beta_low=result.beta_low,
-                    beta_up=result.beta_up,
-                    scenario=scenario_id_for(task.attack.scenario),
-                    recovery_retries=retries or None,
-                )
-            except Exception as exc:  # noqa: BLE001 - failure isolation is the point
-                if is_transient_error(exc) and retries < point_retry_limit():
-                    # Bounded retry: the warm-chain state is untouched, so the
-                    # retried attempt runs from exactly the state the failed
-                    # one saw and the computed values stay deterministic.
-                    retries += 1
-                    continue
-                outcome = PointOutcome(
-                    gamma_index=task.gamma_index,
-                    p_index=p_index,
-                    attack_index=task.attack_index,
-                    p=p,
-                    gamma=task.gamma,
-                    series=task.series,
-                    errev=None,
-                    seconds=time.perf_counter() - start,
-                    solver_iterations=0,
-                    num_states=0,
-                    error=f"{type(exc).__name__}: {exc}",
-                    recovery_retries=retries or None,
-                )
-                # A failed point cannot seed the next one.
-                warm_rows = None
-                warm_bias = None
-                prev_beta_low = None
-                prev_p = None
-            break
-        if maybe_fail("engine.worker_crash_pre_result"):
-            # Simulated hard death before the unit returns: every point of the
-            # unit is lost with the worker, and resume/requeue recomputes it.
-            os._exit(17)
+        try:
+            protocol = ProtocolParams(p=p, gamma=task.gamma)
+            model = get_attack(task.attack.scenario).build_model(protocol, task.attack)
+            initial_beta_low = 0.0
+            if (
+                task.reuse_p_axis_bounds
+                and prev_beta_low is not None
+                and prev_p is not None
+                and p >= prev_p
+            ):
+                # ERRev* is monotone in p, so the previous point's certified
+                # lower bound is a valid initial lower bound here.
+                initial_beta_low = min(max(prev_beta_low, 0.0), 1.0)
+            result = formal_analysis(
+                model.mdp,
+                task.analysis,
+                beta_low=initial_beta_low,
+                initial_strategy_rows=warm_rows,
+                initial_bias=warm_bias,
+            )
+            if task.warm_start_across_points:
+                warm_rows = result.strategy.rows
+                warm_bias = result.final_bias
+            if task.reuse_p_axis_bounds:
+                prev_beta_low = result.beta_low
+                prev_p = p
+            errev = (
+                result.strategy_errev
+                if result.strategy_errev is not None
+                else result.errev_lower_bound
+            )
+            outcome = PointOutcome(
+                gamma_index=task.gamma_index,
+                p_index=p_index,
+                attack_index=task.attack_index,
+                p=p,
+                gamma=task.gamma,
+                series=task.series,
+                errev=errev,
+                seconds=time.perf_counter() - start,
+                solver_iterations=result.total_solver_iterations,
+                num_states=model.mdp.num_states,
+                beta_low=result.beta_low,
+                beta_up=result.beta_up,
+                scenario=scenario_id_for(task.attack.scenario),
+            )
+        except Exception as exc:  # noqa: BLE001 - failure isolation is the point
+            outcome = PointOutcome(
+                gamma_index=task.gamma_index,
+                p_index=p_index,
+                attack_index=task.attack_index,
+                p=p,
+                gamma=task.gamma,
+                series=task.series,
+                errev=None,
+                seconds=time.perf_counter() - start,
+                solver_iterations=0,
+                num_states=0,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            # A failed point cannot seed the next one.
+            warm_rows = None
+            warm_bias = None
+            prev_beta_low = None
+            prev_p = None
         outcomes.append(outcome)
     return outcomes
 
@@ -426,10 +403,4 @@ def assemble_sweep_result(
                         scenario=outcome.scenario,
                     )
                 )
-    result = SweepResult(points=points, description=description, failures=failures)
-    point_retries = sum(o.recovery_retries or 0 for o in outcomes.values())
-    if point_retries:
-        # Degradation counter: the sweep completed, but only because the
-        # bounded per-point retry loop absorbed this many transient failures.
-        result.metadata["recovery"] = {"point_retries": point_retries}
-    return result
+    return SweepResult(points=points, description=description, failures=failures)

@@ -125,16 +125,15 @@ class SweepPlan:
 
 
 class MergeSink:
-    """The one merge pipeline: journal, retry accounting, assembly.
+    """The one merge pipeline: journal, crashed-unit failures, assembly.
 
     Every computed :class:`~repro.core.engine.PointOutcome` -- computed inline
     or on the pool -- flows through this object exactly once.  The sink owns the
     idempotent grid-key merge (last write wins at key level), the durable
     journal append (``record`` is a no-op for replayed keys), synthesized
     failures for units whose worker died, and progress reporting.  Baseline
-    synthesis and per-point transient-retry accounting
-    (``metadata["recovery"]``) happen in :meth:`assemble`, which
-    re-orders the merged outcomes into the canonical ``gamma -> p -> series``
+    synthesis happens in :meth:`assemble`, which re-orders the merged
+    outcomes into the canonical ``gamma -> p -> series``
     :class:`~repro.core.results.SweepResult`.
     """
 

@@ -69,7 +69,7 @@ from .engine import PointOutcome
 FSYNC_POLICIES = ("never", "close", "always")
 
 #: Format version stamped into (and checked against) every journal's meta record.
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
 
 GridKey = Tuple[int, int, int]
 
@@ -115,9 +115,8 @@ def journal_fingerprint(config: "object") -> Dict[str, object]:
     bounds for every grid key, so replaying one's journal into the other is
     sound.  Anything that could change a computed value is included: the grid,
     the attack configurations, the analysis settings, the chaining flags, the
-    versioned scenario ids and the package version.  Worker counts, start
-    methods and fault plans are excluded -- they change scheduling, never
-    values.
+    versioned scenario ids and the package version.  Worker counts and start
+    methods are excluded -- they change scheduling, never values.
     """
     from .. import __version__
     from ..attacks.registry import scenario_id_for

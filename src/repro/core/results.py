@@ -159,8 +159,7 @@ class SweepResult:
         metadata: Execution metadata attached by the engine -- a journaled
             sweep records its journal statistics under ``metadata["journal"]``
             (path, fsync policy, replayed and recorded point counts, skipped
-            units), and a sweep that survived transient failures records
-            ``metadata["recovery"]["point_retries"]``.
+            units).
     """
 
     points: List[SweepPoint] = field(default_factory=list)

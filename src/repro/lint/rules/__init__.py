@@ -8,7 +8,6 @@ from typing import Tuple
 
 from ..engine import Rule
 from .determinism import CertifiedPathDeterminismRule
-from .fault_sites import FaultSiteRegistrationRule
 from .fork_safety import ForkSafetyRule
 from .merge_pipeline import MergePipelineRule
 from .scenario_contract import ScenarioContractRule
@@ -18,14 +17,12 @@ ALL_RULES: Tuple[Rule, ...] = (
     ForkSafetyRule(),
     CertifiedPathDeterminismRule(),
     ScenarioContractRule(),
-    FaultSiteRegistrationRule(),
     MergePipelineRule(),
 )
 
 __all__ = [
     "ALL_RULES",
     "CertifiedPathDeterminismRule",
-    "FaultSiteRegistrationRule",
     "ForkSafetyRule",
     "MergePipelineRule",
     "ScenarioContractRule",

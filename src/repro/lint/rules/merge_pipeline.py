@@ -20,8 +20,7 @@ Three drift modes would quietly fork the pipeline:
   the plane forks the journal accounting that the conformance suite
   asserts on.
 
-This rule pins all three to ``core/execution.py`` (plus the body of the
-assembler itself, which builds the recovery summary it owns).  The run loop
+This rule pins all three to ``core/execution.py``.  The run loop
 hands each unit's outcomes to ``MergeSink.accept`` and each crashed unit to
 ``MergeSink.synthesize_missing``; nothing else merges.
 """
@@ -29,26 +28,12 @@ hands each unit's outcomes to ``MergeSink.accept`` and each crashed unit to
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from ..engine import LintViolation, ModuleInfo, Rule, dotted_name
 
 #: Modules that *are* the merge pipeline: the sink and the run loop.
 PIPELINE_MODULES: Tuple[str, ...] = ("core/execution.py",)
-
-#: Functions whose bodies are part of the pipeline wherever they live
-#: (the assembler builds its own recovery metadata).
-PIPELINE_FUNCTIONS: Tuple[str, ...] = ("assemble_sweep_result",)
-
-
-def _pipeline_spans(tree: ast.Module) -> List[Tuple[int, int]]:
-    """Line spans of :data:`PIPELINE_FUNCTIONS` definitions in ``tree``."""
-    spans: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name in PIPELINE_FUNCTIONS:
-                spans.append((node.lineno, node.end_lineno or node.lineno))
-    return spans
 
 
 class MergePipelineRule(Rule):
@@ -57,8 +42,8 @@ class MergePipelineRule(Rule):
     rule_id = "RL007"
     title = "merge pipeline: outcomes flow through core/execution.MergeSink"
     invariant = (
-        "only core/execution.py (and assemble_sweep_result itself) appends to "
-        "a sweep journal, mutates SweepResult.metadata or calls the assembler"
+        "only core/execution.py appends to a sweep journal, mutates "
+        "SweepResult.metadata or calls the assembler"
     )
     fix_hint = (
         "return outcomes to execute_sweep and let it feed them to the "
@@ -70,16 +55,10 @@ class MergePipelineRule(Rule):
         """Yield a violation per merge-pipeline bypass outside the plane."""
         if module.relpath in PIPELINE_MODULES:
             return
-        spans = _pipeline_spans(module.tree)
-
-        def in_pipeline(node: ast.AST) -> bool:
-            line = getattr(node, "lineno", 0)
-            return any(start <= line <= end for start, end in spans)
-
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
-                if not name or in_pipeline(node):
+                if not name:
                     continue
                 parts = name.split(".")
                 if parts[-1] == "assemble_sweep_result":
@@ -115,8 +94,6 @@ class MergePipelineRule(Rule):
                         "metadata",
                     )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                if in_pipeline(node):
-                    continue
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
                     if not isinstance(target, ast.Subscript):
@@ -132,4 +109,4 @@ class MergePipelineRule(Rule):
                         )
 
 
-__all__ = ["MergePipelineRule", "PIPELINE_FUNCTIONS", "PIPELINE_MODULES"]
+__all__ = ["MergePipelineRule", "PIPELINE_MODULES"]

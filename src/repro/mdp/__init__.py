@@ -3,9 +3,8 @@
 This subpackage is the substrate that replaces the Storm probabilistic model
 checker used by the paper: a from-scratch finite MDP container together with
 mean-payoff solvers (Howard policy iteration and relative value iteration, plus
-a linear-programming formulation kept as a test reference), discounted value
-iteration, induced-Markov-chain stationary analysis and structural (graph)
-analysis.
+a linear-programming formulation kept as a test reference), induced-Markov-chain
+stationary analysis and structural (graph) analysis.
 """
 
 from .model import MDP, MDPBuilder, TransitionRow
@@ -19,7 +18,6 @@ from .policy_iteration import (
     policy_iteration,
 )
 from .linear_program import LinearProgramResult, solve_mean_payoff_lp
-from .discounted import DiscountedValueIterationResult, discounted_value_iteration
 from .mean_payoff import (
     SOLVER_BACKENDS,
     MeanPayoffSolution,
@@ -44,8 +42,6 @@ __all__ = [
     "policy_iteration",
     "LinearProgramResult",
     "solve_mean_payoff_lp",
-    "DiscountedValueIterationResult",
-    "discounted_value_iteration",
     "SOLVER_BACKENDS",
     "MeanPayoffSolution",
     "solve_mean_payoff",

@@ -14,6 +14,7 @@ from repro.attacks import (
     simulate_single_tree_errev,
     single_tree_errev,
 )
+from repro.attacks.eyal_sirer import is_selfish_mining_profitable
 from repro.attacks.honest import honest_strategy, immediate_release_strategy
 from repro.attacks.single_tree import SingleTreeParams
 from repro.exceptions import ConfigurationError
@@ -77,6 +78,12 @@ class TestEyalSirer:
     def test_threshold_formula(self):
         assert eyal_sirer_profitability_threshold(0.0) == pytest.approx(1 / 3)
         assert eyal_sirer_profitability_threshold(1.0) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.75])
+    def test_profitability_flips_at_the_threshold(self, gamma):
+        threshold = eyal_sirer_profitability_threshold(gamma)
+        assert not is_selfish_mining_profitable(threshold - 0.01, gamma)
+        assert is_selfish_mining_profitable(threshold + 0.01, gamma)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -50,11 +50,6 @@ class TestLookup:
         with pytest.raises(ConfigurationError, match="unknown attack scenario"):
             scenario_id_for("no-such-attack")
 
-    def test_proof_systems_resolve_to_classes(self):
-        systems = get_attack("selfish-forks").proof_systems()
-        assert "pow" in systems
-        assert all(isinstance(cls, type) for cls in systems.values())
-
 
 class TestRegistration:
     def test_duplicate_name_different_class_rejected(self):
@@ -87,21 +82,6 @@ class TestRegistration:
         assert "test-dummy-scenario" not in known_scenario_names()
         with pytest.raises(ConfigurationError):
             get_attack("test-dummy-scenario")
-
-    def test_proof_systems_follow_the_declared_names(self):
-        """``proof_systems`` is a classmethod over :attr:`PROOF_SYSTEMS`; unknown names drop out."""
-
-        @register_attack("test-proof-scenario")
-        class Dummy(ScenarioStructure):
-            """A dummy scenario declaring proof systems."""
-
-            PROOF_SYSTEMS = ("vdf", "no-such-proof", "pow")
-
-        try:
-            assert list(Dummy.proof_systems()) == ["vdf", "pow"]
-            assert ScenarioStructure.proof_systems() == {}
-        finally:
-            unregister_attack("test-proof-scenario")
 
     def test_builtins_cannot_be_unregistered(self):
         with pytest.raises(ConfigurationError, match="built-in"):

@@ -23,6 +23,8 @@ from execution_conformance import (
     attack_keys,
     base_grid,
     chained_grid,
+    crash_grid,
+    crash_scenario,
     failing_grid,
     serial_reference,
 )
@@ -103,23 +105,24 @@ class TestHardWorkerCrash:
     def test_crash_inside_chained_unit_loses_no_point(self, kind, start_method, tmp_path):
         """A worker hard-killed inside a chained unit loses no point silently.
 
-        The worker dies (``os._exit``) after computing the second point of its
-        unit, before the unit returns.  Every point of that unit comes back as
-        a failure, and a journal resume reproduces the serial run bit for bit.
+        The ``crash-forks`` model build exits (``os._exit``) at the second
+        point of every unit, before the unit returns.  Every point of the
+        dead units comes back as a failure, and a journal resume without the
+        crash reproduces the serial run bit for bit.
         """
         contract = CONTRACTS[kind]
         if contract.crash is None:
             pytest.skip("inline execution has no worker processes")
-        reference = serial_reference(chained=True)
         journal_path = tmp_path / "sweep.journal"
-        crashed = contract.crash(
-            chained_grid(), journal_path, "engine.worker_crash_pre_result:2"
-        )
+        with crash_scenario():
+            grid = crash_grid()
+            reference = CONTRACTS["serial"].execute(grid)
+            crashed = contract.crash(grid, journal_path, 0.1)
+            resumed = contract.execute(grid, journal_path=journal_path, resume=True)
+        assert not reference.failures
         assert sorted(attack_keys(crashed)) == sorted(attack_keys(reference))
-        assert crashed.failures
+        assert len(crashed.failures) == len(attack_keys(reference))
         assert all("worker crashed" in f.message for f in crashed.failures)
-
-        resumed = contract.execute(chained_grid(), journal_path=journal_path, resume=True)
         assert not resumed.failures
         assert_bit_for_bit(reference, resumed)
 

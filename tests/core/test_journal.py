@@ -216,18 +216,33 @@ def test_resume_refuses_other_scenario_version(tmp_path, monkeypatch):
 
 
 def test_resume_refuses_version_1_journal(tmp_path):
-    """A format-1 journal (which fingerprinted the structure-cache switch) is foreign."""
+    """Format-1 and format-2 journals are foreign: refused before any replay.
+
+    Format 1 fingerprinted the structure-cache switch; format-2 point records
+    carry a ``recovery_retries`` key that ``PointOutcome`` no longer has.
+    """
     path = tmp_path / "sweep.journal"
     grid = _grid()
     run_sweep(SweepConfig(**grid, journal_path=str(path)))
-    lines = _journal_lines(path)
-    meta = decode_record(lines[0])
-    assert meta is not None and meta["fingerprint"]["journal_version"] == JOURNAL_VERSION == 2
-    meta["fingerprint"].update(journal_version=1, use_structure_cache=True)
-    lines[0] = encode_record(meta)[:-1]
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    with pytest.raises(ModelError, match="different sweep"):
-        run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+    written = _journal_lines(path)
+    meta = decode_record(written[0])
+    assert meta is not None and meta["fingerprint"]["journal_version"] == JOURNAL_VERSION == 3
+    points = [decode_record(line) for line in written[1:]]
+    assert points and all(point is not None for point in points)
+    for version, fingerprint_extra, outcome_extra in (
+        (1, {"use_structure_cache": True}, {}),
+        (2, {}, {"recovery_retries": None}),
+    ):
+        old_meta = json.loads(json.dumps(meta))
+        old_meta["fingerprint"].update(journal_version=version, **fingerprint_extra)
+        lines = [encode_record(old_meta)[:-1]]
+        for point in points:
+            old_point = json.loads(json.dumps(point))
+            old_point["outcome"].update(outcome_extra)
+            lines.append(encode_record(old_point)[:-1])
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ModelError, match="different sweep"):
+            run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
 
 
 def test_structure_cache_switch_is_gone():

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import pytest
 
 from repro.cli import main
-from repro.core.reporting import ascii_plot, render_table, write_csv
+from repro.core.reporting import (
+    ProgressReporter,
+    ascii_plot,
+    render_table,
+    round_significant,
+    write_csv,
+)
 from repro.core.results import SweepPoint, SweepResult
 from repro.exceptions import ConfigurationError
 
@@ -101,6 +108,55 @@ class TestWriteCsv:
         assert opened_encodings == ["utf-8"]
         text = path.read_bytes().decode("utf-8")
         assert "ours(γ=0.5, β≤ε)" in text and "Solver détruit" in text
+
+
+class TestRoundSignificant:
+    @pytest.mark.parametrize(
+        ("value", "digits", "expected"),
+        [
+            (1234.5678, 4, 1235.0),
+            (0.000123456, 4, 0.0001235),
+            (-98.7654, 3, -98.8),
+            (5.0, 1, 5.0),
+            (0.0, 4, 0.0),
+        ],
+    )
+    def test_rounds_to_significant_digits(self, value, digits, expected):
+        assert round_significant(value, digits) == expected
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_non_finite_values_pass_through(self, value):
+        assert round_significant(value) == value
+
+    def test_nan_passes_through(self):
+        assert math.isnan(round_significant(math.nan))
+
+
+class TestProgressReporter:
+    def test_enabled_reporter_forwards_every_message(self):
+        seen = []
+        reporter = ProgressReporter(seen.append)
+        reporter("a")
+        reporter("b")
+        assert reporter.enabled
+        assert seen == ["a", "b"]
+
+    def test_disabled_reporter_swallows_messages(self):
+        reporter = ProgressReporter()
+        assert not reporter.enabled
+        reporter("dropped")
+
+    def test_wrap_is_idempotent_for_reporters(self):
+        reporter = ProgressReporter(print)
+        assert ProgressReporter.wrap(reporter) is reporter
+        assert not ProgressReporter.wrap(None).enabled
+
+    @pytest.mark.parametrize(("quiet", "expected"), [(False, "gamma=0.5 p=0.1\n"), (True, "")])
+    def test_stderr_reporter_honours_quiet(self, capsys, quiet, expected):
+        ProgressReporter.stderr(quiet=quiet)("gamma=0.5 p=0.1")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == expected
 
 
 class TestRenderTable:
@@ -351,10 +407,11 @@ class TestCli:
         [
             ["--no-structure-cache"],
             ["--max-depth", "1"],
+            ["--inject-faults", "engine.worker_crash_pre_result:1"],
         ],
     )
     def test_removed_sweep_flags_rejected(self, argv, capsys):
-        """Every point refills the cached skeleton; the grid comes only from --grid."""
+        """No structure-cache switch, no depth ladder flag, no fault injection."""
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", *argv])
         assert excinfo.value.code == 2
@@ -365,6 +422,13 @@ class TestCli:
             main(["worker", "--connect", "127.0.0.1:7355"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'worker'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["worker"])
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
+
+    def test_resume_requires_journal(self):
+        with pytest.raises(SystemExit, match="--resume requires --journal"):
+            main(["sweep", "--resume"])
 
     @pytest.mark.parametrize(
         "argv",

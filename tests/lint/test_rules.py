@@ -11,7 +11,6 @@ import pytest
 
 from repro.lint.rules import ALL_RULES
 from repro.lint.rules.determinism import WALL_CLOCK_CALLS, CertifiedPathDeterminismRule
-from repro.lint.rules.fault_sites import FaultSiteRegistrationRule
 from repro.lint.rules.fork_safety import ForkSafetyRule
 from repro.lint.rules.merge_pipeline import MergePipelineRule
 from repro.lint.rules.scenario_contract import REQUIRED_HOOKS, ScenarioContractRule
@@ -19,7 +18,6 @@ from repro.lint.rules.scenario_contract import REQUIRED_HOOKS, ScenarioContractR
 RL002 = [ForkSafetyRule()]
 RL003 = [CertifiedPathDeterminismRule()]
 RL005 = [ScenarioContractRule()]
-RL006 = [FaultSiteRegistrationRule()]
 RL007 = [MergePipelineRule()]
 
 
@@ -552,123 +550,6 @@ def test_rl005_inherited_hooks_do_not_count(harness):
         assert hook in violations[0].message
 
 
-# --------------------------------------------------------------------- RL006
-
-
-def test_rl006_fires_on_unregistered_site(harness):
-    violations = harness.lint(
-        "core/engine.py",
-        """
-        from repro.core.faults import maybe_fail
-
-        def run():
-            if maybe_fail("engine.totally_new_site"):
-                raise RuntimeError("boom")
-        """,
-        RL006,
-    )
-    assert ids(violations) == ["RL006"]
-    assert "engine.totally_new_site" in violations[0].message
-    assert "FAULT_SITES" in violations[0].message
-
-
-def test_rl006_fires_on_dynamic_site_name(harness):
-    violations = harness.lint(
-        "core/engine.py",
-        """
-        from repro.core.faults import maybe_fail
-
-        def run(site):
-            return maybe_fail(site)
-        """,
-        RL006,
-    )
-    assert ids(violations) == ["RL006"]
-    assert "string literal" in violations[0].message
-
-
-def test_rl006_quiet_on_registered_literal_sites(harness):
-    violations = harness.lint(
-        "core/engine.py",
-        """
-        from repro.core import faults
-        from repro.core.faults import maybe_fail
-
-        def run():
-            if maybe_fail("engine.point_transient"):
-                raise RuntimeError("boom")
-            if faults.maybe_fail("engine.worker_crash_pre_result"):
-                return None
-        """,
-        RL006,
-    )
-    assert violations == []
-
-
-def test_rl006_applies_outside_core(harness):
-    # No path scope: a stray maybe_fail anywhere in the package is checked.
-    violations = harness.lint(
-        "attacks/custom.py",
-        """
-        from repro.core.faults import maybe_fail
-
-        def run():
-            return maybe_fail("attacks.unheard_of")
-        """,
-        RL006,
-    )
-    assert ids(violations) == ["RL006"]
-
-
-def test_rl006_fires_on_missing_site_argument(harness):
-    violations = harness.lint(
-        "core/engine.py",
-        """
-        from repro.core.faults import maybe_fail
-
-        def run():
-            return maybe_fail()
-        """,
-        RL006,
-    )
-    assert ids(violations) == ["RL006"]
-    assert "without a site name" in violations[0].message
-
-
-def test_rl006_fires_on_formatted_site_name(harness):
-    violations = harness.lint(
-        "core/engine.py",
-        """
-        from repro.core.faults import maybe_fail
-
-        def run(kind):
-            return maybe_fail(f"engine.{kind}")
-        """,
-        RL006,
-    )
-    assert ids(violations) == ["RL006"]
-    assert "string literal" in violations[0].message
-
-
-@pytest.mark.parametrize(
-    "site",
-    ["distributed.result_drop", "distributed.result_corrupt", "distributed.heartbeat_stall"],
-)
-def test_rl006_fires_on_retired_distributed_sites(harness, site):
-    violations = harness.lint(
-        "core/engine.py",
-        f"""
-        from repro.core.faults import maybe_fail
-
-        def run():
-            return maybe_fail("{site}")
-        """,
-        RL006,
-    )
-    assert ids(violations) == ["RL006"]
-    assert site in violations[0].message
-
-
 # --------------------------------------------------------------------- RL007
 
 
@@ -728,19 +609,25 @@ def test_rl007_quiet_inside_the_execution_plane(harness):
     assert violations == []
 
 
-def test_rl007_quiet_inside_the_assembler_itself(harness):
-    # assemble_sweep_result owns the recovery summary it builds.
+def test_rl007_fires_inside_the_assembler(harness):
+    # The assembler gets no exemption: it builds the result, execute_sweep
+    # attaches metadata -- also through a helper nested in the assembler.
     violations = harness.lint(
         "core/engine.py",
         """
         def assemble_sweep_result(config, outcomes, report, description):
             result = build(config, outcomes, description)
-            result.metadata["recovery"] = {"point_retries": 0}
+            result.metadata["summary"] = {"points": 0}
+
+            def note(key, value):
+                result.metadata[key] = value
+
+            note("extra", 1)
             return result
         """,
         RL007,
     )
-    assert violations == []
+    assert ids(violations) == ["RL007", "RL007"]
 
 
 def test_rl007_quiet_on_non_journal_record_calls(harness):
@@ -797,24 +684,6 @@ def test_rl007_fires_on_private_journal_attribute(harness):
     assert "self._journal.record" in violations[0].message
 
 
-def test_rl007_quiet_in_helpers_nested_in_the_assembler(harness):
-    violations = harness.lint(
-        "core/engine.py",
-        """
-        def assemble_sweep_result(config, outcomes, report, description):
-            result = build(config, outcomes, description)
-
-            def note(key, value):
-                result.metadata[key] = value
-
-            note("recovery", {"point_retries": 0})
-            return result
-        """,
-        RL007,
-    )
-    assert violations == []
-
-
 def test_rl007_quiet_on_other_dicts(harness):
     violations = harness.lint(
         "core/reporting.py",
@@ -843,6 +712,5 @@ def test_all_rules_have_unique_ids_and_metadata():
         "RL002",
         "RL003",
         "RL005",
-        "RL006",
         "RL007",
     ]

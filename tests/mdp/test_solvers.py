@@ -8,7 +8,6 @@ from repro.exceptions import ConvergenceError, SolverError
 from repro.mdp import (
     SOLVER_BACKENDS,
     MDPBuilder,
-    discounted_value_iteration,
     policy_iteration,
     relative_value_iteration,
     solve_mean_payoff,
@@ -138,31 +137,6 @@ class TestLinearProgram:
 
     def test_strategy_extraction(self):
         result = solve_mean_payoff_lp(choice_mdp(), [1.0])
-        assert result.strategy.action(0) == "good"
-
-
-class TestDiscountedValueIteration:
-    def test_constant_reward_value(self):
-        mdp = single_state_mdp(reward=1.0)
-        result = discounted_value_iteration(mdp, [1.0], discount=0.9, tolerance=1e-10)
-        assert result.values[0] == pytest.approx(10.0, rel=1e-6)
-
-    def test_vanishing_discount_approximates_gain(self):
-        result = discounted_value_iteration(stochastic_mdp(), [1.0], discount=0.999)
-        assert result.mean_payoff_estimate() == pytest.approx(1.5, abs=0.01)
-
-    def test_invalid_discount_rejected(self):
-        with pytest.raises(ValueError):
-            discounted_value_iteration(choice_mdp(), [1.0], discount=1.0)
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(ConvergenceError):
-            discounted_value_iteration(
-                stochastic_mdp(), [1.0], discount=0.9999, max_iterations=2
-            )
-
-    def test_greedy_strategy(self):
-        result = discounted_value_iteration(choice_mdp(), [1.0], discount=0.9)
         assert result.strategy.action(0) == "good"
 
 
