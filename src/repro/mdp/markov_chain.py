@@ -4,17 +4,27 @@ The formal analysis needs two quantities of the induced chain: the stationary
 distribution (to evaluate the exact expected relative revenue of a strategy)
 and the gain/bias pair (for policy evaluation inside Howard policy iteration).
 
-Both are whole-array operations, so an evaluation costs about one sparse LU:
-the chain is one gather from the MDP's flat transition arrays, and each linear
-system is one COO matrix, converted once to CSC.  The Poisson matrix does not
-depend on the rewards, so :meth:`MarkovChain.poisson_factor` factors it once
-(SuperLU via ``splu``) and :meth:`MarkovChain.gain_and_bias` solves any reward
-weighting with that factor; policy iteration keeps the factor of the strategy
-it evaluates across solves.  The factor is bit-identical to the one ``spsolve``
-builds internally (same SuperLU, COLAMD ordering and pivot threshold), so reuse
-changes no value.  The stationary system is solved once per chain by
-``spsolve``.  A singular system (the chain is not unichain) raises
-``SolverError``.
+Both are whole-array operations, so an evaluation costs about one sparse LU.
+A chain is held as its generator ``I - P`` in canonical CSR form: columns
+sorted, duplicate successors merged, zeros pruned, exactly as scipy computes
+``identity - P``.  Every state-action row of an MDP is one candidate row of
+that generator, so :func:`row_table` computes all of them once per model, with
+one scipy subtraction, and :func:`induced_markov_chain` is one row gather from
+that table.  Both linear systems are then assembled directly as CSC arrays,
+without sparse arithmetic: the Poisson system from a stable sort of the
+generator by column, the stationary system from the generator rows negated
+(``-(1 - p) == p - 1`` exactly in IEEE arithmetic).  The arrays equal those of
+the scipy expressions ``(I - P)`` and ``(P^T - I)`` bit for bit, so every
+solve gives the values it gave before.
+
+The Poisson matrix does not depend on the rewards, so
+:meth:`MarkovChain.poisson_factor` factors it once (SuperLU via ``splu``) and
+:meth:`MarkovChain.gain_and_bias` solves any reward weighting with that
+factor; policy iteration keeps the factor of the strategy it evaluates across
+solves.  The factor is bit-identical to the one ``spsolve`` builds internally
+(same SuperLU, COLAMD ordering and pivot threshold), so reuse changes no value.
+The stationary system is solved once per chain by ``spsolve``.  A singular
+system (the chain is not unichain) raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -35,25 +45,138 @@ _NOT_UNICHAIN = (
 )
 
 
-@dataclass
-class MarkovChain:
-    """A finite Markov chain with per-transition reward vectors.
+@dataclass(frozen=True)
+class GeneratorRows:
+    """Rows of a chain generator ``I - P`` in canonical CSR form, with expected rewards.
+
+    Row ``r`` is ``e_s - P[r]`` for the state ``s`` that owns it: columns
+    sorted, duplicate successors merged and zeros pruned, exactly as scipy's
+    ``identity - P`` leaves it.  Each row is canonical on its own, so any
+    selection of rows is canonical too.
 
     Attributes:
-        transition_matrix: Sparse ``(n, n)`` row-stochastic matrix.
-        expected_rewards: Dense ``(n, k)`` matrix of expected one-step reward
-            vectors per state.
+        indptr: Row offsets, shape ``(rows + 1,)``.
+        indices: Column (state) of every entry.
+        data: Value of every entry.
+        expected_rewards: Expected one-step reward vector of every row,
+            shape ``(rows, k)``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    expected_rewards: np.ndarray
+
+
+def _row_gather(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets of the CSR made of ``rows``, and the source position of each entry."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    gathered = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+    np.cumsum(lengths, out=gathered[1:])
+    picked = np.repeat(starts - gathered[:-1], lengths) + np.arange(gathered[-1])
+    return gathered, picked
+
+
+def row_table(mdp: MDP) -> GeneratorRows:
+    """Return the generator row of every state-action row of ``mdp``.
+
+    Built on the first call and kept on the model: the chain of any strategy
+    is the selection of its chosen rows.
+    """
+    table = mdp._row_table
+    if table is None:
+        # Copies: csr_matrix keeps the buffers it is given, and sum_duplicates()
+        # rewrites them in place; the model's arrays must never change.
+        probabilities = sp.csr_matrix(
+            (mdp.trans_prob.copy(), mdp.trans_succ.copy(), mdp.row_trans_offsets.copy()),
+            shape=(mdp.num_rows, mdp.num_states),
+        )
+        expected = np.add.reduceat(
+            mdp.trans_prob[:, None] * mdp.trans_reward, mdp.row_trans_offsets[:-1], axis=0
+        )
+        table = mdp._row_table = _generator_rows(probabilities, mdp.row_state, expected)
+    return table
+
+
+def _generator_rows(
+    probabilities: sp.csr_matrix, owners: np.ndarray, expected_rewards: np.ndarray
+) -> GeneratorRows:
+    """Rows ``E - P`` with ``E[r, owners[r]] = 1``; merges ``probabilities`` in place."""
+    probabilities.sum_duplicates()
+    count = len(owners)
+    own = sp.csr_matrix(
+        (np.ones(count), owners, np.arange(count + 1)), shape=probabilities.shape
+    )
+    generator = own - probabilities
+    return GeneratorRows(
+        generator.indptr, generator.indices, generator.data, np.asarray(expected_rewards)
+    )
+
+
+class MarkovChain:
+    """A finite Markov chain with per-state expected reward vectors.
+
+    The chain is stored as its generator rows ``I - P`` (:class:`GeneratorRows`).
+
+    Attributes:
         initial_state: Index of the initial state.
     """
 
-    transition_matrix: sp.csr_matrix
-    expected_rewards: np.ndarray
-    initial_state: int = 0
+    _rows: GeneratorRows
+    _transition_matrix: Optional[sp.csr_matrix]
+    #: The model and chosen rows an induced chain gathers its transition matrix from.
+    _source: Tuple[MDP, np.ndarray]
+
+    def __init__(
+        self,
+        transition_matrix: sp.spmatrix,
+        expected_rewards: np.ndarray,
+        initial_state: int = 0,
+    ) -> None:
+        """Build the chain of an explicit row-stochastic ``(n, n)`` matrix."""
+        matrix = sp.csr_matrix(transition_matrix, copy=True)
+        self._rows = _generator_rows(matrix, np.arange(matrix.shape[0]), expected_rewards)
+        self._transition_matrix = matrix
+        self.initial_state = int(initial_state)
+
+    @classmethod
+    def _induced(cls, mdp: MDP, rows: np.ndarray) -> "MarkovChain":
+        table = row_table(mdp)
+        indptr, picked = _row_gather(table.indptr, rows)
+        chain = cls.__new__(cls)
+        chain._rows = GeneratorRows(
+            indptr, table.indices[picked], table.data[picked], table.expected_rewards[rows]
+        )
+        chain._transition_matrix = None
+        chain._source = (mdp, rows)
+        chain.initial_state = mdp.initial_state
+        return chain
 
     @property
     def num_states(self) -> int:
         """Number of states of the chain."""
-        return self.transition_matrix.shape[0]
+        return len(self._rows.indptr) - 1
+
+    @property
+    def expected_rewards(self) -> np.ndarray:
+        """Dense ``(n, k)`` matrix of expected one-step reward vectors per state."""
+        return self._rows.expected_rewards
+
+    @property
+    def transition_matrix(self) -> sp.csr_matrix:
+        """Sparse ``(n, n)`` row-stochastic matrix, built on first access."""
+        if self._transition_matrix is None:
+            mdp, rows = self._source
+            indptr, picked = _row_gather(mdp.row_trans_offsets, rows)
+            matrix = sp.csr_matrix(
+                (mdp.trans_prob[picked], mdp.trans_succ[picked], indptr),
+                shape=(self.num_states, self.num_states),
+            )
+            # Merge duplicate successor columns within a row (e.g. several capped forks).
+            matrix.sum_duplicates()
+            self._transition_matrix = matrix
+        return self._transition_matrix
 
     # ----------------------------------------------------------------- analysis
 
@@ -65,6 +188,28 @@ class MarkovChain:
             raise ModelError(
                 f"row {worst} of the Markov chain sums to {sums[worst]}, expected 1"
             )
+
+    def stationary_matrix(self) -> sp.csc_matrix:
+        """Return ``(P^T - I)`` with its last equation replaced by ``sum(pi) = 1``.
+
+        Column ``i`` is row ``i`` of the generator negated, without its entry
+        in column ``n - 1``, followed by a one in row ``n - 1``.
+        """
+        n = self.num_states
+        indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
+        keep = indices != n - 1
+        kept_before = np.zeros(len(indices) + 1, dtype=indptr.dtype)
+        np.cumsum(keep, out=kept_before[1:])
+        kept_ptr = kept_before[indptr]
+        ends = kept_ptr[1:]
+        return sp.csc_matrix(
+            (
+                np.insert(-data[keep], ends, 1.0),
+                np.insert(indices[keep], ends, n - 1),
+                kept_ptr + np.arange(n + 1, dtype=kept_ptr.dtype),
+            ),
+            shape=(n, n),
+        )
 
     def stationary_distribution(self, tolerance: float = 1e-12) -> np.ndarray:
         """Compute a stationary distribution ``pi`` with ``pi P = pi``.
@@ -82,16 +227,9 @@ class MarkovChain:
         n = self.num_states
         if n == 1:
             return np.ones(1)
-        # (P^T - I) with its last equation replaced by the normalisation sum(pi) = 1.
-        balance = (self.transition_matrix.T - sp.identity(n, format="csr")).tocoo()
-        keep = balance.row != n - 1
-        data = np.concatenate([balance.data[keep], np.ones(n)])
-        row = np.concatenate([balance.row[keep], np.full(n, n - 1)])
-        col = np.concatenate([balance.col[keep], np.arange(n)])
-        matrix = sp.coo_matrix((data, (row, col)), shape=(n, n)).tocsc()
         rhs = np.zeros(n)
         rhs[n - 1] = 1.0
-        pi = spla.spsolve(matrix, rhs)
+        pi = spla.spsolve(self.stationary_matrix(), rhs)
         if not np.all(np.isfinite(pi)):
             raise SolverError("singular stationary system: the chain is not unichain")
         pi = np.asarray(pi, dtype=float)
@@ -105,11 +243,12 @@ class MarkovChain:
         return pi / total
 
     def long_run_reward(self, weights: Optional[Sequence[float]] = None) -> np.ndarray:
-        """Return the long-run average reward vector (or scalar if weighted).
+        """Return the long-run average reward of every component, or of one weighting.
 
         Args:
-            weights: Optional reward-component weights.  If omitted, the full
-                vector of per-component long-run averages is returned.
+            weights: Optional reward-component weights.  If omitted, the vector
+                of per-component long-run averages is returned; otherwise a
+                1-element array holding the weighted long-run average.
         """
         pi = self.stationary_distribution()
         averages = pi @ self.expected_rewards
@@ -117,8 +256,37 @@ class MarkovChain:
             return averages
         return np.asarray([float(averages @ np.asarray(weights, dtype=float))])
 
+    def poisson_matrix(self, reference_state: int = 0) -> sp.csc_matrix:
+        """Return the unichain Poisson system ``h + g = r + P h``, ``h[ref] = 0``.
+
+        Unknowns are ``h[0..n-1]`` and ``g`` (column ``n``).  Equation ``s``
+        is ``h[s] - sum_t P[s,t] h[t] + g = r[s]``; equation ``n`` is the
+        normalisation ``h[ref] = 0``.
+        """
+        n = self.num_states
+        indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
+        # CSR to CSC: a stable sort by column keeps each column's rows increasing.
+        order = np.argsort(indices, kind="stable")
+        rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))[order]
+        values = data[order]
+        counts = np.bincount(indices, minlength=n)
+        counts[reference_state] += 1
+        col_ptr = np.zeros(n + 2, dtype=indptr.dtype)
+        np.cumsum(counts, out=col_ptr[1 : n + 1])
+        col_ptr[n + 1] = col_ptr[n] + n
+        # Row n is the last entry of column ref; column n holds the ones of g.
+        at = col_ptr[reference_state + 1] - 1
+        return sp.csc_matrix(
+            (
+                np.concatenate((values[:at], [1.0], values[at:], np.ones(n))),
+                np.concatenate((rows[:at], [n], rows[at:], np.arange(n)), dtype=rows.dtype),
+                col_ptr,
+            ),
+            shape=(n + 1, n + 1),
+        )
+
     def poisson_factor(self, reference_state: int = 0) -> spla.SuperLU:
-        """Factor the unichain Poisson system ``h + g = r + P h``, ``h[ref] = 0``.
+        """Factor :meth:`poisson_matrix` for ``reference_state``.
 
         The matrix depends on the transition matrix and the reference state
         only, never on the rewards, so one factor serves every reward weighting
@@ -128,16 +296,8 @@ class MarkovChain:
             SolverError: If the system is exactly singular, i.e. the chain is
                 not unichain and its gain and bias are not unique.
         """
-        n = self.num_states
-        # Unknowns h[0..n-1] and g (column n).  Equation per state s:
-        # h[s] - sum_t P[s,t] h[t] + g = r[s]; row n is the normalisation h[ref] = 0.
-        poisson = (sp.identity(n, format="csr") - self.transition_matrix).tocoo()
-        data = np.concatenate([poisson.data, np.ones(n), [1.0]])
-        row = np.concatenate([poisson.row, np.arange(n), [n]])
-        col = np.concatenate([poisson.col, np.full(n, n), [reference_state]])
-        full = sp.coo_matrix((data, (row, col)), shape=(n + 1, n + 1)).tocsc()
         try:
-            return spla.splu(full)
+            return spla.splu(self.poisson_matrix(reference_state))
         except RuntimeError as exc:
             raise SolverError(_NOT_UNICHAIN) from exc
 
@@ -175,44 +335,9 @@ class MarkovChain:
         g = float(solution[n])
         return g, h
 
-    def occupancy_ratio(self, numerator_weights: Sequence[float], denominator_weights: Sequence[float]) -> float:
-        """Return the ratio of two long-run average rewards.
-
-        This is the quantity the paper calls the expected relative revenue when
-        the numerator counts adversarial blocks and the denominator all blocks.
-
-        Raises:
-            SolverError: If the denominator's long-run average is not positive.
-        """
-        averages = self.long_run_reward()
-        numerator = float(averages @ np.asarray(numerator_weights, dtype=float))
-        denominator = float(averages @ np.asarray(denominator_weights, dtype=float))
-        if denominator <= 0:
-            raise SolverError(
-                f"long-run denominator reward is {denominator}; ratio objective undefined"
-            )
-        return numerator / denominator
-
 
 def induced_markov_chain(mdp: MDP, strategy: Strategy) -> MarkovChain:
     """Build the Markov chain obtained by fixing ``strategy`` in ``mdp``."""
     if strategy.mdp is not mdp:
         raise ModelError("strategy does not belong to this MDP")
-    rows = strategy.rows
-    n = mdp.num_states
-    starts = mdp.row_trans_offsets[rows]
-    lengths = mdp.row_trans_offsets[rows + 1] - starts
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    picked = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-    probs = mdp.trans_prob[picked]
-    # Computed before the matrix exists: csr_matrix keeps ``probs`` as its data
-    # buffer and sum_duplicates() rewrites it in place.
-    expected = np.add.reduceat(probs[:, None] * mdp.trans_reward[picked], indptr[:-1], axis=0)
-    matrix = sp.csr_matrix((probs, mdp.trans_succ[picked], indptr), shape=(n, n))
-    # Merge duplicate successor columns within a row (e.g. several capped forks).
-    matrix.sum_duplicates()
-    return MarkovChain(
-        transition_matrix=matrix,
-        expected_rewards=expected,
-        initial_state=mdp.initial_state,
-    )
+    return MarkovChain._induced(mdp, strategy.rows)

@@ -14,11 +14,14 @@ fully vectorised with ``numpy.add.reduceat`` / ``numpy.maximum.reduceat``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ModelError
+
+if TYPE_CHECKING:
+    from .markov_chain import GeneratorRows
 
 #: Probabilities within one state-action row must sum to one up to this tolerance.
 PROBABILITY_TOLERANCE = 1e-9
@@ -96,6 +99,8 @@ class MDP:
             int(trans_reward.shape[1]) if trans_reward.ndim == 2 else 1
         )
         self._label_to_state: Optional[Dict[Hashable, int]] = None
+        # Built by repro.mdp.markov_chain.row_table on the first chain of this model.
+        self._row_table: Optional["GeneratorRows"] = None
 
     # ------------------------------------------------------------------ queries
 

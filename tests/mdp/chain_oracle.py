@@ -1,0 +1,53 @@
+"""Reference assembly of a policy evaluation's two sparse linear systems.
+
+:class:`repro.mdp.markov_chain.MarkovChain` builds the Poisson and stationary
+systems of an induced chain directly as CSC arrays, gathered from a per-model
+table of ``E - P`` rows.  This module keeps the construction it replaced,
+written with scipy sparse arithmetic: gather the chosen rows of the MDP into a
+CSR ``P`` and merge duplicate successors, then form ``(I - P)`` or
+``(P^T - I)``, go through COO to add the extra entries, and convert to CSC.
+``test_chain_oracle.py`` asserts that both constructions hand SuperLU the same
+arrays, bit for bit.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def induced_transition_matrix(mdp, rows: np.ndarray) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """The chain of ``rows``: its CSR transition matrix and expected reward vectors."""
+    n = mdp.num_states
+    starts = mdp.row_trans_offsets[rows]
+    lengths = mdp.row_trans_offsets[rows + 1] - starts
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    picked = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    probs = mdp.trans_prob[picked]
+    expected = np.add.reduceat(probs[:, None] * mdp.trans_reward[picked], indptr[:-1], axis=0)
+    matrix = sp.csr_matrix((probs, mdp.trans_succ[picked], indptr), shape=(n, n))
+    matrix.sum_duplicates()
+    return matrix, expected
+
+
+def poisson_matrix(transition_matrix: sp.csr_matrix, reference_state: int) -> sp.csc_matrix:
+    """``h + g = r + P h`` with ``h[ref] = 0``: unknowns ``h`` and ``g`` (column n)."""
+    n = transition_matrix.shape[0]
+    poisson = (sp.identity(n, format="csr") - transition_matrix).tocoo()
+    data = np.concatenate([poisson.data, np.ones(n), [1.0]])
+    row = np.concatenate([poisson.row, np.arange(n), [n]])
+    col = np.concatenate([poisson.col, np.full(n, n), [reference_state]])
+    return sp.coo_matrix((data, (row, col)), shape=(n + 1, n + 1)).tocsc()
+
+
+def stationary_matrix(transition_matrix: sp.csr_matrix) -> sp.csc_matrix:
+    """``(P^T - I) pi = 0`` with its last equation replaced by ``sum(pi) = 1``."""
+    n = transition_matrix.shape[0]
+    balance = (transition_matrix.T - sp.identity(n, format="csr")).tocoo()
+    keep = balance.row != n - 1
+    data = np.concatenate([balance.data[keep], np.ones(n)])
+    row = np.concatenate([balance.row[keep], np.full(n, n - 1)])
+    col = np.concatenate([balance.col[keep], np.arange(n)])
+    return sp.coo_matrix((data, (row, col)), shape=(n, n)).tocsc()

@@ -1,0 +1,126 @@
+"""Both linear systems of a policy evaluation equal the scipy-arithmetic oracle exactly.
+
+:class:`repro.mdp.MarkovChain` gathers an induced chain's generator ``I - P``
+from the model's row table and assembles the Poisson and stationary matrices
+directly as CSC arrays; :mod:`chain_oracle` builds them the way it replaced,
+through ``(I - P)`` and ``(P^T - I)``, COO and ``tocsc``.  For seeded random
+strategies the two must hand SuperLU the same ``indptr``, ``indices`` (dtype
+included) and ``data`` bytes, and the same expected rewards.  The cases cover a
+repeated successor (``d=1,f=1``), a larger model (``d=2,f=2``), the ``p=0``
+model (its support signature drops the adversary's transitions, leaving a
+2-state cycle of probability-1 moves), and a toy model whose explicit zero
+probability and probability-1 self-loop make scipy prune entries of ``I - P``.
+The ``d=3,f=2`` model (133k states) runs with ``REPRO_FULL=1``.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+import pytest
+
+from chain_oracle import induced_transition_matrix, poisson_matrix, stationary_matrix
+from repro import AttackParams, ProtocolParams
+from repro.attacks import build_selfish_forks_mdp
+from repro.mdp import MDP, Strategy, induced_markov_chain
+
+FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
+FULL_ONLY = pytest.mark.skipif(not FULL, reason="the d=3,f=2 model is large; set REPRO_FULL=1")
+
+
+def selfish_forks(depth, forks, p=0.3):
+    attack = AttackParams(depth=depth, forks=forks, max_fork_length=4)
+    return build_selfish_forks_mdp(ProtocolParams(p=p, gamma=0.5), attack).mdp
+
+
+def toy_with_zero_and_self_loop():
+    """Three states: state 2 loops on itself with probability 1, state 0 lists a 0.0."""
+    return MDP(
+        num_states=3,
+        initial_state=0,
+        row_state=np.array([0, 0, 1, 2]),
+        state_row_offsets=np.array([0, 2, 3, 4]),
+        row_trans_offsets=np.array([0, 3, 4, 6, 7]),
+        trans_succ=np.array([2, 1, 0, 1, 0, 2, 2]),
+        trans_prob=np.array([0.25, 0.0, 0.75, 1.0, 0.5, 0.5, 1.0]),
+        trans_reward=np.arange(14, dtype=float).reshape(7, 2),
+        row_actions=["a", "b", "c", "d"],
+    )
+
+
+#: ``(builder, number of sampled strategies)``.
+MODELS = {
+    "d1f1": (lambda: selfish_forks(1, 1), 10),
+    "d2f2": (lambda: selfish_forks(2, 2), 10),
+    "p0": (lambda: selfish_forks(2, 2, p=0.0), 3),
+    "toy": (toy_with_zero_and_self_loop, 4),
+    "d3f2": (lambda: selfish_forks(3, 2), 2),
+}
+
+
+def sampled(mdp, count, seed=24):
+    rng = np.random.default_rng(seed)
+    counts = np.diff(mdp.state_row_offsets)
+    return [
+        Strategy(mdp, mdp.state_row_offsets[:-1] + rng.integers(0, counts)) for _ in range(count)
+    ]
+
+
+def assert_same_csc(actual, expected):
+    assert actual.format == expected.format == "csc"
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert actual.data.dtype == expected.data.dtype
+    assert actual.data.tobytes() == expected.data.tobytes()
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        pytest.param(name, marks=[FULL_ONLY] if name == "d3f2" else []) for name in MODELS
+    ],
+)
+def case(request):
+    build, count = MODELS[request.param]
+    mdp = build()
+    return request.param, mdp, sampled(mdp, count)
+
+
+def test_systems_equal_the_oracle_bit_for_bit(case):
+    _, mdp, strategies = case
+    rng = np.random.default_rng(7)
+    for strategy in strategies:
+        chain = induced_markov_chain(mdp, strategy)
+        matrix, expected = induced_transition_matrix(mdp, strategy.rows)
+        assert chain.expected_rewards.tobytes() == expected.tobytes()
+        for reference in {mdp.initial_state, int(rng.integers(mdp.num_states))}:
+            assert_same_csc(chain.poisson_matrix(reference), poisson_matrix(matrix, reference))
+        assert_same_csc(chain.stationary_matrix(), stationary_matrix(matrix))
+
+
+def test_transition_matrix_equals_the_oracle(case):
+    _, mdp, strategies = case
+    chain = induced_markov_chain(mdp, strategies[0])
+    matrix, _ = induced_transition_matrix(mdp, strategies[0].rows)
+    assert chain.transition_matrix.indptr.tobytes() == matrix.indptr.tobytes()
+    assert chain.transition_matrix.indices.tobytes() == matrix.indices.tobytes()
+    assert chain.transition_matrix.data.tobytes() == matrix.data.tobytes()
+
+
+def test_cases_exercise_merging_and_pruning(case):
+    """Each small case really has what it is listed for."""
+    name, mdp, strategies = case
+    merged = pruned = zeros = 0
+    for strategy in strategies:
+        matrix, _ = induced_transition_matrix(mdp, strategy.rows)
+        merged += int(np.diff(mdp.row_trans_offsets)[strategy.rows].sum()) - matrix.nnz
+        pruned += int(np.count_nonzero(matrix.diagonal() == 1.0))
+        zeros += int(np.count_nonzero(matrix.data == 0.0))
+    if name == "d1f1":
+        assert merged > 0
+    if name == "toy":
+        assert pruned > 0 and zeros > 0

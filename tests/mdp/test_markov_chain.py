@@ -1,4 +1,4 @@
-"""Tests of induced Markov chains: stationary distributions, gain/bias, ratios."""
+"""Tests of induced Markov chains: stationary distributions, gain/bias, the row table."""
 
 from __future__ import annotations
 
@@ -9,7 +9,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.analysis import beta_reward_weights, check_theorem_premises, evaluate_strategy_errev
+from repro import AnalysisConfig, AttackParams, ProtocolParams
+from repro.analysis import (
+    beta_reward_weights,
+    check_theorem_premises,
+    evaluate_strategy_errev,
+    formal_analysis,
+)
+from repro.attacks import build_selfish_forks_mdp
 from repro.exceptions import ModelError, SolverError
 from repro.mdp import (
     MDPBuilder,
@@ -20,6 +27,7 @@ from repro.mdp import (
     induced_markov_chain,
     policy_iteration,
 )
+from repro.mdp import markov_chain
 
 #: The stationary solve's spsolve warns before returning NaN on a multichain
 #: chain's singular system; the Poisson factorization raises instead.
@@ -88,18 +96,6 @@ class TestMarkovChain:
         chain = two_state_chain(p_stay=0.25)
         _, bias = chain.gain_and_bias([1.0], reference_state=1)
         assert bias[1] == pytest.approx(0.0, abs=1e-9)
-
-    def test_occupancy_ratio(self):
-        chain = two_state_chain(rewards=((1.0, 0.0), (0.0, 1.0)))
-        ratio = chain.occupancy_ratio([1.0, 0.0], [1.0, 1.0])
-        assert ratio == pytest.approx(0.5)
-
-    def test_occupancy_ratio_zero_denominator_raises(self):
-        chain = two_state_chain(rewards=((0.0, 0.0), (0.0, 0.0)))
-        from repro.exceptions import SolverError
-
-        with pytest.raises(SolverError):
-            chain.occupancy_ratio([1.0, 0.0], [1.0, 1.0])
 
 
 class TestInducedChain:
@@ -179,6 +175,15 @@ class TestNonUnichainIsLoud:
         assert np.isnan(report.min_total_block_rate)
         assert any("block rate is undefined" in problem for problem in report.problems)
         assert not report.all_hold
+
+
+def test_strategy_errev_without_finalised_blocks_raises():
+    builder = MDPBuilder(num_reward_components=2)
+    builder.add_action("a", "go", [("b", 1.0, (0.0, 0.0))])
+    builder.add_action("b", "back", [("a", 1.0, (0.0, 0.0))])
+    mdp = builder.build(initial_state="a")
+    with pytest.raises(SolverError, match="finalises no blocks"):
+        evaluate_strategy_errev(mdp, Strategy.first_action(mdp))
 
 
 def loop_oracle(mdp, strategy):
@@ -372,3 +377,27 @@ class TestFactorReuse:
         assert warm.iterations >= 2
         assert alive_at_factorization == [False] * (warm.iterations - 1)
         assert alive() is None
+
+
+class TestRowTable:
+    """The per-model table is built once, from copies: solving never writes to the model."""
+
+    @pytest.mark.parametrize("depth,forks", [(1, 1), (2, 2)], ids=["d1f1", "d2f2"])
+    def test_solving_never_writes_to_the_model(self, depth, forks, monkeypatch):
+        attack = AttackParams(depth=depth, forks=forks, max_fork_length=4)
+        mdp = build_selfish_forks_mdp(ProtocolParams(p=0.3, gamma=0.5), attack).mdp
+        names = ("trans_prob", "trans_succ", "trans_reward", "row_trans_offsets", "row_state")
+        before = {name: getattr(mdp, name).tobytes() for name in names}
+        built = []
+        build = markov_chain._generator_rows
+
+        def counting_build(probabilities, owners, expected_rewards):
+            built.append(probabilities.shape)
+            return build(probabilities, owners, expected_rewards)
+
+        monkeypatch.setattr(markov_chain, "_generator_rows", counting_build)
+        result = formal_analysis(mdp, AnalysisConfig(epsilon=1e-2))
+        evaluate_strategy_errev(mdp, Strategy.first_action(mdp))
+        assert result.num_iterations > 1 and result.strategy_errev is not None
+        assert built == [(mdp.num_rows, mdp.num_states)]
+        assert {name: getattr(mdp, name).tobytes() for name in names} == before
