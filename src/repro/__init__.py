@@ -50,7 +50,6 @@ from .core import (
     ascii_plot,
     render_table,
     run_sweep,
-    sweep_figure2,
     write_csv,
 )
 from .analysis import (
@@ -86,7 +85,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "run_sweep",
-    "sweep_figure2",
     "ascii_plot",
     "render_table",
     "write_csv",

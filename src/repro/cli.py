@@ -52,6 +52,7 @@ failures; ``--resume`` recomputes them.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -91,6 +92,13 @@ def _positive_float(value: str) -> float:
     return number
 
 
+def _probability(value: str) -> float:
+    number = float(value)
+    if not 0.0 <= number <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {value}")
+    return number
+
+
 def _attack_name(value: str) -> str:
     """Validate an ``--attack`` value against the registered scenario names."""
     names = known_scenario_names()
@@ -121,8 +129,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     _add_scenario_arguments(parser)
-    parser.add_argument("--p", type=float, default=0.3, help="adversarial resource fraction")
-    parser.add_argument("--gamma", type=float, default=0.5, help="switching probability")
+    parser.add_argument(
+        "--p", type=_probability, default=0.3, help="adversarial resource fraction"
+    )
+    parser.add_argument("--gamma", type=_probability, default=0.5, help="switching probability")
     parser.add_argument("--depth", "-d", type=int, default=2, help="attack depth d")
     parser.add_argument("--forks", "-f", type=int, default=1, help="forking number f")
     parser.add_argument("--max-fork-length", "-l", type=int, default=4, help="maximal fork length l")
@@ -153,8 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser("sweep", help="regenerate a Figure 2 panel")
     _add_scenario_arguments(sweep)
-    sweep.add_argument("--gamma", type=float, default=0.5)
-    sweep.add_argument("--p-max", type=float, default=0.3)
+    sweep.add_argument("--gamma", type=_probability, default=0.5)
+    sweep.add_argument("--p-max", type=_probability, default=0.3)
     sweep.add_argument("--p-step", type=_positive_float, default=0.05)
     sweep.add_argument("--epsilon", type=_positive_float, default=1e-3)
     sweep.add_argument(
@@ -271,7 +281,9 @@ def _sweep_attack_configs(args: argparse.Namespace):
 def _command_sweep(args: argparse.Namespace) -> int:
     if args.resume and args.journal is None:
         raise SystemExit("repro sweep: --resume requires --journal PATH")
-    num_points = int(round(args.p_max / args.p_step)) + 1
+    # Every multiple of --p-step up to --p-max, never past it; the 1e-9 slack
+    # absorbs float error so that e.g. 0.3 / 0.05 still yields 7 points.
+    num_points = math.floor(args.p_max / args.p_step + 1e-9) + 1
     p_values = tuple(round(index * args.p_step, 4) for index in range(num_points))
     config = SweepConfig(
         p_values=p_values,

@@ -10,7 +10,7 @@ from .results import AnalysisResult, SweepFailure, SweepPoint, SweepResult
 from .analyzer import SelfishMiningAnalyzer
 from .engine import attack_series_name
 from .execution import execute_sweep
-from .sweep import SweepConfig, run_sweep, sweep_figure2
+from .sweep import SweepConfig, run_sweep
 from .reporting import ascii_plot, render_table, write_csv
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "attack_series_name",
     "execute_sweep",
     "run_sweep",
-    "sweep_figure2",
     "ascii_plot",
     "render_table",
     "write_csv",

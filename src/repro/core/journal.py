@@ -38,8 +38,7 @@ record *followed by valid ones* is not a torn tail but mid-file corruption
 Durability is configurable (``--journal-fsync``): ``"never"`` trusts the OS
 page cache, ``"close"`` (default) fsyncs once when the journal closes, and
 ``"always"`` fsyncs after every record -- the paranoid policy that survives
-power loss at per-record cost (quantified by
-``benchmarks/test_bench_journal.py``).
+power loss at per-record cost.
 
 Resume semantics
 ----------------

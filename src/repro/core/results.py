@@ -168,11 +168,6 @@ class SweepResult:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def total_compute_seconds(self) -> float:
-        """Sum of per-point compute times (0.0 when no point carries timing)."""
-        return sum(point.seconds or 0.0 for point in self.points)
-
-    @property
     def total_solver_iterations(self) -> int:
         """Sum of per-point solver iterations across the sweep."""
         return sum(point.solver_iterations or 0 for point in self.points)
@@ -200,17 +195,3 @@ class SweepResult:
             if point.gamma not in values:
                 values.append(point.gamma)
         return values
-
-    def merge(self, other: "SweepResult") -> "SweepResult":
-        """Return a new sweep containing the points of both sweeps.
-
-        Points and failures concatenate; ``metadata`` merges *shallowly* with
-        ``other`` winning on key collisions -- merging two journaled sweeps
-        keeps only the second one's ``metadata["journal"]`` block.
-        """
-        return SweepResult(
-            points=self.points + other.points,
-            description=self.description,
-            failures=self.failures + other.failures,
-            metadata={**self.metadata, **other.metadata},
-        )

@@ -3,10 +3,11 @@
 Figure 2 plots the expected relative revenue as a function of the adversary's
 resource fraction ``p`` for several switching probabilities ``gamma``, comparing
 the paper's attack (for several ``(d, f)`` configurations) against honest mining
-and the single-tree baseline.  :func:`sweep_figure2` regenerates those series;
-the grid density and configuration list are configurable so the default harness
-stays within a laptop-scale time budget: the paper's 0.01 p-step and its larger
-``(d, f)`` configurations are opt-in (``fine_grid``, ``attack_configs``).
+and the single-tree baseline.  ``run_sweep(SweepConfig())`` regenerates those
+series on a laptop-scale default grid (p in steps of 0.05 up to 0.3, gamma in
+{0, 0.5, 1}, ``(d, f)`` in {(1, 1), (2, 1)}); the paper's 0.01 p-step, its five
+gammas and its larger ``(d, f)`` configurations are :class:`SweepConfig`
+fields away.
 
 :func:`run_sweep` is :func:`repro.core.execution.execute_sweep`: it plans the
 grid, runs the units in-process (``workers=1``) or on a local process pool,
@@ -17,7 +18,7 @@ starts along the ``p`` axis (``warm_start_across_points``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .._validation import check_positive_int
 from ..attacks.single_tree import SingleTreeParams
@@ -25,7 +26,6 @@ from ..config import AnalysisConfig, AttackParams
 from ..exceptions import ConfigurationError
 from .engine import attack_series_name
 from .execution import execute_sweep
-from .results import SweepResult
 
 __all__ = [
     "DEFAULT_ATTACK_CONFIGS",
@@ -33,7 +33,6 @@ __all__ = [
     "SweepConfig",
     "attack_series_name",
     "run_sweep",
-    "sweep_figure2",
 ]
 
 #: Default (d, f) configurations of the paper that are tractable by default.
@@ -159,48 +158,3 @@ class SweepConfig:
 #: Run a Figure 2 style sweep and return all computed points (the public name
 #: of :func:`repro.core.execution.execute_sweep`).
 run_sweep = execute_sweep
-
-
-def sweep_figure2(
-    *,
-    fine_grid: bool = False,
-    gammas: Optional[Sequence[float]] = None,
-    attack_configs: Optional[Sequence[AttackParams]] = None,
-    epsilon: float = 1e-3,
-    solver: str = "policy_iteration",
-    workers: int = 1,
-    warm_start_across_points: bool = False,
-    reuse_p_axis_bounds: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
-) -> SweepResult:
-    """Convenience wrapper reproducing Figure 2 with sensible defaults.
-
-    Args:
-        fine_grid: Use the paper's p-step of 0.01 instead of the default 0.05.
-        gammas: Switching probabilities; defaults to the paper's five values when
-            ``fine_grid`` is set, otherwise to {0, 0.5, 1}.
-        attack_configs: Attack configurations; defaults to the tractable subset.
-        epsilon: Binary-search precision of the formal analysis.
-        solver: Mean-payoff solver backend.
-        workers: Worker processes for the sweep engine (1 = serial).
-        warm_start_across_points: Chain solver warm starts along the p axis.
-        reuse_p_axis_bounds: Start each binary search from the previous p
-            point's certified lower bound (monotonicity of ERRev* in p).
-        progress: Optional progress callback.
-    """
-    if fine_grid:
-        p_values = tuple(round(0.01 * i, 2) for i in range(0, 31))
-        default_gammas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    else:
-        p_values = tuple(round(0.05 * i, 2) for i in range(0, 7))
-        default_gammas = (0.0, 0.5, 1.0)
-    config = SweepConfig(
-        p_values=p_values,
-        gammas=tuple(gammas) if gammas is not None else default_gammas,
-        attack_configs=tuple(attack_configs) if attack_configs is not None else DEFAULT_ATTACK_CONFIGS,
-        analysis=AnalysisConfig(epsilon=epsilon, solver=solver),
-        workers=workers,
-        warm_start_across_points=warm_start_across_points,
-        reuse_p_axis_bounds=reuse_p_axis_bounds,
-    )
-    return run_sweep(config, progress=progress)

@@ -2,8 +2,7 @@
 
 The engine's correctness rests on cross-cutting invariants that no single
 test file owns -- workers must never rebuild skeletons, certified-bound
-kernels must stay bit-for-bit deterministic, every registered attack
-scenario must honour the structure contract, and every outcome must merge
+kernels must stay bit-for-bit deterministic, and every outcome must merge
 through one pipeline.  ``repro lint`` codifies those invariants as static
 rules over the package's abstract syntax trees, so a tool enforces them on
 every run:
@@ -14,15 +13,15 @@ RL002     fork safety: no unguarded module-global mutation on worker
 RL003     determinism: no unseeded RNGs, wall-clock reads or set-order
           iteration in the certified solver paths (``attacks/``,
           ``mdp/``, ``analysis/``).
-RL005     scenario contract: every ``@register_attack`` class defines
-          the seven engine hooks in its own body.
 RL007     merge pipeline: only ``core/execution.py`` journals outcomes,
           mutates sweep-result metadata or assembles the result.
 ========  ==============================================================
 
 RL001 (shared-memory lifecycle), RL004 (wire-schema agreement) and RL006
 (fault-site registration) are retired: the package no longer uses shared
-memory, a network fabric or fault injection.
+memory, a network fabric or fault injection.  RL005 (scenario contract) is
+retired too: the registry tests check that every built-in scenario defines
+the engine hooks in its own body.
 
 Run it as ``repro lint [PATHS]`` or ``python -m repro.lint [PATHS]``; with no
 paths it lints the installed ``repro`` package itself.  A violation can be

@@ -10,13 +10,11 @@ from ..engine import Rule
 from .determinism import CertifiedPathDeterminismRule
 from .fork_safety import ForkSafetyRule
 from .merge_pipeline import MergePipelineRule
-from .scenario_contract import ScenarioContractRule
 
 #: Every built-in rule, in id order.
 ALL_RULES: Tuple[Rule, ...] = (
     ForkSafetyRule(),
     CertifiedPathDeterminismRule(),
-    ScenarioContractRule(),
     MergePipelineRule(),
 )
 
@@ -25,5 +23,4 @@ __all__ = [
     "CertifiedPathDeterminismRule",
     "ForkSafetyRule",
     "MergePipelineRule",
-    "ScenarioContractRule",
 ]

@@ -12,6 +12,10 @@ from repro.analysis import (
     evaluate_strategy_errev,
     formal_analysis,
 )
+from repro.analysis.rewards import beta_reward_weights
+from repro.mdp import solve_mean_payoff, solve_mean_payoff_lp
+
+SOLVERS = ["policy_iteration", "value_iteration"]
 
 
 class TestTable1Pin:
@@ -179,6 +183,30 @@ class TestDinkelbach:
             model_d2f1.mdp, AnalysisConfig(epsilon=1e-5), initial_beta=0.3
         )
         assert result.errev == pytest.approx(analysis_d2f1.strategy_errev, abs=1e-3)
+
+
+class TestSolverAblation:
+    """Every analysis variant reports the same optimum on the ``d=2,f=1`` model."""
+
+    @pytest.fixture(scope="class")
+    def dinkelbach_errev(self, model_d2f1):
+        return dinkelbach_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3)).errev
+
+    @pytest.fixture(scope="class")
+    def lp_gain(self, model_d2f1):
+        return solve_mean_payoff_lp(model_d2f1.mdp, beta_reward_weights(0.35)).gain
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_algorithm1_backend_agrees_with_dinkelbach(self, model_d2f1, dinkelbach_errev, solver):
+        result = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver))
+        assert result.strategy_errev == pytest.approx(dinkelbach_errev, abs=5e-3)
+        assert result.beta_low <= dinkelbach_errev <= result.beta_up
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_single_solve_gain_matches_linear_program(self, model_d2f1, lp_gain, solver):
+        """One mean-payoff solve, the inner loop of the bisection."""
+        solution = solve_mean_payoff(model_d2f1.mdp, beta_reward_weights(0.35), solver=solver)
+        assert solution.gain == pytest.approx(lp_gain, abs=1e-6)
 
 
 class TestCertificates:

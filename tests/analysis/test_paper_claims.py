@@ -1,8 +1,9 @@
 """End-to-end checks of the paper's qualitative experimental claims (Section 4).
 
-These tests regenerate small slices of Figure 2 and assert the *shape* results
-the paper reports: who wins, how the curves move with p, gamma, d and f, and
-where the d = f = 1 attack starts to pay off.
+These tests regenerate Figure 2 -- single points and the whole default sweep
+grid -- and assert the *shape* results the paper reports: who wins, how the
+curves move with p, gamma, d and f, and where the d = f = 1 attack starts to
+pay off.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from repro.config import AnalysisConfig, AttackParams, ProtocolParams
 from repro.analysis import formal_analysis
 from repro.attacks import build_selfish_forks_mdp, honest_errev, single_tree_errev
 from repro.attacks.single_tree import SingleTreeParams
+from repro.core.sweep import SweepConfig, run_sweep
 
 EPSILON = 1e-3
 
@@ -69,6 +71,123 @@ class TestFigure2Claims:
         # be worse (up to the binary-search precision).
         for p in (0.1, 0.2, 0.3):
             assert attack_errev(p, 0.0, depth=2, forks=1) >= p - EPSILON
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """The default Figure 2 grid, computed once for every grid-shape test."""
+    sweep = run_sweep(SweepConfig())
+    assert not sweep.failures, [
+        f"{f.series} p={f.p} gamma={f.gamma}: {f.message}" for f in sweep.failures
+    ]
+    return sweep
+
+
+class TestFigure2GridShape:
+    """The same claims over every point of the default Figure 2 grid.
+
+    ``SweepConfig()`` is p in {0, 0.05, ..., 0.3}, gamma in {0, 0.5, 1}, the
+    (d, f) = (1, 1) and (2, 1) attacks plus the honest and single-tree series.
+    """
+
+    @staticmethod
+    def attack_series(sweep):
+        return [name for name in sweep.series_names() if name.startswith("ours")]
+
+    @staticmethod
+    def by_p(sweep, name, gamma):
+        return {point.p: point.errev for point in sweep.series(name, gamma)}
+
+    def test_grid_covers_every_series(self, sweep):
+        assert sweep.gammas() == [0.0, 0.5, 1.0]
+        assert sweep.series_names() == [
+            "honest",
+            "single-tree(f=5)",
+            "ours(d=1,f=1)",
+            "ours(d=2,f=1)",
+        ]
+        assert len(sweep.points) == 7 * 3 * 4
+
+    def test_honest_baseline_is_diagonal(self, sweep):
+        for point in sweep.series("honest"):
+            assert point.errev == pytest.approx(point.p)
+
+    def test_attack_dominates_honest_everywhere(self, sweep):
+        for name in self.attack_series(sweep):
+            for point in sweep.series(name):
+                assert point.errev >= point.p - 2e-3, (name, point.p, point.gamma)
+
+    def test_errev_monotone_in_p(self, sweep):
+        for name in self.attack_series(sweep):
+            for gamma in sweep.gammas():
+                values = [point.errev for point in sweep.series(name, gamma)]
+                assert all(b >= a - 5e-3 for a, b in zip(values, values[1:])), (name, gamma)
+
+    def test_errev_monotone_in_gamma(self, sweep):
+        gammas = sweep.gammas()
+        for name in self.attack_series(sweep):
+            by_gamma = {gamma: self.by_p(sweep, name, gamma) for gamma in gammas}
+            for p in by_gamma[gammas[0]]:
+                values = [by_gamma[gamma][p] for gamma in gammas]
+                assert all(b >= a - 5e-3 for a, b in zip(values, values[1:])), (name, p)
+
+    def test_d1f1_matches_honest_for_low_gamma(self, sweep):
+        for gamma in (g for g in sweep.gammas() if g <= 0.5):
+            for point in sweep.series("ours(d=1,f=1)", gamma):
+                assert point.errev == pytest.approx(point.p, abs=5e-3), (point.p, gamma)
+
+    def test_depth_two_strictly_better_at_top_p(self, sweep):
+        for gamma in sweep.gammas():
+            d1 = self.by_p(sweep, "ours(d=1,f=1)", gamma)
+            d2 = self.by_p(sweep, "ours(d=2,f=1)", gamma)
+            top_p = max(d1)
+            assert d2[top_p] > d1[top_p], gamma
+
+    def test_d2f1_at_least_single_tree_at_top_p(self, sweep):
+        for gamma in sweep.gammas():
+            ours = self.by_p(sweep, "ours(d=2,f=1)", gamma)
+            tree = self.by_p(sweep, "single-tree(f=5)", gamma)
+            top_p = max(ours)
+            assert ours[top_p] >= tree[top_p] - 1e-9, gamma
+
+    def test_pool_grid_is_bit_for_bit_the_serial_grid(self, sweep):
+        pooled = run_sweep(SweepConfig(workers=2))
+        assert not pooled.failures
+        assert [
+            (point.p, point.gamma, point.series, point.errev, point.beta_low, point.beta_up)
+            for point in pooled.points
+        ] == [
+            (point.p, point.gamma, point.series, point.errev, point.beta_low, point.beta_up)
+            for point in sweep.points
+        ]
+
+    def test_warm_chained_grid_within_epsilon(self, sweep):
+        chained = run_sweep(
+            SweepConfig(warm_start_across_points=True, reuse_p_axis_bounds=True)
+        )
+        assert not chained.failures
+        assert [(point.p, point.gamma, point.series) for point in chained.points] == [
+            (point.p, point.gamma, point.series) for point in sweep.points
+        ]
+        for warm, cold in zip(chained.points, sweep.points):
+            assert warm.errev == pytest.approx(cold.errev, abs=EPSILON), warm
+
+
+
+class TestTable1Points:
+    """Table 1's default-tractable configurations at gamma = 0.5, p = 0.3."""
+
+    @pytest.mark.parametrize(
+        "depth, forks", [(1, 1), (2, 1), (2, 2)], ids=["d1_f1", "d2_f1", "d2_f2"]
+    )
+    def test_attack_never_loses_to_honest_mining(self, depth, forks):
+        assert attack_errev(0.3, 0.5, depth=depth, forks=forks) >= 0.3 - EPSILON
+
+    def test_single_tree_baseline_lies_below_the_largest_attack(self):
+        baseline = single_tree_errev(
+            ProtocolParams(p=0.3, gamma=0.5), SingleTreeParams(max_depth=4, max_width=5)
+        )
+        assert 0.0 < baseline < attack_errev(0.3, 0.5, depth=2, forks=2) < 1.0
 
 
 class TestD1F1Claims:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.attacks.registry import (
     ScenarioStructure,
+    SupportSignature,
     get_attack,
     list_attacks,
     register_attack,
@@ -14,9 +16,36 @@ from repro.attacks.registry import (
 )
 from repro.attacks.sm_actions import SmActionsStructure
 from repro.attacks.structure import SelfishForksStructure
-from repro.config import AttackParams, known_scenario_names
+from repro.config import AttackParams, ProtocolParams, known_scenario_names
 from repro.exceptions import ConfigurationError
-from repro.lint.rules.scenario_contract import REQUIRED_HOOKS
+from repro.mdp import validate_mdp
+
+#: Engine hooks every registered scenario class defines in its own body, so
+#: that the structure cache, sweep workers and reporting work on any scenario.
+REQUIRED_HOOKS = (
+    "explore",
+    "series_name",
+    "grid_configs",
+    "build_model",
+    "make_policy",
+    "simulate",
+    "honest_strategy",
+)
+
+#: A small and a larger configuration of each built-in scenario.
+REFILL_GRID = [
+    AttackParams(depth=1, forks=1, max_fork_length=4),
+    AttackParams(depth=2, forks=1, max_fork_length=4),
+    AttackParams(depth=1, forks=1, max_fork_length=8, scenario="sm-actions"),
+    AttackParams(
+        depth=1, forks=1, max_fork_length=12, scenario="sm-actions", variant="overpaying"
+    ),
+]
+
+
+def _refill_id(attack: AttackParams) -> str:
+    suffix = f"_{attack.variant}" if attack.variant else ""
+    return f"{attack.scenario}_d{attack.depth}_f{attack.forks}_l{attack.max_fork_length}{suffix}"
 
 
 class TestLookup:
@@ -132,6 +161,33 @@ class TestConcurrency:
 
     @pytest.mark.parametrize("hook", REQUIRED_HOOKS)
     def test_builtin_scenarios_define_every_hook_in_their_own_body(self, hook):
-        """The hooks are contract, not inheritance accident (RL005)."""
+        """The hooks are contract, not inheritance accident."""
         for scenario in list_attacks():
             assert hook in scenario.__dict__, (scenario.SCENARIO_NAME, hook)
+
+
+class TestStructureRefill:
+    """Every scenario rides the same explore-once / refill-per-point machinery."""
+
+    PROTOCOL = ProtocolParams(p=0.3, gamma=0.5)
+
+    @pytest.mark.parametrize("attack", REFILL_GRID, ids=_refill_id)
+    def test_explore_then_refill_per_point(self, attack):
+        scenario = get_attack(attack.scenario)
+        structure = scenario.explore(attack, SupportSignature.of(self.PROTOCOL))
+        mdp = structure.instantiate(self.PROTOCOL)
+        assert mdp.num_states == structure.num_states > 0
+        validate_mdp(mdp)
+        # Another p of the same support reuses the skeleton with new numbers.
+        other = structure.instantiate(ProtocolParams(p=0.2, gamma=0.5))
+        validate_mdp(other)
+        assert np.array_equal(other.trans_succ, mdp.trans_succ)
+        assert not np.array_equal(other.trans_prob, mdp.trans_prob)
+
+    def test_grid_spans_both_scenarios_with_distinct_series(self):
+        assert {scenario_id_for(a.scenario).split("@")[0] for a in REFILL_GRID} == {
+            "selfish-forks",
+            "sm-actions",
+        }
+        names = {get_attack(a.scenario).series_name(a) for a in REFILL_GRID}
+        assert len(names) == len(REFILL_GRID)

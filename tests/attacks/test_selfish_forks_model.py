@@ -7,9 +7,21 @@ import pytest
 from repro.config import AttackParams, ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.mdp import validate_mdp
-from repro.attacks import build_selfish_forks_mdp
+from repro.attacks import SupportSignature, build_model_structure, build_selfish_forks_mdp
 from repro.attacks.fork_state import TYPE_MINING
 from repro.attacks.selfish_forks import estimate_state_space_size
+
+#: Configurations of growing size, in the order their state counts grow.
+EXPLORATION_GRID = [
+    AttackParams(depth=1, forks=1, max_fork_length=4),
+    AttackParams(depth=2, forks=1, max_fork_length=2),
+    AttackParams(depth=2, forks=1, max_fork_length=4),
+    AttackParams(depth=2, forks=2, max_fork_length=4),
+]
+
+
+def _grid_id(attack: AttackParams) -> str:
+    return f"d{attack.depth}_f{attack.forks}_l{attack.max_fork_length}"
 
 
 class TestModelConstruction:
@@ -30,9 +42,9 @@ class TestModelConstruction:
     def test_state_space_grows_with_depth_and_forks(self, model_d1f1, model_d2f1, model_d2f2):
         assert model_d1f1.num_states < model_d2f1.num_states < model_d2f2.num_states
 
-    def test_state_space_within_theoretical_bound(self, model_d2f2):
-        bound = estimate_state_space_size(model_d2f2.attack)
-        assert model_d2f2.num_states <= bound
+    def test_state_space_within_theoretical_bound(self, model_d1f1, model_d2f1, model_d2f2):
+        for model in (model_d1f1, model_d2f1, model_d2f2):
+            assert model.num_states <= estimate_state_space_size(model.attack)
 
     def test_state_space_grows_with_max_fork_length(self, protocol_default):
         small = build_selfish_forks_mdp(
@@ -90,3 +102,19 @@ class TestModelConstruction:
             assert 1 <= depth <= attack.depth
             assert 1 <= fork <= attack.forks
             assert 1 <= blocks <= attack.max_fork_length
+
+
+class TestExploration:
+    """The uncached skeleton exploration a sweep runs once per configuration."""
+
+    @pytest.mark.parametrize("attack", EXPLORATION_GRID, ids=_grid_id)
+    def test_explored_states_within_theoretical_bound(self, protocol_default, attack):
+        structure = build_model_structure(attack, SupportSignature.of(protocol_default))
+        assert structure.num_states <= estimate_state_space_size(attack)
+        # Every state keeps an action and every action a transition.
+        assert structure.num_states <= structure.num_rows <= structure.num_transitions
+
+    def test_explored_state_count_grows_along_the_grid(self, protocol_default):
+        signature = SupportSignature.of(protocol_default)
+        counts = [build_model_structure(a, signature).num_states for a in EXPLORATION_GRID]
+        assert counts == sorted(set(counts))

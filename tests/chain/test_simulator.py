@@ -58,9 +58,24 @@ class TestSimulatorBasics:
 
     def test_report_counts_are_consistent(self):
         result = SelfishMiningSimulator(PROTOCOL, ATTACK, GreedyLeadPolicy(), seed=9).run(10_000)
+        assert result.steps == 10_000
         report = result.report
         assert report.total_blocks == report.adversarial_blocks + report.honest_blocks
         assert 0.0 <= report.relative_revenue <= 1.0
+
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            AttackParams(depth=1, forks=1, max_fork_length=4),
+            ATTACK,
+            AttackParams(depth=2, forks=2, max_fork_length=4),
+        ],
+        ids=lambda attack: f"d{attack.depth}_f{attack.forks}",
+    )
+    def test_greedy_run_covers_every_step(self, attack):
+        result = SelfishMiningSimulator(PROTOCOL, attack, GreedyLeadPolicy(), seed=0).run(5_000)
+        assert result.steps == 5_000
+        assert 0 < result.report.total_blocks <= result.steps
 
 
 class TestSimulationMatchesAnalysis:

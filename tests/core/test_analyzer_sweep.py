@@ -12,7 +12,6 @@ from repro import (
     SweepConfig,
     run_sweep,
 )
-from repro.core.results import SweepPoint, SweepResult
 from repro.core.sweep import attack_series_name
 
 
@@ -121,11 +120,6 @@ class TestSweep:
         assert sweep.gammas() == [0.5]
         assert sweep.series("honest", gamma=0.5)
         assert sweep.series("honest", gamma=0.9) == []
-
-    def test_merge(self, small_sweep):
-        sweep, _ = small_sweep
-        merged = sweep.merge(SweepResult(points=[SweepPoint(p=0.1, gamma=0.0, series="x", errev=0.1)]))
-        assert len(merged.points) == len(sweep.points) + 1
 
     def test_attack_series_name_format(self):
         assert attack_series_name(AttackParams(depth=3, forks=2)) == "ours(d=3,f=2)"

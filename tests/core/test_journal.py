@@ -348,6 +348,20 @@ def test_fsync_policies_produce_identical_journals(tmp_path):
     assert journals["never"] == journals["close"] == journals["always"]
 
 
+@pytest.mark.parametrize("policy", FSYNC_POLICIES)
+def test_pooled_journal_never_changes_values(tmp_path, policy):
+    """The journal observes a pooled sweep and records every attack point."""
+    path = tmp_path / "sweep.journal"
+    grid = _grid(attack_configs=(AttackParams(depth=1, forks=1), AttackParams(depth=2, forks=1)))
+    journaled = run_sweep(
+        SweepConfig(**grid, workers=2, journal_path=str(path), journal_fsync=policy)
+    )
+    _assert_same_points(run_sweep(SweepConfig(**grid)), journaled)
+    attack_points = len(grid["p_values"]) * len(grid["gammas"]) * len(grid["attack_configs"])
+    assert journaled.metadata["journal"]["recorded"] == attack_points
+    assert _point_record_count(path) == attack_points
+
+
 # ------------------------------------------------------ SIGKILL acceptance
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import math
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.core.reporting import (
     ProgressReporter,
@@ -16,7 +18,6 @@ from repro.core.reporting import (
     write_csv,
 )
 from repro.core.results import SweepPoint, SweepResult
-from repro.exceptions import ConfigurationError
 
 
 @pytest.fixture()
@@ -195,6 +196,27 @@ class TestAsciiPlot:
         assert all(len(line) <= 41 for line in plot_lines)
 
 
+class TestProbabilityArgument:
+    """``--p``, ``--gamma`` and ``--p-max`` take a probability in [0, 1]."""
+
+    @pytest.mark.parametrize(
+        "text, value", [("0", 0.0), ("1", 1.0), ("0.25", 0.25), ("1e-1", 0.1)]
+    )
+    def test_accepts_the_closed_unit_interval(self, text, value):
+        assert cli._probability(text) == value
+
+    @pytest.mark.parametrize("text", ["-0.1", "1.0000001", "nan", "inf", "-inf"])
+    def test_rejects_everything_else(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match=r"must be a probability in \[0, 1\]"):
+            cli._probability(text)
+
+    def test_non_number_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--p", "abc"])
+        assert excinfo.value.code == 2
+        assert "--p" in capsys.readouterr().err
+
+
 class TestCli:
     def test_analyze_command(self, capsys):
         exit_code = main(
@@ -269,10 +291,6 @@ class TestCli:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_invalid_parameter_propagates(self):
-        with pytest.raises(ConfigurationError):
-            main(["analyze", "--p", "1.5", "--epsilon", "0.01"])
 
     def test_analyze_with_solver_alias(self, capsys):
         exit_code = main(
@@ -443,3 +461,42 @@ class TestCli:
             main(argv)
         assert excinfo.value.code == 2
         assert "must be a positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--p", "1.5"],
+            ["analyze", "--gamma", "nan"],
+            ["simulate", "--gamma", "-0.1"],
+            ["sweep", "--gamma", "1.5"],
+            ["sweep", "--p-max", "-0.1"],
+            ["sweep", "--p-max", "1.2"],
+        ],
+    )
+    def test_out_of_range_probabilities_rejected_cleanly(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be a probability in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "p_max, p_step, expected",
+        [
+            ("0.3", "0.05", (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)),
+            ("0.3", "0.08", (0.0, 0.08, 0.16, 0.24)),
+            ("0.15", "0.05", (0.0, 0.05, 0.1, 0.15)),
+            ("1", "0.6", (0.0, 0.6)),
+            ("0", "0.05", (0.0,)),
+        ],
+    )
+    def test_sweep_p_grid_stops_at_p_max(self, monkeypatch, capsys, p_max, p_step, expected):
+        configs = []
+
+        def record(config, progress=None):
+            configs.append(config)
+            return SweepResult()
+
+        monkeypatch.setattr(cli, "run_sweep", record)
+        assert main(["sweep", "--p-max", p_max, "--p-step", p_step]) == 0
+        capsys.readouterr()
+        assert tuple(configs[0].p_values) == expected

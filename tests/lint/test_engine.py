@@ -81,7 +81,7 @@ def test_unrelated_suppression_does_not_waive(harness):
     violations = harness.lint(
         "mdp/solver.py",
         """
-        import random  # repro-lint: disable=RL005
+        import random  # repro-lint: disable=RL007
         """,
         RL003,
     )
@@ -164,8 +164,8 @@ def test_select_restricts_rules(tmp_path, capsys):
     bad = tmp_path / "mdp" / "solver.py"
     bad.parent.mkdir(parents=True)
     bad.write_text(_VIOLATING, encoding="utf-8")
-    # RL005 does not fire on this fixture, so selecting it alone is clean.
-    assert lint_main(["--select", "RL005", str(tmp_path)]) == 0
+    # RL007 does not fire on this fixture, so selecting it alone is clean.
+    assert lint_main(["--select", "RL007", str(tmp_path)]) == 0
     capsys.readouterr()
     assert lint_main(["--select", "RL003", str(tmp_path)]) == 1
     capsys.readouterr()

@@ -13,11 +13,9 @@ from repro.lint.rules import ALL_RULES
 from repro.lint.rules.determinism import WALL_CLOCK_CALLS, CertifiedPathDeterminismRule
 from repro.lint.rules.fork_safety import ForkSafetyRule
 from repro.lint.rules.merge_pipeline import MergePipelineRule
-from repro.lint.rules.scenario_contract import REQUIRED_HOOKS, ScenarioContractRule
 
 RL002 = [ForkSafetyRule()]
 RL003 = [CertifiedPathDeterminismRule()]
-RL005 = [ScenarioContractRule()]
 RL007 = [MergePipelineRule()]
 
 
@@ -431,125 +429,6 @@ def test_rl003_fires_on_each_set_iteration_form(harness, source, described):
     assert f"iterating {described}" in violations[0].message
 
 
-# --------------------------------------------------------------------- RL005
-
-
-def _scenario_source(hooks) -> str:
-    """A ``@register_attack`` class fixture defining the chosen hooks."""
-    lines = [
-        "from repro.attacks.registry import register_attack",
-        "",
-        "",
-        '@register_attack("custom")',
-        "class CustomStructure:",
-    ]
-    for hook in hooks:
-        lines.extend(["", f"    def {hook}(self):", "        return None"])
-    if not hooks:
-        lines.append("    pass")
-    return "\n".join(lines) + "\n"
-
-
-def test_rl005_fires_on_missing_hooks(harness):
-    violations = harness.lint("attacks/custom.py", _scenario_source(["explore"]), RL005)
-    assert ids(violations) == ["RL005"]
-    missing = set(REQUIRED_HOOKS) - {"explore"}
-    for hook in missing:
-        assert hook in violations[0].message
-
-
-@pytest.mark.parametrize("hook", REQUIRED_HOOKS)
-def test_rl005_fires_on_each_missing_hook(harness, hook):
-    present = [other for other in REQUIRED_HOOKS if other != hook]
-    violations = harness.lint("attacks/custom.py", _scenario_source(present), RL005)
-    assert ids(violations) == ["RL005"]
-    assert violations[0].message.endswith(f"missing required hook(s): {hook}")
-
-
-def test_rl005_quiet_on_complete_contract(harness):
-    violations = harness.lint("attacks/custom.py", _scenario_source(REQUIRED_HOOKS), RL005)
-    assert violations == []
-
-
-def test_rl005_requires_the_seven_engine_hooks():
-    assert REQUIRED_HOOKS == (
-        "explore",
-        "series_name",
-        "grid_configs",
-        "build_model",
-        "make_policy",
-        "simulate",
-        "honest_strategy",
-    )
-
-
-def test_rl005_ignores_unregistered_classes(harness):
-    violations = harness.lint(
-        "attacks/helpers.py",
-        """
-        class NotAScenario:
-            pass
-        """,
-        RL005,
-    )
-    assert violations == []
-
-
-def test_rl005_checks_bare_decorator(harness):
-    violations = harness.lint(
-        "attacks/custom.py",
-        """
-        from repro.attacks.registry import register_attack
-
-        @register_attack
-        class BareStructure:
-            pass
-        """,
-        RL005,
-    )
-    assert ids(violations) == ["RL005"]
-    assert "missing required hook(s)" in violations[0].message
-
-
-def test_rl005_checks_module_qualified_decorator(harness):
-    source = _scenario_source(REQUIRED_HOOKS[:-1]).replace(
-        "from repro.attacks.registry import register_attack",
-        "from repro.attacks import registry",
-    ).replace('@register_attack("custom")', '@registry.register_attack("custom")')
-    violations = harness.lint("attacks/custom.py", source, RL005)
-    assert ids(violations) == ["RL005"]
-    assert REQUIRED_HOOKS[-1] in violations[0].message
-
-
-@pytest.mark.parametrize(
-    "binding",
-    ["simulate = staticmethod(replay)", "simulate: object = staticmethod(replay)"],
-    ids=["assigned", "annotated"],
-)
-def test_rl005_accepts_a_hook_bound_by_assignment(harness, binding):
-    source = _scenario_source([hook for hook in REQUIRED_HOOKS if hook != "simulate"])
-    source += f"\n    {binding}\n"
-    assert harness.lint("attacks/custom.py", source, RL005) == []
-
-
-def test_rl005_inherited_hooks_do_not_count(harness):
-    violations = harness.lint(
-        "attacks/custom.py",
-        """
-        from repro.attacks.registry import register_attack
-        from repro.attacks.structure import SelfishForksStructure
-
-        @register_attack("derived")
-        class DerivedStructure(SelfishForksStructure):
-            PROOF_SYSTEMS = ("pow",)
-        """,
-        RL005,
-    )
-    assert ids(violations) == ["RL005"]
-    for hook in REQUIRED_HOOKS:
-        assert hook in violations[0].message
-
-
 # --------------------------------------------------------------------- RL007
 
 
@@ -711,6 +590,5 @@ def test_all_rules_have_unique_ids_and_metadata():
     assert sorted(seen) == [
         "RL002",
         "RL003",
-        "RL005",
         "RL007",
     ]
