@@ -1,18 +1,16 @@
 """Command-line interface.
 
-Five subcommands mirror the library's main entry points (installed as both
+Four subcommands mirror the library's main entry points (installed as both
 ``repro`` and the legacy ``repro-selfish-mining``)::
 
     repro analyze  --p 0.3 --gamma 0.5 --depth 2 --forks 1
     repro sweep    --gamma 0.5 --p-step 0.05 --csv out.csv
     repro simulate --p 0.3 --gamma 0.5 --depth 2 --forks 1 --steps 100000
     repro attacks
-    repro lint
 
 ``analyze`` runs Algorithm 1 for one parameter point, ``sweep`` regenerates a
 Figure 2 panel, ``simulate`` Monte-Carlo-validates the computed strategy,
-``attacks`` lists the registered attack scenarios, and ``lint`` runs the
-AST-based invariant checker (:mod:`repro.lint`) over the package source.
+and ``attacks`` lists the registered attack scenarios.
 
 Every model-facing subcommand accepts ``--attack NAME`` to select a registered
 attack scenario (:mod:`repro.attacks.registry`): the paper's ``selfish-forks``
@@ -62,7 +60,6 @@ from .config import AnalysisConfig, AttackParams, ProtocolParams, known_scenario
 from .core import SelfishMiningAnalyzer, ascii_plot, render_table, write_csv
 from .core.reporting import ProgressReporter
 from .core.sweep import SweepConfig, run_sweep
-from .lint.engine import add_lint_arguments
 
 #: Short aliases accepted by ``--solver`` alongside the full backend names.
 SOLVER_ALIASES = {
@@ -97,6 +94,14 @@ def _probability(value: str) -> float:
     if not 0.0 <= number <= 1.0:
         raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {value}")
     return number
+
+
+def _p_step(value: str) -> float:
+    step = float(value)
+    # The grid is rounded to 4 decimals, so a finer step would repeat p values.
+    if not step >= 1e-4:
+        raise argparse.ArgumentTypeError(f"must be at least 0.0001, got {value}")
+    return step
 
 
 def _attack_name(value: str) -> str:
@@ -165,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_arguments(sweep)
     sweep.add_argument("--gamma", type=_probability, default=0.5)
     sweep.add_argument("--p-max", type=_probability, default=0.3)
-    sweep.add_argument("--p-step", type=_positive_float, default=0.05)
+    sweep.add_argument("--p-step", type=_p_step, default=0.05)
     sweep.add_argument("--epsilon", type=_positive_float, default=1e-3)
     sweep.add_argument(
         "--grid",
@@ -227,12 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0, help="random seed")
 
     subparsers.add_parser("attacks", help="list the registered attack scenarios")
-
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the AST-based invariant checker over the package source",
-    )
-    add_lint_arguments(lint)
     return parser
 
 
@@ -342,17 +341,6 @@ def _command_attacks(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    from .lint.engine import run
-
-    return run(
-        args.paths,
-        output_format=args.format,
-        select=args.select,
-        list_rules=args.list_rules,
-    )
-
-
 def _command_simulate(args: argparse.Namespace) -> int:
     analyzer = SelfishMiningAnalyzer(
         ProtocolParams(p=args.p, gamma=args.gamma),
@@ -383,8 +371,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_simulate(args)
     if args.command == "attacks":
         return _command_attacks(args)
-    if args.command == "lint":
-        return _command_lint(args)
     parser.error(f"unknown command {args.command!r}")
     return 2
 

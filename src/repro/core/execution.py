@@ -22,9 +22,9 @@
    :meth:`MergeSink.accept` the moment it exists, so the journal is
    crash-safe mid-sweep.
 
-Lint rule RL007 (:mod:`repro.lint.rules.merge_pipeline`) pins the design: no
-module outside this one may append to a sweep journal, mutate sweep-result
-metadata or call ``assemble_sweep_result``.
+``tests/test_source_invariants.py`` pins the design: no module outside this
+one may append to a sweep journal, mutate sweep-result metadata or call
+``assemble_sweep_result``.
 
 Behavioral contract: inline and pool runs produce bit-for-bit the same values
 (certified bounds, ERRev, CSV value columns, journal records); only

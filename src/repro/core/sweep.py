@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .._validation import check_positive_int
+from .._validation import check_positive_int, check_probability
 from ..attacks.single_tree import SingleTreeParams
 from ..config import AnalysisConfig, AttackParams
 from ..exceptions import ConfigurationError
@@ -50,8 +50,10 @@ class SweepConfig:
     """Configuration of a Figure 2 style sweep.
 
     Attributes:
-        p_values: Grid of adversarial resource fractions.
-        gammas: Switching probabilities (one plot per gamma in the paper).
+        p_values: Grid of adversarial resource fractions, each in [0, 1] and
+            none repeated.
+        gammas: Switching probabilities (one plot per gamma in the paper),
+            each in [0, 1] and none repeated.
         attack_configs: Attack configurations swept (interpreted by the
             scenario each :class:`AttackParams` names; all configurations of a
             sweep must belong to the same scenario).
@@ -114,10 +116,13 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         check_positive_int(self.workers, "workers")
-        if not self.p_values:
-            raise ConfigurationError("p_values must contain at least one value")
-        if not self.gammas:
-            raise ConfigurationError("gammas must contain at least one value")
+        for name, values in (("p_values", self.p_values), ("gammas", self.gammas)):
+            if not values:
+                raise ConfigurationError(f"{name} must contain at least one value")
+            for value in values:
+                check_probability(value, name)
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{name} must not repeat a value, got {tuple(values)!r}")
         if not isinstance(self.analysis, AnalysisConfig):
             raise ConfigurationError(
                 f"analysis must be an AnalysisConfig, got {type(self.analysis).__name__}"

@@ -2,9 +2,8 @@
 
 This subpackage is the substrate that replaces the Storm probabilistic model
 checker used by the paper: a from-scratch finite MDP container together with
-mean-payoff solvers (Howard policy iteration and relative value iteration, plus
-a linear-programming formulation kept as a test reference), induced-Markov-chain
-stationary analysis and structural (graph) analysis.
+mean-payoff solvers (Howard policy iteration and relative value iteration),
+induced-Markov-chain stationary analysis and structural (graph) analysis.
 """
 
 from .model import MDP, MDPBuilder, TransitionRow
@@ -17,7 +16,6 @@ from .policy_iteration import (
     PolicyIterationResult,
     policy_iteration,
 )
-from .linear_program import LinearProgramResult, solve_mean_payoff_lp
 from .mean_payoff import (
     SOLVER_BACKENDS,
     MeanPayoffSolution,
@@ -40,8 +38,6 @@ __all__ = [
     "PolicyEvaluation",
     "PolicyIterationResult",
     "policy_iteration",
-    "LinearProgramResult",
-    "solve_mean_payoff_lp",
     "SOLVER_BACKENDS",
     "MeanPayoffSolution",
     "solve_mean_payoff",

@@ -13,9 +13,9 @@ leaves the final strategy's :class:`PolicyEvaluation` (induced chain and
 Poisson LU factor) in it, and the next solve takes it out and skips that
 strategy's factorization.  No solution holds a factor.
 
-The LP formulation (:func:`repro.mdp.solve_mean_payoff_lp`) is deliberately
-not a backend here: it is an independent reference the tests compare policy
-iteration against.
+The LP formulation is deliberately not a backend here, nor part of the
+package: it is a test oracle (``tests/mdp/lp_oracle.py``) that the tests
+compare policy and value iteration against.
 """
 
 from __future__ import annotations

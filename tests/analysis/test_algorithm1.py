@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lp_oracle import solve_mean_payoff_lp
 from repro.config import AnalysisConfig
 from repro.analysis import (
     check_theorem_premises,
@@ -13,7 +14,7 @@ from repro.analysis import (
     formal_analysis,
 )
 from repro.analysis.rewards import beta_reward_weights
-from repro.mdp import solve_mean_payoff, solve_mean_payoff_lp
+from repro.mdp import solve_mean_payoff
 
 SOLVERS = ["policy_iteration", "value_iteration"]
 

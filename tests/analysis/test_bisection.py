@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from lp_oracle import solve_mean_payoff_lp
 from repro import AnalysisConfig, AttackParams, ProtocolParams
 from repro.analysis import dinkelbach_analysis, formal_analysis
 from repro.analysis.rewards import beta_reward_weights
 from repro.attacks import get_model_structure
-from repro.mdp import solve_mean_payoff_batch, solve_mean_payoff_lp
+from repro.mdp import solve_mean_payoff_batch
 
 EPSILON = 1e-3
 

@@ -133,8 +133,9 @@ class TestConcurrency:
     def test_concurrent_builtin_loading_is_safe(self):
         """Racing threads through the lazy built-in import must not error.
 
-        Regression for the unguarded ``_BUILTINS_LOADED`` rebinding (RL002):
-        the flag is now double-checked under a dedicated lock.
+        Regression for the unguarded ``_BUILTINS_LOADED`` rebinding (the
+        fork-safety invariant of ``tests/test_source_invariants.py``): the
+        flag is now double-checked under a dedicated lock.
         """
         import threading
 

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-# Allow running the tests from a source checkout without installation.
-_SRC = Path(__file__).resolve().parents[1] / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# Allow running the tests from a source checkout without installation, and
+# importing the LP oracle (tests/mdp/lp_oracle.py) from every test directory.
+for _path in (Path(__file__).resolve().parents[1] / "src", Path(__file__).resolve().parent / "mdp"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro import AnalysisConfig, AttackParams, ProtocolParams  # noqa: E402
 from repro.analysis import formal_analysis  # noqa: E402

@@ -150,7 +150,7 @@ def crash_grid() -> dict:
 def failing_grid() -> dict:
     """A grid whose middle point (p = 1.5) raises inside the worker."""
     return dict(
-        p_values=(0.1, 1.5, 0.3),
+        unchecked_p_values=(0.1, 1.5, 0.3),
         gammas=(0.5,),
         attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
         include_honest=False,
@@ -195,11 +195,20 @@ def assert_bit_for_bit(reference: SweepResult, result: SweepResult) -> None:
 
 
 def _config(grid: dict, *, journal_path=None, resume: bool = False, **extra) -> SweepConfig:
+    """The grid's :class:`SweepConfig`.
+
+    ``SweepConfig`` rejects a p outside [0, 1], so ``unchecked_p_values`` is
+    set after validation: such a point then raises inside the engine.
+    """
     kwargs = dict(grid)
     kwargs.update(extra)
+    unchecked_p_values = kwargs.pop("unchecked_p_values", None)
     if journal_path is not None:
         kwargs.update(journal_path=str(journal_path), journal_resume=resume)
-    return SweepConfig(**kwargs)
+    config = SweepConfig(**kwargs)
+    if unchecked_p_values is not None:
+        config.p_values = unchecked_p_values
+    return config
 
 
 # --------------------------------------------------------------------- serial

@@ -163,6 +163,37 @@ class TestSweepConfigValidation:
         with pytest.raises(ConfigurationError, match="gammas"):
             SweepConfig(gammas=())
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"p_values": (0.1, 1.5)},
+            {"p_values": (-0.1,)},
+            {"p_values": (float("nan"),)},
+            {"gammas": (0.5, 1.2)},
+            {"gammas": (-0.5,)},
+        ],
+    )
+    def test_grid_values_outside_unit_interval_rejected(self, grid):
+        from repro import SweepConfig
+
+        with pytest.raises(ConfigurationError, match=f"{next(iter(grid))} must be in \\[0, 1\\]"):
+            SweepConfig(**grid)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"p_values": (0.1, 0.1)},
+            {"p_values": (0.0, 0.05, 0.0)},
+            {"gammas": (0.5, 0.5)},
+        ],
+    )
+    def test_repeated_grid_values_rejected(self, grid):
+        """A repeated value would compute (and report) the same points twice."""
+        from repro import SweepConfig
+
+        with pytest.raises(ConfigurationError, match=f"{next(iter(grid))} must not repeat"):
+            SweepConfig(**grid)
+
     def test_non_config_analysis_rejected(self):
         from repro import SweepConfig
 

@@ -29,6 +29,17 @@ from repro.core.engine import _build_tasks
 PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
+def with_unchecked_p_values(config: SweepConfig, p_values) -> SweepConfig:
+    """``config`` with a p grid set after validation.
+
+    ``SweepConfig`` rejects a p outside [0, 1]; set afterwards, such a point
+    raises inside the engine instead, which is what the failure-isolation
+    tests need.
+    """
+    config.p_values = p_values
+    return config
+
+
 def small_grid(**engine_kwargs) -> SweepConfig:
     return SweepConfig(
         p_values=(0.0, 0.15, 0.3),
@@ -103,8 +114,8 @@ class TestFailureIsolation:
     def failing_grid(self, workers: int) -> SweepConfig:
         # p = 1.5 is invalid and raises inside the worker; baselines are
         # disabled so the parent never touches the bad point itself.
-        return SweepConfig(
-            p_values=(0.1, 1.5, 0.3),
+        config = SweepConfig(
+            p_values=(0.1, 0.3),
             gammas=(0.5,),
             attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
             include_honest=False,
@@ -112,6 +123,7 @@ class TestFailureIsolation:
             analysis=AnalysisConfig(epsilon=1e-2),
             workers=workers,
         )
+        return with_unchecked_p_values(config, (0.1, 1.5, 0.3))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_point_is_isolated(self, workers):
@@ -361,7 +373,7 @@ class TestMonotonePAxisBoundReuse:
 
     def test_failure_resets_the_bound_chain(self):
         config = SweepConfig(
-            p_values=(0.1, 1.5, 0.3),
+            p_values=(0.1, 0.3),
             gammas=(0.5,),
             attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
             include_honest=False,
@@ -369,7 +381,7 @@ class TestMonotonePAxisBoundReuse:
             analysis=AnalysisConfig(epsilon=1e-2),
             reuse_p_axis_bounds=True,
         )
-        sweep = run_sweep(config)
+        sweep = run_sweep(with_unchecked_p_values(config, (0.1, 1.5, 0.3)))
         assert [point.p for point in sweep.points] == [0.1, 0.3]
         assert len(sweep.failures) == 1
 

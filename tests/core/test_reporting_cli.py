@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import math
 
 import pytest
@@ -479,6 +480,24 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "must be a probability in [0, 1]" in capsys.readouterr().err
 
+    def test_no_lint_subcommand(self, capsys):
+        """The source invariants are a tier-1 test, not a shipped command."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.lint")
+
+    @pytest.mark.parametrize("p_step", ["0.00003", "0.00009", "0", "-0.05", "nan"])
+    def test_p_step_below_grid_resolution_rejected(self, monkeypatch, capsys, p_step):
+        """The grid is rounded to 4 decimals: a finer step would repeat p values."""
+        monkeypatch.setattr(cli, "run_sweep", pytest.fail)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--p-max", "0.0001", "--p-step", p_step])
+        assert excinfo.value.code == 2
+        assert "must be at least 0.0001" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "p_max, p_step, expected",
         [
@@ -487,6 +506,7 @@ class TestCli:
             ("0.15", "0.05", (0.0, 0.05, 0.1, 0.15)),
             ("1", "0.6", (0.0, 0.6)),
             ("0", "0.05", (0.0,)),
+            ("0.0003", "0.0001", (0.0, 0.0001, 0.0002, 0.0003)),
         ],
     )
     def test_sweep_p_grid_stops_at_p_max(self, monkeypatch, capsys, p_max, p_step, expected):

@@ -7,8 +7,9 @@ The primal LP (Puterman 1994, Section 9.3) over variables ``g`` (gain) and
     subject to  g + h(s) - sum_{s'} P(s'|s,a) h(s')  >=  r(s, a)     for all (s, a)
 
 For unichain MDPs its optimal value equals the optimal mean payoff.  The LP is
-solved with scipy's HiGHS backend.  This solver is mainly used as an independent
-cross-check of value / policy iteration on small and medium models.
+solved with scipy's HiGHS backend.  No certified path solves an LP: this is a
+test oracle, an independent cross-check of policy and value iteration on small
+and medium models (``tests/mdp`` and ``tests/analysis`` import it).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
-from ..exceptions import SolverError
-from .model import MDP
-from .strategy import Strategy
+from repro.exceptions import SolverError
+from repro.mdp import MDP, Strategy
 
 
 @dataclass
@@ -52,10 +53,6 @@ def solve_mean_payoff_lp(mdp: MDP, reward_weights: Sequence[float]) -> LinearPro
     Raises:
         SolverError: If the LP solver does not report success.
     """
-    # Imported here: scipy.optimize is slow to import and no certified path
-    # solves an LP.
-    from scipy.optimize import linprog
-
     num_states = mdp.num_states
     num_rows = mdp.num_rows
     row_rewards = mdp.expected_row_rewards(reward_weights)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lp_oracle import solve_mean_payoff_lp
 from repro.mdp import (
     MDPBuilder,
     Strategy,
     induced_markov_chain,
     policy_iteration,
     relative_value_iteration,
-    solve_mean_payoff_lp,
     validate_mdp,
 )
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from lp_oracle import solve_mean_payoff_lp
 from repro.exceptions import ConvergenceError, SolverError
 from repro.mdp import (
     SOLVER_BACKENDS,
@@ -12,7 +13,6 @@ from repro.mdp import (
     relative_value_iteration,
     solve_mean_payoff,
     solve_mean_payoff_batch,
-    solve_mean_payoff_lp,
 )
 
 
@@ -152,7 +152,7 @@ class TestSolveMeanPayoffFrontend:
             solve_mean_payoff(choice_mdp(), [1.0], solver="magic")
 
     def test_only_pi_and_vi_are_backends(self):
-        # The LP stays a test-only reference (solve_mean_payoff_lp), not a backend.
+        # The LP stays a test oracle (tests/mdp/lp_oracle.py), not a backend.
         assert SOLVER_BACKENDS == ("policy_iteration", "value_iteration")
         with pytest.raises(SolverError):
             solve_mean_payoff(stochastic_mdp(), [1.0], solver="linear_program")
