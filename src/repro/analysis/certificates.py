@@ -3,16 +3,17 @@
 The correctness of Algorithm 1 rests on structural facts about the selfish-mining
 MDP that the paper proves on paper (Appendix C):
 
-1. every strategy induces a chain with a single recurrent class containing the
-   initial state (ergodicity / unichain),
-2. the long-run rate of finalised blocks is strictly positive (at least
-   ``delta = (1-p) / (1-p + p*d*f)``), and
+1. every strategy induces a chain with a single recurrent class (unichain),
+2. the long-run rate of finalised blocks is strictly positive under every
+   strategy, and
 3. the optimal mean payoff ``MP*_beta`` is monotonically decreasing in ``beta``.
 
-These checks give a mechanical, per-model confirmation of those premises
-(sampling strategies for 1, evaluating the honest and optimal strategies for 2,
-probing a beta grid for 3).  They are exercised by the test suite and exposed to
-users who modify the model.
+:func:`check_theorem_premises` decides 1 and 2 exactly on a given model:
+premise 1 through :func:`~repro.mdp.unavoidable_state` (a state that every
+strategy reaches almost surely from everywhere), and premise 2 as the minimum
+block rate over all strategies, one mean-payoff solve of the negated rate.
+Premise 3 is probed on a beta grid.  The test suite runs the checks, and users
+who modify the model can run them too.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..config import AnalysisConfig
-from ..exceptions import SolverError
-from ..mdp import MDP, Strategy, induced_markov_chain, is_unichain, solve_mean_payoff
+from ..mdp import MDP, solve_mean_payoff, unavoidable_state
 from .rewards import TOTAL_WEIGHTS, beta_reward_weights
 
 
@@ -31,9 +31,11 @@ class CertificateReport:
     """Outcome of :func:`check_theorem_premises`.
 
     Attributes:
-        unichain: Whether all sampled strategies induced a single recurrent class.
-        min_total_block_rate: Smallest long-run finalised-block rate observed
-            (NaN if a chain's stationary distribution could not be solved).
+        unichain: Whether some state is reached almost surely from every state
+            under every strategy, which makes every strategy unichain.
+        min_total_block_rate: Minimum long-run finalised-block rate over all
+            strategies (NaN when the model is not known to be unichain, where
+            the rate may depend on the start state).
         monotone: Whether the probed optimal mean payoffs were non-increasing in beta.
         probed_betas: The beta grid probed for monotonicity.
         probed_gains: The corresponding optimal mean payoffs.
@@ -58,41 +60,39 @@ def check_theorem_premises(
     *,
     config: Optional[AnalysisConfig] = None,
     betas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    strategy_samples: int = 10,
     monotonicity_tolerance: float = 1e-7,
-    seed: int = 0,
 ) -> CertificateReport:
     """Mechanically check the premises of Theorem 3.1 on a constructed MDP.
 
     Args:
         mdp: The selfish-mining MDP to check.
-        config: Solver configuration for the monotonicity probe.
+        config: Solver configuration for the block-rate solve and the
+            monotonicity probe.
         betas: Beta grid probed for monotonicity of the optimal mean payoff.
-        strategy_samples: Number of random strategies sampled for the unichain check.
         monotonicity_tolerance: Allowed numerical violation of monotonicity.
-        seed: Seed of the random strategy sampler.
     """
     config = config or AnalysisConfig()
     problems: List[str] = []
 
-    # Premise 1: unichain under sampled strategies.
-    unichain = is_unichain(mdp, samples=strategy_samples, seed=seed)
+    # Premise 1: an unavoidable state makes every strategy unichain.
+    unichain = unavoidable_state(mdp) is not None
     if not unichain:
-        problems.append("a sampled strategy induced more than one recurrent class")
+        problems.append("no state is unavoidable, so some strategy may be multichain")
 
-    # Premise 2: positive long-run finalised-block rate under representative strategies.
-    min_rate = float("inf")
-    for strategy in (Strategy.first_action(mdp),):
-        chain = induced_markov_chain(mdp, strategy)
-        try:
-            rate = float(chain.long_run_reward() @ TOTAL_WEIGHTS)
-        except SolverError as exc:
-            problems.append(f"long-run finalised-block rate is undefined: {exc}")
-            min_rate = float("nan")
-            break
-        min_rate = min(min_rate, rate)
-    if min_rate <= 0.0:
-        problems.append(f"long-run finalised-block rate {min_rate} is not positive")
+    # Premise 2: the minimum finalised-block rate over all strategies is positive.
+    if unichain:
+        min_rate = -solve_mean_payoff(
+            mdp,
+            [-weight for weight in TOTAL_WEIGHTS],
+            solver=config.solver,
+            tolerance=config.solver_tolerance,
+            max_iterations=config.max_solver_iterations,
+        ).gain
+        if min_rate <= 0.0:
+            problems.append(f"long-run finalised-block rate {min_rate} is not positive")
+    else:
+        min_rate = float("nan")
+        problems.append("long-run finalised-block rate is undefined: the model is not unichain")
 
     # Premise 3: MP*_beta non-increasing in beta.
     gains: List[float] = []

@@ -22,7 +22,7 @@ from .mean_payoff import (
     solve_mean_payoff,
     solve_mean_payoff_batch,
 )
-from .reachability import end_components, is_unichain, reachable_states
+from .reachability import end_components, reachable_states, unavoidable_state
 from .validation import validate_mdp
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "solve_mean_payoff",
     "solve_mean_payoff_batch",
     "end_components",
-    "is_unichain",
     "reachable_states",
+    "unavoidable_state",
     "validate_mdp",
 ]

@@ -8,13 +8,14 @@ import pytest
 from lp_oracle import solve_mean_payoff_lp
 from repro.config import AnalysisConfig
 from repro.analysis import (
+    TOTAL_WEIGHTS,
     check_theorem_premises,
     dinkelbach_analysis,
     evaluate_strategy_errev,
     formal_analysis,
 )
 from repro.analysis.rewards import beta_reward_weights
-from repro.mdp import solve_mean_payoff
+from repro.mdp import Strategy, induced_markov_chain, solve_mean_payoff
 
 SOLVERS = ["policy_iteration", "value_iteration"]
 
@@ -212,9 +213,7 @@ class TestSolverAblation:
 
 class TestCertificates:
     def test_premises_hold_on_small_model(self, model_d1f1):
-        report = check_theorem_premises(
-            model_d1f1.mdp, config=AnalysisConfig(epsilon=1e-3), strategy_samples=5
-        )
+        report = check_theorem_premises(model_d1f1.mdp, config=AnalysisConfig(epsilon=1e-3))
         assert report.all_hold
         assert report.unichain
         assert report.monotone
@@ -225,7 +224,6 @@ class TestCertificates:
             model_d2f1.mdp,
             config=AnalysisConfig(epsilon=1e-3),
             betas=(0.0, 0.5, 1.0),
-            strategy_samples=3,
         )
         assert report.probed_gains[0] >= report.probed_gains[1] >= report.probed_gains[2]
 
@@ -234,7 +232,16 @@ class TestCertificates:
             model_d2f1.mdp,
             config=AnalysisConfig(epsilon=1e-3),
             betas=(0.0, 1.0),
-            strategy_samples=2,
         )
         assert report.probed_gains[0] > 0.0
         assert report.probed_gains[-1] < 0.0
+
+    def test_min_block_rate_is_below_the_first_action_rate(self, model_d2f2):
+        """The minimum over strategies, not the rate of one representative strategy."""
+        mdp = model_d2f2.mdp
+        report = check_theorem_premises(mdp, betas=())
+        first_action = induced_markov_chain(mdp, Strategy.first_action(mdp))
+        first_action_rate = float(first_action.long_run_reward() @ TOTAL_WEIGHTS)
+        assert first_action_rate == pytest.approx(0.226831, abs=1e-6)
+        assert report.min_total_block_rate == pytest.approx(0.2227322, abs=1e-7)
+        assert report.all_hold
