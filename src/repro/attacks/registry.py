@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Tuple, Type, TypeVar
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
 from ..config import AttackParams, ProtocolParams, _register_scenario_name
 from ..exceptions import ConfigurationError, ModelError
+from ..mdp.model import MDP, ColumnOrder
 from .fork_state import (
     PROB_ADVERSARY,
     PROB_GAMMA,
@@ -44,9 +45,6 @@ from .fork_state import (
     PROB_ONE_MINUS_GAMMA,
     PROB_ONE_MINUS_GAMMA_HONEST,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..mdp import MDP
 
 
 @dataclass(frozen=True)
@@ -162,6 +160,9 @@ class ScenarioStructure:
         self._trans_row = np.repeat(
             np.arange(self.num_rows, dtype=np.int64), np.diff(row_trans_offsets)
         )
+        # The Poisson column order of every instantiated model, computed by the
+        # first policy evaluation that needs it (the successors fix it, not p or gamma).
+        self.column_order = ColumnOrder()
 
     # -------------------------------------------------------------------- refill
 
@@ -174,15 +175,13 @@ class ScenarioStructure:
         """
         return self.trans_reward
 
-    def instantiate(self, protocol: ProtocolParams) -> "MDP":
+    def instantiate(self, protocol: ProtocolParams) -> MDP:
         """Refill the probability array for ``protocol`` and return the MDP.
 
         Raises:
             ModelError: If ``protocol`` has a different support signature than
                 the one this structure was explored for.
         """
-        from ..mdp import MDP
-
         signature = SupportSignature.of(protocol)
         if signature != self.signature:
             raise ModelError(
@@ -222,6 +221,7 @@ class ScenarioStructure:
             trans_reward=self._rewards_for(protocol),
             row_actions=self.row_actions,
             state_labels=self.state_labels,
+            column_order=self.column_order,
         )
 
     # ------------------------------------------------------------- scenario hooks
@@ -282,7 +282,7 @@ class ScenarioStructure:
         raise NotImplementedError(f"{cls.__name__} does not implement simulate()")
 
     @classmethod
-    def honest_strategy(cls, mdp: "MDP") -> object:
+    def honest_strategy(cls, mdp: MDP) -> object:
         """In-MDP strategy emulating protocol-following behaviour (baseline)."""
         raise NotImplementedError(f"{cls.__name__} does not implement honest_strategy()")
 

@@ -11,20 +11,30 @@ sorted, duplicate successors merged, zeros pruned, exactly as scipy computes
 that generator, so :func:`row_table` computes all of them once per model, with
 one scipy subtraction, and :func:`induced_markov_chain` is one row gather from
 that table.  Both linear systems are then assembled directly as CSC arrays,
-without sparse arithmetic: the Poisson system from a stable sort of the
-generator by column, the stationary system from the generator rows negated
-(``-(1 - p) == p - 1`` exactly in IEEE arithmetic).  The arrays equal those of
-the scipy expressions ``(I - P)`` and ``(P^T - I)`` bit for bit, so every
-solve gives the values it gave before.
+without sparse arithmetic: the stationary system from the generator rows
+negated (``-(1 - p) == p - 1`` exactly in IEEE arithmetic), bit for bit the
+arrays of the scipy expression ``(P^T - I)``, and the Poisson system from a
+stable sort of the generator by column position.
+
+The Poisson system's columns come in a fill-reducing order that is computed
+once per sparsity pattern, not once per strategy.  Every chain of a model
+draws its rows from the same union pattern, which does not depend on the
+probabilities, so :meth:`MarkovChain.column_rank` takes COLAMD's order of that
+pattern (Davis et al., ACM TOMS 30(3), 2004) once and keeps it in the model's
+:class:`~repro.mdp.model.ColumnOrder`, which a skeleton shares with every
+model it instantiates.  The matrix is assembled with its columns already in
+that order, SuperLU factors it with the natural order, and
+:meth:`MarkovChain.gain_and_bias` gathers ``(h, g)`` back.  The arrays are
+those of ``(I - P)`` with the bias columns permuted, bit for bit.
 
 The Poisson matrix does not depend on the rewards, so
 :meth:`MarkovChain.poisson_factor` factors it once (SuperLU via ``splu``) and
 :meth:`MarkovChain.gain_and_bias` solves any reward weighting with that
 factor; policy iteration keeps the factor of the strategy it evaluates across
-solves.  The factor is bit-identical to the one ``spsolve`` builds internally
-(same SuperLU, COLAMD ordering and pivot threshold), so reuse changes no value.
-The stationary system is solved once per chain by ``spsolve``.  A singular
-system (the chain is not unichain) raises ``SolverError``.
+solves.  Refactoring the same chain gives the same factor bit for bit, so
+reuse changes no value.  The stationary system is solved once per chain by
+``spsolve``.  A singular system (the chain is not unichain) raises
+``SolverError``.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..exceptions import ModelError, SolverError
-from .model import MDP
+from .model import MDP, ColumnOrder
 from .strategy import Strategy
 
 _NOT_UNICHAIN = (
@@ -114,6 +124,33 @@ def _generator_rows(
     )
 
 
+def _fill_reducing_rank(
+    num_states: int, owners: np.ndarray, successors: np.ndarray, reference_state: int
+) -> np.ndarray:
+    """Column position of every state in the Poisson systems of one sparsity pattern.
+
+    The pattern is the union of the Poisson systems whose row ``s`` has entries
+    in the columns ``successors[owners == s]``: those entries, the diagonal,
+    the gain column ``n`` and the row ``h[ref] = 0``.  SuperLU computes COLAMD's
+    order, and its elimination-tree postorder, from the pattern alone.  An
+    incomplete factorization of a strictly diagonally dominant proxy with that
+    pattern returns that order without the full factorization's fill, and
+    never meets a singular pivot.  The states keep COLAMD's relative order and
+    the gain column goes last; the position is held in the narrowest unsigned
+    dtype, which lets numpy's stable sort use radix sort up to 65,536 states.
+    """
+    n = num_states
+    rows = np.concatenate((owners, np.arange(n + 1), np.arange(n), [n]))
+    cols = np.concatenate((successors, np.arange(n + 1), np.full(n, n), [reference_state]))
+    proxy = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
+    proxy.data[:] = 1.0  # duplicates were summed
+    proxy.setdiag(n + 2.0)
+    position = spla.spilu(proxy, drop_tol=0.5, fill_factor=1, diag_pivot_thresh=0).perm_c
+    rank = np.argsort(np.argsort(position[:n])).astype(np.min_scalar_type(n))
+    rank.flags.writeable = False
+    return rank
+
+
 class MarkovChain:
     """A finite Markov chain with per-state expected reward vectors.
 
@@ -125,8 +162,11 @@ class MarkovChain:
 
     _rows: GeneratorRows
     _transition_matrix: Optional[sp.csr_matrix]
-    #: The model and chosen rows an induced chain gathers its transition matrix from.
-    _source: Tuple[MDP, np.ndarray]
+    #: The model and chosen rows an induced chain gathers its transition
+    #: matrix from; ``None`` for a chain of an explicit matrix.
+    _source: Optional[Tuple[MDP, np.ndarray]]
+    #: The model's column order for an induced chain, a private one otherwise.
+    _order: ColumnOrder
 
     def __init__(
         self,
@@ -138,6 +178,8 @@ class MarkovChain:
         matrix = sp.csr_matrix(transition_matrix, copy=True)
         self._rows = _generator_rows(matrix, np.arange(matrix.shape[0]), expected_rewards)
         self._transition_matrix = matrix
+        self._source = None
+        self._order = ColumnOrder()
         self.initial_state = int(initial_state)
 
     @classmethod
@@ -150,6 +192,7 @@ class MarkovChain:
         )
         chain._transition_matrix = None
         chain._source = (mdp, rows)
+        chain._order = mdp.column_order
         chain.initial_state = mdp.initial_state
         return chain
 
@@ -167,6 +210,7 @@ class MarkovChain:
     def transition_matrix(self) -> sp.csr_matrix:
         """Sparse ``(n, n)`` row-stochastic matrix, built on first access."""
         if self._transition_matrix is None:
+            assert self._source is not None
             mdp, rows = self._source
             indptr, picked = _row_gather(mdp.row_trans_offsets, rows)
             matrix = sp.csr_matrix(
@@ -256,26 +300,49 @@ class MarkovChain:
             return averages
         return np.asarray([float(averages @ np.asarray(weights, dtype=float))])
 
+    def column_rank(self) -> np.ndarray:
+        """Return the Poisson column position of every state; the gain's column is last.
+
+        Computed from the union pattern of the chain's model (or of the chain
+        itself, for an explicit matrix) on first use, and shared with every
+        chain of that model.
+        """
+        order = self._order
+        if order.rank is None:
+            if self._source is None:
+                successors = self._rows.indices
+                owners = np.repeat(np.arange(self.num_states), np.diff(self._rows.indptr))
+            else:
+                mdp = self._source[0]
+                successors = mdp.trans_succ
+                owners = np.repeat(mdp.row_state, np.diff(mdp.row_trans_offsets))
+            order.rank = _fill_reducing_rank(
+                self.num_states, owners, successors, self.initial_state
+            )
+        return order.rank
+
     def poisson_matrix(self, reference_state: int = 0) -> sp.csc_matrix:
         """Return the unichain Poisson system ``h + g = r + P h``, ``h[ref] = 0``.
 
-        Unknowns are ``h[0..n-1]`` and ``g`` (column ``n``).  Equation ``s``
-        is ``h[s] - sum_t P[s,t] h[t] + g = r[s]``; equation ``n`` is the
-        normalisation ``h[ref] = 0``.
+        Unknowns are ``h[0..n-1]``, in columns ``rank = column_rank()``, and
+        ``g`` in column ``n``.  Equation ``s`` is ``h[s] - sum_t P[s,t] h[t] + g
+        = r[s]``; equation ``n`` is the normalisation ``h[ref] = 0``.
         """
         n = self.num_states
+        rank = self.column_rank()
         indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
-        # CSR to CSC: a stable sort by column keeps each column's rows increasing.
-        order = np.argsort(indices, kind="stable")
+        # CSR to CSC: a stable sort by column position keeps each column's rows increasing.
+        position = rank[indices]
+        order = np.argsort(position, kind="stable")
         rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))[order]
         values = data[order]
-        counts = np.bincount(indices, minlength=n)
-        counts[reference_state] += 1
+        counts = np.bincount(position, minlength=n)
+        counts[rank[reference_state]] += 1
         col_ptr = np.zeros(n + 2, dtype=indptr.dtype)
         np.cumsum(counts, out=col_ptr[1 : n + 1])
         col_ptr[n + 1] = col_ptr[n] + n
         # Row n is the last entry of column ref; column n holds the ones of g.
-        at = col_ptr[reference_state + 1] - 1
+        at = col_ptr[rank[reference_state] + 1] - 1
         return sp.csc_matrix(
             (
                 np.concatenate((values[:at], [1.0], values[at:], np.ones(n))),
@@ -288,16 +355,19 @@ class MarkovChain:
     def poisson_factor(self, reference_state: int = 0) -> spla.SuperLU:
         """Factor :meth:`poisson_matrix` for ``reference_state``.
 
-        The matrix depends on the transition matrix and the reference state
-        only, never on the rewards, so one factor serves every reward weighting
-        passed to :meth:`gain_and_bias`.
+        The columns are already in the chain's fill-reducing order, so SuperLU
+        keeps their order (``permc_spec="NATURAL"``).  The matrix depends on
+        the transition matrix and the reference state only, never on the
+        rewards, so one factor serves every reward weighting passed to
+        :meth:`gain_and_bias`; factoring the same chain again gives the same
+        factor bit for bit.
 
         Raises:
             SolverError: If the system is exactly singular, i.e. the chain is
                 not unichain and its gain and bias are not unique.
         """
         try:
-            return spla.splu(self.poisson_matrix(reference_state))
+            return spla.splu(self.poisson_matrix(reference_state), permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SolverError(_NOT_UNICHAIN) from exc
 
@@ -331,7 +401,7 @@ class MarkovChain:
         # A numerically singular factor solves without error but yields NaN/inf.
         if not np.all(np.isfinite(solution)):
             raise SolverError(_NOT_UNICHAIN)
-        h = np.asarray(solution[:n], dtype=float)
+        h = np.asarray(solution[self.column_rank()], dtype=float)
         g = float(solution[n])
         return g, h
 

@@ -78,7 +78,8 @@ def solve_mean_payoff(
         solver: ``"policy_iteration"`` (default; exact) or
             ``"value_iteration"`` (certified bounds).
         tolerance: Numerical tolerance of the backend.
-        max_iterations: Iteration budget of the backend.
+        max_iterations: Iteration budget of the backend: policy-improvement
+            rounds or value-iteration sweeps.
         warm_start: Optional strategy to warm-start policy iteration with (its
             initial policy).
         warm_start_bias: Optional bias vector to warm-start value iteration with
@@ -93,13 +94,15 @@ def solve_mean_payoff(
 
     Raises:
         SolverError: If ``solver`` is not a known backend.
+        ConvergenceError: If the backend does not converge within
+            ``max_iterations``.
     """
     if solver == "policy_iteration":
         result = policy_iteration(
             mdp,
             reward_weights,
             tolerance=tolerance,
-            max_iterations=max(100, min(max_iterations, 10_000)),
+            max_iterations=max_iterations,
             initial_strategy=warm_start,
             evaluation_slot=evaluation_slot,
         )

@@ -46,6 +46,25 @@ class TransitionRow:
     rewards: Tuple[Tuple[float, ...], ...]
 
 
+class ColumnOrder:
+    """The column order under which the Poisson systems of one sparsity pattern are factored.
+
+    Every strategy of a model picks one row per state, so the Poisson system of
+    any of its chains lies inside one union pattern, and that pattern depends
+    on the successors only, never on the probabilities.
+    :meth:`repro.mdp.MarkovChain.column_rank` computes the order on first use
+    and keeps it here.  A skeleton hands one instance to every model it
+    instantiates, so the order is computed once per skeleton and process.
+    Threads that race on the first use compute the same order; either is kept.
+
+    Attributes:
+        rank: Column position of every state, read-only; ``None`` until computed.
+    """
+
+    def __init__(self) -> None:
+        self.rank: Optional[np.ndarray] = None
+
+
 class MDP:
     """A finite Markov decision process in sparse explicit form.
 
@@ -67,6 +86,8 @@ class MDP:
         trans_reward: Reward vectors per transition, shape ``(num_transitions, k)``.
         row_actions: Action label per row (python list).
         state_labels: Optional hashable label per state (python list).
+        column_order: The fill-reducing column order of this model's Poisson
+            systems; shared with every model of the same skeleton.
     """
 
     def __init__(
@@ -82,6 +103,7 @@ class MDP:
         trans_reward: np.ndarray,
         row_actions: List[Hashable],
         state_labels: Optional[List[Hashable]] = None,
+        column_order: Optional[ColumnOrder] = None,
     ) -> None:
         self.num_states = int(num_states)
         self.initial_state = int(initial_state)
@@ -101,6 +123,7 @@ class MDP:
         self._label_to_state: Optional[Dict[Hashable, int]] = None
         # Built by repro.mdp.markov_chain.row_table on the first chain of this model.
         self._row_table: Optional["GeneratorRows"] = None
+        self.column_order = column_order if column_order is not None else ColumnOrder()
 
     # ------------------------------------------------------------------ queries
 

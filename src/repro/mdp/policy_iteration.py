@@ -82,8 +82,7 @@ class PolicyIterationResult:
 
 
 def _greedy_improvement(
-    mdp: MDP, row_rewards: np.ndarray, bias: np.ndarray, gain: float, current_rows: np.ndarray,
-    tolerance: float,
+    mdp: MDP, row_rewards: np.ndarray, bias: np.ndarray, current_rows: np.ndarray, tolerance: float
 ) -> np.ndarray:
     """Return improved row choices; ties are broken in favour of the incumbent."""
     continuation = mdp.trans_prob * bias[mdp.trans_succ]
@@ -150,7 +149,7 @@ def policy_iteration(
         gain, bias = evaluation.chain.gain_and_bias(
             reward_weights, reference_state=mdp.initial_state, factor=evaluation.factor
         )
-        new_rows = _greedy_improvement(mdp, row_rewards, bias, gain, rows, tolerance)
+        new_rows = _greedy_improvement(mdp, row_rewards, bias, rows, tolerance)
         if np.array_equal(new_rows, rows):
             converged = True
             break

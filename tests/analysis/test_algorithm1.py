@@ -7,6 +7,7 @@ import pytest
 
 from lp_oracle import solve_mean_payoff_lp
 from repro.config import AnalysisConfig
+from repro.exceptions import ConvergenceError
 from repro.analysis import (
     TOTAL_WEIGHTS,
     check_theorem_premises,
@@ -144,6 +145,14 @@ class TestAlgorithm1:
         assert result.errev_lower_bound == pytest.approx(
             analysis_d2f1.errev_lower_bound, abs=2e-3
         )
+
+    def test_solver_budget_reaches_policy_iteration(self, model_d2f1):
+        # The first solve starts from the first-action strategy and needs
+        # several improvement rounds, so a budget of one must be exhausted.
+        with pytest.raises(ConvergenceError):
+            formal_analysis(
+                model_d2f1.mdp, AnalysisConfig(epsilon=1e-2, max_solver_iterations=1)
+            )
 
     def test_invalid_interval_rejected(self, model_d2f1):
         with pytest.raises(ValueError):

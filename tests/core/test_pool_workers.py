@@ -27,6 +27,7 @@ from repro.attacks.registry import ScenarioStructure
 from repro.attacks.structure import replace_structure_cache
 from repro.core import execute_sweep
 from repro.exceptions import ModelError
+from repro.mdp import Strategy, induced_markov_chain
 
 PROTOCOL = ProtocolParams(p=0.3, gamma=0.5)
 ATTACK = AttackParams(depth=2, forks=1, max_fork_length=4)
@@ -175,6 +176,21 @@ def test_installed_skeleton_is_read_only(family, name):
     replace_structure_cache([copy])
     assert get_model_structure(ATTACKS[family], PROTOCOL) is copy
     assert_read_only(getattr(copy, name))
+
+
+def test_installed_column_order_is_shared_and_read_only():
+    """A skeleton's Poisson column order travels with it and is frozen like its arrays."""
+    structure = get_model_structure(ATTACK, PROTOCOL)
+    mdp = structure.instantiate(PROTOCOL)
+    rank = induced_markov_chain(mdp, Strategy.first_action(mdp)).column_rank()
+    assert rank is structure.column_order.rank
+    assert_read_only(rank)
+    copy = pickle.loads(pickle.dumps(structure, protocol=4))
+    assert copy.column_order.rank.flags.writeable
+    replace_structure_cache([copy])
+    assert_read_only(copy.column_order.rank)
+    assert np.array_equal(copy.column_order.rank, rank)
+    assert copy.instantiate(PROTOCOL).column_order is copy.column_order
 
 
 def test_models_share_the_frozen_arrays():

@@ -6,8 +6,10 @@ table of ``E - P`` rows.  This module keeps the construction it replaced,
 written with scipy sparse arithmetic: gather the chosen rows of the MDP into a
 CSR ``P`` and merge duplicate successors, then form ``(I - P)`` or
 ``(P^T - I)``, go through COO to add the extra entries, and convert to CSC.
-``test_chain_oracle.py`` asserts that both constructions hand SuperLU the same
-arrays, bit for bit.
+The Poisson system's columns are then permuted into the chain's column order
+with scipy's column indexing.  ``test_chain_oracle.py`` asserts that both
+constructions hand SuperLU the same arrays, bit for bit.  :func:`gain_and_bias`
+solves the unpermuted system under SuperLU's own per-matrix COLAMD order.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 def induced_transition_matrix(mdp, rows: np.ndarray) -> Tuple[sp.csr_matrix, np.ndarray]:
@@ -32,14 +35,28 @@ def induced_transition_matrix(mdp, rows: np.ndarray) -> Tuple[sp.csr_matrix, np.
     return matrix, expected
 
 
-def poisson_matrix(transition_matrix: sp.csr_matrix, reference_state: int) -> sp.csc_matrix:
-    """``h + g = r + P h`` with ``h[ref] = 0``: unknowns ``h`` and ``g`` (column n)."""
+def poisson_matrix(
+    transition_matrix: sp.csr_matrix, reference_state: int, rank: np.ndarray
+) -> sp.csc_matrix:
+    """``h + g = r + P h`` with ``h[ref] = 0``: ``h[s]`` in column ``rank[s]``, ``g`` in n."""
     n = transition_matrix.shape[0]
     poisson = (sp.identity(n, format="csr") - transition_matrix).tocoo()
     data = np.concatenate([poisson.data, np.ones(n), [1.0]])
     row = np.concatenate([poisson.row, np.arange(n), [n]])
     col = np.concatenate([poisson.col, np.full(n, n), [reference_state]])
-    return sp.coo_matrix((data, (row, col)), shape=(n + 1, n + 1)).tocsc()
+    natural = sp.coo_matrix((data, (row, col)), shape=(n + 1, n + 1)).tocsc()
+    columns = np.append(np.argsort(rank), n)
+    return natural[:, columns]
+
+
+def gain_and_bias(
+    transition_matrix: sp.csr_matrix, rewards: np.ndarray, reference_state: int
+) -> Tuple[float, np.ndarray]:
+    """``(g, h)`` of the Poisson system in natural column order, factored under COLAMD."""
+    n = transition_matrix.shape[0]
+    system = poisson_matrix(transition_matrix, reference_state, np.arange(n))
+    solution = spla.splu(system).solve(np.append(rewards, 0.0))
+    return float(solution[n]), solution[:n]
 
 
 def stationary_matrix(transition_matrix: sp.csr_matrix) -> sp.csc_matrix:

@@ -2,10 +2,13 @@
 
 :class:`repro.mdp.MarkovChain` gathers an induced chain's generator ``I - P``
 from the model's row table and assembles the Poisson and stationary matrices
-directly as CSC arrays; :mod:`chain_oracle` builds them the way it replaced,
-through ``(I - P)`` and ``(P^T - I)``, COO and ``tocsc``.  For seeded random
-strategies the two must hand SuperLU the same ``indptr``, ``indices`` (dtype
-included) and ``data`` bytes, and the same expected rewards.  The cases cover a
+directly as CSC arrays, the Poisson system's columns already in the model's
+cached order; :mod:`chain_oracle` builds them the way it replaced, through
+``(I - P)`` and ``(P^T - I)``, COO and ``tocsc``, and permutes the Poisson
+columns by scipy indexing.  For seeded random strategies the two must hand
+SuperLU the same ``indptr``, ``indices`` (dtype included) and ``data`` bytes,
+and the same expected rewards; the gain and bias must agree within 1e-12 with
+a factorization of the unpermuted system under SuperLU's own COLAMD order.  The cases cover a
 repeated successor (``d=1,f=1``), a larger model (``d=2,f=2``), the ``p=0``
 model (its support signature drops the adversary's transitions, leaving a
 2-state cycle of probability-1 moves), and a toy model whose explicit zero
@@ -20,8 +23,9 @@ import os
 import numpy as np
 import pytest
 
-from chain_oracle import induced_transition_matrix, poisson_matrix, stationary_matrix
+from chain_oracle import gain_and_bias, induced_transition_matrix, poisson_matrix, stationary_matrix
 from repro import AttackParams, ProtocolParams
+from repro.analysis import beta_reward_weights
 from repro.attacks import build_selfish_forks_mdp
 from repro.mdp import MDP, Strategy, induced_markov_chain
 
@@ -98,8 +102,23 @@ def test_systems_equal_the_oracle_bit_for_bit(case):
         matrix, expected = induced_transition_matrix(mdp, strategy.rows)
         assert chain.expected_rewards.tobytes() == expected.tobytes()
         for reference in {mdp.initial_state, int(rng.integers(mdp.num_states))}:
-            assert_same_csc(chain.poisson_matrix(reference), poisson_matrix(matrix, reference))
+            assert_same_csc(
+                chain.poisson_matrix(reference),
+                poisson_matrix(matrix, reference, chain.column_rank()),
+            )
         assert_same_csc(chain.stationary_matrix(), stationary_matrix(matrix))
+
+
+def test_gain_and_bias_agree_with_a_colamd_factorization(case):
+    _, mdp, strategies = case
+    weights = beta_reward_weights(0.3)
+    for strategy in strategies:
+        chain = induced_markov_chain(mdp, strategy)
+        matrix, expected = induced_transition_matrix(mdp, strategy.rows)
+        gain, bias = chain.gain_and_bias(weights, mdp.initial_state)
+        want_gain, want_bias = gain_and_bias(matrix, expected @ weights, mdp.initial_state)
+        assert abs(gain - want_gain) <= 1e-12
+        assert np.max(np.abs(bias - want_bias)) <= 1e-12
 
 
 def test_transition_matrix_equals_the_oracle(case):

@@ -1,4 +1,4 @@
-"""Tests of induced Markov chains: stationary distributions, gain/bias, the row table."""
+"""Tests of induced Markov chains: stationary distribution, gain/bias, row table, column order."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from repro.analysis import (
     evaluate_strategy_errev,
     formal_analysis,
 )
-from repro.attacks import build_selfish_forks_mdp
+from repro.attacks import SelfishForksStructure, SupportSignature, build_selfish_forks_mdp
 from repro.exceptions import ModelError, SolverError
 from repro.mdp import (
     MDPBuilder,
@@ -98,14 +98,19 @@ class TestMarkovChain:
         assert bias[1] == pytest.approx(0.0, abs=1e-9)
 
 
+def stay_or_jump_mdp():
+    """State ``a`` stays or jumps to ``b``; ``b`` goes back."""
+    builder = MDPBuilder()
+    builder.add_action("a", "stay", [("a", 0.5, (1.0,)), ("b", 0.5, (0.0,))])
+    builder.add_action("a", "jump", [("b", 1.0, (0.0,))])
+    builder.add_action("b", "back", [("a", 1.0, (2.0,))])
+    return builder.build(initial_state="a")
+
+
 class TestInducedChain:
     @pytest.fixture()
     def mdp(self):
-        builder = MDPBuilder()
-        builder.add_action("a", "stay", [("a", 0.5, (1.0,)), ("b", 0.5, (0.0,))])
-        builder.add_action("a", "jump", [("b", 1.0, (0.0,))])
-        builder.add_action("b", "back", [("a", 1.0, (2.0,))])
-        return builder.build(initial_state="a")
+        return stay_or_jump_mdp()
 
     def test_induced_chain_shape(self, mdp):
         chain = induced_markov_chain(mdp, Strategy.first_action(mdp))
@@ -401,3 +406,56 @@ class TestRowTable:
         assert result.num_iterations > 1 and result.strategy_errev is not None
         assert built == [(mdp.num_rows, mdp.num_states)]
         assert {name: getattr(mdp, name).tobytes() for name in names} == before
+
+
+@pytest.fixture()
+def orders_computed(monkeypatch):
+    """Count the column orders computed (each is one incomplete factorization)."""
+    computed = []
+    compute = markov_chain._fill_reducing_rank
+
+    def counting_compute(*args):
+        computed.append(args[0])
+        return compute(*args)
+
+    monkeypatch.setattr(markov_chain, "_fill_reducing_rank", counting_compute)
+    return computed
+
+
+class TestColumnOrder:
+    """One fill-reducing Poisson column order per sparsity pattern, computed on first use."""
+
+    def test_instantiations_of_a_skeleton_share_one_order(self, orders_computed):
+        attack = AttackParams(depth=2, forks=1, max_fork_length=4)
+        points = [ProtocolParams(p=0.3, gamma=0.5), ProtocolParams(p=0.15, gamma=0.9)]
+        structure = SelfishForksStructure.explore(attack, SupportSignature.of(points[0]))
+        models = [structure.instantiate(point) for point in points]
+        # Neither exploring nor refilling computes the order.
+        assert structure.column_order.rank is None
+        for mdp in models:
+            assert mdp.column_order is structure.column_order
+            policy_iteration(mdp, beta_reward_weights(0.3))
+        assert orders_computed == [structure.num_states]
+        rank = structure.column_order.rank
+        assert sorted(rank.tolist()) == list(range(structure.num_states))
+        assert not rank.flags.writeable
+
+    def test_a_model_without_a_skeleton_orders_its_own_pattern(self, orders_computed):
+        mdp, other = stay_or_jump_mdp(), stay_or_jump_mdp()
+        for strategy in (Strategy.first_action(mdp), Strategy.from_action_map(mdp, {"a": "jump"})):
+            induced_markov_chain(mdp, strategy).gain_and_bias([1.0])
+        assert orders_computed == [2]
+        assert other.column_order is not mdp.column_order and other.column_order.rank is None
+
+    @SINGULAR
+    @pytest.mark.parametrize("kind", ["leaking", "absorbing"])
+    def test_multichain_patterns_are_ordered_and_their_own_factor_raises(self, kind):
+        if kind == "leaking":
+            mdp = multichain_mdp()
+            chain = induced_markov_chain(mdp, Strategy.first_action(mdp))
+        else:
+            # Every state absorbing: I - P has no entry left at all.
+            chain = MarkovChain(sp.identity(3, format="csr"), np.zeros((3, 1)))
+        assert sorted(chain.column_rank().tolist()) == list(range(chain.num_states))
+        with pytest.raises(SolverError, match="not unichain"):
+            chain.poisson_factor()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from lp_oracle import solve_mean_payoff_lp
+from repro.analysis import beta_reward_weights
 from repro.exceptions import ConvergenceError, SolverError
 from repro.mdp import (
     SOLVER_BACKENDS,
@@ -160,6 +161,15 @@ class TestSolveMeanPayoffFrontend:
     def test_bounds_contain_gain(self):
         solution = solve_mean_payoff(cycle_mdp(), [1.0], solver="value_iteration")
         assert solution.lower_bound <= solution.gain <= solution.upper_bound
+
+    def test_iteration_budget_is_passed_through(self, model_d2f1):
+        mdp = model_d2f1.mdp
+        weights = beta_reward_weights(0.3)
+        rounds = solve_mean_payoff(mdp, weights).iterations
+        assert rounds > 1
+        assert solve_mean_payoff(mdp, weights, max_iterations=rounds).iterations == rounds
+        with pytest.raises(ConvergenceError):
+            solve_mean_payoff(mdp, weights, max_iterations=rounds - 1)
 
     def test_warm_start_accepted(self):
         mdp = cycle_mdp()
