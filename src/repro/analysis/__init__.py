@@ -14,7 +14,7 @@ from .rewards import (
     TOTAL_WEIGHTS,
     beta_reward_weights,
 )
-from .errev import evaluate_strategy_errev, honest_reference_errev
+from .errev import evaluate_strategy_errev
 from .algorithm1 import FormalAnalysisResult, formal_analysis
 from .dinkelbach import DinkelbachResult, dinkelbach_analysis
 from .certificates import CertificateReport, check_theorem_premises
@@ -25,7 +25,6 @@ __all__ = [
     "TOTAL_WEIGHTS",
     "beta_reward_weights",
     "evaluate_strategy_errev",
-    "honest_reference_errev",
     "FormalAnalysisResult",
     "formal_analysis",
     "DinkelbachResult",

@@ -42,18 +42,3 @@ def evaluate_strategy_errev(mdp: MDP, strategy: Strategy) -> float:
     value = adversary_rate / total_rate
     # Guard against tiny negative values introduced by the linear algebra.
     return min(max(value, 0.0), 1.0)
-
-
-def honest_reference_errev(mdp: MDP) -> float:
-    """ERRev of the immediate-release (honest-emulating) strategy inside the MDP.
-
-    For ``d = f = 1`` this equals the adversary's resource fraction ``p``
-    exactly, which the test suite uses as an end-to-end check of the transition
-    kernel and the stationary analysis.  For larger ``d`` and ``f`` the value
-    differs from ``p`` because the model's adversary always mines on every fork
-    target; the closed-form honest baseline is
-    :func:`repro.attacks.honest.honest_errev`.
-    """
-    from ..attacks.honest import immediate_release_strategy
-
-    return evaluate_strategy_errev(mdp, immediate_release_strategy(mdp))

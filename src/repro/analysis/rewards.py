@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from .._validation import check_probability
 from ..attacks.fork_state import REWARD_ADVERSARY_INDEX, REWARD_HONEST_INDEX
 
@@ -45,34 +43,3 @@ def beta_reward_weights(beta: float) -> Tuple[float, float]:
     weights[REWARD_ADVERSARY_INDEX] = 1.0 - beta
     weights[REWARD_HONEST_INDEX] = -beta
     return (weights[0], weights[1])
-
-
-def reward_monotonicity_gap(beta_low: float, beta_high: float, total_rate: float) -> float:
-    """Lower bound on how much the optimal mean payoff drops from one beta to a larger one.
-
-    Because ``r_beta - r_beta' = (beta' - beta) * (r_A + r_H)`` and the long-run
-    rate of finalised blocks is at least ``total_rate`` under every strategy, the
-    optimal mean payoff decreases by at least ``(beta_high - beta_low) * total_rate``.
-    Used by the certificate checks.
-    """
-    if beta_high < beta_low:
-        raise ValueError("beta_high must be >= beta_low")
-    return (beta_high - beta_low) * max(total_rate, 0.0)
-
-
-def minimum_total_block_rate(p: float, d: int, f: int) -> float:
-    """The paper's lower bound ``delta = (1 - p) / (1 - p + p * d * f)``.
-
-    Appendix C shows that under every strategy the long-run rate at which blocks
-    are finalised is at least ``delta``, which makes the expected relative
-    revenue well defined and the binary search sound.
-    """
-    p = check_probability(p, "p")
-    if p == 1.0:
-        return 0.0
-    return (1.0 - p) / (1.0 - p + p * d * f)
-
-
-def combine_components(r_adversary: np.ndarray, r_honest: np.ndarray, beta: float) -> np.ndarray:
-    """Apply ``r_beta`` to explicit per-transition component arrays (helper for tests)."""
-    return r_adversary - beta * (r_adversary + r_honest)

@@ -1,13 +1,12 @@
 """Mining strategies and attack models.
 
-* :mod:`repro.attacks.registry` -- the attack-scenario registry, the one public
-  entry point for enumerating, selecting and registering attack families
-  (:func:`get_attack` / :func:`list_attacks` / :func:`register_attack`).
+* :mod:`repro.attacks.registry` -- the scenario interface and the fixed table
+  of the two attack families (:func:`get_attack`).
 * :mod:`repro.attacks.fork_state` / :mod:`repro.attacks.selfish_forks` -- the
   paper's multi-fork selfish-mining MDP (Section 3.2), the primary contribution,
-  registered as the ``"selfish-forks"`` scenario.
+  shipped as the ``"selfish-forks"`` scenario.
 * :mod:`repro.attacks.sm_actions` -- the classic ADOPT/OVERRIDE/WAIT/MATCH
-  action space (Sapirshtein et al.), registered as ``"sm-actions"``.
+  action space (Sapirshtein et al.), shipped as ``"sm-actions"``.
 * :mod:`repro.attacks.honest` -- the honest-mining baseline.
 * :mod:`repro.attacks.single_tree` -- the single-tree (Eyal-Sirer style) baseline.
 * :mod:`repro.attacks.eyal_sirer` -- the classic PoW selfish-mining closed form.
@@ -15,14 +14,7 @@
   discrete-time chain simulator for Monte-Carlo validation.
 """
 
-from .registry import (
-    ScenarioStructure,
-    get_attack,
-    list_attacks,
-    register_attack,
-    scenario_id_for,
-    unregister_attack,
-)
+from .registry import ScenarioStructure, get_attack, scenario_id_for
 from .fork_state import (
     ADVERSARY,
     HONEST,
@@ -66,10 +58,7 @@ from .sm_actions import (
 __all__ = [
     "ScenarioStructure",
     "get_attack",
-    "list_attacks",
-    "register_attack",
     "scenario_id_for",
-    "unregister_attack",
     "SmActionsModel",
     "SmActionsPolicy",
     "SmActionsStructure",

@@ -54,7 +54,7 @@ class AttackDecision:
 class MiningPolicy(ABC):
     """Abstract adversarial mining policy driven by a scenario's simulator.
 
-    The :data:`scenario_name` hook names the registered attack scenario whose
+    The :data:`scenario_name` hook names the attack scenario whose
     replay understands this policy's observation/decision contract; simulator
     front-ends use it to dispatch a policy to the matching scenario entry
     (see :func:`repro.attacks.registry.get_attack`).  Fork-window policies
@@ -63,7 +63,7 @@ class MiningPolicy(ABC):
     :class:`AttackDecision`; other scenarios may document different types.
     """
 
-    #: Registered scenario this policy replays under.
+    #: Scenario this policy replays under.
     scenario_name: ClassVar[str] = "selfish-forks"
 
     @abstractmethod

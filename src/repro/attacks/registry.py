@@ -1,4 +1,4 @@
-"""Attack-scenario registry: the public boundary between engine and attacks.
+"""Attack scenarios: the public boundary between engine and attacks.
 
 The sweep engine and its worker pool never care
 *which* attack family they are running -- they only need a handful of
@@ -13,14 +13,14 @@ capabilities from it:
   validating formal strategies by simulation.
 
 This module makes that implicit interface explicit.  A scenario is a
-:class:`ScenarioStructure` subclass registered under a name::
+:class:`ScenarioStructure` subclass that names itself in its own body::
 
-    @register_attack("selfish-forks")
-    class SelfishForksStructure(ScenarioStructure): ...
+    class SelfishForksStructure(ScenarioStructure):
+        SCENARIO_NAME = "selfish-forks"
 
-Consumers look scenarios up with :func:`get_attack` / :func:`list_attacks`,
-which return the registered classes themselves (every hook is a
-classmethod), and identify persisted results by the versioned id
+The set is closed: :func:`get_attack` looks a name up in a fixed table of
+the two shipped scenarios and returns the class itself (every hook is a
+classmethod).  Persisted results carry the versioned id
 :func:`scenario_id_for` (``"name@version"``).  The id is embedded in journal
 fingerprints and CSV rows, so mixed-scenario sweeps and resumes across
 scenario versions fail loudly.
@@ -28,13 +28,12 @@ scenario versions fail loudly.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, Type, TypeVar
+from typing import Hashable, List, Optional, Tuple, Type
 
 import numpy as np
 
-from ..config import AttackParams, ProtocolParams, _register_scenario_name
+from ..config import AttackParams, ProtocolParams
 from ..exceptions import ConfigurationError, ModelError
 from ..mdp.model import MDP, ColumnOrder
 from .fork_state import (
@@ -103,8 +102,8 @@ class ScenarioStructure:
     concrete :class:`~repro.mdp.MDP` for one parameter point by refilling only
     the probability array.
 
-    Subclasses registered with :func:`register_attack` additionally implement
-    the exploration (:meth:`explore`) and the replay glue
+    The two scenario subclasses (see :func:`get_attack`) additionally
+    implement the exploration (:meth:`explore`) and the replay glue
     (:meth:`make_policy` / :meth:`simulate`).  Bump :attr:`SCENARIO_VERSION`
     whenever the transition semantics change, so journals written by the old
     semantics are refused on resume instead of silently mixed in.
@@ -117,11 +116,8 @@ class ScenarioStructure:
     #: Compatibility version of the scenario; part of its ``name@version`` id
     #: (:func:`scenario_id_for`).
     SCENARIO_VERSION = 1
-    #: Registered name; set by :func:`register_attack`.
+    #: Name of the scenario (one of :data:`repro.config.SCENARIO_NAMES`).
     SCENARIO_NAME: str = ""
-    #: Names of the proof systems usable as refill parameterisations of this
-    #: scenario (listed by ``repro attacks``).
-    PROOF_SYSTEMS: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -248,22 +244,6 @@ class ScenarioStructure:
         raise NotImplementedError(f"{cls.__name__} does not implement grid_configs()")
 
     @classmethod
-    def build_model(
-        cls,
-        protocol: ProtocolParams,
-        attack: AttackParams,
-        *,
-        max_states: Optional[int] = None,
-    ) -> object:
-        """Build the scenario model (an object exposing ``.mdp``) for one point.
-
-        The skeleton comes from the process-local structure cache
-        (:func:`~repro.attacks.structure.get_model_structure`); only the
-        probabilities are refilled for ``protocol``.
-        """
-        raise NotImplementedError(f"{cls.__name__} does not implement build_model()")
-
-    @classmethod
     def make_policy(cls, strategy: object) -> object:
         """Wrap a formal strategy into the scenario's replay policy."""
         raise NotImplementedError(f"{cls.__name__} does not implement make_policy()")
@@ -287,106 +267,33 @@ class ScenarioStructure:
         raise NotImplementedError(f"{cls.__name__} does not implement honest_strategy()")
 
 
-# ---------------------------------------------------------------------- registry
-
-_REGISTRY: Dict[str, Type[ScenarioStructure]] = {}
-_REGISTRY_LOCK = threading.Lock()
-#: Guards the lazy built-in import; distinct from ``_REGISTRY_LOCK`` because
-#: the imports re-enter ``register_attack`` (which takes the registry lock).
-_BUILTINS_LOCK = threading.Lock()
-_BUILTINS_LOADED = False
-
-
-_Scenario = TypeVar("_Scenario", bound=ScenarioStructure)
-
-
-def register_attack(name: str) -> Callable[[Type[_Scenario]], Type[_Scenario]]:
-    """Class decorator registering a :class:`ScenarioStructure` under ``name``.
-
-    Registration is idempotent for the same class (module re-import), but a
-    second, different class under an existing name is rejected.  Registering a
-    scenario also teaches :class:`repro.config.AttackParams` to accept the name
-    in its ``scenario`` field.
-
-    Raises:
-        ConfigurationError: If ``name`` is empty or already bound to another
-            class.
-    """
-
-    def decorator(cls: Type[_Scenario]) -> Type[_Scenario]:
-        with _REGISTRY_LOCK:
-            existing = _REGISTRY.get(name)
-            if existing is not None and existing is not cls:
-                raise ConfigurationError(
-                    f"attack scenario {name!r} is already registered by "
-                    f"{existing.__name__}; pick a different name"
-                )
-            _REGISTRY[name] = cls
-        cls.SCENARIO_NAME = name
-        _register_scenario_name(name)
-        return cls
-
-    return decorator
-
-
-def _ensure_builtin_scenarios() -> None:
-    """Import the built-in scenario modules so their decorators have run."""
-    global _BUILTINS_LOADED
-    if _BUILTINS_LOADED:
-        return
-    # Double-checked under a *dedicated* lock: the guarded imports run
-    # ``register_attack``, which takes ``_REGISTRY_LOCK`` -- reusing it here
-    # would deadlock (threading.Lock is not reentrant).
-    with _BUILTINS_LOCK:
-        if _BUILTINS_LOADED:
-            return
-        from . import sm_actions, structure  # noqa: F401  (registration side effect)
-
-        _BUILTINS_LOADED = True
+# ------------------------------------------------------------------ the table
 
 
 def get_attack(name: str) -> Type[ScenarioStructure]:
-    """Look up the :class:`ScenarioStructure` subclass registered as ``name``.
+    """The :class:`ScenarioStructure` subclass of scenario ``name``.
+
+    The scenario set is closed: ``"selfish-forks"`` (the paper's multi-fork
+    family) and ``"sm-actions"`` (the ADOPT/OVERRIDE/WAIT/MATCH anchor), the
+    names of :data:`repro.config.SCENARIO_NAMES`.
 
     Raises:
-        ConfigurationError: If ``name`` is not registered; the message lists
-            every known scenario.
+        ConfigurationError: If ``name`` is not one of them.
     """
-    _ensure_builtin_scenarios()
-    with _REGISTRY_LOCK:
-        entry = _REGISTRY.get(name)
-        known = tuple(_REGISTRY)
-    if entry is None:
+    # Deferred: both scenario modules import this one for the base class.
+    from .sm_actions import SmActionsStructure
+    from .structure import SelfishForksStructure
+
+    table = {"selfish-forks": SelfishForksStructure, "sm-actions": SmActionsStructure}
+    if name not in table:
         raise ConfigurationError(
-            f"unknown attack scenario {name!r}; registered scenarios: {known}"
+            f"unknown attack scenario {name!r}; scenarios: {tuple(table)}"
         )
-    return entry
-
-
-def list_attacks() -> Tuple[Type[ScenarioStructure], ...]:
-    """Every registered scenario class, in registration order (built-ins first)."""
-    _ensure_builtin_scenarios()
-    with _REGISTRY_LOCK:
-        return tuple(_REGISTRY.values())
-
-
-def unregister_attack(name: str) -> None:
-    """Remove a runtime-registered scenario (for tests and plugin teardown).
-
-    Raises:
-        ConfigurationError: When asked to remove a built-in scenario.
-    """
-    from ..config import BUILTIN_SCENARIO_NAMES, _KNOWN_SCENARIO_NAMES
-
-    if name in BUILTIN_SCENARIO_NAMES:
-        raise ConfigurationError(f"cannot unregister built-in scenario {name!r}")
-    with _REGISTRY_LOCK:
-        _REGISTRY.pop(name, None)
-    _KNOWN_SCENARIO_NAMES.discard(name)
+    return table[name]
 
 
 def scenario_id_for(name: str) -> str:
-    """Versioned id (``"name@version"``) of a registered scenario.
+    """Versioned id (``"name@version"``) of scenario ``name``.
 
     The id is embedded in journal fingerprints and CSV rows; bump
     :attr:`ScenarioStructure.SCENARIO_VERSION` to change it.
@@ -398,8 +305,5 @@ __all__ = [
     "ScenarioStructure",
     "SupportSignature",
     "get_attack",
-    "list_attacks",
-    "register_attack",
     "scenario_id_for",
-    "unregister_attack",
 ]

@@ -1,7 +1,7 @@
-"""ADOPT/OVERRIDE/WAIT/MATCH selfish mining as a registered attack scenario.
+"""ADOPT/OVERRIDE/WAIT/MATCH selfish mining as the second attack scenario.
 
 This is the classic single-fork action space of Sapirshtein et al. ("Optimal
-selfish mining strategies in Bitcoin"), registered as the ``"sm-actions"``
+selfish mining strategies in Bitcoin"), shipped as the ``"sm-actions"``
 scenario behind the same skeleton-cache interface as the paper's multi-fork
 family, so every engine feature (warm starts, the worker pool, the journal)
 applies to it unchanged.
@@ -50,7 +50,7 @@ from .fork_state import (
     PROB_HONEST,
     PROB_ONE_MINUS_GAMMA_HONEST,
 )
-from .registry import ScenarioStructure, SupportSignature, register_attack
+from .registry import ScenarioStructure, SupportSignature
 
 #: Fork-flag values of the ``(a, h, fork)`` state.
 IRRELEVANT = 0
@@ -78,25 +78,19 @@ _DEFAULT_MAX_STATES = 20_000_000
 def _regime_of(attack: AttackParams) -> int:
     """Map ``attack.variant`` to a reward-regime code.
 
+    :class:`~repro.config.AttackParams` has already checked the variant
+    against :data:`~repro.config.SCENARIO_VARIANTS`.
+
     Raises:
-        ConfigurationError: If the attack belongs to another scenario or names
-            an unknown variant (only ``""``, the underpaying default, and
-            ``"overpaying"`` exist).
+        ConfigurationError: If the attack belongs to another scenario.
     """
     if attack.scenario != "sm-actions":
         raise ConfigurationError(
             f"attack {attack!r} belongs to scenario {attack.scenario!r}, not 'sm-actions'"
         )
-    regime = _REGIME_CODES.get(attack.variant)
-    if regime is None:
-        raise ConfigurationError(
-            f"unknown sm-actions variant {attack.variant!r}; valid variants: "
-            f"'' (underpaying, the default) and 'overpaying'"
-        )
-    return regime
+    return _REGIME_CODES[attack.variant]
 
 
-@register_attack("sm-actions")
 class SmActionsStructure(ScenarioStructure):
     """ADOPT/OVERRIDE/WAIT/MATCH selfish mining (single fork, ``gamma`` race).
 
@@ -106,9 +100,8 @@ class SmActionsStructure(ScenarioStructure):
     :meth:`_rewards_for` (underpaying skeletons carry empty settle arrays).
     """
 
+    SCENARIO_NAME = "sm-actions"
     SCENARIO_VERSION = 1
-    #: Single concurrent mining target, so every proof system's ``k`` suffices.
-    PROOF_SYSTEMS = ("pow", "pos", "pospacetime", "vdf")
 
     def __init__(
         self,
@@ -178,8 +171,8 @@ class SmActionsStructure(ScenarioStructure):
         """Breadth-first exploration of the reachable ``(a, h, fork)`` fragment.
 
         Raises:
-            ConfigurationError: On an unknown variant or when the exploration
-                exceeds ``max_states``.
+            ConfigurationError: If ``attack`` names another scenario or the
+                exploration exceeds ``max_states``.
         """
         regime = _regime_of(attack)
         l = attack.max_fork_length
@@ -356,7 +349,8 @@ class SmActionsStructure(ScenarioStructure):
         ``"l8,l8:overpaying"``.
 
         Raises:
-            ConfigurationError: On an unparseable specification.
+            ConfigurationError: On an unparseable specification or an unknown
+                variant.
         """
         text = (spec or "default").strip()
         if text == "default":
@@ -373,11 +367,6 @@ class SmActionsStructure(ScenarioStructure):
                         f"invalid sm-actions grid token {token!r} "
                         f"(expected lZ[:overpaying], 'default' or 'paper')"
                     )
-                if variant not in _REGIME_CODES:
-                    raise ConfigurationError(
-                        f"invalid sm-actions grid token {token!r}: unknown variant "
-                        f"{variant!r} (valid: 'overpaying')"
-                    )
                 lengths += ((int(base[1:]), variant),)
         return tuple(
             AttackParams(
@@ -389,18 +378,6 @@ class SmActionsStructure(ScenarioStructure):
             )
             for length, variant in lengths
         )
-
-    @classmethod
-    def build_model(
-        cls,
-        protocol: ProtocolParams,
-        attack: AttackParams,
-        *,
-        max_states: Optional[int] = None,
-    ) -> "SmActionsModel":
-        """Build the sm-actions model for one parameter point."""
-        kwargs = {} if max_states is None else {"max_states": max_states}
-        return build_sm_actions_mdp(protocol, attack, **kwargs)
 
     @classmethod
     def make_policy(cls, strategy: Strategy) -> "SmActionsPolicy":
@@ -479,12 +456,11 @@ def build_sm_actions_mdp(
     """Build the ADOPT/OVERRIDE/WAIT/MATCH MDP for one parameter point.
 
     The ``(p, gamma)``-independent skeleton is memoised in the process-local
-    structure cache shared with every other scenario; only the probabilities
+    structure cache shared with the other scenario; only the probabilities
     (and the overpaying settlement rewards) are refilled for ``protocol``.
 
     Raises:
-        ConfigurationError: If ``attack`` names another scenario or an unknown
-            variant.
+        ConfigurationError: If ``attack`` names another scenario.
     """
     from .structure import get_model_structure
 

@@ -61,19 +61,13 @@ from .fork_state import (
     ReleaseAction,
     action_label,
 )
-from .registry import (
-    ScenarioStructure,
-    SupportSignature,
-    get_attack,
-    register_attack,
-)
+from .registry import ScenarioStructure, SupportSignature, get_attack
 
 #: Hard cap on the number of states explored; prevents accidental explosion when
 #: a user requests an enormous configuration.
 DEFAULT_MAX_STATES = 20_000_000
 
 
-@register_attack("selfish-forks")
 class SelfishForksStructure(ScenarioStructure):
     """Multi-fork selfish mining: the paper's ``(d, f, l)`` attack family.
 
@@ -84,10 +78,8 @@ class SelfishForksStructure(ScenarioStructure):
     parameter point by refilling only the probability array.
     """
 
+    SCENARIO_NAME = "selfish-forks"
     SCENARIO_VERSION = 1
-    #: ``(p, k)``-mining: d*f concurrent targets need ``k >= d*f``, which PoS
-    #: (k = inf) and PoSpaceTime (configurable k) provide; PoW/VDF cover d=f=1.
-    PROOF_SYSTEMS = ("pow", "pos", "pospacetime", "vdf")
 
     # --------------------------------------------------------------- scenario API
 
@@ -159,20 +151,6 @@ class SelfishForksStructure(ScenarioStructure):
                 )
             )
         return tuple(configs)
-
-    @classmethod
-    def build_model(
-        cls,
-        protocol: ProtocolParams,
-        attack: AttackParams,
-        *,
-        max_states: Optional[int] = None,
-    ) -> object:
-        """Build the selfish-forks model for one parameter point."""
-        from .selfish_forks import build_selfish_forks_mdp
-
-        kwargs = {} if max_states is None else {"max_states": max_states}
-        return build_selfish_forks_mdp(protocol, attack, **kwargs)
 
     @classmethod
     def make_policy(cls, strategy: object) -> object:
@@ -634,8 +612,8 @@ def get_model_structure(
 ) -> ScenarioStructure:
     """Return the (memoised) structure for ``attack`` at ``protocol``'s support.
 
-    Dispatches the exploration through the scenario registry, so any registered
-    scenario shares this cache (and its builds/attaches accounting).  The cache
+    Dispatches the exploration through :func:`~repro.attacks.registry.get_attack`,
+    so both scenarios share this cache (and its builds/attaches accounting).  The cache
     is process-local; sweep workers have it populated up front with the
     parent's skeletons and therefore always hit.  The returned skeleton's
     numeric arrays are read-only.

@@ -10,15 +10,16 @@ Four subcommands mirror the library's main entry points (installed as both
 
 ``analyze`` runs Algorithm 1 for one parameter point, ``sweep`` regenerates a
 Figure 2 panel, ``simulate`` Monte-Carlo-validates the computed strategy,
-and ``attacks`` lists the registered attack scenarios.
+and ``attacks`` lists the two attack scenarios.
 
-Every model-facing subcommand accepts ``--attack NAME`` to select a registered
-attack scenario (:mod:`repro.attacks.registry`): the paper's ``selfish-forks``
+Every model-facing subcommand accepts ``--attack NAME`` to select an attack
+scenario (:data:`repro.config.SCENARIO_NAMES`): the paper's ``selfish-forks``
 family (default) or the classic ``sm-actions`` ADOPT/OVERRIDE/WAIT/MATCH
-space, plus anything registered at runtime.  ``sweep`` additionally takes
+space, and ``--variant`` to select one of that scenario's variants
+(``overpaying`` for ``sm-actions``).  ``sweep`` additionally takes
 ``--grid SPEC``, interpreted by the selected scenario (``default``, ``paper``,
-or scenario-specific tokens such as ``d2f1l4`` / ``l8:overpaying``), and
-``--variant`` to select a scenario variant for every grid configuration.
+or scenario-specific tokens such as ``d2f1l4`` / ``l8:overpaying``); the
+variant applies to every grid configuration.
 
 The full flag-by-flag reference lives in ``docs/cli.md``.
 
@@ -56,7 +57,13 @@ from typing import Optional, Sequence
 
 from dataclasses import replace
 
-from .config import AnalysisConfig, AttackParams, ProtocolParams, known_scenario_names
+from .config import (
+    SCENARIO_NAMES,
+    SCENARIO_VARIANTS,
+    AnalysisConfig,
+    AttackParams,
+    ProtocolParams,
+)
 from .core import SelfishMiningAnalyzer, ascii_plot, render_table, write_csv
 from .core.reporting import ProgressReporter
 from .core.sweep import SweepConfig, run_sweep
@@ -104,24 +111,13 @@ def _p_step(value: str) -> float:
     return step
 
 
-def _attack_name(value: str) -> str:
-    """Validate an ``--attack`` value against the registered scenario names."""
-    names = known_scenario_names()
-    if value not in names:
-        raise argparse.ArgumentTypeError(
-            f"unknown attack scenario {value!r} (known: {', '.join(sorted(names))}; "
-            f"see `repro attacks`)"
-        )
-    return value
-
-
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--attack",
-        type=_attack_name,
+        choices=SCENARIO_NAMES,
         default="selfish-forks",
         metavar="NAME",
-        help="registered attack scenario (see `repro attacks`)",
+        help=f"attack scenario, one of {', '.join(SCENARIO_NAMES)} (see `repro attacks`)",
     )
     parser.add_argument(
         "--variant",
@@ -231,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--steps", type=int, default=100_000, help="simulated block events")
     simulate.add_argument("--seed", type=int, default=0, help="random seed")
 
-    subparsers.add_parser("attacks", help="list the registered attack scenarios")
+    subparsers.add_parser("attacks", help="list the attack scenarios")
     return parser
 
 
@@ -268,7 +264,7 @@ def _command_analyze(args: argparse.Namespace) -> int:
 
 
 def _sweep_attack_configs(args: argparse.Namespace):
-    """Resolve the sweep's attack grid through the selected scenario's builder."""
+    """Resolve the sweep's attack grid through the selected scenario's parser."""
     from .attacks.registry import get_attack
 
     configs = get_attack(args.attack).grid_configs(args.grid or "default")
@@ -288,7 +284,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         p_values=p_values,
         gammas=(args.gamma,),
         attack_configs=_sweep_attack_configs(args),
-        attack=args.attack,
         analysis=AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
@@ -326,18 +321,18 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_attacks(args: argparse.Namespace) -> int:
-    from .attacks.registry import list_attacks, scenario_id_for
+    from .attacks.registry import get_attack, scenario_id_for
 
-    for scenario in list_attacks():
+    for name in SCENARIO_NAMES:
+        scenario = get_attack(name)
         default_grid = ", ".join(
             scenario.series_name(attack) for attack in scenario.grid_configs("default")
         )
-        proof_systems = ", ".join(sorted(scenario.PROOF_SYSTEMS)) or "-"
-        doc = (scenario.__doc__ or "").strip()
-        print(scenario_id_for(scenario.SCENARIO_NAME))
-        print(f"  {doc.splitlines()[0] if doc else scenario.SCENARIO_NAME}")
-        print(f"  default grid:  {default_grid}")
-        print(f"  proof systems: {proof_systems}")
+        variants = ", ".join(variant or "(default)" for variant in SCENARIO_VARIANTS[name])
+        print(scenario_id_for(name))
+        print(f"  {(scenario.__doc__ or name).strip().splitlines()[0]}")
+        print(f"  default grid: {default_grid}")
+        print(f"  variants:     {variants}")
     return 0
 
 
@@ -363,6 +358,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``repro-selfish-mining`` console script."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if "attack" in args and args.variant not in SCENARIO_VARIANTS[args.attack]:
+        variants = ", ".join(repr(variant) for variant in SCENARIO_VARIANTS[args.attack])
+        parser.error(f"--variant of {args.attack} must be one of {variants}, got {args.variant!r}")
     if args.command == "analyze":
         return _command_analyze(args)
     if args.command == "sweep":

@@ -25,35 +25,18 @@ from ._validation import (
 )
 from .exceptions import ConfigurationError
 
-#: Names of the attack scenarios shipped with the package, in registry order.
-#: They are listed here (rather than discovered by importing the scenario
-#: modules) so that :class:`AttackParams` can validate its ``scenario`` field
-#: eagerly without pulling the whole :mod:`repro.attacks` package into every
-#: import of this bottom-layer module.
-BUILTIN_SCENARIO_NAMES: Tuple[str, ...] = ("selfish-forks", "sm-actions")
+#: The ``variant`` values of each attack scenario (``""`` is its default).
+#: The scenario set is closed (see :func:`repro.attacks.registry.get_attack`);
+#: it is listed here, not discovered by importing the scenario modules, so
+#: that :class:`AttackParams` can validate eagerly without pulling the whole
+#: :mod:`repro.attacks` package into every import of this bottom-layer module.
+SCENARIO_VARIANTS: Dict[str, Tuple[str, ...]] = {
+    "selfish-forks": ("",),
+    "sm-actions": ("", "overpaying"),
+}
 
-_KNOWN_SCENARIO_NAMES = set(BUILTIN_SCENARIO_NAMES)
-
-
-def _register_scenario_name(name: str) -> None:
-    """Teach :class:`AttackParams` about a scenario registered at runtime.
-
-    Called by :func:`repro.attacks.registry.register_attack`; not part of the
-    public API -- register scenarios through the registry, never directly here.
-    """
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(f"scenario name must be a non-empty string, got {name!r}")
-    _KNOWN_SCENARIO_NAMES.add(name)
-
-
-def known_scenario_names() -> Tuple[str, ...]:
-    """Every scenario name :class:`AttackParams` currently accepts.
-
-    Built-in scenarios first (in registry order), then runtime registrations in
-    sorted order.
-    """
-    extras = sorted(_KNOWN_SCENARIO_NAMES - set(BUILTIN_SCENARIO_NAMES))
-    return BUILTIN_SCENARIO_NAMES + tuple(extras)
+#: Names of the attack scenarios.
+SCENARIO_NAMES: Tuple[str, ...] = tuple(SCENARIO_VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -95,7 +78,7 @@ class AttackParams:
     """Parameters of one attack-scenario instance.
 
     The integer parameters are interpreted by the scenario named in
-    ``scenario`` (see :mod:`repro.attacks.registry`).  For the default
+    ``scenario`` (one of :data:`SCENARIO_NAMES`).  For the default
     ``"selfish-forks"`` scenario they are the paper's ``(d, f, l)``; the
     ``"sm-actions"`` scenario uses only ``max_fork_length`` as its race
     truncation bound and keeps ``depth = forks = 1``.
@@ -106,11 +89,12 @@ class AttackParams:
         forks: Forking number ``f`` -- number of private forks grown per block.
         max_fork_length: Maximal fork length ``l`` -- private forks longer than
             this are truncated, keeping the MDP finite.
-        scenario: Name of the registered attack scenario these parameters belong
-            to.  Unknown names are rejected at construction time.
-        variant: Scenario-specific reward-regime selector (e.g. ``"overpaying"``
+        scenario: Name of the attack scenario these parameters belong to.
+            Unknown names are rejected at construction time.
+        variant: Scenario-specific reward-regime selector (``"overpaying"``
             for ``sm-actions``); the empty string selects the scenario default.
-            Validated by the scenario when its model is built.
+            Values outside :data:`SCENARIO_VARIANTS` are rejected at
+            construction time.
     """
 
     depth: int = 2
@@ -123,14 +107,16 @@ class AttackParams:
         check_positive_int(self.depth, "depth")
         check_positive_int(self.forks, "forks")
         check_positive_int(self.max_fork_length, "max_fork_length")
-        if self.scenario not in _KNOWN_SCENARIO_NAMES:
+        if self.scenario not in SCENARIO_NAMES:
             raise ConfigurationError(
-                f"scenario must be one of {known_scenario_names()}, got "
-                f"{self.scenario!r} (register new scenarios with "
-                f"repro.attacks.registry.register_attack)"
+                f"scenario must be one of {SCENARIO_NAMES}, got {self.scenario!r}"
             )
-        if not isinstance(self.variant, str):
-            raise ConfigurationError(f"variant must be a string, got {self.variant!r}")
+        variants = SCENARIO_VARIANTS[self.scenario]
+        if self.variant not in variants:
+            raise ConfigurationError(
+                f"variant of {self.scenario!r} must be one of {variants}, "
+                f"got {self.variant!r}"
+            )
 
     @property
     def d(self) -> int:

@@ -18,19 +18,20 @@ import time
 from typing import Optional
 
 from ..analysis import evaluate_strategy_errev, formal_analysis
-from ..attacks import honest_errev
+from ..attacks import get_model_structure, honest_errev
 from ..attacks.registry import get_attack
 from ..config import AnalysisConfig, AttackParams, ProtocolParams
+from ..mdp import MDP
 from .results import AnalysisResult
 
 
 class SelfishMiningAnalyzer:
     """Runs the full pipeline for one ``(p, gamma, d, f, l)`` parameter point.
 
-    The analyzer is scenario-generic: the attack family named by
-    ``attack.scenario`` is resolved through the attack registry
-    (:mod:`repro.attacks.registry`), so model construction, strategy replay
-    and the honest baseline all dispatch to the registered scenario's hooks.
+    The analyzer is scenario-generic: the model is refilled from the cached
+    skeleton of ``attack`` (:func:`~repro.attacks.structure.get_model_structure`),
+    and strategy replay and the honest baseline dispatch to the hooks of the
+    scenario ``attack.scenario`` names (:func:`~repro.attacks.registry.get_attack`).
     """
 
     def __init__(
@@ -43,24 +44,25 @@ class SelfishMiningAnalyzer:
         self.attack = attack or AttackParams()
         self.config = config or AnalysisConfig()
         self._scenario = get_attack(self.attack.scenario)
-        self._model: Optional[object] = None
+        self._model: Optional[MDP] = None
 
     # ------------------------------------------------------------------ pipeline
 
-    def build_model(self, force: bool = False) -> object:
-        """Build (or return the cached) scenario MDP model."""
+    def build_model(self, force: bool = False) -> MDP:
+        """Build (or return the cached) MDP, refilled from the cached skeleton."""
         if self._model is None or force:
-            self._model = self._scenario.build_model(self.protocol, self.attack)
+            structure = get_model_structure(self.attack, self.protocol)
+            self._model = structure.instantiate(self.protocol)
         return self._model
 
     def run(self) -> AnalysisResult:
         """Build the model and run the formal analysis (Algorithm 1)."""
         build_start = time.perf_counter()
-        model = self.build_model()
+        mdp = self.build_model()
         build_seconds = time.perf_counter() - build_start
 
         analysis_start = time.perf_counter()
-        formal = formal_analysis(model.mdp, self.config)
+        formal = formal_analysis(mdp, self.config)
         analysis_seconds = time.perf_counter() - analysis_start
 
         return AnalysisResult(
@@ -69,8 +71,8 @@ class SelfishMiningAnalyzer:
             errev_lower_bound=formal.errev_lower_bound,
             strategy_errev=formal.strategy_errev,
             honest_errev=honest_errev(self.protocol),
-            num_states=model.mdp.num_states,
-            num_transitions=model.mdp.num_transitions,
+            num_states=mdp.num_states,
+            num_transitions=mdp.num_transitions,
             build_seconds=build_seconds,
             analysis_seconds=analysis_seconds,
             formal=formal,
@@ -86,8 +88,8 @@ class SelfishMiningAnalyzer:
         not truncated against the honest miner, which users can employ to
         sanity-check the model on their parameter point.
         """
-        model = self.build_model()
-        return evaluate_strategy_errev(model.mdp, self._scenario.honest_strategy(model.mdp))
+        mdp = self.build_model()
+        return evaluate_strategy_errev(mdp, self._scenario.honest_strategy(mdp))
 
     def validate_by_simulation(
         self,

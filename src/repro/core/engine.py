@@ -78,9 +78,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 def attack_series_name(attack: AttackParams) -> str:
     """Series label of an attack configuration (matches the paper's legend).
 
-    Delegates to the registered scenario, so every attack family labels its own
-    series (``ours(d=..,f=..)`` for ``selfish-forks``, ``sm-actions(l=..)`` for
-    ``sm-actions``, ...).
+    Delegates to the scenario, so each attack family labels its own series
+    (``ours(d=..,f=..)`` for ``selfish-forks``, ``sm-actions(l=..)`` for
+    ``sm-actions``).
     """
     return get_attack(attack.scenario).series_name(attack)
 
@@ -156,7 +156,7 @@ def _run_attack_task(
         start = time.perf_counter()
         try:
             protocol = ProtocolParams(p=p, gamma=task.gamma)
-            model = get_attack(task.attack.scenario).build_model(protocol, task.attack)
+            mdp = get_model_structure(task.attack, protocol).instantiate(protocol)
             initial_beta_low = 0.0
             if (
                 task.reuse_p_axis_bounds
@@ -168,7 +168,7 @@ def _run_attack_task(
                 # lower bound is a valid initial lower bound here.
                 initial_beta_low = min(max(prev_beta_low, 0.0), 1.0)
             result = formal_analysis(
-                model.mdp,
+                mdp,
                 task.analysis,
                 beta_low=initial_beta_low,
                 initial_strategy_rows=warm_rows,
@@ -195,7 +195,7 @@ def _run_attack_task(
                 errev=errev,
                 seconds=time.perf_counter() - start,
                 solver_iterations=result.total_solver_iterations,
-                num_states=model.mdp.num_states,
+                num_states=mdp.num_states,
                 beta_low=result.beta_low,
                 beta_up=result.beta_up,
                 scenario=scenario_id_for(task.attack.scenario),

@@ -56,14 +56,8 @@ class SweepConfig:
             each in [0, 1] and none repeated.
         attack_configs: Attack configurations swept (interpreted by the
             scenario each :class:`AttackParams` names; all configurations of a
-            sweep must belong to the same scenario).
-        attack: Name of the registered attack scenario to sweep (see
-            :mod:`repro.attacks.registry`).  ``None`` (default) derives the
-            scenario from ``attack_configs``.  When set while
-            ``attack_configs`` still holds the selfish-forks default grid, the
-            grid is replaced by the named scenario's default grid
-            (``get_attack(attack).grid_configs("default")``); an explicitly
-            supplied grid of a different scenario is a configuration error.
+            sweep must belong to the same scenario).  Another scenario's
+            default grid is ``get_attack(name).grid_configs("default")``.
         include_honest: Whether to include the honest baseline series.
         include_single_tree: Whether to include the single-tree baseline series.
         single_tree: Parameters of the single-tree baseline.
@@ -102,7 +96,6 @@ class SweepConfig:
     p_values: Sequence[float] = tuple(round(0.05 * i, 2) for i in range(0, 7))
     gammas: Sequence[float] = (0.0, 0.5, 1.0)
     attack_configs: Sequence[AttackParams] = DEFAULT_ATTACK_CONFIGS
-    attack: Optional[str] = None
     include_honest: bool = True
     include_single_tree: bool = True
     single_tree: SingleTreeParams = DEFAULT_SINGLE_TREE
@@ -127,25 +120,11 @@ class SweepConfig:
             raise ConfigurationError(
                 f"analysis must be an AnalysisConfig, got {type(self.analysis).__name__}"
             )
-        if self.attack is not None:
-            from ..attacks.registry import get_attack  # deferred: import cycle
-
-            scenario = get_attack(self.attack)  # unknown names raise here
-            if (
-                tuple(self.attack_configs) == DEFAULT_ATTACK_CONFIGS
-                and self.attack != "selfish-forks"
-            ):
-                self.attack_configs = scenario.grid_configs("default")
         scenarios = {attack.scenario for attack in self.attack_configs}
         if len(scenarios) > 1:
             raise ConfigurationError(
                 f"mixed-scenario sweep: attack_configs span scenarios "
                 f"{sorted(scenarios)}; run one sweep per scenario"
-            )
-        if self.attack is not None and scenarios and scenarios != {self.attack}:
-            raise ConfigurationError(
-                f"attack={self.attack!r} conflicts with attack_configs of scenario "
-                f"{next(iter(scenarios))!r}"
             )
         if self.journal_resume and self.journal_path is None:
             raise ConfigurationError(

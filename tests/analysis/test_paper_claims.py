@@ -3,16 +3,26 @@
 These tests regenerate Figure 2 -- single points and the whole default sweep
 grid -- and assert the *shape* results the paper reports: who wins, how the
 curves move with p, gamma, d and f, and where the d = f = 1 attack starts to
-pay off.
+pay off.  :class:`TestSmActionsAnchor` pins the classic ADOPT/OVERRIDE/WAIT/
+MATCH model (Sapirshtein, Sompolinsky & Zohar, FC 2016) as the external
+anchor of the solver stack.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import pytest
 
 from repro.config import AnalysisConfig, AttackParams, ProtocolParams
 from repro.analysis import formal_analysis
-from repro.attacks import build_selfish_forks_mdp, honest_errev, single_tree_errev
+from repro.attacks import (
+    build_selfish_forks_mdp,
+    build_sm_actions_mdp,
+    eyal_sirer_relative_revenue,
+    honest_errev,
+    single_tree_errev,
+)
 from repro.attacks.single_tree import SingleTreeParams
 from repro.core.sweep import SweepConfig, run_sweep
 
@@ -218,3 +228,69 @@ class TestChainQualityInterpretation:
         value = attack_errev(0.3, 0.5, depth=2, forks=1)
         chain_quality = 1.0 - value
         assert chain_quality < 1.0 - honest_errev(protocol)
+
+
+#: Precision of the sm-actions anchor's binary searches.
+ANCHOR_EPSILON = 1e-4
+#: Race truncation bounds ``l`` the anchor is solved at.
+ANCHOR_LENGTHS = (8, 12, 20)
+#: ``(gamma, p) -> (lower, upper)`` at ``l = 20``, rounded to 5 digits.
+ANCHOR_TABLE = {
+    (0.0, 1 / 3): (0.33685, 0.33960),
+    (0.0, 0.4): (0.48584, 0.54059),
+    (0.5, 1 / 3): (0.39178, 0.39612),
+    (0.5, 0.4): (0.57227, 0.66547),
+}
+
+
+@lru_cache(maxsize=None)
+def sm_actions_bounds(gamma: float, p: float, l: int) -> tuple:
+    """``(lower, upper)``: the default variant's ``beta_low``, the overpaying ``beta_up``.
+
+    Underpaying truncation discards the blocks past ``l`` and overpaying
+    truncation settles them with the untruncated race's expected reward, so
+    the two certified bounds sandwich the untruncated optimum.
+    """
+    protocol = ProtocolParams(p=p, gamma=gamma)
+    config = AnalysisConfig(epsilon=ANCHOR_EPSILON)
+    bounds = []
+    for variant, side in (("", "beta_low"), ("overpaying", "beta_up")):
+        attack = AttackParams(
+            depth=1, forks=1, max_fork_length=l, scenario="sm-actions", variant=variant
+        )
+        result = formal_analysis(build_sm_actions_mdp(protocol, attack).mdp, config)
+        bounds.append(getattr(result, side))
+    return tuple(bounds)
+
+
+class TestSmActionsAnchor:
+    """The classic single-fork model against the literature's closed form."""
+
+    @pytest.mark.parametrize("gamma, p", sorted(ANCHOR_TABLE))
+    def test_eyal_sirer_lies_below_the_sandwich(self, gamma, p):
+        # At l = 8 and 12 the truncation can still cost the lower bound more
+        # than Eyal-Sirer's strategy earns (0.470 < 0.484 at (0, 0.4), l = 8),
+        # so the closed form is compared at the largest l only.
+        lower, upper = sm_actions_bounds(gamma, p, max(ANCHOR_LENGTHS))
+        assert eyal_sirer_relative_revenue(p, gamma) <= lower <= upper
+
+    @pytest.mark.parametrize("gamma, p", sorted(ANCHOR_TABLE))
+    def test_bounds_tighten_with_l(self, gamma, p):
+        bounds = [sm_actions_bounds(gamma, p, l) for l in ANCHOR_LENGTHS]
+        lowers = [lower for lower, _ in bounds]
+        uppers = [upper for _, upper in bounds]
+        assert all(lower <= upper for lower, upper in bounds)
+        assert lowers == sorted(lowers)
+        assert uppers == sorted(uppers, reverse=True)
+
+    @pytest.mark.parametrize("gamma, p", sorted(ANCHOR_TABLE))
+    def test_largest_l_reproduces_the_table(self, gamma, p):
+        lower, upper = sm_actions_bounds(gamma, p, max(ANCHOR_LENGTHS))
+        assert (lower, upper) == pytest.approx(ANCHOR_TABLE[gamma, p], abs=1e-5)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("p", [0.2, 0.25])
+    @pytest.mark.parametrize("l", ANCHOR_LENGTHS)
+    def test_honest_mining_is_optimal_at_small_p(self, gamma, p, l):
+        lower, _ = sm_actions_bounds(gamma, p, l)
+        assert lower == pytest.approx(p, abs=ANCHOR_EPSILON)

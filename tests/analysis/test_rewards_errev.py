@@ -12,9 +12,6 @@ from repro.analysis.rewards import (
     HONEST_WEIGHTS,
     TOTAL_WEIGHTS,
     beta_reward_weights,
-    combine_components,
-    minimum_total_block_rate,
-    reward_monotonicity_gap,
 )
 from repro.attacks.policies import GreedyLeadPolicy
 from repro.mdp import Strategy, solve_mean_payoff
@@ -42,25 +39,6 @@ class TestBetaRewards:
     def test_invalid_beta_rejected(self):
         with pytest.raises(ConfigurationError):
             beta_reward_weights(1.5)
-
-    def test_combine_components_matches_weights(self):
-        r_adv = np.array([1.0, 0.0, 2.0])
-        r_hon = np.array([0.0, 1.0, 1.0])
-        beta = 0.4
-        combined = combine_components(r_adv, r_hon, beta)
-        weights = np.asarray(beta_reward_weights(beta))
-        stacked = np.stack([r_adv, r_hon], axis=1)
-        assert np.allclose(combined, stacked @ weights)
-
-    def test_minimum_total_block_rate_formula(self):
-        assert minimum_total_block_rate(0.3, 2, 2) == pytest.approx(0.7 / (0.7 + 0.3 * 4))
-        assert minimum_total_block_rate(0.0, 3, 2) == pytest.approx(1.0)
-        assert minimum_total_block_rate(1.0, 3, 2) == 0.0
-
-    def test_monotonicity_gap(self):
-        assert reward_monotonicity_gap(0.2, 0.5, 0.4) == pytest.approx(0.12)
-        with pytest.raises(ValueError):
-            reward_monotonicity_gap(0.5, 0.2, 0.4)
 
 
 class TestStrategyEvaluation:

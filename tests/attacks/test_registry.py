@@ -1,4 +1,4 @@
-"""Unit tests of the attack-scenario registry (:mod:`repro.attacks.registry`)."""
+"""Unit tests of the closed attack-scenario table (:mod:`repro.attacks.registry`)."""
 
 from __future__ import annotations
 
@@ -9,24 +9,20 @@ from repro.attacks.registry import (
     ScenarioStructure,
     SupportSignature,
     get_attack,
-    list_attacks,
-    register_attack,
     scenario_id_for,
-    unregister_attack,
 )
 from repro.attacks.sm_actions import SmActionsStructure
 from repro.attacks.structure import SelfishForksStructure
-from repro.config import AttackParams, ProtocolParams, known_scenario_names
+from repro.config import SCENARIO_NAMES, SCENARIO_VARIANTS, AttackParams, ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.mdp import validate_mdp
 
-#: Engine hooks every registered scenario class defines in its own body, so
-#: that the structure cache, sweep workers and reporting work on any scenario.
+#: Engine hooks each scenario class defines in its own body, so that the
+#: structure cache, sweep workers and reporting work on both scenarios.
 REQUIRED_HOOKS = (
     "explore",
     "series_name",
     "grid_configs",
-    "build_model",
     "make_policy",
     "simulate",
     "honest_strategy",
@@ -48,14 +44,17 @@ def _refill_id(attack: AttackParams) -> str:
     return f"{attack.scenario}_d{attack.depth}_f{attack.forks}_l{attack.max_fork_length}{suffix}"
 
 
+SCENARIOS = (SelfishForksStructure, SmActionsStructure)
+
+
 class TestLookup:
-    def test_builtins_are_registered(self):
-        assert list_attacks() == (SelfishForksStructure, SmActionsStructure)
-        names = [scenario.SCENARIO_NAME for scenario in list_attacks()]
-        assert names == ["selfish-forks", "sm-actions"]
+    def test_table_holds_exactly_the_scenario_names(self):
+        assert tuple(get_attack(name) for name in SCENARIO_NAMES) == SCENARIOS
+        assert [scenario.SCENARIO_NAME for scenario in SCENARIOS] == list(SCENARIO_NAMES)
+        assert tuple(SCENARIO_VARIANTS) == SCENARIO_NAMES
 
     def test_get_attack_returns_entry(self):
-        """The registry hands out the registered structure class itself."""
+        """The table hands out the scenario class itself."""
         scenario = get_attack("selfish-forks")
         assert scenario is SelfishForksStructure
         assert issubclass(scenario, ScenarioStructure)
@@ -66,55 +65,27 @@ class TestLookup:
             get_attack("no-such-attack")
 
     def test_scenario_id_format(self):
-        for scenario in list_attacks():
-            name = scenario.SCENARIO_NAME
-            assert scenario_id_for(name) == f"{name}@{scenario.SCENARIO_VERSION}"
+        assert scenario_id_for("selfish-forks") == "selfish-forks@1"
+        assert scenario_id_for("sm-actions") == "sm-actions@1"
 
     def test_entries_carry_descriptions(self):
         """`repro attacks` prints the first docstring line of every scenario."""
-        for scenario in list_attacks():
+        for scenario in SCENARIOS:
             assert (scenario.__doc__ or "").strip()
 
     def test_scenario_id_for_unknown_name_raises(self):
         with pytest.raises(ConfigurationError, match="unknown attack scenario"):
             scenario_id_for("no-such-attack")
 
+    @pytest.mark.parametrize("hook", REQUIRED_HOOKS)
+    def test_scenarios_define_every_hook_in_their_own_body(self, hook):
+        """The hooks are contract, not inheritance accident."""
+        for scenario in SCENARIOS:
+            assert hook in scenario.__dict__, (scenario.SCENARIO_NAME, hook)
 
-class TestRegistration:
-    def test_duplicate_name_different_class_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-
-            @register_attack("selfish-forks")
-            class Imposter(ScenarioStructure):
-                """An imposter scenario."""
-
-    def test_reregistering_same_class_is_idempotent(self):
-        cls = get_attack("sm-actions")
-        assert register_attack("sm-actions")(cls) is cls
-        assert list_attacks().count(cls) == 1
-
-    def test_runtime_registration_roundtrip(self):
-        @register_attack("test-dummy-scenario")
-        class Dummy(ScenarioStructure):
-            """A dummy scenario for registry tests."""
-
-            SCENARIO_VERSION = 7
-
-        try:
-            assert get_attack("test-dummy-scenario") is Dummy
-            assert scenario_id_for("test-dummy-scenario") == "test-dummy-scenario@7"
-            assert "test-dummy-scenario" in known_scenario_names()
-            # AttackParams accepts the runtime-registered name.
-            AttackParams(scenario="test-dummy-scenario")
-        finally:
-            unregister_attack("test-dummy-scenario")
-        assert "test-dummy-scenario" not in known_scenario_names()
-        with pytest.raises(ConfigurationError):
-            get_attack("test-dummy-scenario")
-
-    def test_builtins_cannot_be_unregistered(self):
-        with pytest.raises(ConfigurationError, match="built-in"):
-            unregister_attack("selfish-forks")
+    def test_scenarios_name_themselves_in_their_own_body(self):
+        for scenario in SCENARIOS:
+            assert "SCENARIO_NAME" in scenario.__dict__
 
 
 class TestAttackParamsIntegration:
@@ -128,43 +99,23 @@ class TestAttackParamsIntegration:
         assert row["scenario"] == "sm-actions"
         assert row["variant"] == "overpaying"
 
+    @pytest.mark.parametrize("variant", ["typo", "overpaying", "underpaying"])
+    def test_selfish_forks_accepts_no_variant(self, variant):
+        """A misspelt variant once built a second model under the same series label."""
+        with pytest.raises(ConfigurationError, match="variant"):
+            AttackParams(depth=1, forks=1, variant=variant)
 
-class TestConcurrency:
-    def test_concurrent_builtin_loading_is_safe(self):
-        """Racing threads through the lazy built-in import must not error.
+    @pytest.mark.parametrize("variant", ["typo", "underpaying", "Overpaying"])
+    def test_sm_actions_accepts_only_its_variants(self, variant):
+        with pytest.raises(ConfigurationError, match="variant"):
+            AttackParams(scenario="sm-actions", variant=variant)
 
-        Regression for the unguarded ``_BUILTINS_LOADED`` rebinding (the
-        fork-safety invariant of ``tests/test_source_invariants.py``): the
-        flag is now double-checked under a dedicated lock.
-        """
-        import threading
-
-        from repro.attacks import registry as registry_mod
-
-        registry_mod._BUILTINS_LOADED = False
-        barrier = threading.Barrier(8)
-        errors = []
-
-        def hit():
-            barrier.wait()
-            try:
-                get_attack("selfish-forks")
-            except Exception as exc:  # pragma: no cover - the regression
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hit) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        assert registry_mod._BUILTINS_LOADED
-
-    @pytest.mark.parametrize("hook", REQUIRED_HOOKS)
-    def test_builtin_scenarios_define_every_hook_in_their_own_body(self, hook):
-        """The hooks are contract, not inheritance accident."""
-        for scenario in list_attacks():
-            assert hook in scenario.__dict__, (scenario.SCENARIO_NAME, hook)
+    @pytest.mark.parametrize(
+        "scenario, variant",
+        [(name, variant) for name in SCENARIO_NAMES for variant in SCENARIO_VARIANTS[name]],
+    )
+    def test_every_listed_variant_is_accepted(self, scenario, variant):
+        assert AttackParams(scenario=scenario, variant=variant).variant == variant
 
 
 class TestStructureRefill:

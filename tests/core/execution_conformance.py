@@ -9,11 +9,13 @@ failure isolation, a hard worker crash that loses no grid point silently, and
 graceful cancellation that leaves no worker process and a resumable journal
 behind.
 
-The hard crash is a real one: :func:`crash_scenario` registers a test-only
-scenario, ``crash-forks``, whose ``build_model`` calls ``os._exit`` at the
-``p`` named by ``REPRO_TEST_CRASH_AT_P``.  Only the crashed run sets the
-variable; the serial reference and the resumed run use the same scenario,
-because the journal fingerprint includes scenario ids.
+The hard crash is a real one: :func:`crash_skeletons` installs, into the
+parent's structure cache, selfish-forks skeletons of a subclass whose
+``instantiate`` calls ``os._exit`` at the ``p`` named by
+``REPRO_TEST_CRASH_AT_P``.  The sweep hands the cached skeletons to its pool,
+so the workers refill from them.  Only the crashed run sets the variable; the
+serial reference, the crashed and the resumed run all sweep the
+``selfish-forks`` scenario, so they share one journal fingerprint.
 
 Instead of re-proving these per execution path with a hand-rolled copy of
 the same tests, each path registers an :class:`ExecutionContract` here and
@@ -24,8 +26,8 @@ start methods.
 This module is deliberately *not* named ``test_*``: it is imported by the
 conformance test module, and its probe targets must be importable at module
 top level so spawn-started pool workers can unpickle them by qualified name.
-Unpickling a ``crash-forks`` skeleton imports this module and registers the
-scenario inside the worker too.
+Fork-started workers inherit the crash skeletons; spawn-started workers
+unpickle them, which imports this module for their class.
 """
 
 from __future__ import annotations
@@ -33,13 +35,19 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterator, List, Optional
 from unittest import mock
 
-from repro.attacks.registry import register_attack, unregister_attack
-from repro.attacks.structure import SelfishForksStructure, structure_cache_stats
+from repro.attacks.registry import SupportSignature
+from repro.attacks.structure import (
+    SelfishForksStructure,
+    clear_structure_cache,
+    replace_structure_cache,
+    structure_cache_stats,
+)
+from repro.config import ProtocolParams
 from repro.config import AnalysisConfig, AttackParams
 from repro.core.execution import pool_kwargs
 from repro.core.results import SweepResult
@@ -50,55 +58,46 @@ class SweepCancelled(Exception):
     """Raised from a progress callback to cancel a running sweep."""
 
 
-# -------------------------------------------------------- the crash scenario
+# ------------------------------------------------------- the crash skeleton
 
-#: Name of the test-only scenario whose model build can kill its process.
-CRASH_SCENARIO = "crash-forks"
-#: Environment variable naming the ``p`` at which ``crash-forks`` exits.
+#: Environment variable naming the ``p`` at which a crash skeleton's refill exits.
 CRASH_AT_P_ENV_VAR = "REPRO_TEST_CRASH_AT_P"
 
 
 class CrashForksStructure(SelfishForksStructure):
-    """Selfish forks whose model build hard-kills the process at one ``p`` (tests)."""
+    """A selfish-forks skeleton whose refill hard-kills the process at one ``p`` (tests)."""
 
-    @classmethod
-    def explore(cls, attack, signature, **kwargs):
-        """Explore as selfish forks, but keep this class on the skeleton.
-
-        The skeleton's class is what spawn-started workers import when they
-        unpickle it; a plain selfish-forks skeleton would leave them without
-        this scenario.
-        """
-        structure = super().explore(attack, signature, **kwargs)
-        structure.__class__ = cls
-        return structure
-
-    def __setstate__(self, state):
-        """A spawn-started worker unpickling this skeleton registers the scenario."""
-        self.__dict__.update(state)
-        register_attack(CRASH_SCENARIO)(CrashForksStructure)
-
-    @classmethod
-    def build_model(cls, protocol, attack, **kwargs):
+    def instantiate(self, protocol):
         """Exit with status 17 when ``protocol.p`` is ``$REPRO_TEST_CRASH_AT_P``."""
         crash_at = os.environ.get(CRASH_AT_P_ENV_VAR)
         if crash_at is not None and protocol.p == float(crash_at):
             os._exit(17)
-        return super().build_model(protocol, attack, **kwargs)
+        return super().instantiate(protocol)
 
 
 @contextmanager
-def crash_scenario() -> Iterator[None]:
-    """Register ``crash-forks`` for the block; fork-started workers inherit it.
+def crash_skeletons(grid: dict) -> Iterator[None]:
+    """Serve every skeleton of ``grid`` from the structure cache as a crash skeleton.
 
-    Registered only for the block, so the built-in registry that every other
-    test sees stays untouched.
+    The cache is emptied again after the block, so every other test explores
+    its own plain skeletons.
     """
-    register_attack(CRASH_SCENARIO)(CrashForksStructure)
+    structures = []
+    for attack in grid["attack_configs"]:
+        signatures = {
+            SupportSignature.of(ProtocolParams(p=p, gamma=gamma))
+            for gamma in grid["gammas"]
+            for p in grid["p_values"]
+        }
+        for signature in signatures:
+            structure = SelfishForksStructure.explore(attack, signature)
+            structure.__class__ = CrashForksStructure
+            structures.append(structure)
+    replace_structure_cache(structures)
     try:
         yield
     finally:
-        unregister_attack(CRASH_SCENARIO)
+        clear_structure_cache()
 
 
 # ------------------------------------------------------------------- the grid
@@ -136,15 +135,6 @@ def base_grid(scenario: str = "selfish-forks", **overrides) -> dict:
 def chained_grid() -> dict:
     """The base grid with warm starts and bounds chained along p (one unit per series)."""
     return base_grid(warm_start_across_points=True, reuse_p_axis_bounds=True)
-
-
-def crash_grid() -> dict:
-    """The chained grid on ``crash-forks``; build it inside :func:`crash_scenario`."""
-    grid = chained_grid()
-    grid["attack_configs"] = tuple(
-        replace(attack, scenario=CRASH_SCENARIO) for attack in grid["attack_configs"]
-    )
-    return grid
 
 
 def failing_grid() -> dict:
@@ -251,7 +241,7 @@ def _pool_worker_builds(grid: dict) -> List[int]:
 
 
 def _pool_crash(grid: dict, journal_path, crash_at_p: float) -> SweepResult:
-    """A pool sweep whose ``crash-forks`` model build exits at ``p == crash_at_p``."""
+    """A pool sweep whose workers exit refilling a crash skeleton at ``p == crash_at_p``."""
     with mock.patch.dict(os.environ, {CRASH_AT_P_ENV_VAR: repr(crash_at_p)}):
         return _pool_execute(grid, journal_path=journal_path)
 
@@ -287,7 +277,7 @@ class ExecutionContract:
     cancellation and returns the exception that aborted it;
     ``worker_builds`` reports the structure builds performed inside worker
     processes (``None`` without workers); ``crash`` runs a sweep whose
-    workers exit while building the ``crash-forks`` model at the given ``p``
+    workers exit while refilling a crash skeleton at the given ``p``
     (``None`` without workers); ``cross_process`` opts the contract into the
     fork/spawn start-method matrix.
     """

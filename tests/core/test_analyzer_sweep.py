@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -12,7 +13,9 @@ from repro import (
     SweepConfig,
     run_sweep,
 )
+from repro.attacks import build_selfish_forks_mdp
 from repro.core.sweep import attack_series_name
+from repro.mdp import MDP
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,16 @@ class TestAnalyzer:
         analyzer, _ = analyzer_result
         assert analyzer.build_model() is analyzer.build_model()
         assert analyzer.build_model(force=True) is not None
+
+    def test_build_model_returns_the_refilled_mdp(self, analyzer_result):
+        """The analyzer refills the cached skeleton, exactly as the public builder does."""
+        analyzer, result = analyzer_result
+        mdp = analyzer.build_model()
+        assert isinstance(mdp, MDP)
+        assert mdp.num_states == result.num_states
+        reference = build_selfish_forks_mdp(analyzer.protocol, analyzer.attack).mdp
+        assert np.array_equal(mdp.trans_prob, reference.trans_prob)
+        assert np.array_equal(mdp.trans_succ, reference.trans_succ)
 
     def test_default_construction(self):
         analyzer = SelfishMiningAnalyzer()

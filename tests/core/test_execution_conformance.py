@@ -23,8 +23,7 @@ from execution_conformance import (
     attack_keys,
     base_grid,
     chained_grid,
-    crash_grid,
-    crash_scenario,
+    crash_skeletons,
     failing_grid,
     serial_reference,
 )
@@ -105,7 +104,7 @@ class TestHardWorkerCrash:
     def test_crash_inside_chained_unit_loses_no_point(self, kind, start_method, tmp_path):
         """A worker hard-killed inside a chained unit loses no point silently.
 
-        The ``crash-forks`` model build exits (``os._exit``) at the second
+        The crash skeletons' refill exits (``os._exit``) at the second
         point of every unit, before the unit returns.  Every point of the
         dead units comes back as a failure, and a journal resume without the
         crash reproduces the serial run bit for bit.
@@ -114,8 +113,8 @@ class TestHardWorkerCrash:
         if contract.crash is None:
             pytest.skip("inline execution has no worker processes")
         journal_path = tmp_path / "sweep.journal"
-        with crash_scenario():
-            grid = crash_grid()
+        grid = chained_grid()
+        with crash_skeletons(grid):
             reference = CONTRACTS["serial"].execute(grid)
             crashed = contract.crash(grid, journal_path, 0.1)
             resumed = contract.execute(grid, journal_path=journal_path, resume=True)

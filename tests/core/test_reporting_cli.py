@@ -348,6 +348,7 @@ class TestCli:
         assert "selfish-forks@1" in out
         assert "sm-actions@1" in out
         assert "default grid" in out
+        assert "overpaying" in out
 
     def test_analyze_accepts_attack_scenario(self, capsys):
         exit_code = main(
@@ -387,6 +388,20 @@ class TestCli:
     def test_unknown_attack_rejected(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--attack", "no-such-attack"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--variant", "typo"],
+            ["sweep", "--variant", "overpaying"],
+            ["simulate", "--attack", "sm-actions", "--variant", "typo"],
+        ],
+    )
+    def test_unknown_variant_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--variant" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

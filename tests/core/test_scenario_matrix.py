@@ -1,10 +1,9 @@
-"""Cross-scenario engine matrix: every engine feature on every registered scenario.
+"""Cross-scenario engine matrix: every engine feature on both attack scenarios.
 
-The tentpole contract of the attack registry: the sweep engine and its worker
-pool are scenario-generic.  This module runs both built-in scenarios through
-serial and pooled (fork and spawn) execution and checks bit-for-bit agreement
-with the serial run, plus the loud-failure paths (mixed grids, unknown or
-conflicting scenario names).
+The sweep engine and its worker pool are scenario-generic.  This module runs
+both scenarios through serial and pooled (fork and spawn) execution and
+checks bit-for-bit agreement with the serial run, plus the loud failure of
+a mixed-scenario grid.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks.registry import scenario_id_for
+from repro.attacks.registry import get_attack, scenario_id_for
 from repro.config import AnalysisConfig, AttackParams
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.exceptions import ConfigurationError
@@ -41,7 +40,6 @@ def scenario_grid(scenario: str, **overrides) -> SweepConfig:
         p_values=(0.0, 0.15, 0.3),
         gammas=(0.5,),
         attack_configs=attack_configs,
-        attack=scenario,
         include_single_tree=False,
         analysis=AnalysisConfig(epsilon=1e-2),
     )
@@ -97,20 +95,12 @@ class TestConfigurationGuards:
                 ),
             )
 
-    def test_attack_name_conflicting_with_grid_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            SweepConfig(
-                p_values=(0.1,),
-                gammas=(0.5,),
-                attack_configs=(AttackParams(depth=1, forks=1, scenario="sm-actions"),),
-                attack="selfish-forks",
-            )
-
-    def test_attack_name_swaps_in_default_grid(self):
-        config = SweepConfig(p_values=(0.1,), gammas=(0.5,), attack="sm-actions")
-        assert all(a.scenario == "sm-actions" for a in config.attack_configs)
-        assert len(config.attack_configs) >= 2
-
-    def test_unknown_attack_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown attack scenario"):
-            SweepConfig(p_values=(0.1,), gammas=(0.5,), attack="no-such-attack")
+    def test_default_grid_of_each_scenario_comes_from_grid_configs(self):
+        for scenario in SCENARIOS:
+            configs = get_attack(scenario).grid_configs("default")
+            config = SweepConfig(p_values=(0.1,), gammas=(0.5,), attack_configs=configs)
+            assert all(a.scenario == scenario for a in config.attack_configs)
+            assert len(config.attack_configs) >= 2
+        assert get_attack("selfish-forks").grid_configs("default") == (
+            SweepConfig().attack_configs
+        )
