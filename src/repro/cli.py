@@ -53,7 +53,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from dataclasses import replace
 
@@ -67,6 +67,7 @@ from .config import (
 from .core import SelfishMiningAnalyzer, ascii_plot, render_table, write_csv
 from .core.reporting import ProgressReporter
 from .core.sweep import SweepConfig, run_sweep
+from .exceptions import ConfigurationError
 
 #: Short aliases accepted by ``--solver`` alongside the full backend names.
 SOLVER_ALIASES = {
@@ -242,10 +243,10 @@ def _attack_params(args: argparse.Namespace) -> AttackParams:
     )
 
 
-def _command_analyze(args: argparse.Namespace) -> int:
+def _command_analyze(args: argparse.Namespace, attack: AttackParams) -> int:
     analyzer = SelfishMiningAnalyzer(
         ProtocolParams(p=args.p, gamma=args.gamma),
-        _attack_params(args),
+        attack,
         AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
@@ -263,7 +264,7 @@ def _command_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_attack_configs(args: argparse.Namespace):
+def _sweep_attack_configs(args: argparse.Namespace) -> Tuple[AttackParams, ...]:
     """Resolve the sweep's attack grid through the selected scenario's parser."""
     from .attacks.registry import get_attack
 
@@ -273,9 +274,7 @@ def _sweep_attack_configs(args: argparse.Namespace):
     return configs
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
-    if args.resume and args.journal is None:
-        raise SystemExit("repro sweep: --resume requires --journal PATH")
+def _command_sweep(args: argparse.Namespace, attack_configs: Tuple[AttackParams, ...]) -> int:
     # Every multiple of --p-step up to --p-max, never past it; the 1e-9 slack
     # absorbs float error so that e.g. 0.3 / 0.05 still yields 7 points.
     num_points = math.floor(args.p_max / args.p_step + 1e-9) + 1
@@ -283,7 +282,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
         p_values=p_values,
         gammas=(args.gamma,),
-        attack_configs=_sweep_attack_configs(args),
+        attack_configs=attack_configs,
         analysis=AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
@@ -336,10 +335,10 @@ def _command_attacks(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_simulate(args: argparse.Namespace) -> int:
+def _command_simulate(args: argparse.Namespace, attack: AttackParams) -> int:
     analyzer = SelfishMiningAnalyzer(
         ProtocolParams(p=args.p, gamma=args.gamma),
-        _attack_params(args),
+        attack,
         AnalysisConfig(
             epsilon=args.epsilon,
             solver=_resolve_solver(args.solver),
@@ -361,12 +360,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if "attack" in args and args.variant not in SCENARIO_VARIANTS[args.attack]:
         variants = ", ".join(repr(variant) for variant in SCENARIO_VARIANTS[args.attack])
         parser.error(f"--variant of {args.attack} must be one of {variants}, got {args.variant!r}")
+    if args.command == "sweep" and args.resume and args.journal is None:
+        parser.error("--resume requires --journal PATH")
+    # Validate the attack parameters and the grid before any model is built,
+    # so that a bad value is a usage error (exit 2), not a traceback.
+    try:
+        if args.command == "sweep":
+            attack_configs = _sweep_attack_configs(args)
+        elif args.command in ("analyze", "simulate"):
+            attack = _attack_params(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     if args.command == "analyze":
-        return _command_analyze(args)
+        return _command_analyze(args, attack)
     if args.command == "sweep":
-        return _command_sweep(args)
+        return _command_sweep(args, attack_configs)
     if args.command == "simulate":
-        return _command_simulate(args)
+        return _command_simulate(args, attack)
     if args.command == "attacks":
         return _command_attacks(args)
     parser.error(f"unknown command {args.command!r}")

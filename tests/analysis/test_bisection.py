@@ -152,12 +152,17 @@ def test_cold_start_certifies_the_same_interval(case):
 
 @pytest.fixture()
 def factorizations(monkeypatch):
-    """Record the column order of every Poisson factorization (the stationary solve has none)."""
+    """Record ``(permc_spec, relax, panel_size)`` of every Poisson factorization.
+
+    The stationary solve factors through ``spsolve`` and is not recorded.
+    """
     calls = []
     splu = spla.splu
 
     def counting_splu(*args, **kwargs):
-        calls.append(kwargs.get("permc_spec", "COLAMD"))
+        calls.append(
+            (kwargs.get("permc_spec", "COLAMD"), kwargs.get("relax"), kwargs.get("panel_size"))
+        )
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
@@ -169,8 +174,9 @@ def test_warm_solves_reuse_the_incumbent_factor(case, factorizations):
     """Every solve after the first starts from the previous strategy and its factor."""
     warm = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
     assert len(factorizations) == warm.total_solver_iterations - warm.num_iterations
-    # The columns come in the model's cached order; SuperLU never runs COLAMD.
-    assert set(factorizations) == {"NATURAL"}
+    # The columns come in the model's cached order, so SuperLU never runs
+    # COLAMD, and it factors without relaxed supernodes or panel blocking.
+    assert set(factorizations) == {("NATURAL", 1, 1)}
     factorizations.clear()
     cold = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON, warm_start=False))
     assert len(factorizations) == cold.total_solver_iterations
@@ -184,6 +190,49 @@ def test_dinkelbach_reuses_the_incumbent_factor(case, factorizations):
     result = dinkelbach_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
     solver_iterations = sum(record.solver_iterations for record in result.iterations)
     assert len(factorizations) == solver_iterations - (result.num_iterations - 1)
+
+
+#: Models of the invariance check, each at the six ``point-d2f2`` inputs of
+#: the benchmark and three more Figure 2 grid points, as ``(gamma, p)``.
+INVARIANCE_MODELS = [(1, 1), (2, 1), (2, 2)]
+INVARIANCE_POINTS = [
+    (0.5, 0.1), (0.5, 0.2), (0.5, 0.3), (1.0, 0.1), (1.0, 0.2), (1.0, 0.3),
+    (0.0, 0.15), (0.0, 0.3), (1.0, 0.25),
+]
+
+
+@pytest.mark.parametrize(
+    "depth, forks", INVARIANCE_MODELS, ids=[f"d{d}f{f}" for d, f in INVARIANCE_MODELS]
+)
+def test_superlu_setting_decides_as_the_default_one(depth, forks, monkeypatch):
+    """Without relaxed supernodes and panels SuperLU takes every decision its default takes.
+
+    The oracle is the same search with ``splu`` stripped of ``relax`` and
+    ``panel_size``: every probe, the certified interval, the strategy and its
+    ERRev must be identical, and every probe's gain equal within 1e-12.
+    """
+    config = AnalysisConfig(epsilon=EPSILON)
+    attack = AttackParams(depth=depth, forks=forks, max_fork_length=4)
+    models = []
+    for gamma, p in INVARIANCE_POINTS:
+        protocol = ProtocolParams(p=p, gamma=gamma)
+        models.append(get_model_structure(attack, protocol).instantiate(protocol))
+    shipped = [formal_analysis(mdp, config) for mdp in models]
+
+    splu = spla.splu
+
+    def default_splu(*args, relax=None, panel_size=None, **kwargs):
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", default_splu)
+    oracle = [formal_analysis(mdp, config) for mdp in models]
+    for point, result, expected in zip(INVARIANCE_POINTS, shipped, oracle):
+        assert [it.beta for it in result.iterations] == [it.beta for it in expected.iterations]
+        assert (result.beta_low, result.beta_up) == (expected.beta_low, expected.beta_up), point
+        assert np.array_equal(result.strategy.rows, expected.strategy.rows), point
+        assert result.strategy_errev == expected.strategy_errev, point
+        for it, want in zip(result.iterations, expected.iterations):
+            assert it.optimal_mean_payoff == pytest.approx(want.optimal_mean_payoff, abs=1e-12)
 
 
 def test_batch_returns_no_factor():

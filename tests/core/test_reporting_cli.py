@@ -460,9 +460,29 @@ class TestCli:
             main(["worker"])
         assert "invalid choice: 'worker'" in capsys.readouterr().err
 
-    def test_resume_requires_journal(self):
-        with pytest.raises(SystemExit, match="--resume requires --journal"):
-            main(["sweep", "--resume"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--depth", "0"], "depth must be >= 1, got 0"),
+            (["simulate", "--forks", "0"], "forks must be >= 1, got 0"),
+            (["sweep", "--grid", "d2x"], "invalid selfish-forks grid token 'd2x'"),
+            (
+                ["sweep", "--attack", "sm-actions", "--grid", "l4:typo"],
+                "variant of 'sm-actions' must be one of",
+            ),
+            (["sweep", "--resume"], "--resume requires --journal PATH"),
+        ],
+    )
+    def test_invalid_attack_or_grid_is_a_usage_error(self, monkeypatch, capsys, argv, message):
+        """Attack parameters and the grid are checked before anything runs."""
+        monkeypatch.setattr(cli, "run_sweep", pytest.fail)
+        monkeypatch.setattr(cli, "SelfishMiningAnalyzer", pytest.fail)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {message}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
