@@ -16,13 +16,16 @@ engine asserts this for its serial and pool runs) --
 with width below ``epsilon`` and ``beta_low <= ERRev* <= beta_up`` within the
 MDP's strategy class.  No wall-clock reading ever steers the search.  Warm starts
 (``AnalysisConfig.warm_start``) change solver iteration and factorization counts,
-never a value: each solve starts from the previous probe's strategy and reuses
-that strategy's Poisson LU factor (bit-identical to refactoring the same matrix),
-so a warm-started search factors ``total_solver_iterations - num_iterations``
-times instead of ``total_solver_iterations``.  One :class:`EvaluationSlot` holds
-the factor between solves, so at most one is alive: a solve frees it before
-factoring another strategy, the search drops it before the final strategy
-evaluation, and it never enters the result.
+never a value: each solve starts from the previous probe's strategy, and one
+:class:`~repro.mdp.EvaluationCache` serves every solve of the search, so no
+strategy it still holds is factored again (a held factor is bit-identical to
+refactoring the same matrix).  Below the cache's cap a warm-started search
+factors each distinct strategy it evaluates once.  Past it the cache holds the
+latest factor only, so each solve after the first reuses one factor, and the
+search factors ``total_solver_iterations - num_iterations`` times, where a
+cold search factors ``total_solver_iterations`` times.  The search drops the
+cache before the final strategy evaluation, and no factor ever enters the
+result.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from ..config import AnalysisConfig
 from ..exceptions import ModelError
-from ..mdp import MDP, EvaluationSlot, MeanPayoffSolution, Strategy, solve_mean_payoff
+from ..mdp import MDP, EvaluationCache, MeanPayoffSolution, Strategy, solve_mean_payoff
 from .errev import evaluate_strategy_errev
 from .rewards import beta_reward_weights
 
@@ -152,18 +155,18 @@ def formal_analysis(
     iterations: List[BinarySearchIteration] = []
     warm_strategy: Optional[Strategy] = None
     warm_bias: Optional[np.ndarray] = None
-    # Holds the last solve's Poisson factor for the next, warm-started solve.
-    slot: Optional[EvaluationSlot] = None
+    # Holds the search's Poisson factors for the warm-started solves.
+    cache: Optional[EvaluationCache] = None
     if config.warm_start:
         warm_strategy = _strategy_from_rows(mdp, initial_strategy_rows)
         warm_bias = _bias_from_vector(mdp, initial_bias)
-        slot = EvaluationSlot()
+        cache = EvaluationCache()
     total_solver_iterations = 0
 
     while beta_up - beta_low >= config.epsilon:
         beta = 0.5 * (beta_low + beta_up)
         solve_start = time.perf_counter()
-        solution = _solve(mdp, beta, config, warm_strategy, warm_bias, slot)
+        solution = _solve(mdp, beta, config, warm_strategy, warm_bias, cache)
         solve_seconds = time.perf_counter() - solve_start
         if solution.gain < 0.0:
             beta_up = beta
@@ -185,9 +188,9 @@ def formal_analysis(
             warm_bias = solution.bias
 
     # Final solve at beta_low to extract the certified strategy.
-    final_solution = _solve(mdp, beta_low, config, warm_strategy, warm_bias, slot)
-    # The slot is the factor's only holder: free it before the stationary solve.
-    slot = None
+    final_solution = _solve(mdp, beta_low, config, warm_strategy, warm_bias, cache)
+    # The cache is the factors' only holder: free them before the stationary solve.
+    cache = None
     total_solver_iterations += final_solution.iterations
     strategy = final_solution.strategy
     strategy_errev = (
@@ -255,7 +258,7 @@ def _solve(
     config: AnalysisConfig,
     warm_start: Optional[Strategy],
     warm_start_bias: Optional[np.ndarray],
-    evaluation_slot: Optional[EvaluationSlot],
+    evaluation_cache: Optional[EvaluationCache],
 ) -> MeanPayoffSolution:
     """Solve the mean-payoff MDP under ``r_beta`` with the configured backend."""
     return solve_mean_payoff(
@@ -266,5 +269,5 @@ def _solve(
         max_iterations=config.max_solver_iterations,
         warm_start=warm_start,
         warm_start_bias=warm_start_bias,
-        evaluation_slot=evaluation_slot,
+        evaluation_cache=evaluation_cache,
     )

@@ -10,10 +10,11 @@ ratio, typically in a handful of iterations.  The library ships it as
 * an independent cross-check: both procedures must agree up to their precision,
   which the test suite verifies.
 
-Like Algorithm 1, each solve is warm-started with the previous strategy and
-reuses its Poisson LU factor, which changes factorization counts, never a value.
-That factor stays in its :class:`~repro.mdp.EvaluationSlot` while each
-iteration's strategy is evaluated, so the stationary solve's LU runs beside it.
+Like Algorithm 1, each solve is warm-started with the previous strategy, and
+one :class:`~repro.mdp.EvaluationCache` serves every solve, so no strategy it
+still holds is factored again; that changes factorization counts, never a
+value.  The cache keeps its factors while each iteration's strategy is
+evaluated, so the stationary solve's LU runs beside them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import List, Optional
 
 from ..config import AnalysisConfig
 from ..exceptions import ConvergenceError
-from ..mdp import MDP, EvaluationSlot, Strategy, solve_mean_payoff
+from ..mdp import MDP, EvaluationCache, Strategy, solve_mean_payoff
 from .errev import evaluate_strategy_errev
 from .rewards import beta_reward_weights
 
@@ -92,7 +93,7 @@ def dinkelbach_analysis(
     beta = float(initial_beta)
     iterations: List[DinkelbachIteration] = []
     strategy: Optional[Strategy] = None
-    slot = EvaluationSlot()
+    cache = EvaluationCache()
 
     for _ in range(max_iterations):
         solution = solve_mean_payoff(
@@ -102,7 +103,7 @@ def dinkelbach_analysis(
             tolerance=config.solver_tolerance,
             max_iterations=config.max_solver_iterations,
             warm_start=strategy,
-            evaluation_slot=slot,
+            evaluation_cache=cache,
         )
         strategy = solution.strategy
         next_beta = evaluate_strategy_errev(mdp, strategy)

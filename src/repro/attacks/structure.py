@@ -591,14 +591,15 @@ _ATTACH_COUNT = 0
 
 
 def _freeze(structure: ScenarioStructure) -> ScenarioStructure:
-    """Make every numeric array of ``structure``, its column order included, read-only.
+    """Make every numeric array of ``structure``, its column order's included, read-only.
 
     Every model instantiated from a cached skeleton shares its arrays, so a
     write through one model would corrupt every later grid point.  Pickling
     (spawn-started workers) drops the flag below protocol 5, so installed
     skeletons are frozen again.
     """
-    for value in [*vars(structure).values(), structure.column_order.rank]:
+    order = structure.column_order
+    for value in [*vars(structure).values(), order.rank, *(order.template or ())]:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return structure

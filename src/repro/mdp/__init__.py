@@ -11,7 +11,7 @@ from .strategy import Strategy
 from .markov_chain import MarkovChain, induced_markov_chain
 from .value_iteration import RelativeValueIterationResult, relative_value_iteration
 from .policy_iteration import (
-    EvaluationSlot,
+    EvaluationCache,
     PolicyEvaluation,
     PolicyIterationResult,
     policy_iteration,
@@ -34,7 +34,7 @@ __all__ = [
     "induced_markov_chain",
     "RelativeValueIterationResult",
     "relative_value_iteration",
-    "EvaluationSlot",
+    "EvaluationCache",
     "PolicyEvaluation",
     "PolicyIterationResult",
     "policy_iteration",

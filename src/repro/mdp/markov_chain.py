@@ -5,54 +5,59 @@ distribution (to evaluate the exact expected relative revenue of a strategy)
 and the gain/bias pair (for policy evaluation inside Howard policy iteration).
 
 Both are whole-array operations, so an evaluation costs about one sparse LU.
-A chain is held as its generator ``I - P`` in canonical CSR form: columns
-sorted, duplicate successors merged, zeros pruned, exactly as scipy computes
-``identity - P``.  Every state-action row of an MDP is one candidate row of
-that generator, so :func:`row_table` computes all of them once per model, with
-one scipy subtraction, and :func:`induced_markov_chain` is one row gather from
-that table.  Both linear systems are then assembled directly as CSC arrays,
-without sparse arithmetic: the stationary system from the generator rows
-negated (``-(1 - p) == p - 1`` exactly in IEEE arithmetic), bit for bit the
-arrays of the scipy expression ``(P^T - I)``, and the Poisson system from a
-stable sort of the generator by column position.
+A chain is its model plus one chosen row per state.  Every state-action row of
+an MDP is one candidate row of the chain's generator ``I - P``, so
+:func:`row_table` computes all of them once per model, with one scipy
+subtraction, in canonical CSR form: columns sorted, duplicate successors
+merged, zeros pruned, exactly as scipy computes ``identity - P``.  The
+stationary system is a gather of the chosen rows from that table, negated
+(``-(1 - p) == p - 1`` exactly in IEEE arithmetic): bit for bit the arrays of
+the scipy expression ``(P^T - I)``.
 
-The Poisson system's columns come in a fill-reducing order that is computed
-once per sparsity pattern, not once per strategy.  Every chain of a model
-draws its rows from the same union pattern, which does not depend on the
-probabilities, so :meth:`MarkovChain.column_rank` takes COLAMD's order of that
-pattern (Davis et al., ACM TOMS 30(3), 2004) once and keeps it in the model's
-:class:`~repro.mdp.model.ColumnOrder`, which a skeleton shares with every
-model it instantiates.  The matrix is assembled with its columns already in
-that order, SuperLU factors it with the natural order, and
-:meth:`MarkovChain.gain_and_bias` gathers ``(h, g)`` back.  The arrays are
-those of ``(I - P)`` with the bias columns permuted, bit for bit.
+The Poisson system is never gathered row by row.  Every chain of a model draws
+its rows from one union pattern, which depends on the successors only, never
+on the probabilities, so a skeleton fixes it and every model the skeleton
+instantiates shares it.  Its columns come in a fill-reducing order:
+:meth:`MarkovChain.column_rank` takes COLAMD's order of the union pattern
+(Davis et al., ACM TOMS 30(3), 2004) once.  Beside it the model's
+:class:`~repro.mdp.model.ColumnOrder` keeps a :class:`PoissonTemplate`: the
+CSC index arrays of every row's Poisson entries, in column-position order, with
+the ``(n, ref)`` entry and the ones column of ``g``.  Each model gathers its
+values into that order once (:func:`poisson_system`), and the Poisson matrix of
+a strategy is then a boolean mask of its chosen rows, the kept entries counted
+per column and summed into the column offsets, and two gathers: no sort and no
+row gather.  The arrays are those of ``(I - P)`` with the bias columns
+permuted, bit for bit.  A model whose table pruned an entry of the skeleton's
+pattern (a zero probability, or a probability-1 self-loop whose diagonal
+cancels) gets a template of its own table's pattern.  A chain of an explicit
+matrix is the chain of a model with one row per state.
 
 The Poisson matrix does not depend on the rewards, so
 :meth:`MarkovChain.poisson_factor` factors it once (SuperLU via ``splu``) and
 :meth:`MarkovChain.gain_and_bias` solves any reward weighting with that
-factor; policy iteration keeps the factor of the strategy it evaluates across
-solves.  SuperLU's relaxed supernodes and panel blocking (Demmel et al., SIAM
-J. Matrix Anal. Appl. 20(3), 1999) pay off on dense fronts; these systems have
-almost none (15k-32k L+U entries for 2,896 unknowns at ``d=2,f=2``), so the
-factor runs without them (``relax=1, panel_size=1``), which is faster to factor
-and to solve at every model size measured.  The setting is fixed, so
-refactoring the same chain gives the same factor bit for bit, and reuse
-changes no value.  The stationary system is solved once per chain by
-``spsolve``.  A singular system (the chain is not unichain) raises
-``SolverError``.
+factor; policy iteration keeps factors across solves in an
+:class:`~repro.mdp.policy_iteration.EvaluationCache`.  SuperLU's relaxed
+supernodes and panel blocking (Demmel et al., SIAM J. Matrix Anal. Appl.
+20(3), 1999) pay off on dense fronts; these systems have almost none (15k-48k
+L+U entries for 2,896 unknowns at ``d=2,f=2``), so the factor runs without
+them (``relax=1, panel_size=1``), which is faster to factor and to solve at
+every model size measured.  The setting is fixed, so refactoring the same
+chain gives the same factor bit for bit, and reuse changes no value.  The
+stationary system is solved once per chain by ``spsolve``.  A singular system
+(the chain is not unichain) raises ``SolverError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..exceptions import ModelError, SolverError
-from .model import MDP, ColumnOrder
+from .model import MDP
 from .strategy import Strategy
 
 _NOT_UNICHAIN = (
@@ -81,6 +86,26 @@ class GeneratorRows:
     indices: np.ndarray
     data: np.ndarray
     expected_rewards: np.ndarray
+
+
+class PoissonTemplate(NamedTuple):
+    """CSC index arrays of the union of every row's Poisson entries, in column-position order.
+
+    Entry ``k`` comes from pattern row ``row[k]`` and sits in equation
+    ``indices[k]``; within a column the equations increase.  The ``(n, ref)``
+    entry (the last of column ``rank[ref]``) and the ones column of ``g`` (the
+    last column) carry the row ``num_rows``, which every chain chooses.
+    Column ``j`` starts at entry ``starts[j]``; the columns ``empty`` have no
+    entry.  ``source[k]`` is the position of entry ``k`` among the pattern's
+    entries followed by the ``(n, ref)`` entry and the ``n`` ones: a model
+    gathers its values from there.  Every array is read-only.
+    """
+
+    row: np.ndarray
+    indices: np.ndarray
+    starts: np.ndarray
+    empty: np.ndarray
+    source: np.ndarray
 
 
 def _row_gather(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -141,8 +166,7 @@ def _fill_reducing_rank(
     incomplete factorization of a strictly diagonally dominant proxy with that
     pattern returns that order without the full factorization's fill, and
     never meets a singular pivot.  The states keep COLAMD's relative order and
-    the gain column goes last; the position is held in the narrowest unsigned
-    dtype, which lets numpy's stable sort use radix sort up to 65,536 states.
+    the gain column goes last.
     """
     n = num_states
     rows = np.concatenate((owners, np.arange(n + 1), np.arange(n), [n]))
@@ -156,22 +180,115 @@ def _fill_reducing_rank(
     return rank
 
 
+def _column_rank(mdp: MDP) -> np.ndarray:
+    """The Poisson column position of every state of ``mdp``, from its union pattern."""
+    order = mdp.column_order
+    if order.rank is None:
+        owners = np.repeat(mdp.row_state, np.diff(mdp.row_trans_offsets))
+        order.rank = _fill_reducing_rank(
+            mdp.num_states, owners, mdp.trans_succ, mdp.initial_state
+        )
+    return order.rank
+
+
+def _poisson_template(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    owners: np.ndarray,
+    rank: np.ndarray,
+    reference_state: int,
+) -> PoissonTemplate:
+    """Template of the Poisson systems of the CSR row pattern ``(indptr, indices)``.
+
+    Row ``r`` of the pattern is owned by state ``owners[r]``, whose equation it
+    fills when a strategy chooses it.
+    """
+    n = len(rank)
+    num_rows = len(owners)
+    pattern_row = np.repeat(np.arange(num_rows), np.diff(indptr))
+    row = np.concatenate((pattern_row, np.full(n + 1, num_rows)))
+    equation = np.concatenate((owners[pattern_row], [n], np.arange(n)))
+    column = np.concatenate((rank[indices], [rank[reference_state]], np.full(n, n)))
+    source = np.lexsort((equation, column))
+    counts = np.bincount(column, minlength=n + 1)
+    template = PoissonTemplate(
+        row[source].astype(np.int32),
+        equation[source].astype(np.int32),
+        np.cumsum(counts) - counts,
+        np.flatnonzero(counts == 0),
+        source.astype(np.int32),
+    )
+    for array in template:
+        array.flags.writeable = False
+    return template
+
+
+def _skeleton_template(mdp: MDP) -> PoissonTemplate:
+    """Template of every row's successors and owner: the pattern of ``E - P`` before pruning."""
+    shape = (mdp.num_rows, mdp.num_states)
+    successors = sp.csr_matrix(
+        (np.ones(mdp.num_transitions), mdp.trans_succ.copy(), mdp.row_trans_offsets.copy()),
+        shape=shape,
+    )
+    successors.sum_duplicates()  # a sum of canonical matrices is canonical
+    own = sp.csr_matrix(
+        (np.ones(mdp.num_rows), mdp.row_state.copy(), np.arange(mdp.num_rows + 1)), shape=shape
+    )
+    pattern = successors + own  # positive entries never cancel, so nothing is pruned
+    return _poisson_template(
+        pattern.indptr, pattern.indices, mdp.row_state, _column_rank(mdp), mdp.initial_state
+    )
+
+
+def poisson_system(
+    mdp: MDP, reference_state: Optional[int] = None
+) -> Tuple[PoissonTemplate, np.ndarray]:
+    """Return the Poisson template of ``mdp`` and the model's values in its order.
+
+    For the model's initial state (the default reference) the template is the
+    skeleton's, kept in its :class:`~repro.mdp.model.ColumnOrder`, and the
+    values are gathered once and kept on the model.  Another reference state
+    gets a template of its own, built on every call.
+    """
+    n = mdp.num_states
+    reference = mdp.initial_state if reference_state is None else reference_state
+    kept = reference == mdp.initial_state
+    if kept and mdp._poisson_system is not None:
+        return mdp._poisson_system
+    table = row_table(mdp)
+    template = None
+    if kept:
+        order = mdp.column_order
+        if order.template is None:
+            order.template = _skeleton_template(mdp)
+        # Equal sizes: scipy pruned no entry of the skeleton's pattern from this table.
+        if len(order.template.source) - n - 1 == len(table.indices):
+            template = order.template
+    if template is None:
+        template = _poisson_template(
+            table.indptr, table.indices, mdp.row_state, _column_rank(mdp), reference
+        )
+    system = (template, np.concatenate((table.data, [1.0], np.ones(n)))[template.source])
+    if kept:
+        mdp._poisson_system = system
+    return system
+
+
 class MarkovChain:
     """A finite Markov chain with per-state expected reward vectors.
 
-    The chain is stored as its generator rows ``I - P`` (:class:`GeneratorRows`).
+    The chain is a model and the row it chooses in every state.
 
     Attributes:
         initial_state: Index of the initial state.
     """
 
-    _rows: GeneratorRows
+    _mdp: MDP
+    #: The chosen row of every state (``int64``).
+    _rows: np.ndarray
+    _gathered: Optional[GeneratorRows]
+    _expected_rewards: Optional[np.ndarray]
     _transition_matrix: Optional[sp.csr_matrix]
-    #: The model and chosen rows an induced chain gathers its transition
-    #: matrix from; ``None`` for a chain of an explicit matrix.
-    _source: Optional[Tuple[MDP, np.ndarray]]
-    #: The model's column order for an induced chain, a private one otherwise.
-    _order: ColumnOrder
 
     def __init__(
         self,
@@ -179,45 +296,65 @@ class MarkovChain:
         expected_rewards: np.ndarray,
         initial_state: int = 0,
     ) -> None:
-        """Build the chain of an explicit row-stochastic ``(n, n)`` matrix."""
+        """Build the chain of an explicit row-stochastic ``(n, n)`` matrix.
+
+        It is the chain of a model with one row per state, whose transitions
+        carry their state's expected reward and whose row table is built from
+        ``expected_rewards`` as given.
+        """
         matrix = sp.csr_matrix(transition_matrix, copy=True)
-        self._rows = _generator_rows(matrix, np.arange(matrix.shape[0]), expected_rewards)
+        matrix.sum_duplicates()
+        n = matrix.shape[0]
+        expected_rewards = np.asarray(expected_rewards)
+        one_row_each = np.arange(n)
+        mdp = MDP(
+            num_states=n,
+            initial_state=initial_state,
+            row_state=one_row_each,
+            state_row_offsets=np.arange(n + 1),
+            row_trans_offsets=matrix.indptr.astype(np.int64),
+            trans_succ=matrix.indices.astype(np.int64),
+            trans_prob=matrix.data,
+            trans_reward=np.repeat(expected_rewards, np.diff(matrix.indptr), axis=0),
+            row_actions=[None] * n,
+        )
+        mdp._row_table = _generator_rows(matrix, one_row_each, expected_rewards)
+        self._bind(mdp, one_row_each)
         self._transition_matrix = matrix
-        self._source = None
-        self._order = ColumnOrder()
-        self.initial_state = int(initial_state)
 
     @classmethod
     def _induced(cls, mdp: MDP, rows: np.ndarray) -> "MarkovChain":
-        table = row_table(mdp)
-        indptr, picked = _row_gather(table.indptr, rows)
+        """The chain of the valid row choice ``rows``, which it keeps without copying."""
         chain = cls.__new__(cls)
-        chain._rows = GeneratorRows(
-            indptr, table.indices[picked], table.data[picked], table.expected_rewards[rows]
-        )
-        chain._transition_matrix = None
-        chain._source = (mdp, rows)
-        chain._order = mdp.column_order
-        chain.initial_state = mdp.initial_state
+        chain._bind(mdp, rows)
         return chain
+
+    def _bind(self, mdp: MDP, rows: np.ndarray) -> None:
+        self._mdp = mdp
+        self._rows = rows
+        self._gathered = None
+        self._expected_rewards = None
+        self._transition_matrix = None
+        self.initial_state = mdp.initial_state
 
     @property
     def num_states(self) -> int:
         """Number of states of the chain."""
-        return len(self._rows.indptr) - 1
+        return self._mdp.num_states
 
     @property
     def expected_rewards(self) -> np.ndarray:
         """Dense ``(n, k)`` matrix of expected one-step reward vectors per state."""
-        return self._rows.expected_rewards
+        if self._expected_rewards is None:
+            self._expected_rewards = row_table(self._mdp).expected_rewards[self._rows]
+        return self._expected_rewards
 
     @property
     def transition_matrix(self) -> sp.csr_matrix:
         """Sparse ``(n, n)`` row-stochastic matrix, built on first access."""
         if self._transition_matrix is None:
-            assert self._source is not None
-            mdp, rows = self._source
-            indptr, picked = _row_gather(mdp.row_trans_offsets, rows)
+            mdp = self._mdp
+            indptr, picked = _row_gather(mdp.row_trans_offsets, self._rows)
             matrix = sp.csr_matrix(
                 (mdp.trans_prob[picked], mdp.trans_succ[picked], indptr),
                 shape=(self.num_states, self.num_states),
@@ -226,6 +363,16 @@ class MarkovChain:
             matrix.sum_duplicates()
             self._transition_matrix = matrix
         return self._transition_matrix
+
+    def _generator(self) -> GeneratorRows:
+        """The chain's generator ``I - P``, gathered from the model's row table on first use."""
+        if self._gathered is None:
+            table = row_table(self._mdp)
+            indptr, picked = _row_gather(table.indptr, self._rows)
+            self._gathered = GeneratorRows(
+                indptr, table.indices[picked], table.data[picked], self.expected_rewards
+            )
+        return self._gathered
 
     # ----------------------------------------------------------------- analysis
 
@@ -245,7 +392,8 @@ class MarkovChain:
         in column ``n - 1``, followed by a one in row ``n - 1``.
         """
         n = self.num_states
-        indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
+        generator = self._generator()
+        indptr, indices, data = generator.indptr, generator.indices, generator.data
         keep = indices != n - 1
         kept_before = np.zeros(len(indices) + 1, dtype=indptr.dtype)
         np.cumsum(keep, out=kept_before[1:])
@@ -308,53 +456,32 @@ class MarkovChain:
     def column_rank(self) -> np.ndarray:
         """Return the Poisson column position of every state; the gain's column is last.
 
-        Computed from the union pattern of the chain's model (or of the chain
-        itself, for an explicit matrix) on first use, and shared with every
-        chain of that model.
+        Computed from the union pattern of the chain's model on first use, and
+        shared with every chain of that model and of its skeleton.
         """
-        order = self._order
-        if order.rank is None:
-            if self._source is None:
-                successors = self._rows.indices
-                owners = np.repeat(np.arange(self.num_states), np.diff(self._rows.indptr))
-            else:
-                mdp = self._source[0]
-                successors = mdp.trans_succ
-                owners = np.repeat(mdp.row_state, np.diff(mdp.row_trans_offsets))
-            order.rank = _fill_reducing_rank(
-                self.num_states, owners, successors, self.initial_state
-            )
-        return order.rank
+        return _column_rank(self._mdp)
 
     def poisson_matrix(self, reference_state: int = 0) -> sp.csc_matrix:
         """Return the unichain Poisson system ``h + g = r + P h``, ``h[ref] = 0``.
 
         Unknowns are ``h[0..n-1]``, in columns ``rank = column_rank()``, and
         ``g`` in column ``n``.  Equation ``s`` is ``h[s] - sum_t P[s,t] h[t] + g
-        = r[s]``; equation ``n`` is the normalisation ``h[ref] = 0``.
+        = r[s]``; equation ``n`` is the normalisation ``h[ref] = 0``.  The
+        entries are the model's :func:`poisson_system` masked to the chosen rows.
         """
         n = self.num_states
-        rank = self.column_rank()
-        indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
-        # CSR to CSC: a stable sort by column position keeps each column's rows increasing.
-        position = rank[indices]
-        order = np.argsort(position, kind="stable")
-        rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))[order]
-        values = data[order]
-        counts = np.bincount(position, minlength=n)
-        counts[rank[reference_state]] += 1
-        col_ptr = np.zeros(n + 2, dtype=indptr.dtype)
-        np.cumsum(counts, out=col_ptr[1 : n + 1])
-        col_ptr[n + 1] = col_ptr[n] + n
-        # Row n is the last entry of column ref; column n holds the ones of g.
-        at = col_ptr[rank[reference_state] + 1] - 1
+        template, values = poisson_system(self._mdp, reference_state)
+        chosen = np.zeros(self._mdp.num_rows + 1, dtype=bool)
+        chosen[self._rows] = True
+        chosen[-1] = True  # the (n, ref) entry and the ones of g
+        keep = chosen.take(template.row)
+        counts = np.add.reduceat(keep, template.starts, dtype=np.int32)
+        counts[template.empty] = 0  # reduceat reads one entry of the next column there
+        indptr = np.zeros(n + 2, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        kept = np.flatnonzero(keep)
         return sp.csc_matrix(
-            (
-                np.concatenate((values[:at], [1.0], values[at:], np.ones(n))),
-                np.concatenate((rows[:at], [n], rows[at:], np.arange(n)), dtype=rows.dtype),
-                col_ptr,
-            ),
-            shape=(n + 1, n + 1),
+            (values.take(kept), template.indices.take(kept), indptr), shape=(n + 1, n + 1)
         )
 
     def poisson_factor(self, reference_state: int = 0) -> spla.SuperLU:

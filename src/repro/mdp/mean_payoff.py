@@ -8,10 +8,10 @@ result into a :class:`MeanPayoffSolution`.  :func:`solve_mean_payoff_batch` is
 a convenience loop over several reward weightings of the same model.
 
 Callers that warm-start each solve of a model with the previous solve's
-strategy also pass one :class:`EvaluationSlot` to every solve: policy iteration
-leaves the final strategy's :class:`PolicyEvaluation` (induced chain and
-Poisson LU factor) in it, and the next solve takes it out and skips that
-strategy's factorization.  No solution holds a factor.
+strategy also pass one :class:`EvaluationCache` to every solve: policy
+iteration looks every strategy up in it before factoring, so the next solve
+skips the factorization of the strategy it starts from, and of any other the
+search has met while the cache still holds it.  No solution holds a factor.
 
 The LP formulation is deliberately not a backend here, nor part of the
 package: it is a test oracle (``tests/mdp/lp_oracle.py``) that the tests
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..exceptions import SolverError
 from .model import MDP
-from .policy_iteration import EvaluationSlot, policy_iteration
+from .policy_iteration import EvaluationCache, policy_iteration
 from .strategy import Strategy
 from .value_iteration import relative_value_iteration
 
@@ -67,7 +67,7 @@ def solve_mean_payoff(
     max_iterations: int = 100_000,
     warm_start: Optional[Strategy] = None,
     warm_start_bias: Optional[np.ndarray] = None,
-    evaluation_slot: Optional[EvaluationSlot] = None,
+    evaluation_cache: Optional[EvaluationCache] = None,
 ) -> MeanPayoffSolution:
     """Compute the optimal mean payoff and an optimal strategy.
 
@@ -87,10 +87,9 @@ def solve_mean_payoff(
             ignored when its shape does not match ``mdp.num_states`` so that
             callers can pass vectors carried across structurally different
             models without checking.
-        evaluation_slot: Optional slot shared by the solves of this same
-            model; policy iteration reuses the evaluation it holds while the
-            rows match and leaves the final strategy's in it (value iteration
-            ignores it).
+        evaluation_cache: Optional cache shared by the solves of this same
+            model; policy iteration looks every strategy up in it before
+            factoring (value iteration ignores it).
 
     Raises:
         SolverError: If ``solver`` is not a known backend.
@@ -104,7 +103,7 @@ def solve_mean_payoff(
             tolerance=tolerance,
             max_iterations=max_iterations,
             initial_strategy=warm_start,
-            evaluation_slot=evaluation_slot,
+            evaluation_cache=evaluation_cache,
         )
         return MeanPayoffSolution(
             gain=result.gain,
@@ -153,8 +152,8 @@ def solve_mean_payoff_batch(
 
     Each row of ``weight_matrix`` is one :func:`solve_mean_payoff` call, warm
     started with the strategy, bias and evaluation of the previous row (the
-    first row uses ``warm_start`` / ``warm_start_bias``).  The evaluation slot
-    is local, so the last factor is freed on return.
+    first row uses ``warm_start`` / ``warm_start_bias``), sharing one
+    evaluation cache.  The cache is local, so every factor is freed on return.
 
     Returns:
         One :class:`MeanPayoffSolution` per row of ``weight_matrix``, in order.
@@ -170,7 +169,7 @@ def solve_mean_payoff_batch(
             f"got {weight_matrix.shape}"
         )
     solutions: List[MeanPayoffSolution] = []
-    slot = EvaluationSlot()
+    cache = EvaluationCache()
     for weights in weight_matrix:
         solution = solve_mean_payoff(
             mdp,
@@ -180,7 +179,7 @@ def solve_mean_payoff_batch(
             max_iterations=max_iterations,
             warm_start=warm_start,
             warm_start_bias=warm_start_bias,
-            evaluation_slot=slot,
+            evaluation_cache=cache,
         )
         solutions.append(solution)
         warm_start, warm_start_bias = solution.strategy, solution.bias

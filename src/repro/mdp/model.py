@@ -21,7 +21,7 @@ import numpy as np
 from ..exceptions import ModelError
 
 if TYPE_CHECKING:
-    from .markov_chain import GeneratorRows
+    from .markov_chain import GeneratorRows, PoissonTemplate
 
 #: Probabilities within one state-action row must sum to one up to this tolerance.
 PROBABILITY_TOLERANCE = 1e-9
@@ -53,16 +53,21 @@ class ColumnOrder:
     any of its chains lies inside one union pattern, and that pattern depends
     on the successors only, never on the probabilities.
     :meth:`repro.mdp.MarkovChain.column_rank` computes the order on first use
-    and keeps it here.  A skeleton hands one instance to every model it
-    instantiates, so the order is computed once per skeleton and process.
-    Threads that race on the first use compute the same order; either is kept.
+    and keeps it here, and :func:`repro.mdp.markov_chain.poisson_system` keeps
+    the CSC index arrays of the union pattern in that order beside it.  A
+    skeleton hands one instance to every model it instantiates, so both are
+    computed once per skeleton and process.  Threads that race on the first
+    use compute the same arrays; either is kept.
 
     Attributes:
         rank: Column position of every state, read-only; ``None`` until computed.
+        template: The union pattern's Poisson index arrays for the models'
+            initial state, read-only; ``None`` until computed.
     """
 
     def __init__(self) -> None:
         self.rank: Optional[np.ndarray] = None
+        self.template: Optional["PoissonTemplate"] = None
 
 
 class MDP:
@@ -123,6 +128,8 @@ class MDP:
         self._label_to_state: Optional[Dict[Hashable, int]] = None
         # Built by repro.mdp.markov_chain.row_table on the first chain of this model.
         self._row_table: Optional["GeneratorRows"] = None
+        # Built by repro.mdp.markov_chain.poisson_system on the first Poisson factor.
+        self._poisson_system: Optional[Tuple["PoissonTemplate", np.ndarray]] = None
         self.column_order = column_order if column_order is not None else ColumnOrder()
 
     # ------------------------------------------------------------------ queries

@@ -7,28 +7,39 @@ an optimal positional strategy and the exact optimal gain, which makes it the
 default solver of the formal analysis.
 
 A strategy's Poisson matrix does not depend on the reward weights, so the
-evaluation of the strategy being improved -- its rows, induced chain and sparse
-LU factor, one :class:`PolicyEvaluation` -- can outlive the solve.  A caller
-that solves the same model again under other weights hands it over in an
-:class:`EvaluationSlot`: the solve takes the incumbent out of the slot, reuses it
-only while its rows equal the rows being evaluated, frees it before factoring
-another strategy, and puts the final strategy's evaluation back.  At most one
-factor is therefore alive at a time, and reuse never changes a value, only the
-number of factorizations.
+evaluation of a strategy -- its rows, induced chain and sparse LU factor, one
+:class:`PolicyEvaluation` -- can outlive the solve that built it.  A caller
+that solves the same model again under other weights passes one
+:class:`EvaluationCache` to every solve, and each solve looks a strategy up in
+it before factoring.  A search returns to strategies it has factored before
+(45% of the factorizations on the Figure 2 ``d=1,f=1`` grid repeat one, 17% at
+``d=2,f=1``, 9% at ``d=2,f=2``).  The cache keeps every factor while their
+L+U entries stay under :data:`CACHED_FACTOR_ENTRIES`, which holds all of a
+``d<=2,f=1`` search and not one ``d=2,f=2`` factor; past it the cache keeps
+only the latest evaluation and frees it before another factor is built, so at
+most one large factor is alive at a time.  Refactoring the same rows gives the
+same factor bit for bit, so a hit never changes a value, only the number of
+factorizations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from ..exceptions import ConvergenceError
-from .markov_chain import MarkovChain, induced_markov_chain
+from .markov_chain import MarkovChain
 from .model import MDP
 from .strategy import Strategy
+
+#: L+U entries (``SuperLU.nnz``) an :class:`EvaluationCache` holds before a miss
+#: empties it.  The distinct factors of one Figure 2 search total at most 9,702
+#: entries at ``d=2,f=1`` (610 at ``d=1,f=1``); one ``d=2,f=2`` factor has
+#: 15,232 to 48,018.
+CACHED_FACTOR_ENTRIES = 12_000
 
 
 @dataclass
@@ -46,19 +57,30 @@ class PolicyEvaluation:
     factor: spla.SuperLU
 
 
-@dataclass
-class EvaluationSlot:
-    """Holds at most one :class:`PolicyEvaluation` between solves of one model.
+class EvaluationCache:
+    """The policy evaluations of one search over one model, keyed by the bytes of their rows.
 
-    The owner keeps the slot and passes it to every solve; the slot is the only
-    reference to the evaluation, so emptying or dropping it frees the factor.
+    The owner keeps the cache and passes it to every solve of the search; the
+    cache is the only holder of its evaluations, so dropping it frees every
+    factor.  A miss factors the rows and keeps the evaluation, after freeing
+    every evaluation held if their factors have :data:`CACHED_FACTOR_ENTRIES`
+    L+U entries or more.
     """
 
-    evaluation: Optional[PolicyEvaluation] = None
+    def __init__(self) -> None:
+        self._held: Dict[bytes, PolicyEvaluation] = {}
+        self._entries = 0
 
-    def take(self) -> Optional[PolicyEvaluation]:
-        """Empty the slot and return what it held."""
-        evaluation, self.evaluation = self.evaluation, None
+    def evaluation(self, mdp: MDP, rows: np.ndarray) -> PolicyEvaluation:
+        """Return the evaluation of the valid ``int64`` row choice ``rows`` of ``mdp``."""
+        key = rows.tobytes()
+        evaluation = self._held.get(key)
+        if evaluation is None:
+            if self._entries >= CACHED_FACTOR_ENTRIES:
+                self._held.clear()
+                self._entries = 0
+            evaluation = self._held[key] = _evaluate(mdp, rows)
+            self._entries += evaluation.factor.nnz
         return evaluation
 
 
@@ -112,7 +134,7 @@ def policy_iteration(
     tolerance: float = 1e-9,
     max_iterations: int = 1_000,
     initial_strategy: Optional[Strategy] = None,
-    evaluation_slot: Optional[EvaluationSlot] = None,
+    evaluation_cache: Optional[EvaluationCache] = None,
 ) -> PolicyIterationResult:
     """Solve the mean-payoff MDP with Howard policy iteration.
 
@@ -124,31 +146,33 @@ def policy_iteration(
         max_iterations: Maximum number of improvement rounds.
         initial_strategy: Optional warm start (e.g. the previous binary-search
             iterate); defaults to the first-action strategy.
-        evaluation_slot: Optional slot handing over the evaluation of a
-            strategy of this same model (typically the one an earlier solve
-            converged to, passed as ``initial_strategy``).  It is taken out
-            when the solve starts and used only while its rows match the rows
-            being evaluated; the final strategy's evaluation is put back.
+        evaluation_cache: Optional cache shared by the solves of this same
+            model; every strategy is looked up in it before it is factored,
+            and every evaluation built is offered to it.  A solve without one
+            uses a cache of its own.
 
     Raises:
         ConvergenceError: If no fixed point is reached within the budget.
     """
     row_rewards = mdp.expected_row_rewards(reward_weights)
-    strategy = initial_strategy if initial_strategy is not None else Strategy.first_action(mdp)
-    rows = strategy.rows.copy()
+    if initial_strategy is None:
+        rows = mdp.uniform_random_row_choice()
+    else:
+        # Checked once: every later row choice is the greedy step's own.
+        rows = Strategy(mdp, initial_strategy.rows).rows.copy()
+    cache = evaluation_cache if evaluation_cache is not None else EvaluationCache()
     gain = 0.0
     bias = np.zeros(mdp.num_states)
     converged = False
     iterations = 0
-    evaluation = evaluation_slot.take() if evaluation_slot is not None else None
 
     for iterations in range(1, max_iterations + 1):
-        if evaluation is None or not np.array_equal(evaluation.rows, rows):
-            evaluation = None  # the only reference: free the stale factor first
-            evaluation = _evaluate(mdp, rows)
+        evaluation = cache.evaluation(mdp, rows)
         gain, bias = evaluation.chain.gain_and_bias(
             reward_weights, reference_state=mdp.initial_state, factor=evaluation.factor
         )
+        # Leave the cache the only holder, so it can free the factor before the next.
+        del evaluation
         new_rows = _greedy_improvement(mdp, row_rewards, bias, rows, tolerance)
         if np.array_equal(new_rows, rows):
             converged = True
@@ -159,8 +183,6 @@ def policy_iteration(
         raise ConvergenceError(
             f"policy iteration did not converge within {max_iterations} iterations"
         )
-    if evaluation_slot is not None:
-        evaluation_slot.evaluation = evaluation
     return PolicyIterationResult(
         gain=float(gain),
         bias=bias,
@@ -172,6 +194,7 @@ def policy_iteration(
 
 def _evaluate(mdp: MDP, rows: np.ndarray) -> PolicyEvaluation:
     """Build the induced chain of ``rows`` and factor its Poisson system."""
-    chain = induced_markov_chain(mdp, Strategy(mdp, rows))
     # A private copy: the returned strategy shares ``rows`` with its caller.
-    return PolicyEvaluation(rows.copy(), chain, chain.poisson_factor(mdp.initial_state))
+    rows = rows.copy()
+    chain = MarkovChain._induced(mdp, rows)
+    return PolicyEvaluation(rows, chain, chain.poisson_factor(mdp.initial_state))

@@ -7,6 +7,7 @@ for both solver backends, because the search loop is shared by all of them.
 
 from __future__ import annotations
 
+import importlib
 import math
 import pickle
 
@@ -19,7 +20,10 @@ from repro import AnalysisConfig, AttackParams, ProtocolParams
 from repro.analysis import dinkelbach_analysis, formal_analysis
 from repro.analysis.rewards import beta_reward_weights
 from repro.attacks import get_model_structure
-from repro.mdp import solve_mean_payoff_batch
+from repro.mdp import EvaluationCache, solve_mean_payoff_batch
+
+#: The policy-iteration module; ``repro.mdp.policy_iteration`` is the function.
+PI_MODULE = importlib.import_module("repro.mdp.policy_iteration")
 
 EPSILON = 1e-3
 
@@ -169,14 +173,37 @@ def factorizations(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def evaluated(monkeypatch):
+    """Record the rows of every strategy a solve looks up in an evaluation cache."""
+    lookups = []
+    lookup = EvaluationCache.evaluation
+
+    def recording_lookup(self, mdp, rows):
+        lookups.append(rows.tobytes())
+        return lookup(self, mdp, rows)
+
+    monkeypatch.setattr(EvaluationCache, "evaluation", recording_lookup)
+    return lookups
+
+
 @pytest.mark.parametrize("case", CASES[:3], ids=CASE_IDS[:3])
-def test_warm_solves_reuse_the_incumbent_factor(case, factorizations):
-    """Every solve after the first starts from the previous strategy and its factor."""
+def test_warm_solves_reuse_the_incumbent_factor(case, factorizations, evaluated, monkeypatch):
+    """Under the cache's cap a search factors each distinct strategy once.
+
+    At cap 0 the cache holds one factor, and every solve after the first
+    starts from the previous strategy and its factor.
+    """
     warm = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
-    assert len(factorizations) == warm.total_solver_iterations - warm.num_iterations
+    assert len(evaluated) == warm.total_solver_iterations
+    assert len(factorizations) == len(set(evaluated))
     # The columns come in the model's cached order, so SuperLU never runs
     # COLAMD, and it factors without relaxed supernodes or panel blocking.
     assert set(factorizations) == {("NATURAL", 1, 1)}
+    factorizations.clear()
+    monkeypatch.setattr(PI_MODULE, "CACHED_FACTOR_ENTRIES", 0)
+    capped = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
+    assert len(factorizations) == capped.total_solver_iterations - capped.num_iterations
     factorizations.clear()
     cold = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON, warm_start=False))
     assert len(factorizations) == cold.total_solver_iterations
@@ -186,10 +213,14 @@ def test_warm_solves_reuse_the_incumbent_factor(case, factorizations):
 
 
 @pytest.mark.parametrize("case", CASES[:3], ids=CASE_IDS[:3])
-def test_dinkelbach_reuses_the_incumbent_factor(case, factorizations):
+def test_dinkelbach_reuses_the_incumbent_factor(case, factorizations, evaluated, monkeypatch):
     result = dinkelbach_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
-    solver_iterations = sum(record.solver_iterations for record in result.iterations)
-    assert len(factorizations) == solver_iterations - (result.num_iterations - 1)
+    assert len(factorizations) == len(set(evaluated))
+    factorizations.clear()
+    monkeypatch.setattr(PI_MODULE, "CACHED_FACTOR_ENTRIES", 0)
+    capped = dinkelbach_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
+    solver_iterations = sum(record.solver_iterations for record in capped.iterations)
+    assert len(factorizations) == solver_iterations - (capped.num_iterations - 1)
 
 
 #: Models of the invariance check, each at the six ``point-d2f2`` inputs of
@@ -233,6 +264,86 @@ def test_superlu_setting_decides_as_the_default_one(depth, forks, monkeypatch):
         assert result.strategy_errev == expected.strategy_errev, point
         for it, want in zip(result.iterations, expected.iterations):
             assert it.optimal_mean_payoff == pytest.approx(want.optimal_mean_payoff, abs=1e-12)
+
+
+def _search_values(result):
+    """Every value of an Algorithm 1 result except its timings."""
+    return (
+        (result.beta_low, result.beta_up),
+        [
+            (it.beta, it.optimal_mean_payoff, it.beta_low, it.beta_up, it.solver_iterations)
+            for it in result.iterations
+        ],
+        result.strategy.rows.tobytes(),
+        result.final_bias.tobytes(),
+        result.strategy_errev,
+        result.total_solver_iterations,
+    )
+
+
+def _dinkelbach_values(result):
+    return result.errev, result.strategy.rows.tobytes(), result.iterations
+
+
+def _batch_values(solutions):
+    return [
+        (s.gain, s.bias.tobytes(), s.strategy.rows.tobytes(), s.iterations) for s in solutions
+    ]
+
+
+@pytest.mark.parametrize(
+    "depth, forks", INVARIANCE_MODELS, ids=[f"d{d}f{f}" for d, f in INVARIANCE_MODELS]
+)
+def test_cache_hits_change_no_value(depth, forks, monkeypatch):
+    """A search whose cache holds one factor (cap 0) computes every value of the default one.
+
+    Algorithm 1, Dinkelbach and ``solve_mean_payoff_batch`` (over the search's
+    probes and its final ``beta_low``) run at every invariance point under
+    both caps; below the cap the default run factors fewer strategies.
+    """
+    config = AnalysisConfig(epsilon=EPSILON)
+    attack = AttackParams(depth=depth, forks=forks, max_fork_length=4)
+    models = []
+    for gamma, p in INVARIANCE_POINTS:
+        protocol = ProtocolParams(p=p, gamma=gamma)
+        models.append(get_model_structure(attack, protocol).instantiate(protocol))
+    factored = []
+    evaluate = PI_MODULE._evaluate
+
+    def counting_evaluate(mdp, rows):
+        factored.append(rows.tobytes())
+        return evaluate(mdp, rows)
+
+    monkeypatch.setattr(PI_MODULE, "_evaluate", counting_evaluate)
+
+    def run_all():
+        factored.clear()
+        values = []
+        for mdp in models:
+            search = formal_analysis(mdp, config)
+            betas = [it.beta for it in search.iterations] + [search.beta_low]
+            batch = solve_mean_payoff_batch(
+                mdp, np.array([beta_reward_weights(beta) for beta in betas])
+            )
+            values.append(
+                (
+                    _search_values(search),
+                    _dinkelbach_values(dinkelbach_analysis(mdp, config)),
+                    _batch_values(batch),
+                )
+            )
+        return values, len(factored)
+
+    cached, cached_factors = run_all()
+    monkeypatch.setattr(PI_MODULE, "CACHED_FACTOR_ENTRIES", 0)
+    capped, capped_factors = run_all()
+    for point, got, want in zip(INVARIANCE_POINTS, cached, capped):
+        assert got == want, point
+    if forks == 1:
+        assert cached_factors < capped_factors
+    else:
+        # One d=2,f=2 factor is past the cap: the default already holds one only.
+        assert cached_factors == capped_factors
 
 
 def test_batch_returns_no_factor():

@@ -179,17 +179,25 @@ def test_installed_skeleton_is_read_only(family, name):
 
 
 def test_installed_column_order_is_shared_and_read_only():
-    """A skeleton's Poisson column order travels with it and is frozen like its arrays."""
+    """A skeleton's Poisson column order and template travel with it, frozen like its arrays."""
     structure = get_model_structure(ATTACK, PROTOCOL)
     mdp = structure.instantiate(PROTOCOL)
-    rank = induced_markov_chain(mdp, Strategy.first_action(mdp)).column_rank()
+    chain = induced_markov_chain(mdp, Strategy.first_action(mdp))
+    chain.poisson_factor(mdp.initial_state)
+    rank = chain.column_rank()
     assert rank is structure.column_order.rank
-    assert_read_only(rank)
+    order = structure.column_order
+    for array in (order.rank, *order.template):
+        assert_read_only(array)
     copy = pickle.loads(pickle.dumps(structure, protocol=4))
     assert copy.column_order.rank.flags.writeable
+    assert all(array.flags.writeable for array in copy.column_order.template)
     replace_structure_cache([copy])
-    assert_read_only(copy.column_order.rank)
+    for array in (copy.column_order.rank, *copy.column_order.template):
+        assert_read_only(array)
     assert np.array_equal(copy.column_order.rank, rank)
+    for got, want in zip(copy.column_order.template, order.template):
+        assert np.array_equal(got, want)
     assert copy.instantiate(PROTOCOL).column_order is copy.column_order
 
 

@@ -14,6 +14,13 @@ model (its support signature drops the adversary's transitions, leaving a
 2-state cycle of probability-1 moves), and a toy model whose explicit zero
 probability and probability-1 self-loop make scipy prune entries of ``I - P``.
 The ``d=3,f=2`` model (133k states) runs with ``REPRO_FULL=1``.
+
+The Poisson matrix is masked out of its skeleton's template
+(:func:`repro.mdp.markov_chain.poisson_system`), so the grid test compares it
+with the oracle at every point of the Figure 2 grid, for ``d=1,f=1``,
+``d=2,f=1`` and ``d=2,f=2``, under the first-action strategy, two sampled ones
+and the strategy Algorithm 1 certifies there: every skeleton those models
+have, and every model's own values.
 """
 
 from __future__ import annotations
@@ -24,10 +31,11 @@ import numpy as np
 import pytest
 
 from chain_oracle import gain_and_bias, induced_transition_matrix, poisson_matrix, stationary_matrix
-from repro import AttackParams, ProtocolParams
-from repro.analysis import beta_reward_weights
-from repro.attacks import build_selfish_forks_mdp
+from repro import AnalysisConfig, AttackParams, ProtocolParams, SweepConfig
+from repro.analysis import beta_reward_weights, formal_analysis
+from repro.attacks import build_selfish_forks_mdp, get_model_structure
 from repro.mdp import MDP, Strategy, induced_markov_chain
+from repro.mdp.markov_chain import poisson_system
 
 FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
 FULL_ONLY = pytest.mark.skipif(not FULL, reason="the d=3,f=2 model is large; set REPRO_FULL=1")
@@ -91,7 +99,7 @@ def assert_same_csc(actual, expected):
 def case(request):
     build, count = MODELS[request.param]
     mdp = build()
-    return request.param, mdp, sampled(mdp, count)
+    return request.param, mdp, [Strategy.first_action(mdp), *sampled(mdp, count)]
 
 
 def test_systems_equal_the_oracle_bit_for_bit(case):
@@ -107,6 +115,44 @@ def test_systems_equal_the_oracle_bit_for_bit(case):
                 poisson_matrix(matrix, reference, chain.column_rank()),
             )
         assert_same_csc(chain.stationary_matrix(), stationary_matrix(matrix))
+
+
+def test_template_is_the_skeletons_unless_the_table_pruned_an_entry(case):
+    name, mdp, _ = case
+    system = poisson_system(mdp)
+    assert (system[0] is mdp.column_order.template) == (name != "toy")
+    # The model gathers its values once.
+    assert poisson_system(mdp) is system
+
+
+GRID_ATTACKS = {
+    "d1f1": AttackParams(depth=1, forks=1, max_fork_length=4),
+    "d2f1": AttackParams(depth=2, forks=1, max_fork_length=4),
+    "d2f2": AttackParams(depth=2, forks=2, max_fork_length=4),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_ATTACKS))
+def test_figure2_grid_poisson_systems_equal_the_oracle(name):
+    grid = SweepConfig()
+    skeletons = set()
+    for gamma in grid.gammas:
+        for p in grid.p_values:
+            protocol = ProtocolParams(p=p, gamma=gamma)
+            structure = get_model_structure(GRID_ATTACKS[name], protocol)
+            mdp = structure.instantiate(protocol)
+            certified = formal_analysis(mdp, AnalysisConfig(epsilon=1e-3)).strategy
+            for strategy in [Strategy.first_action(mdp), *sampled(mdp, 2), certified]:
+                chain = induced_markov_chain(mdp, strategy)
+                matrix, _ = induced_transition_matrix(mdp, strategy.rows)
+                assert_same_csc(
+                    chain.poisson_matrix(mdp.initial_state),
+                    poisson_matrix(matrix, mdp.initial_state, chain.column_rank()),
+                )
+            assert poisson_system(mdp)[0] is structure.column_order.template
+            skeletons.add(id(structure))
+    # p = 0 drops the adversary's transitions, gamma 0 and 1 drop one race branch.
+    assert len(skeletons) == 6
 
 
 def test_gain_and_bias_agree_with_a_colamd_factorization(case):

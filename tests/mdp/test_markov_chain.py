@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import os
 import weakref
 
 import numpy as np
@@ -16,11 +18,16 @@ from repro.analysis import (
     evaluate_strategy_errev,
     formal_analysis,
 )
-from repro.attacks import SelfishForksStructure, SupportSignature, build_selfish_forks_mdp
+from repro.attacks import (
+    SelfishForksStructure,
+    SupportSignature,
+    build_selfish_forks_mdp,
+    get_model_structure,
+)
 from repro.exceptions import ModelError, SolverError
 from repro.mdp import (
     MDPBuilder,
-    EvaluationSlot,
+    EvaluationCache,
     MarkovChain,
     PolicyEvaluation,
     Strategy,
@@ -28,6 +35,12 @@ from repro.mdp import (
     policy_iteration,
 )
 from repro.mdp import markov_chain
+
+#: The policy-iteration module; ``repro.mdp.policy_iteration`` is the function.
+PI_MODULE = importlib.import_module("repro.mdp.policy_iteration")
+
+FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
+FULL_ONLY = pytest.mark.skipif(not FULL, reason="the d=3,f=2 model is large; set REPRO_FULL=1")
 
 #: The stationary solve's spsolve warns before returning NaN on a multichain
 #: chain's singular system; the Poisson factorization raises instead.
@@ -293,8 +306,20 @@ def test_numerically_singular_factor_is_loud():
 class _UnusableFactor:
     """Stands in for a SuperLU factor that must never be solved with."""
 
+    nnz = 0
+
     def solve(self, rhs):
         raise AssertionError("a factor of other rows was used")
+
+
+def _no_factorization(*args, **kwargs):
+    raise AssertionError("a strategy the cache holds was factored again")
+
+
+@pytest.fixture()
+def no_cached_factors(monkeypatch):
+    """Cap the evaluation cache at 0 entries: it holds the latest evaluation only."""
+    monkeypatch.setattr(PI_MODULE, "CACHED_FACTOR_ENTRIES", 0)
 
 
 class TestFactorReuse:
@@ -315,10 +340,11 @@ class TestFactorReuse:
                 assert gain == fresh_gain
                 assert bias.tobytes() == fresh_bias.tobytes()
 
-    def test_slot_receives_the_final_strategy_evaluation(self, mdp):
-        slot = EvaluationSlot()
-        result = policy_iteration(mdp, beta_reward_weights(0.3), evaluation_slot=slot)
-        evaluation = slot.evaluation
+    def test_cache_holds_the_final_strategy_evaluation(self, mdp, monkeypatch):
+        cache = EvaluationCache()
+        result = policy_iteration(mdp, beta_reward_weights(0.3), evaluation_cache=cache)
+        monkeypatch.setattr(spla, "splu", _no_factorization)
+        evaluation = cache.evaluation(mdp, result.strategy.rows)
         assert np.array_equal(evaluation.rows, result.strategy.rows)
         assert evaluation.rows is not result.strategy.rows
         gain, bias = evaluation.chain.gain_and_bias(
@@ -328,12 +354,12 @@ class TestFactorReuse:
         assert bias.tobytes() == result.bias.tobytes()
 
     def test_warm_evaluation_gives_the_cold_values(self, mdp):
-        slot = EvaluationSlot()
-        incumbent = policy_iteration(mdp, beta_reward_weights(0.2), evaluation_slot=slot)
+        cache = EvaluationCache()
+        incumbent = policy_iteration(mdp, beta_reward_weights(0.2), evaluation_cache=cache)
         weights = beta_reward_weights(0.45)
         cold = policy_iteration(mdp, weights, initial_strategy=incumbent.strategy)
         warm = policy_iteration(
-            mdp, weights, initial_strategy=incumbent.strategy, evaluation_slot=slot
+            mdp, weights, initial_strategy=incumbent.strategy, evaluation_cache=cache
         )
         assert warm.gain == cold.gain
         assert warm.bias.tobytes() == cold.bias.tobytes()
@@ -341,31 +367,36 @@ class TestFactorReuse:
         assert warm.iterations == cold.iterations
 
     @pytest.mark.parametrize("mismatch", ["other_row", "shorter", "longer"])
-    def test_evaluation_of_other_rows_is_never_used(self, mdp, mismatch):
+    def test_evaluation_of_other_rows_is_never_used(self, mdp, mismatch, monkeypatch):
         start = Strategy.first_action(mdp)
         rows = {
             # -1 is no row of any state, so no iterate of the solve can match it.
             "other_row": np.concatenate([[-1], start.rows[1:]]),
+            # Their bytes start or end like the start's, but are not equal.
             "shorter": start.rows[:-1],
             "longer": np.concatenate([start.rows, [0]]),
         }[mismatch]
         poisoned = PolicyEvaluation(
             rows=rows, chain=induced_markov_chain(mdp, start), factor=_UnusableFactor()
         )
+        cache = EvaluationCache()
+        with monkeypatch.context() as patch:
+            patch.setattr(PI_MODULE, "_evaluate", lambda mdp, rows: poisoned)
+            assert cache.evaluation(mdp, rows) is poisoned
         weights = beta_reward_weights(0.3)
         cold = policy_iteration(mdp, weights, initial_strategy=start)
-        slot = EvaluationSlot(poisoned)
-        result = policy_iteration(mdp, weights, initial_strategy=start, evaluation_slot=slot)
+        result = policy_iteration(mdp, weights, initial_strategy=start, evaluation_cache=cache)
         assert result.gain == cold.gain
         assert result.bias.tobytes() == cold.bias.tobytes()
-        assert slot.evaluation is not poisoned
-        assert np.array_equal(slot.evaluation.rows, result.strategy.rows)
+        assert cache.evaluation(mdp, result.strategy.rows) is not poisoned
 
-    def test_incumbent_is_freed_before_another_strategy_is_factored(self, mdp, monkeypatch):
-        """The slot hands the factor over: no second factor is built beside it."""
-        slot = EvaluationSlot()
-        incumbent = policy_iteration(mdp, beta_reward_weights(0.0), evaluation_slot=slot)
-        alive = weakref.ref(slot.evaluation)
+    def test_incumbent_is_freed_before_another_strategy_is_factored(
+        self, mdp, monkeypatch, no_cached_factors
+    ):
+        """At cap 0 the cache hands the factor over: no second factor is built beside it."""
+        cache = EvaluationCache()
+        incumbent = policy_iteration(mdp, beta_reward_weights(0.0), evaluation_cache=cache)
+        alive = weakref.ref(cache.evaluation(mdp, incumbent.strategy.rows))
         alive_at_factorization = []
         splu = spla.splu
 
@@ -376,12 +407,72 @@ class TestFactorReuse:
         monkeypatch.setattr(spla, "splu", recording_splu)
         warm = policy_iteration(
             mdp, beta_reward_weights(0.9), initial_strategy=incumbent.strategy,
-            evaluation_slot=slot,
+            evaluation_cache=cache,
         )
         # The first evaluation reused the incumbent; every later one factored.
         assert warm.iterations >= 2
         assert alive_at_factorization == [False] * (warm.iterations - 1)
         assert alive() is None
+
+    def test_policy_iteration_checks_the_initial_rows_once(self, mdp, monkeypatch):
+        """The greedy step's rows are the solver's own; only the caller's start is checked."""
+        start = Strategy.first_action(mdp)
+        checked = []
+        init = Strategy.__init__
+
+        def counting_init(self, model, rows):
+            checked.append(len(rows))
+            init(self, model, rows)
+
+        monkeypatch.setattr(Strategy, "__init__", counting_init)
+        result = policy_iteration(mdp, beta_reward_weights(0.9), initial_strategy=start)
+        assert result.iterations >= 3
+        # The start's rows against this model, and the result's.
+        assert len(checked) == 2
+
+
+def strategies_of(mdp, count):
+    """The first-action strategy and ``count - 1`` seeded random ones."""
+    return [Strategy.first_action(mdp), *sampled_strategies(mdp, count - 1)]
+
+
+@pytest.mark.parametrize(
+    "depth, forks",
+    [(1, 1), (2, 2), pytest.param(3, 2, marks=FULL_ONLY)],
+    ids=["d1f1", "d2f2", "d3f2"],
+)
+def test_a_miss_past_the_cap_frees_every_held_factor(depth, forks, monkeypatch):
+    """Under the cap every factor stays; past it the latest is freed before the next is built.
+
+    One ``d=1,f=1`` factor has tens of L+U entries and one ``d>=2,f=2`` factor
+    more than the cap, so at ``d=3,f=2`` (133k states) at most one is alive.
+    """
+    protocol = ProtocolParams(p=0.3, gamma=0.5)
+    attack = AttackParams(depth=depth, forks=forks, max_fork_length=4)
+    mdp = get_model_structure(attack, protocol).instantiate(protocol)
+    strategies = strategies_of(mdp, 3)
+    cache = EvaluationCache()
+    held = []
+    alive_at_factorization = []
+    splu = spla.splu
+
+    def recording_splu(*args, **kwargs):
+        alive_at_factorization.append(sum(ref() is not None for ref in held))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    for strategy in strategies:
+        held.append(weakref.ref(cache.evaluation(mdp, strategy.rows)))
+    past_the_cap = forks == 2
+    if past_the_cap:
+        assert alive_at_factorization == [0, 0, 0]
+        assert [ref() is not None for ref in held] == [False, False, True]
+    else:
+        assert alive_at_factorization == [0, 1, 2]
+        assert all(ref() is not None for ref in held)
+        monkeypatch.setattr(spla, "splu", _no_factorization)
+        for strategy, ref in zip(strategies, held):
+            assert cache.evaluation(mdp, strategy.rows) is ref()
 
 
 class TestRowTable:
@@ -439,6 +530,12 @@ class TestColumnOrder:
         rank = structure.column_order.rank
         assert sorted(rank.tolist()) == list(range(structure.num_states))
         assert not rank.flags.writeable
+        # The Poisson template sits beside the order; each model has its own values.
+        template = structure.column_order.template
+        assert not any(array.flags.writeable for array in template)
+        systems = [markov_chain.poisson_system(mdp) for mdp in models]
+        assert all(system[0] is template for system in systems)
+        assert systems[0][1].tobytes() != systems[1][1].tobytes()
 
     def test_a_model_without_a_skeleton_orders_its_own_pattern(self, orders_computed):
         mdp, other = stay_or_jump_mdp(), stay_or_jump_mdp()
@@ -446,6 +543,8 @@ class TestColumnOrder:
             induced_markov_chain(mdp, strategy).gain_and_bias([1.0])
         assert orders_computed == [2]
         assert other.column_order is not mdp.column_order and other.column_order.rank is None
+        # The stay row's self-loop leaves a diagonal the table keeps, so no entry is pruned.
+        assert markov_chain.poisson_system(mdp)[0] is mdp.column_order.template
 
     @SINGULAR
     @pytest.mark.parametrize("kind", ["leaking", "absorbing"])
