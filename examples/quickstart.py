@@ -29,7 +29,7 @@ def main() -> None:
 
     print(f"protocol: p={protocol.p}, gamma={protocol.gamma}")
     print(f"attack:   d={attack.depth}, f={attack.forks}, l={attack.max_fork_length}")
-    print(f"analysis: epsilon={config.epsilon}, solver={config.solver}")
+    print(f"analysis: epsilon={config.epsilon}")
     print()
 
     analyzer = SelfishMiningAnalyzer(protocol, attack, config)

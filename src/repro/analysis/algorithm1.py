@@ -15,16 +15,15 @@ the solver settings -- identical bit-for-bit across processes (the sweep
 engine asserts this for its serial and pool runs) --
 with width below ``epsilon`` and ``beta_low <= ERRev* <= beta_up`` within the
 MDP's strategy class.  No wall-clock reading ever steers the search.  Warm starts
-(``AnalysisConfig.warm_start``) change solver iteration and factorization counts,
-never a value: each solve starts from the previous probe's strategy, and one
+change solver iteration and factorization counts, never a value: each solve
+starts from the previous probe's strategy, and one
 :class:`~repro.mdp.EvaluationCache` serves every solve of the search, so no
 strategy it still holds is factored again (a held factor is bit-identical to
-refactoring the same matrix).  Below the cache's cap a warm-started search
-factors each distinct strategy it evaluates once.  Past it the cache holds the
-latest factor only, so each solve after the first reuses one factor, and the
-search factors ``total_solver_iterations - num_iterations`` times, where a
-cold search factors ``total_solver_iterations`` times.  The search drops the
-cache before the final strategy evaluation, and no factor ever enters the
+refactoring the same matrix).  Below the cache's cap the search factors each
+distinct strategy it evaluates once.  Past it the cache holds the latest
+factor only, so each solve after the first reuses one factor, and the search
+factors ``total_solver_iterations - num_iterations`` times.  The search drops
+the cache before the final strategy evaluation, and no factor ever enters the
 result.
 """
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from ..config import AnalysisConfig
 from ..exceptions import ModelError
-from ..mdp import MDP, EvaluationCache, MeanPayoffSolution, Strategy, solve_mean_payoff
+from ..mdp import MDP, EvaluationCache, PolicyIterationResult, Strategy, solve_mean_payoff
 from .errev import evaluate_strategy_errev
 from .rewards import beta_reward_weights
 
@@ -53,8 +52,7 @@ class BinarySearchIteration:
         beta_low: Lower end of the beta interval after the update.
         beta_up: Upper end of the beta interval after the update.
         solve_seconds: Wall-clock time of the mean-payoff solve.
-        solver_iterations: Iterations the mean-payoff backend needed (policy
-            improvement rounds or value-iteration sweeps).
+        solver_iterations: Policy-improvement rounds the solve needed.
     """
 
     beta: float
@@ -82,12 +80,9 @@ class FormalAnalysisResult:
             ``None`` if evaluation was disabled.
         iterations: Per-iteration log of the binary search.
         total_seconds: Total wall-clock time of the analysis.
-        solver: Mean-payoff solver backend used.
-        total_solver_iterations: Sum of backend iterations over every solve of
-            the analysis (including the final strategy-extraction solve) -- the
-            primary measure of warm-starting effectiveness.
-        final_bias: Bias vector of the final solve, reusable as a warm start
-            for an adjacent parameter point.
+        total_solver_iterations: Sum of policy-improvement rounds over every
+            solve of the analysis (including the final strategy-extraction
+            solve) -- the primary measure of warm-starting effectiveness.
     """
 
     errev_lower_bound: float
@@ -98,9 +93,7 @@ class FormalAnalysisResult:
     strategy_errev: Optional[float]
     iterations: List[BinarySearchIteration] = field(default_factory=list)
     total_seconds: float = 0.0
-    solver: str = "policy_iteration"
     total_solver_iterations: int = 0
-    final_bias: Optional[np.ndarray] = None
 
     @property
     def num_iterations(self) -> int:
@@ -120,28 +113,21 @@ def formal_analysis(
     beta_low: float = 0.0,
     beta_up: float = 1.0,
     initial_strategy_rows: Optional[np.ndarray] = None,
-    initial_bias: Optional[np.ndarray] = None,
 ) -> FormalAnalysisResult:
     """Run the paper's Algorithm 1 on a selfish-mining MDP.
 
     Args:
         mdp: The MDP produced by :func:`repro.attacks.build_selfish_forks_mdp`
             (reward components ``(r_A, r_H)``).
-        config: Analysis configuration (precision, solver backend, tolerances).
+        config: Analysis configuration (precision, solver tolerances).
         beta_low: Initial lower end of the search interval (0 in the paper;
             callers may tighten it, e.g. to ``p``, since ERRev* >= p).
         beta_up: Initial upper end of the search interval.
         initial_strategy_rows: Optional warm-start row choices for the first
             solve, typically ``result.strategy.rows`` of an adjacent parameter
             point over a structurally identical MDP.  Silently ignored when
-            incompatible with ``mdp`` (wrong length or rows not belonging to
-            their states) or when ``config.warm_start`` is false.
-        initial_bias: Optional warm-start bias vector for the first solve
-            (``result.final_bias`` of an adjacent point); ignored under the
-            same conditions, and dropped (cold start) when its shape does not
-            match ``mdp.num_states`` or it contains non-finite entries, so that
-            vectors carried across structurally different sweep points can
-            never crash an analysis mid-sweep.
+            incompatible with ``mdp`` (wrong length, or rows outside the
+            model or not belonging to their states).
 
     Returns:
         A :class:`FormalAnalysisResult` with the epsilon-tight lower bound, the
@@ -153,20 +139,15 @@ def formal_analysis(
 
     start_time = time.perf_counter()
     iterations: List[BinarySearchIteration] = []
-    warm_strategy: Optional[Strategy] = None
-    warm_bias: Optional[np.ndarray] = None
+    warm_strategy = _strategy_from_rows(mdp, initial_strategy_rows)
     # Holds the search's Poisson factors for the warm-started solves.
-    cache: Optional[EvaluationCache] = None
-    if config.warm_start:
-        warm_strategy = _strategy_from_rows(mdp, initial_strategy_rows)
-        warm_bias = _bias_from_vector(mdp, initial_bias)
-        cache = EvaluationCache()
+    cache = EvaluationCache()
     total_solver_iterations = 0
 
     while beta_up - beta_low >= config.epsilon:
         beta = 0.5 * (beta_low + beta_up)
         solve_start = time.perf_counter()
-        solution = _solve(mdp, beta, config, warm_strategy, warm_bias, cache)
+        solution = _solve(mdp, beta, config, warm_strategy, cache)
         solve_seconds = time.perf_counter() - solve_start
         if solution.gain < 0.0:
             beta_up = beta
@@ -183,14 +164,12 @@ def formal_analysis(
             )
         )
         total_solver_iterations += solution.iterations
-        if config.warm_start:
-            warm_strategy = solution.strategy
-            warm_bias = solution.bias
+        warm_strategy = solution.strategy
 
     # Final solve at beta_low to extract the certified strategy.
-    final_solution = _solve(mdp, beta_low, config, warm_strategy, warm_bias, cache)
+    final_solution = _solve(mdp, beta_low, config, warm_strategy, cache)
     # The cache is the factors' only holder: free them before the stationary solve.
-    cache = None
+    del cache
     total_solver_iterations += final_solution.iterations
     strategy = final_solution.strategy
     strategy_errev = (
@@ -206,30 +185,8 @@ def formal_analysis(
         strategy_errev=strategy_errev,
         iterations=iterations,
         total_seconds=time.perf_counter() - start_time,
-        solver=config.solver,
         total_solver_iterations=total_solver_iterations,
-        final_bias=final_solution.bias,
     )
-
-
-def _bias_from_vector(mdp: MDP, bias) -> Optional[np.ndarray]:
-    """Build a warm-start bias vector from caller input, or ``None`` if invalid.
-
-    Like strategy rows, bias vectors carried across sweep grid points are
-    advisory: anything that is not a finite 1-D float vector of length
-    ``mdp.num_states`` (wrong length, ragged nested lists, NaNs from a failed
-    donor solve) silently falls back to a cold start instead of crashing the
-    analysis mid-sweep.
-    """
-    if bias is None:
-        return None
-    try:
-        bias = np.asarray(bias, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    if bias.shape != (mdp.num_states,) or not np.all(np.isfinite(bias)):
-        return None
-    return bias
 
 
 def _strategy_from_rows(mdp: MDP, rows: Optional[np.ndarray]) -> Optional[Strategy]:
@@ -246,9 +203,7 @@ def _strategy_from_rows(mdp: MDP, rows: Optional[np.ndarray]) -> Optional[Strate
         return None
     try:
         return Strategy(mdp, rows)
-    except (ModelError, IndexError):
-        # IndexError: row indices out of range for this MDP (donor model had
-        # the same state count but more action rows).
+    except ModelError:
         return None
 
 
@@ -257,17 +212,14 @@ def _solve(
     beta: float,
     config: AnalysisConfig,
     warm_start: Optional[Strategy],
-    warm_start_bias: Optional[np.ndarray],
-    evaluation_cache: Optional[EvaluationCache],
-) -> MeanPayoffSolution:
-    """Solve the mean-payoff MDP under ``r_beta`` with the configured backend."""
+    evaluation_cache: EvaluationCache,
+) -> PolicyIterationResult:
+    """Solve the mean-payoff MDP under ``r_beta``."""
     return solve_mean_payoff(
         mdp,
         beta_reward_weights(beta),
-        solver=config.solver,
         tolerance=config.solver_tolerance,
         max_iterations=config.max_solver_iterations,
         warm_start=warm_start,
-        warm_start_bias=warm_start_bias,
         evaluation_cache=evaluation_cache,
     )

@@ -84,7 +84,6 @@ def check_theorem_premises(
         min_rate = -solve_mean_payoff(
             mdp,
             [-weight for weight in TOTAL_WEIGHTS],
-            solver=config.solver,
             tolerance=config.solver_tolerance,
             max_iterations=config.max_solver_iterations,
         ).gain
@@ -100,7 +99,6 @@ def check_theorem_premises(
         solution = solve_mean_payoff(
             mdp,
             beta_reward_weights(beta),
-            solver=config.solver,
             tolerance=config.solver_tolerance,
             max_iterations=config.max_solver_iterations,
         )

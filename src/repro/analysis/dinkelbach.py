@@ -38,7 +38,7 @@ class DinkelbachIteration:
         beta: The ratio estimate the mean-payoff MDP was solved at.
         optimal_mean_payoff: Optimal mean payoff of ``r_beta``.
         next_beta: Exact ERRev of the extracted strategy (the next estimate).
-        solver_iterations: Iterations the mean-payoff backend needed.
+        solver_iterations: Policy-improvement rounds the solve needed.
     """
 
     beta: float
@@ -99,7 +99,6 @@ def dinkelbach_analysis(
         solution = solve_mean_payoff(
             mdp,
             beta_reward_weights(beta),
-            solver=config.solver,
             tolerance=config.solver_tolerance,
             max_iterations=config.max_solver_iterations,
             warm_start=strategy,

@@ -23,19 +23,11 @@ variant applies to every grid configuration.
 
 The full flag-by-flag reference lives in ``docs/cli.md``.
 
-Solver selection
-----------------
-
-``--solver`` picks the mean-payoff backend that Algorithm 1 calls once per
-bisection probe and accepts both full names and short aliases:
-``pi``/``policy_iteration`` (default, exact) or ``vi``/``value_iteration``
-(certified bounds).
-
 Sweep-only engine flags: ``--workers N`` fans grid points out over N worker
-processes, ``--warm-start-across-points`` chains solver warm starts along the
-p axis, and ``--reuse-p-bounds`` additionally starts each point's binary search
-from the previous p point's certified lower bound (sound because ERRev* is
-monotone in p).
+processes, ``--warm-start-across-points`` starts each point's first solve from
+the previous p point's strategy, and ``--reuse-p-bounds`` additionally starts
+each point's binary search from the previous p point's certified lower bound
+(sound because ERRev* is monotone in p).
 
 Crash safety
 ------------
@@ -68,20 +60,6 @@ from .core import SelfishMiningAnalyzer, ascii_plot, render_table, write_csv
 from .core.reporting import ProgressReporter
 from .core.sweep import SweepConfig, run_sweep
 from .exceptions import ConfigurationError
-
-#: Short aliases accepted by ``--solver`` alongside the full backend names.
-SOLVER_ALIASES = {
-    "pi": "policy_iteration",
-    "vi": "value_iteration",
-}
-
-_SOLVER_CHOICES = ("policy_iteration", "value_iteration", *SOLVER_ALIASES)
-
-
-def _resolve_solver(name: str) -> str:
-    """Map a ``--solver`` value (full name or alias) to the backend name."""
-    return SOLVER_ALIASES.get(name, name)
-
 
 def _positive_int(value: str) -> int:
     workers = int(value)
@@ -141,16 +119,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--epsilon", type=_positive_float, default=1e-3, help="binary search precision"
     )
-    _add_solver_arguments(parser)
-
-
-def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--solver",
-        choices=_SOLVER_CHOICES,
-        default="policy_iteration",
-        help="mean-payoff solver backend (pi/vi aliases)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "('default', 'paper', or scenario tokens such as 'd1f1,d2f1l6' / 'l4,l8')",
     )
     sweep.add_argument("--csv", type=str, default=None, help="optional CSV output path")
-    _add_solver_arguments(sweep)
     sweep.add_argument(
         "--workers",
         type=_positive_int,
@@ -188,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--warm-start-across-points",
         action="store_true",
-        help="chain solver warm starts along the p axis of each series",
+        help="start each point's first solve from the previous p point's strategy",
     )
     sweep.add_argument(
         "--reuse-p-bounds",
@@ -247,10 +214,7 @@ def _command_analyze(args: argparse.Namespace, attack: AttackParams) -> int:
     analyzer = SelfishMiningAnalyzer(
         ProtocolParams(p=args.p, gamma=args.gamma),
         attack,
-        AnalysisConfig(
-            epsilon=args.epsilon,
-            solver=_resolve_solver(args.solver),
-        ),
+        AnalysisConfig(epsilon=args.epsilon),
     )
     result = analyzer.run()
     rows = [result.to_row()]
@@ -283,10 +247,7 @@ def _command_sweep(args: argparse.Namespace, attack_configs: Tuple[AttackParams,
         p_values=p_values,
         gammas=(args.gamma,),
         attack_configs=attack_configs,
-        analysis=AnalysisConfig(
-            epsilon=args.epsilon,
-            solver=_resolve_solver(args.solver),
-        ),
+        analysis=AnalysisConfig(epsilon=args.epsilon),
         workers=args.workers,
         warm_start_across_points=args.warm_start_across_points,
         reuse_p_axis_bounds=args.reuse_p_bounds,
@@ -339,10 +300,7 @@ def _command_simulate(args: argparse.Namespace, attack: AttackParams) -> int:
     analyzer = SelfishMiningAnalyzer(
         ProtocolParams(p=args.p, gamma=args.gamma),
         attack,
-        AnalysisConfig(
-            epsilon=args.epsilon,
-            solver=_resolve_solver(args.solver),
-        ),
+        AnalysisConfig(epsilon=args.epsilon),
     )
     result = analyzer.run()
     analyzer.validate_by_simulation(result, num_steps=args.steps, seed=args.seed)

@@ -10,7 +10,7 @@ The paper's model is parameterised by five quantities (Section 3.2):
 
 ``ProtocolParams`` carries the first two (properties of the blockchain / network),
 ``AttackParams`` the last three (properties of the attack), and ``AnalysisConfig``
-collects solver choices for the formal analysis procedure (Algorithm 1).
+collects the settings of the formal analysis procedure (Algorithm 1).
 """
 
 from __future__ import annotations
@@ -154,47 +154,31 @@ class AnalysisConfig:
 
     Attributes:
         epsilon: Precision of the binary search over the reward parameter beta.
-        solver: Mean-payoff solver backend; ``"policy_iteration"`` (exact, the
-            default) or ``"value_iteration"`` (certified span bounds).
-        solver_tolerance: Convergence tolerance used inside the solver.
-        max_solver_iterations: Iteration budget for iterative solvers.
+        solver_tolerance: Improvement threshold of policy iteration, the
+            mean-payoff solver of every binary-search probe.
+        max_solver_iterations: Budget of policy-improvement rounds per solve.
         evaluate_strategy: If true, the extracted strategy is additionally
             evaluated exactly (stationary-distribution ratio), which yields the
             exact ERRev it guarantees.
-        warm_start: If true (default), each binary-search iteration warm-starts
-            the mean-payoff solver with the strategy and bias vector of the
-            previous iteration, and externally supplied warm starts (e.g. from
-            an adjacent sweep grid point) are honoured.  Setting this to false
-            forces every solve to start cold, which is useful for ablations.
     """
 
     epsilon: float = 1e-3
-    solver: str = "policy_iteration"
     solver_tolerance: float = 1e-9
     max_solver_iterations: int = 100_000
     evaluate_strategy: bool = True
-    warm_start: bool = True
-
-    _VALID_SOLVERS = ("policy_iteration", "value_iteration")
 
     def __post_init__(self) -> None:
         check_positive_float(self.epsilon, "epsilon")
         check_positive_float(self.solver_tolerance, "solver_tolerance")
         check_positive_int(self.max_solver_iterations, "max_solver_iterations")
-        if self.solver not in self._VALID_SOLVERS:
-            raise ValueError(
-                f"solver must be one of {self._VALID_SOLVERS}, got {self.solver!r}"
-            )
 
     def to_dict(self) -> Dict[str, object]:
         """Serialise to a plain dictionary (for reporting)."""
         return {
             "epsilon": self.epsilon,
-            "solver": self.solver,
             "solver_tolerance": self.solver_tolerance,
             "max_solver_iterations": self.max_solver_iterations,
             "evaluate_strategy": self.evaluate_strategy,
-            "warm_start": self.warm_start,
         }
 
 

@@ -149,7 +149,6 @@ def _run_attack_task(
     """Worker entry point; must stay importable at module top level (pickling)."""
     outcomes: List[PointOutcome] = []
     warm_rows: Optional[np.ndarray] = None
-    warm_bias: Optional[np.ndarray] = None
     prev_beta_low: Optional[float] = None
     prev_p: Optional[float] = None
     for p, p_index in zip(task.p_values, task.p_indices):
@@ -172,11 +171,9 @@ def _run_attack_task(
                 task.analysis,
                 beta_low=initial_beta_low,
                 initial_strategy_rows=warm_rows,
-                initial_bias=warm_bias,
             )
             if task.warm_start_across_points:
                 warm_rows = result.strategy.rows
-                warm_bias = result.final_bias
             if task.reuse_p_axis_bounds:
                 prev_beta_low = result.beta_low
                 prev_p = p
@@ -216,7 +213,6 @@ def _run_attack_task(
             )
             # A failed point cannot seed the next one.
             warm_rows = None
-            warm_bias = None
             prev_beta_low = None
             prev_p = None
         outcomes.append(outcome)

@@ -66,10 +66,10 @@ class SweepConfig:
             1 (default) executes in-process.  Results are bit-for-bit
             identical across worker counts.
         warm_start_across_points: Chain each attack series along the ``p``
-            axis, seeding every Algorithm 1 run with the optimal strategy and
-            bias of the previous grid point.  Changes results only within
-            solver tolerance; disabled by default so every point is computed
-            independently.
+            axis, starting every Algorithm 1 run's first solve from the
+            certified strategy of the previous grid point.  Changes results
+            only within solver tolerance; disabled by default so every point
+            is computed independently.
         reuse_p_axis_bounds: Exploit the monotonicity of ERRev* in ``p``: each
             point's binary search starts from the previous (smaller-p) point's
             certified ``beta_low`` instead of 0.  Sound by Theorem 3.1 and

@@ -2,26 +2,20 @@
 
 This subpackage is the substrate that replaces the Storm probabilistic model
 checker used by the paper: a from-scratch finite MDP container together with
-mean-payoff solvers (Howard policy iteration and relative value iteration),
-induced-Markov-chain stationary analysis and structural (graph) analysis.
+its one mean-payoff solver (Howard policy iteration), induced-Markov-chain
+stationary analysis and structural (graph) analysis.
 """
 
 from .model import MDP, MDPBuilder, TransitionRow
 from .strategy import Strategy
 from .markov_chain import MarkovChain, induced_markov_chain
-from .value_iteration import RelativeValueIterationResult, relative_value_iteration
 from .policy_iteration import (
     EvaluationCache,
     PolicyEvaluation,
     PolicyIterationResult,
     policy_iteration,
 )
-from .mean_payoff import (
-    SOLVER_BACKENDS,
-    MeanPayoffSolution,
-    solve_mean_payoff,
-    solve_mean_payoff_batch,
-)
+from .mean_payoff import solve_mean_payoff, solve_mean_payoff_batch
 from .reachability import end_components, reachable_states, unavoidable_state
 from .validation import validate_mdp
 
@@ -32,14 +26,10 @@ __all__ = [
     "Strategy",
     "MarkovChain",
     "induced_markov_chain",
-    "RelativeValueIterationResult",
-    "relative_value_iteration",
     "EvaluationCache",
     "PolicyEvaluation",
     "PolicyIterationResult",
     "policy_iteration",
-    "SOLVER_BACKENDS",
-    "MeanPayoffSolution",
     "solve_mean_payoff",
     "solve_mean_payoff_batch",
     "end_components",

@@ -7,8 +7,9 @@ attached to the same model -- the selfish-mining analysis attaches the pair
 ``(r_A, r_H)`` (adversarial / honest blocks finalised by the transition) and
 combines them linearly into the paper's ``r_beta`` without rebuilding the model.
 
-All solver-facing data lives in flat numpy arrays so that value iteration can be
-fully vectorised with ``numpy.add.reduceat`` / ``numpy.maximum.reduceat``.
+All solver-facing data lives in flat numpy arrays so that policy iteration's
+greedy improvement step is fully vectorised with ``numpy.add.reduceat`` /
+``numpy.maximum.reduceat``.
 """
 
 from __future__ import annotations

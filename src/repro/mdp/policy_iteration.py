@@ -4,7 +4,7 @@ Each iteration evaluates the current positional strategy exactly (gain / bias vi
 a sparse linear solve on the induced Markov chain) and then improves it greedily.
 For unichain models the procedure terminates after finitely many iterations with
 an optimal positional strategy and the exact optimal gain, which makes it the
-default solver of the formal analysis.
+one mean-payoff solver of the formal analysis.
 
 A strategy's Poisson matrix does not depend on the reward weights, so the
 evaluation of a strategy -- its rows, induced chain and sparse LU factor, one

@@ -30,6 +30,13 @@ class Strategy:
             raise ModelError(
                 f"strategy must choose one row per state, got shape {rows.shape}"
             )
+        out_of_range = (rows < 0) | (rows >= mdp.num_rows)
+        if np.any(out_of_range):
+            state = int(np.nonzero(out_of_range)[0][0])
+            raise ModelError(
+                f"strategy chooses row {int(rows[state])} in state {state}, "
+                f"outside the model's {mdp.num_rows} rows"
+            )
         owners = mdp.row_state[rows]
         if not np.array_equal(owners, np.arange(mdp.num_states)):
             offending = int(np.nonzero(owners != np.arange(mdp.num_states))[0][0])

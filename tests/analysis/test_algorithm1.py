@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from lp_oracle import solve_mean_payoff_lp
@@ -17,8 +16,6 @@ from repro.analysis import (
 )
 from repro.analysis.rewards import beta_reward_weights
 from repro.mdp import Strategy, induced_markov_chain, solve_mean_payoff
-
-SOLVERS = ["policy_iteration", "value_iteration"]
 
 
 class TestTable1Pin:
@@ -49,58 +46,6 @@ class TestTable1Pin:
 
     def test_strategy_errev_inside_interval(self, default_result):
         assert default_result.beta_low <= default_result.strategy_errev <= default_result.beta_up
-
-    def test_value_iteration_interval_overlaps(self, mdp_d2f2):
-        vi = formal_analysis(
-            mdp_d2f2, AnalysisConfig(solver="value_iteration", evaluate_strategy=False)
-        )
-        low, up = self.CERTIFIED
-        assert vi.beta_low <= up and low <= vi.beta_up
-
-
-class TestInitialBiasValidation:
-    """Mis-shaped warm-start bias vectors must fall back to a cold start."""
-
-    def test_wrong_length_bias_ignored(self, model_d2f1):
-        result = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-2), initial_bias=[1.0, 2.0, 3.0]
-        )
-        assert result.interval_width < 1e-2
-
-    def test_ragged_bias_ignored(self, model_d2f1):
-        result = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-2), initial_bias=[[1.0, 2.0], [3.0]]
-        )
-        assert result.interval_width < 1e-2
-
-    def test_non_numeric_bias_ignored(self, model_d2f1):
-        result = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-2), initial_bias=object()
-        )
-        assert result.interval_width < 1e-2
-
-    def test_non_finite_bias_ignored(self, model_d2f1):
-        bad = np.full(model_d2f1.mdp.num_states, np.nan)
-        result = formal_analysis(
-            model_d2f1.mdp, AnalysisConfig(epsilon=1e-2), initial_bias=bad
-        )
-        assert result.interval_width < 1e-2
-        assert np.isfinite(result.errev_lower_bound)
-
-    def test_two_dimensional_bias_ignored(self, model_d2f1):
-        bad = np.zeros((model_d2f1.mdp.num_states, 2))
-        result = formal_analysis(
-            model_d2f1.mdp,
-            AnalysisConfig(epsilon=1e-2, solver="value_iteration"),
-            initial_bias=bad,
-        )
-        assert result.interval_width < 1e-2
-
-    def test_valid_bias_still_honoured(self, model_d2f1):
-        config = AnalysisConfig(epsilon=1e-3, solver="value_iteration")
-        seed = formal_analysis(model_d2f1.mdp, config)
-        warm = formal_analysis(model_d2f1.mdp, config, initial_bias=seed.final_bias)
-        assert warm.errev_lower_bound == pytest.approx(seed.errev_lower_bound, abs=1e-3)
 
 
 class TestAlgorithm1:
@@ -164,11 +109,8 @@ class TestAlgorithm1:
         )
         assert result.strategy_errev is None
 
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
-    def test_solver_backends_agree(self, model_d1f1, solver):
-        result = formal_analysis(
-            model_d1f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver)
-        )
+    def test_d1f1_strategy_earns_the_honest_share(self, model_d1f1):
+        result = formal_analysis(model_d1f1.mdp, AnalysisConfig(epsilon=1e-3))
         assert result.strategy_errev == pytest.approx(0.3, abs=2e-3)
 
     def test_exceeds_honest_mining_for_d2(self, analysis_d2f1):
@@ -207,16 +149,14 @@ class TestSolverAblation:
     def lp_gain(self, model_d2f1):
         return solve_mean_payoff_lp(model_d2f1.mdp, beta_reward_weights(0.35)).gain
 
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_algorithm1_backend_agrees_with_dinkelbach(self, model_d2f1, dinkelbach_errev, solver):
-        result = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3, solver=solver))
+    def test_algorithm1_agrees_with_dinkelbach(self, model_d2f1, dinkelbach_errev):
+        result = formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-3))
         assert result.strategy_errev == pytest.approx(dinkelbach_errev, abs=5e-3)
         assert result.beta_low <= dinkelbach_errev <= result.beta_up
 
-    @pytest.mark.parametrize("solver", SOLVERS)
-    def test_single_solve_gain_matches_linear_program(self, model_d2f1, lp_gain, solver):
+    def test_single_solve_gain_matches_linear_program(self, model_d2f1, lp_gain):
         """One mean-payoff solve, the inner loop of the bisection."""
-        solution = solve_mean_payoff(model_d2f1.mdp, beta_reward_weights(0.35), solver=solver)
+        solution = solve_mean_payoff(model_d2f1.mdp, beta_reward_weights(0.35))
         assert solution.gain == pytest.approx(lp_gain, abs=1e-6)
 
 

@@ -1,8 +1,8 @@
 """Algorithm 1 is one bisection over beta with one mean-payoff solve per probe.
 
 Every property is checked across the parameter space -- both ends of the
-gamma range, small and large p, the smallest model and a forking one -- and
-for both solver backends, because the search loop is shared by all of them.
+gamma range, small and large p, the smallest model, deeper ones and a
+two-fork one.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from cold_bisection import cold_bisection
 from lp_oracle import solve_mean_payoff_lp
 from repro import AnalysisConfig, AttackParams, ProtocolParams
 from repro.analysis import dinkelbach_analysis, formal_analysis
@@ -27,8 +28,6 @@ PI_MODULE = importlib.import_module("repro.mdp.policy_iteration")
 
 EPSILON = 1e-3
 
-SOLVERS = ["policy_iteration", "value_iteration"]
-
 #: (depth, forks, gamma, p) of the analysed points.
 CASES = [
     (1, 1, 0.5, 0.3),
@@ -37,6 +36,12 @@ CASES = [
     (2, 1, 0.5, 0.3),
     (2, 1, 1.0, 0.4),
     (2, 1, 0.25, 0.45),
+    (1, 1, 0.0, 0.1),
+    (2, 1, 0.75, 0.2),
+    (2, 1, 0.0, 0.45),
+    (3, 1, 0.5, 0.3),
+    (2, 2, 0.5, 0.2),
+    (2, 2, 1.0, 0.3),
 ]
 
 CASE_IDS = [f"d{d}f{f}-g{gamma}-p{p}" for d, f, gamma, p in CASES]
@@ -54,23 +59,18 @@ def _mdp(case):
     return _MODELS[case]
 
 
-def _analysis(case, solver):
-    key = (case, solver)
-    if key not in _RESULTS:
-        _RESULTS[key] = formal_analysis(
-            _mdp(case), AnalysisConfig(epsilon=EPSILON, solver=solver)
-        )
-    return _RESULTS[key]
+def _analysis(case):
+    if case not in _RESULTS:
+        _RESULTS[case] = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
+    return _RESULTS[case]
 
 
 with_case = pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
-with_solver = pytest.mark.parametrize("solver", SOLVERS)
 
 
 @with_case
-@with_solver
-def test_each_probe_is_the_midpoint(case, solver):
-    result = _analysis(case, solver)
+def test_each_probe_is_the_midpoint(case):
+    result = _analysis(case)
     low, up = 0.0, 1.0
     for record in result.iterations:
         assert record.beta == 0.5 * (low + up)
@@ -79,9 +79,8 @@ def test_each_probe_is_the_midpoint(case, solver):
 
 
 @with_case
-@with_solver
-def test_gain_sign_picks_the_half(case, solver):
-    result = _analysis(case, solver)
+def test_gain_sign_picks_the_half(case):
+    result = _analysis(case)
     for record in result.iterations:
         if record.optimal_mean_payoff < 0.0:
             assert record.beta_up == record.beta
@@ -90,9 +89,8 @@ def test_gain_sign_picks_the_half(case, solver):
 
 
 @with_case
-@with_solver
-def test_interval_brackets_the_strategy(case, solver):
-    result = _analysis(case, solver)
+def test_interval_brackets_the_strategy(case):
+    result = _analysis(case)
     assert result.interval_width < EPSILON
     assert result.errev_lower_bound == result.beta_low
     # Theorem 3.1: the strategy optimal for r_{beta_low} achieves at least
@@ -101,12 +99,11 @@ def test_interval_brackets_the_strategy(case, solver):
 
 
 @with_case
-@with_solver
-def test_probe_log_replays_as_one_warm_chained_batch(case, solver):
+def test_probe_log_replays_as_one_warm_chained_batch(case):
     """The search warm-chains its probes exactly like ``solve_mean_payoff_batch``."""
-    result = _analysis(case, solver)
+    result = _analysis(case)
     weights = np.array([beta_reward_weights(record.beta) for record in result.iterations])
-    batch = solve_mean_payoff_batch(_mdp(case), weights, solver=solver)
+    batch = solve_mean_payoff_batch(_mdp(case), weights)
     assert [solution.gain for solution in batch] == [
         record.optimal_mean_payoff for record in result.iterations
     ]
@@ -116,19 +113,17 @@ def test_probe_log_replays_as_one_warm_chained_batch(case, solver):
 
 
 @with_case
-@with_solver
-def test_total_iterations_add_up(case, solver):
-    result = _analysis(case, solver)
+def test_total_iterations_add_up(case):
+    result = _analysis(case)
     probe_iterations = sum(record.solver_iterations for record in result.iterations)
     # The remainder is the final solve at beta_low that extracts the strategy.
     assert result.total_solver_iterations > probe_iterations
-    assert result.solver == solver
 
 
 @with_case
 def test_lp_reference_certifies_the_interval(case):
     """The LP gain is >= 0 at the certified beta_low and < 0 past beta_up."""
-    result = _analysis(case, "policy_iteration")
+    result = _analysis(case)
     mdp = _mdp(case)
     assert solve_mean_payoff_lp(mdp, beta_reward_weights(result.beta_low)).gain >= -1e-7
     if result.beta_up < 1.0:
@@ -136,22 +131,14 @@ def test_lp_reference_certifies_the_interval(case):
 
 
 @with_case
-def test_policy_and_value_iteration_intervals_overlap(case):
-    pi = _analysis(case, "policy_iteration")
-    vi = _analysis(case, "value_iteration")
-    assert vi.beta_low <= pi.beta_up and pi.beta_low <= vi.beta_up
-
-
-@with_case
-def test_cold_start_certifies_the_same_interval(case):
-    warm = _analysis(case, "policy_iteration")
-    cold = formal_analysis(
-        _mdp(case), AnalysisConfig(epsilon=EPSILON, warm_start=False)
+def test_warm_search_certifies_what_a_cold_one_does(case):
+    """Warm starts and the shared evaluation cache move no probe and no value."""
+    warm = _analysis(case)
+    cold = cold_bisection(_mdp(case), AnalysisConfig(epsilon=EPSILON))
+    assert [record.beta for record in warm.iterations] == cold.betas
+    assert (warm.beta_low, warm.beta_up, warm.strategy_errev) == (
+        cold.beta_low, cold.beta_up, cold.strategy_errev
     )
-    assert (cold.beta_low, cold.beta_up) == (warm.beta_low, warm.beta_up)
-    assert [record.beta for record in cold.iterations] == [
-        record.beta for record in warm.iterations
-    ]
 
 
 @pytest.fixture()
@@ -204,12 +191,6 @@ def test_warm_solves_reuse_the_incumbent_factor(case, factorizations, evaluated,
     monkeypatch.setattr(PI_MODULE, "CACHED_FACTOR_ENTRIES", 0)
     capped = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
     assert len(factorizations) == capped.total_solver_iterations - capped.num_iterations
-    factorizations.clear()
-    cold = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON, warm_start=False))
-    assert len(factorizations) == cold.total_solver_iterations
-    assert (cold.beta_low, cold.beta_up, cold.strategy_errev) == (
-        warm.beta_low, warm.beta_up, warm.strategy_errev
-    )
 
 
 @pytest.mark.parametrize("case", CASES[:3], ids=CASE_IDS[:3])
@@ -275,7 +256,6 @@ def _search_values(result):
             for it in result.iterations
         ],
         result.strategy.rows.tobytes(),
-        result.final_bias.tobytes(),
         result.strategy_errev,
         result.total_solver_iterations,
     )
@@ -354,10 +334,9 @@ def test_batch_returns_no_factor():
     assert [solution.gain for solution in clone] == [solution.gain for solution in batch]
 
 
-@with_solver
-def test_result_pickles_without_a_factor(solver):
+def test_result_pickles_without_a_factor():
     """Pool workers return results by pickle; a SuperLU factor would not pickle."""
-    result = _analysis(CASES[3], solver)
+    result = _analysis(CASES[3])
     clone = pickle.loads(pickle.dumps(result))
     assert (clone.beta_low, clone.beta_up) == (result.beta_low, result.beta_up)
     assert np.array_equal(clone.strategy.rows, result.strategy.rows)

@@ -94,16 +94,11 @@ class TestAttackParams:
 class TestAnalysisConfig:
     def test_defaults(self):
         config = AnalysisConfig()
-        assert config.solver == "policy_iteration"
         assert config.evaluate_strategy
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(ConfigurationError):
             AnalysisConfig(epsilon=0.0)
-
-    def test_invalid_solver_rejected(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig(solver="storm")
 
     def test_invalid_iteration_budget_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -115,21 +110,30 @@ class TestAnalysisConfig:
         assert data["epsilon"] == 1e-2
         assert set(data) == {
             "epsilon",
-            "solver",
             "solver_tolerance",
             "max_solver_iterations",
             "evaluate_strategy",
-            "warm_start",
         }
 
     def test_negative_epsilon_message_names_parameter(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
             AnalysisConfig(epsilon=-1e-3)
 
-    @pytest.mark.parametrize("solver", ["portfolio", "linear_program"])
-    def test_removed_solvers_rejected(self, solver):
-        with pytest.raises(ValueError, match="solver"):
-            AnalysisConfig(solver=solver)
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"solver": "policy_iteration"},
+            {"solver": "value_iteration"},
+            {"solver": "portfolio"},
+            {"solver": "linear_program"},
+            {"warm_start": False},
+        ],
+        ids=lambda option: "-".join(f"{key}={value}" for key, value in option.items()),
+    )
+    def test_removed_options_rejected(self, option):
+        """Policy iteration is the only solver, and every search is warm-started."""
+        with pytest.raises(TypeError, match=next(iter(option))):
+            AnalysisConfig(**option)
 
 
 class TestSweepConfigValidation:

@@ -1,9 +1,8 @@
 """Tests of the parallel sweep engine (:mod:`repro.core.engine`).
 
 The two contract-level guarantees are exercised here: parallel execution
-reproduces the serial values exactly, and warm-started analyses agree with
-cold-started ones within the binary-search precision while spending fewer
-solver iterations.
+reproduces the serial values exactly, and a warm-started analysis certifies
+exactly what a cold bisection does while spending fewer solver iterations.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cold_bisection import cold_bisection
 from repro import (
     AnalysisConfig,
     AttackParams,
@@ -419,19 +419,15 @@ class TestWarmStartedAlgorithm1:
             ProtocolParams(p=0.3, gamma=0.5), AttackParams(depth=2, forks=1, max_fork_length=4)
         )
 
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
-    def test_same_bounds_fewer_sweeps(self, model, solver):
-        cold = formal_analysis(
-            model.mdp,
-            AnalysisConfig(epsilon=1e-3, solver=solver, warm_start=False, solver_tolerance=1e-7),
+    def test_same_bounds_fewer_rounds(self, model):
+        config = AnalysisConfig(epsilon=1e-3, solver_tolerance=1e-7)
+        cold = cold_bisection(model.mdp, config)
+        warm = formal_analysis(model.mdp, config)
+        assert [record.beta for record in warm.iterations] == cold.betas
+        assert (warm.beta_low, warm.beta_up, warm.strategy_errev) == (
+            cold.beta_low, cold.beta_up, cold.strategy_errev
         )
-        warm = formal_analysis(
-            model.mdp,
-            AnalysisConfig(epsilon=1e-3, solver=solver, warm_start=True, solver_tolerance=1e-7),
-        )
-        assert warm.errev_lower_bound == pytest.approx(cold.errev_lower_bound, abs=cold.epsilon)
-        assert warm.beta_up == pytest.approx(cold.beta_up, abs=cold.epsilon)
-        assert warm.total_solver_iterations < cold.total_solver_iterations
+        assert warm.total_solver_iterations < cold.solver_iterations
 
     def test_cross_point_warm_start_same_result(self, model):
         config = AnalysisConfig(epsilon=1e-3)
@@ -444,10 +440,28 @@ class TestWarmStartedAlgorithm1:
             adjacent.mdp,
             config,
             initial_strategy_rows=seed.strategy.rows,
-            initial_bias=seed.final_bias,
         )
         assert warm.errev_lower_bound == pytest.approx(cold.errev_lower_bound, abs=config.epsilon)
         assert warm.total_solver_iterations <= cold.total_solver_iterations
+
+    @pytest.mark.parametrize(
+        "p, gamma", [(0.25, 0.5), (0.29, 0.5), (0.35, 0.5), (0.3, 0.0), (0.3, 1.0)]
+    )
+    def test_chained_search_certifies_what_a_cold_one_does(self, model, p, gamma):
+        """A search started from a neighbouring point's strategy, as a chained sweep
+        starts it, probes and certifies exactly what a cold search does."""
+        config = AnalysisConfig(epsilon=1e-3)
+        seed = formal_analysis(model.mdp, config)
+        neighbour = build_selfish_forks_mdp(
+            ProtocolParams(p=p, gamma=gamma), AttackParams(depth=2, forks=1, max_fork_length=4)
+        ).mdp
+        warm = formal_analysis(neighbour, config, initial_strategy_rows=seed.strategy.rows)
+        cold = cold_bisection(neighbour, config)
+        assert [record.beta for record in warm.iterations] == cold.betas
+        assert (warm.beta_low, warm.beta_up, warm.strategy_errev) == (
+            cold.beta_low, cold.beta_up, cold.strategy_errev
+        )
+        assert warm.total_solver_iterations < cold.solver_iterations
 
     def test_incompatible_warm_start_ignored(self, model):
         small = build_selfish_forks_mdp(
@@ -458,19 +472,27 @@ class TestWarmStartedAlgorithm1:
             model.mdp,
             AnalysisConfig(epsilon=1e-2),
             initial_strategy_rows=donor.strategy.rows,
-            initial_bias=donor.final_bias,
         )
         assert result.interval_width < 1e-2
 
-    def test_out_of_range_warm_start_rows_ignored(self, model):
+    @pytest.mark.parametrize("bad_row", ["past-the-end", "negative"])
+    def test_out_of_range_warm_start_rows_ignored(self, model, bad_row):
         """Correct length but out-of-range row indices must fall back to cold."""
         import numpy as np
 
-        bogus_rows = np.full(model.mdp.num_states, model.mdp.num_rows + 100, dtype=np.int64)
-        result = formal_analysis(
-            model.mdp, AnalysisConfig(epsilon=1e-2), initial_strategy_rows=bogus_rows
-        )
-        assert result.interval_width < 1e-2
+        config = AnalysisConfig(epsilon=1e-2)
+        cold = formal_analysis(model.mdp, config)
+        if bad_row == "past-the-end":
+            bogus_rows = np.full(model.mdp.num_states, model.mdp.num_rows + 100, dtype=np.int64)
+        else:
+            # -1 would wrap to the model's last row, which belongs to the last state.
+            bogus_rows = cold.strategy.rows.copy()
+            bogus_rows[-1] = -1
+        result = formal_analysis(model.mdp, config, initial_strategy_rows=bogus_rows)
+        assert [it.solver_iterations for it in result.iterations] == [
+            it.solver_iterations for it in cold.iterations
+        ]
+        assert (result.beta_low, result.beta_up) == (cold.beta_low, cold.beta_up)
 
     def test_iteration_log_carries_solver_counts(self, model):
         result = formal_analysis(model.mdp, AnalysisConfig(epsilon=1e-2))
@@ -478,4 +500,3 @@ class TestWarmStartedAlgorithm1:
         assert result.total_solver_iterations >= sum(
             record.solver_iterations for record in result.iterations
         )
-        assert result.final_bias is not None

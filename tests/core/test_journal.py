@@ -180,12 +180,48 @@ def test_mid_file_corruption_is_rejected(tmp_path):
         run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
 
 
+def _add_analysis_keys(path: Path, **keys) -> None:
+    """Rewrite a journal's fingerprint as if its analysis settings carried ``keys``."""
+    lines = _journal_lines(path)
+    meta = decode_record(lines[0])
+    assert meta is not None and meta["kind"] == "meta"
+    meta["fingerprint"]["analysis"].update(keys)
+    lines[0] = encode_record(meta)[:-1]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
 def test_resume_refuses_foreign_fingerprint(tmp_path):
+    """Another epsilon, or analysis settings with the removed solver keys, is another sweep."""
+    grid = _grid()
+    other = tmp_path / "other.journal"
+    run_sweep(SweepConfig(**_grid(analysis=AnalysisConfig(epsilon=5e-3)), journal_path=str(other)))
+    stale = tmp_path / "stale.journal"
+    run_sweep(SweepConfig(**grid, journal_path=str(stale)))
+    # Journals written while AnalysisConfig had a solver choice and a
+    # warm-start switch fingerprint them.
+    _add_analysis_keys(stale, solver="policy_iteration", warm_start=True)
+    for path in (other, stale):
+        with pytest.raises(ModelError, match="different sweep"):
+            run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("solver", "policy_iteration"),
+        ("solver", "value_iteration"),
+        ("warm_start", True),
+        ("warm_start", False),
+    ],
+)
+def test_resume_refuses_journal_with_one_removed_solver_key(tmp_path, key, value):
+    """Either removed key alone, at any value it could have held, makes a journal foreign."""
     path = tmp_path / "sweep.journal"
-    run_sweep(SweepConfig(**_grid(), journal_path=str(path)))
-    other = _grid(analysis=AnalysisConfig(epsilon=5e-3))
+    grid = _grid()
+    run_sweep(SweepConfig(**grid, journal_path=str(path)))
+    _add_analysis_keys(path, **{key: value})
     with pytest.raises(ModelError, match="different sweep"):
-        run_sweep(SweepConfig(**other, journal_path=str(path), journal_resume=True))
+        run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
 
 
 def test_resume_refuses_journal_with_removed_analysis_keys(tmp_path):
@@ -193,12 +229,7 @@ def test_resume_refuses_journal_with_removed_analysis_keys(tmp_path):
     path = tmp_path / "sweep.journal"
     grid = _grid()
     run_sweep(SweepConfig(**grid, journal_path=str(path)))
-    lines = _journal_lines(path)
-    meta = decode_record(lines[0])
-    assert meta is not None and meta["kind"] == "meta"
-    meta["fingerprint"]["analysis"].update(batch_probes=1, portfolio_deadline=None)
-    lines[0] = encode_record(meta)[:-1]
-    path.write_bytes(b"\n".join(lines) + b"\n")
+    _add_analysis_keys(path, batch_probes=1, portfolio_deadline=None)
     with pytest.raises(ModelError, match="different sweep"):
         run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
 

@@ -293,26 +293,8 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_analyze_with_solver_alias(self, capsys):
-        exit_code = main(
-            [
-                "analyze",
-                "--p",
-                "0.3",
-                "--depth",
-                "1",
-                "--epsilon",
-                "0.01",
-                "--solver",
-                "vi",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "ERRev lower bound" in captured.out
-
-    def test_sweep_with_value_iteration_and_reuse_bounds(self, tmp_path, capsys):
-        out_csv = tmp_path / "vi.csv"
+    def test_sweep_with_reuse_bounds(self, tmp_path, capsys):
+        out_csv = tmp_path / "reuse.csv"
         exit_code = main(
             [
                 "sweep",
@@ -326,8 +308,6 @@ class TestCli:
                 "0.02",
                 "--grid",
                 "max-depth=1",
-                "--solver",
-                "vi",
                 "--reuse-p-bounds",
                 "--csv",
                 str(out_csv),
@@ -411,6 +391,9 @@ class TestCli:
             ["analyze", "--solver", "lp"],
             ["analyze", "--solver", "linear_program"],
             ["sweep", "--solver", "portfolio"],
+            ["analyze", "--solver", "pi"],
+            ["sweep", "--solver", "policy_iteration"],
+            ["simulate", "--solver", "vi"],
         ],
     )
     def test_removed_search_options_rejected(self, argv, capsys):

@@ -13,7 +13,7 @@ from repro.mdp import (
     Strategy,
     induced_markov_chain,
     policy_iteration,
-    relative_value_iteration,
+    solve_mean_payoff_batch,
     validate_mdp,
 )
 
@@ -48,14 +48,6 @@ def random_mdps(draw):
 def test_random_models_are_structurally_valid(mdp):
     report = validate_mdp(mdp, raise_on_error=False)
     assert report.is_valid
-
-
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(mdp=random_mdps())
-def test_policy_iteration_matches_value_iteration(mdp):
-    pi_result = policy_iteration(mdp, [1.0])
-    vi_result = relative_value_iteration(mdp, [1.0], tolerance=1e-9)
-    assert pi_result.gain == pytest.approx(vi_result.gain, abs=1e-5)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -99,3 +91,27 @@ def test_gain_scales_linearly_with_rewards(mdp, scale):
     base = policy_iteration(mdp, [1.0]).gain
     scaled = policy_iteration(mdp, [scale]).gain
     assert scaled == pytest.approx(scale * base, abs=1e-6)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mdp=random_mdps(), seed=st.integers(min_value=0, max_value=10_000))
+def test_warm_start_from_any_strategy_finds_the_cold_gain(mdp, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.array(
+        [rng.integers(mdp.rows_of(s).start, mdp.rows_of(s).stop) for s in range(mdp.num_states)],
+        dtype=np.int64,
+    )
+    cold = policy_iteration(mdp, [1.0])
+    warm = policy_iteration(mdp, [1.0], initial_strategy=Strategy(mdp, rows))
+    assert warm.gain == pytest.approx(cold.gain, abs=1e-9)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mdp=random_mdps(),
+    scales=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=4),
+)
+def test_batch_gains_equal_independent_solves(mdp, scales):
+    batch = solve_mean_payoff_batch(mdp, np.array(scales).reshape(-1, 1))
+    for scale, solution in zip(scales, batch):
+        assert solution.gain == pytest.approx(policy_iteration(mdp, [scale]).gain, abs=1e-9)

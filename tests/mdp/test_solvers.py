@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 
 from lp_oracle import solve_mean_payoff_lp
 from repro.analysis import beta_reward_weights
 from repro.exceptions import ConvergenceError, SolverError
 from repro.mdp import (
-    SOLVER_BACKENDS,
     MDPBuilder,
+    PolicyIterationResult,
+    Strategy,
     policy_iteration,
-    relative_value_iteration,
     solve_mean_payoff,
     solve_mean_payoff_batch,
 )
@@ -65,47 +68,6 @@ ALL_TEST_MDPS = [
 ]
 
 
-class TestRelativeValueIteration:
-    @pytest.mark.parametrize("mdp, expected", ALL_TEST_MDPS)
-    def test_known_gains(self, mdp, expected):
-        result = relative_value_iteration(mdp, [1.0], tolerance=1e-10)
-        assert result.gain == pytest.approx(expected, abs=1e-6)
-        assert result.lower_bound <= expected + 1e-9
-        assert result.upper_bound >= expected - 1e-9
-
-    def test_certified_bounds_bracket_gain(self):
-        result = relative_value_iteration(stochastic_mdp(), [1.0], tolerance=1e-8)
-        assert result.lower_bound <= result.gain <= result.upper_bound
-        assert result.bound_width < 1e-7
-
-    def test_optimal_strategy_extracted(self):
-        result = relative_value_iteration(choice_mdp(), [1.0])
-        assert result.strategy.action(0) == "good"
-
-    def test_divergence_raises(self):
-        with pytest.raises(ConvergenceError):
-            relative_value_iteration(
-                stochastic_mdp(), [1.0], tolerance=1e-12, max_iterations=1
-            )
-
-    def test_divergence_can_be_silenced(self):
-        result = relative_value_iteration(
-            stochastic_mdp(), [1.0], tolerance=1e-12, max_iterations=1, raise_on_divergence=False
-        )
-        assert not result.converged
-
-    def test_invalid_damping_rejected(self):
-        with pytest.raises(ValueError):
-            relative_value_iteration(choice_mdp(), [1.0], damping=0.0)
-
-    def test_negative_rewards(self):
-        builder = MDPBuilder()
-        builder.add_action("s", "loss", [("s", 1.0, (-1.5,))])
-        mdp = builder.build(initial_state="s")
-        result = relative_value_iteration(mdp, [1.0])
-        assert result.gain == pytest.approx(-1.5, abs=1e-6)
-
-
 class TestPolicyIteration:
     @pytest.mark.parametrize("mdp, expected", ALL_TEST_MDPS)
     def test_known_gains(self, mdp, expected):
@@ -123,6 +85,21 @@ class TestPolicyIteration:
         warm = policy_iteration(mdp, [1.0], initial_strategy=cold.strategy)
         assert warm.iterations <= cold.iterations
         assert warm.gain == pytest.approx(cold.gain)
+
+    def test_negative_weights_flip_the_choice(self):
+        # Under weight -1 the "bad" loop pays -1 and the "good" one -2.
+        result = policy_iteration(choice_mdp(), [-1.0])
+        assert result.gain == pytest.approx(-1.0, abs=1e-9)
+        assert result.strategy.action_of_label("s") == "bad"
+
+    @pytest.mark.parametrize("mdp, expected", ALL_TEST_MDPS)
+    def test_every_initial_strategy_reaches_the_optimal_gain(self, mdp, expected):
+        """A warm start changes where the iteration starts, never what it finds."""
+        for rows in itertools.product(*(mdp.rows_of(s) for s in range(mdp.num_states))):
+            start = Strategy(mdp, np.array(rows, dtype=np.int64))
+            result = policy_iteration(mdp, [1.0], initial_strategy=start)
+            assert result.gain == pytest.approx(expected, abs=1e-9)
+            assert result.converged
 
     def test_iteration_budget_exhaustion_raises(self):
         # max_iterations=0 never evaluates, which must raise rather than return junk.
@@ -142,25 +119,15 @@ class TestLinearProgram:
 
 
 class TestSolveMeanPayoffFrontend:
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
-    def test_backends_agree(self, solver):
-        solution = solve_mean_payoff(stochastic_mdp(), [1.0], solver=solver)
-        assert solution.gain == pytest.approx(1.5, abs=1e-6)
-        assert solution.solver == solver
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SolverError):
-            solve_mean_payoff(choice_mdp(), [1.0], solver="magic")
-
-    def test_only_pi_and_vi_are_backends(self):
-        # The LP stays a test oracle (tests/mdp/lp_oracle.py), not a backend.
-        assert SOLVER_BACKENDS == ("policy_iteration", "value_iteration")
-        with pytest.raises(SolverError):
-            solve_mean_payoff(stochastic_mdp(), [1.0], solver="linear_program")
-
-    def test_bounds_contain_gain(self):
-        solution = solve_mean_payoff(cycle_mdp(), [1.0], solver="value_iteration")
-        assert solution.lower_bound <= solution.gain <= solution.upper_bound
+    @pytest.mark.parametrize("mdp, expected", ALL_TEST_MDPS)
+    def test_returns_the_policy_iteration_result(self, mdp, expected):
+        solution = solve_mean_payoff(mdp, [1.0])
+        reference = policy_iteration(mdp, [1.0])
+        assert isinstance(solution, PolicyIterationResult)
+        assert solution.gain == reference.gain == pytest.approx(expected, abs=1e-9)
+        assert solution.strategy == reference.strategy
+        assert solution.bias.tobytes() == reference.bias.tobytes()
+        assert solution.iterations == reference.iterations
 
     def test_iteration_budget_is_passed_through(self, model_d2f1):
         mdp = model_d2f1.mdp
@@ -183,53 +150,40 @@ class TestBatchedSolvers:
 
     WEIGHTS = [[1.0], [0.5], [-0.25], [2.0]]
 
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
     @pytest.mark.parametrize("factory", [choice_mdp, cycle_mdp, stochastic_mdp])
-    def test_batch_matches_sequential(self, solver, factory):
+    def test_batch_matches_sequential(self, factory):
         mdp = factory()
-        batch = solve_mean_payoff_batch(mdp, self.WEIGHTS, solver=solver)
+        batch = solve_mean_payoff_batch(mdp, self.WEIGHTS)
         assert len(batch) == len(self.WEIGHTS)
         for weights, solution in zip(self.WEIGHTS, batch):
-            reference = solve_mean_payoff(mdp, weights, solver=solver)
+            reference = solve_mean_payoff(mdp, weights)
             assert solution.gain == pytest.approx(reference.gain, abs=1e-7)
-            assert solution.solver == solver
 
-    def test_batched_value_iteration_bounds_certified(self):
-        batch = solve_mean_payoff_batch(cycle_mdp(), self.WEIGHTS, solver="value_iteration")
-        for solution in batch:
-            assert solution.lower_bound <= solution.gain <= solution.upper_bound
-            assert solution.upper_bound - solution.lower_bound < 1e-8
+    @pytest.mark.parametrize("factory", [choice_mdp, cycle_mdp, stochastic_mdp])
+    def test_batch_gains_match_linear_program(self, factory):
+        mdp = factory()
+        for weights, solution in zip(self.WEIGHTS, solve_mean_payoff_batch(mdp, self.WEIGHTS)):
+            assert solution.gain == pytest.approx(solve_mean_payoff_lp(mdp, weights).gain, abs=1e-7)
 
-    @pytest.mark.parametrize("solver", ["policy_iteration", "value_iteration"])
-    def test_batch_is_a_warm_chained_loop(self, solver):
+    def test_batch_is_a_warm_chained_loop(self):
         mdp = stochastic_mdp()
-        batch = solve_mean_payoff_batch(mdp, self.WEIGHTS, solver=solver)
-        warm, warm_bias = None, None
+        batch = solve_mean_payoff_batch(mdp, self.WEIGHTS)
+        warm = None
         for weights, solution in zip(self.WEIGHTS, batch):
-            expected = solve_mean_payoff(
-                mdp, weights, solver=solver, warm_start=warm, warm_start_bias=warm_bias
-            )
+            expected = solve_mean_payoff(mdp, weights, warm_start=warm)
             assert solution.gain == expected.gain
             assert solution.iterations == expected.iterations
-            warm, warm_bias = expected.strategy, expected.bias
+            warm = expected.strategy
 
     def test_empty_batch(self):
-        import numpy as np
-
         assert solve_mean_payoff_batch(choice_mdp(), np.empty((0, 1))) == []
 
     def test_bad_weight_matrix_shape_raises(self):
         with pytest.raises(SolverError):
             solve_mean_payoff_batch(choice_mdp(), [[1.0, 2.0]])
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(SolverError):
-            solve_mean_payoff_batch(choice_mdp(), [[1.0]], solver="magic")
-
     def test_batched_warm_start_accepted(self):
         mdp = cycle_mdp()
         first = solve_mean_payoff(mdp, [1.0])
-        batch = solve_mean_payoff_batch(
-            mdp, self.WEIGHTS, warm_start=first.strategy, warm_start_bias=first.bias
-        )
+        batch = solve_mean_payoff_batch(mdp, self.WEIGHTS, warm_start=first.strategy)
         assert batch[0].gain == pytest.approx(first.gain)

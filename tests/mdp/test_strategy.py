@@ -48,6 +48,14 @@ class TestStrategy:
         with pytest.raises(ModelError):
             Strategy(mdp, np.array([0, 0]))
 
+    # -1 and -2 would index rows of state "b" and -4 the first row of state
+    # "a", so each wraps onto a row of the right state; 4 and 99 are past the
+    # last row.
+    @pytest.mark.parametrize("rows", [[0, -1], [0, 4], [99, 2], [-4, 2], [0, -2]])
+    def test_rejects_rows_outside_the_model(self, mdp, rows):
+        with pytest.raises(ModelError, match="outside the model's 4 rows"):
+            Strategy(mdp, np.array(rows))
+
     def test_differs_from(self, mdp):
         one = Strategy.from_action_map(mdp, {"a": "stay", "b": "back"})
         two = Strategy.from_action_map(mdp, {"a": "go", "b": "back"})
