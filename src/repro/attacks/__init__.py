@@ -44,7 +44,12 @@ from .eyal_sirer import (
     eyal_sirer_profitability_threshold,
     eyal_sirer_relative_revenue,
 )
-from .single_tree import SingleTreeParams, simulate_single_tree_errev, single_tree_errev
+from .single_tree import (
+    SingleTreeParams,
+    simulate_single_tree_errev,
+    single_tree_errev,
+    single_tree_errev_grid,
+)
 from .base import AttackDecision, MiningPolicy
 from .policies import GreedyLeadPolicy, HonestPolicy, SelfishForksPolicy
 from .sm_actions import (
@@ -92,6 +97,7 @@ __all__ = [
     "eyal_sirer_profitability_threshold",
     "SingleTreeParams",
     "single_tree_errev",
+    "single_tree_errev_grid",
     "simulate_single_tree_errev",
     "AttackDecision",
     "MiningPolicy",

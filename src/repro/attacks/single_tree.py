@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -187,37 +187,69 @@ def _round_graph(max_depth: int, max_width: int) -> _RoundGraph:
     return graph
 
 
-def _round_expectations(p: float, gamma: float, graph: _RoundGraph) -> Tuple[float, float]:
-    """Exact expected (adversarial, honest) finalised blocks of one attack round.
+def _round_expectations(p: np.ndarray, gamma: float, graph: _RoundGraph) -> np.ndarray:
+    """Exact expected (adversarial, honest) finalised blocks of one attack round, per ``p``.
 
-    Evaluates the graph layer by layer, and every state with the floating-point
+    Evaluates the graph layer by layer for every ``p`` at once (the last
+    axis but one of every value), and every state with the floating-point
     operations of the per-state recursion in its order: ``den = (1 - p) + p *
     sigma``, then ``acc = acc + (p * count / den) * value`` over the parent
     levels in ascending order and the honest block last.  A full level adds
     ``0.0 * 0.0``; all values are non-negative, so ``acc + 0.0`` is ``acc``
-    exactly.  No reduction is used, since a reduction may reassociate.
+    exactly.  No reduction is used, since a reduction may reassociate, so
+    each ``p`` gets the values it gets alone.  Returns shape ``(len(p), 2)``.
     """
     num_states = graph.num_states
-    values = np.empty((num_states + len(graph.terminals) + 1, 2))
+    values = np.empty((num_states + len(graph.terminals) + 1, len(p), 2))
     for index, (depth, public_length) in enumerate(graph.terminals, start=num_states):
         values[index] = _round_end(depth, public_length, gamma)
     values[-1] = 0.0
 
-    denominator = (1.0 - p) + p * graph.sigma
-    probability = np.empty(graph.successors.shape)
-    np.multiply(p, graph.counts, out=probability[:, :-1])
+    denominator = (1.0 - p) + p * graph.sigma[:, None]
+    probability = np.empty(graph.successors.shape + (len(p),))
+    np.multiply(p, graph.counts[:, :, None], out=probability[:, :-1])
     probability[:, -1] = 1.0 - p
     probability /= denominator[:, None]
 
     for lo, hi in graph.layers:
-        terms = probability[lo:hi, :, None] * values[graph.successors[lo:hi]]
+        terms = probability[lo:hi, :, :, None] * values[graph.successors[lo:hi]]
         total = terms[:, 0]
         for outcome in range(1, terms.shape[1]):
             total = total + terms[:, outcome]
         values[lo:hi] = total
     # The empty tree is the only state of key 0, so it is the last state row.
-    adversary, honest = values[num_states - 1]
-    return float(adversary), float(honest)
+    return values[num_states - 1]
+
+
+def single_tree_errev_grid(
+    gamma: float, p_values: Sequence[float], params: SingleTreeParams | None = None
+) -> List[float]:
+    """Exact ERRev of the single-tree baseline at every ``p`` of a grid, at one ``gamma``.
+
+    One evaluation of the round graph serves the whole grid, and each value
+    equals :func:`single_tree_errev` at its point bit for bit.  An invalid
+    ``p`` or ``gamma`` raises for the whole grid.
+    """
+    params = params or SingleTreeParams()
+    gamma = check_probability(gamma, "gamma")
+    ps = [check_probability(p, "p") for p in p_values]
+    interior = [p for p in ps if 0.0 < p < 1.0]
+    rounds = iter(
+        _round_expectations(
+            np.array(interior), gamma, _round_graph(params.max_depth, params.max_width)
+        ).tolist()
+        if interior
+        else ()
+    )
+    errevs = []
+    for p in ps:
+        if p == 0.0 or p == 1.0:
+            errevs.append(0.0 if p == 0.0 else 1.0)
+            continue
+        adversary, honest = next(rounds)
+        total = adversary + honest
+        errevs.append(0.0 if total <= 0.0 else adversary / total)
+    return errevs
 
 
 def single_tree_errev(protocol: ProtocolParams, params: SingleTreeParams | None = None) -> float:
@@ -226,18 +258,7 @@ def single_tree_errev(protocol: ProtocolParams, params: SingleTreeParams | None 
     Computed from per-round expectations via the renewal-reward theorem:
     ``ERRev = E[adversarial blocks per round] / E[all blocks per round]``.
     """
-    params = params or SingleTreeParams()
-    p = check_probability(protocol.p, "p")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    graph = _round_graph(params.max_depth, params.max_width)
-    adversary, honest = _round_expectations(p, protocol.gamma, graph)
-    total = adversary + honest
-    if total <= 0.0:
-        return 0.0
-    return adversary / total
+    return single_tree_errev_grid(protocol.gamma, [protocol.p], params)[0]
 
 
 def simulate_single_tree_errev(

@@ -8,7 +8,8 @@ Running the units -- inline or on a process pool -- and merging them is
 :func:`repro.core.execution.execute_sweep`.
 
 * Baseline series (honest mining, single tree) are closed forms and are
-  evaluated inline in the parent process.
+  evaluated inline in the parent process; the single-tree baseline once per
+  gamma for the whole p grid.
 * Every attack configuration contributes one task per ``(gamma, p)`` point --
   or, when warm starts or certified bounds are chained across adjacent ``p``
   points (``warm_start_across_points`` / ``reuse_p_axis_bounds``), one task per
@@ -66,6 +67,7 @@ from ..attacks import (
     get_model_structure,
     honest_errev,
     single_tree_errev,
+    single_tree_errev_grid,
 )
 from ..attacks.registry import ScenarioStructure, get_attack, scenario_id_for
 from ..config import AnalysisConfig, AttackParams, ProtocolParams
@@ -305,17 +307,35 @@ def _pool_start_method() -> str:
     return "spawn"
 
 
+def _single_tree_series(config: "SweepConfig", gamma: float) -> Optional[List[float]]:
+    """The single-tree baseline at every p of the grid at ``gamma``, from one evaluation.
+
+    ``None`` when the series is off or an invalid parameter makes the grid
+    form raise: every point is then evaluated alone, so only the invalid
+    ones fail.
+    """
+    if not config.include_single_tree:
+        return None
+    try:
+        return single_tree_errev_grid(gamma, config.p_values, config.single_tree)
+    except Exception:
+        return None
+
+
 def _baseline_points(
     config: "SweepConfig",
     p: float,
     gamma: float,
+    single_tree: Optional[float],
     failures: List[SweepFailure],
     report: Callable[[str], None],
 ) -> List[SweepPoint]:
     """Closed-form baseline points of one grid point, with failures isolated.
 
-    An invalid parameter point (or a raising baseline formula) must not abort
-    the sweep any more than a failing attack point does.
+    ``single_tree`` is the point's value from :func:`_single_tree_series`, or
+    ``None`` to evaluate it here.  An invalid parameter point (or a raising
+    baseline formula) must not abort the sweep any more than a failing attack
+    point does.
     """
     points: List[SweepPoint] = []
     series_fns = []
@@ -325,7 +345,9 @@ def _baseline_points(
         series_fns.append(
             (
                 f"single-tree(f={config.single_tree.max_width})",
-                lambda protocol: single_tree_errev(protocol, config.single_tree),
+                lambda protocol: single_tree_errev(protocol, config.single_tree)
+                if single_tree is None
+                else single_tree,
             )
         )
     for series, fn in series_fns:
@@ -362,8 +384,18 @@ def assemble_sweep_result(
     points: List[SweepPoint] = []
     failures: List[SweepFailure] = []
     for gamma_index, gamma in enumerate(config.gammas):
+        single_tree = _single_tree_series(config, gamma)
         for p_index, p in enumerate(config.p_values):
-            points.extend(_baseline_points(config, p, gamma, failures, report))
+            points.extend(
+                _baseline_points(
+                    config,
+                    p,
+                    gamma,
+                    None if single_tree is None else single_tree[p_index],
+                    failures,
+                    report,
+                )
+            )
             for attack_index, attack in enumerate(config.attack_configs):
                 outcome = outcomes.get((gamma_index, p_index, attack_index))
                 if outcome is None:

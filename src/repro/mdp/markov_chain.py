@@ -11,8 +11,9 @@ an MDP is one candidate row of the chain's generator ``I - P``, so
 subtraction, in canonical CSR form: columns sorted, duplicate successors
 merged, zeros pruned, exactly as scipy computes ``identity - P``.  The
 stationary system is a gather of the chosen rows from that table, negated
-(``-(1 - p) == p - 1`` exactly in IEEE arithmetic): bit for bit the arrays of
-the scipy expression ``(P^T - I)``.
+(``-(1 - p) == p - 1`` exactly in IEEE arithmetic), with each column's entry
+in row ``n - 1`` dropped and a one scattered after the rest: bit for bit the
+arrays of the scipy expression ``(P^T - I)``.
 
 The Poisson system is never gathered row by row.  Every chain of a model draws
 its rows from one union pattern, which depends on the successors only, never
@@ -34,8 +35,9 @@ matrix is the chain of a model with one row per state.
 
 The Poisson matrix does not depend on the rewards, so
 :meth:`MarkovChain.poisson_factor` factors it once (SuperLU via ``splu``) and
-:meth:`MarkovChain.gain_and_bias` solves any reward weighting with that
-factor; policy iteration keeps factors across solves in an
+:meth:`MarkovChain.gain_and_bias` solves any reward vector with that factor;
+its caller forms the vector, so policy iteration gathers it from one
+per-solve vector of row rewards, and keeps factors across solves in an
 :class:`~repro.mdp.policy_iteration.EvaluationCache`.  SuperLU's relaxed
 supernodes and panel blocking (Demmel et al., SIAM J. Matrix Anal. Appl.
 20(3), 1999) pay off on dense fronts; these systems have almost none (15k-48k
@@ -397,16 +399,18 @@ class MarkovChain:
         keep = indices != n - 1
         kept_before = np.zeros(len(indices) + 1, dtype=indptr.dtype)
         np.cumsum(keep, out=kept_before[1:])
-        kept_ptr = kept_before[indptr]
-        ends = kept_ptr[1:]
-        return sp.csc_matrix(
-            (
-                np.insert(-data[keep], ends, 1.0),
-                np.insert(indices[keep], ends, n - 1),
-                kept_ptr + np.arange(n + 1, dtype=kept_ptr.dtype),
-            ),
-            shape=(n, n),
-        )
+        # Column i holds the kept entries of row i and then its one.
+        starts = kept_before[indptr] + np.arange(n + 1, dtype=indptr.dtype)
+        ones = starts[1:] - 1
+        entry = np.ones(starts[-1], dtype=bool)
+        entry[ones] = False
+        column_data = np.empty(len(entry))
+        column_data[entry] = -data[keep]
+        column_data[ones] = 1.0
+        column_indices = np.empty(len(entry), dtype=indices.dtype)
+        column_indices[entry] = indices[keep]
+        column_indices[ones] = n - 1
+        return sp.csc_matrix((column_data, column_indices, starts), shape=(n, n))
 
     def stationary_distribution(self, tolerance: float = 1e-12) -> np.ndarray:
         """Compute a stationary distribution ``pi`` with ``pi P = pi``.
@@ -517,18 +521,19 @@ class MarkovChain:
 
     def gain_and_bias(
         self,
-        weights: Sequence[float],
+        rewards: np.ndarray,
         reference_state: int = 0,
         factor: Optional[spla.SuperLU] = None,
     ) -> Tuple[float, np.ndarray]:
         """Solve the unichain Poisson equation ``h + g = r + P h``, ``h[ref] = 0``.
 
         Args:
-            weights: Reward-component weights giving the scalar reward ``r``.
+            rewards: The scalar one-step reward ``r`` of every state, e.g.
+                ``expected_rewards @ weights`` for reward-component weights.
             reference_state: State whose bias is pinned to zero.
             factor: This chain's :meth:`poisson_factor` for ``reference_state``,
                 to skip refactoring when the chain is solved again under other
-                weights; factored here when omitted.
+                rewards; factored here when omitted.
 
         Returns:
             The scalar gain ``g`` and the bias vector ``h``.
@@ -540,14 +545,13 @@ class MarkovChain:
         n = self.num_states
         if factor is None:
             factor = self.poisson_factor(reference_state)
-        rewards = self.expected_rewards @ np.asarray(weights, dtype=float)
-        solution = factor.solve(np.concatenate([rewards, [0.0]]))
+        rhs = np.zeros(n + 1)
+        rhs[:n] = rewards
+        solution = factor.solve(rhs)
         # A numerically singular factor solves without error but yields NaN/inf.
-        if not np.all(np.isfinite(solution)):
+        if not np.isfinite(solution).all():
             raise SolverError(_NOT_UNICHAIN)
-        h = np.asarray(solution[self.column_rank()], dtype=float)
-        g = float(solution[n])
-        return g, h
+        return float(solution[n]), solution[self.column_rank()]
 
 
 def induced_markov_chain(mdp: MDP, strategy: Strategy) -> MarkovChain:

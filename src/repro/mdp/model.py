@@ -193,24 +193,6 @@ class MDP:
         except KeyError as exc:
             raise ModelError(f"unknown state label {label!r}") from exc
 
-    # --------------------------------------------------------------- reward math
-
-    def expected_row_rewards(self, weights: Sequence[float]) -> np.ndarray:
-        """Return the expected immediate reward of every row under ``weights``.
-
-        The scalar reward of a transition is the dot product of its reward vector
-        with ``weights``; the expectation is taken over the row's successor
-        distribution.
-        """
-        weights_arr = np.asarray(weights, dtype=float)
-        if weights_arr.shape != (self.num_reward_components,):
-            raise ModelError(
-                f"expected {self.num_reward_components} reward weights, got {weights_arr.shape}"
-            )
-        scalar = self.trans_reward @ weights_arr
-        contributions = scalar * self.trans_prob
-        return np.add.reduceat(contributions, self.row_trans_offsets[:-1]) if self.num_rows else np.zeros(0)
-
     # ------------------------------------------------------------------ utilities
 
     def uniform_random_row_choice(self) -> np.ndarray:

@@ -6,6 +6,15 @@ For unichain models the procedure terminates after finitely many iterations with
 an optimal positional strategy and the exact optimal gain, which makes it the
 one mean-payoff solver of the formal analysis.
 
+A solve forms one reward vector, the expected reward of every state-action row
+under the weights (``row_table(mdp).expected_rewards @ weights``).  A round
+then costs one gather of the chosen rows' rewards as the Poisson right-hand
+side, one triangular solve with the strategy's factor, and one greedy pass,
+which also reports whether any row switched: no switch is the fixed point.  A
+strategy is checked against its model when it is built and its rows are
+read-only, so a start from the same model is trusted, a start from another
+model is checked once, and the rows the greedy step makes are never checked.
+
 A strategy's Poisson matrix does not depend on the reward weights, so the
 evaluation of a strategy -- its rows, induced chain and sparse LU factor, one
 :class:`PolicyEvaluation` -- can outlive the solve that built it.  A caller
@@ -25,13 +34,13 @@ factorizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from ..exceptions import ConvergenceError
-from .markov_chain import MarkovChain
+from ..exceptions import ConvergenceError, ModelError
+from .markov_chain import MarkovChain, row_table
 from .model import MDP
 from .strategy import Strategy
 
@@ -93,38 +102,38 @@ class PolicyIterationResult:
         bias: Bias (relative value) vector of the optimal strategy.
         strategy: The optimal positional strategy found.
         iterations: Number of policy-improvement rounds performed.
-        converged: Whether a fixed point was reached within the budget.
     """
 
     gain: float
     bias: np.ndarray
     strategy: Strategy
     iterations: int
-    converged: bool
 
 
 def _greedy_improvement(
     mdp: MDP, row_rewards: np.ndarray, bias: np.ndarray, current_rows: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Return improved row choices; ties are broken in favour of the incumbent."""
+) -> Tuple[np.ndarray, bool]:
+    """Return the improved row choices and whether any row switched.
+
+    Ties are broken in favour of the incumbent; without a switch the incumbent
+    itself is returned, and a switch returns a new array.
+    """
     continuation = mdp.trans_prob * bias[mdp.trans_succ]
     row_values = row_rewards + np.add.reduceat(continuation, mdp.row_trans_offsets[:-1])
     state_best = np.maximum.reduceat(row_values, mdp.state_row_offsets[:-1])
-    new_rows = current_rows.copy()
     current_values = row_values[current_rows]
     # Only switch when the improvement is strictly larger than the tolerance;
     # this is the standard rule that guarantees termination of policy iteration.
     improvable = state_best > current_values + tolerance
-    if not np.any(improvable):
-        return new_rows
-    is_best = row_values >= state_best[mdp.row_state] - 1e-12
-    row_indices = np.arange(mdp.num_rows)
-    candidate_rows = row_indices[is_best]
-    candidate_states = mdp.row_state[is_best]
+    if not improvable.any():
+        return current_rows, False
+    candidate_rows = np.flatnonzero(row_values >= state_best[mdp.row_state] - 1e-12)
     best_rows = np.full(mdp.num_states, -1, dtype=np.int64)
-    best_rows[candidate_states[::-1]] = candidate_rows[::-1]
-    new_rows[improvable] = best_rows[improvable]
-    return new_rows
+    best_rows[mdp.row_state[candidate_rows[::-1]]] = candidate_rows[::-1]
+    switched = improvable & (best_rows != current_rows)
+    if not switched.any():
+        return current_rows, False
+    return np.where(switched, best_rows, current_rows), True
 
 
 def policy_iteration(
@@ -145,51 +154,46 @@ def policy_iteration(
         tolerance: Improvement threshold below which actions are not switched.
         max_iterations: Maximum number of improvement rounds.
         initial_strategy: Optional warm start (e.g. the previous binary-search
-            iterate); defaults to the first-action strategy.
+            iterate); defaults to the first-action strategy.  A strategy of
+            ``mdp`` was checked when it was built; one of another model is
+            checked against ``mdp`` here.
         evaluation_cache: Optional cache shared by the solves of this same
             model; every strategy is looked up in it before it is factored,
             and every evaluation built is offered to it.  A solve without one
             uses a cache of its own.
 
     Raises:
+        ModelError: If ``reward_weights`` does not hold one weight per reward
+            component, or the initial strategy does not fit ``mdp``.
         ConvergenceError: If no fixed point is reached within the budget.
     """
-    row_rewards = mdp.expected_row_rewards(reward_weights)
+    weights = np.asarray(reward_weights, dtype=float)
+    if weights.shape != (mdp.num_reward_components,):
+        raise ModelError(
+            f"expected {mdp.num_reward_components} reward weights, got {weights.shape}"
+        )
+    row_rewards = row_table(mdp).expected_rewards @ weights
     if initial_strategy is None:
         rows = mdp.uniform_random_row_choice()
+    elif initial_strategy.mdp is mdp:
+        rows = initial_strategy.rows
     else:
-        # Checked once: every later row choice is the greedy step's own.
-        rows = Strategy(mdp, initial_strategy.rows).rows.copy()
+        rows = Strategy(mdp, initial_strategy.rows).rows
     cache = evaluation_cache if evaluation_cache is not None else EvaluationCache()
-    gain = 0.0
-    bias = np.zeros(mdp.num_states)
-    converged = False
-    iterations = 0
 
     for iterations in range(1, max_iterations + 1):
         evaluation = cache.evaluation(mdp, rows)
         gain, bias = evaluation.chain.gain_and_bias(
-            reward_weights, reference_state=mdp.initial_state, factor=evaluation.factor
+            row_rewards[rows], mdp.initial_state, evaluation.factor
         )
         # Leave the cache the only holder, so it can free the factor before the next.
         del evaluation
-        new_rows = _greedy_improvement(mdp, row_rewards, bias, rows, tolerance)
-        if np.array_equal(new_rows, rows):
-            converged = True
-            break
-        rows = new_rows
+        rows, switched = _greedy_improvement(mdp, row_rewards, bias, rows, tolerance)
+        if not switched:
+            # The rows are the start's or the greedy step's own: valid, and never written.
+            return PolicyIterationResult(gain, bias, Strategy._trusted(mdp, rows), iterations)
 
-    if not converged:
-        raise ConvergenceError(
-            f"policy iteration did not converge within {max_iterations} iterations"
-        )
-    return PolicyIterationResult(
-        gain=float(gain),
-        bias=bias,
-        strategy=Strategy(mdp, rows),
-        iterations=iterations,
-        converged=converged,
-    )
+    raise ConvergenceError(f"policy iteration did not converge within {max_iterations} iterations")
 
 
 def _evaluate(mdp: MDP, rows: np.ndarray) -> PolicyEvaluation:

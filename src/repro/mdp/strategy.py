@@ -18,14 +18,17 @@ from .model import MDP
 class Strategy:
     """A positional strategy represented by one chosen row per state.
 
+    A strategy is checked against its model once, when it is built, and
+    keeps a read-only copy of the rows it was given, so it stays valid.
+
     Attributes:
         mdp: The model the strategy belongs to.
-        rows: ``int64`` array of length ``mdp.num_states``; ``rows[s]`` is the
-            index of the state-action row chosen in state ``s``.
+        rows: Read-only ``int64`` array of length ``mdp.num_states``;
+            ``rows[s]`` is the index of the state-action row chosen in state ``s``.
     """
 
     def __init__(self, mdp: MDP, rows: np.ndarray) -> None:
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.array(rows, dtype=np.int64)
         if rows.shape != (mdp.num_states,):
             raise ModelError(
                 f"strategy must choose one row per state, got shape {rows.shape}"
@@ -43,8 +46,28 @@ class Strategy:
             raise ModelError(
                 f"strategy chooses a row that does not belong to state {offending}"
             )
+        self._bind(mdp, rows)
+
+    @classmethod
+    def _trusted(cls, mdp: MDP, rows: np.ndarray) -> "Strategy":
+        """The strategy of ``rows``, a valid row choice of ``mdp`` that nothing else writes to.
+
+        No check and no copy: policy iteration builds its result this way from
+        the rows its own greedy step made.
+        """
+        strategy = cls.__new__(cls)
+        strategy._bind(mdp, rows)
+        return strategy
+
+    def _bind(self, mdp: MDP, rows: np.ndarray) -> None:
+        rows.flags.writeable = False
         self.mdp = mdp
         self.rows = rows
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Unpickled arrays are writable; the copy of a checked strategy stays read-only.
+        self.__dict__.update(state)
+        self.rows.flags.writeable = False
 
     # ----------------------------------------------------------------- factories
 

@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 from single_tree_oracle import oracle_errev, round_expectations
-from repro.attacks import single_tree_errev
+from repro.attacks import single_tree_errev, single_tree_errev_grid
 from repro.attacks.single_tree import SingleTreeParams, _round_graph
 from repro.config import ProtocolParams
+from repro.exceptions import ConfigurationError
 
 FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
 FULL_ONLY = pytest.mark.skipif(not FULL, reason="the oracle takes ~40 s; set REPRO_FULL=1")
@@ -83,11 +84,30 @@ class TestAgainstOracle:
     def test_extreme_p(self, depth, width):
         assert mismatches(EXTREME_POINTS, SingleTreeParams(depth, width)) == []
 
+    def test_grid_form_equals_every_point(self, depth, width):
+        """One evaluation per gamma gives each p the value it gets alone, bit for bit."""
+        params = SingleTreeParams(depth, width)
+        ps = [0.0, *FIG2_PS, 1e-9, 1.0 - 1e-9, 1.0]
+        for gamma in FIG2_GAMMAS:
+            alone = [single_tree_errev(ProtocolParams(p=p, gamma=gamma), params) for p in ps]
+            assert single_tree_errev_grid(gamma, ps, params) == alone
+
     def test_graph_has_the_oracle_states(self, depth, width):
         memo = {}
         params = SingleTreeParams(depth, width)
         round_expectations(ProtocolParams(p=0.3, gamma=0.5), params, memo)
         assert _round_graph(depth, width).num_states == len(memo)
+
+
+@pytest.mark.parametrize("p_values, gamma", [((0.1, 1.5, 0.3), 0.5), ((0.1,), -0.5)])
+def test_grid_form_rejects_an_invalid_parameter(p_values, gamma):
+    with pytest.raises(ConfigurationError):
+        single_tree_errev_grid(gamma, p_values)
+
+
+def test_grid_form_of_an_empty_or_boundary_grid():
+    assert single_tree_errev_grid(0.5, ()) == []
+    assert single_tree_errev_grid(0.5, (1.0, 0.0)) == [1.0, 0.0]
 
 
 class TestRoundGraphCache:

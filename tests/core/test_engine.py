@@ -21,7 +21,7 @@ from repro import (
     run_sweep,
 )
 from repro.analysis import formal_analysis
-from repro.attacks import build_selfish_forks_mdp
+from repro.attacks import build_selfish_forks_mdp, single_tree_errev
 from repro.core import execute_sweep
 from repro.core.engine import _build_tasks
 
@@ -185,6 +185,30 @@ class TestFailureIsolation:
         }
         assert all(failure.p == 1.5 for failure in sweep.failures)
         assert [point.p for point in sweep.points if point.series == "honest"] == [0.1, 0.3]
+        single_tree = [point.p for point in sweep.points if point.series == "single-tree(f=5)"]
+        assert single_tree == [0.1, 0.3]
+
+
+def test_single_tree_series_is_one_grid_evaluation_per_gamma(monkeypatch):
+    """The baseline evaluates its round graph once per gamma, to every point's own value."""
+    from repro.core import engine as engine_module
+
+    evaluated = []
+    grid = engine_module.single_tree_errev_grid
+
+    def counting_grid(gamma, p_values, params):
+        evaluated.append((gamma, tuple(p_values)))
+        return grid(gamma, p_values, params)
+
+    monkeypatch.setattr(engine_module, "single_tree_errev_grid", counting_grid)
+    config = small_grid()
+    sweep = run_sweep(config)
+    assert evaluated == [(gamma, config.p_values) for gamma in config.gammas]
+    points = [point for point in sweep.points if point.series == "single-tree(f=5)"]
+    assert len(points) == len(config.gammas) * len(config.p_values)
+    for point in points:
+        protocol = ProtocolParams(p=point.p, gamma=point.gamma)
+        assert point.errev == single_tree_errev(protocol, config.single_tree)
 
 
 class TestTaskDecomposition:

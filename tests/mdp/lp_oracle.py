@@ -23,6 +23,7 @@ from scipy.optimize import linprog
 
 from repro.exceptions import SolverError
 from repro.mdp import MDP, Strategy
+from repro.mdp.markov_chain import row_table
 
 
 @dataclass
@@ -55,7 +56,7 @@ def solve_mean_payoff_lp(mdp: MDP, reward_weights: Sequence[float]) -> LinearPro
     """
     num_states = mdp.num_states
     num_rows = mdp.num_rows
-    row_rewards = mdp.expected_row_rewards(reward_weights)
+    row_rewards = row_table(mdp).expected_rewards @ np.asarray(reward_weights, dtype=float)
 
     # Variables: x = [g, h_0, ..., h_{n-1}].
     # Constraint per row: -g - h(s) + sum P h(s') <= -r(s, a).

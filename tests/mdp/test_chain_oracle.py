@@ -161,7 +161,7 @@ def test_gain_and_bias_agree_with_a_colamd_factorization(case):
     for strategy in strategies:
         chain = induced_markov_chain(mdp, strategy)
         matrix, expected = induced_transition_matrix(mdp, strategy.rows)
-        gain, bias = chain.gain_and_bias(weights, mdp.initial_state)
+        gain, bias = chain.gain_and_bias(chain.expected_rewards @ weights, mdp.initial_state)
         want_gain, want_bias = gain_and_bias(matrix, expected @ weights, mdp.initial_state)
         assert abs(gain - want_gain) <= 1e-12
         assert np.max(np.abs(bias - want_bias)) <= 1e-12

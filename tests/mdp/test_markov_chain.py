@@ -98,8 +98,8 @@ class TestMarkovChain:
 
     def test_gain_and_bias_satisfy_poisson_equation(self):
         chain = two_state_chain(p_stay=0.7, rewards=((1.0,), (0.0,)))
-        gain, bias = chain.gain_and_bias([1.0])
         rewards = chain.expected_rewards @ np.array([1.0])
+        gain, bias = chain.gain_and_bias(rewards)
         lhs = bias + gain
         rhs = rewards + chain.transition_matrix @ bias
         assert np.allclose(lhs, rhs, atol=1e-8)
@@ -107,7 +107,7 @@ class TestMarkovChain:
 
     def test_gain_reference_state_bias_is_zero(self):
         chain = two_state_chain(p_stay=0.25)
-        _, bias = chain.gain_and_bias([1.0], reference_state=1)
+        _, bias = chain.gain_and_bias(chain.expected_rewards @ [1.0], reference_state=1)
         assert bias[1] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -180,7 +180,7 @@ class TestNonUnichainIsLoud:
 
     def test_gain_and_bias_raises_instead_of_least_squares(self, chain):
         with pytest.raises(SolverError, match="not unichain"):
-            chain.gain_and_bias([1.0, 0.0])
+            chain.gain_and_bias(chain.expected_rewards @ [1.0, 0.0])
 
     def test_strategy_errev_raises_instead_of_nan(self):
         mdp = multichain_mdp()
@@ -276,8 +276,8 @@ class TestVectorisedChain:
         for strategy in sampled:
             chain = induced_markov_chain(mdp, strategy)
             matrix = chain.transition_matrix
-            gain, bias = chain.gain_and_bias(weights, reference_state=mdp.initial_state)
             rewards = chain.expected_rewards @ weights
+            gain, bias = chain.gain_and_bias(rewards, reference_state=mdp.initial_state)
             assert np.max(np.abs(bias + gain - rewards - matrix @ bias)) <= 1e-10
             pi = chain.stationary_distribution()
             assert np.max(np.abs(matrix.T @ pi - pi)) <= 1e-10
@@ -300,7 +300,7 @@ class _NaNFactor:
 
 def test_numerically_singular_factor_is_loud():
     with pytest.raises(SolverError, match="not unichain"):
-        two_state_chain().gain_and_bias([1.0], factor=_NaNFactor())
+        two_state_chain().gain_and_bias(np.ones(2), factor=_NaNFactor())
 
 
 class _UnusableFactor:
@@ -334,21 +334,24 @@ class TestFactorReuse:
             chain = induced_markov_chain(mdp, strategy)
             factor = chain.poisson_factor(mdp.initial_state)
             for beta in (0.0, 0.3, 0.61, 1.0):
-                weights = beta_reward_weights(beta)
-                fresh_gain, fresh_bias = chain.gain_and_bias(weights, mdp.initial_state)
-                gain, bias = chain.gain_and_bias(weights, mdp.initial_state, factor=factor)
+                rewards = chain.expected_rewards @ beta_reward_weights(beta)
+                fresh_gain, fresh_bias = chain.gain_and_bias(rewards, mdp.initial_state)
+                gain, bias = chain.gain_and_bias(rewards, mdp.initial_state, factor=factor)
                 assert gain == fresh_gain
                 assert bias.tobytes() == fresh_bias.tobytes()
 
     def test_cache_holds_the_final_strategy_evaluation(self, mdp, monkeypatch):
         cache = EvaluationCache()
-        result = policy_iteration(mdp, beta_reward_weights(0.3), evaluation_cache=cache)
+        weights = beta_reward_weights(0.3)
+        result = policy_iteration(mdp, weights, evaluation_cache=cache)
         monkeypatch.setattr(spla, "splu", _no_factorization)
         evaluation = cache.evaluation(mdp, result.strategy.rows)
         assert np.array_equal(evaluation.rows, result.strategy.rows)
         assert evaluation.rows is not result.strategy.rows
+        # The solve's right-hand side: its one reward vector, gathered by the rows.
+        rewards = (markov_chain.row_table(mdp).expected_rewards @ weights)[evaluation.rows]
         gain, bias = evaluation.chain.gain_and_bias(
-            beta_reward_weights(0.3), mdp.initial_state, factor=evaluation.factor
+            rewards, mdp.initial_state, factor=evaluation.factor
         )
         assert gain == result.gain
         assert bias.tobytes() == result.bias.tobytes()
@@ -414,21 +417,35 @@ class TestFactorReuse:
         assert alive_at_factorization == [False] * (warm.iterations - 1)
         assert alive() is None
 
-    def test_policy_iteration_checks_the_initial_rows_once(self, mdp, monkeypatch):
-        """The greedy step's rows are the solver's own; only the caller's start is checked."""
-        start = Strategy.first_action(mdp)
-        checked = []
-        init = Strategy.__init__
 
-        def counting_init(self, model, rows):
-            checked.append(len(rows))
-            init(self, model, rows)
+@pytest.mark.parametrize("start_from", ["this_model", "sibling_model"])
+@pytest.mark.parametrize("depth, forks", [(1, 1), (2, 2)], ids=["d1f1", "d2f2"])
+def test_policy_iteration_checks_only_a_start_from_another_model(
+    depth, forks, start_from, monkeypatch
+):
+    """A strategy of this model was checked when built; the greedy step's rows are the solver's own.
 
-        monkeypatch.setattr(Strategy, "__init__", counting_init)
-        result = policy_iteration(mdp, beta_reward_weights(0.9), initial_strategy=start)
-        assert result.iterations >= 3
-        # The start's rows against this model, and the result's.
-        assert len(checked) == 2
+    A model of another point of the same skeleton has the same rows, so its
+    strategies fit, but they are checked against this model.
+    """
+    attack = AttackParams(depth=depth, forks=forks, max_fork_length=4)
+    mdp, sibling = (
+        get_model_structure(attack, protocol).instantiate(protocol)
+        for protocol in (ProtocolParams(p=0.3, gamma=0.5), ProtocolParams(p=0.2, gamma=0.5))
+    )
+    start = Strategy.first_action(mdp if start_from == "this_model" else sibling)
+    checked = []
+    init = Strategy.__init__
+
+    def counting_init(self, model, rows):
+        checked.append(model)
+        init(self, model, rows)
+
+    monkeypatch.setattr(Strategy, "__init__", counting_init)
+    result = policy_iteration(mdp, beta_reward_weights(0.9), initial_strategy=start)
+    assert result.iterations >= 3
+    assert result.strategy.mdp is mdp
+    assert checked == ([] if start_from == "this_model" else [mdp])
 
 
 def strategies_of(mdp, count):
@@ -540,7 +557,8 @@ class TestColumnOrder:
     def test_a_model_without_a_skeleton_orders_its_own_pattern(self, orders_computed):
         mdp, other = stay_or_jump_mdp(), stay_or_jump_mdp()
         for strategy in (Strategy.first_action(mdp), Strategy.from_action_map(mdp, {"a": "jump"})):
-            induced_markov_chain(mdp, strategy).gain_and_bias([1.0])
+            chain = induced_markov_chain(mdp, strategy)
+            chain.gain_and_bias(chain.expected_rewards @ [1.0])
         assert orders_computed == [2]
         assert other.column_order is not mdp.column_order and other.column_order.rank is None
         # The stay row's self-loop leaves a diagonal the table keeps, so no entry is pruned.

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.mdp import MDP, MDPBuilder
+from repro.mdp import MDP, MDPBuilder, policy_iteration
+from repro.mdp.markov_chain import row_table
+
+
+def expected_row_rewards(mdp: MDP, weights) -> np.ndarray:
+    """The expected one-step reward of every row under ``weights``, as policy iteration forms it."""
+    return row_table(mdp).expected_rewards @ np.asarray(weights, dtype=float)
 
 
 def build_two_state_mdp() -> MDP:
@@ -161,22 +167,22 @@ class TestMDPQueries:
 
     def test_expected_row_rewards(self):
         mdp = build_two_state_mdp()
-        rewards = mdp.expected_row_rewards([1.0])
+        rewards = expected_row_rewards(mdp, [1.0])
         state_a = mdp.state_of_label("a")
         stay_row = mdp.row_index(state_a, "stay")
         go_row = mdp.row_index(state_a, "go")
         assert rewards[stay_row] == pytest.approx(1.0)
         assert rewards[go_row] == pytest.approx(0.0)
 
-    def test_expected_row_rewards_wrong_weight_length(self):
+    def test_wrong_weight_length_is_rejected(self):
         mdp = build_two_state_mdp()
-        with pytest.raises(ModelError):
-            mdp.expected_row_rewards([1.0, 2.0])
+        with pytest.raises(ModelError, match="expected 1 reward weights"):
+            policy_iteration(mdp, [1.0, 2.0])
 
     def test_reward_weights_scale_linearly(self):
         mdp = build_two_state_mdp()
-        single = mdp.expected_row_rewards([1.0])
-        double = mdp.expected_row_rewards([2.0])
+        single = expected_row_rewards(mdp, [1.0])
+        double = expected_row_rewards(mdp, [2.0])
         assert np.allclose(double, 2.0 * single)
 
     def test_max_reward_magnitude(self):
@@ -192,6 +198,6 @@ class TestMDPQueries:
         builder = MDPBuilder(num_reward_components=2)
         builder.add_action("s", "loop", [("s", 1.0, (1.0, 3.0))])
         mdp = builder.build(initial_state="s")
-        assert mdp.expected_row_rewards([1.0, 0.0])[0] == pytest.approx(1.0)
-        assert mdp.expected_row_rewards([0.0, 1.0])[0] == pytest.approx(3.0)
-        assert mdp.expected_row_rewards([1.0, -1.0])[0] == pytest.approx(-2.0)
+        assert expected_row_rewards(mdp, [1.0, 0.0])[0] == pytest.approx(1.0)
+        assert expected_row_rewards(mdp, [0.0, 1.0])[0] == pytest.approx(3.0)
+        assert expected_row_rewards(mdp, [1.0, -1.0])[0] == pytest.approx(-2.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,24 @@ class TestStrategy:
     def test_rejects_rows_outside_the_model(self, mdp, rows):
         with pytest.raises(ModelError, match="outside the model's 4 rows"):
             Strategy(mdp, np.array(rows))
+
+    def test_rows_are_read_only(self, mdp):
+        strategy = Strategy.from_action_map(mdp, {"a": "go"})
+        with pytest.raises(ValueError, match="read-only"):
+            strategy.rows[0] = 0
+        assert strategy.action_of_label("a") == "go"
+
+    def test_rows_stay_read_only_through_pickle(self, mdp):
+        strategy = pickle.loads(pickle.dumps(Strategy.from_action_map(mdp, {"b": "loop"})))
+        assert strategy.action_of_label("b") == "loop"
+        assert not strategy.rows.flags.writeable
+
+    def test_rows_are_a_copy_of_the_source(self, mdp):
+        source = mdp.uniform_random_row_choice()
+        strategy = Strategy(mdp, source)
+        source[mdp.state_of_label("a")] = mdp.row_index(mdp.state_of_label("a"), "go")
+        assert strategy.action_of_label("a") == "stay"
+        assert source.flags.writeable
 
     def test_differs_from(self, mdp):
         one = Strategy.from_action_map(mdp, {"a": "stay", "b": "back"})

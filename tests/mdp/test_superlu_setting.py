@@ -23,6 +23,7 @@ from repro import AttackParams, ProtocolParams
 from repro.analysis import beta_reward_weights
 from repro.attacks import get_model_structure
 from repro.mdp import Strategy, induced_markov_chain
+from repro.mdp.markov_chain import row_table
 from repro.mdp.policy_iteration import _greedy_improvement
 
 FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
@@ -52,7 +53,7 @@ def test_policy_iteration_rounds_match_default_superlu(name):
     attack = AttackParams(depth=depth, forks=forks, max_fork_length=4)
     mdp = get_model_structure(attack, protocol).instantiate(protocol)
     weights = beta_reward_weights(0.5)
-    row_rewards = mdp.expected_row_rewards(weights)
+    row_rewards = row_table(mdp).expected_rewards @ weights
     factorize = (shipped_factor, default_factor)
     rows = [Strategy.first_action(mdp).rows] * 2
     for round_index in range(ROUNDS):
@@ -60,9 +61,9 @@ def test_policy_iteration_rounds_match_default_superlu(name):
         for side, factor in enumerate(factorize):
             chain = induced_markov_chain(mdp, Strategy(mdp, rows[side]))
             gain, bias = chain.gain_and_bias(
-                weights, mdp.initial_state, factor=factor(chain, mdp.initial_state)
+                row_rewards[rows[side]], mdp.initial_state, factor=factor(chain, mdp.initial_state)
             )
             gains.append(gain)
-            rows[side] = _greedy_improvement(mdp, row_rewards, bias, rows[side], TOLERANCE)
+            rows[side], _ = _greedy_improvement(mdp, row_rewards, bias, rows[side], TOLERANCE)
         assert np.array_equal(rows[0], rows[1]), round_index
         assert gains[0] == pytest.approx(gains[1], abs=1e-12), round_index
