@@ -9,8 +9,6 @@ Karrabi, Pietrzak, Yeo and Žikelić.  The package provides:
   honest, single-tree and Eyal-Sirer baselines,
 * :mod:`repro.analysis` -- Algorithm 1 (binary search over ``r_beta``), exact
   strategy evaluation and a Dinkelbach cross-check,
-* :mod:`repro.chain` -- a discrete-time blockchain simulator for Monte-Carlo
-  validation,
 * :mod:`repro.core` -- the high-level analyzer, sweeps and reporting.
 
 Quickstart::
@@ -38,7 +36,6 @@ from .exceptions import (
     ConvergenceError,
     ModelError,
     ReproError,
-    SimulationError,
     SolverError,
 )
 from .core import (
@@ -78,7 +75,6 @@ __all__ = [
     "ModelError",
     "SolverError",
     "ConvergenceError",
-    "SimulationError",
     "SelfishMiningAnalyzer",
     "AnalysisResult",
     "SweepConfig",

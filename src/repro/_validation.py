@@ -31,15 +31,6 @@ def check_positive_int(value: int, name: str, maximum: Optional[int] = None) -> 
     return value
 
 
-def check_non_negative_int(value: int, name: str) -> int:
-    """Validate that ``value`` is a non-negative integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
 def check_positive_float(value: float, name: str) -> float:
     """Validate that ``value`` is a strictly positive finite float."""
     value = float(value)

@@ -10,8 +10,6 @@
 * :mod:`repro.attacks.honest` -- the honest-mining baseline.
 * :mod:`repro.attacks.single_tree` -- the single-tree (Eyal-Sirer style) baseline.
 * :mod:`repro.attacks.eyal_sirer` -- the classic PoW selfish-mining closed form.
-* :mod:`repro.attacks.base` / policies -- strategy objects consumed by the
-  discrete-time chain simulator for Monte-Carlo validation.
 """
 
 from .registry import ScenarioStructure, get_attack, scenario_id_for
@@ -46,29 +44,18 @@ from .eyal_sirer import (
 )
 from .single_tree import (
     SingleTreeParams,
-    simulate_single_tree_errev,
     single_tree_errev,
     single_tree_errev_grid,
 )
-from .base import AttackDecision, MiningPolicy
-from .policies import GreedyLeadPolicy, HonestPolicy, SelfishForksPolicy
-from .sm_actions import (
-    SmActionsModel,
-    SmActionsPolicy,
-    SmActionsStructure,
-    build_sm_actions_mdp,
-    simulate_sm_actions,
-)
+from .sm_actions import SmActionsModel, SmActionsStructure, build_sm_actions_mdp
 
 __all__ = [
     "ScenarioStructure",
     "get_attack",
     "scenario_id_for",
     "SmActionsModel",
-    "SmActionsPolicy",
     "SmActionsStructure",
     "build_sm_actions_mdp",
-    "simulate_sm_actions",
     "ADVERSARY",
     "HONEST",
     "TYPE_ADVERSARY",
@@ -98,10 +85,4 @@ __all__ = [
     "SingleTreeParams",
     "single_tree_errev",
     "single_tree_errev_grid",
-    "simulate_single_tree_errev",
-    "AttackDecision",
-    "MiningPolicy",
-    "HonestPolicy",
-    "SelfishForksPolicy",
-    "GreedyLeadPolicy",
 ]

@@ -9,8 +9,7 @@ capabilities from it:
   ``(AttackParams, SupportSignature)``,
 * a cheap vectorised probability refill for one concrete parameter point
   (:meth:`ScenarioStructure.instantiate`),
-* replay glue (policy construction plus a matching chain simulator) for
-  validating formal strategies by simulation.
+* the naming and grid glue of a sweep series and an in-MDP honest baseline.
 
 This module makes that implicit interface explicit.  A scenario is a
 :class:`ScenarioStructure` subclass that names itself in its own body::
@@ -103,8 +102,9 @@ class ScenarioStructure:
     the probability array.
 
     The two scenario subclasses (see :func:`get_attack`) additionally
-    implement the exploration (:meth:`explore`) and the replay glue
-    (:meth:`make_policy` / :meth:`simulate`).  Bump :attr:`SCENARIO_VERSION`
+    implement the exploration (:meth:`explore`), the sweep glue
+    (:meth:`series_name` / :meth:`grid_configs`) and the honest baseline
+    (:meth:`honest_strategy`).  Bump :attr:`SCENARIO_VERSION`
     whenever the transition semantics change, so journals written by the old
     semantics are refused on resume instead of silently mixed in.
 
@@ -242,24 +242,6 @@ class ScenarioStructure:
     def grid_configs(cls, spec: str = "default") -> Tuple[AttackParams, ...]:
         """Parse a grid specification into attack configurations."""
         raise NotImplementedError(f"{cls.__name__} does not implement grid_configs()")
-
-    @classmethod
-    def make_policy(cls, strategy: object) -> object:
-        """Wrap a formal strategy into the scenario's replay policy."""
-        raise NotImplementedError(f"{cls.__name__} does not implement make_policy()")
-
-    @classmethod
-    def simulate(
-        cls,
-        protocol: ProtocolParams,
-        attack: AttackParams,
-        policy: object,
-        *,
-        num_steps: int,
-        seed: int = 0,
-    ) -> object:
-        """Replay ``policy`` in the scenario's chain simulator."""
-        raise NotImplementedError(f"{cls.__name__} does not implement simulate()")
 
     @classmethod
     def honest_strategy(cls, mdp: MDP) -> object:

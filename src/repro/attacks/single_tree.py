@@ -33,10 +33,9 @@ read-only round graph (2,156 states in 23 layers at ``l=4, f=5``).  Each call
 then evaluates the exact expected per-round adversarial and honest rewards over
 that graph, one layer at a time in descending key order, with the same
 floating-point operations in the same order as a per-state recursion (the
-test suite keeps that recursion as an oracle and checks float equality).
+test suite keeps that recursion, and a Monte-Carlo estimate, as oracles).
 Values are never cached.  The long-run expected relative revenue follows from
-the renewal-reward theorem.  A Monte-Carlo estimator is provided as an
-independent cross-check.
+the renewal-reward theorem.
 """
 
 from __future__ import annotations
@@ -259,64 +258,3 @@ def single_tree_errev(protocol: ProtocolParams, params: SingleTreeParams | None 
     ``ERRev = E[adversarial blocks per round] / E[all blocks per round]``.
     """
     return single_tree_errev_grid(protocol.gamma, [protocol.p], params)[0]
-
-
-def simulate_single_tree_errev(
-    protocol: ProtocolParams,
-    params: SingleTreeParams | None = None,
-    *,
-    num_rounds: int = 20_000,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo estimate of the single-tree baseline's ERRev.
-
-    Used by the test suite as an independent cross-check of the exact recursion.
-    """
-    params = params or SingleTreeParams()
-    p = protocol.p
-    gamma = protocol.gamma
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    rng = np.random.default_rng(seed)
-    adversary_blocks = 0.0
-    honest_blocks = 0.0
-    for _ in range(num_rounds):
-        public_length = 0
-        levels = [0] * params.max_depth
-        while True:
-            parents = _extendable_levels(tuple(levels), params.max_width)
-            sigma = sum(parents.values())
-            denominator = (1.0 - p) + p * sigma
-            draw = rng.random() * denominator
-            threshold = 0.0
-            extended = False
-            for parent_level, count in parents.items():
-                threshold += p * count
-                if draw < threshold:
-                    levels[parent_level] += 1
-                    extended = True
-                    break
-            if extended:
-                continue
-            # Honest block found.
-            public_length += 1
-            depth = _tree_depth(tuple(levels))
-            if depth == 0:
-                honest_blocks += public_length
-                break
-            lead = depth - public_length
-            if lead >= 2:
-                continue
-            if lead == 1:
-                adversary_blocks += depth
-                break
-            # lead == 0: gamma race.
-            if rng.random() < gamma:
-                adversary_blocks += depth
-            else:
-                honest_blocks += public_length
-            break
-    total = adversary_blocks + honest_blocks
-    return adversary_blocks / total if total else 0.0

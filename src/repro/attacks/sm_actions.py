@@ -43,7 +43,6 @@ import numpy as np
 from ..config import AttackParams, ProtocolParams
 from ..exceptions import ConfigurationError, ModelError
 from ..mdp import MDP, Strategy
-from .base import MiningPolicy
 from .fork_state import (
     PROB_ADVERSARY,
     PROB_GAMMA_HONEST,
@@ -380,24 +379,6 @@ class SmActionsStructure(ScenarioStructure):
         )
 
     @classmethod
-    def make_policy(cls, strategy: Strategy) -> "SmActionsPolicy":
-        """Wrap a formal strategy into an :class:`SmActionsPolicy` replay."""
-        return SmActionsPolicy(strategy)
-
-    @classmethod
-    def simulate(
-        cls,
-        protocol: ProtocolParams,
-        attack: AttackParams,
-        policy: "SmActionsPolicy",
-        *,
-        num_steps: int,
-        seed: int = 0,
-    ) -> "SmActionsSimulationResult":
-        """Replay ``policy`` in the dedicated ``(a, h, fork)`` chain replay."""
-        return simulate_sm_actions(protocol, attack, policy, num_steps=num_steps, seed=seed)
-
-    @classmethod
     def honest_strategy(cls, mdp: MDP) -> Strategy:
         """Protocol-following baseline: override a lead, else adopt, else wait."""
         return Strategy(mdp, honest_strategy_rows(mdp))
@@ -488,129 +469,6 @@ def honest_strategy_rows(mdp: MDP) -> np.ndarray:
     return rows
 
 
-# ---------------------------------------------------------------------- replay
-
-
-class SmActionsPolicy(MiningPolicy):
-    """Replay a positional sm-actions strategy.
-
-    Unlike the fork-window policies, :meth:`decide` receives an ``(a, h, fork)``
-    label (already truncated to the MDP's bound) and returns the chosen action
-    label; the :data:`scenario_name` hook tells simulators to route the replay
-    through :func:`simulate_sm_actions` rather than the fork-window simulator.
-    """
-
-    scenario_name = "sm-actions"
-
-    def __init__(self, strategy: Strategy) -> None:
-        if strategy.mdp.state_labels is None:
-            raise ModelError("the strategy's MDP carries no state labels")
-        self._strategy = strategy
-        self._mdp = strategy.mdp
-        self.unknown_states = 0
-
-    def reset(self) -> None:
-        """Clear the unknown-state diagnostic counter."""
-        self.unknown_states = 0
-
-    def decide(self, state: Tuple[int, int, int]) -> Hashable:
-        """Look the ``(a, h, fork)`` label up in the strategy (wait on misses)."""
-        try:
-            index = self._mdp.state_of_label(tuple(state))
-        except ModelError:
-            self.unknown_states += 1
-            return WAIT
-        return self._strategy.action(index)
-
-    @property
-    def name(self) -> str:
-        """Human-readable policy name."""
-        return "sm-actions(optimal)"
-
-
-@dataclass
-class SmActionsSimulationResult:
-    """Outcome of an sm-actions chain replay.
-
-    Attributes:
-        steps: Number of simulated block events.
-        attacker_blocks: Adversarial blocks settled into the main chain.
-        honest_blocks: Honest blocks settled into the main chain.
-        relative_revenue: ``attacker_blocks / (attacker_blocks + honest_blocks)``.
-        policy_name: Name of the replayed policy.
-    """
-
-    steps: int
-    attacker_blocks: int
-    honest_blocks: int
-    relative_revenue: float
-    policy_name: str
-
-
-def simulate_sm_actions(
-    protocol: ProtocolParams,
-    attack: AttackParams,
-    policy: MiningPolicy,
-    *,
-    num_steps: int,
-    seed: int = 0,
-) -> SmActionsSimulationResult:
-    """Monte-Carlo replay of an sm-actions policy on a concrete block process.
-
-    The replay tracks the true (untruncated) race ``(a, h, fork)`` and queries
-    the policy at the truncated label, so it estimates the revenue the strategy
-    earns on a real chain -- independent of the MDP's incremental reward
-    bookkeeping and of the truncation regime (a ``settle`` decision is replayed
-    as ``adopt``).  Used by the cross-scenario agreement test.
-    """
-    rng = np.random.default_rng(seed)
-    p, gamma = protocol.p, protocol.gamma
-    bound = attack.max_fork_length
-    a = h = 0
-    fork = IRRELEVANT
-    attacker_blocks = honest_blocks = 0
-    for _ in range(num_steps):
-        action = policy.decide((min(a, bound), min(h, bound), fork))
-        if action in (ADOPT, SETTLE):
-            honest_blocks += h
-            a, h = 0, 0
-            fork = IRRELEVANT
-        elif action == OVERRIDE:
-            if a <= h:
-                raise ModelError(f"policy requested an impossible override at (a={a}, h={h})")
-            attacker_blocks += h + 1
-            a, h = a - h - 1, 0
-            fork = IRRELEVANT
-        elif action == MATCH:
-            if fork != RELEVANT or not a >= h >= 1:
-                raise ModelError(f"policy requested an impossible match at (a={a}, h={h})")
-            fork = ACTIVE
-        elif action != WAIT:
-            raise ModelError(f"unknown sm-actions action {action!r}")
-        if rng.random() < p:
-            a += 1
-            if fork != ACTIVE:
-                fork = IRRELEVANT
-        elif fork == ACTIVE and rng.random() < gamma:
-            # Honest miners extend the adversary's matching branch: its h
-            # published blocks win, the new honest block is pending on top.
-            attacker_blocks += h
-            a -= h
-            h = 1
-            fork = RELEVANT
-        else:
-            h += 1
-            fork = RELEVANT
-    settled = attacker_blocks + honest_blocks
-    return SmActionsSimulationResult(
-        steps=num_steps,
-        attacker_blocks=attacker_blocks,
-        honest_blocks=honest_blocks,
-        relative_revenue=attacker_blocks / settled if settled else 0.0,
-        policy_name=policy.name,
-    )
-
-
 __all__ = [
     "ACTIVE",
     "ADOPT",
@@ -621,10 +479,7 @@ __all__ = [
     "SETTLE",
     "WAIT",
     "SmActionsModel",
-    "SmActionsPolicy",
-    "SmActionsSimulationResult",
     "SmActionsStructure",
     "build_sm_actions_mdp",
     "honest_strategy_rows",
-    "simulate_sm_actions",
 ]

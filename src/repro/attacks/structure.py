@@ -153,29 +153,6 @@ class SelfishForksStructure(ScenarioStructure):
         return tuple(configs)
 
     @classmethod
-    def make_policy(cls, strategy: object) -> object:
-        """Wrap a formal strategy into a :class:`SelfishForksPolicy` replay."""
-        from .policies import SelfishForksPolicy
-
-        return SelfishForksPolicy(strategy)
-
-    @classmethod
-    def simulate(
-        cls,
-        protocol: ProtocolParams,
-        attack: AttackParams,
-        policy: object,
-        *,
-        num_steps: int,
-        seed: int = 0,
-    ) -> object:
-        """Replay ``policy`` in the discrete-time fork-window simulator."""
-        from ..chain.simulator import SelfishMiningSimulator
-
-        simulator = SelfishMiningSimulator(protocol, attack, policy, seed=seed)
-        return simulator.run(num_steps)
-
-    @classmethod
     def honest_strategy(cls, mdp: "MDP") -> object:
         """Immediate-release baseline (honest mining for ``d = f = 1``)."""
         from .honest import immediate_release_strategy

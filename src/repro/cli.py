@@ -1,16 +1,14 @@
 """Command-line interface.
 
-Four subcommands mirror the library's main entry points (installed as both
+Three subcommands mirror the library's main entry points (installed as both
 ``repro`` and the legacy ``repro-selfish-mining``)::
 
-    repro analyze  --p 0.3 --gamma 0.5 --depth 2 --forks 1
-    repro sweep    --gamma 0.5 --p-step 0.05 --csv out.csv
-    repro simulate --p 0.3 --gamma 0.5 --depth 2 --forks 1 --steps 100000
+    repro analyze --p 0.3 --gamma 0.5 --depth 2 --forks 1
+    repro sweep   --gamma 0.5 --p-step 0.05 --csv out.csv
     repro attacks
 
 ``analyze`` runs Algorithm 1 for one parameter point, ``sweep`` regenerates a
-Figure 2 panel, ``simulate`` Monte-Carlo-validates the computed strategy,
-and ``attacks`` lists the two attack scenarios.
+Figure 2 panel, and ``attacks`` lists the two attack scenarios.
 
 Every model-facing subcommand accepts ``--attack NAME`` to select an attack
 scenario (:data:`repro.config.SCENARIO_NAMES`): the paper's ``selfish-forks``
@@ -190,11 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(the plot, failures and CSV path still print)",
     )
 
-    simulate = subparsers.add_parser("simulate", help="Monte-Carlo validate the computed strategy")
-    _add_model_arguments(simulate)
-    simulate.add_argument("--steps", type=int, default=100_000, help="simulated block events")
-    simulate.add_argument("--seed", type=int, default=0, help="random seed")
-
     subparsers.add_parser("attacks", help="list the attack scenarios")
     return parser
 
@@ -296,21 +289,6 @@ def _command_attacks(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_simulate(args: argparse.Namespace, attack: AttackParams) -> int:
-    analyzer = SelfishMiningAnalyzer(
-        ProtocolParams(p=args.p, gamma=args.gamma),
-        attack,
-        AnalysisConfig(epsilon=args.epsilon),
-    )
-    result = analyzer.run()
-    analyzer.validate_by_simulation(result, num_steps=args.steps, seed=args.seed)
-    print(
-        f"analysis ERRev = {result.strategy_errev:.4f}, "
-        f"simulated ERRev = {result.simulated_errev:.4f} over {args.steps} steps"
-    )
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``repro-selfish-mining`` console script."""
     parser = _build_parser()
@@ -325,7 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "sweep":
             attack_configs = _sweep_attack_configs(args)
-        elif args.command in ("analyze", "simulate"):
+        elif args.command == "analyze":
             attack = _attack_params(args)
     except ConfigurationError as exc:
         parser.error(str(exc))
@@ -333,8 +311,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _command_analyze(args, attack)
     if args.command == "sweep":
         return _command_sweep(args, attack_configs)
-    if args.command == "simulate":
-        return _command_simulate(args, attack)
     if args.command == "attacks":
         return _command_attacks(args)
     parser.error(f"unknown command {args.command!r}")

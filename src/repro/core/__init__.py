@@ -1,8 +1,8 @@
 """High-level user-facing API.
 
 :class:`~repro.core.analyzer.SelfishMiningAnalyzer` wires together the model
-construction (:mod:`repro.attacks`), the formal analysis (:mod:`repro.analysis`)
-and optional Monte-Carlo validation (:mod:`repro.chain`).  The sweep driver and
+construction (:mod:`repro.attacks`) and the formal analysis
+(:mod:`repro.analysis`).  The sweep driver and
 reporting helpers regenerate the paper's Figure 2 series and Table 1 rows.
 """
 

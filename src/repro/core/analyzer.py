@@ -30,8 +30,8 @@ class SelfishMiningAnalyzer:
 
     The analyzer is scenario-generic: the model is refilled from the cached
     skeleton of ``attack`` (:func:`~repro.attacks.structure.get_model_structure`),
-    and strategy replay and the honest baseline dispatch to the hooks of the
-    scenario ``attack.scenario`` names (:func:`~repro.attacks.registry.get_attack`).
+    and the honest baseline dispatches to the hook of the scenario
+    ``attack.scenario`` names (:func:`~repro.attacks.registry.get_attack`).
     """
 
     def __init__(
@@ -90,23 +90,3 @@ class SelfishMiningAnalyzer:
         """
         mdp = self.build_model()
         return evaluate_strategy_errev(mdp, self._scenario.honest_strategy(mdp))
-
-    def validate_by_simulation(
-        self,
-        result: AnalysisResult,
-        *,
-        num_steps: int = 200_000,
-        seed: int = 0,
-    ) -> AnalysisResult:
-        """Monte-Carlo-validate the extracted strategy and record the estimate.
-
-        The computed strategy is replayed in the discrete-time chain simulator,
-        whose revenue accounting is independent of the MDP's reward bookkeeping.
-        The estimate is stored in ``result.simulated_errev`` and also returned.
-        """
-        policy = self._scenario.make_policy(result.formal.strategy)
-        simulation = self._scenario.simulate(
-            self.protocol, self.attack, policy, num_steps=num_steps, seed=seed
-        )
-        result.simulated_errev = simulation.relative_revenue
-        return result

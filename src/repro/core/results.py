@@ -26,7 +26,6 @@ class AnalysisResult:
         build_seconds: Wall-clock time spent building the MDP.
         analysis_seconds: Wall-clock time spent in Algorithm 1.
         formal: The raw :class:`FormalAnalysisResult` (iteration log, strategy).
-        simulated_errev: Optional Monte-Carlo estimate of the strategy's ERRev.
     """
 
     protocol: ProtocolParams
@@ -39,7 +38,6 @@ class AnalysisResult:
     build_seconds: float
     analysis_seconds: float
     formal: FormalAnalysisResult
-    simulated_errev: Optional[float] = None
 
     @property
     def total_seconds(self) -> float:

@@ -27,7 +27,3 @@ class SolverError(ReproError):
 
 class ConvergenceError(SolverError):
     """An iterative solver exceeded its iteration budget before converging."""
-
-
-class SimulationError(ReproError):
-    """The discrete-time blockchain simulator reached an inconsistent state."""

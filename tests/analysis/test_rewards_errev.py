@@ -13,8 +13,8 @@ from repro.analysis.rewards import (
     TOTAL_WEIGHTS,
     beta_reward_weights,
 )
-from repro.attacks.policies import GreedyLeadPolicy
 from repro.mdp import Strategy, solve_mean_payoff
+from simulator_oracle import greedy_lead_rows
 
 
 class TestBetaRewards:
@@ -60,22 +60,10 @@ class TestStrategyEvaluation:
         assert above.gain < 0.0
 
     def test_greedy_policy_is_dominated_by_optimal(self, model_d2f1, analysis_d2f1):
-        # Translate the greedy-lead heuristic into a positional strategy and
-        # check it never beats the strategy computed by Algorithm 1.
+        # The greedy-lead heuristic as a positional strategy never beats the
+        # strategy computed by Algorithm 1.
         mdp = model_d2f1.mdp
-        policy = GreedyLeadPolicy(race_on_tie=True)
-        rows = mdp.uniform_random_row_choice()
-        for state in range(mdp.num_states):
-            decision = policy.decide(mdp.state_labels[state])
-            if decision.is_release:
-                release = decision.release
-                label = ("release", release.depth, release.fork, release.blocks)
-                try:
-                    rows[state] = mdp.row_index(state, label)
-                    continue
-                except Exception:
-                    pass
-            rows[state] = mdp.row_index(state, ("mine",))
+        rows = greedy_lead_rows(mdp, race_on_tie=True)
         greedy_value = evaluate_strategy_errev(mdp, Strategy(mdp, rows))
         optimal_value = evaluate_strategy_errev(mdp, analysis_d2f1.strategy)
         assert greedy_value <= optimal_value + 1e-9

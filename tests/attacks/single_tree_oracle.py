@@ -7,12 +7,15 @@ numpy evaluation over a cached round graph.  It re-explores the round for
 every call and applies the publication rule itself, so the two share only the
 transition helpers ``_extendable_levels`` and ``_tree_depth``;
 ``test_single_tree_oracle.py`` asserts that their ERRev values are equal as
-floats, not merely close.
+floats, not merely close.  :func:`simulate_single_tree_errev` estimates the
+same value by Monte-Carlo simulation of attack rounds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.attacks.single_tree import SingleTreeParams, _extendable_levels, _tree_depth
 from repro.config import ProtocolParams
@@ -110,3 +113,65 @@ def oracle_errev(protocol: ProtocolParams, params: SingleTreeParams) -> float:
     if total <= 0.0:
         return 0.0
     return adversary / total
+
+
+def simulate_single_tree_errev(
+    protocol: ProtocolParams,
+    params: SingleTreeParams | None = None,
+    *,
+    num_rounds: int = 20_000,
+    seed: int = 0,
+) -> float:
+    """Monte-Carlo estimate of the single-tree baseline's ERRev.
+
+    Simulates ``num_rounds`` attack rounds with the publication rule written
+    out again, an independent cross-check of the exact evaluation.
+    """
+    params = params or SingleTreeParams()
+    p = protocol.p
+    gamma = protocol.gamma
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    rng = np.random.default_rng(seed)
+    adversary_blocks = 0.0
+    honest_blocks = 0.0
+    for _ in range(num_rounds):
+        public_length = 0
+        levels = [0] * params.max_depth
+        while True:
+            parents = _extendable_levels(tuple(levels), params.max_width)
+            sigma = sum(parents.values())
+            denominator = (1.0 - p) + p * sigma
+            draw = rng.random() * denominator
+            threshold = 0.0
+            extended = False
+            for parent_level, count in parents.items():
+                threshold += p * count
+                if draw < threshold:
+                    levels[parent_level] += 1
+                    extended = True
+                    break
+            if extended:
+                continue
+            # Honest block found.
+            public_length += 1
+            depth = _tree_depth(tuple(levels))
+            if depth == 0:
+                honest_blocks += public_length
+                break
+            lead = depth - public_length
+            if lead >= 2:
+                continue
+            if lead == 1:
+                adversary_blocks += depth
+                break
+            # lead == 0: gamma race.
+            if rng.random() < gamma:
+                adversary_blocks += depth
+            else:
+                honest_blocks += public_length
+            break
+    total = adversary_blocks + honest_blocks
+    return adversary_blocks / total if total else 0.0

@@ -11,13 +11,13 @@ from repro.attacks import (
     eyal_sirer_profitability_threshold,
     eyal_sirer_relative_revenue,
     honest_errev,
-    simulate_single_tree_errev,
     single_tree_errev,
 )
 from repro.attacks.eyal_sirer import is_selfish_mining_profitable
 from repro.attacks.honest import honest_strategy, immediate_release_strategy
 from repro.attacks.single_tree import SingleTreeParams
 from repro.exceptions import ConfigurationError
+from single_tree_oracle import simulate_single_tree_errev
 
 
 class TestHonestBaseline:

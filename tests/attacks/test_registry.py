@@ -23,8 +23,6 @@ REQUIRED_HOOKS = (
     "explore",
     "series_name",
     "grid_configs",
-    "make_policy",
-    "simulate",
     "honest_strategy",
 )
 

@@ -10,14 +10,13 @@ from repro.attacks import clear_structure_cache, structure_cache_stats
 from repro.attacks.registry import SupportSignature, get_attack
 from repro.attacks.sm_actions import (
     IRRELEVANT,
-    RELEVANT,
     build_sm_actions_mdp,
     honest_strategy_rows,
-    simulate_sm_actions,
 )
 from repro.config import AnalysisConfig, AttackParams, ProtocolParams
 from repro.exceptions import ConfigurationError, ModelError
 from repro.mdp import Strategy
+from sm_actions_replay import SmActionsPolicy, simulate_sm_actions
 
 
 def sm_attack(l=6, variant=""):
@@ -106,18 +105,15 @@ class TestSimulationAgreement:
         attack = sm_attack(l=8)
         model = build_sm_actions_mdp(PROTOCOL, attack)
         formal = formal_analysis(model.mdp, ANALYSIS)
-        entry = get_attack("sm-actions")
-        policy = entry.make_policy(formal.strategy)
-        result = entry.simulate(PROTOCOL, attack, policy, num_steps=200_000, seed=3)
+        policy = SmActionsPolicy(formal.strategy)
+        result = simulate_sm_actions(PROTOCOL, attack, policy, num_steps=200_000, seed=3)
         assert result.relative_revenue == pytest.approx(formal.strategy_errev, abs=0.02)
         assert policy.unknown_states == 0
 
     def test_honest_replay_matches_p(self):
         attack = sm_attack(l=6)
         model = build_sm_actions_mdp(PROTOCOL, attack)
-        policy = get_attack("sm-actions").make_policy(
-            Strategy(model.mdp, honest_strategy_rows(model.mdp))
-        )
+        policy = SmActionsPolicy(Strategy(model.mdp, honest_strategy_rows(model.mdp)))
         result = simulate_sm_actions(PROTOCOL, attack, policy, num_steps=200_000, seed=1)
         assert result.relative_revenue == pytest.approx(0.3, abs=0.02)
 

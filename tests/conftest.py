@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 # Allow running the tests from a source checkout without installation, and
-# importing the LP oracle (tests/mdp/lp_oracle.py) and the cold bisection
-# oracle (tests/analysis/cold_bisection.py) from every test directory.
+# importing the LP oracle (tests/mdp/lp_oracle.py), the cold bisection oracle
+# (tests/analysis/cold_bisection.py) and the chain simulator
+# (tests/chain/simulator_oracle.py) from every test directory.
 _TESTS = Path(__file__).resolve().parent
-for _path in (_TESTS.parent / "src", _TESTS / "mdp", _TESTS / "analysis"):
+for _path in (_TESTS.parent / "src", _TESTS / "mdp", _TESTS / "analysis", _TESTS / "chain"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 

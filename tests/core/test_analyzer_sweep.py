@@ -80,12 +80,6 @@ class TestAnalyzer:
         )
         assert analyzer.evaluate_honest_baseline() == pytest.approx(0.25, abs=1e-9)
 
-    def test_validate_by_simulation_records_estimate(self, analyzer_result):
-        analyzer, result = analyzer_result
-        analyzer.validate_by_simulation(result, num_steps=30_000, seed=3)
-        assert result.simulated_errev is not None
-        assert result.simulated_errev == pytest.approx(result.strategy_errev, abs=0.04)
-
 
 class TestSweep:
     @pytest.fixture(scope="class")

@@ -267,28 +267,6 @@ class TestCli:
             rows = list(csv.DictReader(handle))
         assert {row["series"] for row in rows} >= {"honest", "ours(d=1,f=1)"}
 
-    def test_simulate_command(self, capsys):
-        exit_code = main(
-            [
-                "simulate",
-                "--p",
-                "0.3",
-                "--gamma",
-                "0.5",
-                "--depth",
-                "1",
-                "--forks",
-                "1",
-                "--epsilon",
-                "0.01",
-                "--steps",
-                "20000",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "simulated ERRev" in captured.out
-
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
@@ -374,7 +352,7 @@ class TestCli:
         [
             ["analyze", "--variant", "typo"],
             ["sweep", "--variant", "overpaying"],
-            ["simulate", "--attack", "sm-actions", "--variant", "typo"],
+            ["analyze", "--attack", "sm-actions", "--variant", "typo"],
         ],
     )
     def test_unknown_variant_is_a_usage_error(self, argv, capsys):
@@ -393,7 +371,7 @@ class TestCli:
             ["sweep", "--solver", "portfolio"],
             ["analyze", "--solver", "pi"],
             ["sweep", "--solver", "policy_iteration"],
-            ["simulate", "--solver", "vi"],
+            ["analyze", "--solver", "vi"],
         ],
     )
     def test_removed_search_options_rejected(self, argv, capsys):
@@ -443,11 +421,18 @@ class TestCli:
             main(["worker"])
         assert "invalid choice: 'worker'" in capsys.readouterr().err
 
+    def test_simulate_subcommand_is_unknown(self, capsys):
+        """The Monte-Carlo simulator is a test oracle, not a subcommand."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--p", "0.3", "--steps", "20000"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'simulate'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["analyze", "--depth", "0"], "depth must be >= 1, got 0"),
-            (["simulate", "--forks", "0"], "forks must be >= 1, got 0"),
+            (["analyze", "--forks", "0"], "forks must be >= 1, got 0"),
             (["sweep", "--grid", "d2x"], "invalid selfish-forks grid token 'd2x'"),
             (
                 ["sweep", "--attack", "sm-actions", "--grid", "l4:typo"],
@@ -486,7 +471,7 @@ class TestCli:
         [
             ["analyze", "--p", "1.5"],
             ["analyze", "--gamma", "nan"],
-            ["simulate", "--gamma", "-0.1"],
+            ["analyze", "--gamma", "-0.1"],
             ["sweep", "--gamma", "1.5"],
             ["sweep", "--p-max", "-0.1"],
             ["sweep", "--p-max", "1.2"],

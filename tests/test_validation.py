@@ -14,7 +14,6 @@ import pytest
 
 from repro._validation import (
     check_fraction_open,
-    check_non_negative_int,
     check_positive_float,
     check_positive_int,
     check_probability,
@@ -59,25 +58,6 @@ def test_positive_int_maximum_is_inclusive():
     assert check_positive_int(8, "forks", maximum=8) == 8
     with pytest.raises(ConfigurationError, match="forks must be <= 8, got 9"):
         check_positive_int(9, "forks", maximum=8)
-
-
-@pytest.mark.parametrize("value", [0, 1, 10**6])
-def test_non_negative_int_accepts(value):
-    assert check_non_negative_int(value, "seed") == value
-
-
-@pytest.mark.parametrize(
-    ("value", "message"),
-    [
-        (-1, "seed must be >= 0"),
-        (0.0, "seed must be a non-negative integer"),
-        (False, "seed must be a non-negative integer"),
-        (None, "seed must be a non-negative integer"),
-    ],
-)
-def test_non_negative_int_rejects(value, message):
-    with pytest.raises(ConfigurationError, match=message):
-        check_non_negative_int(value, "seed")
 
 
 @pytest.mark.parametrize("value", [1e-300, 0.5, 3, 1e300])
