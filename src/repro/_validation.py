@@ -38,10 +38,3 @@ def check_positive_float(value: float, name: str) -> float:
         raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
-
-def check_fraction_open(value: float, name: str) -> float:
-    """Validate that ``value`` lies in the open interval (0, 1)."""
-    value = float(value)
-    if not 0.0 < value < 1.0:
-        raise ConfigurationError(f"{name} must be in the open interval (0, 1), got {value!r}")
-    return value

@@ -576,7 +576,8 @@ def _freeze(structure: ScenarioStructure) -> ScenarioStructure:
     skeletons are frozen again.
     """
     order = structure.column_order
-    for value in [*vars(structure).values(), order.rank, *(order.template or ())]:
+    arrays = [order.rank, *(order.template or ()), *(order.pattern or ())]
+    for value in [*vars(structure).values(), *arrays]:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return structure

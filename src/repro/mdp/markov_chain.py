@@ -7,13 +7,18 @@ and the gain/bias pair (for policy evaluation inside Howard policy iteration).
 Both are whole-array operations, so an evaluation costs about one sparse LU.
 A chain is its model plus one chosen row per state.  Every state-action row of
 an MDP is one candidate row of the chain's generator ``I - P``, so
-:func:`row_table` computes all of them once per model, with one scipy
-subtraction, in canonical CSR form: columns sorted, duplicate successors
-merged, zeros pruned, exactly as scipy computes ``identity - P``.  The
-stationary system is a gather of the chosen rows from that table, negated
-(``-(1 - p) == p - 1`` exactly in IEEE arithmetic), with each column's entry
-in row ``n - 1`` dropped and a one scattered after the rest: bit for bit the
-arrays of the scipy expression ``(P^T - I)``.
+:func:`row_table` computes all of them once per model in canonical CSR form:
+columns sorted, duplicate successors merged, zeros pruned, bit for bit as
+scipy computes ``identity - P``.  Their merged pattern depends on the
+successors only, so the model's :class:`~repro.mdp.model.ColumnOrder` keeps it
+as a :class:`RowPattern`, with the entry every transition and every row's
+diagonal falls in; a model's table is then one ``np.bincount`` of its
+probabilities into those entries, negated, ``1 - x`` on the diagonal, and its
+exact zeros dropped.  A table that drops none shares the pattern's index
+arrays.  The stationary system is a gather of the chosen rows from that
+table, negated (``-(1 - p) == p - 1`` exactly in IEEE arithmetic), with each
+column's entry in row ``n - 1`` dropped and a one scattered after the rest:
+bit for bit the arrays of the scipy expression ``(P^T - I)``.
 
 The Poisson system is never gathered row by row.  Every chain of a model draws
 its rows from one union pattern, which depends on the successors only, never
@@ -38,7 +43,10 @@ The Poisson matrix does not depend on the rewards, so
 :meth:`MarkovChain.gain_and_bias` solves any reward vector with that factor;
 its caller forms the vector, so policy iteration gathers it from one
 per-solve vector of row rewards, and keeps factors across solves in an
-:class:`~repro.mdp.policy_iteration.EvaluationCache`.  SuperLU's relaxed
+:class:`~repro.mdp.policy_iteration.EvaluationCache`.  The matrix is built
+in a :func:`poisson_container` by assigning its public arrays, flagged
+canonical, so no factorization runs scipy's constructor checks; the cache
+holds one container for every factorization of its search.  SuperLU's relaxed
 supernodes and panel blocking (Demmel et al., SIAM J. Matrix Anal. Appl.
 20(3), 1999) pay off on dense fronts; these systems have almost none (15k-48k
 L+U entries for 2,896 unknowns at ``d=2,f=2``), so the factor runs without
@@ -90,6 +98,23 @@ class GeneratorRows:
     expected_rewards: np.ndarray
 
 
+class RowPattern(NamedTuple):
+    """The merged canonical CSR pattern of ``E - P`` over every row, before pruning.
+
+    ``indptr`` and ``indices`` hold the successors of every row plus its
+    owner, columns sorted and merged, as ``int32`` like scipy's arrays of
+    ``identity - P``; transition ``t`` adds to entry ``slot[t]`` and row
+    ``r``'s owner sits in entry ``diagonal[r]``.  The successors fix it, never
+    the probabilities, so a skeleton's models share it.  Every array is
+    read-only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+    diagonal: np.ndarray
+
+
 class PoissonTemplate(NamedTuple):
     """CSC index arrays of the union of every row's Poisson entries, in column-position order.
 
@@ -128,31 +153,58 @@ def row_table(mdp: MDP) -> GeneratorRows:
     """
     table = mdp._row_table
     if table is None:
-        # Copies: csr_matrix keeps the buffers it is given, and sum_duplicates()
-        # rewrites them in place; the model's arrays must never change.
-        probabilities = sp.csr_matrix(
-            (mdp.trans_prob.copy(), mdp.trans_succ.copy(), mdp.row_trans_offsets.copy()),
-            shape=(mdp.num_rows, mdp.num_states),
-        )
         expected = np.add.reduceat(
             mdp.trans_prob[:, None] * mdp.trans_reward, mdp.row_trans_offsets[:-1], axis=0
         )
-        table = mdp._row_table = _generator_rows(probabilities, mdp.row_state, expected)
+        table = mdp._row_table = _generator_table(mdp, expected)
     return table
 
 
-def _generator_rows(
-    probabilities: sp.csr_matrix, owners: np.ndarray, expected_rewards: np.ndarray
-) -> GeneratorRows:
-    """Rows ``E - P`` with ``E[r, owners[r]] = 1``; merges ``probabilities`` in place."""
-    probabilities.sum_duplicates()
-    count = len(owners)
-    own = sp.csr_matrix(
-        (np.ones(count), owners, np.arange(count + 1)), shape=probabilities.shape
-    )
-    generator = own - probabilities
+def _row_pattern(mdp: MDP) -> RowPattern:
+    """The merged pattern of ``E - P`` over every row of ``mdp``, kept in its column order."""
+    order = mdp.column_order
+    if order.pattern is None:
+        n = mdp.num_states
+        # Entry (r, c) has key r * n + c, so sorted keys are the canonical CSR order.
+        row_keys = np.arange(mdp.num_rows + 1, dtype=np.int64) * n
+        transition_keys = np.repeat(row_keys[:-1], np.diff(mdp.row_trans_offsets)) + mdp.trans_succ
+        keys, entry = np.unique(
+            np.concatenate((transition_keys, row_keys[:-1] + mdp.row_state)), return_inverse=True
+        )
+        entry = entry.astype(np.int32)
+        pattern = RowPattern(
+            np.searchsorted(keys, row_keys).astype(np.int32),
+            (keys % n).astype(np.int32),
+            entry[: mdp.num_transitions],
+            entry[mdp.num_transitions :],
+        )
+        for array in pattern:
+            array.flags.writeable = False
+        order.pattern = pattern
+    return order.pattern
+
+
+def _generator_table(mdp: MDP, expected_rewards: np.ndarray) -> GeneratorRows:
+    """Rows ``E - P`` of ``mdp``: its probabilities summed into the skeleton's pattern.
+
+    Off the diagonal an entry is the negated sum of its transitions'
+    probabilities, ``0 - x`` in scipy's subtraction; on it, ``1 - x``.  A sum
+    of two probabilities is scipy's bit for bit in either order, and no row of
+    the selfish-mining models repeats a successor more than twice.  Exact
+    zeros are dropped as scipy drops them; a table that drops none shares the
+    pattern's read-only index arrays.
+    """
+    pattern = _row_pattern(mdp)
+    sums = np.bincount(pattern.slot, weights=mdp.trans_prob, minlength=len(pattern.indices))
+    data = np.negative(sums)
+    data[pattern.diagonal] = 1.0 - sums[pattern.diagonal]
+    keep = data != 0.0
+    if keep.all():
+        return GeneratorRows(pattern.indptr, pattern.indices, data, expected_rewards)
+    kept_before = np.zeros(len(keep) + 1, dtype=pattern.indptr.dtype)
+    np.cumsum(keep, out=kept_before[1:])
     return GeneratorRows(
-        generator.indptr, generator.indices, generator.data, np.asarray(expected_rewards)
+        kept_before[pattern.indptr], pattern.indices[keep], data[keep], expected_rewards
     )
 
 
@@ -227,16 +279,7 @@ def _poisson_template(
 
 def _skeleton_template(mdp: MDP) -> PoissonTemplate:
     """Template of every row's successors and owner: the pattern of ``E - P`` before pruning."""
-    shape = (mdp.num_rows, mdp.num_states)
-    successors = sp.csr_matrix(
-        (np.ones(mdp.num_transitions), mdp.trans_succ.copy(), mdp.row_trans_offsets.copy()),
-        shape=shape,
-    )
-    successors.sum_duplicates()  # a sum of canonical matrices is canonical
-    own = sp.csr_matrix(
-        (np.ones(mdp.num_rows), mdp.row_state.copy(), np.arange(mdp.num_rows + 1)), shape=shape
-    )
-    pattern = successors + own  # positive entries never cancel, so nothing is pruned
+    pattern = _row_pattern(mdp)
     return _poisson_template(
         pattern.indptr, pattern.indices, mdp.row_state, _column_rank(mdp), mdp.initial_state
     )
@@ -263,7 +306,7 @@ def poisson_system(
         order = mdp.column_order
         if order.template is None:
             order.template = _skeleton_template(mdp)
-        # Equal sizes: scipy pruned no entry of the skeleton's pattern from this table.
+        # Equal sizes: the table pruned no entry of the skeleton's pattern.
         if len(order.template.source) - n - 1 == len(table.indices):
             template = order.template
     if template is None:
@@ -274,6 +317,17 @@ def poisson_system(
     if kept:
         mdp._poisson_system = system
     return system
+
+
+def poisson_container(num_states: int) -> sp.csc_matrix:
+    """An empty CSC matrix of the Poisson system's shape, for :meth:`MarkovChain.poisson_matrix`.
+
+    Filling it assigns its public arrays, so no factorization pays for the
+    checks of scipy's constructor.  A container belongs to one caller at a
+    time (one search); it is never kept on a model or skeleton, which threads
+    share.
+    """
+    return sp.csc_matrix((num_states + 1, num_states + 1))
 
 
 class MarkovChain:
@@ -320,7 +374,7 @@ class MarkovChain:
             trans_reward=np.repeat(expected_rewards, np.diff(matrix.indptr), axis=0),
             row_actions=[None] * n,
         )
-        mdp._row_table = _generator_rows(matrix, one_row_each, expected_rewards)
+        mdp._row_table = _generator_table(mdp, expected_rewards)
         self._bind(mdp, one_row_each)
         self._transition_matrix = matrix
 
@@ -465,13 +519,21 @@ class MarkovChain:
         """
         return _column_rank(self._mdp)
 
-    def poisson_matrix(self, reference_state: int = 0) -> sp.csc_matrix:
+    def poisson_matrix(
+        self, reference_state: int = 0, container: Optional[sp.csc_matrix] = None
+    ) -> sp.csc_matrix:
         """Return the unichain Poisson system ``h + g = r + P h``, ``h[ref] = 0``.
 
         Unknowns are ``h[0..n-1]``, in columns ``rank = column_rank()``, and
         ``g`` in column ``n``.  Equation ``s`` is ``h[s] - sum_t P[s,t] h[t] + g
         = r[s]``; equation ``n`` is the normalisation ``h[ref] = 0``.  The
         entries are the model's :func:`poisson_system` masked to the chosen rows.
+
+        Args:
+            reference_state: State whose bias is pinned to zero.
+            container: A :func:`poisson_container` of this chain's size whose
+                arrays are replaced by the system's, and which is returned;
+                a fresh one when omitted.
         """
         n = self.num_states
         template, values = poisson_system(self._mdp, reference_state)
@@ -484,12 +546,18 @@ class MarkovChain:
         indptr = np.zeros(n + 2, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
         kept = np.flatnonzero(keep)
-        return sp.csc_matrix(
-            (values.take(kept), template.indices.take(kept), indptr), shape=(n + 1, n + 1)
-        )
+        matrix = poisson_container(n) if container is None else container
+        matrix.data = values.take(kept)
+        matrix.indices = template.indices.take(kept)
+        matrix.indptr = indptr
+        # The template's equations increase within each column and never repeat.
+        matrix.has_canonical_format = True
+        return matrix
 
-    def poisson_factor(self, reference_state: int = 0) -> spla.SuperLU:
-        """Factor :meth:`poisson_matrix` for ``reference_state``.
+    def poisson_factor(
+        self, reference_state: int = 0, container: Optional[sp.csc_matrix] = None
+    ) -> spla.SuperLU:
+        """Factor :meth:`poisson_matrix` for ``reference_state``, built in ``container``.
 
         The columns are already in the chain's fill-reducing order, so SuperLU
         keeps their order (``permc_spec="NATURAL"``).  The system has almost
@@ -503,7 +571,8 @@ class MarkovChain:
         and the reference state only, never on the rewards, so one factor
         serves every reward weighting passed to :meth:`gain_and_bias`; the
         setting is fixed, so factoring the same chain again gives the same
-        factor bit for bit.
+        factor bit for bit.  The factor keeps nothing of the matrix, so the
+        container can be refilled for the next factorization.
 
         Raises:
             SolverError: If the system is exactly singular, i.e. the chain is
@@ -511,7 +580,7 @@ class MarkovChain:
         """
         try:
             return spla.splu(
-                self.poisson_matrix(reference_state),
+                self.poisson_matrix(reference_state, container),
                 permc_spec="NATURAL",
                 relax=1,
                 panel_size=1,

@@ -22,7 +22,7 @@ import numpy as np
 from ..exceptions import ModelError
 
 if TYPE_CHECKING:
-    from .markov_chain import GeneratorRows, PoissonTemplate
+    from .markov_chain import GeneratorRows, PoissonTemplate, RowPattern
 
 #: Probabilities within one state-action row must sum to one up to this tolerance.
 PROBABILITY_TOLERANCE = 1e-9
@@ -55,20 +55,27 @@ class ColumnOrder:
     on the successors only, never on the probabilities.
     :meth:`repro.mdp.MarkovChain.column_rank` computes the order on first use
     and keeps it here, and :func:`repro.mdp.markov_chain.poisson_system` keeps
-    the CSC index arrays of the union pattern in that order beside it.  A
-    skeleton hands one instance to every model it instantiates, so both are
-    computed once per skeleton and process.  Threads that race on the first
-    use compute the same arrays; either is kept.
+    the CSC index arrays of the union pattern in that order beside it.  The
+    first row table of a model keeps the merged pattern of its rows here too,
+    so every later model sums its probabilities into it
+    (:func:`repro.mdp.markov_chain.row_table`).  A skeleton hands one instance
+    to every model it instantiates, so all three are computed once per
+    skeleton and process.  Threads that race on the first use compute the
+    same arrays; either is kept.
 
     Attributes:
         rank: Column position of every state, read-only; ``None`` until computed.
         template: The union pattern's Poisson index arrays for the models'
             initial state, read-only; ``None`` until computed.
+        pattern: The merged CSR pattern of ``E - P`` over every row, with the
+            entry of every transition and diagonal, read-only; ``None`` until
+            computed.
     """
 
     def __init__(self) -> None:
         self.rank: Optional[np.ndarray] = None
         self.template: Optional["PoissonTemplate"] = None
+        self.pattern: Optional["RowPattern"] = None
 
 
 class MDP:

@@ -37,10 +37,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..exceptions import ConvergenceError, ModelError
-from .markov_chain import MarkovChain, row_table
+from .markov_chain import MarkovChain, poisson_container, row_table
 from .model import MDP
 from .strategy import Strategy
 
@@ -73,12 +74,16 @@ class EvaluationCache:
     cache is the only holder of its evaluations, so dropping it frees every
     factor.  A miss factors the rows and keeps the evaluation, after freeing
     every evaluation held if their factors have :data:`CACHED_FACTOR_ENTRIES`
-    L+U entries or more.
+    L+U entries or more.  Every miss builds its Poisson matrix in the cache's
+    one :func:`~repro.mdp.markov_chain.poisson_container`, so a factorization
+    constructs no scipy object but the factor; the container is the cache's
+    own, since models and skeletons are shared across threads.
     """
 
     def __init__(self) -> None:
         self._held: Dict[bytes, PolicyEvaluation] = {}
         self._entries = 0
+        self._container: Optional[sp.csc_matrix] = None
 
     def evaluation(self, mdp: MDP, rows: np.ndarray) -> PolicyEvaluation:
         """Return the evaluation of the valid ``int64`` row choice ``rows`` of ``mdp``."""
@@ -88,7 +93,10 @@ class EvaluationCache:
             if self._entries >= CACHED_FACTOR_ENTRIES:
                 self._held.clear()
                 self._entries = 0
-            evaluation = self._held[key] = _evaluate(mdp, rows)
+            # splu factors a container of another shape without complaint.
+            if self._container is None or self._container.shape[0] != mdp.num_states + 1:
+                self._container = poisson_container(mdp.num_states)
+            evaluation = self._held[key] = _evaluate(mdp, rows, self._container)
             self._entries += evaluation.factor.nnz
         return evaluation
 
@@ -196,9 +204,9 @@ def policy_iteration(
     raise ConvergenceError(f"policy iteration did not converge within {max_iterations} iterations")
 
 
-def _evaluate(mdp: MDP, rows: np.ndarray) -> PolicyEvaluation:
-    """Build the induced chain of ``rows`` and factor its Poisson system."""
+def _evaluate(mdp: MDP, rows: np.ndarray, container: sp.csc_matrix) -> PolicyEvaluation:
+    """Build the induced chain of ``rows`` and factor its Poisson system in ``container``."""
     # A private copy: the returned strategy shares ``rows`` with its caller.
     rows = rows.copy()
     chain = MarkovChain._induced(mdp, rows)
-    return PolicyEvaluation(rows, chain, chain.poisson_factor(mdp.initial_state))
+    return PolicyEvaluation(rows, chain, chain.poisson_factor(mdp.initial_state, container))

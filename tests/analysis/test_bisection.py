@@ -290,9 +290,9 @@ def test_cache_hits_change_no_value(depth, forks, monkeypatch):
     factored = []
     evaluate = PI_MODULE._evaluate
 
-    def counting_evaluate(mdp, rows):
+    def counting_evaluate(mdp, rows, container):
         factored.append(rows.tobytes())
-        return evaluate(mdp, rows)
+        return evaluate(mdp, rows, container)
 
     monkeypatch.setattr(PI_MODULE, "_evaluate", counting_evaluate)
 

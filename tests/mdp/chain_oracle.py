@@ -1,4 +1,9 @@
-"""Reference assembly of a policy evaluation's two sparse linear systems.
+"""Reference assembly of a policy evaluation's row table and two sparse linear systems.
+
+:func:`repro.mdp.markov_chain.row_table` sums each model's probabilities into
+its skeleton's pattern of ``E - P``; :func:`generator_rows` is the scipy
+subtraction it replaced, and ``test_chain_oracle.py`` asserts that both give
+the same arrays, bit for bit.
 
 :class:`repro.mdp.markov_chain.MarkovChain` builds the Poisson and stationary
 systems of an induced chain directly as CSC arrays, gathered from a per-model
@@ -19,6 +24,31 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+
+def generator_rows(mdp, expected_rewards=None) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """Rows ``E - P`` of every row of ``mdp``, with ``E[r, owner of r] = 1``, and their rewards.
+
+    ``P`` is the CSR of every row's transitions with duplicate successors
+    merged; the rewards are ``expected_rewards``, or each row's probability-
+    weighted transition rewards.
+    """
+    # Copies: csr_matrix keeps the buffers it is given, and sum_duplicates()
+    # rewrites them in place.
+    probabilities = sp.csr_matrix(
+        (mdp.trans_prob.copy(), mdp.trans_succ.copy(), mdp.row_trans_offsets.copy()),
+        shape=(mdp.num_rows, mdp.num_states),
+    )
+    probabilities.sum_duplicates()
+    count = mdp.num_rows
+    own = sp.csr_matrix(
+        (np.ones(count), mdp.row_state, np.arange(count + 1)), shape=probabilities.shape
+    )
+    if expected_rewards is None:
+        expected_rewards = np.add.reduceat(
+            mdp.trans_prob[:, None] * mdp.trans_reward, mdp.row_trans_offsets[:-1], axis=0
+        )
+    return own - probabilities, np.asarray(expected_rewards)
 
 
 def induced_transition_matrix(mdp, rows: np.ndarray) -> Tuple[sp.csr_matrix, np.ndarray]:

@@ -1,4 +1,12 @@
-"""Both linear systems of a policy evaluation equal the scipy-arithmetic oracle exactly.
+"""The row table and both linear systems of a policy evaluation equal the scipy-arithmetic oracle.
+
+Every model's row table (:func:`repro.mdp.markov_chain.row_table`), its
+probabilities summed into the skeleton's pattern of ``E - P``, must equal
+:func:`chain_oracle.generator_rows`, the scipy subtraction it replaced, in
+``indptr``, ``indices`` and ``data`` bytes, dtypes included: on every
+``(depth, forks)`` up to ``(3,1)`` at five ``p`` and three ``gamma``, on
+chains of explicit matrices, and with ``REPRO_FULL=1`` on the ``d=3,f=2``
+model at three ``p``.
 
 :class:`repro.mdp.MarkovChain` gathers an induced chain's generator ``I - P``
 from the model's row table and assembles the Poisson and stationary matrices
@@ -30,12 +38,20 @@ import os
 import numpy as np
 import pytest
 
-from chain_oracle import gain_and_bias, induced_transition_matrix, poisson_matrix, stationary_matrix
+import scipy.sparse as sp
+
+from chain_oracle import (
+    gain_and_bias,
+    generator_rows,
+    induced_transition_matrix,
+    poisson_matrix,
+    stationary_matrix,
+)
 from repro import AnalysisConfig, AttackParams, ProtocolParams, SweepConfig
 from repro.analysis import beta_reward_weights, formal_analysis
 from repro.attacks import build_selfish_forks_mdp, get_model_structure
-from repro.mdp import MDP, Strategy, induced_markov_chain
-from repro.mdp.markov_chain import poisson_system
+from repro.mdp import MDP, MarkovChain, Strategy, induced_markov_chain
+from repro.mdp.markov_chain import poisson_system, row_table
 
 FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
 FULL_ONLY = pytest.mark.skipif(not FULL, reason="the d=3,f=2 model is large; set REPRO_FULL=1")
@@ -79,15 +95,79 @@ def sampled(mdp, count, seed=24):
     ]
 
 
-def assert_same_csc(actual, expected):
-    assert actual.format == expected.format == "csc"
-    assert actual.shape == expected.shape
-    for name in ("indptr", "indices"):
+def assert_same_arrays(actual, expected):
+    """Equal ``indptr``, ``indices`` and ``data``: dtypes and bytes."""
+    for name in ("indptr", "indices", "data"):
         got, want = getattr(actual, name), getattr(expected, name)
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
-    assert actual.data.dtype == expected.data.dtype
-    assert actual.data.tobytes() == expected.data.tobytes()
+
+
+def assert_same_csc(actual, expected):
+    assert actual.format == expected.format == "csc"
+    assert actual.shape == expected.shape
+    assert_same_arrays(actual, expected)
+
+
+ROW_TABLE_SIZES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
+ROW_TABLE_POINTS = [(p, gamma) for p in (0.0, 0.05, 0.2, 0.3, 0.45) for gamma in (0.0, 0.5, 1.0)]
+ROW_TABLE_MODELS = [
+    pytest.param(depth, forks, p, gamma, id=f"d{depth}f{forks}-p{p}-g{gamma}")
+    for depth, forks in ROW_TABLE_SIZES
+    for p, gamma in ROW_TABLE_POINTS
+] + [
+    # One skeleton: the later models sum into the pattern the first one computed.
+    pytest.param(3, 2, p, 0.5, id=f"d3f2-p{p}-g0.5", marks=FULL_ONLY)
+    for p in (0.05, 0.3, 0.45)
+]
+
+
+@pytest.mark.parametrize("depth,forks,p,gamma", ROW_TABLE_MODELS)
+def test_row_table_equals_the_scipy_subtraction_bit_for_bit(depth, forks, p, gamma):
+    protocol = ProtocolParams(p=p, gamma=gamma)
+    attack = AttackParams(depth=depth, forks=forks, max_fork_length=4)
+    structure = get_model_structure(attack, protocol)
+    mdp = structure.instantiate(protocol)
+    table = row_table(mdp)
+    rows, expected = generator_rows(mdp)
+    assert_same_arrays(table, rows)
+    assert table.expected_rewards.dtype == expected.dtype
+    assert table.expected_rewards.tobytes() == expected.tobytes()
+    # A table that pruned nothing shares the skeleton's read-only index arrays.
+    pattern = structure.column_order.pattern
+    shared = table.indptr is pattern.indptr and table.indices is pattern.indices
+    assert shared == (rows.nnz == len(pattern.indices))
+    assert not (pattern.indptr.flags.writeable or pattern.indices.flags.writeable)
+
+
+#: Explicit transition matrices: merged, pruned, and with nothing left at all.
+EXPLICIT_MATRICES = {
+    "two_state": sp.csr_matrix(np.array([[0.3, 0.7], [0.6, 0.4]])),
+    # Row 0 lists successor 1 twice and out of order.
+    "repeated_successor": sp.csr_matrix(
+        (np.array([0.25, 0.5, 0.25, 1.0, 0.5, 0.5]), np.array([1, 0, 1, 2, 0, 2]), [0, 3, 4, 6]),
+        shape=(3, 3),
+    ),
+    # An explicit 0.0 off the diagonal and a probability-1 self-loop.
+    "zero_and_self_loop": sp.csr_matrix(
+        (np.array([0.0, 0.2, 0.8, 1.0, 1.0]), np.array([2, 0, 1, 1, 0]), [0, 3, 4, 5]),
+        shape=(3, 3),
+    ),
+    "absorbing": sp.identity(3, format="csr"),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPLICIT_MATRICES))
+def test_explicit_matrix_row_table_equals_the_scipy_subtraction(name):
+    matrix = EXPLICIT_MATRICES[name]
+    rewards = np.arange(2.0 * matrix.shape[0]).reshape(-1, 2) / 3.0
+    chain = MarkovChain(matrix, rewards)
+    table = row_table(chain._mdp)
+    rows, expected = generator_rows(chain._mdp, rewards)
+    assert_same_arrays(table, rows)
+    assert table.expected_rewards.tobytes() == expected.tobytes() == rewards.tobytes()
+    pruned = len(chain._mdp.column_order.pattern.indices) - rows.nnz
+    assert pruned == {"zero_and_self_loop": 2, "absorbing": 3}.get(name, 0)
 
 
 @pytest.fixture(

@@ -384,7 +384,7 @@ class TestFactorReuse:
         )
         cache = EvaluationCache()
         with monkeypatch.context() as patch:
-            patch.setattr(PI_MODULE, "_evaluate", lambda mdp, rows: poisoned)
+            patch.setattr(PI_MODULE, "_evaluate", lambda mdp, rows, container: poisoned)
             assert cache.evaluation(mdp, rows) is poisoned
         weights = beta_reward_weights(0.3)
         cold = policy_iteration(mdp, weights, initial_strategy=start)
@@ -502,17 +502,17 @@ class TestRowTable:
         names = ("trans_prob", "trans_succ", "trans_reward", "row_trans_offsets", "row_state")
         before = {name: getattr(mdp, name).tobytes() for name in names}
         built = []
-        build = markov_chain._generator_rows
+        build = markov_chain._generator_table
 
-        def counting_build(probabilities, owners, expected_rewards):
-            built.append(probabilities.shape)
-            return build(probabilities, owners, expected_rewards)
+        def counting_build(model, expected_rewards):
+            built.append(model)
+            return build(model, expected_rewards)
 
-        monkeypatch.setattr(markov_chain, "_generator_rows", counting_build)
+        monkeypatch.setattr(markov_chain, "_generator_table", counting_build)
         result = formal_analysis(mdp, AnalysisConfig(epsilon=1e-2))
         evaluate_strategy_errev(mdp, Strategy.first_action(mdp))
         assert result.num_iterations > 1 and result.strategy_errev is not None
-        assert built == [(mdp.num_rows, mdp.num_states)]
+        assert len(built) == 1 and built[0] is mdp
         assert {name: getattr(mdp, name).tobytes() for name in names} == before
 
 

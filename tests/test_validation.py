@@ -2,8 +2,8 @@
 
 Every user-facing parameter (``p``, ``gamma``, ``depth``, ``epsilon``, worker
 counts, ...) passes through one of these helpers, so their edge cases --
-booleans masquerading as integers, NaN, infinity, open versus closed interval
-ends -- decide what a configuration mistake looks like to the user.
+booleans masquerading as integers, NaN, infinity, the ends of the unit
+interval -- decide what a configuration mistake looks like to the user.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro._validation import (
-    check_fraction_open,
     check_positive_float,
     check_positive_int,
     check_probability,
@@ -71,17 +70,6 @@ def test_positive_float_accepts(value):
 def test_positive_float_rejects(value):
     with pytest.raises(ConfigurationError, match="epsilon must be a positive finite number"):
         check_positive_float(value, "epsilon")
-
-
-@pytest.mark.parametrize("value", [1e-9, 0.5, 1.0 - 1e-9])
-def test_fraction_open_accepts(value):
-    assert check_fraction_open(value, "stake") == value
-
-
-@pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 1.5, math.nan])
-def test_fraction_open_rejects_interval_ends_and_outside(value):
-    with pytest.raises(ConfigurationError, match=r"stake must be in the open interval \(0, 1\)"):
-        check_fraction_open(value, "stake")
 
 
 def test_messages_quote_the_offending_value():
