@@ -1,13 +1,32 @@
 """Algorithm 1: the paper's fully automated formal analysis procedure.
 
 Given the selfish-mining MDP and a precision ``epsilon``, the procedure performs
-a binary search over ``beta`` in ``[0, 1]``.  Every iteration solves the
-mean-payoff MDP under the reward ``r_beta``; the sign of the optimal mean payoff
-decides the half in which the optimal expected relative revenue ``ERRev*`` lies
-(Theorem 3.1: the optimal mean payoff is monotonically decreasing in ``beta``
-and crosses zero exactly at ``ERRev*``).  On termination ``beta_low`` is an
-``epsilon``-tight lower bound on ``ERRev*`` and the strategy that is optimal for
-``r_{beta_low}`` achieves an ERRev within ``[ERRev* - epsilon, ERRev*]``.
+a binary search over ``beta`` in ``[0, 1]``.  The sign of the optimal mean
+payoff ``g*(beta)`` under the reward ``r_beta`` decides the half in which the
+optimal expected relative revenue ``ERRev*`` lies (Theorem 3.1: the optimal
+mean payoff is monotonically decreasing in ``beta`` and crosses zero exactly at
+``ERRev*``).  On termination ``beta_low`` is an ``epsilon``-tight lower bound
+on ``ERRev*`` and the strategy that is optimal for ``r_{beta_low}`` achieves an
+ERRev within ``[ERRev* - epsilon, ERRev*]``.
+
+Each probe tries two certificates before it solves anything.  Every solve's
+strategy ``sigma`` is solved once more, on its cached factor, under each
+reward component, which gives its gains and biases for every ``beta`` at once.
+
+* Lower: some strategy solved earlier in the search earns
+  ``g_sigma(beta) >= 0``; since ``g*(beta) >= g_sigma(beta)``, ``beta_low``
+  moves up.
+* Upper: with the latest solved strategy's bias ``h`` at ``beta``, one Bellman
+  pass gives ``R = max_s (max_a (r_beta + P h)(s, a) - h(s))``, and
+  ``g*(beta) <= R`` for any ``h``; ``R < 0`` moves ``beta_up`` down.
+
+A probe neither certificate decides is solved by policy iteration.  The
+certificates only skip solves: a certificate that holds proves the sign the
+solve would find, so the probes, the interval and the final strategy's ERRev
+are those of a search that solves every probe, unless rounding flips the sign
+of a gain within rounding error of zero.  On the benchmark's inputs the only
+such gain is ``g*(0.25) = 0`` at ``p = 0.25`` points where the optimum ties
+honest mining; the certificate and the solve both compute it as exactly 0.0.
 
 Invariant: **certified-bound reproducibility**.  The final ``[beta_low,
 beta_up]`` interval is a deterministic function of the model, ``epsilon`` and
@@ -16,28 +35,37 @@ engine asserts this for its serial and pool runs) --
 with width below ``epsilon`` and ``beta_low <= ERRev* <= beta_up`` within the
 MDP's strategy class.  No wall-clock reading ever steers the search.  Warm starts
 change solver iteration and factorization counts, never a value: each solve
-starts from the previous probe's strategy, and one
+starts from the last solved probe's strategy, and one
 :class:`~repro.mdp.EvaluationCache` serves every solve of the search, so no
 strategy it still holds is factored again (a held factor is bit-identical to
 refactoring the same matrix).  Below the cache's cap the search factors each
 distinct strategy it evaluates once.  Past it the cache holds the latest
-factor only, so each solve after the first reuses one factor, and the search
-factors ``total_solver_iterations - num_iterations`` times.  The search drops
-the cache before the final strategy evaluation, and no factor ever enters the
-result.
+factor only, so the certificates' solve and each solve after the first reuse
+the factor of the strategy the previous solve returned, and the search factors
+``total_solver_iterations`` minus the number of solved probes times.  The
+search drops the cache before the final strategy evaluation, and no factor
+ever enters the result.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..config import AnalysisConfig
 from ..exceptions import ModelError
-from ..mdp import MDP, EvaluationCache, PolicyIterationResult, Strategy, solve_mean_payoff
+from ..mdp import (
+    MDP,
+    EvaluationCache,
+    PolicyIterationResult,
+    Strategy,
+    gain_upper_bound,
+    solve_mean_payoff,
+)
 from .errev import evaluate_strategy_errev
 from .rewards import beta_reward_weights
 
@@ -48,11 +76,18 @@ class BinarySearchIteration:
 
     Attributes:
         beta: The beta value probed in this iteration.
-        optimal_mean_payoff: The optimal mean payoff under ``r_beta``.
+        optimal_mean_payoff: The optimal mean payoff under ``r_beta`` of a
+            solved probe; of a certified one, the certificate's bound on it
+            (a lower bound ``>= 0`` or an upper bound ``< 0``).  Its sign
+            picked the half.
         beta_low: Lower end of the beta interval after the update.
         beta_up: Upper end of the beta interval after the update.
-        solve_seconds: Wall-clock time of the mean-payoff solve.
-        solver_iterations: Policy-improvement rounds the solve needed.
+        solve_seconds: Wall-clock time of the probe: its certificate checks
+            and, if neither decided it, the mean-payoff solve.
+        solver_iterations: Policy-improvement rounds the solve needed (0 for
+            a certified probe).
+        certificate: ``"lower"`` or ``"upper"`` for the certificate that
+            decided the probe without a solve, ``None`` for a solved probe.
     """
 
     beta: float
@@ -61,6 +96,7 @@ class BinarySearchIteration:
     beta_up: float
     solve_seconds: float
     solver_iterations: int = 0
+    certificate: Optional[str] = None
 
 
 @dataclass
@@ -97,7 +133,7 @@ class FormalAnalysisResult:
 
     @property
     def num_iterations(self) -> int:
-        """Number of mean-payoff solves performed by the binary search."""
+        """Number of probes of the binary search, certified or solved."""
         return len(self.iterations)
 
     @property
@@ -143,30 +179,40 @@ def formal_analysis(
     # Holds the search's Poisson factors for the warm-started solves.
     cache = EvaluationCache()
     total_solver_iterations = 0
+    # Per-component gains of every strategy solved so far, and the latest one's biases.
+    solved_gains: List[np.ndarray] = []
+    biases: Optional[np.ndarray] = None
 
     while beta_up - beta_low >= config.epsilon:
         beta = 0.5 * (beta_low + beta_up)
-        solve_start = time.perf_counter()
-        solution = _solve(mdp, beta, config, warm_strategy, cache)
-        solve_seconds = time.perf_counter() - solve_start
-        if solution.gain < 0.0:
+        probe_start = time.perf_counter()
+        weights = beta_reward_weights(beta)
+        certificate, bound = _certify(mdp, weights, solved_gains, biases)
+        rounds = 0
+        if certificate is None:
+            solution = _solve(mdp, beta, config, warm_strategy, cache)
+            bound, rounds = solution.gain, solution.iterations
+            warm_strategy = solution.strategy
+            gains, biases = _component_gains_and_biases(mdp, warm_strategy, cache)
+            solved_gains.append(gains)
+        if bound < 0.0:
             beta_up = beta
         else:
             beta_low = beta
         iterations.append(
             BinarySearchIteration(
                 beta=beta,
-                optimal_mean_payoff=solution.gain,
+                optimal_mean_payoff=bound,
                 beta_low=beta_low,
                 beta_up=beta_up,
-                solve_seconds=solve_seconds,
-                solver_iterations=solution.iterations,
+                solve_seconds=time.perf_counter() - probe_start,
+                solver_iterations=rounds,
+                certificate=certificate,
             )
         )
-        total_solver_iterations += solution.iterations
-        warm_strategy = solution.strategy
+        total_solver_iterations += rounds
 
-    # Final solve at beta_low to extract the certified strategy.
+    # Final solve at beta_low, from the last solved strategy, to extract the certified one.
     final_solution = _solve(mdp, beta_low, config, warm_strategy, cache)
     # The cache is the factors' only holder: free them before the stationary solve.
     del cache
@@ -205,6 +251,43 @@ def _strategy_from_rows(mdp: MDP, rows: Optional[np.ndarray]) -> Optional[Strate
         return Strategy(mdp, rows)
     except ModelError:
         return None
+
+
+def _certify(
+    mdp: MDP,
+    weights: Tuple[float, float],
+    solved_gains: List[np.ndarray],
+    biases: Optional[np.ndarray],
+) -> Tuple[Optional[str], float]:
+    """Decide the sign of the optimal gain under ``weights`` from the strategies solved so far.
+
+    Returns ``("lower", bound)`` when a solved strategy's gain ``bound`` is
+    ``>= 0``, ``("upper", bound)`` when the Bellman pass of the latest one's
+    bias bounds the optimal gain by ``bound < 0``, and ``(None, nan)``
+    otherwise, or before any solve.
+    """
+    if biases is None:
+        return None, math.nan
+    lower = max(float(gains @ weights) for gains in solved_gains)
+    if lower >= 0.0:
+        return "lower", lower
+    upper = gain_upper_bound(mdp, weights, biases @ weights)
+    if upper < 0.0:
+        return "upper", upper
+    return None, math.nan
+
+
+def _component_gains_and_biases(
+    mdp: MDP, strategy: Strategy, cache: EvaluationCache
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve ``strategy``'s Poisson system under every reward component, on its cached factor.
+
+    Returns the gain of each component and one bias column per component;
+    ``r_beta``'s gain and bias are their products with ``beta``'s weights.
+    """
+    evaluation = cache.evaluation(mdp, strategy.rows)
+    chain = evaluation.chain
+    return chain.gains_and_biases(chain.expected_rewards, mdp.initial_state, evaluation.factor)
 
 
 def _solve(

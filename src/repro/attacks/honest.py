@@ -22,7 +22,7 @@ import numpy as np
 
 from ..config import ProtocolParams
 from ..mdp import MDP, Strategy
-from .fork_state import TYPE_ADVERSARY, MineAction
+from .fork_state import TYPE_ADVERSARY
 
 
 def honest_errev(protocol: ProtocolParams) -> float:
@@ -65,8 +65,3 @@ def immediate_release_strategy(mdp: MDP) -> Strategy:
                 pass
         rows[state] = mdp.row_index(state, mine_label)
     return Strategy(mdp, rows)
-
-
-def always_mine_action() -> MineAction:
-    """The action honest miners (and the never-release strategy) always take."""
-    return MineAction()

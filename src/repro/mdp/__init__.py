@@ -13,6 +13,7 @@ from .policy_iteration import (
     EvaluationCache,
     PolicyEvaluation,
     PolicyIterationResult,
+    gain_upper_bound,
     policy_iteration,
 )
 from .mean_payoff import solve_mean_payoff, solve_mean_payoff_batch
@@ -29,6 +30,7 @@ __all__ = [
     "EvaluationCache",
     "PolicyEvaluation",
     "PolicyIterationResult",
+    "gain_upper_bound",
     "policy_iteration",
     "solve_mean_payoff",
     "solve_mean_payoff_batch",

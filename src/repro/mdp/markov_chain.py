@@ -611,16 +611,42 @@ class MarkovChain:
             SolverError: If the system is singular, i.e. the chain is not
                 unichain and its gain and bias are not unique.
         """
+        solution = self._poisson_solve(rewards, reference_state, factor)
+        return float(solution[self.num_states]), solution[self.column_rank()]
+
+    def gains_and_biases(
+        self,
+        rewards: np.ndarray,
+        reference_state: int = 0,
+        factor: Optional[spla.SuperLU] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`gain_and_bias` of every column of the ``(n, k)`` ``rewards`` in one solve.
+
+        One triangular solve with ``k`` right-hand sides, e.g. the chain's
+        ``expected_rewards``, whose gains and biases under any weights are
+        their products with the weights.
+
+        Returns:
+            The ``k`` gains and the ``(n, k)`` biases.
+        """
+        solution = self._poisson_solve(rewards, reference_state, factor)
+        # Copied, so that the gains keep no reference to the whole solution.
+        return solution[self.num_states].copy(), solution[self.column_rank()]
+
+    def _poisson_solve(
+        self, rewards: np.ndarray, reference_state: int, factor: Optional[spla.SuperLU]
+    ) -> np.ndarray:
+        """Solve the Poisson system for one reward column or several; ``g`` is the last row."""
         n = self.num_states
         if factor is None:
             factor = self.poisson_factor(reference_state)
-        rhs = np.zeros(n + 1)
+        rhs = np.zeros((n + 1,) + np.shape(rewards)[1:])
         rhs[:n] = rewards
         solution = factor.solve(rhs)
         # A numerically singular factor solves without error but yields NaN/inf.
         if not np.isfinite(solution).all():
             raise SolverError(_NOT_UNICHAIN)
-        return float(solution[n]), solution[self.column_rank()]
+        return solution
 
 
 def induced_markov_chain(mdp: MDP, strategy: Strategy) -> MarkovChain:

@@ -118,6 +118,25 @@ class PolicyIterationResult:
     iterations: int
 
 
+def _row_values(mdp: MDP, row_rewards: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Return ``r + P h`` of every state-action row: its reward plus the expected next bias."""
+    continuation = mdp.trans_prob * bias[mdp.trans_succ]
+    return row_rewards + np.add.reduceat(continuation, mdp.row_trans_offsets[:-1])
+
+
+def gain_upper_bound(mdp: MDP, reward_weights: Sequence[float], bias: np.ndarray) -> float:
+    """Return ``max_s (max_a (r + P h)(s, a) - h(s))``, an upper bound on the optimal gain.
+
+    One Bellman pass of the bias vector ``h`` under the weights' reward ``r``.
+    The bound holds for any ``h``: a strategy's gain is ``pi (r + P h - h)``
+    over its own rows, with ``pi`` its stationary distribution (``pi P =
+    pi``), an average of values none of which exceeds the maximum.  With an
+    optimal strategy's bias the bound is the optimal gain.
+    """
+    row_rewards = row_table(mdp).expected_rewards @ np.asarray(reward_weights, dtype=float)
+    return float(np.max(_row_values(mdp, row_rewards, bias) - bias[mdp.row_state]))
+
+
 def _greedy_improvement(
     mdp: MDP, row_rewards: np.ndarray, bias: np.ndarray, current_rows: np.ndarray, tolerance: float
 ) -> Tuple[np.ndarray, bool]:
@@ -126,8 +145,7 @@ def _greedy_improvement(
     Ties are broken in favour of the incumbent; without a switch the incumbent
     itself is returned, and a switch returns a new array.
     """
-    continuation = mdp.trans_prob * bias[mdp.trans_succ]
-    row_values = row_rewards + np.add.reduceat(continuation, mdp.row_trans_offsets[:-1])
+    row_values = _row_values(mdp, row_rewards, bias)
     state_best = np.maximum.reduceat(row_values, mdp.state_row_offsets[:-1])
     current_values = row_values[current_rows]
     # Only switch when the improvement is strictly larger than the tolerance;

@@ -1,8 +1,11 @@
-"""Algorithm 1 is one bisection over beta with one mean-payoff solve per probe.
+"""Algorithm 1 is one bisection over beta whose probes are certified or solved.
 
-Every property is checked across the parameter space -- both ends of the
-gamma range, small and large p, the smallest model, deeper ones and a
-two-fork one.
+A probe is decided by a lower certificate (a strategy solved earlier in the
+search earns a gain >= 0 under ``r_beta``), by an upper one (one Bellman pass
+of the latest solved strategy's bias bounds the optimal gain below 0), or by
+a warm-started mean-payoff solve when neither holds.  Every property is
+checked across the parameter space -- both ends of the gamma range, small and
+large p, the smallest model, deeper ones and a two-fork one.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.mdp import EvaluationCache, solve_mean_payoff_batch
 
 #: The policy-iteration module; ``repro.mdp.policy_iteration`` is the function.
 PI_MODULE = importlib.import_module("repro.mdp.policy_iteration")
+ALGORITHM1 = importlib.import_module("repro.analysis.algorithm1")
 
 EPSILON = 1e-3
 
@@ -68,6 +72,11 @@ def _analysis(case):
 with_case = pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 
 
+def _solved(result):
+    """The probes a mean-payoff solve decided."""
+    return [record for record in result.iterations if record.certificate is None]
+
+
 @with_case
 def test_each_probe_is_the_midpoint(case):
     result = _analysis(case)
@@ -100,16 +109,33 @@ def test_interval_brackets_the_strategy(case):
 
 @with_case
 def test_probe_log_replays_as_one_warm_chained_batch(case):
-    """The search warm-chains its probes exactly like ``solve_mean_payoff_batch``."""
+    """The solved probes warm-chain exactly like ``solve_mean_payoff_batch`` over their betas.
+
+    A certified probe logs no solver round, the bound that decided it and
+    which certificate gave it.
+    """
     result = _analysis(case)
-    weights = np.array([beta_reward_weights(record.beta) for record in result.iterations])
+    solved = _solved(result)
+    weights = np.array([beta_reward_weights(record.beta) for record in solved])
     batch = solve_mean_payoff_batch(_mdp(case), weights)
     assert [solution.gain for solution in batch] == [
-        record.optimal_mean_payoff for record in result.iterations
+        record.optimal_mean_payoff for record in solved
     ]
     assert [solution.iterations for solution in batch] == [
-        record.solver_iterations for record in result.iterations
+        record.solver_iterations for record in solved
     ]
+    assert all(record.solver_iterations > 0 for record in solved)
+    for record in result.iterations:
+        if record.certificate == "lower":
+            assert record.solver_iterations == 0 and record.optimal_mean_payoff >= 0.0
+            assert record.beta_low == record.beta
+        elif record.certificate == "upper":
+            assert record.solver_iterations == 0 and record.optimal_mean_payoff < 0.0
+            assert record.beta_up == record.beta
+        else:
+            assert record.certificate is None
+    # No strategy is solved before the first probe, so only a solve can decide it.
+    assert result.iterations[0].certificate is None
 
 
 @with_case
@@ -131,14 +157,74 @@ def test_lp_reference_certifies_the_interval(case):
 
 
 @with_case
-def test_warm_search_certifies_what_a_cold_one_does(case):
-    """Warm starts and the shared evaluation cache move no probe and no value."""
-    warm = _analysis(case)
-    cold = cold_bisection(_mdp(case), AnalysisConfig(epsilon=EPSILON))
+def test_certified_bounds_bracket_the_lp_gain(case):
+    """No lower certificate's bound exceeds the LP's gain, no upper one falls short of it."""
+    result = _analysis(case)
+    mdp = _mdp(case)
+    for record in result.iterations:
+        if record.certificate is None:
+            continue
+        gain = solve_mean_payoff_lp(mdp, beta_reward_weights(record.beta)).gain
+        if record.certificate == "lower":
+            assert record.optimal_mean_payoff <= gain + 1e-9, record
+        else:
+            assert record.optimal_mean_payoff >= gain - 1e-9, record
+
+
+#: ``CASES`` plus an adversary without resource, whose ERRev* is 0.
+WARM_CASES = CASES + [(2, 1, 0.5, 0.0)]
+WARM_IDS = [f"d{d}f{f}-g{gamma}-p{p}" for d, f, gamma, p in WARM_CASES]
+
+
+def _seeded_start(case):
+    """A seeded random row choice for ``case``'s model and ``beta_low`` raised to its p."""
+    mdp = _mdp(case)
+    offsets = mdp.state_row_offsets
+    rows = np.random.default_rng(7).integers(offsets[:-1], offsets[1:])
+    return {"initial_strategy_rows": rows, "beta_low": case[3]}
+
+
+@pytest.mark.parametrize(
+    "case, seeded",
+    [(case, False) for case in WARM_CASES] + [(case, True) for case in WARM_CASES],
+    ids=WARM_IDS + [f"{case_id}-seeded" for case_id in WARM_IDS],
+)
+def test_warm_search_certifies_what_a_cold_one_does(case, seeded):
+    """Certificates, warm starts and the shared evaluation cache move no probe and no value.
+
+    A ``seeded`` search starts from random rows with ``beta_low`` raised to
+    p, as a chained sweep starts a point from its neighbour's strategy and
+    bound; the cold oracle bisects the same initial interval.  From other
+    rows the final solve may stop at another optimal strategy for
+    ``r_{beta_low}``, whose ERRev ties within float noise (at most 4.4e-16
+    at ``d=2,f=2`` over three seeds).
+    """
+    config = AnalysisConfig(epsilon=EPSILON)
+    options = _seeded_start(case) if seeded else {}
+    warm = formal_analysis(_mdp(case), config, **options) if options else _analysis(case)
+    cold = cold_bisection(_mdp(case), config, beta_low=options.get("beta_low", 0.0))
     assert [record.beta for record in warm.iterations] == cold.betas
-    assert (warm.beta_low, warm.beta_up, warm.strategy_errev) == (
-        cold.beta_low, cold.beta_up, cold.strategy_errev
-    )
+    assert (warm.beta_low, warm.beta_up) == (cold.beta_low, cold.beta_up)
+    if options:
+        assert warm.strategy_errev == pytest.approx(cold.strategy_errev, abs=1e-12)
+    else:
+        assert warm.strategy_errev == cold.strategy_errev
+
+
+def test_a_flipped_upper_certificate_parts_from_the_cold_search(monkeypatch):
+    """Mutation check: with the upper certificate's sign flipped the cold comparison fails."""
+    bound = ALGORITHM1.gain_upper_bound
+    monkeypatch.setattr(ALGORITHM1, "gain_upper_bound", lambda *args: -bound(*args))
+    config = AnalysisConfig(epsilon=EPSILON)
+    parted = []
+    for case in CASES:
+        mutant = formal_analysis(_mdp(case), config)
+        cold = cold_bisection(_mdp(case), config)
+        if [record.beta for record in mutant.iterations] != cold.betas or (
+            mutant.beta_low, mutant.beta_up
+        ) != (cold.beta_low, cold.beta_up):
+            parted.append(case)
+    assert parted
 
 
 @pytest.fixture()
@@ -178,11 +264,13 @@ def evaluated(monkeypatch):
 def test_warm_solves_reuse_the_incumbent_factor(case, factorizations, evaluated, monkeypatch):
     """Under the cache's cap a search factors each distinct strategy once.
 
-    At cap 0 the cache holds one factor, and every solve after the first
-    starts from the previous strategy and its factor.
+    Every solver round looks its strategy up, and every solved probe looks
+    its strategy up once more for the certificates' per-component solve.  At
+    cap 0 the cache holds one factor; that lookup, and every solve after the
+    first, reuses the factor of the strategy the previous solve returned.
     """
     warm = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
-    assert len(evaluated) == warm.total_solver_iterations
+    assert len(evaluated) == warm.total_solver_iterations + len(_solved(warm))
     assert len(factorizations) == len(set(evaluated))
     # The columns come in the model's cached order, so SuperLU never runs
     # COLAMD, and it factors without relaxed supernodes or panel blocking.
@@ -190,7 +278,7 @@ def test_warm_solves_reuse_the_incumbent_factor(case, factorizations, evaluated,
     factorizations.clear()
     monkeypatch.setattr(PI_MODULE, "CACHED_FACTOR_ENTRIES", 0)
     capped = formal_analysis(_mdp(case), AnalysisConfig(epsilon=EPSILON))
-    assert len(factorizations) == capped.total_solver_iterations - capped.num_iterations
+    assert len(factorizations) == capped.total_solver_iterations - len(_solved(capped))
 
 
 @pytest.mark.parametrize("case", CASES[:3], ids=CASE_IDS[:3])
@@ -252,7 +340,14 @@ def _search_values(result):
     return (
         (result.beta_low, result.beta_up),
         [
-            (it.beta, it.optimal_mean_payoff, it.beta_low, it.beta_up, it.solver_iterations)
+            (
+                it.beta,
+                it.optimal_mean_payoff,
+                it.beta_low,
+                it.beta_up,
+                it.solver_iterations,
+                it.certificate,
+            )
             for it in result.iterations
         ],
         result.strategy.rows.tobytes(),

@@ -10,6 +10,7 @@ anchor of the solver stack.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
 import pytest
@@ -27,6 +28,13 @@ from repro.attacks.single_tree import SingleTreeParams
 from repro.core.sweep import SweepConfig, run_sweep
 
 EPSILON = 1e-3
+
+FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
+FULL_ONLY = pytest.mark.skipif(not FULL, reason="the d=3,f=2 model is large; set REPRO_FULL=1")
+
+#: The optimal ERRev of Table 1's ``d=3,f=2`` model at ``(p, gamma) = (0.3, 0.5)``,
+#: to 12 digits: the ratio a Dinkelbach search over that model converges to.
+D3F2_ERREV = 0.496159564584
 
 
 def attack_errev(p: float, gamma: float, depth: int, forks: int, max_fork_length: int = 4) -> float:
@@ -192,6 +200,21 @@ class TestTable1Points:
     )
     def test_attack_never_loses_to_honest_mining(self, depth, forks):
         assert attack_errev(0.3, 0.5, depth=depth, forks=forks) >= 0.3 - EPSILON
+
+    @FULL_ONLY
+    def test_d3f2_row_certifies_its_interval(self):
+        """Table 1's largest row, 133,299 states: about 22 s and 520 MB of peak RSS.
+
+        The strategy's stationary evaluation is skipped; at this size it
+        costs far more than the search.
+        """
+        model = build_selfish_forks_mdp(
+            ProtocolParams(p=0.3, gamma=0.5), AttackParams(depth=3, forks=2, max_fork_length=4)
+        )
+        config = AnalysisConfig(epsilon=EPSILON, evaluate_strategy=False)
+        result = formal_analysis(model.mdp, config)
+        assert (result.beta_low, result.beta_up) == (0.49609375, 0.4970703125)
+        assert result.beta_low <= D3F2_ERREV <= result.beta_up
 
     def test_single_tree_baseline_lies_below_the_largest_attack(self):
         baseline = single_tree_errev(

@@ -519,8 +519,15 @@ class TestWarmStartedAlgorithm1:
         assert (result.beta_low, result.beta_up) == (cold.beta_low, cold.beta_up)
 
     def test_iteration_log_carries_solver_counts(self, model):
+        """A solved probe logs its rounds, a certified one none and the certificate's name."""
         result = formal_analysis(model.mdp, AnalysisConfig(epsilon=1e-2))
-        assert all(record.solver_iterations > 0 for record in result.iterations)
-        assert result.total_solver_iterations >= sum(
+        for record in result.iterations:
+            if record.certificate is None:
+                assert record.solver_iterations > 0
+            else:
+                assert record.certificate in ("lower", "upper")
+                assert record.solver_iterations == 0
+        assert {record.certificate for record in result.iterations} == {None, "lower", "upper"}
+        assert result.total_solver_iterations > sum(
             record.solver_iterations for record in result.iterations
         )
