@@ -30,7 +30,7 @@ honest mining; the certificate and the solve both compute it as exactly 0.0.
 
 Invariant: **certified-bound reproducibility**.  The final ``[beta_low,
 beta_up]`` interval is a deterministic function of the model, ``epsilon`` and
-the solver settings -- identical bit-for-bit across processes (the sweep
+the initial interval -- identical bit-for-bit across processes (the sweep
 engine asserts this for its serial and pool runs) --
 with width below ``epsilon`` and ``beta_low <= ERRev* <= beta_up`` within the
 MDP's strategy class.  No wall-clock reading ever steers the search.  Warm starts
@@ -155,7 +155,7 @@ def formal_analysis(
     Args:
         mdp: The MDP produced by :func:`repro.attacks.build_selfish_forks_mdp`
             (reward components ``(r_A, r_H)``).
-        config: Analysis configuration (precision, solver tolerances).
+        config: Analysis configuration (precision, strategy evaluation).
         beta_low: Initial lower end of the search interval (0 in the paper;
             callers may tighten it, e.g. to ``p``, since ERRev* >= p).
         beta_up: Initial upper end of the search interval.
@@ -190,7 +190,7 @@ def formal_analysis(
         certificate, bound = _certify(mdp, weights, solved_gains, biases)
         rounds = 0
         if certificate is None:
-            solution = _solve(mdp, beta, config, warm_strategy, cache)
+            solution = _solve(mdp, beta, warm_strategy, cache)
             bound, rounds = solution.gain, solution.iterations
             warm_strategy = solution.strategy
             gains, biases = _component_gains_and_biases(mdp, warm_strategy, cache)
@@ -213,7 +213,7 @@ def formal_analysis(
         total_solver_iterations += rounds
 
     # Final solve at beta_low, from the last solved strategy, to extract the certified one.
-    final_solution = _solve(mdp, beta_low, config, warm_strategy, cache)
+    final_solution = _solve(mdp, beta_low, warm_strategy, cache)
     # The cache is the factors' only holder: free them before the stationary solve.
     del cache
     total_solver_iterations += final_solution.iterations
@@ -287,22 +287,16 @@ def _component_gains_and_biases(
     """
     evaluation = cache.evaluation(mdp, strategy.rows)
     chain = evaluation.chain
-    return chain.gains_and_biases(chain.expected_rewards, mdp.initial_state, evaluation.factor)
+    return chain.gains_and_biases(chain.expected_rewards, evaluation.factor)
 
 
 def _solve(
     mdp: MDP,
     beta: float,
-    config: AnalysisConfig,
     warm_start: Optional[Strategy],
     evaluation_cache: EvaluationCache,
 ) -> PolicyIterationResult:
     """Solve the mean-payoff MDP under ``r_beta``."""
     return solve_mean_payoff(
-        mdp,
-        beta_reward_weights(beta),
-        tolerance=config.solver_tolerance,
-        max_iterations=config.max_solver_iterations,
-        warm_start=warm_start,
-        evaluation_cache=evaluation_cache,
+        mdp, beta_reward_weights(beta), warm_start=warm_start, evaluation_cache=evaluation_cache
     )

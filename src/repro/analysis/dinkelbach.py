@@ -97,12 +97,7 @@ def dinkelbach_analysis(
 
     for _ in range(max_iterations):
         solution = solve_mean_payoff(
-            mdp,
-            beta_reward_weights(beta),
-            tolerance=config.solver_tolerance,
-            max_iterations=config.max_solver_iterations,
-            warm_start=strategy,
-            evaluation_cache=cache,
+            mdp, beta_reward_weights(beta), warm_start=strategy, evaluation_cache=cache
         )
         strategy = solution.strategy
         next_beta = evaluate_strategy_errev(mdp, strategy)

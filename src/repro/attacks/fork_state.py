@@ -126,11 +126,6 @@ def action_label(action: object) -> Hashable:
 # --------------------------------------------------------------------------- helpers
 
 
-def fork_length(state: ForkState, depth: int, fork: int) -> int:
-    """Length of fork ``(depth, fork)`` (1-based indices)."""
-    return state[0][depth - 1][fork - 1]
-
-
 def adversary_mining_targets(c_matrix: Tuple[Tuple[int, ...], ...]) -> List[Tuple[int, int, bool]]:
     """Return the blocks the adversary concurrently mines on.
 

@@ -9,17 +9,16 @@ finalised by a transition, which Algorithm 1 combines into ``r_beta``.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..config import AttackParams, ProtocolParams
 from ..exceptions import ConfigurationError
-from ..mdp import MDP, MDPBuilder, Strategy
+from ..mdp import MDP, MDPBuilder
 from . import fork_state
 from .fork_state import ForkState, action_label
-from .structure import DEFAULT_MAX_STATES, get_model_structure, state_code_radices
+from .structure import DEFAULT_MAX_STATES, get_model_structure
 
 #: Number of reward components attached to every transition (r_A, r_H).
 NUM_REWARD_COMPONENTS = 2
@@ -44,23 +43,6 @@ class SelfishForksModel:
         """Number of reachable states."""
         return self.mdp.num_states
 
-    @property
-    def num_decision_states(self) -> int:
-        """Number of states with more than one available action."""
-        return sum(
-            1
-            for state in range(self.mdp.num_states)
-            if self.mdp.num_actions_of(state) > 1
-        )
-
-    def honest_strategy(self) -> Strategy:
-        """Return the strategy that never releases a fork (always ``mine``)."""
-        rows = self.mdp.uniform_random_row_choice()
-        mine_label = ("mine",)
-        for state in range(self.mdp.num_states):
-            rows[state] = self.mdp.row_index(state, mine_label)
-        return Strategy(self.mdp, rows)
-
     def describe(self) -> str:
         """One-line human-readable summary of the model size."""
         return (
@@ -69,17 +51,6 @@ class SelfishForksModel:
             f"{self.mdp.num_states} states, {self.mdp.num_rows} state-action pairs, "
             f"{self.mdp.num_transitions} transitions"
         )
-
-
-def estimate_state_space_size(attack: AttackParams) -> int:
-    """Upper bound on the state-space size of the full (non-reachable-pruned) MDP.
-
-    ``(l + 1)^(d*f)`` fork configurations times ``2^(d-1)`` ownership vectors
-    times three state types -- the size of the state-code space of
-    :func:`~repro.attacks.structure.state_code_radices`.  The reachable state
-    space is typically smaller.
-    """
-    return math.prod(state_code_radices(attack))
 
 
 def build_selfish_forks_mdp(

@@ -15,7 +15,7 @@ collects the settings of the formal analysis procedure (Algorithm 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ._validation import (
@@ -55,18 +55,6 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         check_probability(self.p, "p")
         check_probability(self.gamma, "gamma")
-
-    def with_p(self, p: float) -> "ProtocolParams":
-        """Return a copy with a different adversarial resource fraction."""
-        return replace(self, p=p)
-
-    def with_gamma(self, gamma: float) -> "ProtocolParams":
-        """Return a copy with a different switching probability."""
-        return replace(self, gamma=gamma)
-
-    def honest_fraction(self) -> float:
-        """Fraction of the resource owned by honest miners."""
-        return 1.0 - self.p
 
     def to_dict(self) -> Dict[str, float]:
         """Serialise to a plain dictionary (for CSV / JSON reporting)."""
@@ -133,10 +121,6 @@ class AttackParams:
         """Alias matching the paper's notation."""
         return self.max_fork_length
 
-    def max_mining_targets(self) -> int:
-        """Upper bound on the number of blocks the adversary mines on at once."""
-        return self.depth * self.forks
-
     def to_dict(self) -> Dict[str, object]:
         """Serialise to a plain dictionary (for CSV / JSON reporting)."""
         return {
@@ -152,32 +136,27 @@ class AttackParams:
 class AnalysisConfig:
     """Configuration of the formal analysis procedure (Algorithm 1).
 
+    The mean-payoff solver of every binary-search probe has no settings here:
+    policy iteration's improvement threshold and round budget are constants
+    of :mod:`repro.mdp.policy_iteration`.
+
     Attributes:
         epsilon: Precision of the binary search over the reward parameter beta.
-        solver_tolerance: Improvement threshold of policy iteration, the
-            mean-payoff solver of every binary-search probe.
-        max_solver_iterations: Budget of policy-improvement rounds per solve.
         evaluate_strategy: If true, the extracted strategy is additionally
             evaluated exactly (stationary-distribution ratio), which yields the
             exact ERRev it guarantees.
     """
 
     epsilon: float = 1e-3
-    solver_tolerance: float = 1e-9
-    max_solver_iterations: int = 100_000
     evaluate_strategy: bool = True
 
     def __post_init__(self) -> None:
         check_positive_float(self.epsilon, "epsilon")
-        check_positive_float(self.solver_tolerance, "solver_tolerance")
-        check_positive_int(self.max_solver_iterations, "max_solver_iterations")
 
     def to_dict(self) -> Dict[str, object]:
         """Serialise to a plain dictionary (for reporting)."""
         return {
             "epsilon": self.epsilon,
-            "solver_tolerance": self.solver_tolerance,
-            "max_solver_iterations": self.max_solver_iterations,
             "evaluate_strategy": self.evaluate_strategy,
         }
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from ..analysis import evaluate_strategy_errev, formal_analysis
+from ..analysis import formal_analysis
 from ..attacks import get_model_structure, honest_errev
-from ..attacks.registry import get_attack
 from ..config import AnalysisConfig, AttackParams, ProtocolParams
 from ..mdp import MDP
 from .results import AnalysisResult
@@ -30,8 +29,7 @@ class SelfishMiningAnalyzer:
 
     The analyzer is scenario-generic: the model is refilled from the cached
     skeleton of ``attack`` (:func:`~repro.attacks.structure.get_model_structure`),
-    and the honest baseline dispatches to the hook of the scenario
-    ``attack.scenario`` names (:func:`~repro.attacks.registry.get_attack`).
+    whichever scenario ``attack.scenario`` names.
     """
 
     def __init__(
@@ -43,7 +41,6 @@ class SelfishMiningAnalyzer:
         self.protocol = protocol or ProtocolParams()
         self.attack = attack or AttackParams()
         self.config = config or AnalysisConfig()
-        self._scenario = get_attack(self.attack.scenario)
         self._model: Optional[MDP] = None
 
     # ------------------------------------------------------------------ pipeline
@@ -77,16 +74,3 @@ class SelfishMiningAnalyzer:
             analysis_seconds=analysis_seconds,
             formal=formal,
         )
-
-    # ----------------------------------------------------------------- validation
-
-    def evaluate_honest_baseline(self) -> float:
-        """Exact ERRev of the honest-emulating strategy inside the constructed MDP.
-
-        The scenario's protocol-following strategy (for selfish forks, the
-        immediate-release strategy) yields value ``p`` whenever the model is
-        not truncated against the honest miner, which users can employ to
-        sanity-check the model on their parameter point.
-        """
-        mdp = self.build_model()
-        return evaluate_strategy_errev(mdp, self._scenario.honest_strategy(mdp))

@@ -5,7 +5,8 @@ distribution (to evaluate the exact expected relative revenue of a strategy)
 and the gain/bias pair (for policy evaluation inside Howard policy iteration).
 
 Both are whole-array operations, so an evaluation costs about one sparse LU.
-A chain is its model plus one chosen row per state.  Every state-action row of
+A chain is its model plus one chosen row per state, and
+``MarkovChain(mdp, rows)`` is its one constructor.  Every state-action row of
 an MDP is one candidate row of the chain's generator ``I - P``, so
 :func:`row_table` computes all of them once per model in canonical CSR form:
 columns sorted, duplicate successors merged, zeros pruned, bit for bit as
@@ -28,15 +29,16 @@ instantiates shares it.  Its columns come in a fill-reducing order:
 (Davis et al., ACM TOMS 30(3), 2004) once.  Beside it the model's
 :class:`~repro.mdp.model.ColumnOrder` keeps a :class:`PoissonTemplate`: the
 CSC index arrays of every row's Poisson entries, in column-position order, with
-the ``(n, ref)`` entry and the ones column of ``g``.  Each model gathers its
+the ``(n, ref)`` entry and the ones column of ``g``.  The reference state
+``ref``, whose bias every Poisson system pins to zero, is always the model's
+initial state, so one template serves every chain.  Each model gathers its
 values into that order once (:func:`poisson_system`), and the Poisson matrix of
 a strategy is then a boolean mask of its chosen rows, the kept entries counted
 per column and summed into the column offsets, and two gathers: no sort and no
 row gather.  The arrays are those of ``(I - P)`` with the bias columns
 permuted, bit for bit.  A model whose table pruned an entry of the skeleton's
 pattern (a zero probability, or a probability-1 self-loop whose diagonal
-cancels) gets a template of its own table's pattern.  A chain of an explicit
-matrix is the chain of a model with one row per state.
+cancels) gets a template of its own table's pattern.
 
 The Poisson matrix does not depend on the rewards, so
 :meth:`MarkovChain.poisson_factor` factors it once (SuperLU via ``splu``) and
@@ -53,8 +55,9 @@ L+U entries for 2,896 unknowns at ``d=2,f=2``), so the factor runs without
 them (``relax=1, panel_size=1``), which is faster to factor and to solve at
 every model size measured.  The setting is fixed, so refactoring the same
 chain gives the same factor bit for bit, and reuse changes no value.  The
-stationary system is solved once per chain by ``spsolve``.  A singular system
-(the chain is not unichain) raises ``SolverError``.
+stationary system is solved once per chain by ``spsolve``, and stationary
+probabilities below :data:`NEGLIGIBLE_PROBABILITY` are rounded to zero.  A
+singular system (the chain is not unichain) raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -73,6 +76,9 @@ from .strategy import Strategy
 _NOT_UNICHAIN = (
     "singular Poisson system: the chain is not unichain, so its gain and bias are not unique"
 )
+
+#: Stationary probabilities below this are linear-algebra noise, set to zero.
+NEGLIGIBLE_PROBABILITY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -209,22 +215,22 @@ def _generator_table(mdp: MDP, expected_rewards: np.ndarray) -> GeneratorRows:
 
 
 def _fill_reducing_rank(
-    num_states: int, owners: np.ndarray, successors: np.ndarray, reference_state: int
+    num_states: int, owners: np.ndarray, successors: np.ndarray, initial_state: int
 ) -> np.ndarray:
     """Column position of every state in the Poisson systems of one sparsity pattern.
 
     The pattern is the union of the Poisson systems whose row ``s`` has entries
     in the columns ``successors[owners == s]``: those entries, the diagonal,
-    the gain column ``n`` and the row ``h[ref] = 0``.  SuperLU computes COLAMD's
-    order, and its elimination-tree postorder, from the pattern alone.  An
-    incomplete factorization of a strictly diagonally dominant proxy with that
-    pattern returns that order without the full factorization's fill, and
-    never meets a singular pivot.  The states keep COLAMD's relative order and
-    the gain column goes last.
+    the gain column ``n`` and the row ``h[initial_state] = 0``.  SuperLU
+    computes COLAMD's order, and its elimination-tree postorder, from the
+    pattern alone.  An incomplete factorization of a strictly diagonally
+    dominant proxy with that pattern returns that order without the full
+    factorization's fill, and never meets a singular pivot.  The states keep
+    COLAMD's relative order and the gain column goes last.
     """
     n = num_states
     rows = np.concatenate((owners, np.arange(n + 1), np.arange(n), [n]))
-    cols = np.concatenate((successors, np.arange(n + 1), np.full(n, n), [reference_state]))
+    cols = np.concatenate((successors, np.arange(n + 1), np.full(n, n), [initial_state]))
     proxy = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
     proxy.data[:] = 1.0  # duplicates were summed
     proxy.setdiag(n + 2.0)
@@ -250,19 +256,19 @@ def _poisson_template(
     indices: np.ndarray,
     owners: np.ndarray,
     rank: np.ndarray,
-    reference_state: int,
+    initial_state: int,
 ) -> PoissonTemplate:
     """Template of the Poisson systems of the CSR row pattern ``(indptr, indices)``.
 
     Row ``r`` of the pattern is owned by state ``owners[r]``, whose equation it
-    fills when a strategy chooses it.
+    fills when a strategy chooses it; the last equation pins ``h[initial_state]``.
     """
     n = len(rank)
     num_rows = len(owners)
     pattern_row = np.repeat(np.arange(num_rows), np.diff(indptr))
     row = np.concatenate((pattern_row, np.full(n + 1, num_rows)))
     equation = np.concatenate((owners[pattern_row], [n], np.arange(n)))
-    column = np.concatenate((rank[indices], [rank[reference_state]], np.full(n, n)))
+    column = np.concatenate((rank[indices], [rank[initial_state]], np.full(n, n)))
     source = np.lexsort((equation, column))
     counts = np.bincount(column, minlength=n + 1)
     template = PoissonTemplate(
@@ -285,38 +291,29 @@ def _skeleton_template(mdp: MDP) -> PoissonTemplate:
     )
 
 
-def poisson_system(
-    mdp: MDP, reference_state: Optional[int] = None
-) -> Tuple[PoissonTemplate, np.ndarray]:
+def poisson_system(mdp: MDP) -> Tuple[PoissonTemplate, np.ndarray]:
     """Return the Poisson template of ``mdp`` and the model's values in its order.
 
-    For the model's initial state (the default reference) the template is the
-    skeleton's, kept in its :class:`~repro.mdp.model.ColumnOrder`, and the
-    values are gathered once and kept on the model.  Another reference state
-    gets a template of its own, built on every call.
+    The template is the skeleton's, kept in its
+    :class:`~repro.mdp.model.ColumnOrder`, unless the model's row table pruned
+    an entry of the skeleton's pattern; then it is one of the table's own
+    pattern.  Both are gathered once and kept on the model.
     """
-    n = mdp.num_states
-    reference = mdp.initial_state if reference_state is None else reference_state
-    kept = reference == mdp.initial_state
-    if kept and mdp._poisson_system is not None:
-        return mdp._poisson_system
-    table = row_table(mdp)
-    template = None
-    if kept:
+    if mdp._poisson_system is None:
+        n = mdp.num_states
+        table = row_table(mdp)
         order = mdp.column_order
         if order.template is None:
             order.template = _skeleton_template(mdp)
+        template = order.template
         # Equal sizes: the table pruned no entry of the skeleton's pattern.
-        if len(order.template.source) - n - 1 == len(table.indices):
-            template = order.template
-    if template is None:
-        template = _poisson_template(
-            table.indptr, table.indices, mdp.row_state, _column_rank(mdp), reference
-        )
-    system = (template, np.concatenate((table.data, [1.0], np.ones(n)))[template.source])
-    if kept:
-        mdp._poisson_system = system
-    return system
+        if len(template.source) - n - 1 != len(table.indices):
+            template = _poisson_template(
+                table.indptr, table.indices, mdp.row_state, _column_rank(mdp), mdp.initial_state
+            )
+        values = np.concatenate((table.data, [1.0], np.ones(n)))[template.source]
+        mdp._poisson_system = (template, values)
+    return mdp._poisson_system
 
 
 def poisson_container(num_states: int) -> sp.csc_matrix:
@@ -331,66 +328,23 @@ def poisson_container(num_states: int) -> sp.csc_matrix:
 
 
 class MarkovChain:
-    """A finite Markov chain with per-state expected reward vectors.
-
-    The chain is a model and the row it chooses in every state.
+    """The Markov chain of a model and the row it chooses in every state.
 
     Attributes:
-        initial_state: Index of the initial state.
+        initial_state: Index of the model's initial state, whose bias every
+            Poisson solve pins to zero.
     """
 
-    _mdp: MDP
-    #: The chosen row of every state (``int64``).
-    _rows: np.ndarray
-    _gathered: Optional[GeneratorRows]
-    _expected_rewards: Optional[np.ndarray]
-    _transition_matrix: Optional[sp.csr_matrix]
+    def __init__(self, mdp: MDP, rows: np.ndarray) -> None:
+        """The chain of ``mdp`` under ``rows``, a valid ``int64`` choice of one row per state.
 
-    def __init__(
-        self,
-        transition_matrix: sp.spmatrix,
-        expected_rewards: np.ndarray,
-        initial_state: int = 0,
-    ) -> None:
-        """Build the chain of an explicit row-stochastic ``(n, n)`` matrix.
-
-        It is the chain of a model with one row per state, whose transitions
-        carry their state's expected reward and whose row table is built from
-        ``expected_rewards`` as given.
+        The rows are kept without copying or checking;
+        :func:`induced_markov_chain` builds the chain of a checked strategy.
         """
-        matrix = sp.csr_matrix(transition_matrix, copy=True)
-        matrix.sum_duplicates()
-        n = matrix.shape[0]
-        expected_rewards = np.asarray(expected_rewards)
-        one_row_each = np.arange(n)
-        mdp = MDP(
-            num_states=n,
-            initial_state=initial_state,
-            row_state=one_row_each,
-            state_row_offsets=np.arange(n + 1),
-            row_trans_offsets=matrix.indptr.astype(np.int64),
-            trans_succ=matrix.indices.astype(np.int64),
-            trans_prob=matrix.data,
-            trans_reward=np.repeat(expected_rewards, np.diff(matrix.indptr), axis=0),
-            row_actions=[None] * n,
-        )
-        mdp._row_table = _generator_table(mdp, expected_rewards)
-        self._bind(mdp, one_row_each)
-        self._transition_matrix = matrix
-
-    @classmethod
-    def _induced(cls, mdp: MDP, rows: np.ndarray) -> "MarkovChain":
-        """The chain of the valid row choice ``rows``, which it keeps without copying."""
-        chain = cls.__new__(cls)
-        chain._bind(mdp, rows)
-        return chain
-
-    def _bind(self, mdp: MDP, rows: np.ndarray) -> None:
         self._mdp = mdp
         self._rows = rows
-        self._gathered = None
-        self._expected_rewards = None
-        self._transition_matrix = None
+        self._gathered: Optional[GeneratorRows] = None
+        self._expected_rewards: Optional[np.ndarray] = None
         self.initial_state = mdp.initial_state
 
     @property
@@ -405,21 +359,6 @@ class MarkovChain:
             self._expected_rewards = row_table(self._mdp).expected_rewards[self._rows]
         return self._expected_rewards
 
-    @property
-    def transition_matrix(self) -> sp.csr_matrix:
-        """Sparse ``(n, n)`` row-stochastic matrix, built on first access."""
-        if self._transition_matrix is None:
-            mdp = self._mdp
-            indptr, picked = _row_gather(mdp.row_trans_offsets, self._rows)
-            matrix = sp.csr_matrix(
-                (mdp.trans_prob[picked], mdp.trans_succ[picked], indptr),
-                shape=(self.num_states, self.num_states),
-            )
-            # Merge duplicate successor columns within a row (e.g. several capped forks).
-            matrix.sum_duplicates()
-            self._transition_matrix = matrix
-        return self._transition_matrix
-
     def _generator(self) -> GeneratorRows:
         """The chain's generator ``I - P``, gathered from the model's row table on first use."""
         if self._gathered is None:
@@ -431,15 +370,6 @@ class MarkovChain:
         return self._gathered
 
     # ----------------------------------------------------------------- analysis
-
-    def validate(self, tolerance: float = 1e-8) -> None:
-        """Check that every row of the transition matrix sums to one."""
-        sums = np.asarray(self.transition_matrix.sum(axis=1)).ravel()
-        if not np.allclose(sums, 1.0, atol=tolerance):
-            worst = int(np.argmax(np.abs(sums - 1.0)))
-            raise ModelError(
-                f"row {worst} of the Markov chain sums to {sums[worst]}, expected 1"
-            )
 
     def stationary_matrix(self) -> sp.csc_matrix:
         """Return ``(P^T - I)`` with its last equation replaced by ``sum(pi) = 1``.
@@ -466,7 +396,7 @@ class MarkovChain:
         column_indices[ones] = n - 1
         return sp.csc_matrix((column_data, column_indices, starts), shape=(n, n))
 
-    def stationary_distribution(self, tolerance: float = 1e-12) -> np.ndarray:
+    def stationary_distribution(self) -> np.ndarray:
         """Compute a stationary distribution ``pi`` with ``pi P = pi``.
 
         The chain is assumed to be unichain (a single recurrent class, possibly
@@ -488,7 +418,7 @@ class MarkovChain:
         if not np.all(np.isfinite(pi)):
             raise SolverError("singular stationary system: the chain is not unichain")
         pi = np.asarray(pi, dtype=float)
-        pi[np.abs(pi) < tolerance] = 0.0
+        pi[np.abs(pi) < NEGLIGIBLE_PROBABILITY] = 0.0
         if np.any(pi < -1e-6):
             raise SolverError("stationary distribution has negative entries; chain may be multichain")
         pi = np.clip(pi, 0.0, None)
@@ -519,24 +449,22 @@ class MarkovChain:
         """
         return _column_rank(self._mdp)
 
-    def poisson_matrix(
-        self, reference_state: int = 0, container: Optional[sp.csc_matrix] = None
-    ) -> sp.csc_matrix:
-        """Return the unichain Poisson system ``h + g = r + P h``, ``h[ref] = 0``.
+    def poisson_matrix(self, container: Optional[sp.csc_matrix] = None) -> sp.csc_matrix:
+        """Return the unichain Poisson system ``h + g = r + P h``, ``h[initial_state] = 0``.
 
         Unknowns are ``h[0..n-1]``, in columns ``rank = column_rank()``, and
         ``g`` in column ``n``.  Equation ``s`` is ``h[s] - sum_t P[s,t] h[t] + g
-        = r[s]``; equation ``n`` is the normalisation ``h[ref] = 0``.  The
-        entries are the model's :func:`poisson_system` masked to the chosen rows.
+        = r[s]``; equation ``n`` is the normalisation ``h[initial_state] = 0``.
+        The entries are the model's :func:`poisson_system` masked to the chosen
+        rows.
 
         Args:
-            reference_state: State whose bias is pinned to zero.
             container: A :func:`poisson_container` of this chain's size whose
                 arrays are replaced by the system's, and which is returned;
                 a fresh one when omitted.
         """
         n = self.num_states
-        template, values = poisson_system(self._mdp, reference_state)
+        template, values = poisson_system(self._mdp)
         chosen = np.zeros(self._mdp.num_rows + 1, dtype=bool)
         chosen[self._rows] = True
         chosen[-1] = True  # the (n, ref) entry and the ones of g
@@ -554,10 +482,8 @@ class MarkovChain:
         matrix.has_canonical_format = True
         return matrix
 
-    def poisson_factor(
-        self, reference_state: int = 0, container: Optional[sp.csc_matrix] = None
-    ) -> spla.SuperLU:
-        """Factor :meth:`poisson_matrix` for ``reference_state``, built in ``container``.
+    def poisson_factor(self, container: Optional[sp.csc_matrix] = None) -> spla.SuperLU:
+        """Factor :meth:`poisson_matrix`, built in ``container``.
 
         The columns are already in the chain's fill-reducing order, so SuperLU
         keeps their order (``permc_spec="NATURAL"``).  The system has almost
@@ -568,11 +494,11 @@ class MarkovChain:
         about 2.2x and 3x, see ``docs/architecture.md``).  Gains and biases
         move by about 1e-15 against SuperLU's default setting, and no
         certified value moves.  The matrix depends on the transition matrix
-        and the reference state only, never on the rewards, so one factor
-        serves every reward weighting passed to :meth:`gain_and_bias`; the
-        setting is fixed, so factoring the same chain again gives the same
-        factor bit for bit.  The factor keeps nothing of the matrix, so the
-        container can be refilled for the next factorization.
+        only, never on the rewards, so one factor serves every reward
+        weighting passed to :meth:`gain_and_bias`; the setting is fixed, so
+        factoring the same chain again gives the same factor bit for bit.  The
+        factor keeps nothing of the matrix, so the container can be refilled
+        for the next factorization.
 
         Raises:
             SolverError: If the system is exactly singular, i.e. the chain is
@@ -580,7 +506,7 @@ class MarkovChain:
         """
         try:
             return spla.splu(
-                self.poisson_matrix(reference_state, container),
+                self.poisson_matrix(container),
                 permc_spec="NATURAL",
                 relax=1,
                 panel_size=1,
@@ -589,20 +515,16 @@ class MarkovChain:
             raise SolverError(_NOT_UNICHAIN) from exc
 
     def gain_and_bias(
-        self,
-        rewards: np.ndarray,
-        reference_state: int = 0,
-        factor: Optional[spla.SuperLU] = None,
+        self, rewards: np.ndarray, factor: Optional[spla.SuperLU] = None
     ) -> Tuple[float, np.ndarray]:
-        """Solve the unichain Poisson equation ``h + g = r + P h``, ``h[ref] = 0``.
+        """Solve the unichain Poisson equation ``h + g = r + P h``, ``h[initial_state] = 0``.
 
         Args:
             rewards: The scalar one-step reward ``r`` of every state, e.g.
                 ``expected_rewards @ weights`` for reward-component weights.
-            reference_state: State whose bias is pinned to zero.
-            factor: This chain's :meth:`poisson_factor` for ``reference_state``,
-                to skip refactoring when the chain is solved again under other
-                rewards; factored here when omitted.
+            factor: This chain's :meth:`poisson_factor`, to skip refactoring
+                when the chain is solved again under other rewards; factored
+                here when omitted.
 
         Returns:
             The scalar gain ``g`` and the bias vector ``h``.
@@ -611,14 +533,11 @@ class MarkovChain:
             SolverError: If the system is singular, i.e. the chain is not
                 unichain and its gain and bias are not unique.
         """
-        solution = self._poisson_solve(rewards, reference_state, factor)
+        solution = self._poisson_solve(rewards, factor)
         return float(solution[self.num_states]), solution[self.column_rank()]
 
     def gains_and_biases(
-        self,
-        rewards: np.ndarray,
-        reference_state: int = 0,
-        factor: Optional[spla.SuperLU] = None,
+        self, rewards: np.ndarray, factor: Optional[spla.SuperLU] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`gain_and_bias` of every column of the ``(n, k)`` ``rewards`` in one solve.
 
@@ -629,17 +548,15 @@ class MarkovChain:
         Returns:
             The ``k`` gains and the ``(n, k)`` biases.
         """
-        solution = self._poisson_solve(rewards, reference_state, factor)
+        solution = self._poisson_solve(rewards, factor)
         # Copied, so that the gains keep no reference to the whole solution.
         return solution[self.num_states].copy(), solution[self.column_rank()]
 
-    def _poisson_solve(
-        self, rewards: np.ndarray, reference_state: int, factor: Optional[spla.SuperLU]
-    ) -> np.ndarray:
+    def _poisson_solve(self, rewards: np.ndarray, factor: Optional[spla.SuperLU]) -> np.ndarray:
         """Solve the Poisson system for one reward column or several; ``g`` is the last row."""
         n = self.num_states
         if factor is None:
-            factor = self.poisson_factor(reference_state)
+            factor = self.poisson_factor()
         rhs = np.zeros((n + 1,) + np.shape(rewards)[1:])
         rhs[:n] = rewards
         solution = factor.solve(rhs)
@@ -653,4 +570,4 @@ def induced_markov_chain(mdp: MDP, strategy: Strategy) -> MarkovChain:
     """Build the Markov chain obtained by fixing ``strategy`` in ``mdp``."""
     if strategy.mdp is not mdp:
         raise ModelError("strategy does not belong to this MDP")
-    return MarkovChain._induced(mdp, strategy.rows)
+    return MarkovChain(mdp, strategy.rows)

@@ -5,7 +5,9 @@ weights, returns the optimal gain together with an optimal strategy.
 :func:`solve_mean_payoff` is that entry point: it runs Howard policy iteration
 (exact up to linear-algebra accuracy) and returns its
 :class:`~repro.mdp.policy_iteration.PolicyIterationResult`.  Every solve of
-the package goes through it.  :func:`solve_mean_payoff_batch` is a
+the package goes through it, and none sets a solver option: the improvement
+threshold and the round budget are constants of
+:mod:`~repro.mdp.policy_iteration`.  :func:`solve_mean_payoff_batch` is a
 convenience loop over several reward weightings of the same model.
 
 Callers that warm-start each solve of a model with the previous solve's
@@ -35,8 +37,6 @@ def solve_mean_payoff(
     mdp: MDP,
     reward_weights: Sequence[float],
     *,
-    tolerance: float = 1e-9,
-    max_iterations: int = 100_000,
     warm_start: Optional[Strategy] = None,
     evaluation_cache: Optional[EvaluationCache] = None,
 ) -> PolicyIterationResult:
@@ -46,8 +46,6 @@ def solve_mean_payoff(
         mdp: The model to solve (assumed unichain under every strategy, which
             holds for the paper's selfish-mining MDP).
         reward_weights: Weights combining the model's reward components.
-        tolerance: Improvement threshold of policy iteration.
-        max_iterations: Budget of policy-improvement rounds.
         warm_start: Optional strategy to start policy iteration from.
         evaluation_cache: Optional cache shared by the solves of this same
             model; policy iteration looks every strategy up in it before
@@ -55,13 +53,11 @@ def solve_mean_payoff(
 
     Raises:
         ConvergenceError: If policy iteration does not converge within
-            ``max_iterations``.
+            :data:`~repro.mdp.policy_iteration.MAX_ROUNDS` rounds.
     """
     return policy_iteration(
         mdp,
         reward_weights,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
         initial_strategy=warm_start,
         evaluation_cache=evaluation_cache,
     )
@@ -71,8 +67,6 @@ def solve_mean_payoff_batch(
     mdp: MDP,
     weight_matrix: np.ndarray,
     *,
-    tolerance: float = 1e-9,
-    max_iterations: int = 100_000,
     warm_start: Optional[Strategy] = None,
 ) -> List[PolicyIterationResult]:
     """Solve several reward weightings of the *same* model, one after another.
@@ -97,14 +91,7 @@ def solve_mean_payoff_batch(
     solutions: List[PolicyIterationResult] = []
     cache = EvaluationCache()
     for weights in weight_matrix:
-        solution = solve_mean_payoff(
-            mdp,
-            weights,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            warm_start=warm_start,
-            evaluation_cache=cache,
-        )
+        solution = solve_mean_payoff(mdp, weights, warm_start=warm_start, evaluation_cache=cache)
         solutions.append(solution)
         warm_start = solution.strategy
     return solutions

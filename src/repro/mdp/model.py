@@ -206,12 +206,6 @@ class MDP:
         """Return a policy choosing the first row of every state (deterministic)."""
         return self.state_row_offsets[:-1].astype(np.int64).copy()
 
-    def max_reward_magnitude(self) -> float:
-        """Return ``max |r|`` over all transition reward entries (0 for empty models)."""
-        if self.trans_reward.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.trans_reward)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MDP(states={self.num_states}, rows={self.num_rows}, "

@@ -4,7 +4,9 @@ Each iteration evaluates the current positional strategy exactly (gain / bias vi
 a sparse linear solve on the induced Markov chain) and then improves it greedily.
 For unichain models the procedure terminates after finitely many iterations with
 an optimal positional strategy and the exact optimal gain, which makes it the
-one mean-payoff solver of the formal analysis.
+one mean-payoff solver of the formal analysis.  It has no settings: the
+improvement threshold (:data:`IMPROVEMENT_THRESHOLD`) and the round budget
+(:data:`MAX_ROUNDS`) are module constants, read at every call.
 
 A solve forms one reward vector, the expected reward of every state-action row
 under the weights (``row_table(mdp).expected_rewards @ weights``).  A round
@@ -50,6 +52,15 @@ from .strategy import Strategy
 #: entries at ``d=2,f=1`` (610 at ``d=1,f=1``); one ``d=2,f=2`` factor has
 #: 15,232 to 48,018.
 CACHED_FACTOR_ENTRIES = 12_000
+
+#: A row replaces a state's chosen row only if its value ``r + P h`` beats the
+#: chosen row's by more than this; the standard rule that makes policy
+#: iteration terminate.
+IMPROVEMENT_THRESHOLD = 1e-9
+
+#: Policy-improvement rounds a solve may take before it raises
+#: :class:`~repro.exceptions.ConvergenceError`.
+MAX_ROUNDS = 100_000
 
 
 @dataclass
@@ -138,7 +149,7 @@ def gain_upper_bound(mdp: MDP, reward_weights: Sequence[float], bias: np.ndarray
 
 
 def _greedy_improvement(
-    mdp: MDP, row_rewards: np.ndarray, bias: np.ndarray, current_rows: np.ndarray, tolerance: float
+    mdp: MDP, row_rewards: np.ndarray, bias: np.ndarray, current_rows: np.ndarray
 ) -> Tuple[np.ndarray, bool]:
     """Return the improved row choices and whether any row switched.
 
@@ -148,9 +159,7 @@ def _greedy_improvement(
     row_values = _row_values(mdp, row_rewards, bias)
     state_best = np.maximum.reduceat(row_values, mdp.state_row_offsets[:-1])
     current_values = row_values[current_rows]
-    # Only switch when the improvement is strictly larger than the tolerance;
-    # this is the standard rule that guarantees termination of policy iteration.
-    improvable = state_best > current_values + tolerance
+    improvable = state_best > current_values + IMPROVEMENT_THRESHOLD
     if not improvable.any():
         return current_rows, False
     candidate_rows = np.flatnonzero(row_values >= state_best[mdp.row_state] - 1e-12)
@@ -166,19 +175,19 @@ def policy_iteration(
     mdp: MDP,
     reward_weights: Sequence[float],
     *,
-    tolerance: float = 1e-9,
-    max_iterations: int = 1_000,
     initial_strategy: Optional[Strategy] = None,
     evaluation_cache: Optional[EvaluationCache] = None,
 ) -> PolicyIterationResult:
     """Solve the mean-payoff MDP with Howard policy iteration.
 
+    A row switches only when it improves on the chosen one by more than
+    :data:`IMPROVEMENT_THRESHOLD`, and a solve takes at most
+    :data:`MAX_ROUNDS` rounds; both are read at every call.
+
     Args:
         mdp: The model to solve (assumed unichain under every strategy).
         reward_weights: Weights combining reward components into the scalar
             reward being maximised.
-        tolerance: Improvement threshold below which actions are not switched.
-        max_iterations: Maximum number of improvement rounds.
         initial_strategy: Optional warm start (e.g. the previous binary-search
             iterate); defaults to the first-action strategy.  A strategy of
             ``mdp`` was checked when it was built; one of another model is
@@ -191,7 +200,7 @@ def policy_iteration(
     Raises:
         ModelError: If ``reward_weights`` does not hold one weight per reward
             component, or the initial strategy does not fit ``mdp``.
-        ConvergenceError: If no fixed point is reached within the budget.
+        ConvergenceError: If no fixed point is reached within :data:`MAX_ROUNDS` rounds.
     """
     weights = np.asarray(reward_weights, dtype=float)
     if weights.shape != (mdp.num_reward_components,):
@@ -207,24 +216,23 @@ def policy_iteration(
         rows = Strategy(mdp, initial_strategy.rows).rows
     cache = evaluation_cache if evaluation_cache is not None else EvaluationCache()
 
-    for iterations in range(1, max_iterations + 1):
+    max_rounds = MAX_ROUNDS
+    for iterations in range(1, max_rounds + 1):
         evaluation = cache.evaluation(mdp, rows)
-        gain, bias = evaluation.chain.gain_and_bias(
-            row_rewards[rows], mdp.initial_state, evaluation.factor
-        )
+        gain, bias = evaluation.chain.gain_and_bias(row_rewards[rows], evaluation.factor)
         # Leave the cache the only holder, so it can free the factor before the next.
         del evaluation
-        rows, switched = _greedy_improvement(mdp, row_rewards, bias, rows, tolerance)
+        rows, switched = _greedy_improvement(mdp, row_rewards, bias, rows)
         if not switched:
             # The rows are the start's or the greedy step's own: valid, and never written.
             return PolicyIterationResult(gain, bias, Strategy._trusted(mdp, rows), iterations)
 
-    raise ConvergenceError(f"policy iteration did not converge within {max_iterations} iterations")
+    raise ConvergenceError(f"policy iteration did not converge within {max_rounds} iterations")
 
 
 def _evaluate(mdp: MDP, rows: np.ndarray, container: sp.csc_matrix) -> PolicyEvaluation:
     """Build the induced chain of ``rows`` and factor its Poisson system in ``container``."""
     # A private copy: the returned strategy shares ``rows`` with its caller.
     rows = rows.copy()
-    chain = MarkovChain._induced(mdp, rows)
-    return PolicyEvaluation(rows, chain, chain.poisson_factor(mdp.initial_state, container))
+    chain = MarkovChain(mdp, rows)
+    return PolicyEvaluation(rows, chain, chain.poisson_factor(container))

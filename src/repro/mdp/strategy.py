@@ -102,21 +102,6 @@ class Strategy:
         """Return the chosen row index of ``state``."""
         return int(self.rows[state])
 
-    def to_action_map(self) -> Dict[Hashable, Hashable]:
-        """Return a ``{state_label: action_label}`` mapping (labels required)."""
-        if self.mdp.state_labels is None:
-            raise ModelError("the underlying MDP has no state labels")
-        return {
-            self.mdp.state_labels[state]: self.action(state)
-            for state in range(self.mdp.num_states)
-        }
-
-    def differs_from(self, other: "Strategy") -> int:
-        """Return the number of states where the two strategies disagree."""
-        if other.mdp is not self.mdp:
-            raise ModelError("cannot compare strategies over different MDPs")
-        return int(np.count_nonzero(self.rows != other.rows))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Strategy)

@@ -31,12 +31,7 @@ def cold_bisection(mdp: MDP, config: AnalysisConfig, beta_low=0.0, beta_up=1.0) 
 
     def solve(beta):
         nonlocal rounds
-        result = policy_iteration(
-            mdp,
-            beta_reward_weights(beta),
-            tolerance=config.solver_tolerance,
-            max_iterations=config.max_solver_iterations,
-        )
+        result = policy_iteration(mdp, beta_reward_weights(beta))
         rounds += result.iterations
         return result
 

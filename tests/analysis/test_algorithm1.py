@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from lp_oracle import solve_mean_payoff_lp
 from repro.config import AnalysisConfig
 from repro.exceptions import ConvergenceError
+from repro.analysis import certificates
 from repro.analysis import (
     TOTAL_WEIGHTS,
     check_theorem_premises,
@@ -15,7 +18,10 @@ from repro.analysis import (
     formal_analysis,
 )
 from repro.analysis.rewards import beta_reward_weights
-from repro.mdp import Strategy, induced_markov_chain, solve_mean_payoff
+from repro.mdp import MDPBuilder, Strategy, induced_markov_chain, solve_mean_payoff
+
+#: The policy-iteration module; ``repro.mdp.policy_iteration`` is the function.
+PI_MODULE = importlib.import_module("repro.mdp.policy_iteration")
 
 
 class TestTable1Pin:
@@ -91,13 +97,12 @@ class TestAlgorithm1:
             analysis_d2f1.errev_lower_bound, abs=2e-3
         )
 
-    def test_solver_budget_reaches_policy_iteration(self, model_d2f1):
+    def test_solver_budget_reaches_policy_iteration(self, model_d2f1, monkeypatch):
         # The first solve starts from the first-action strategy and needs
         # several improvement rounds, so a budget of one must be exhausted.
+        monkeypatch.setattr(PI_MODULE, "MAX_ROUNDS", 1)
         with pytest.raises(ConvergenceError):
-            formal_analysis(
-                model_d2f1.mdp, AnalysisConfig(epsilon=1e-2, max_solver_iterations=1)
-            )
+            formal_analysis(model_d2f1.mdp, AnalysisConfig(epsilon=1e-2))
 
     def test_invalid_interval_rejected(self, model_d2f1):
         with pytest.raises(ValueError):
@@ -160,35 +165,57 @@ class TestSolverAblation:
         assert solution.gain == pytest.approx(lp_gain, abs=1e-6)
 
 
+def negative_total_reward_mdp():
+    """A unichain two-state cycle whose way back pays ``r_A = 1, r_H = -1.5``.
+
+    Its block rate is ``(1 - 0.5) / 2 = 0.25 > 0``, so only premise 3 fails.
+    """
+    builder = MDPBuilder(num_reward_components=2)
+    builder.add_action("a", "go", [("b", 1.0, (0.0, 1.0))])
+    builder.add_action("b", "back", [("a", 1.0, (1.0, -1.5))])
+    return builder.build(initial_state="a")
+
+
 class TestCertificates:
     def test_premises_hold_on_small_model(self, model_d1f1):
-        report = check_theorem_premises(model_d1f1.mdp, config=AnalysisConfig(epsilon=1e-3))
+        report = check_theorem_premises(model_d1f1.mdp)
         assert report.all_hold
         assert report.unichain
         assert report.monotone
         assert report.min_total_block_rate > 0.0
 
-    def test_gain_grid_is_monotone_decreasing(self, model_d2f1):
-        report = check_theorem_premises(
-            model_d2f1.mdp,
-            config=AnalysisConfig(epsilon=1e-3),
-            betas=(0.0, 0.5, 1.0),
-        )
-        assert report.probed_gains[0] >= report.probed_gains[1] >= report.probed_gains[2]
+    def test_optimal_gain_decreases_on_a_beta_grid(self, model_d2f1):
+        """What premise 3's sign check proves, sampled: ``g*`` falls from > 0 to < 0."""
+        gains = [
+            solve_mean_payoff(model_d2f1.mdp, beta_reward_weights(beta)).gain
+            for beta in (0.0, 0.25, 0.5, 0.75, 1.0)
+        ]
+        assert gains == sorted(gains, reverse=True)
+        assert gains[0] > 0.0 > gains[-1]
+        assert check_theorem_premises(model_d2f1.mdp).monotone
 
-    def test_gain_at_beta_zero_positive_and_at_one_negative(self, model_d2f1):
-        report = check_theorem_premises(
-            model_d2f1.mdp,
-            config=AnalysisConfig(epsilon=1e-3),
-            betas=(0.0, 1.0),
-        )
-        assert report.probed_gains[0] > 0.0
-        assert report.probed_gains[-1] < 0.0
+    def test_the_check_makes_one_solve(self, model_d2f1, monkeypatch):
+        solves = []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return solve_mean_payoff(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, "solve_mean_payoff", counting_solve)
+        assert check_theorem_premises(model_d2f1.mdp).all_hold
+        assert len(solves) == 1
+
+    def test_a_negative_total_reward_is_named(self):
+        report = check_theorem_premises(negative_total_reward_mdp())
+        assert report.unichain and report.min_total_block_rate == pytest.approx(0.25)
+        assert not report.monotone and not report.all_hold
+        (problem,) = report.problems
+        assert problem.startswith("r_A + r_H is negative on 1 transitions")
 
     def test_min_block_rate_is_below_the_first_action_rate(self, model_d2f2):
         """The minimum over strategies, not the rate of one representative strategy."""
         mdp = model_d2f2.mdp
-        report = check_theorem_premises(mdp, betas=())
+        report = check_theorem_premises(mdp)
         first_action = induced_markov_chain(mdp, Strategy.first_action(mdp))
         first_action_rate = float(first_action.long_run_reward() @ TOTAL_WEIGHTS)
         assert first_action_rate == pytest.approx(0.226831, abs=1e-6)

@@ -11,6 +11,7 @@ case takes the oracle about 12 s per signature and runs with ``REPRO_FULL=1``.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -25,8 +26,7 @@ from repro.attacks import (
     get_model_structure,
     initial_state,
 )
-from repro.attacks.selfish_forks import estimate_state_space_size
-from repro.attacks.structure import state_code
+from repro.attacks.structure import state_code, state_code_radices
 from repro.exceptions import ConfigurationError
 
 FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
@@ -178,11 +178,11 @@ def test_state_codes_are_distinct_and_inside_the_code_space(d, f, l):
     structure = build_model_structure(attack, SupportSignature(True, True, True, True))
     codes = [state_code(label, attack) for label in structure.state_labels]
     assert len(set(codes)) == structure.num_states
-    assert 0 <= min(codes) and max(codes) < estimate_state_space_size(attack)
+    assert 0 <= min(codes) and max(codes) < math.prod(state_code_radices(attack))
 
 
 def test_code_space_beyond_int64_is_refused():
     attack = AttackParams(depth=8, forks=8, max_fork_length=4)
-    assert estimate_state_space_size(attack) > 2**63
+    assert math.prod(state_code_radices(attack)) > 2**63
     with pytest.raises(ConfigurationError, match="do not fit in int64"):
         build_model_structure(attack, SupportSignature(True, True, True, True))

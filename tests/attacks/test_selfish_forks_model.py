@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.config import AttackParams, ProtocolParams
@@ -9,7 +11,8 @@ from repro.exceptions import ConfigurationError
 from repro.mdp import validate_mdp
 from repro.attacks import SupportSignature, build_model_structure, build_selfish_forks_mdp
 from repro.attacks.fork_state import TYPE_MINING
-from repro.attacks.selfish_forks import estimate_state_space_size
+from repro.attacks.honest import honest_strategy
+from repro.attacks.structure import state_code_radices
 
 #: Configurations of growing size, in the order their state counts grow.
 EXPLORATION_GRID = [
@@ -18,6 +21,11 @@ EXPLORATION_GRID = [
     AttackParams(depth=2, forks=1, max_fork_length=4),
     AttackParams(depth=2, forks=2, max_fork_length=4),
 ]
+
+
+def code_space_size(attack: AttackParams) -> int:
+    """``(l + 1)^(d*f)`` fork configurations, ``2^(d-1)`` owner vectors, three state types."""
+    return math.prod(state_code_radices(attack))
 
 
 def _grid_id(attack: AttackParams) -> str:
@@ -44,7 +52,7 @@ class TestModelConstruction:
 
     def test_state_space_within_theoretical_bound(self, model_d1f1, model_d2f1, model_d2f2):
         for model in (model_d1f1, model_d2f1, model_d2f2):
-            assert model.num_states <= estimate_state_space_size(model.attack)
+            assert model.num_states <= code_space_size(model.attack)
 
     def test_state_space_grows_with_max_fork_length(self, protocol_default):
         small = build_selfish_forks_mdp(
@@ -54,9 +62,6 @@ class TestModelConstruction:
             protocol_default, AttackParams(depth=2, forks=1, max_fork_length=4)
         )
         assert small.num_states < large.num_states
-
-    def test_num_decision_states_positive(self, model_d2f1):
-        assert 0 < model_d2f1.num_decision_states < model_d2f1.num_states
 
     def test_describe_mentions_parameters(self, model_d2f1):
         text = model_d2f1.describe()
@@ -85,7 +90,7 @@ class TestModelConstruction:
         assert small_p.mdp.num_rows == large_p.mdp.num_rows
 
     def test_honest_strategy_always_mines(self, model_d2f1):
-        strategy = model_d2f1.honest_strategy()
+        strategy = honest_strategy(model_d2f1.mdp)
         for state in range(model_d2f1.mdp.num_states):
             assert strategy.action(state) == ("mine",)
 
@@ -110,7 +115,7 @@ class TestExploration:
     @pytest.mark.parametrize("attack", EXPLORATION_GRID, ids=_grid_id)
     def test_explored_states_within_theoretical_bound(self, protocol_default, attack):
         structure = build_model_structure(attack, SupportSignature.of(protocol_default))
-        assert structure.num_states <= estimate_state_space_size(attack)
+        assert structure.num_states <= code_space_size(attack)
         # Every state keeps an action and every action a transition.
         assert structure.num_states <= structure.num_rows <= structure.num_transitions
 

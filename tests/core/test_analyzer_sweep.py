@@ -73,13 +73,6 @@ class TestAnalyzer:
         assert analyzer.protocol.p == 0.3
         assert analyzer.attack.depth == 2
 
-    def test_evaluate_honest_baseline_for_d1(self):
-        analyzer = SelfishMiningAnalyzer(
-            ProtocolParams(p=0.25, gamma=0.5),
-            AttackParams(depth=1, forks=1, max_fork_length=4),
-        )
-        assert analyzer.evaluate_honest_baseline() == pytest.approx(0.25, abs=1e-9)
-
 
 class TestSweep:
     @pytest.fixture(scope="class")

@@ -14,7 +14,6 @@ class TestProtocolParams:
         params = ProtocolParams()
         assert params.p == 0.3
         assert params.gamma == 0.5
-        assert params.honest_fraction() == pytest.approx(0.7)
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, 2.0])
     def test_invalid_p_rejected(self, p):
@@ -25,12 +24,6 @@ class TestProtocolParams:
     def test_invalid_gamma_rejected(self, gamma):
         with pytest.raises(ConfigurationError):
             ProtocolParams(gamma=gamma)
-
-    def test_with_p_and_with_gamma(self):
-        params = ProtocolParams(p=0.2, gamma=0.4)
-        assert params.with_p(0.25).p == 0.25
-        assert params.with_p(0.25).gamma == 0.4
-        assert params.with_gamma(0.9).gamma == 0.9
 
     def test_boundary_values_allowed(self):
         assert ProtocolParams(p=0.0, gamma=0.0).p == 0.0
@@ -54,9 +47,6 @@ class TestAttackParams:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
             AttackParams(**{field: value})
-
-    def test_max_mining_targets(self):
-        assert AttackParams(depth=3, forks=2).max_mining_targets() == 6
 
     def test_to_dict(self):
         params = AttackParams(depth=2, forks=2, max_fork_length=3)
@@ -100,20 +90,11 @@ class TestAnalysisConfig:
         with pytest.raises(ConfigurationError):
             AnalysisConfig(epsilon=0.0)
 
-    def test_invalid_iteration_budget_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AnalysisConfig(max_solver_iterations=0)
-
     def test_to_dict_roundtrip_keys(self):
         config = AnalysisConfig(epsilon=1e-2)
         data = config.to_dict()
         assert data["epsilon"] == 1e-2
-        assert set(data) == {
-            "epsilon",
-            "solver_tolerance",
-            "max_solver_iterations",
-            "evaluate_strategy",
-        }
+        assert set(data) == {"epsilon", "evaluate_strategy"}
 
     def test_negative_epsilon_message_names_parameter(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
@@ -127,11 +108,17 @@ class TestAnalysisConfig:
             {"solver": "portfolio"},
             {"solver": "linear_program"},
             {"warm_start": False},
+            {"solver_tolerance": 1e-7},
+            {"max_solver_iterations": 1},
         ],
         ids=lambda option: "-".join(f"{key}={value}" for key, value in option.items()),
     )
     def test_removed_options_rejected(self, option):
-        """Policy iteration is the only solver, and every search is warm-started."""
+        """Removed options are refused.
+
+        Policy iteration is the only solver, every search is warm-started, and
+        its threshold and budget are constants of ``repro.mdp.policy_iteration``.
+        """
         with pytest.raises(TypeError, match=next(iter(option))):
             AnalysisConfig(**option)
 

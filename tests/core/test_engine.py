@@ -444,7 +444,7 @@ class TestWarmStartedAlgorithm1:
         )
 
     def test_same_bounds_fewer_rounds(self, model):
-        config = AnalysisConfig(epsilon=1e-3, solver_tolerance=1e-7)
+        config = AnalysisConfig(epsilon=1e-3)
         cold = cold_bisection(model.mdp, config)
         warm = formal_analysis(model.mdp, config)
         assert [record.beta for record in warm.iterations] == cold.betas

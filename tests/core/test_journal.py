@@ -234,6 +234,24 @@ def test_resume_refuses_journal_with_removed_analysis_keys(tmp_path):
         run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
 
 
+def test_resume_refuses_journal_with_the_solver_threshold_and_budget(tmp_path):
+    """Journals fingerprinted the analysis block with policy iteration's two settings.
+
+    They are constants now, so that four-key block, at the values every sweep
+    used, is another sweep's.
+    """
+    path = tmp_path / "sweep.journal"
+    grid = _grid()
+    run_sweep(SweepConfig(**grid, journal_path=str(path)))
+    _add_analysis_keys(path, solver_tolerance=1e-9, max_solver_iterations=100_000)
+    meta = decode_record(_journal_lines(path)[0])
+    assert sorted(meta["fingerprint"]["analysis"]) == [
+        "epsilon", "evaluate_strategy", "max_solver_iterations", "solver_tolerance"
+    ]
+    with pytest.raises(ModelError, match="different sweep"):
+        run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+
+
 def test_resume_refuses_other_scenario_version(tmp_path, monkeypatch):
     """Points computed under another scenario version are never replayed."""
     path = tmp_path / "sweep.journal"

@@ -183,7 +183,7 @@ def test_installed_column_order_is_shared_and_read_only():
     structure = get_model_structure(ATTACK, PROTOCOL)
     mdp = structure.instantiate(PROTOCOL)
     chain = induced_markov_chain(mdp, Strategy.first_action(mdp))
-    chain.poisson_factor(mdp.initial_state)
+    chain.poisson_factor()
     rank = chain.column_rank()
     assert rank is structure.column_order.rank
     order = structure.column_order

@@ -1,5 +1,9 @@
 """Reference assembly of a policy evaluation's row table and two sparse linear systems.
 
+:func:`explicit_chain` builds the chain of an explicit transition matrix the
+only way :class:`repro.mdp.MarkovChain` is built: as a model, with one row per
+state.
+
 :func:`repro.mdp.markov_chain.row_table` sums each model's probabilities into
 its skeleton's pattern of ``E - P``; :func:`generator_rows` is the scipy
 subtraction it replaced, and ``test_chain_oracle.py`` asserts that both give
@@ -24,6 +28,34 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from repro.mdp import MDP, MarkovChain
+
+
+def explicit_chain(transition_matrix, expected_rewards, initial_state: int = 0) -> MarkovChain:
+    """The chain of a row-stochastic ``(n, n)`` matrix: a model with one row per state.
+
+    Duplicate successors are merged and explicit zeros kept.  Every transition
+    out of state ``s`` carries the reward vector ``expected_rewards[s]``, so
+    the chain's expected rewards are ``expected_rewards`` up to the rounding
+    of each row's probability sum.
+    """
+    matrix = sp.csr_matrix(transition_matrix, copy=True)
+    matrix.sum_duplicates()
+    n = matrix.shape[0]
+    rewards = np.asarray(expected_rewards, dtype=float)
+    mdp = MDP(
+        num_states=n,
+        initial_state=initial_state,
+        row_state=np.arange(n),
+        state_row_offsets=np.arange(n + 1),
+        row_trans_offsets=matrix.indptr.astype(np.int64),
+        trans_succ=matrix.indices.astype(np.int64),
+        trans_prob=matrix.data,
+        trans_reward=np.repeat(rewards, np.diff(matrix.indptr), axis=0),
+        row_actions=[None] * n,
+    )
+    return MarkovChain(mdp, np.arange(n))
 
 
 def generator_rows(mdp, expected_rewards=None) -> Tuple[sp.csr_matrix, np.ndarray]:

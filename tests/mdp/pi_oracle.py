@@ -21,6 +21,9 @@ import numpy as np
 
 from repro.mdp import MDP, Strategy, induced_markov_chain
 
+#: A row switches only if it beats the chosen row by more than this.
+THRESHOLD = 1e-9
+
 
 def expected_row_rewards(mdp: MDP, weights: Sequence[float]) -> np.ndarray:
     """The expected immediate reward of every row: transition rewards weighted, then summed."""
@@ -29,14 +32,14 @@ def expected_row_rewards(mdp: MDP, weights: Sequence[float]) -> np.ndarray:
 
 
 def greedy_improvement(
-    mdp: MDP, row_rewards: np.ndarray, bias: np.ndarray, current_rows: np.ndarray, tolerance: float
+    mdp: MDP, row_rewards: np.ndarray, bias: np.ndarray, current_rows: np.ndarray
 ) -> np.ndarray:
     """Improved row choices; ties are broken in favour of the incumbent."""
     continuation = mdp.trans_prob * bias[mdp.trans_succ]
     row_values = row_rewards + np.add.reduceat(continuation, mdp.row_trans_offsets[:-1])
     state_best = np.maximum.reduceat(row_values, mdp.state_row_offsets[:-1])
     new_rows = current_rows.copy()
-    improvable = state_best > row_values[current_rows] + tolerance
+    improvable = state_best > row_values[current_rows] + THRESHOLD
     if not np.any(improvable):
         return new_rows
     is_best = row_values >= state_best[mdp.row_state] - 1e-12
@@ -49,7 +52,7 @@ def greedy_improvement(
 
 
 def rounds(
-    mdp: MDP, weights: Sequence[float], initial_rows: np.ndarray, tolerance: float = 1e-9
+    mdp: MDP, weights: Sequence[float], initial_rows: np.ndarray
 ) -> Iterator[Tuple[float, np.ndarray]]:
     """Yield the gain and the greedy rows of every round, up to and including the fixed point."""
     weights = np.asarray(weights, dtype=float)
@@ -57,8 +60,8 @@ def rounds(
     rows = np.array(initial_rows, dtype=np.int64)
     while True:
         chain = induced_markov_chain(mdp, Strategy(mdp, rows))
-        gain, bias = chain.gain_and_bias(chain.expected_rewards @ weights, mdp.initial_state)
-        new_rows = greedy_improvement(mdp, row_rewards, bias, rows, tolerance)
+        gain, bias = chain.gain_and_bias(chain.expected_rewards @ weights)
+        new_rows = greedy_improvement(mdp, row_rewards, bias, rows)
         yield gain, new_rows
         if np.array_equal(new_rows, rows):
             return

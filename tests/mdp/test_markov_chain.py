@@ -1,4 +1,8 @@
-"""Tests of induced Markov chains: stationary distribution, gain/bias, row table, column order."""
+"""Tests of induced Markov chains: stationary distribution, gain/bias, row table, column order.
+
+Chains of explicit matrices are built as models with one row per state
+(:func:`chain_oracle.explicit_chain`).
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from chain_oracle import explicit_chain, induced_transition_matrix
 from repro import AnalysisConfig, AttackParams, ProtocolParams
 from repro.analysis import (
     beta_reward_weights,
@@ -28,7 +33,6 @@ from repro.exceptions import ModelError, SolverError
 from repro.mdp import (
     MDPBuilder,
     EvaluationCache,
-    MarkovChain,
     PolicyEvaluation,
     Strategy,
     induced_markov_chain,
@@ -47,24 +51,17 @@ FULL_ONLY = pytest.mark.skipif(not FULL, reason="the d=3,f=2 model is large; set
 SINGULAR = pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 
 
-def two_state_chain(p_stay: float = 0.5, rewards=((1.0,), (0.0,))) -> MarkovChain:
-    """Simple two-state chain with symmetric switching probability."""
-    matrix = sp.csr_matrix(
-        np.array([[p_stay, 1.0 - p_stay], [1.0 - p_stay, p_stay]])
-    )
-    return MarkovChain(transition_matrix=matrix, expected_rewards=np.array(rewards))
+def two_state_matrix(p_stay: float = 0.5) -> sp.csr_matrix:
+    """Two states with a symmetric switching probability."""
+    return sp.csr_matrix(np.array([[p_stay, 1.0 - p_stay], [1.0 - p_stay, p_stay]]))
+
+
+def two_state_chain(p_stay: float = 0.5, rewards=((1.0,), (0.0,)), initial_state: int = 0):
+    """The chain of :func:`two_state_matrix`."""
+    return explicit_chain(two_state_matrix(p_stay), np.array(rewards), initial_state)
 
 
 class TestMarkovChain:
-    def test_validate_accepts_stochastic_matrix(self):
-        two_state_chain().validate()
-
-    def test_validate_rejects_non_stochastic_matrix(self):
-        matrix = sp.csr_matrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
-        chain = MarkovChain(transition_matrix=matrix, expected_rewards=np.zeros((2, 1)))
-        with pytest.raises(ModelError):
-            chain.validate()
-
     def test_stationary_distribution_symmetric_chain(self):
         pi = two_state_chain().stationary_distribution()
         assert np.allclose(pi, [0.5, 0.5])
@@ -72,19 +69,19 @@ class TestMarkovChain:
     def test_stationary_distribution_asymmetric_chain(self):
         # Birth-death chain: P(0->1)=0.2, P(1->0)=0.4 => pi = (2/3, 1/3).
         matrix = sp.csr_matrix(np.array([[0.8, 0.2], [0.4, 0.6]]))
-        chain = MarkovChain(transition_matrix=matrix, expected_rewards=np.zeros((2, 1)))
+        chain = explicit_chain(matrix, np.zeros((2, 1)))
         assert np.allclose(chain.stationary_distribution(), [2 / 3, 1 / 3])
 
     def test_stationary_distribution_single_state(self):
         matrix = sp.csr_matrix(np.array([[1.0]]))
-        chain = MarkovChain(transition_matrix=matrix, expected_rewards=np.ones((1, 1)))
+        chain = explicit_chain(matrix, np.ones((1, 1)))
         assert np.allclose(chain.stationary_distribution(), [1.0])
 
     def test_stationary_distribution_sums_to_one(self):
         rng = np.random.default_rng(3)
         raw = rng.random((5, 5)) + 0.01
         matrix = sp.csr_matrix(raw / raw.sum(axis=1, keepdims=True))
-        chain = MarkovChain(transition_matrix=matrix, expected_rewards=np.zeros((5, 1)))
+        chain = explicit_chain(matrix, np.zeros((5, 1)))
         assert chain.stationary_distribution().sum() == pytest.approx(1.0)
 
     def test_long_run_reward_vector(self):
@@ -101,14 +98,17 @@ class TestMarkovChain:
         rewards = chain.expected_rewards @ np.array([1.0])
         gain, bias = chain.gain_and_bias(rewards)
         lhs = bias + gain
-        rhs = rewards + chain.transition_matrix @ bias
+        rhs = rewards + two_state_matrix(0.7) @ bias
         assert np.allclose(lhs, rhs, atol=1e-8)
         assert gain == pytest.approx(0.5)
 
-    def test_gain_reference_state_bias_is_zero(self):
-        chain = two_state_chain(p_stay=0.25)
-        _, bias = chain.gain_and_bias(chain.expected_rewards @ [1.0], reference_state=1)
-        assert bias[1] == pytest.approx(0.0, abs=1e-9)
+    @pytest.mark.parametrize("initial_state", [0, 1])
+    def test_bias_is_zero_at_the_initial_state(self, initial_state):
+        chain = two_state_chain(p_stay=0.25, initial_state=initial_state)
+        _, bias = chain.gain_and_bias(chain.expected_rewards @ [1.0])
+        assert bias[initial_state] == pytest.approx(0.0, abs=1e-12)
+        # Only the pin moves: h[0] - h[1] = 2/3 whichever state is pinned.
+        assert bias[0] - bias[1] == pytest.approx(2 / 3, abs=1e-12)
 
 
 def stay_or_jump_mdp():
@@ -128,13 +128,14 @@ class TestInducedChain:
     def test_induced_chain_shape(self, mdp):
         chain = induced_markov_chain(mdp, Strategy.first_action(mdp))
         assert chain.num_states == 2
-        chain.validate()
 
     def test_induced_chain_respects_strategy(self, mdp):
-        strategy = Strategy.from_action_map(mdp, {"a": "jump"})
-        chain = induced_markov_chain(mdp, strategy)
-        row = chain.transition_matrix.getrow(mdp.state_of_label("a")).toarray().ravel()
-        assert row[mdp.state_of_label("b")] == pytest.approx(1.0)
+        a, b = mdp.state_of_label("a"), mdp.state_of_label("b")
+        # Staying half the time in a, a holds 2/3 of the mass; jumping, half.
+        for choice, mass in (("stay", 2 / 3), ("jump", 1 / 2)):
+            chain = induced_markov_chain(mdp, Strategy.from_action_map(mdp, {"a": choice}))
+            pi = chain.stationary_distribution()
+            assert (pi[a], pi[b]) == (pytest.approx(mass), pytest.approx(1 - mass))
 
     def test_induced_chain_expected_rewards(self, mdp):
         chain = induced_markov_chain(mdp, Strategy.first_action(mdp))
@@ -153,6 +154,22 @@ class TestInducedChain:
         chain = induced_markov_chain(mdp, strategy)
         # Deterministic 2-cycle alternating rewards 0 and 2 -> average 1.
         assert chain.long_run_reward([1.0])[0] == pytest.approx(1.0)
+
+
+def test_the_bias_is_pinned_at_an_initial_state_other_than_state_0():
+    """Every Poisson solve pins the model's initial state, not the state with index 0."""
+    builder = MDPBuilder()
+    builder.add_action("a", "stay", [("a", 0.5, (1.0,)), ("b", 0.5, (0.0,))])
+    builder.add_action("b", "back", [("a", 1.0, (2.0,))])
+    mdp = builder.build(initial_state="b")
+    assert mdp.initial_state == 1
+    chain = induced_markov_chain(mdp, Strategy.first_action(mdp))
+    gain, bias = chain.gain_and_bias(chain.expected_rewards @ [1.0])
+    # g = 1, and b earns 2 on its way to a: h[b] + 1 = 2 + h[a].
+    assert gain == pytest.approx(1.0, abs=1e-12)
+    assert bias.tolist() == [pytest.approx(-1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12)]
+    result = policy_iteration(mdp, [1.0])
+    assert result.bias[mdp.initial_state] == pytest.approx(0.0, abs=1e-12)
 
 
 def multichain_mdp():
@@ -188,7 +205,7 @@ class TestNonUnichainIsLoud:
             evaluate_strategy_errev(mdp, Strategy.first_action(mdp))
 
     def test_premise_check_reports_undefined_block_rate(self):
-        report = check_theorem_premises(multichain_mdp(), betas=())
+        report = check_theorem_premises(multichain_mdp())
         assert not report.unichain
         assert np.isnan(report.min_total_block_rate)
         assert any("block rate is undefined" in problem for problem in report.problems)
@@ -230,9 +247,11 @@ class TestVectorisedChain:
         mdp = builder.build(initial_state="a")
         chain = induced_markov_chain(mdp, Strategy.first_action(mdp))
         a, b = mdp.state_of_label("a"), mdp.state_of_label("b")
-        assert chain.transition_matrix[a, b] == 0.75
-        assert chain.transition_matrix[a, a] == 0.25
-        assert chain.transition_matrix.nnz == 3
+        # Equation a of the Poisson system: (1 - 0.25) h[a] - (0.25 + 0.5) h[b] + g.
+        equation_a = chain.poisson_matrix().toarray()[a]
+        rank = chain.column_rank()
+        assert (equation_a[rank[a]], equation_a[rank[b]], equation_a[-1]) == (0.75, -0.75, 1.0)
+        assert np.count_nonzero(equation_a) == 3
         expected_a = [0.25 * 1.0 + 0.25 * 2.0, 0.5 * 3.0 + 0.25 * 2.0]
         assert chain.expected_rewards[a].tolist() == expected_a
         assert chain.expected_rewards[b].tolist() == [0.0, 1.0]
@@ -264,9 +283,11 @@ class TestVectorisedChain:
             chain = induced_markov_chain(mdp, strategy)
             matrix, expected, merged_entries = loop_oracle(mdp, strategy)
             merged += merged_entries
-            assert np.array_equal(chain.transition_matrix.indptr, matrix.indptr)
-            assert np.array_equal(chain.transition_matrix.indices, matrix.indices)
-            assert chain.transition_matrix.data.tobytes() == matrix.data.tobytes()
+            # The vectorised oracle that test_chain_oracle.py checks the systems against.
+            oracle_matrix, _ = induced_transition_matrix(mdp, strategy.rows)
+            assert np.array_equal(oracle_matrix.indptr, matrix.indptr)
+            assert np.array_equal(oracle_matrix.indices, matrix.indices)
+            assert oracle_matrix.data.tobytes() == matrix.data.tobytes()
             assert chain.expected_rewards.tobytes() == expected.tobytes()
         assert (merged > 0) == merges
 
@@ -275,9 +296,9 @@ class TestVectorisedChain:
         weights = beta_reward_weights(0.3)
         for strategy in sampled:
             chain = induced_markov_chain(mdp, strategy)
-            matrix = chain.transition_matrix
+            matrix, _ = induced_transition_matrix(mdp, strategy.rows)
             rewards = chain.expected_rewards @ weights
-            gain, bias = chain.gain_and_bias(rewards, reference_state=mdp.initial_state)
+            gain, bias = chain.gain_and_bias(rewards)
             assert np.max(np.abs(bias + gain - rewards - matrix @ bias)) <= 1e-10
             pi = chain.stationary_distribution()
             assert np.max(np.abs(matrix.T @ pi - pi)) <= 1e-10
@@ -332,11 +353,11 @@ class TestFactorReuse:
     def test_reused_factor_matches_fresh_factorization(self, mdp):
         for strategy in sampled_strategies(mdp):
             chain = induced_markov_chain(mdp, strategy)
-            factor = chain.poisson_factor(mdp.initial_state)
+            factor = chain.poisson_factor()
             for beta in (0.0, 0.3, 0.61, 1.0):
                 rewards = chain.expected_rewards @ beta_reward_weights(beta)
-                fresh_gain, fresh_bias = chain.gain_and_bias(rewards, mdp.initial_state)
-                gain, bias = chain.gain_and_bias(rewards, mdp.initial_state, factor=factor)
+                fresh_gain, fresh_bias = chain.gain_and_bias(rewards)
+                gain, bias = chain.gain_and_bias(rewards, factor=factor)
                 assert gain == fresh_gain
                 assert bias.tobytes() == fresh_bias.tobytes()
 
@@ -350,9 +371,7 @@ class TestFactorReuse:
         assert evaluation.rows is not result.strategy.rows
         # The solve's right-hand side: its one reward vector, gathered by the rows.
         rewards = (markov_chain.row_table(mdp).expected_rewards @ weights)[evaluation.rows]
-        gain, bias = evaluation.chain.gain_and_bias(
-            rewards, mdp.initial_state, factor=evaluation.factor
-        )
+        gain, bias = evaluation.chain.gain_and_bias(rewards, factor=evaluation.factor)
         assert gain == result.gain
         assert bias.tobytes() == result.bias.tobytes()
 
@@ -572,7 +591,7 @@ class TestColumnOrder:
             chain = induced_markov_chain(mdp, Strategy.first_action(mdp))
         else:
             # Every state absorbing: I - P has no entry left at all.
-            chain = MarkovChain(sp.identity(3, format="csr"), np.zeros((3, 1)))
+            chain = explicit_chain(sp.identity(3, format="csr"), np.zeros((3, 1)))
         assert sorted(chain.column_rank().tolist()) == list(range(chain.num_states))
         with pytest.raises(SolverError, match="not unichain"):
             chain.poisson_factor()

@@ -185,10 +185,6 @@ class TestMDPQueries:
         double = expected_row_rewards(mdp, [2.0])
         assert np.allclose(double, 2.0 * single)
 
-    def test_max_reward_magnitude(self):
-        mdp = build_two_state_mdp()
-        assert mdp.max_reward_magnitude() == pytest.approx(2.0)
-
     def test_uniform_random_row_choice_picks_first_rows(self):
         mdp = build_two_state_mdp()
         rows = mdp.uniform_random_row_choice()

@@ -69,7 +69,6 @@ class RoundRecorder:
                 "mdp": mdp,
                 "weights": np.asarray(reward_weights, dtype=float),
                 "start": mdp.uniform_random_row_choice() if start is None else start.rows,
-                "tolerance": options.get("tolerance", 1e-9),
                 "gains": [],
                 "rows": [],
             }
@@ -118,9 +117,7 @@ def test_every_search_solve_takes_the_old_loops_rounds(name, monkeypatch):
     # Every probe no certificate decided, and the final strategy extraction.
     assert len(recorder.solves) == solved + len(points)
     for record in recorder.solves:
-        oracle_rounds = list(
-            pi_oracle.rounds(record["mdp"], record["weights"], record["start"], record["tolerance"])
-        )
+        oracle_rounds = list(pi_oracle.rounds(record["mdp"], record["weights"], record["start"]))
         assert record["iterations"] == len(oracle_rounds)
         assert_rounds_match(record, oracle_rounds)
 
@@ -137,8 +134,9 @@ def test_first_rounds_from_the_first_action_strategy(name, monkeypatch):
     weights = beta_reward_weights(0.5)
     start = Strategy.first_action(mdp)
     recorder = RoundRecorder(monkeypatch)
+    monkeypatch.setattr(PI_MODULE, "MAX_ROUNDS", ROUNDS)
     try:
-        MEAN_PAYOFF.policy_iteration(mdp, weights, initial_strategy=start, max_iterations=ROUNDS)
+        MEAN_PAYOFF.policy_iteration(mdp, weights, initial_strategy=start)
     except ConvergenceError:
         pass
     (record,) = recorder.solves

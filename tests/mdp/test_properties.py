@@ -62,7 +62,7 @@ def test_linear_program_matches_policy_iteration(mdp):
 @given(mdp=random_mdps())
 def test_gain_is_bounded_by_reward_range(mdp):
     result = policy_iteration(mdp, [1.0])
-    bound = mdp.max_reward_magnitude() + 1e-9
+    bound = float(np.max(np.abs(mdp.trans_reward))) + 1e-9
     assert -bound <= result.gain <= bound
 
 

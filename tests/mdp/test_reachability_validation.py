@@ -208,6 +208,17 @@ class TestPremiseModels:
         )
         assert unavoidable_state(model.mdp) == model.mdp.initial_state
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("depth,forks", [(1, 1), (2, 1), (2, 2)])
+    def test_selfish_forks_premises_hold(self, depth, forks, gamma):
+        """No transition pays a negative ``r_A + r_H``, so premise 3 needs no solve."""
+        model = build_selfish_forks_mdp(
+            ProtocolParams(p=0.3, gamma=gamma), AttackParams(depth=depth, forks=forks)
+        )
+        assert (model.mdp.trans_reward >= 0.0).all()
+        report = check_theorem_premises(model.mdp)
+        assert report.monotone and report.all_hold
+
     @FULL_ONLY
     def test_d3f2_initial_state_is_unavoidable(self):
         model = build_selfish_forks_mdp(
@@ -215,6 +226,16 @@ class TestPremiseModels:
         )
         assert model.mdp.num_states == 133_299
         assert unavoidable_state(model.mdp) == model.mdp.initial_state
+
+    @FULL_ONLY
+    def test_d3f2_premises_hold(self):
+        """The whole check at Table 1's 133k-state model: premises 1 and 3, and one solve."""
+        model = build_selfish_forks_mdp(
+            ProtocolParams(p=0.3, gamma=0.5), AttackParams(depth=3, forks=2)
+        )
+        report = check_theorem_premises(model.mdp)
+        assert report.all_hold
+        assert report.min_total_block_rate > 0.0
 
     def test_every_d1f1_strategy_is_unichain_through_the_initial_state(self, model_d1f1):
         mdp = model_d1f1.mdp
@@ -227,9 +248,22 @@ class TestPremiseModels:
     def test_d1f1_minimum_block_rate_is_the_enumerated_minimum(self, model_d1f1):
         mdp = model_d1f1.mdp
         rates = long_run_rates(mdp, all_strategies(mdp), TOTAL_WEIGHTS)
-        report = check_theorem_premises(mdp, betas=())
+        report = check_theorem_premises(mdp)
         assert report.min_total_block_rate == pytest.approx(rates.min(), abs=1e-12)
         assert report.min_total_block_rate == pytest.approx(0.35, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["", "overpaying"])
+    def test_sm_actions_premises_hold(self, variant):
+        """The overpaying settlement pays ``r_H < 0``, but never ``r_A + r_H < 0``."""
+        model = build_sm_actions_mdp(
+            ProtocolParams(p=0.3, gamma=0.5),
+            AttackParams(
+                depth=1, forks=1, max_fork_length=8, scenario="sm-actions", variant=variant
+            ),
+        )
+        assert bool((model.mdp.trans_reward[:, 1] < 0.0).any()) == (variant == "overpaying")
+        report = check_theorem_premises(model.mdp)
+        assert report.monotone and report.all_hold
 
     def test_sm_actions_initial_state_is_transient(self):
         model = build_sm_actions_mdp(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import numpy as np
@@ -18,6 +19,9 @@ from repro.mdp import (
     solve_mean_payoff,
     solve_mean_payoff_batch,
 )
+
+#: The policy-iteration module; ``repro.mdp.policy_iteration`` is the function.
+PI_MODULE = importlib.import_module("repro.mdp.policy_iteration")
 
 
 def single_state_mdp(reward: float = 3.0):
@@ -99,10 +103,26 @@ class TestPolicyIteration:
             result = policy_iteration(mdp, [1.0], initial_strategy=start)
             assert result.gain == pytest.approx(expected, abs=1e-9)
 
-    def test_iteration_budget_exhaustion_raises(self):
-        # max_iterations=0 never evaluates, which must raise rather than return junk.
+    def test_solver_constants(self):
+        assert PI_MODULE.IMPROVEMENT_THRESHOLD == 1e-9
+        assert PI_MODULE.MAX_ROUNDS == 100_000
+
+    def test_iteration_budget_exhaustion_raises(self, monkeypatch):
+        # A budget of 0 never evaluates, which must raise rather than return junk.
+        monkeypatch.setattr(PI_MODULE, "MAX_ROUNDS", 0)
         with pytest.raises(ConvergenceError):
-            policy_iteration(cycle_mdp(), [1.0], max_iterations=0)
+            policy_iteration(cycle_mdp(), [1.0])
+
+    def test_improvement_threshold_is_read_at_call_time(self, monkeypatch):
+        """No row beats the bad loop by more than a threshold of 2, so the start is kept."""
+        mdp = choice_mdp()
+        start = Strategy.from_action_map(mdp, {"s": "bad"})
+        monkeypatch.setattr(PI_MODULE, "IMPROVEMENT_THRESHOLD", 2.0)
+        result = policy_iteration(mdp, [1.0], initial_strategy=start)
+        assert (result.iterations, result.gain) == (1, pytest.approx(1.0))
+        monkeypatch.setattr(PI_MODULE, "IMPROVEMENT_THRESHOLD", 0.5)
+        result = policy_iteration(mdp, [1.0], initial_strategy=start)
+        assert (result.iterations, result.gain) == (2, pytest.approx(2.0))
 
 
 class TestLinearProgram:
@@ -127,14 +147,16 @@ class TestSolveMeanPayoffFrontend:
         assert solution.bias.tobytes() == reference.bias.tobytes()
         assert solution.iterations == reference.iterations
 
-    def test_iteration_budget_is_passed_through(self, model_d2f1):
+    def test_iteration_budget_is_the_modules(self, model_d2f1, monkeypatch):
         mdp = model_d2f1.mdp
         weights = beta_reward_weights(0.3)
         rounds = solve_mean_payoff(mdp, weights).iterations
         assert rounds > 1
-        assert solve_mean_payoff(mdp, weights, max_iterations=rounds).iterations == rounds
+        monkeypatch.setattr(PI_MODULE, "MAX_ROUNDS", rounds)
+        assert solve_mean_payoff(mdp, weights).iterations == rounds
+        monkeypatch.setattr(PI_MODULE, "MAX_ROUNDS", rounds - 1)
         with pytest.raises(ConvergenceError):
-            solve_mean_payoff(mdp, weights, max_iterations=rounds - 1)
+            solve_mean_payoff(mdp, weights)
 
     def test_warm_start_accepted(self):
         mdp = cycle_mdp()

@@ -37,10 +37,6 @@ class TestStrategy:
         strategy = Strategy.from_action_map(mdp, {"a": "go"})
         assert strategy.action_of_label("b") == "back"
 
-    def test_to_action_map_roundtrip(self, mdp):
-        strategy = Strategy.from_action_map(mdp, {"a": "go", "b": "loop"})
-        assert strategy.to_action_map() == {"a": "go", "b": "loop"}
-
     def test_rejects_wrong_shape(self, mdp):
         with pytest.raises(ModelError):
             Strategy(mdp, np.array([0]))
@@ -75,19 +71,6 @@ class TestStrategy:
         source[mdp.state_of_label("a")] = mdp.row_index(mdp.state_of_label("a"), "go")
         assert strategy.action_of_label("a") == "stay"
         assert source.flags.writeable
-
-    def test_differs_from(self, mdp):
-        one = Strategy.from_action_map(mdp, {"a": "stay", "b": "back"})
-        two = Strategy.from_action_map(mdp, {"a": "go", "b": "back"})
-        assert one.differs_from(two) == 1
-        assert one.differs_from(one) == 0
-
-    def test_differs_from_other_mdp_raises(self, mdp):
-        builder = MDPBuilder()
-        builder.add_action("x", "loop", [("x", 1.0, (0.0,))])
-        other = builder.build(initial_state="x")
-        with pytest.raises(ModelError):
-            Strategy.first_action(mdp).differs_from(Strategy.first_action(other))
 
     def test_equality(self, mdp):
         assert Strategy.first_action(mdp) == Strategy.first_action(mdp)

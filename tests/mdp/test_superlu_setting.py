@@ -32,16 +32,14 @@ FULL_ONLY = pytest.mark.skipif(not FULL, reason="the d=3,f=2 model is large; set
 #: ``name: (depth, forks)``.
 MODELS = {"d2f2": (2, 2), "d3f2": (3, 2)}
 ROUNDS = 3
-#: ``policy_iteration``'s default improvement threshold.
-TOLERANCE = 1e-9
 
 
-def shipped_factor(chain, reference_state):
-    return chain.poisson_factor(reference_state)
+def shipped_factor(chain):
+    return chain.poisson_factor()
 
 
-def default_factor(chain, reference_state):
-    return spla.splu(chain.poisson_matrix(reference_state), permc_spec="NATURAL")
+def default_factor(chain):
+    return spla.splu(chain.poisson_matrix(), permc_spec="NATURAL")
 
 
 @pytest.mark.parametrize(
@@ -60,10 +58,8 @@ def test_policy_iteration_rounds_match_default_superlu(name):
         gains = []
         for side, factor in enumerate(factorize):
             chain = induced_markov_chain(mdp, Strategy(mdp, rows[side]))
-            gain, bias = chain.gain_and_bias(
-                row_rewards[rows[side]], mdp.initial_state, factor=factor(chain, mdp.initial_state)
-            )
+            gain, bias = chain.gain_and_bias(row_rewards[rows[side]], factor=factor(chain))
             gains.append(gain)
-            rows[side], _ = _greedy_improvement(mdp, row_rewards, bias, rows[side], TOLERANCE)
+            rows[side], _ = _greedy_improvement(mdp, row_rewards, bias, rows[side])
         assert np.array_equal(rows[0], rows[1]), round_index
         assert gains[0] == pytest.approx(gains[1], abs=1e-12), round_index
