@@ -45,7 +45,3 @@ def eyal_sirer_profitability_threshold(gamma: float) -> float:
     gamma = check_probability(gamma, "gamma")
     return (1.0 - gamma) / (3.0 - 2.0 * gamma)
 
-
-def is_selfish_mining_profitable(alpha: float, gamma: float) -> bool:
-    """Whether classic selfish mining strictly beats honest mining."""
-    return eyal_sirer_relative_revenue(alpha, gamma) > check_probability(alpha, "alpha")

@@ -9,7 +9,7 @@ capabilities from it:
   ``(AttackParams, SupportSignature)``,
 * a cheap vectorised probability refill for one concrete parameter point
   (:meth:`ScenarioStructure.instantiate`),
-* the naming and grid glue of a sweep series and an in-MDP honest baseline.
+* the naming and grid glue of a sweep series.
 
 This module makes that implicit interface explicit.  A scenario is a
 :class:`ScenarioStructure` subclass that names itself in its own body::
@@ -28,7 +28,7 @@ scenario versions fail loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple, Type
+from typing import Hashable, List, Tuple, Type
 
 import numpy as np
 
@@ -102,11 +102,12 @@ class ScenarioStructure:
     the probability array.
 
     The two scenario subclasses (see :func:`get_attack`) additionally
-    implement the exploration (:meth:`explore`), the sweep glue
-    (:meth:`series_name` / :meth:`grid_configs`) and the honest baseline
-    (:meth:`honest_strategy`).  Bump :attr:`SCENARIO_VERSION`
-    whenever the transition semantics change, so journals written by the old
-    semantics are refused on resume instead of silently mixed in.
+    implement the exploration (:meth:`explore`, capped at
+    :data:`repro.attacks.structure.DEFAULT_MAX_STATES` states, read at call
+    time) and the sweep glue (:meth:`series_name` / :meth:`grid_configs`).
+    Bump :attr:`SCENARIO_VERSION` whenever the transition semantics change, so
+    journals written by the old semantics are refused on resume instead of
+    silently mixed in.
 
     Pool workers receive skeletons as pickled (spawn) or inherited (fork)
     objects; the structure cache freezes their numeric arrays, so a cached
@@ -223,13 +224,7 @@ class ScenarioStructure:
     # ------------------------------------------------------------- scenario hooks
 
     @classmethod
-    def explore(
-        cls,
-        attack: AttackParams,
-        signature: SupportSignature,
-        *,
-        max_states: Optional[int] = None,
-    ) -> "ScenarioStructure":
+    def explore(cls, attack: AttackParams, signature: SupportSignature) -> "ScenarioStructure":
         """Breadth-first exploration of the reachable fragment (expensive)."""
         raise NotImplementedError(f"{cls.__name__} does not implement explore()")
 
@@ -242,11 +237,6 @@ class ScenarioStructure:
     def grid_configs(cls, spec: str = "default") -> Tuple[AttackParams, ...]:
         """Parse a grid specification into attack configurations."""
         raise NotImplementedError(f"{cls.__name__} does not implement grid_configs()")
-
-    @classmethod
-    def honest_strategy(cls, mdp: MDP) -> object:
-        """In-MDP strategy emulating protocol-following behaviour (baseline)."""
-        raise NotImplementedError(f"{cls.__name__} does not implement honest_strategy()")
 
 
 # ------------------------------------------------------------------ the table

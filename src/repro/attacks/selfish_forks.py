@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..config import AttackParams, ProtocolParams
-from ..exceptions import ConfigurationError
 from ..mdp import MDP, MDPBuilder
-from . import fork_state
+from . import fork_state, structure
 from .fork_state import ForkState, action_label
-from .structure import DEFAULT_MAX_STATES, get_model_structure
 
 #: Number of reward components attached to every transition (r_A, r_H).
 NUM_REWARD_COMPONENTS = 2
@@ -57,7 +55,6 @@ def build_selfish_forks_mdp(
     protocol: ProtocolParams,
     attack: AttackParams,
     *,
-    max_states: Optional[int] = DEFAULT_MAX_STATES,
     use_structure_cache: bool = True,
 ) -> SelfishForksModel:
     """Build the reachable fragment of the selfish-mining MDP.
@@ -76,18 +73,19 @@ def build_selfish_forks_mdp(
     Args:
         protocol: Blockchain / network parameters ``(p, gamma)``.
         attack: Attack parameters ``(d, f, l)``.
-        max_states: Safety cap on explored states (``None`` disables the cap).
         use_structure_cache: ``False`` builds with the reference builder
             instead of the cached skeleton.
 
     Raises:
-        ConfigurationError: If the exploration exceeds ``max_states``.
+        ConfigurationError: If the exploration exceeds
+            :data:`repro.attacks.structure.DEFAULT_MAX_STATES` states.
     """
     if use_structure_cache:
-        structure = get_model_structure(attack, protocol, max_states=max_states)
+        skeleton = structure.get_model_structure(attack, protocol)
         return SelfishForksModel(
-            mdp=structure.instantiate(protocol), protocol=protocol, attack=attack
+            mdp=skeleton.instantiate(protocol), protocol=protocol, attack=attack
         )
+    cap = structure.DEFAULT_MAX_STATES
     builder = MDPBuilder(num_reward_components=NUM_REWARD_COMPONENTS)
     start = fork_state.initial_state(attack)
     builder.add_state(start)
@@ -107,11 +105,8 @@ def build_selfish_forks_mdp(
                 if successor not in expanded:
                     expanded[successor] = False
                     queue.append(successor)
-                    if max_states is not None and len(expanded) > max_states:
-                        raise ConfigurationError(
-                            f"state-space exploration exceeded max_states={max_states}; "
-                            f"reduce d, f or l, or raise the cap explicitly"
-                        )
+                    if len(expanded) > cap:
+                        raise structure.exceeded_cap()
             builder.add_action(state, action_label(action), rows)
 
     mdp = builder.build(initial_state=start)

@@ -42,13 +42,14 @@ import numpy as np
 
 from ..config import AttackParams, ProtocolParams
 from ..exceptions import ConfigurationError, ModelError
-from ..mdp import MDP, Strategy
+from ..mdp import MDP
 from .fork_state import (
     PROB_ADVERSARY,
     PROB_GAMMA_HONEST,
     PROB_HONEST,
     PROB_ONE_MINUS_GAMMA_HONEST,
 )
+from . import structure
 from .registry import ScenarioStructure, SupportSignature
 
 #: Fork-flag values of the ``(a, h, fork)`` state.
@@ -70,8 +71,6 @@ _REGIME_CODES = {"": _REGIME_UNDERPAYING, "overpaying": _REGIME_OVERPAYING}
 
 #: Number of reward components per transition: ``(r_A, r_H)``.
 NUM_REWARD_COMPONENTS = 2
-
-_DEFAULT_MAX_STATES = 20_000_000
 
 
 def _regime_of(attack: AttackParams) -> int:
@@ -160,19 +159,15 @@ class SmActionsStructure(ScenarioStructure):
     # --------------------------------------------------------------- scenario API
 
     @classmethod
-    def explore(
-        cls,
-        attack: AttackParams,
-        signature: SupportSignature,
-        *,
-        max_states: Optional[int] = _DEFAULT_MAX_STATES,
-    ) -> "SmActionsStructure":
+    def explore(cls, attack: AttackParams, signature: SupportSignature) -> "SmActionsStructure":
         """Breadth-first exploration of the reachable ``(a, h, fork)`` fragment.
 
         Raises:
             ConfigurationError: If ``attack`` names another scenario or the
-                exploration exceeds ``max_states``.
+                exploration exceeds
+                :data:`repro.attacks.structure.DEFAULT_MAX_STATES` states.
         """
+        cap = structure.DEFAULT_MAX_STATES
         regime = _regime_of(attack)
         l = attack.max_fork_length
         start = (0, 0, IRRELEVANT)
@@ -199,11 +194,8 @@ class SmActionsStructure(ScenarioStructure):
                 state_ids[label] = index
                 labels.append(label)
                 queue.append(label)
-                if max_states is not None and len(labels) > max_states:
-                    raise ConfigurationError(
-                        f"state-space exploration exceeded max_states={max_states}; "
-                        f"reduce l or raise the cap explicitly"
-                    )
+                if len(labels) > cap:
+                    raise structure.exceeded_cap()
             return index
 
         def actions_of(a: int, h: int, fork: int) -> Iterator[Tuple[Hashable, List[tuple]]]:
@@ -378,11 +370,6 @@ class SmActionsStructure(ScenarioStructure):
             for length, variant in lengths
         )
 
-    @classmethod
-    def honest_strategy(cls, mdp: MDP) -> Strategy:
-        """Protocol-following baseline: override a lead, else adopt, else wait."""
-        return Strategy(mdp, honest_strategy_rows(mdp))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SmActionsStructure(l={self.attack.max_fork_length}, "
@@ -414,10 +401,6 @@ class SmActionsModel:
         """Number of states of the underlying MDP."""
         return self.mdp.num_states
 
-    def honest_strategy(self) -> Strategy:
-        """The protocol-following baseline strategy inside this MDP."""
-        return Strategy(self.mdp, honest_strategy_rows(self.mdp))
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (
@@ -431,8 +414,6 @@ class SmActionsModel:
 def build_sm_actions_mdp(
     protocol: ProtocolParams,
     attack: AttackParams,
-    *,
-    max_states: Optional[int] = _DEFAULT_MAX_STATES,
 ) -> SmActionsModel:
     """Build the ADOPT/OVERRIDE/WAIT/MATCH MDP for one parameter point.
 
@@ -443,11 +424,9 @@ def build_sm_actions_mdp(
     Raises:
         ConfigurationError: If ``attack`` names another scenario.
     """
-    from .structure import get_model_structure
-
     _regime_of(attack)
-    structure = get_model_structure(attack, protocol, max_states=max_states)
-    return SmActionsModel(mdp=structure.instantiate(protocol), protocol=protocol, attack=attack)
+    skeleton = structure.get_model_structure(attack, protocol)
+    return SmActionsModel(mdp=skeleton.instantiate(protocol), protocol=protocol, attack=attack)
 
 
 def honest_strategy_rows(mdp: MDP) -> np.ndarray:

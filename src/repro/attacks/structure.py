@@ -35,12 +35,9 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..mdp import MDP
 
 from ..config import AttackParams, ProtocolParams
 from ..exceptions import ConfigurationError
@@ -64,8 +61,16 @@ from .fork_state import (
 from .registry import ScenarioStructure, SupportSignature, get_attack
 
 #: Hard cap on the number of states explored; prevents accidental explosion when
-#: a user requests an enormous configuration.
+#: a user requests an enormous configuration.  Every exploration reads it at
+#: call time.
 DEFAULT_MAX_STATES = 20_000_000
+
+
+def exceeded_cap() -> ConfigurationError:
+    """The error of an exploration that met more than :data:`DEFAULT_MAX_STATES` states."""
+    return ConfigurationError(
+        f"state-space exploration exceeded {DEFAULT_MAX_STATES} states; reduce d, f or l"
+    )
 
 
 class SelfishForksStructure(ScenarioStructure):
@@ -84,15 +89,9 @@ class SelfishForksStructure(ScenarioStructure):
     # --------------------------------------------------------------- scenario API
 
     @classmethod
-    def explore(
-        cls,
-        attack: AttackParams,
-        signature: SupportSignature,
-        *,
-        max_states: Optional[int] = DEFAULT_MAX_STATES,
-    ) -> "SelfishForksStructure":
+    def explore(cls, attack: AttackParams, signature: SupportSignature) -> "SelfishForksStructure":
         """Breadth-first exploration (see :func:`build_model_structure`)."""
-        return build_model_structure(attack, signature, max_states=max_states)
+        return build_model_structure(attack, signature)
 
     @classmethod
     def series_name(cls, attack: AttackParams) -> str:
@@ -151,13 +150,6 @@ class SelfishForksStructure(ScenarioStructure):
                 )
             )
         return tuple(configs)
-
-    @classmethod
-    def honest_strategy(cls, mdp: "MDP") -> object:
-        """Immediate-release baseline (honest mining for ``d = f = 1``)."""
-        from .honest import immediate_release_strategy
-
-        return immediate_release_strategy(mdp)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -443,10 +435,7 @@ class _CodeKernel:
 
 
 def build_model_structure(
-    attack: AttackParams,
-    signature: SupportSignature,
-    *,
-    max_states: Optional[int] = DEFAULT_MAX_STATES,
+    attack: AttackParams, signature: SupportSignature
 ) -> SelfishForksStructure:
     """Explore the reachable fragment for ``(attack, signature)`` breadth-first.
 
@@ -464,9 +453,11 @@ def build_model_structure(
     the reachable states, not with the code space.
 
     Raises:
-        ConfigurationError: If the exploration exceeds ``max_states``, or a
-            reachable state keeps no transition under ``signature``.
+        ConfigurationError: If the exploration exceeds
+            :data:`DEFAULT_MAX_STATES`, or a reachable state keeps no
+            transition under ``signature``.
     """
+    cap = DEFAULT_MAX_STATES
     kernel = _CodeKernel(attack)
     keep = np.array([signature.keeps(kind) for kind in range(PROB_ONE_MINUS_GAMMA_HONEST + 1)])
     frontier = np.array([state_code(fork_state.initial_state(attack), attack)], dtype=np.int64)
@@ -499,7 +490,7 @@ def build_model_structure(
         # Raise whichever failure the state-by-state search meets first: the
         # cap is checked on each discovery, a state without rows once expanded.
         overflow_owner = None
-        room = new_codes.size if max_states is None else max(0, max_states - num_states)
+        room = max(0, cap - num_states)
         if new_codes.size > room:
             overflow_owner = owner[unseen[first[discovery[room]]]]
         rowless = np.flatnonzero(rows_per_state == 0)
@@ -510,10 +501,7 @@ def build_model_structure(
                 f"support {signature}"
             )
         if overflow_owner is not None:
-            raise ConfigurationError(
-                f"state-space exploration exceeded max_states={max_states}; "
-                f"reduce d, f or l, or raise the cap explicitly"
-            )
+            raise exceeded_cap()
 
         succ_ids[unseen] = new_ids[inverse]
         # Both parts are sorted, so the stable sort is a linear merge.
@@ -583,12 +571,7 @@ def _freeze(structure: ScenarioStructure) -> ScenarioStructure:
     return structure
 
 
-def get_model_structure(
-    attack: AttackParams,
-    protocol: ProtocolParams,
-    *,
-    max_states: Optional[int] = DEFAULT_MAX_STATES,
-) -> ScenarioStructure:
+def get_model_structure(attack: AttackParams, protocol: ProtocolParams) -> ScenarioStructure:
     """Return the (memoised) structure for ``attack`` at ``protocol``'s support.
 
     Dispatches the exploration through :func:`~repro.attacks.registry.get_attack`,
@@ -604,15 +587,9 @@ def get_model_structure(
         structure = _STRUCTURE_CACHE.get(key)
         if structure is None:
             scenario = get_attack(attack.scenario)
-            structure = _freeze(scenario.explore(attack, signature, max_states=max_states))
+            structure = _freeze(scenario.explore(attack, signature))
             _STRUCTURE_CACHE[key] = structure
             _BUILD_COUNT += 1
-    # The cap must hold even when a previous caller already paid the exploration.
-    if max_states is not None and structure.num_states > max_states:
-        raise ConfigurationError(
-            f"state-space exploration exceeded max_states={max_states}; "
-            f"reduce d, f or l, or raise the cap explicitly"
-        )
     return structure
 
 

@@ -35,7 +35,12 @@ checksummed journal (:mod:`repro.core.journal`); ``--resume`` replays an
 existing journal and recomputes only the missing delta, bit-for-bit identical
 to an uninterrupted run.  ``--journal-fsync {never,close,always}`` tunes
 durability.  A worker that dies mid-unit turns that unit's points into
-failures; ``--resume`` recomputes them.
+failures; ``--resume`` recomputes them.  A journal that another sweep wrote,
+or that is corrupt before its tail, is refused with one ``error:`` line on
+stderr and exit code 2.
+
+Per-point progress and the journal summary go to stderr, one line each;
+``--quiet`` drops them.  Stdout carries only the results.
 """
 
 from __future__ import annotations
@@ -55,9 +60,8 @@ from .config import (
     ProtocolParams,
 )
 from .core import SelfishMiningAnalyzer, ascii_plot, render_table, write_csv
-from .core.reporting import ProgressReporter
 from .core.sweep import SweepConfig, run_sweep
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, ModelError
 
 def _positive_int(value: str) -> int:
     workers = int(value)
@@ -231,6 +235,10 @@ def _sweep_attack_configs(args: argparse.Namespace) -> Tuple[AttackParams, ...]:
     return configs
 
 
+def _print_stderr(message: str) -> None:
+    print(message, file=sys.stderr)
+
+
 def _command_sweep(args: argparse.Namespace, attack_configs: Tuple[AttackParams, ...]) -> int:
     # Every multiple of --p-step up to --p-max, never past it; the 1e-9 slack
     # absorbs float error so that e.g. 0.3 / 0.05 still yields 7 points.
@@ -248,14 +256,20 @@ def _command_sweep(args: argparse.Namespace, attack_configs: Tuple[AttackParams,
         journal_resume=args.resume,
         journal_fsync=args.journal_fsync,
     )
-    # One reporter for every diagnostic line: per-point progress from the
-    # execution plane plus the journal summary below.  --quiet silences all
-    # of it while stdout keeps the actual results.
-    reporter = ProgressReporter.stderr(quiet=args.quiet)
-    sweep = run_sweep(config, progress=reporter)
+    # Diagnostics (per-point progress and the journal summary) go to stderr
+    # through one printer; --quiet passes none, and stdout keeps the results.
+    progress = None if args.quiet else _print_stderr
+    try:
+        sweep = run_sweep(config, progress=progress)
+    except ModelError as exc:
+        # Points fail per point inside the sweep, so a ModelError out of it is
+        # the journal refusing to resume: another sweep wrote it, or it is
+        # corrupt before its tail.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     journal_meta = sweep.metadata.get("journal")
-    if journal_meta:
-        reporter(
+    if journal_meta and progress is not None:
+        progress(
             f"journal: {journal_meta['path']} "
             f"(replayed {journal_meta['replayed']} point(s), "
             f"recorded {journal_meta['recorded']}, "

@@ -45,9 +45,9 @@ class SelfishMiningAnalyzer:
 
     # ------------------------------------------------------------------ pipeline
 
-    def build_model(self, force: bool = False) -> MDP:
+    def build_model(self) -> MDP:
         """Build (or return the cached) MDP, refilled from the cached skeleton."""
-        if self._model is None or force:
+        if self._model is None:
             structure = get_model_structure(self.attack, self.protocol)
             self._model = structure.instantiate(self.protocol)
         return self._model

@@ -7,9 +7,10 @@ pool workers' entry point) and assembles collected outcomes into a
 Running the units -- inline or on a process pool -- and merging them is
 :func:`repro.core.execution.execute_sweep`.
 
-* Baseline series (honest mining, single tree) are closed forms and are
-  evaluated inline in the parent process; the single-tree baseline once per
-  gamma for the whole p grid.
+* Both baseline series, honest mining and the single tree at
+  :data:`DEFAULT_SINGLE_TREE`, are part of every sweep.  They are closed
+  forms evaluated inline in the parent process; the single-tree baseline once
+  per gamma for the whole p grid.
 * Every attack configuration contributes one task per ``(gamma, p)`` point --
   or, when warm starts or certified bounds are chained across adjacent ``p``
   points (``warm_start_across_points`` / ``reuse_p_axis_bounds``), one task per
@@ -63,6 +64,7 @@ import numpy as np
 
 from ..analysis import formal_analysis
 from ..attacks import (
+    SingleTreeParams,
     SupportSignature,
     get_model_structure,
     honest_errev,
@@ -75,6 +77,11 @@ from .results import SweepFailure, SweepPoint, SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .sweep import SweepConfig
+
+#: The paper's single-tree baseline (l = 4, f = 5), a series of every sweep.
+DEFAULT_SINGLE_TREE = SingleTreeParams(max_depth=4, max_width=5)
+#: Series label of that baseline.
+SINGLE_TREE_SERIES = f"single-tree(f={DEFAULT_SINGLE_TREE.max_width})"
 
 
 def attack_series_name(attack: AttackParams) -> str:
@@ -310,27 +317,23 @@ def _pool_start_method() -> str:
 def _single_tree_series(config: "SweepConfig", gamma: float) -> Optional[List[float]]:
     """The single-tree baseline at every p of the grid at ``gamma``, from one evaluation.
 
-    ``None`` when the series is off or an invalid parameter makes the grid
-    form raise: every point is then evaluated alone, so only the invalid
-    ones fail.
+    ``None`` when an invalid parameter makes the grid form raise: every
+    point is then evaluated alone, so only the invalid ones fail.
     """
-    if not config.include_single_tree:
-        return None
     try:
-        return single_tree_errev_grid(gamma, config.p_values, config.single_tree)
+        return single_tree_errev_grid(gamma, config.p_values, DEFAULT_SINGLE_TREE)
     except Exception:
         return None
 
 
 def _baseline_points(
-    config: "SweepConfig",
     p: float,
     gamma: float,
     single_tree: Optional[float],
     failures: List[SweepFailure],
-    report: Callable[[str], None],
+    report: Optional[Callable[[str], None]],
 ) -> List[SweepPoint]:
-    """Closed-form baseline points of one grid point, with failures isolated.
+    """The honest and single-tree points of one grid point, with failures isolated.
 
     ``single_tree`` is the point's value from :func:`_single_tree_series`, or
     ``None`` to evaluate it here.  An invalid parameter point (or a raising
@@ -338,26 +341,20 @@ def _baseline_points(
     point does.
     """
     points: List[SweepPoint] = []
-    series_fns = []
-    if config.include_honest:
-        series_fns.append(("honest", lambda protocol: honest_errev(protocol)))
-    if config.include_single_tree:
-        series_fns.append(
-            (
-                f"single-tree(f={config.single_tree.max_width})",
-                lambda protocol: single_tree_errev(protocol, config.single_tree)
-                if single_tree is None
-                else single_tree,
-            )
-        )
-    for series, fn in series_fns:
+    for series in ("honest", SINGLE_TREE_SERIES):
         try:
-            errev = fn(ProtocolParams(p=p, gamma=gamma))
+            protocol = ProtocolParams(p=p, gamma=gamma)
+            if series == "honest":
+                errev = honest_errev(protocol)
+            elif single_tree is None:
+                errev = single_tree_errev(protocol, DEFAULT_SINGLE_TREE)
+            else:
+                errev = single_tree
         except Exception as exc:
-            failures.append(
-                SweepFailure(p=p, gamma=gamma, series=series, message=f"{type(exc).__name__}: {exc}")
-            )
-            report(f"gamma={gamma} p={p} {series}: FAILED ({type(exc).__name__}: {exc})")
+            message = f"{type(exc).__name__}: {exc}"
+            failures.append(SweepFailure(p=p, gamma=gamma, series=series, message=message))
+            if report is not None:
+                report(f"gamma={gamma} p={p} {series}: FAILED ({message})")
             continue
         points.append(SweepPoint(p=p, gamma=gamma, series=series, errev=errev))
     return points
@@ -366,7 +363,7 @@ def _baseline_points(
 def assemble_sweep_result(
     config: "SweepConfig",
     outcomes: Dict[Tuple[int, int, int], PointOutcome],
-    report: Callable[[str], None],
+    report: Optional[Callable[[str], None]],
     *,
     description: str,
 ) -> SweepResult:
@@ -388,7 +385,6 @@ def assemble_sweep_result(
         for p_index, p in enumerate(config.p_values):
             points.extend(
                 _baseline_points(
-                    config,
                     p,
                     gamma,
                     None if single_tree is None else single_tree[p_index],

@@ -16,8 +16,8 @@
 
 3. :class:`MergeSink` -- the single merge pipeline: idempotent grid-key merge,
    journal append (a no-op for replayed keys), synthesized failures for
-   crashed units, progress reporting through
-   :class:`~repro.core.reporting.ProgressReporter`, and final assembly into a
+   crashed units, progress reporting through an optional ``progress``
+   callable, and final assembly into a
    :class:`~repro.core.results.SweepResult`.  Every outcome flows through
    :meth:`MergeSink.accept` the moment it exists, so the journal is
    crash-safe mid-sweep.
@@ -52,7 +52,6 @@ from typing import (
 from ..attacks.structure import replace_structure_cache
 from . import engine as _engine
 from .journal import GridKey, SweepJournal
-from .reporting import ProgressReporter
 from .results import SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles broken at runtime
@@ -131,7 +130,8 @@ class MergeSink:
     or on the pool -- flows through this object exactly once.  The sink owns the
     idempotent grid-key merge (last write wins at key level), the durable
     journal append (``record`` is a no-op for replayed keys), synthesized
-    failures for units whose worker died, and progress reporting.  Baseline
+    failures for units whose worker died, and progress reporting: one line
+    per outcome to ``progress``, if given.  Baseline
     synthesis happens in :meth:`assemble`, which re-orders the merged
     outcomes into the canonical ``gamma -> p -> series``
     :class:`~repro.core.results.SweepResult`.
@@ -141,12 +141,12 @@ class MergeSink:
         self,
         plan: SweepPlan,
         *,
-        reporter: ProgressReporter,
+        progress: Optional[Callable[[str], None]] = None,
         journal: Optional["SweepJournal"] = None,
     ) -> None:
         """Create the sink for one sweep run (one plan, one optional journal)."""
         self.plan = plan
-        self.reporter = reporter
+        self.progress = progress
         self.journal = journal
         self.outcomes: Dict[GridKey, "PointOutcome"] = {}
 
@@ -165,7 +165,8 @@ class MergeSink:
             self.outcomes[self.key_of(outcome)] = outcome
             if self.journal is not None:
                 self.journal.record(outcome)
-            self.reporter(_engine.describe_outcome(outcome))
+            if self.progress is not None:
+                self.progress(_engine.describe_outcome(outcome))
 
     def synthesize_missing(self, task: "AttackTask", message: str) -> None:
         """Record synthesized failures for a crashed unit's unreported keys.
@@ -196,7 +197,7 @@ class MergeSink:
     def assemble(self, *, description: str) -> SweepResult:
         """Assemble the merged outcomes (plus inline baselines) into the result."""
         return _engine.assemble_sweep_result(
-            self.plan.config, self.outcomes, self.reporter, description=description
+            self.plan.config, self.outcomes, self.progress, description=description
         )
 
     def journal_metadata(self) -> Optional[Dict[str, object]]:
@@ -268,7 +269,6 @@ def execute_sweep(
     workers = int(config.workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {config.workers}")
-    reporter = ProgressReporter.wrap(progress)
     plan = SweepPlan.build(config)
     journal: Optional[SweepJournal] = None
     replayed: Mapping[GridKey, "PointOutcome"] = {}
@@ -281,7 +281,7 @@ def execute_sweep(
         )
         replayed = journal.replayed_outcomes()
         plan = plan.with_replayed(replayed)
-    sink = MergeSink(plan, reporter=reporter, journal=journal)
+    sink = MergeSink(plan, progress=progress, journal=journal)
     sink.replay(replayed)
     try:
         pending = plan.pending_tasks()

@@ -1,72 +1,20 @@
 """Plain-text and CSV reporting of analysis and sweep results.
 
-The benchmark harness and the CLI use these helpers to render the paper's
-figures as ASCII plots (one chart per gamma, one marker per series) and to dump
-machine-readable CSV files next to the benchmark output.
-
-:class:`ProgressReporter` is the one progress channel of the execution plane
-(:mod:`repro.core.execution`): the engine reports through it instead of
-wrapping its own ``if progress is not None`` closure, and the CLI builds it once with consistent
-``--quiet`` semantics (progress always goes to stderr, never stdout).
+The CLI uses these helpers to render the paper's figures as ASCII plots (one
+60x18 chart per gamma, one marker per series), results as text tables and
+sweeps as CSV files.  Every format is fixed: columns are the union of the row
+keys in insertion order, floats print as ``{:.4f}`` in tables, and wall-clock
+CSV columns keep 4 significant digits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import sys
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 from .results import SweepResult
-
-
-def _print_stderr(message: str) -> None:
-    """Default sink of :meth:`ProgressReporter.stderr`: one line to stderr."""
-    print(message, file=sys.stderr)
-
-
-class ProgressReporter:
-    """Uniform per-event progress channel of every sweep, serial or pooled.
-
-    Wraps an optional ``Callable[[str], None]`` callback so reporting sites
-    can simply call the reporter (``reporter("gamma=... p=...")``) without the
-    ``if progress is not None`` guard at every reporting site.  A reporter
-    whose callback is ``None`` is *disabled* and swallows every message --
-    exactly what ``--quiet`` means.
-
-    Progress is diagnostics, not output: :meth:`stderr` always prints to
-    ``sys.stderr``, keeping stdout reserved for results (plots, tables, final
-    summaries) on every CLI subcommand.
-    """
-
-    __slots__ = ("_callback",)
-
-    def __init__(self, callback: Optional[Callable[[str], None]] = None) -> None:
-        """Wrap ``callback`` (``None`` = disabled: every message is dropped)."""
-        self._callback = callback
-
-    @classmethod
-    def wrap(cls, progress: Optional[Callable[[str], None]]) -> "ProgressReporter":
-        """Adapt a legacy ``progress`` callback (idempotent for reporters)."""
-        if isinstance(progress, ProgressReporter):
-            return progress
-        return cls(progress)
-
-    @classmethod
-    def stderr(cls, *, quiet: bool = False) -> "ProgressReporter":
-        """CLI reporter: one line per event on stderr, or silent with ``quiet``."""
-        return cls(None if quiet else _print_stderr)
-
-    @property
-    def enabled(self) -> bool:
-        """Whether messages reach a callback (``False`` under ``--quiet``)."""
-        return self._callback is not None
-
-    def __call__(self, message: str) -> None:
-        """Report one progress line (no-op when disabled)."""
-        if self._callback is not None:
-            self._callback(message)
 
 
 def round_significant(value: float, digits: int = 4) -> float:
@@ -76,79 +24,55 @@ def round_significant(value: float, digits: int = 4) -> float:
     return round(value, digits - 1 - int(math.floor(math.log10(abs(value)))))
 
 
-def write_csv(
-    rows: Iterable[Mapping[str, object]],
-    path: str | Path,
-    *,
-    columns: Optional[Sequence[str]] = None,
-    time_significant_digits: Optional[int] = 4,
-) -> Path:
-    """Write dictionaries as CSV with a stable column order.
+def _columns(rows: Sequence[Mapping[str, object]]) -> List[str]:
+    """The union of the row keys, in order of first appearance."""
+    columns: List[str] = []
+    for row in rows:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
+    return columns
 
-    Args:
-        rows: The rows to write.
-        path: Output path (parent directories are created).
-        columns: Explicit column order.  When omitted the columns are the union
-            of the row keys in insertion order -- deterministic for rows
-            produced in canonical order, but callers whose row sets vary by
-            configuration (benchmark writers in particular) should pass the
-            full column list explicitly so re-runs never reorder the file.
-            Keys outside ``columns`` are dropped; missing keys become empty
-            cells.
-        time_significant_digits: Wall-clock columns (any column whose name
-            contains ``"seconds"``) are rounded to this many significant
-            digits, keeping the noisy sub-precision tail of timings out of the
-            file so re-runs do not churn every row.  ``None`` disables the
-            rounding.
 
-    Returns:
-        The path written to.
+def write_csv(rows: Iterable[Mapping[str, object]], path: str | Path) -> Path:
+    """Write dictionaries as CSV; return the path written to.
+
+    The columns are the union of the row keys in insertion order (a missing
+    key is an empty cell), deterministic for rows produced in canonical
+    order.  Wall-clock columns (any column whose name contains
+    ``"seconds"``) are rounded to 4 significant digits, keeping the noisy
+    tail of timings out of the file so re-runs do not churn every row.
+    Parent directories are created.
     """
     rows = list(rows)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+    columns = _columns(rows)
     # Explicit encoding: the default follows the host locale, so a C-locale
     # (ASCII) machine would write a different -- or crash on a non-ASCII
     # series/error cell -- CSV than a UTF-8 one.
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(columns), restval="", extrasaction="ignore")
+        writer = csv.DictWriter(handle, fieldnames=columns, restval="")
         writer.writeheader()
         for row in rows:
             out = dict(row)
-            if time_significant_digits is not None:
-                for key, value in out.items():
-                    if "seconds" in key and isinstance(value, float):
-                        out[key] = round_significant(value, time_significant_digits)
+            for key, value in out.items():
+                if "seconds" in key and isinstance(value, float):
+                    out[key] = round_significant(value)
             writer.writerow(out)
     return path
 
 
-def render_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Optional[Sequence[str]] = None,
-    *,
-    float_format: str = "{:.4f}",
-) -> str:
-    """Render dictionaries as a fixed-width text table."""
+def render_table(rows: Sequence[Mapping[str, object]]) -> str:
+    """Render dictionaries as a fixed-width text table (floats as ``{:.4f}``)."""
     rows = list(rows)
     if not rows:
         return "(empty table)"
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+    columns = _columns(rows)
 
     def fmt(value: object) -> str:
         if isinstance(value, float):
-            return float_format.format(value)
+            return f"{value:.4f}"
         return "" if value is None else str(value)
 
     rendered = [[fmt(row.get(column)) for column in columns] for row in rows]
@@ -165,14 +89,8 @@ def render_table(
     return "\n".join([header, separator, *body])
 
 
-def ascii_plot(
-    sweep: SweepResult,
-    gamma: float,
-    *,
-    width: int = 60,
-    height: int = 18,
-) -> str:
-    """Render one Figure 2 panel (fixed gamma) as an ASCII scatter plot.
+def ascii_plot(sweep: SweepResult, gamma: float) -> str:
+    """Render one Figure 2 panel (fixed gamma) as a 60x18 ASCII scatter plot.
 
     Each series gets a distinct marker; the x-axis is the adversarial resource
     ``p`` and the y-axis the expected relative revenue.
@@ -189,6 +107,7 @@ def ascii_plot(
     y_values = [point.errev for point in all_points]
     x_min, x_max = min(x_values), max(x_values)
     y_min, y_max = 0.0, max(max(y_values), 1e-9)
+    width, height = 60, 18
     grid = [[" " for _ in range(width)] for _ in range(height)]
 
     def to_cell(x: float, y: float) -> tuple[int, int]:

@@ -3,8 +3,10 @@
 Figure 2 plots the expected relative revenue as a function of the adversary's
 resource fraction ``p`` for several switching probabilities ``gamma``, comparing
 the paper's attack (for several ``(d, f)`` configurations) against honest mining
-and the single-tree baseline.  ``run_sweep(SweepConfig())`` regenerates those
-series on a laptop-scale default grid (p in steps of 0.05 up to 0.3, gamma in
+and the single-tree baseline.  Every sweep evaluates both baselines, honest
+mining and the single tree at :data:`DEFAULT_SINGLE_TREE` (the paper's
+``l = 4, f = 5``), beside its attack series.  ``run_sweep(SweepConfig())``
+regenerates those series on a laptop-scale default grid (p in steps of 0.05 up to 0.3, gamma in
 {0, 0.5, 1}, ``(d, f)`` in {(1, 1), (2, 1)}); the paper's 0.01 p-step, its five
 gammas and its larger ``(d, f)`` configurations are :class:`SweepConfig`
 fields away.
@@ -21,10 +23,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .._validation import check_positive_int, check_probability
-from ..attacks.single_tree import SingleTreeParams
 from ..config import AnalysisConfig, AttackParams
 from ..exceptions import ConfigurationError
-from .engine import attack_series_name
+from .engine import DEFAULT_SINGLE_TREE, attack_series_name
 from .execution import execute_sweep
 
 __all__ = [
@@ -41,13 +42,13 @@ DEFAULT_ATTACK_CONFIGS = (
     AttackParams(depth=2, forks=1, max_fork_length=4),
 )
 
-#: Single-tree baseline parameters used in the paper (l = 4, f = 5).
-DEFAULT_SINGLE_TREE = SingleTreeParams(max_depth=4, max_width=5)
-
 
 @dataclass
 class SweepConfig:
     """Configuration of a Figure 2 style sweep.
+
+    The honest and single-tree baseline series are part of every sweep; only
+    the attack series are configured here.
 
     Attributes:
         p_values: Grid of adversarial resource fractions, each in [0, 1] and
@@ -58,9 +59,6 @@ class SweepConfig:
             scenario each :class:`AttackParams` names; all configurations of a
             sweep must belong to the same scenario).  Another scenario's
             default grid is ``get_attack(name).grid_configs("default")``.
-        include_honest: Whether to include the honest baseline series.
-        include_single_tree: Whether to include the single-tree baseline series.
-        single_tree: Parameters of the single-tree baseline.
         analysis: Formal-analysis configuration used for every attack point.
         workers: Worker processes the attack points are fanned out over;
             1 (default) executes in-process.  Results are bit-for-bit
@@ -96,9 +94,6 @@ class SweepConfig:
     p_values: Sequence[float] = tuple(round(0.05 * i, 2) for i in range(0, 7))
     gammas: Sequence[float] = (0.0, 0.5, 1.0)
     attack_configs: Sequence[AttackParams] = DEFAULT_ATTACK_CONFIGS
-    include_honest: bool = True
-    include_single_tree: bool = True
-    single_tree: SingleTreeParams = DEFAULT_SINGLE_TREE
     analysis: AnalysisConfig = field(default_factory=lambda: AnalysisConfig(epsilon=1e-3))
     workers: int = 1
     warm_start_across_points: bool = False

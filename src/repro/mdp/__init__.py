@@ -6,7 +6,7 @@ its one mean-payoff solver (Howard policy iteration), induced-Markov-chain
 stationary analysis and structural (graph) analysis.
 """
 
-from .model import MDP, MDPBuilder, TransitionRow
+from .model import MDP, MDPBuilder
 from .strategy import Strategy
 from .markov_chain import MarkovChain, induced_markov_chain
 from .policy_iteration import (
@@ -23,7 +23,6 @@ from .validation import validate_mdp
 __all__ = [
     "MDP",
     "MDPBuilder",
-    "TransitionRow",
     "Strategy",
     "MarkovChain",
     "induced_markov_chain",

@@ -14,7 +14,6 @@ greedy improvement step is fully vectorised with ``numpy.add.reduceat`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,25 +25,6 @@ if TYPE_CHECKING:
 
 #: Probabilities within one state-action row must sum to one up to this tolerance.
 PROBABILITY_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class TransitionRow:
-    """A single state-action row: the distribution over successors and rewards.
-
-    Attributes:
-        state: Index of the owning state.
-        action: Hashable action label.
-        successors: Successor state indices.
-        probabilities: Transition probabilities (same length as ``successors``).
-        rewards: Reward vectors, one per successor, shape ``(len(successors), k)``.
-    """
-
-    state: int
-    action: Hashable
-    successors: Tuple[int, ...]
-    probabilities: Tuple[float, ...]
-    rewards: Tuple[Tuple[float, ...], ...]
 
 
 class ColumnOrder:
@@ -142,11 +122,6 @@ class MDP:
 
     # ------------------------------------------------------------------ queries
 
-    def actions_of(self, state: int) -> List[Hashable]:
-        """Return the action labels available in ``state``."""
-        start, end = self.state_row_offsets[state], self.state_row_offsets[state + 1]
-        return [self.row_actions[row] for row in range(start, end)]
-
     def rows_of(self, state: int) -> range:
         """Return the row indices belonging to ``state``."""
         return range(int(self.state_row_offsets[state]), int(self.state_row_offsets[state + 1]))
@@ -165,25 +140,6 @@ class MDP:
             if self.row_actions[row] == action:
                 return row
         raise ModelError(f"action {action!r} not available in state {state}")
-
-    def transitions_of_row(self, row: int) -> List[Tuple[int, float, np.ndarray]]:
-        """Return ``(successor, probability, reward_vector)`` triples of a row."""
-        start, end = self.row_trans_offsets[row], self.row_trans_offsets[row + 1]
-        return [
-            (int(self.trans_succ[t]), float(self.trans_prob[t]), self.trans_reward[t])
-            for t in range(start, end)
-        ]
-
-    def row(self, row: int) -> TransitionRow:
-        """Return a :class:`TransitionRow` view of row ``row``."""
-        triples = self.transitions_of_row(row)
-        return TransitionRow(
-            state=int(self.row_state[row]),
-            action=self.row_actions[row],
-            successors=tuple(succ for succ, _, _ in triples),
-            probabilities=tuple(prob for _, prob, _ in triples),
-            rewards=tuple(tuple(float(x) for x in reward) for _, _, reward in triples),
-        )
 
     def state_of_label(self, label: Hashable) -> int:
         """Return the state index carrying ``label``.
@@ -256,10 +212,6 @@ class MDPBuilder:
         except KeyError as exc:
             raise ModelError(f"unknown state label {label!r}") from exc
 
-    def has_state(self, label: Hashable) -> bool:
-        """Return whether ``label`` has been registered."""
-        return label in self._state_ids
-
     @property
     def num_states(self) -> int:
         """Number of states registered so far."""
@@ -314,17 +266,6 @@ class MDPBuilder:
         if any(existing_action == action for existing_action, _ in existing):
             raise ModelError(f"duplicate action {action!r} in state {state_label!r}")
         existing.append((action, stored))
-
-    def has_action(self, state_label: Hashable, action: Hashable) -> bool:
-        """Return whether ``(state_label, action)`` has already been added."""
-        if state_label not in self._state_ids:
-            return False
-        rows = self._actions[self._state_ids[state_label]]
-        return any(existing_action == action for existing_action, _ in rows)
-
-    def num_actions_of(self, state_label: Hashable) -> int:
-        """Return the number of actions added to ``state_label`` so far."""
-        return len(self._actions[self.state_index(state_label)])
 
     # -------------------------------------------------------------------- build
 

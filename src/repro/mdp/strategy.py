@@ -7,7 +7,7 @@ is the only strategy class needed by the formal analysis.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, Optional
+from typing import Dict, Hashable, Iterator
 
 import numpy as np
 
@@ -118,32 +118,3 @@ class Strategy:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Strategy(states={self.mdp.num_states})"
 
-
-def describe_strategy(
-    strategy: Strategy,
-    *,
-    only_non_default: bool = True,
-    default_action: Optional[Hashable] = None,
-    limit: Optional[int] = None,
-) -> str:
-    """Render a human-readable listing of a strategy.
-
-    Args:
-        strategy: The strategy to describe.
-        only_non_default: If true, omit states whose chosen action equals
-            ``default_action``.
-        default_action: The action considered "default" (e.g. ``("mine",)``).
-        limit: Maximum number of lines to emit; ``None`` for no limit.
-    """
-    mdp = strategy.mdp
-    lines = []
-    for state in range(mdp.num_states):
-        action = strategy.action(state)
-        if only_non_default and default_action is not None and action == default_action:
-            continue
-        label = mdp.state_labels[state] if mdp.state_labels is not None else state
-        lines.append(f"{label!r} -> {action!r}")
-        if limit is not None and len(lines) >= limit:
-            lines.append("...")
-            break
-    return "\n".join(lines)

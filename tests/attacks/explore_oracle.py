@@ -69,8 +69,7 @@ def explore_by_objects(
             queue.append(label)
             if max_states is not None and len(labels) > max_states:
                 raise ConfigurationError(
-                    f"state-space exploration exceeded max_states={max_states}; "
-                    f"reduce d, f or l, or raise the cap explicitly"
+                    f"state-space exploration exceeded {max_states} states; reduce d, f or l"
                 )
         return index
 

@@ -13,7 +13,6 @@ from repro.attacks import (
     honest_errev,
     single_tree_errev,
 )
-from repro.attacks.eyal_sirer import is_selfish_mining_profitable
 from repro.attacks.honest import honest_strategy, immediate_release_strategy
 from repro.attacks.single_tree import SingleTreeParams
 from repro.exceptions import ConfigurationError
@@ -82,8 +81,9 @@ class TestEyalSirer:
     @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.75])
     def test_profitability_flips_at_the_threshold(self, gamma):
         threshold = eyal_sirer_profitability_threshold(gamma)
-        assert not is_selfish_mining_profitable(threshold - 0.01, gamma)
-        assert is_selfish_mining_profitable(threshold + 0.01, gamma)
+        below, above = threshold - 0.01, threshold + 0.01
+        assert not eyal_sirer_relative_revenue(below, gamma) > below
+        assert eyal_sirer_relative_revenue(above, gamma) > above
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -22,11 +22,14 @@ from repro import AttackParams, ProtocolParams
 from repro.attacks import (
     SupportSignature,
     build_model_structure,
+    build_selfish_forks_mdp,
     clear_structure_cache,
     get_model_structure,
     initial_state,
 )
-from repro.attacks.structure import state_code, state_code_radices
+from repro.attacks import SmActionsStructure, build_sm_actions_mdp, structure
+from repro.attacks.registry import ScenarioStructure
+from repro.attacks.structure import SelfishForksStructure, state_code, state_code_radices
 from repro.exceptions import ConfigurationError
 
 FULL = os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "False")
@@ -122,22 +125,65 @@ def fresh_cache():
 
 
 D2F2 = AttackParams(depth=2, forks=2, max_fork_length=4)
+SM_L4 = AttackParams(depth=1, forks=1, max_fork_length=4, scenario="sm-actions")
 INTERIOR = ProtocolParams(p=0.3, gamma=0.5)
 
 
-@pytest.mark.parametrize("explore", [build_model_structure, explore_by_objects])
-def test_max_states_boundary_d2f2(explore):
+def test_max_states_boundary_d2f2(monkeypatch):
     signature = SupportSignature.of(INTERIOR)
-    with pytest.raises(ConfigurationError, match="max_states=2894"):
-        explore(D2F2, signature, max_states=2894)
-    assert explore(D2F2, signature, max_states=2895).num_states == 2895
+    monkeypatch.setattr(structure, "DEFAULT_MAX_STATES", 2894)
+    with pytest.raises(ConfigurationError, match="exceeded 2894 states"):
+        build_model_structure(D2F2, signature)
+    with pytest.raises(ConfigurationError, match="exceeded 2894 states"):
+        explore_by_objects(D2F2, signature, max_states=2894)
+    monkeypatch.setattr(structure, "DEFAULT_MAX_STATES", 2895)
+    assert build_model_structure(D2F2, signature).num_states == 2895
+    assert explore_by_objects(D2F2, signature, max_states=2895).num_states == 2895
 
 
-def test_max_states_boundary_d2f2_through_the_cache(fresh_cache):
-    with pytest.raises(ConfigurationError, match="max_states=2894"):
-        get_model_structure(D2F2, INTERIOR, max_states=2894)
-    clear_structure_cache()
-    assert get_model_structure(D2F2, INTERIOR, max_states=2895).num_states == 2895
+def test_max_states_boundary_d2f2_through_the_cache(fresh_cache, monkeypatch):
+    monkeypatch.setattr(structure, "DEFAULT_MAX_STATES", 2894)
+    with pytest.raises(ConfigurationError, match="exceeded 2894 states"):
+        get_model_structure(D2F2, INTERIOR)
+    monkeypatch.setattr(structure, "DEFAULT_MAX_STATES", 2895)
+    assert get_model_structure(D2F2, INTERIOR).num_states == 2895
+
+
+def test_the_cap_is_read_at_call_time(fresh_cache, monkeypatch):
+    """Each exploration reads ``DEFAULT_MAX_STATES`` when it runs, cached or not."""
+    attack = AttackParams(depth=2, forks=1, max_fork_length=4)
+    monkeypatch.setattr(structure, "DEFAULT_MAX_STATES", 10)
+    with pytest.raises(ConfigurationError, match="exceeded 10 states"):
+        get_model_structure(attack, INTERIOR)
+    with pytest.raises(ConfigurationError, match="exceeded 10 states"):
+        build_selfish_forks_mdp(INTERIOR, attack, use_structure_cache=False)
+    with pytest.raises(ConfigurationError, match="exceeded 10 states"):
+        get_model_structure(AttackParams(1, 1, 8, scenario="sm-actions"), INTERIOR)
+    monkeypatch.undo()
+    cached = get_model_structure(attack, INTERIOR)
+    reference = build_selfish_forks_mdp(INTERIOR, attack, use_structure_cache=False).mdp
+    assert cached.num_states == reference.num_states > 10
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        pytest.param(function, args, id=function.__qualname__)
+        for function, args in [
+            (build_model_structure, (D2F2, SupportSignature.of(INTERIOR))),
+            (SelfishForksStructure.explore, (D2F2, SupportSignature.of(INTERIOR))),
+            (SmActionsStructure.explore, (SM_L4, SupportSignature.of(INTERIOR))),
+            (ScenarioStructure.explore, (D2F2, SupportSignature.of(INTERIOR))),
+            (get_model_structure, (D2F2, INTERIOR)),
+            (build_selfish_forks_mdp, (INTERIOR, D2F2)),
+            (build_sm_actions_mdp, (INTERIOR, SM_L4)),
+        ]
+    ],
+)
+def test_no_builder_takes_a_cap(function, args):
+    """``DEFAULT_MAX_STATES`` is the one cap; no caller passes another."""
+    with pytest.raises(TypeError, match="max_states"):
+        function(*args, max_states=10)
 
 
 def test_signature_without_mining_names_the_initial_state():
@@ -156,14 +202,14 @@ def test_signature_without_mining_names_the_initial_state():
 )
 @pytest.mark.parametrize("d,f", [(1, 1), (2, 1)])
 def test_every_cap_fails_like_the_oracle(d, f, signature):
-    """Every ``max_states`` up to the full size fails (or passes) identically."""
+    """Every cap up to the full size fails (or passes) identically."""
     attack = AttackParams(depth=d, forks=f, max_fork_length=4)
     full, _ = explore_or_error(explore_by_objects, attack, signature)
     size = 1 if full is None else full.num_states
     for cap in range(0, size + 2):
-        actual, actual_error = explore_or_error(
-            build_model_structure, attack, signature, max_states=cap
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(structure, "DEFAULT_MAX_STATES", cap)
+            actual, actual_error = explore_or_error(build_model_structure, attack, signature)
         _, expected_error = explore_or_error(explore_by_objects, attack, signature, max_states=cap)
         assert actual_error == expected_error, cap
         assert (actual is None) == (expected_error is not None), cap

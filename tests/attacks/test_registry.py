@@ -23,7 +23,6 @@ REQUIRED_HOOKS = (
     "explore",
     "series_name",
     "grid_configs",
-    "honest_strategy",
 )
 
 #: A small and a larger configuration of each built-in scenario.

@@ -9,7 +9,13 @@ import pytest
 from repro.config import AttackParams, ProtocolParams
 from repro.exceptions import ConfigurationError
 from repro.mdp import validate_mdp
-from repro.attacks import SupportSignature, build_model_structure, build_selfish_forks_mdp
+from repro.attacks import (
+    SupportSignature,
+    build_model_structure,
+    build_selfish_forks_mdp,
+    clear_structure_cache,
+    structure,
+)
 from repro.attacks.fork_state import TYPE_MINING
 from repro.attacks.honest import honest_strategy
 from repro.attacks.structure import state_code_radices
@@ -67,12 +73,15 @@ class TestModelConstruction:
         text = model_d2f1.describe()
         assert "d=2" in text and "f=1" in text and "states" in text
 
-    def test_max_states_cap_enforced(self, protocol_default):
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize("use_structure_cache", [True, False])
+    def test_max_states_cap_enforced(self, protocol_default, monkeypatch, use_structure_cache):
+        clear_structure_cache()
+        monkeypatch.setattr(structure, "DEFAULT_MAX_STATES", 10)
+        with pytest.raises(ConfigurationError, match="exceeded 10 states"):
             build_selfish_forks_mdp(
                 protocol_default,
                 AttackParams(depth=2, forks=2, max_fork_length=4),
-                max_states=10,
+                use_structure_cache=use_structure_cache,
             )
 
     def test_gamma_does_not_change_state_space(self, attack_d2f1):

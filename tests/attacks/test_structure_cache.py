@@ -19,7 +19,7 @@ from repro.attacks import (
     structure_cache_stats,
 )
 from repro.config import AttackParams, ProtocolParams
-from repro.exceptions import ConfigurationError, ModelError
+from repro.exceptions import ModelError
 
 
 @pytest.fixture(autouse=True)
@@ -97,13 +97,6 @@ class TestCacheBehaviour:
         boundary = get_model_structure(attack, ProtocolParams(p=0.0, gamma=0.5))
         assert interior is not boundary
         assert boundary.num_states < interior.num_states
-
-    def test_max_states_cap_enforced_on_cache_hits(self):
-        attack = AttackParams(2, 1, 4)
-        protocol = ProtocolParams(p=0.3, gamma=0.5)
-        get_model_structure(attack, protocol)  # populate
-        with pytest.raises(ConfigurationError):
-            get_model_structure(attack, protocol, max_states=10)
 
     def test_clear_and_stats(self):
         attack = AttackParams(1, 1, 4)

@@ -138,13 +138,11 @@ def chained_grid() -> dict:
 
 
 def failing_grid() -> dict:
-    """A grid whose middle point (p = 1.5) raises inside the worker."""
+    """A grid whose middle point (p = 1.5) raises in the worker and in both baselines."""
     return dict(
         unchecked_p_values=(0.1, 1.5, 0.3),
         gammas=(0.5,),
         attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
-        include_honest=False,
-        include_single_tree=False,
         analysis=AnalysisConfig(epsilon=1e-2),
     )
 

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import AnalysisConfig, AttackParams, ProtocolParams, SweepConfig, run_sweep
+from repro.core import attack_series_name
 from repro.analysis import formal_analysis
 from repro.attacks import build_selfish_forks_mdp
 
@@ -34,6 +35,11 @@ def reuse_scenarios(draw):
     return draw(p_grids), draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
 
 
+def attack_points(sweep):
+    """The attack series of a sweep, without its two baseline series."""
+    return sweep.series(attack_series_name(ATTACK))
+
+
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=reuse_scenarios())
 def test_bound_reuse_preserves_certified_intervals(scenario):
@@ -42,16 +48,15 @@ def test_bound_reuse_preserves_certified_intervals(scenario):
         p_values=tuple(p_values),
         gammas=(gamma,),
         attack_configs=(ATTACK,),
-        include_honest=False,
-        include_single_tree=False,
         analysis=AnalysisConfig(epsilon=EPSILON),
         reuse_p_axis_bounds=True,
     )
     sweep = run_sweep(config)
     assert not sweep.failures
-    assert [point.p for point in sweep.points] == list(p_values)
+    points = attack_points(sweep)
+    assert [point.p for point in points] == list(p_values)
 
-    for point in sweep.points:
+    for point in points:
         cold = formal_analysis(
             build_selfish_forks_mdp(ProtocolParams(p=point.p, gamma=gamma), ATTACK).mdp,
             AnalysisConfig(epsilon=EPSILON),
@@ -80,11 +85,9 @@ def test_bound_reuse_monotone_lower_bounds(scenario):
         p_values=tuple(p_values),
         gammas=(gamma,),
         attack_configs=(ATTACK,),
-        include_honest=False,
-        include_single_tree=False,
         analysis=AnalysisConfig(epsilon=EPSILON),
         reuse_p_axis_bounds=True,
     )
     sweep = run_sweep(config)
-    bounds = [point.beta_low for point in sweep.points]
+    bounds = [point.beta_low for point in attack_points(sweep)]
     assert all(b >= a - 1e-12 for a, b in zip(bounds, bounds[1:]))

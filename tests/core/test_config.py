@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AnalysisConfig, AttackParams, ProtocolParams
+from repro import AnalysisConfig, AttackParams, ProtocolParams, SweepConfig
+from repro.attacks import SingleTreeParams
 from repro.config import PAPER_ATTACK_CONFIGS, PAPER_GAMMAS
 from repro.exceptions import ConfigurationError
 
@@ -101,26 +102,41 @@ class TestAnalysisConfig:
             AnalysisConfig(epsilon=-1e-3)
 
     @pytest.mark.parametrize(
-        "option",
+        "config, option",
         [
-            {"solver": "policy_iteration"},
-            {"solver": "value_iteration"},
-            {"solver": "portfolio"},
-            {"solver": "linear_program"},
-            {"warm_start": False},
-            {"solver_tolerance": 1e-7},
-            {"max_solver_iterations": 1},
+            *(
+                pytest.param(AnalysisConfig, {key: value}, id=f"{key}={value}")
+                for key, value in [
+                    ("solver", "policy_iteration"),
+                    ("solver", "value_iteration"),
+                    ("solver", "portfolio"),
+                    ("solver", "linear_program"),
+                    ("warm_start", False),
+                    ("solver_tolerance", 1e-7),
+                    ("max_solver_iterations", 1),
+                ]
+            ),
+            pytest.param(SweepConfig, {"include_honest": False}, id="sweep-include_honest"),
+            pytest.param(
+                SweepConfig, {"include_single_tree": False}, id="sweep-include_single_tree"
+            ),
+            pytest.param(
+                SweepConfig,
+                {"single_tree": SingleTreeParams(max_depth=4, max_width=1)},
+                id="sweep-single_tree",
+            ),
         ],
-        ids=lambda option: "-".join(f"{key}={value}" for key, value in option.items()),
     )
-    def test_removed_options_rejected(self, option):
+    def test_removed_options_rejected(self, config, option):
         """Removed options are refused.
 
         Policy iteration is the only solver, every search is warm-started, and
         its threshold and budget are constants of ``repro.mdp.policy_iteration``.
+        Every sweep evaluates both baselines, the single tree at
+        ``DEFAULT_SINGLE_TREE``.
         """
         with pytest.raises(TypeError, match=next(iter(option))):
-            AnalysisConfig(**option)
+            config(**option)
 
 
 class TestSweepConfigValidation:

@@ -23,7 +23,7 @@ from repro import (
 from repro.analysis import formal_analysis
 from repro.attacks import build_selfish_forks_mdp, single_tree_errev
 from repro.core import execute_sweep
-from repro.core.engine import _build_tasks
+from repro.core.engine import DEFAULT_SINGLE_TREE, _build_tasks
 
 
 PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -112,14 +112,12 @@ class TestParallelEqualsSerial:
 
 class TestFailureIsolation:
     def failing_grid(self, workers: int) -> SweepConfig:
-        # p = 1.5 is invalid and raises inside the worker; baselines are
-        # disabled so the parent never touches the bad point itself.
+        # p = 1.5 is invalid: it raises inside the worker and in the parent's
+        # baselines.
         config = SweepConfig(
             p_values=(0.1, 0.3),
             gammas=(0.5,),
             attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
-            include_honest=False,
-            include_single_tree=False,
             analysis=AnalysisConfig(epsilon=1e-2),
             workers=workers,
         )
@@ -128,23 +126,24 @@ class TestFailureIsolation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_point_is_isolated(self, workers):
         sweep = run_sweep(self.failing_grid(workers))
-        assert [point.p for point in sweep.points] == [0.1, 0.3]
-        assert len(sweep.failures) == 1
-        failure = sweep.failures[0]
-        assert failure.p == 1.5 and failure.series == "ours(d=1,f=1)"
+        assert [point.p for point in sweep.series("ours(d=1,f=1)")] == [0.1, 0.3]
+        (failure,) = [f for f in sweep.failures if f.series == "ours(d=1,f=1)"]
+        assert failure.p == 1.5
         assert "ConfigurationError" in failure.message
 
     def test_failure_reported_via_progress(self):
         messages = []
         run_sweep(self.failing_grid(1), progress=messages.append)
-        assert sum("FAILED" in message for message in messages) == 1
+        failed = [message for message in messages if "FAILED" in message]
+        assert len(failed) == 3
+        assert all(message.startswith("gamma=0.5 p=1.5 ") for message in failed)
 
     def test_warm_chain_restarts_after_failure(self):
         config = self.failing_grid(1)
         config.warm_start_across_points = True
         sweep = run_sweep(config)
-        assert [point.p for point in sweep.points] == [0.1, 0.3]
-        assert len(sweep.failures) == 1
+        assert [point.p for point in sweep.series("ours(d=1,f=1)")] == [0.1, 0.3]
+        assert len(sweep.failures) == 3
 
     def test_crashed_worker_recorded_as_failures(self, monkeypatch):
         """A worker that dies (not merely raises) must not abort the sweep."""
@@ -172,10 +171,7 @@ class TestFailureIsolation:
         assert {point.series for point in sweep.points} == {"honest", "single-tree(f=5)"}
 
     def test_baseline_failures_isolated_too(self):
-        config = self.failing_grid(1)
-        config.include_honest = True
-        config.include_single_tree = True
-        sweep = run_sweep(config)
+        sweep = run_sweep(self.failing_grid(1))
         # The bad point fails once per series (honest, single-tree, attack)
         # instead of aborting the sweep in the parent.
         assert {failure.series for failure in sweep.failures} == {
@@ -208,7 +204,7 @@ def test_single_tree_series_is_one_grid_evaluation_per_gamma(monkeypatch):
     assert len(points) == len(config.gammas) * len(config.p_values)
     for point in points:
         protocol = ProtocolParams(p=point.p, gamma=point.gamma)
-        assert point.errev == single_tree_errev(protocol, config.single_tree)
+        assert point.errev == single_tree_errev(protocol, DEFAULT_SINGLE_TREE)
 
 
 class TestTaskDecomposition:
@@ -378,8 +374,6 @@ class TestMonotonePAxisBoundReuse:
             p_values=(0.1, 0.2, 0.3, 0.35, 0.4),
             gammas=(0.5,),
             attack_configs=(AttackParams(depth=2, forks=1, max_fork_length=4),),
-            include_honest=False,
-            include_single_tree=False,
             analysis=AnalysisConfig(epsilon=1e-3),
         )
         cold = run_sweep(grid)
@@ -387,8 +381,6 @@ class TestMonotonePAxisBoundReuse:
             p_values=grid.p_values,
             gammas=grid.gammas,
             attack_configs=grid.attack_configs,
-            include_honest=False,
-            include_single_tree=False,
             analysis=AnalysisConfig(epsilon=1e-3),
             reuse_p_axis_bounds=True,
         )
@@ -400,14 +392,14 @@ class TestMonotonePAxisBoundReuse:
             p_values=(0.1, 0.3),
             gammas=(0.5,),
             attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
-            include_honest=False,
-            include_single_tree=False,
             analysis=AnalysisConfig(epsilon=1e-2),
             reuse_p_axis_bounds=True,
         )
         sweep = run_sweep(with_unchecked_p_values(config, (0.1, 1.5, 0.3)))
-        assert [point.p for point in sweep.points] == [0.1, 0.3]
-        assert len(sweep.failures) == 1
+        assert [point.p for point in sweep.series("ours(d=1,f=1)")] == [0.1, 0.3]
+        assert [f.series for f in sweep.failures if f.series.startswith("ours")] == [
+            "ours(d=1,f=1)"
+        ]
 
 
 class TestAssembleMissingOutcomes:

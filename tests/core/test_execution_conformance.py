@@ -90,14 +90,17 @@ class TestJournalResume:
 
 class TestFailureIsolation:
     def test_bad_point_is_isolated(self, kind):
-        """One invalid grid point fails alone; its neighbours still certify."""
+        """One invalid grid point fails alone in every series; its neighbours still certify."""
         contract = CONTRACTS[kind]
         result = contract.execute(failing_grid())
-        assert [point.p for point in result.points] == [0.1, 0.3]
-        assert len(result.failures) == 1
-        failure = result.failures[0]
-        assert failure.p == 1.5
-        assert "ConfigurationError" in failure.message
+        series = ["honest", "single-tree(f=5)", "ours(d=1,f=1)"]
+        assert [(point.p, point.series) for point in result.points] == [
+            (p, name) for p in (0.1, 0.3) for name in series
+        ]
+        assert [(failure.p, failure.series) for failure in result.failures] == [
+            (1.5, name) for name in series
+        ]
+        assert all("ConfigurationError" in failure.message for failure in result.failures)
 
 
 class TestHardWorkerCrash:

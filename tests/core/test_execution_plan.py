@@ -14,7 +14,6 @@ from repro import AnalysisConfig, AttackParams, SweepConfig
 from repro.core.engine import PointOutcome, attack_series_name, describe_outcome
 from repro.core.execution import MergeSink, SweepPlan
 from repro.core.journal import SweepJournal
-from repro.core.reporting import ProgressReporter
 
 ATTACKS = (
     AttackParams(depth=1, forks=1, max_fork_length=4),
@@ -27,7 +26,6 @@ def _config(**overrides) -> SweepConfig:
         p_values=(0.0, 0.1, 0.2),
         gammas=(0.0, 0.5),
         attack_configs=ATTACKS,
-        include_single_tree=False,
         analysis=AnalysisConfig(epsilon=1e-2),
     )
     params.update(overrides)
@@ -62,7 +60,7 @@ def _outcome(plan: SweepPlan, key, *, error=None) -> PointOutcome:
 
 def _sink(plan: SweepPlan, *, journal=None):
     messages = []
-    return MergeSink(plan, reporter=ProgressReporter(messages.append), journal=journal), messages
+    return MergeSink(plan, progress=messages.append, journal=journal), messages
 
 
 class TestSweepPlan:
@@ -151,6 +149,22 @@ class TestMergeSink:
         assert len(messages) == 3
         assert all("FAILED (worker crashed" in line for line in messages[1:])
 
+    def test_without_progress_nothing_is_reported(self):
+        """``progress=None`` (the CLI's ``--quiet``) merges, fails and assembles silently."""
+        config = _config(gammas=(0.5,), p_values=(0.1,))
+        plan = SweepPlan.build(config)
+        sink = MergeSink(plan)
+        sink.accept([_outcome(plan, (0, 0, 0), error="ModelError: boom")])
+        sink.synthesize_missing(plan.tasks[1], "worker crashed: BrokenProcessPool")
+        config.p_values = (1.5,)  # the baselines fail at assembly too
+        result = sink.assemble(description="quiet")
+        assert result.points == []
+        assert [failure.series for failure in result.failures] == [
+            "honest",
+            "single-tree(f=5)",
+            *(attack_series_name(attack) for attack in ATTACKS),
+        ]
+
     def test_journal_records_accepted_outcomes_once(self, tmp_path):
         config = _config()
         plan = SweepPlan.build(config)
@@ -204,8 +218,10 @@ class TestMergeSink:
         first, second = (attack_series_name(attack) for attack in ATTACKS)
         assert [(point.p, point.series) for point in result.points] == [
             (0.1, "honest"),
+            (0.1, "single-tree(f=5)"),
             (0.1, first),
             (0.2, "honest"),
+            (0.2, "single-tree(f=5)"),
             (0.2, second),
         ]
         assert [(failure.p, failure.series, failure.message) for failure in result.failures] == [

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.attacks.structure import SelfishForksStructure
+from repro.cli import main
 from repro.config import AnalysisConfig, AttackParams
 from repro.core.engine import PointOutcome
 from repro.core.journal import (
@@ -178,6 +179,32 @@ def test_mid_file_corruption_is_rejected(tmp_path):
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(ModelError, match="corrupt"):
         run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+
+
+@pytest.mark.parametrize("damage", ["other-gamma", "mid-file-corruption"])
+def test_cli_refuses_an_unresumable_journal_in_one_error_line(tmp_path, capsys, damage):
+    """``repro sweep --resume`` on another sweep's or a corrupt journal: exit 2, no traceback."""
+    path = tmp_path / "sweep.journal"
+    argv = [
+        "sweep", "--p-max", "0.1", "--p-step", "0.1", "--epsilon", "0.05",
+        "--grid", "max-depth=1", "--quiet", "--journal", str(path),
+    ]
+    assert main([*argv, "--gamma", "0.5"]) == 0
+    gamma = "0.6" if damage == "other-gamma" else "0.5"
+    if damage == "mid-file-corruption":
+        lines = _journal_lines(path)
+        assert len(lines) == 3  # meta + two points
+        lines[1] = lines[1][:-1] + b"!"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--gamma", gamma, "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    expected = "was written by a different sweep" if gamma == "0.6" else "journal is corrupt"
+    assert line.startswith("error: journal") and expected in line
+    assert path.read_bytes() == before
 
 
 def _add_analysis_keys(path: Path, **keys) -> None:

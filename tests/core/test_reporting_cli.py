@@ -5,19 +5,14 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
+import inspect
 import math
 
 import pytest
 
-from repro import cli
+from repro import SelfishMiningAnalyzer, cli
 from repro.cli import main
-from repro.core.reporting import (
-    ProgressReporter,
-    ascii_plot,
-    render_table,
-    round_significant,
-    write_csv,
-)
+from repro.core.reporting import ascii_plot, render_table, round_significant, write_csv
 from repro.core.results import SweepPoint, SweepResult
 
 
@@ -47,16 +42,14 @@ class TestWriteCsv:
         path = write_csv([], tmp_path / "empty.csv")
         assert path.read_text().strip() == ""
 
-    def test_explicit_columns_fix_order_and_fill_gaps(self, tmp_path):
+    def test_columns_in_first_appearance_order_with_gaps_empty(self, tmp_path):
         path = write_csv(
-            [{"b": 2, "a": 1}, {"a": 3, "extra": "dropped"}],
-            tmp_path / "ordered.csv",
-            columns=["a", "b"],
+            [{"b": 2, "a": 1}, {"a": 3, "extra": "x"}], tmp_path / "ordered.csv"
         )
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,2"
-        assert lines[2] == "3,"  # missing key -> empty cell, extras dropped
+        assert lines[0] == "b,a,extra"
+        assert lines[1] == "2,1,"  # missing key -> empty cell
+        assert lines[2] == ",3,x"
 
     def test_wall_clock_columns_rounded_to_significant_digits(self, tmp_path):
         path = write_csv(
@@ -69,14 +62,6 @@ class TestWriteCsv:
         assert row["build_seconds"] == "1235.0"
         # Non-timing floats keep their full precision.
         assert row["errev"] == "0.123456789"
-
-    def test_time_rounding_can_be_disabled(self, tmp_path):
-        path = write_csv(
-            [{"seconds": 0.123456789}], tmp_path / "full.csv", time_significant_digits=None
-        )
-        with path.open() as handle:
-            (row,) = list(csv.DictReader(handle))
-        assert row["seconds"] == "0.123456789"
 
     def test_utf8_regardless_of_locale(self, tmp_path, monkeypatch):
         """Regression: CSV output must be UTF-8 even on a C-locale host.
@@ -134,43 +119,17 @@ class TestRoundSignificant:
         assert math.isnan(round_significant(math.nan))
 
 
-class TestProgressReporter:
-    def test_enabled_reporter_forwards_every_message(self):
-        seen = []
-        reporter = ProgressReporter(seen.append)
-        reporter("a")
-        reporter("b")
-        assert reporter.enabled
-        assert seen == ["a", "b"]
-
-    def test_disabled_reporter_swallows_messages(self):
-        reporter = ProgressReporter()
-        assert not reporter.enabled
-        reporter("dropped")
-
-    def test_wrap_is_idempotent_for_reporters(self):
-        reporter = ProgressReporter(print)
-        assert ProgressReporter.wrap(reporter) is reporter
-        assert not ProgressReporter.wrap(None).enabled
-
-    @pytest.mark.parametrize(("quiet", "expected"), [(False, "gamma=0.5 p=0.1\n"), (True, "")])
-    def test_stderr_reporter_honours_quiet(self, capsys, quiet, expected):
-        ProgressReporter.stderr(quiet=quiet)("gamma=0.5 p=0.1")
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == expected
-
-
 class TestRenderTable:
     def test_contains_all_columns_and_values(self):
         text = render_table([{"name": "x", "value": 1.23456}])
         assert "name" in text and "value" in text
         assert "1.2346" in text  # default float format
 
-    def test_column_selection_and_order(self):
-        text = render_table([{"a": 1, "b": 2}], columns=["b", "a"])
+    def test_columns_in_first_appearance_order(self):
+        text = render_table([{"b": 1}, {"a": 2, "b": 3}])
         header = text.splitlines()[0]
         assert header.index("b") < header.index("a")
+        assert text.splitlines()[2].rstrip() == "1"
 
     def test_none_rendered_as_empty(self):
         text = render_table([{"a": None}])
@@ -191,10 +150,28 @@ class TestAsciiPlot:
         assert "no data" in ascii_plot(sample_sweep, gamma=0.9)
 
     def test_plot_dimensions(self, sample_sweep):
-        lines = ascii_plot(sample_sweep, gamma=0.5, width=40, height=10).splitlines()
+        lines = ascii_plot(sample_sweep, gamma=0.5).splitlines()
         plot_lines = [line for line in lines if line.startswith("|")]
-        assert len(plot_lines) == 10
-        assert all(len(line) <= 41 for line in plot_lines)
+        assert len(plot_lines) == 18
+        assert all(len(line) <= 61 for line in plot_lines)
+        assert "+" + "-" * 60 in lines
+
+
+@pytest.mark.parametrize(
+    "function, parameters",
+    [
+        pytest.param(function, parameters, id=function.__name__)
+        for function, parameters in [
+            (write_csv, ["rows", "path"]),
+            (render_table, ["rows"]),
+            (ascii_plot, ["sweep", "gamma"]),
+            (SelfishMiningAnalyzer.build_model, ["self"]),
+        ]
+    ],
+)
+def test_report_formats_take_no_options(function, parameters):
+    """Columns, number formats, plot size and model rebuilds are fixed."""
+    assert list(inspect.signature(function).parameters) == parameters
 
 
 class TestProbabilityArgument:
@@ -266,6 +243,28 @@ class TestCli:
         with out_csv.open() as handle:
             rows = list(csv.DictReader(handle))
         assert {row["series"] for row in rows} >= {"honest", "ours(d=1,f=1)"}
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_sweep_progress_goes_to_stderr_unless_quiet(self, tmp_path, capsys, quiet):
+        """Progress and the journal summary print to stderr; ``--quiet`` drops both."""
+        argv = [
+            "sweep", "--p-max", "0.1", "--p-step", "0.1", "--epsilon", "0.05",
+            "--grid", "max-depth=1", "--journal", str(tmp_path / "sweep.journal"),
+        ]
+        assert main(argv + ["--quiet"] * quiet) == 0
+        captured = capsys.readouterr()
+        assert "ERRev vs p" in captured.out
+        assert "ours(d=1,f=1): ERRev=" not in captured.out
+        if quiet:
+            assert captured.err == ""
+        else:
+            lines = captured.err.splitlines()
+            assert [line.split(": ERRev=")[0] for line in lines[:-1]] == [
+                "gamma=0.5 p=0.0 ours(d=1,f=1)",
+                "gamma=0.5 p=0.1 ours(d=1,f=1)",
+            ]
+            assert lines[-1].startswith("journal: ")
+            assert "recorded 2, skipped 0 unit(s)" in lines[-1]
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):

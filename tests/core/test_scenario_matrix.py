@@ -40,7 +40,6 @@ def scenario_grid(scenario: str, **overrides) -> SweepConfig:
         p_values=(0.0, 0.15, 0.3),
         gammas=(0.5,),
         attack_configs=attack_configs,
-        include_single_tree=False,
         analysis=AnalysisConfig(epsilon=1e-2),
     )
     base.update(overrides)

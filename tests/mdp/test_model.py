@@ -42,7 +42,8 @@ class TestMDPBuilder:
     def test_add_action_registers_successors(self):
         builder = MDPBuilder()
         builder.add_action("a", "go", [("b", 0.5, (0.0,)), ("c", 0.5, (0.0,))])
-        assert builder.has_state("b") and builder.has_state("c")
+        assert (builder.state_index("b"), builder.state_index("c")) == (1, 2)
+        assert builder.num_states == 3
 
     def test_add_action_rejects_bad_probability_sum(self):
         builder = MDPBuilder()
@@ -103,14 +104,6 @@ class TestMDPBuilder:
         sums = np.add.reduceat(mdp.trans_prob, mdp.row_trans_offsets[:-1])
         assert np.allclose(sums, 1.0)
 
-    def test_has_action_and_num_actions(self):
-        builder = MDPBuilder()
-        builder.add_action("a", "x", [("a", 1.0, (0.0,))])
-        assert builder.has_action("a", "x")
-        assert not builder.has_action("a", "y")
-        assert not builder.has_action("zzz", "x")
-        assert builder.num_actions_of("a") == 1
-
 
 class TestMDPQueries:
     def test_counts(self):
@@ -124,10 +117,10 @@ class TestMDPQueries:
         mdp = build_two_state_mdp()
         assert mdp.state_labels[mdp.initial_state] == "a"
 
-    def test_actions_of(self):
+    def test_num_actions_of(self):
         mdp = build_two_state_mdp()
         state_a = mdp.state_of_label("a")
-        assert mdp.actions_of(state_a) == ["stay", "go"]
+        assert [mdp.row_actions[row] for row in mdp.rows_of(state_a)] == ["stay", "go"]
         assert mdp.num_actions_of(state_a) == 2
 
     def test_row_index_lookup(self):
@@ -146,24 +139,6 @@ class TestMDPQueries:
         mdp = build_two_state_mdp()
         with pytest.raises(ModelError):
             mdp.state_of_label("zzz")
-
-    def test_transitions_of_row(self):
-        mdp = build_two_state_mdp()
-        state_b = mdp.state_of_label("b")
-        row = mdp.row_index(state_b, "back")
-        transitions = mdp.transitions_of_row(row)
-        assert len(transitions) == 1
-        successor, probability, reward = transitions[0]
-        assert successor == mdp.state_of_label("a")
-        assert probability == pytest.approx(1.0)
-        assert reward[0] == pytest.approx(2.0)
-
-    def test_row_view(self):
-        mdp = build_two_state_mdp()
-        view = mdp.row(0)
-        assert view.state == 0
-        assert view.action == "stay"
-        assert view.probabilities == (1.0,)
 
     def test_expected_row_rewards(self):
         mdp = build_two_state_mdp()

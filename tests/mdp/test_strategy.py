@@ -9,7 +9,6 @@ import pytest
 
 from repro.exceptions import ModelError
 from repro.mdp import MDPBuilder, Strategy
-from repro.mdp.strategy import describe_strategy
 
 
 @pytest.fixture()
@@ -84,21 +83,3 @@ class TestStrategy:
         strategy = Strategy.from_action_map(mdp, {"a": "go"})
         state_a = mdp.state_of_label("a")
         assert mdp.row_actions[strategy.row(state_a)] == "go"
-
-
-class TestDescribeStrategy:
-    def test_lists_all_states(self, mdp):
-        text = describe_strategy(Strategy.first_action(mdp), only_non_default=False)
-        assert "'a'" in text and "'b'" in text
-
-    def test_omits_default_action(self, mdp):
-        strategy = Strategy.from_action_map(mdp, {"a": "stay", "b": "loop"})
-        text = describe_strategy(strategy, default_action="stay")
-        assert "'a'" not in text
-        assert "'b'" in text
-
-    def test_limit_truncates(self, mdp):
-        text = describe_strategy(
-            Strategy.first_action(mdp), only_non_default=False, limit=1
-        )
-        assert text.endswith("...")
