@@ -61,7 +61,6 @@ from ..exceptions import ModelError
 from ..mdp import (
     MDP,
     EvaluationCache,
-    PolicyIterationResult,
     Strategy,
     gain_upper_bound,
     solve_mean_payoff,
@@ -186,11 +185,13 @@ def formal_analysis(
     while beta_up - beta_low >= config.epsilon:
         beta = 0.5 * (beta_low + beta_up)
         probe_start = time.perf_counter()
-        weights = beta_reward_weights(beta)
+        weights = _weights(beta)
         certificate, bound = _certify(mdp, weights, solved_gains, biases)
         rounds = 0
         if certificate is None:
-            solution = _solve(mdp, beta, warm_strategy, cache)
+            solution = solve_mean_payoff(
+                mdp, weights, warm_start=warm_strategy, evaluation_cache=cache
+            )
             bound, rounds = solution.gain, solution.iterations
             warm_strategy = solution.strategy
             gains, biases = _component_gains_and_biases(mdp, warm_strategy, cache)
@@ -213,7 +214,9 @@ def formal_analysis(
         total_solver_iterations += rounds
 
     # Final solve at beta_low, from the last solved strategy, to extract the certified one.
-    final_solution = _solve(mdp, beta_low, warm_strategy, cache)
+    final_solution = solve_mean_payoff(
+        mdp, _weights(beta_low), warm_start=warm_strategy, evaluation_cache=cache
+    )
     # The cache is the factors' only holder: free them before the stationary solve.
     del cache
     total_solver_iterations += final_solution.iterations
@@ -253,9 +256,14 @@ def _strategy_from_rows(mdp: MDP, rows: Optional[np.ndarray]) -> Optional[Strate
         return None
 
 
+def _weights(beta: float) -> np.ndarray:
+    """``r_beta``'s reward weights as an array, converted once per probe."""
+    return np.array(beta_reward_weights(beta))
+
+
 def _certify(
     mdp: MDP,
-    weights: Tuple[float, float],
+    weights: np.ndarray,
     solved_gains: List[np.ndarray],
     biases: Optional[np.ndarray],
 ) -> Tuple[Optional[str], float]:
@@ -289,14 +297,3 @@ def _component_gains_and_biases(
     chain = evaluation.chain
     return chain.gains_and_biases(chain.expected_rewards, evaluation.factor)
 
-
-def _solve(
-    mdp: MDP,
-    beta: float,
-    warm_start: Optional[Strategy],
-    evaluation_cache: EvaluationCache,
-) -> PolicyIterationResult:
-    """Solve the mean-payoff MDP under ``r_beta``."""
-    return solve_mean_payoff(
-        mdp, beta_reward_weights(beta), warm_start=warm_start, evaluation_cache=evaluation_cache
-    )

@@ -46,6 +46,7 @@ from .single_tree import (
     SingleTreeParams,
     single_tree_errev,
     single_tree_errev_grid,
+    single_tree_errev_table,
 )
 from .sm_actions import SmActionsModel, SmActionsStructure, build_sm_actions_mdp
 
@@ -85,4 +86,5 @@ __all__ = [
     "SingleTreeParams",
     "single_tree_errev",
     "single_tree_errev_grid",
+    "single_tree_errev_table",
 ]

@@ -157,6 +157,10 @@ class ScenarioStructure:
         self._trans_row = np.repeat(
             np.arange(self.num_rows, dtype=np.int64), np.diff(row_trans_offsets)
         )
+        # The transitions of every symbolic probability kind, in transition order.
+        self._kind_transitions = tuple(
+            np.flatnonzero(trans_kind == kind) for kind in range(PROB_ONE_MINUS_GAMMA_HONEST + 1)
+        )
         # The Poisson column order of every instantiated model, computed by the
         # first policy evaluation that needs it (the successors fix it, not p or gamma).
         self.column_order = ColumnOrder()
@@ -186,23 +190,20 @@ class ScenarioStructure:
                 f"for {signature} (p={protocol.p}, gamma={protocol.gamma})"
             )
         p, gamma = protocol.p, protocol.gamma
+        kinds = self._kind_transitions
         prob = np.ones(self.num_transitions)
-        adversary = self.trans_kind == PROB_ADVERSARY
-        honest = self.trans_kind == PROB_HONEST
-        if adversary.any():
+        adversary = kinds[PROB_ADVERSARY]
+        if len(adversary):
             denominator = (1.0 - p) + p * self.trans_sigma[adversary]
             prob[adversary] = p / denominator
-        if honest.any():
+        honest = kinds[PROB_HONEST]
+        if len(honest):
             denominator = (1.0 - p) + p * self.trans_sigma[honest]
             prob[honest] = (1.0 - p) / denominator
-        prob[self.trans_kind == PROB_GAMMA] = gamma
-        prob[self.trans_kind == PROB_ONE_MINUS_GAMMA] = 1.0 - gamma
-        race_extend = self.trans_kind == PROB_GAMMA_HONEST
-        if race_extend.any():
-            prob[race_extend] = gamma * (1.0 - p)
-        race_ignore = self.trans_kind == PROB_ONE_MINUS_GAMMA_HONEST
-        if race_ignore.any():
-            prob[race_ignore] = (1.0 - gamma) * (1.0 - p)
+        prob[kinds[PROB_GAMMA]] = gamma
+        prob[kinds[PROB_ONE_MINUS_GAMMA]] = 1.0 - gamma
+        prob[kinds[PROB_GAMMA_HONEST]] = gamma * (1.0 - p)
+        prob[kinds[PROB_ONE_MINUS_GAMMA_HONEST]] = (1.0 - gamma) * (1.0 - p)
         prob *= self.trans_mult
         # Renormalise each row (mirrors MDPBuilder.build washing out float drift).
         totals = np.add.reduceat(prob, self.row_trans_offsets[:-1])

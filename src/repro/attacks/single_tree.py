@@ -31,11 +31,13 @@ states and their transitions do not depend on ``p`` or ``gamma``: they are
 explored once per process and per ``(max_depth, max_width)`` into a cached,
 read-only round graph (2,156 states in 23 layers at ``l=4, f=5``).  Each call
 then evaluates the exact expected per-round adversarial and honest rewards over
-that graph, one layer at a time in descending key order, with the same
-floating-point operations in the same order as a per-state recursion (the
-test suite keeps that recursion, and a Monte-Carlo estimate, as oracles).
-Values are never cached.  The long-run expected relative revenue follows from
-the renewal-reward theorem.
+that graph for every ``(gamma, p)`` of its grid at once, one layer at a time in
+descending key order, with the same floating-point operations in the same
+order as a per-state recursion at each point (the test suite keeps that
+recursion, and a Monte-Carlo estimate, as oracles).  Only the round's
+terminal values depend on ``gamma``, so a sweep evaluates the graph once for
+all its gammas (:func:`single_tree_errev_table`).  Values are never cached.
+The long-run expected relative revenue follows from the renewal-reward theorem.
 """
 
 from __future__ import annotations
@@ -186,22 +188,26 @@ def _round_graph(max_depth: int, max_width: int) -> _RoundGraph:
     return graph
 
 
-def _round_expectations(p: np.ndarray, gamma: float, graph: _RoundGraph) -> np.ndarray:
-    """Exact expected (adversarial, honest) finalised blocks of one attack round, per ``p``.
+def _round_expectations(p: np.ndarray, gammas: Sequence[float], graph: _RoundGraph) -> np.ndarray:
+    """Exact expected (adversarial, honest) finalised blocks of a round, per ``(gamma, p)``.
 
-    Evaluates the graph layer by layer for every ``p`` at once (the last
-    axis but one of every value), and every state with the floating-point
-    operations of the per-state recursion in its order: ``den = (1 - p) + p *
-    sigma``, then ``acc = acc + (p * count / den) * value`` over the parent
-    levels in ascending order and the honest block last.  A full level adds
-    ``0.0 * 0.0``; all values are non-negative, so ``acc + 0.0`` is ``acc``
-    exactly.  No reduction is used, since a reduction may reassociate, so
-    each ``p`` gets the values it gets alone.  Returns shape ``(len(p), 2)``.
+    Evaluates the graph layer by layer for every ``gamma`` and ``p`` at once,
+    and every state with the floating-point operations of the per-state
+    recursion in its order: ``den = (1 - p) + p * sigma``, then ``acc = acc +
+    (p * count / den) * value`` over the parent levels in ascending order and
+    the honest block last.  A full level adds ``0.0 * 0.0``; all values are
+    non-negative, so ``acc + 0.0`` is ``acc`` exactly.  The transition
+    probabilities do not depend on ``gamma``, only the terminal values do.  No
+    reduction is used, since a reduction may reassociate, so each point gets
+    the values it gets alone.  A value row is laid out ``(gamma, component,
+    p)``, so the products with the probabilities run along the contiguous
+    ``p`` axis.  Returns shape ``(len(gammas), len(p), 2)``.
     """
     num_states = graph.num_states
-    values = np.empty((num_states + len(graph.terminals) + 1, len(p), 2))
+    values = np.empty((num_states + len(graph.terminals) + 1, len(gammas), 2, len(p)))
     for index, (depth, public_length) in enumerate(graph.terminals, start=num_states):
-        values[index] = _round_end(depth, public_length, gamma)
+        for column, gamma in enumerate(gammas):
+            values[index, column] = np.array(_round_end(depth, public_length, gamma))[:, None]
     values[-1] = 0.0
 
     denominator = (1.0 - p) + p * graph.sigma[:, None]
@@ -211,13 +217,49 @@ def _round_expectations(p: np.ndarray, gamma: float, graph: _RoundGraph) -> np.n
     probability /= denominator[:, None]
 
     for lo, hi in graph.layers:
-        terms = probability[lo:hi, :, :, None] * values[graph.successors[lo:hi]]
+        terms = probability[lo:hi, :, None, None, :] * values[graph.successors[lo:hi]]
         total = terms[:, 0]
         for outcome in range(1, terms.shape[1]):
             total = total + terms[:, outcome]
         values[lo:hi] = total
     # The empty tree is the only state of key 0, so it is the last state row.
-    return values[num_states - 1]
+    return values[num_states - 1].transpose(0, 2, 1)
+
+
+def single_tree_errev_table(
+    gammas: Sequence[float], p_values: Sequence[float], params: SingleTreeParams | None = None
+) -> List[List[float]]:
+    """Exact ERRev of the single-tree baseline at every ``(gamma, p)`` of a grid.
+
+    One evaluation of the round graph serves the whole grid; row ``i`` holds
+    the values at ``gammas[i]``, and each equals :func:`single_tree_errev` at
+    its point bit for bit.  An invalid ``p`` or ``gamma`` raises for the whole
+    grid.
+    """
+    params = params or SingleTreeParams()
+    gammas = [check_probability(gamma, "gamma") for gamma in gammas]
+    ps = [check_probability(p, "p") for p in p_values]
+    interior = [p for p in ps if 0.0 < p < 1.0]
+    rounds = (
+        _round_expectations(
+            np.array(interior), gammas, _round_graph(params.max_depth, params.max_width)
+        ).tolist()
+        if interior
+        else [[] for _ in gammas]
+    )
+    table = []
+    for gamma_rounds in rounds:
+        interior_rounds = iter(gamma_rounds)
+        errevs = []
+        for p in ps:
+            if p == 0.0 or p == 1.0:
+                errevs.append(0.0 if p == 0.0 else 1.0)
+                continue
+            adversary, honest = next(interior_rounds)
+            total = adversary + honest
+            errevs.append(0.0 if total <= 0.0 else adversary / total)
+        table.append(errevs)
+    return table
 
 
 def single_tree_errev_grid(
@@ -225,30 +267,9 @@ def single_tree_errev_grid(
 ) -> List[float]:
     """Exact ERRev of the single-tree baseline at every ``p`` of a grid, at one ``gamma``.
 
-    One evaluation of the round graph serves the whole grid, and each value
-    equals :func:`single_tree_errev` at its point bit for bit.  An invalid
-    ``p`` or ``gamma`` raises for the whole grid.
+    The one-gamma row of :func:`single_tree_errev_table`.
     """
-    params = params or SingleTreeParams()
-    gamma = check_probability(gamma, "gamma")
-    ps = [check_probability(p, "p") for p in p_values]
-    interior = [p for p in ps if 0.0 < p < 1.0]
-    rounds = iter(
-        _round_expectations(
-            np.array(interior), gamma, _round_graph(params.max_depth, params.max_width)
-        ).tolist()
-        if interior
-        else ()
-    )
-    errevs = []
-    for p in ps:
-        if p == 0.0 or p == 1.0:
-            errevs.append(0.0 if p == 0.0 else 1.0)
-            continue
-        adversary, honest = next(rounds)
-        total = adversary + honest
-        errevs.append(0.0 if total <= 0.0 else adversary / total)
-    return errevs
+    return single_tree_errev_table([gamma], p_values, params)[0]
 
 
 def single_tree_errev(protocol: ProtocolParams, params: SingleTreeParams | None = None) -> float:

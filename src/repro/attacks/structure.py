@@ -565,7 +565,9 @@ def _freeze(structure: ScenarioStructure) -> ScenarioStructure:
     """
     order = structure.column_order
     arrays = [order.rank, *(order.template or ()), *(order.pattern or ())]
-    for value in [*vars(structure).values(), *arrays]:
+    for value in vars(structure).values():
+        arrays.extend(value if isinstance(value, tuple) else (value,))
+    for value in arrays:
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
     return structure

@@ -10,7 +10,7 @@ Running the units -- inline or on a process pool -- and merging them is
 * Both baseline series, honest mining and the single tree at
   :data:`DEFAULT_SINGLE_TREE`, are part of every sweep.  They are closed
   forms evaluated inline in the parent process; the single-tree baseline once
-  per gamma for the whole p grid.
+  per sweep for the whole ``(gamma, p)`` grid.
 * Every attack configuration contributes one task per ``(gamma, p)`` point --
   or, when warm starts or certified bounds are chained across adjacent ``p``
   points (``warm_start_across_points`` / ``reuse_p_axis_bounds``), one task per
@@ -69,7 +69,7 @@ from ..attacks import (
     get_model_structure,
     honest_errev,
     single_tree_errev,
-    single_tree_errev_grid,
+    single_tree_errev_table,
 )
 from ..attacks.registry import ScenarioStructure, get_attack, scenario_id_for
 from ..config import AnalysisConfig, AttackParams, ProtocolParams
@@ -314,14 +314,14 @@ def _pool_start_method() -> str:
     return "spawn"
 
 
-def _single_tree_series(config: "SweepConfig", gamma: float) -> Optional[List[float]]:
-    """The single-tree baseline at every p of the grid at ``gamma``, from one evaluation.
+def _single_tree_series(config: "SweepConfig") -> Optional[List[List[float]]]:
+    """The single-tree baseline at every ``(gamma, p)`` of the grid, from one evaluation.
 
     ``None`` when an invalid parameter makes the grid form raise: every
     point is then evaluated alone, so only the invalid ones fail.
     """
     try:
-        return single_tree_errev_grid(gamma, config.p_values, DEFAULT_SINGLE_TREE)
+        return single_tree_errev_table(config.gammas, config.p_values, DEFAULT_SINGLE_TREE)
     except Exception:
         return None
 
@@ -380,14 +380,14 @@ def assemble_sweep_result(
     """
     points: List[SweepPoint] = []
     failures: List[SweepFailure] = []
+    single_tree = _single_tree_series(config)
     for gamma_index, gamma in enumerate(config.gammas):
-        single_tree = _single_tree_series(config, gamma)
         for p_index, p in enumerate(config.p_values):
             points.extend(
                 _baseline_points(
                     p,
                     gamma,
-                    None if single_tree is None else single_tree[p_index],
+                    None if single_tree is None else single_tree[gamma_index][p_index],
                     failures,
                     report,
                 )

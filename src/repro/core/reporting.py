@@ -1,10 +1,11 @@
 """Plain-text and CSV reporting of analysis and sweep results.
 
 The CLI uses these helpers to render the paper's figures as ASCII plots (one
-60x18 chart per gamma, one marker per series), results as text tables and
-sweeps as CSV files.  Every format is fixed: columns are the union of the row
-keys in insertion order, floats print as ``{:.4f}`` in tables, and wall-clock
-CSV columns keep 4 significant digits.
+60x18 chart per gamma, one marker per series and :data:`OVERLAP_MARKER` where
+series share a cell), results as text tables and sweeps as CSV files.  Every
+format is fixed: columns are the union of the row keys in insertion order,
+floats print as ``{:.4f}`` in tables, and wall-clock CSV columns keep 4
+significant digits.
 """
 
 from __future__ import annotations
@@ -12,9 +13,14 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence, Set
 
 from .results import SweepResult
+
+#: Plot markers of the series, in legend order (reused past the eighth series).
+MARKERS = "ox+*#@%&"
+#: Plot marker of a cell that holds points of two or more series.
+OVERLAP_MARKER = "="
 
 
 def round_significant(value: float, digits: int = 4) -> float:
@@ -93,9 +99,10 @@ def ascii_plot(sweep: SweepResult, gamma: float) -> str:
     """Render one Figure 2 panel (fixed gamma) as a 60x18 ASCII scatter plot.
 
     Each series gets a distinct marker; the x-axis is the adversarial resource
-    ``p`` and the y-axis the expected relative revenue.
+    ``p`` and the y-axis the expected relative revenue.  A cell holding points
+    of two or more series shows :data:`OVERLAP_MARKER`, which the legend then
+    explains, so no series vanishes under another.
     """
-    markers = "ox+*#@%&"
     series_names = sweep.series_names()
     points_by_series: Dict[str, List] = {
         name: sweep.series(name, gamma=gamma) for name in series_names
@@ -119,12 +126,19 @@ def ascii_plot(sweep: SweepResult, gamma: float) -> str:
         return height - 1 - row, column
 
     legend_lines = []
+    # The series (by legend index) with a point in each occupied cell.
+    owners: Dict[tuple[int, int], Set[int]] = {}
     for index, name in enumerate(series_names):
-        marker = markers[index % len(markers)]
-        legend_lines.append(f"  {marker} {name}")
+        legend_lines.append(f"  {MARKERS[index % len(MARKERS)]} {name}")
         for point in points_by_series[name]:
-            row, column = to_cell(point.p, point.errev)
-            grid[row][column] = marker
+            owners.setdefault(to_cell(point.p, point.errev), set()).add(index)
+    for (row, column), indices in owners.items():
+        if len(indices) > 1:
+            grid[row][column] = OVERLAP_MARKER
+        else:
+            grid[row][column] = MARKERS[min(indices) % len(MARKERS)]
+    if any(len(indices) > 1 for indices in owners.values()):
+        legend_lines.append(f"  {OVERLAP_MARKER} points of two or more series")
 
     lines = [f"ERRev vs p   (gamma = {gamma})", f"y: 0 .. {y_max:.3f}   x: {x_min} .. {x_max}"]
     lines.extend("|" + "".join(row) for row in grid)

@@ -33,35 +33,40 @@ the ``(n, ref)`` entry and the ones column of ``g``.  The reference state
 ``ref``, whose bias every Poisson system pins to zero, is always the model's
 initial state, so one template serves every chain.  Each model gathers its
 values into that order once (:func:`poisson_system`), and the Poisson matrix of
-a strategy is then a boolean mask of its chosen rows, the kept entries counted
-per column and summed into the column offsets, and two gathers: no sort and no
-row gather.  The arrays are those of ``(I - P)`` with the bias columns
-permuted, bit for bit.  A model whose table pruned an entry of the skeleton's
-pattern (a zero probability, or a probability-1 self-loop whose diagonal
-cancels) gets a template of its own table's pattern.
+a strategy is then a boolean mask of its chosen rows, the column offsets found
+by one binary search of the kept entries for the template's column bounds, and
+two gathers: no sort and no row gather.  The arrays are those of ``(I - P)``
+with the bias columns permuted, bit for bit.  A model whose table pruned an
+entry of the skeleton's pattern (a zero probability, or a probability-1
+self-loop whose diagonal cancels) gets a template of its own table's pattern.
 
 The Poisson matrix does not depend on the rewards, so
 :meth:`MarkovChain.poisson_factor` factors it once (SuperLU via ``splu``) and
 :meth:`MarkovChain.gain_and_bias` solves any reward vector with that factor;
 its caller forms the vector, so policy iteration gathers it from one
 per-solve vector of row rewards, and keeps factors across solves in an
-:class:`~repro.mdp.policy_iteration.EvaluationCache`.  The matrix is built
-in a :func:`poisson_container` by assigning its public arrays, flagged
-canonical, so no factorization runs scipy's constructor checks; the cache
-holds one container for every factorization of its search.  SuperLU's relaxed
-supernodes and panel blocking (Demmel et al., SIAM J. Matrix Anal. Appl.
-20(3), 1999) pay off on dense fronts; these systems have almost none (15k-48k
+:class:`~repro.mdp.policy_iteration.EvaluationCache`.  Both systems are solved
+in the calling thread's :func:`thread_container` of their size: their arrays
+are assigned to its public attributes, flagged canonical, handed to scipy's
+solver and taken out again, so no solve runs scipy's constructor checks and
+no container holds a matrix between solves.  A thread makes one container per
+matrix size it meets, so a sweep makes one per system shape, not one per
+point or per search.  SuperLU's relaxed supernodes and panel blocking (Demmel
+et al., SIAM J. Matrix Anal. Appl. 20(3), 1999) pay off on dense fronts; these
+systems have almost none (15k-48k
 L+U entries for 2,896 unknowns at ``d=2,f=2``), so the factor runs without
 them (``relax=1, panel_size=1``), which is faster to factor and to solve at
 every model size measured.  The setting is fixed, so refactoring the same
 chain gives the same factor bit for bit, and reuse changes no value.  The
-stationary system is solved once per chain by ``spsolve``, and stationary
-probabilities below :data:`NEGLIGIBLE_PROBABILITY` are rounded to zero.  A
-singular system (the chain is not unichain) raises ``SolverError``.
+stationary system is solved by ``spsolve`` on every call of
+:meth:`MarkovChain.stationary_distribution` (nothing is kept on the chain), and
+stationary probabilities below :data:`NEGLIGIBLE_PROBABILITY` are rounded to
+zero.  A singular system (the chain is not unichain) raises ``SolverError``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -79,6 +84,14 @@ _NOT_UNICHAIN = (
 
 #: Stationary probabilities below this are linear-algebra noise, set to zero.
 NEGLIGIBLE_PROBABILITY = 1e-12
+
+#: The calling thread's containers, by matrix size (see :func:`thread_container`).
+_THREAD = threading.local()
+#: The arrays of a container between solves.
+_NO_VALUES = np.empty(0)
+_NO_INDICES = np.empty(0, dtype=np.int32)
+_NO_VALUES.flags.writeable = False
+_NO_INDICES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -128,16 +141,15 @@ class PoissonTemplate(NamedTuple):
     ``indices[k]``; within a column the equations increase.  The ``(n, ref)``
     entry (the last of column ``rank[ref]``) and the ones column of ``g`` (the
     last column) carry the row ``num_rows``, which every chain chooses.
-    Column ``j`` starts at entry ``starts[j]``; the columns ``empty`` have no
-    entry.  ``source[k]`` is the position of entry ``k`` among the pattern's
-    entries followed by the ``(n, ref)`` entry and the ``n`` ones: a model
-    gathers its values from there.  Every array is read-only.
+    Column ``j`` holds the entries ``bounds[j]:bounds[j + 1]``.  ``source[k]``
+    is the position of entry ``k`` among the pattern's entries followed by the
+    ``(n, ref)`` entry and the ``n`` ones: a model gathers its values from
+    there.  Every array is read-only.
     """
 
     row: np.ndarray
     indices: np.ndarray
-    starts: np.ndarray
-    empty: np.ndarray
+    bounds: np.ndarray
     source: np.ndarray
 
 
@@ -146,8 +158,8 @@ def _row_gather(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.nd
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
     gathered = np.zeros(len(rows) + 1, dtype=indptr.dtype)
-    np.cumsum(lengths, out=gathered[1:])
-    picked = np.repeat(starts - gathered[:-1], lengths) + np.arange(gathered[-1])
+    lengths.cumsum(out=gathered[1:])
+    picked = (starts - gathered[:-1]).repeat(lengths) + np.arange(gathered[-1])
     return gathered, picked
 
 
@@ -270,12 +282,12 @@ def _poisson_template(
     equation = np.concatenate((owners[pattern_row], [n], np.arange(n)))
     column = np.concatenate((rank[indices], [rank[initial_state]], np.full(n, n)))
     source = np.lexsort((equation, column))
-    counts = np.bincount(column, minlength=n + 1)
+    bounds = np.zeros(n + 2, dtype=np.intp)
+    np.cumsum(np.bincount(column, minlength=n + 1), out=bounds[1:])
     template = PoissonTemplate(
         row[source].astype(np.int32),
         equation[source].astype(np.int32),
-        np.cumsum(counts) - counts,
-        np.flatnonzero(counts == 0),
+        bounds,
         source.astype(np.int32),
     )
     for array in template:
@@ -316,15 +328,39 @@ def poisson_system(mdp: MDP) -> Tuple[PoissonTemplate, np.ndarray]:
     return mdp._poisson_system
 
 
-def poisson_container(num_states: int) -> sp.csc_matrix:
-    """An empty CSC matrix of the Poisson system's shape, for :meth:`MarkovChain.poisson_matrix`.
+def thread_container(size: int) -> sp.csc_matrix:
+    """The calling thread's CSC container of shape ``(size, size)``, made on its first request.
 
-    Filling it assigns its public arrays, so no factorization pays for the
-    checks of scipy's constructor.  A container belongs to one caller at a
-    time (one search); it is never kept on a model or skeleton, which threads
-    share.
+    :meth:`MarkovChain.stationary_distribution` and
+    :meth:`MarkovChain.poisson_factor` fill it through its public arrays,
+    flagged canonical, hand it to scipy's solver and empty it again, so a
+    solve pays for no scipy constructor.  Between solves its arrays are empty
+    (it is no valid matrix then) and it holds nothing of any model.
+    Containers belong to threads, never to a model or skeleton, since those are
+    shared across threads.
     """
-    return sp.csc_matrix((num_states + 1, num_states + 1))
+    containers = getattr(_THREAD, "containers", None)
+    if containers is None:
+        containers = _THREAD.containers = {}
+    container = containers.get(size)
+    if container is None:
+        container = containers[size] = sp.csc_matrix((size, size))
+        _empty(container)
+    return container
+
+
+def _fill(
+    container: sp.csc_matrix, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray
+) -> sp.csc_matrix:
+    """Give ``container`` the canonical CSC arrays ``(data, indices, indptr)``."""
+    container.data, container.indices, container.indptr = data, indices, indptr
+    container.has_canonical_format = True
+    return container
+
+
+def _empty(container: sp.csc_matrix) -> None:
+    """Drop the container's arrays; solvers keep nothing of the matrix they were handed."""
+    container.data, container.indices, container.indptr = _NO_VALUES, _NO_INDICES, _NO_INDICES
 
 
 class MarkovChain:
@@ -371,20 +407,27 @@ class MarkovChain:
 
     # ----------------------------------------------------------------- analysis
 
-    def stationary_matrix(self) -> sp.csc_matrix:
+    def stationary_matrix(self, container: Optional[sp.csc_matrix] = None) -> sp.csc_matrix:
         """Return ``(P^T - I)`` with its last equation replaced by ``sum(pi) = 1``.
 
         Column ``i`` is row ``i`` of the generator negated, without its entry
-        in column ``n - 1``, followed by a one in row ``n - 1``.
+        in column ``n - 1``, followed by a one in row ``n - 1``.  Within a
+        column the rows increase and never repeat, so the matrix is canonical.
+
+        Args:
+            container: A :func:`thread_container` of this chain's size whose
+                arrays are replaced by the system's, and which is returned;
+                a fresh matrix when omitted.
         """
         n = self.num_states
         generator = self._generator()
         indptr, indices, data = generator.indptr, generator.indices, generator.data
-        keep = indices != n - 1
-        kept_before = np.zeros(len(indices) + 1, dtype=indptr.dtype)
-        np.cumsum(keep, out=kept_before[1:])
-        # Column i holds the kept entries of row i and then its one.
-        starts = kept_before[indptr] + np.arange(n + 1, dtype=indptr.dtype)
+        last = indices == n - 1
+        keep = ~last
+        # Column i holds the kept entries of row i and then its one; the
+        # dropped entries before row i are found by binary search.
+        dropped_before = last.nonzero()[0].searchsorted(indptr).astype(indptr.dtype)
+        starts = indptr - dropped_before + np.arange(n + 1, dtype=indptr.dtype)
         ones = starts[1:] - 1
         entry = np.ones(starts[-1], dtype=bool)
         entry[ones] = False
@@ -394,7 +437,9 @@ class MarkovChain:
         column_indices = np.empty(len(entry), dtype=indices.dtype)
         column_indices[entry] = indices[keep]
         column_indices[ones] = n - 1
-        return sp.csc_matrix((column_data, column_indices, starts), shape=(n, n))
+        if container is None:
+            return sp.csc_matrix((column_data, column_indices, starts), shape=(n, n))
+        return _fill(container, column_data, column_indices, starts)
 
     def stationary_distribution(self) -> np.ndarray:
         """Compute a stationary distribution ``pi`` with ``pi P = pi``.
@@ -402,8 +447,8 @@ class MarkovChain:
         The chain is assumed to be unichain (a single recurrent class, possibly
         plus transient states), which holds for every strategy of the paper's
         selfish-mining MDP.  The linear system ``(P^T - I) pi = 0`` with the
-        normalisation ``sum(pi) = 1`` is solved directly; for unichain models the
-        solution is unique.
+        normalisation ``sum(pi) = 1`` is solved directly, in this thread's
+        :func:`thread_container`; for unichain models the solution is unique.
 
         Raises:
             SolverError: If the system is singular (the chain is not unichain)
@@ -414,14 +459,17 @@ class MarkovChain:
             return np.ones(1)
         rhs = np.zeros(n)
         rhs[n - 1] = 1.0
-        pi = spla.spsolve(self.stationary_matrix(), rhs)
-        if not np.all(np.isfinite(pi)):
+        container = thread_container(n)
+        try:
+            pi = spla.spsolve(self.stationary_matrix(container), rhs)
+        finally:
+            _empty(container)
+        if not np.isfinite(pi).all():
             raise SolverError("singular stationary system: the chain is not unichain")
-        pi = np.asarray(pi, dtype=float)
         pi[np.abs(pi) < NEGLIGIBLE_PROBABILITY] = 0.0
-        if np.any(pi < -1e-6):
+        if (pi < -1e-6).any():
             raise SolverError("stationary distribution has negative entries; chain may be multichain")
-        pi = np.clip(pi, 0.0, None)
+        pi = np.maximum(pi, 0.0)
         total = pi.sum()
         if total <= 0:
             raise SolverError("stationary distribution sums to zero")
@@ -459,31 +507,26 @@ class MarkovChain:
         rows.
 
         Args:
-            container: A :func:`poisson_container` of this chain's size whose
+            container: A :func:`thread_container` of size ``n + 1`` whose
                 arrays are replaced by the system's, and which is returned;
-                a fresh one when omitted.
+                a fresh matrix when omitted.
         """
         n = self.num_states
         template, values = poisson_system(self._mdp)
         chosen = np.zeros(self._mdp.num_rows + 1, dtype=bool)
         chosen[self._rows] = True
         chosen[-1] = True  # the (n, ref) entry and the ones of g
-        keep = chosen.take(template.row)
-        counts = np.add.reduceat(keep, template.starts, dtype=np.int32)
-        counts[template.empty] = 0  # reduceat reads one entry of the next column there
-        indptr = np.zeros(n + 2, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        kept = np.flatnonzero(keep)
-        matrix = poisson_container(n) if container is None else container
-        matrix.data = values.take(kept)
-        matrix.indices = template.indices.take(kept)
-        matrix.indptr = indptr
+        kept = chosen.take(template.row).nonzero()[0]
+        # A column's offset is the number of entries kept before its first one.
+        indptr = kept.searchsorted(template.bounds).astype(np.int32)
+        data, indices = values.take(kept), template.indices.take(kept)
+        if container is None:
+            return sp.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
         # The template's equations increase within each column and never repeat.
-        matrix.has_canonical_format = True
-        return matrix
+        return _fill(container, data, indices, indptr)
 
-    def poisson_factor(self, container: Optional[sp.csc_matrix] = None) -> spla.SuperLU:
-        """Factor :meth:`poisson_matrix`, built in ``container``.
+    def poisson_factor(self) -> spla.SuperLU:
+        """Factor :meth:`poisson_matrix`, built in this thread's :func:`thread_container`.
 
         The columns are already in the chain's fill-reducing order, so SuperLU
         keeps their order (``permc_spec="NATURAL"``).  The system has almost
@@ -497,13 +540,14 @@ class MarkovChain:
         only, never on the rewards, so one factor serves every reward
         weighting passed to :meth:`gain_and_bias`; the setting is fixed, so
         factoring the same chain again gives the same factor bit for bit.  The
-        factor keeps nothing of the matrix, so the container can be refilled
-        for the next factorization.
+        factor keeps nothing of the matrix, so the container is emptied for
+        the next system of its size.
 
         Raises:
             SolverError: If the system is exactly singular, i.e. the chain is
                 not unichain and its gain and bias are not unique.
         """
+        container = thread_container(self.num_states + 1)
         try:
             return spla.splu(
                 self.poisson_matrix(container),
@@ -513,6 +557,8 @@ class MarkovChain:
             )
         except RuntimeError as exc:
             raise SolverError(_NOT_UNICHAIN) from exc
+        finally:
+            _empty(container)
 
     def gain_and_bias(
         self, rewards: np.ndarray, factor: Optional[spla.SuperLU] = None

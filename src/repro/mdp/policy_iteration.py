@@ -39,11 +39,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..exceptions import ConvergenceError, ModelError
-from .markov_chain import MarkovChain, poisson_container, row_table
+from .markov_chain import MarkovChain, row_table
 from .model import MDP
 from .strategy import Strategy
 
@@ -85,16 +84,16 @@ class EvaluationCache:
     cache is the only holder of its evaluations, so dropping it frees every
     factor.  A miss factors the rows and keeps the evaluation, after freeing
     every evaluation held if their factors have :data:`CACHED_FACTOR_ENTRIES`
-    L+U entries or more.  Every miss builds its Poisson matrix in the cache's
-    one :func:`~repro.mdp.markov_chain.poisson_container`, so a factorization
-    constructs no scipy object but the factor; the container is the cache's
-    own, since models and skeletons are shared across threads.
+    L+U entries or more.  Every miss builds its Poisson matrix in the calling
+    thread's :func:`~repro.mdp.markov_chain.thread_container` of its size,
+    which the thread keeps across searches and empties after each
+    factorization, so a factorization constructs no scipy object but the
+    factor, and a cache holds no container.
     """
 
     def __init__(self) -> None:
         self._held: Dict[bytes, PolicyEvaluation] = {}
         self._entries = 0
-        self._container: Optional[sp.csc_matrix] = None
 
     def evaluation(self, mdp: MDP, rows: np.ndarray) -> PolicyEvaluation:
         """Return the evaluation of the valid ``int64`` row choice ``rows`` of ``mdp``."""
@@ -104,10 +103,7 @@ class EvaluationCache:
             if self._entries >= CACHED_FACTOR_ENTRIES:
                 self._held.clear()
                 self._entries = 0
-            # splu factors a container of another shape without complaint.
-            if self._container is None or self._container.shape[0] != mdp.num_states + 1:
-                self._container = poisson_container(mdp.num_states)
-            evaluation = self._held[key] = _evaluate(mdp, rows, self._container)
+            evaluation = self._held[key] = _evaluate(mdp, rows)
             self._entries += evaluation.factor.nnz
         return evaluation
 
@@ -145,7 +141,7 @@ def gain_upper_bound(mdp: MDP, reward_weights: Sequence[float], bias: np.ndarray
     optimal strategy's bias the bound is the optimal gain.
     """
     row_rewards = row_table(mdp).expected_rewards @ np.asarray(reward_weights, dtype=float)
-    return float(np.max(_row_values(mdp, row_rewards, bias) - bias[mdp.row_state]))
+    return float((_row_values(mdp, row_rewards, bias) - bias[mdp.row_state]).max())
 
 
 def _greedy_improvement(
@@ -158,15 +154,16 @@ def _greedy_improvement(
     """
     row_values = _row_values(mdp, row_rewards, bias)
     state_best = np.maximum.reduceat(row_values, mdp.state_row_offsets[:-1])
-    current_values = row_values[current_rows]
-    improvable = state_best > current_values + IMPROVEMENT_THRESHOLD
-    if not improvable.any():
+    improvable = state_best > row_values[current_rows] + IMPROVEMENT_THRESHOLD
+    # count_nonzero is one C call; ndarray.any goes through Python first.
+    if not np.count_nonzero(improvable):
         return current_rows, False
-    candidate_rows = np.flatnonzero(row_values >= state_best[mdp.row_state] - 1e-12)
+    # Written last to first, so each state keeps its first row near its best value.
+    candidates = (row_values >= state_best[mdp.row_state] - 1e-12).nonzero()[0][::-1]
     best_rows = np.full(mdp.num_states, -1, dtype=np.int64)
-    best_rows[mdp.row_state[candidate_rows[::-1]]] = candidate_rows[::-1]
+    best_rows[mdp.row_state[candidates]] = candidates
     switched = improvable & (best_rows != current_rows)
-    if not switched.any():
+    if not np.count_nonzero(switched):
         return current_rows, False
     return np.where(switched, best_rows, current_rows), True
 
@@ -230,9 +227,9 @@ def policy_iteration(
     raise ConvergenceError(f"policy iteration did not converge within {max_rounds} iterations")
 
 
-def _evaluate(mdp: MDP, rows: np.ndarray, container: sp.csc_matrix) -> PolicyEvaluation:
-    """Build the induced chain of ``rows`` and factor its Poisson system in ``container``."""
+def _evaluate(mdp: MDP, rows: np.ndarray) -> PolicyEvaluation:
+    """Build the induced chain of ``rows`` and factor its Poisson system."""
     # A private copy: the returned strategy shares ``rows`` with its caller.
     rows = rows.copy()
     chain = MarkovChain(mdp, rows)
-    return PolicyEvaluation(rows, chain, chain.poisson_factor(container))
+    return PolicyEvaluation(rows, chain, chain.poisson_factor())

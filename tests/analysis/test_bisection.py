@@ -385,9 +385,9 @@ def test_cache_hits_change_no_value(depth, forks, monkeypatch):
     factored = []
     evaluate = PI_MODULE._evaluate
 
-    def counting_evaluate(mdp, rows, container):
+    def counting_evaluate(mdp, rows):
         factored.append(rows.tobytes())
-        return evaluate(mdp, rows, container)
+        return evaluate(mdp, rows)
 
     monkeypatch.setattr(PI_MODULE, "_evaluate", counting_evaluate)
 

@@ -19,9 +19,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from single_tree_oracle import oracle_errev, round_expectations
-from repro.attacks import single_tree_errev, single_tree_errev_grid
+from repro.attacks import single_tree_errev, single_tree_errev_grid, single_tree_errev_table
 from repro.attacks.single_tree import SingleTreeParams, _round_graph
 from repro.config import ProtocolParams
 from repro.exceptions import ConfigurationError
@@ -108,6 +110,38 @@ def test_grid_form_rejects_an_invalid_parameter(p_values, gamma):
 def test_grid_form_of_an_empty_or_boundary_grid():
     assert single_tree_errev_grid(0.5, ()) == []
     assert single_tree_errev_grid(0.5, (1.0, 0.0)) == [1.0, 0.0]
+    assert single_tree_errev_table((0.0, 1.0), (1.0, 0.0)) == [[1.0, 0.0], [1.0, 0.0]]
+    assert single_tree_errev_table((), (0.1, 0.2)) == []
+
+
+@pytest.mark.parametrize(
+    "gammas, p_values", [((0.5, 1.5), (0.1, 0.3)), ((0.0, 0.5), (0.1, 1.5, 0.3))]
+)
+def test_table_form_rejects_an_invalid_parameter(gammas, p_values):
+    with pytest.raises(ConfigurationError):
+        single_tree_errev_table(gammas, p_values)
+
+
+unit_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    gammas=st.lists(unit_values, min_size=1, max_size=4, unique=True),
+    p_values=st.lists(unit_values, max_size=6, unique=True).map(lambda ps: [0.0, *ps]),
+    tree=st.sampled_from([(4, 5), (3, 2), (2, 1)]),
+)
+def test_gamma_axis_equals_each_gamma_alone(gammas, p_values, tree):
+    """One evaluation with a gamma axis gives every gamma the bits it gets alone."""
+    params = SingleTreeParams(*tree)
+    table = single_tree_errev_table(gammas, p_values, params)
+    assert len(table) == len(gammas)
+    for gamma, row in zip(gammas, table):
+        alone = single_tree_errev_grid(gamma, p_values, params)
+        assert np.array(row).tobytes() == np.array(alone).tobytes()
 
 
 class TestRoundGraphCache:

@@ -185,21 +185,21 @@ class TestFailureIsolation:
         assert single_tree == [0.1, 0.3]
 
 
-def test_single_tree_series_is_one_grid_evaluation_per_gamma(monkeypatch):
-    """The baseline evaluates its round graph once per gamma, to every point's own value."""
+def test_single_tree_series_is_one_evaluation_per_sweep(monkeypatch):
+    """The baseline evaluates its round graph once per sweep, to every point's own value."""
     from repro.core import engine as engine_module
 
     evaluated = []
-    grid = engine_module.single_tree_errev_grid
+    table = engine_module.single_tree_errev_table
 
-    def counting_grid(gamma, p_values, params):
-        evaluated.append((gamma, tuple(p_values)))
-        return grid(gamma, p_values, params)
+    def counting_table(gammas, p_values, params):
+        evaluated.append((tuple(gammas), tuple(p_values)))
+        return table(gammas, p_values, params)
 
-    monkeypatch.setattr(engine_module, "single_tree_errev_grid", counting_grid)
+    monkeypatch.setattr(engine_module, "single_tree_errev_table", counting_table)
     config = small_grid()
     sweep = run_sweep(config)
-    assert evaluated == [(gamma, config.p_values) for gamma in config.gammas]
+    assert evaluated == [(config.gammas, config.p_values)]
     points = [point for point in sweep.points if point.series == "single-tree(f=5)"]
     assert len(points) == len(config.gammas) * len(config.p_values)
     for point in points:

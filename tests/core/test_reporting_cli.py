@@ -12,7 +12,14 @@ import pytest
 
 from repro import SelfishMiningAnalyzer, cli
 from repro.cli import main
-from repro.core.reporting import ascii_plot, render_table, round_significant, write_csv
+from repro.core.reporting import (
+    MARKERS,
+    OVERLAP_MARKER,
+    ascii_plot,
+    render_table,
+    round_significant,
+    write_csv,
+)
 from repro.core.results import SweepPoint, SweepResult
 
 
@@ -148,6 +155,36 @@ class TestAsciiPlot:
 
     def test_missing_gamma_handled(self, sample_sweep):
         assert "no data" in ascii_plot(sample_sweep, gamma=0.9)
+
+    def test_a_series_under_others_shows_as_an_overlap(self):
+        """As in ``repro sweep --p-max 0.05 --epsilon 0.05``: honest lies under attack series."""
+        values = {
+            "honest": (0.0, 0.05),
+            "single-tree(f=5)": (0.0, 0.02899011537568293),
+            "ours(d=1,f=1)": (0.0, 0.050000000000000044),
+            "ours(d=2,f=1)": (0.0, 0.054303505226731774),
+        }
+        points = [
+            SweepPoint(p=p, gamma=0.5, series=series, errev=errev)
+            for series, errevs in values.items()
+            for p, errev in zip((0.0, 0.05), errevs)
+        ]
+        lines = ascii_plot(SweepResult(points=points, description="overlap"), 0.5).splitlines()
+        grid = [line[1:] for line in lines if line.startswith("|")]
+        legend = lines[len(lines) - 5 :]
+        assert OVERLAP_MARKER not in MARKERS
+        # p = 0: every series at 0; p = 0.05: honest and ours(d=1,f=1) share a cell.
+        assert grid[-1][0] == OVERLAP_MARKER
+        assert [row[-1] for row in grid if row[-1] != " "] == ["*", OVERLAP_MARKER, "x"]
+        assert all(MARKERS[0] not in row for row in grid)
+        assert legend[-1] == f"  {OVERLAP_MARKER} points of two or more series"
+        assert [line.split(maxsplit=1)[1] for line in legend[:-1]] == list(values)
+
+    def test_without_a_shared_cell_there_is_no_overlap_marker(self, sample_sweep):
+        points = [point for point in sample_sweep.points if point.p > 0.0]
+        lines = ascii_plot(SweepResult(points=points, description="apart"), 0.5).splitlines()
+        assert not any(OVERLAP_MARKER in line for line in lines if line.startswith("|"))
+        assert lines[-2:] == ["  o honest", "  x ours(d=2,f=1)"]
 
     def test_plot_dimensions(self, sample_sweep):
         lines = ascii_plot(sample_sweep, gamma=0.5).splitlines()

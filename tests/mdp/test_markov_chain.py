@@ -403,7 +403,7 @@ class TestFactorReuse:
         )
         cache = EvaluationCache()
         with monkeypatch.context() as patch:
-            patch.setattr(PI_MODULE, "_evaluate", lambda mdp, rows, container: poisoned)
+            patch.setattr(PI_MODULE, "_evaluate", lambda mdp, rows: poisoned)
             assert cache.evaluation(mdp, rows) is poisoned
         weights = beta_reward_weights(0.3)
         cold = policy_iteration(mdp, weights, initial_strategy=start)
