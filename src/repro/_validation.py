@@ -7,8 +7,6 @@ construction time rather than deep inside a solver.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .exceptions import ConfigurationError
 
 
@@ -20,14 +18,12 @@ def check_probability(value: float, name: str) -> float:
     return value
 
 
-def check_positive_int(value: int, name: str, maximum: Optional[int] = None) -> int:
-    """Validate that ``value`` is a positive integer (optionally bounded above)."""
+def check_positive_int(value: int, name: str) -> int:
+    """Validate that ``value`` is a positive integer."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     if value < 1:
         raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise ConfigurationError(f"{name} must be <= {maximum}, got {value!r}")
     return value
 
 

@@ -32,7 +32,7 @@ def honest_errev(protocol: ProtocolParams) -> float:
 
 def honest_strategy_rows(mdp: MDP) -> np.ndarray:
     """Row choices of the never-release strategy inside a selfish-mining MDP."""
-    rows = mdp.uniform_random_row_choice()
+    rows = mdp.first_row_choice()
     mine_label = ("mine",)
     for state in range(mdp.num_states):
         rows[state] = mdp.row_index(state, mine_label)
@@ -51,7 +51,7 @@ def immediate_release_strategy(mdp: MDP) -> Strategy:
     strategy releases that whole fork (``release(1, 1, C[1,1])``); everywhere
     else it mines.  For ``d = f = 1`` this is exactly honest mining.
     """
-    rows = mdp.uniform_random_row_choice()
+    rows = mdp.first_row_choice()
     mine_label = ("mine",)
     for state in range(mdp.num_states):
         label = mdp.state_labels[state]

@@ -48,10 +48,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence, Tuple
-
 from dataclasses import replace
+from typing import Callable, Optional, Sequence, Tuple
 
+from ._validation import check_positive_float, check_positive_int, check_probability
 from .config import (
     SCENARIO_NAMES,
     SCENARIO_VARIANTS,
@@ -63,33 +63,24 @@ from .core import SelfishMiningAnalyzer, ascii_plot, render_table, write_csv
 from .core.sweep import SweepConfig, run_sweep
 from .exceptions import ConfigurationError, ModelError
 
-def _positive_int(value: str) -> int:
-    workers = int(value)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return workers
 
-
-def _positive_float(value: str) -> float:
-    number = float(value)
-    if not number > 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {value}")
-    return number
-
-
-def _probability(value: str) -> float:
-    number = float(value)
-    if not 0.0 <= number <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1], got {value}")
-    return number
-
-
-def _p_step(value: str) -> float:
-    step = float(value)
+def _check_p_step(step: float, name: str) -> float:
     # The grid is rounded to 4 decimals, so a finer step would repeat p values.
     if not step >= 1e-4:
-        raise argparse.ArgumentTypeError(f"must be at least 0.0001, got {value}")
-    return step
+        raise ConfigurationError(f"{name} must be at least 0.0001, got {step!r}")
+    return check_positive_float(step, name)
+
+
+def _flag_type(check: Callable, name: str, parse: Callable = float) -> Callable[[str], object]:
+    """The argparse type of flag ``name``: ``parse`` the text, then apply the library's rule."""
+
+    def flag_value(text: str) -> object:
+        try:
+            return check(parse(text), name)
+        except ValueError as exc:  # a ConfigurationError, or text that does not parse
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return flag_value
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
@@ -112,14 +103,19 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     _add_scenario_arguments(parser)
     parser.add_argument(
-        "--p", type=_probability, default=0.3, help="adversarial resource fraction"
+        "--p", type=_flag_type(check_probability, "p"), default=0.3,
+        help="adversarial resource fraction",
     )
-    parser.add_argument("--gamma", type=_probability, default=0.5, help="switching probability")
+    parser.add_argument(
+        "--gamma", type=_flag_type(check_probability, "gamma"), default=0.5,
+        help="switching probability",
+    )
     parser.add_argument("--depth", "-d", type=int, default=2, help="attack depth d")
     parser.add_argument("--forks", "-f", type=int, default=1, help="forking number f")
     parser.add_argument("--max-fork-length", "-l", type=int, default=4, help="maximal fork length l")
     parser.add_argument(
-        "--epsilon", type=_positive_float, default=1e-3, help="binary search precision"
+        "--epsilon", type=_flag_type(check_positive_float, "epsilon"), default=1e-3,
+        help="binary search precision",
     )
 
 
@@ -135,10 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser("sweep", help="regenerate a Figure 2 panel")
     _add_scenario_arguments(sweep)
-    sweep.add_argument("--gamma", type=_probability, default=0.5)
-    sweep.add_argument("--p-max", type=_probability, default=0.3)
-    sweep.add_argument("--p-step", type=_p_step, default=0.05)
-    sweep.add_argument("--epsilon", type=_positive_float, default=1e-3)
+    sweep.add_argument("--gamma", type=_flag_type(check_probability, "gamma"), default=0.5)
+    sweep.add_argument("--p-max", type=_flag_type(check_probability, "p-max"), default=0.3)
+    sweep.add_argument("--p-step", type=_flag_type(_check_p_step, "p-step"), default=0.05)
+    sweep.add_argument("--epsilon", type=_flag_type(check_positive_float, "epsilon"), default=1e-3)
     sweep.add_argument(
         "--grid",
         type=str,
@@ -150,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--csv", type=str, default=None, help="optional CSV output path")
     sweep.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_flag_type(check_positive_int, "workers", int),
         default=1,
         help="worker processes for the sweep engine (1 = serial)",
     )
@@ -207,13 +203,10 @@ def _attack_params(args: argparse.Namespace) -> AttackParams:
     )
 
 
-def _command_analyze(args: argparse.Namespace, attack: AttackParams) -> int:
-    analyzer = SelfishMiningAnalyzer(
-        ProtocolParams(p=args.p, gamma=args.gamma),
-        attack,
-        AnalysisConfig(epsilon=args.epsilon),
-    )
-    result = analyzer.run()
+def _command_analyze(
+    protocol: ProtocolParams, attack: AttackParams, analysis: AnalysisConfig
+) -> int:
+    result = SelfishMiningAnalyzer(protocol, attack, analysis).run()
     rows = [result.to_row()]
     print(render_table(rows))
     print(
@@ -239,15 +232,15 @@ def _print_stderr(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _command_sweep(args: argparse.Namespace, attack_configs: Tuple[AttackParams, ...]) -> int:
+def _sweep_config(args: argparse.Namespace) -> SweepConfig:
+    """Build the :class:`SweepConfig` of ``repro sweep``."""
     # Every multiple of --p-step up to --p-max, never past it; the 1e-9 slack
     # absorbs float error so that e.g. 0.3 / 0.05 still yields 7 points.
     num_points = math.floor(args.p_max / args.p_step + 1e-9) + 1
-    p_values = tuple(round(index * args.p_step, 4) for index in range(num_points))
-    config = SweepConfig(
-        p_values=p_values,
+    return SweepConfig(
+        p_values=tuple(round(index * args.p_step, 4) for index in range(num_points)),
         gammas=(args.gamma,),
-        attack_configs=attack_configs,
+        attack_configs=_sweep_attack_configs(args),
         analysis=AnalysisConfig(epsilon=args.epsilon),
         workers=args.workers,
         warm_start_across_points=args.warm_start_across_points,
@@ -256,6 +249,9 @@ def _command_sweep(args: argparse.Namespace, attack_configs: Tuple[AttackParams,
         journal_resume=args.resume,
         journal_fsync=args.journal_fsync,
     )
+
+
+def _command_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
     # Diagnostics (per-point progress and the journal summary) go to stderr
     # through one printer; --quiet passes none, and stdout keeps the results.
     progress = None if args.quiet else _print_stderr
@@ -312,19 +308,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--variant of {args.attack} must be one of {variants}, got {args.variant!r}")
     if args.command == "sweep" and args.resume and args.journal is None:
         parser.error("--resume requires --journal PATH")
-    # Validate the attack parameters and the grid before any model is built,
-    # so that a bad value is a usage error (exit 2), not a traceback.
+    # Build every configuration before any model is built, so that a bad
+    # value is a usage error (exit 2), not a traceback.
     try:
         if args.command == "sweep":
-            attack_configs = _sweep_attack_configs(args)
+            config = _sweep_config(args)
         elif args.command == "analyze":
+            protocol = ProtocolParams(p=args.p, gamma=args.gamma)
             attack = _attack_params(args)
+            analysis = AnalysisConfig(epsilon=args.epsilon)
     except ConfigurationError as exc:
         parser.error(str(exc))
     if args.command == "analyze":
-        return _command_analyze(args, attack)
+        return _command_analyze(protocol, attack, analysis)
     if args.command == "sweep":
-        return _command_sweep(args, attack_configs)
+        return _command_sweep(args, config)
     if args.command == "attacks":
         return _command_attacks(args)
     parser.error(f"unknown command {args.command!r}")

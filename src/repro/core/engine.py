@@ -2,15 +2,21 @@
 
 The engine decomposes a Figure 2 style grid into independent units of work
 (:func:`_build_tasks`), computes one unit (:func:`_run_attack_task`, also the
-pool workers' entry point) and assembles collected outcomes into a
+pool workers' entry point) and places the collected records into a
 :class:`~repro.core.results.SweepResult` (:func:`assemble_sweep_result`).
 Running the units -- inline or on a process pool -- and merging them is
 :func:`repro.core.execution.execute_sweep`.
 
+Each attack point has one record from the worker to the result: the
+:class:`~repro.core.results.SweepPoint` it certified, or the
+:class:`~repro.core.results.SweepFailure` it raised.  The journal stores the
+same records, and assembly places them without converting them.
+
 * Both baseline series, honest mining and the single tree at
   :data:`DEFAULT_SINGLE_TREE`, are part of every sweep.  They are closed
   forms evaluated inline in the parent process; the single-tree baseline once
-  per sweep for the whole ``(gamma, p)`` grid.
+  per sweep for the whole ``(gamma, p)`` grid.  A :class:`SweepConfig`
+  validates its grid and is frozen, so they cannot fail.
 * Every attack configuration contributes one task per ``(gamma, p)`` point --
   or, when warm starts or certified bounds are chained across adjacent ``p``
   points (``warm_start_across_points`` / ``reuse_p_axis_bounds``), one task per
@@ -31,10 +37,9 @@ Determinism and failure isolation are the two design invariants:
   are bit-for-bit identical across worker counts and only the wall-clock
   changes.  Results are re-assembled in the canonical ``gamma -> p -> series``
   order regardless of completion order.
-* A point whose model construction or analysis raises is recorded as a
-  :class:`~repro.core.results.SweepFailure` instead of aborting the grid; the
-  remaining points are unaffected.  The same holds for the closed-form
-  baseline series evaluated in the parent.
+* An attack point whose model construction or analysis raises is recorded as
+  a :class:`~repro.core.results.SweepFailure` instead of aborting the grid;
+  the remaining points are unaffected.
 
 Every point refills its model from the cached ``(attack, support)`` skeleton
 (:mod:`repro.attacks.structure`).  With ``workers > 1`` the parent builds every
@@ -43,7 +48,7 @@ to the pool initializer
 (:func:`~repro.attacks.structure.replace_structure_cache`); every pool worker
 -- fork-started workers inherit the objects, spawn-started ones receive them
 pickled -- installs them instead of exploring
-(``structure_cache_stats()["builds"] == 0`` inside workers).  Outcomes come
+(``structure_cache_stats()["builds"] == 0`` inside workers).  Records come
 back pickled through each unit's future.
 
 The pool start method follows the platform default (fork on Linux, spawn
@@ -58,7 +63,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +73,6 @@ from ..attacks import (
     SupportSignature,
     get_model_structure,
     honest_errev,
-    single_tree_errev,
     single_tree_errev_table,
 )
 from ..attacks.registry import ScenarioStructure, get_attack, scenario_id_for
@@ -94,16 +98,18 @@ def attack_series_name(attack: AttackParams) -> str:
     return get_attack(attack.scenario).series_name(attack)
 
 
-def describe_outcome(outcome: "PointOutcome") -> str:
+#: What one attack point of a sweep becomes: a certified point or a failure.
+PointRecord = Union[SweepPoint, SweepFailure]
+#: Grid coordinates ``(gamma_index, p_index, attack_index)`` of an attack point.
+GridKey = Tuple[int, int, int]
+
+
+def describe_record(record: PointRecord) -> str:
     """One-line progress description of a computed (or failed) attack point."""
-    if outcome.error is not None:
-        return (
-            f"gamma={outcome.gamma} p={outcome.p} {outcome.series}: FAILED ({outcome.error})"
-        )
-    return (
-        f"gamma={outcome.gamma} p={outcome.p} {outcome.series}: "
-        f"ERRev={outcome.errev:.4f} ({outcome.num_states} states)"
-    )
+    head = f"gamma={record.gamma} p={record.p} {record.series}"
+    if isinstance(record, SweepFailure):
+        return f"{head}: FAILED ({record.message})"
+    return f"{head}: ERRev={record.errev:.4f}"
 
 
 @dataclass(frozen=True)
@@ -128,53 +134,28 @@ class AttackTask:
     reuse_p_axis_bounds: bool = False
 
 
-@dataclass(frozen=True)
-class PointOutcome:
-    """Result of one attack grid point, as returned from a worker process.
+def _run_attack_task(task: AttackTask) -> List[PointRecord]:
+    """Worker entry point; must stay importable at module top level (pickling).
 
-    ``scenario`` is the versioned ``name@version`` id of the attack scenario
-    that computed the point (see :mod:`repro.attacks.registry`).
+    Returns the unit's records in ``task.p_indices`` order: the
+    :class:`SweepPoint` of every point that certified and a
+    :class:`SweepFailure` for every point that raised.
     """
-
-    gamma_index: int
-    p_index: int
-    attack_index: int
-    p: float
-    gamma: float
-    series: str
-    errev: Optional[float]
-    seconds: float
-    solver_iterations: int
-    num_states: int
-    error: Optional[str] = None
-    beta_low: Optional[float] = None
-    beta_up: Optional[float] = None
-    scenario: Optional[str] = None
-
-
-def _run_attack_task(
-    task: AttackTask,
-) -> List[PointOutcome]:
-    """Worker entry point; must stay importable at module top level (pickling)."""
-    outcomes: List[PointOutcome] = []
+    records: List[PointRecord] = []
+    scenario = scenario_id_for(task.attack.scenario)
     warm_rows: Optional[np.ndarray] = None
-    prev_beta_low: Optional[float] = None
-    prev_p: Optional[float] = None
-    for p, p_index in zip(task.p_values, task.p_indices):
+    # (p, certified beta_low) of the last point, for bound reuse.
+    previous: Optional[Tuple[float, float]] = None
+    for p in task.p_values:
         start = time.perf_counter()
         try:
             protocol = ProtocolParams(p=p, gamma=task.gamma)
             mdp = get_model_structure(task.attack, protocol).instantiate(protocol)
             initial_beta_low = 0.0
-            if (
-                task.reuse_p_axis_bounds
-                and prev_beta_low is not None
-                and prev_p is not None
-                and p >= prev_p
-            ):
+            if task.reuse_p_axis_bounds and previous is not None and p >= previous[0]:
                 # ERRev* is monotone in p, so the previous point's certified
                 # lower bound is a valid initial lower bound here.
-                initial_beta_low = min(max(prev_beta_low, 0.0), 1.0)
+                initial_beta_low = previous[1]
             result = formal_analysis(
                 mdp,
                 task.analysis,
@@ -183,56 +164,38 @@ def _run_attack_task(
             )
             if task.warm_start_across_points:
                 warm_rows = result.strategy.rows
-            if task.reuse_p_axis_bounds:
-                prev_beta_low = result.beta_low
-                prev_p = p
-            errev = (
-                result.strategy_errev
-                if result.strategy_errev is not None
-                else result.errev_lower_bound
-            )
-            outcome = PointOutcome(
-                gamma_index=task.gamma_index,
-                p_index=p_index,
-                attack_index=task.attack_index,
-                p=p,
-                gamma=task.gamma,
-                series=task.series,
-                errev=errev,
-                seconds=time.perf_counter() - start,
-                solver_iterations=result.total_solver_iterations,
-                num_states=mdp.num_states,
-                beta_low=result.beta_low,
-                beta_up=result.beta_up,
-                scenario=scenario_id_for(task.attack.scenario),
+            previous = (p, result.beta_low)
+            records.append(
+                SweepPoint(
+                    p=p,
+                    gamma=task.gamma,
+                    series=task.series,
+                    errev=(
+                        result.strategy_errev
+                        if result.strategy_errev is not None
+                        else result.errev_lower_bound
+                    ),
+                    seconds=time.perf_counter() - start,
+                    solver_iterations=result.total_solver_iterations,
+                    beta_low=result.beta_low,
+                    beta_up=result.beta_up,
+                    scenario=scenario,
+                )
             )
         except Exception as exc:  # noqa: BLE001 - failure isolation is the point
-            outcome = PointOutcome(
-                gamma_index=task.gamma_index,
-                p_index=p_index,
-                attack_index=task.attack_index,
-                p=p,
-                gamma=task.gamma,
-                series=task.series,
-                errev=None,
-                seconds=time.perf_counter() - start,
-                solver_iterations=0,
-                num_states=0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            message = f"{type(exc).__name__}: {exc}"
+            records.append(SweepFailure(p=p, gamma=task.gamma, series=task.series, message=message))
             # A failed point cannot seed the next one.
             warm_rows = None
-            prev_beta_low = None
-            prev_p = None
-        outcomes.append(outcome)
-    return outcomes
+            previous = None
+    return records
 
 
 def _build_tasks(config: "SweepConfig") -> List[AttackTask]:
     """Decompose the sweep grid into worker tasks in deterministic order."""
     tasks: List[AttackTask] = []
-    p_indices = tuple(range(len(config.p_values)))
-    p_values = tuple(config.p_values)
+    p_values = config.p_values
+    p_indices = tuple(range(len(p_values)))
     reuse_bounds = config.reuse_p_axis_bounds
     for gamma_index, gamma in enumerate(config.gammas):
         for attack_index, attack in enumerate(config.attack_configs):
@@ -260,9 +223,6 @@ def _build_tasks(config: "SweepConfig") -> List[AttackTask]:
 def _prewarm_structure_cache(config: "SweepConfig") -> List[ScenarioStructure]:
     """Build every ``(attack, support)`` skeleton the grid needs, once, in-parent.
 
-    Parameter points that are invalid (and will be reported as failures by
-    their worker) are skipped.
-
     Returns:
         The distinct structures of the grid, ready to be handed to the
         workers' pool initializer.
@@ -271,10 +231,7 @@ def _prewarm_structure_cache(config: "SweepConfig") -> List[ScenarioStructure]:
     seen = set()
     for gamma in config.gammas:
         for p in config.p_values:
-            try:
-                protocol = ProtocolParams(p=p, gamma=gamma)
-            except Exception:
-                continue
+            protocol = ProtocolParams(p=p, gamma=gamma)
             for attack in config.attack_configs:
                 key = (attack, SupportSignature.of(protocol))
                 if key in seen:
@@ -314,117 +271,49 @@ def _pool_start_method() -> str:
     return "spawn"
 
 
-def _single_tree_series(config: "SweepConfig") -> Optional[List[List[float]]]:
-    """The single-tree baseline at every ``(gamma, p)`` of the grid, from one evaluation.
-
-    ``None`` when an invalid parameter makes the grid form raise: every
-    point is then evaluated alone, so only the invalid ones fail.
-    """
-    try:
-        return single_tree_errev_table(config.gammas, config.p_values, DEFAULT_SINGLE_TREE)
-    except Exception:
-        return None
-
-
-def _baseline_points(
-    p: float,
-    gamma: float,
-    single_tree: Optional[float],
-    failures: List[SweepFailure],
-    report: Optional[Callable[[str], None]],
-) -> List[SweepPoint]:
-    """The honest and single-tree points of one grid point, with failures isolated.
-
-    ``single_tree`` is the point's value from :func:`_single_tree_series`, or
-    ``None`` to evaluate it here.  An invalid parameter point (or a raising
-    baseline formula) must not abort the sweep any more than a failing attack
-    point does.
-    """
-    points: List[SweepPoint] = []
-    for series in ("honest", SINGLE_TREE_SERIES):
-        try:
-            protocol = ProtocolParams(p=p, gamma=gamma)
-            if series == "honest":
-                errev = honest_errev(protocol)
-            elif single_tree is None:
-                errev = single_tree_errev(protocol, DEFAULT_SINGLE_TREE)
-            else:
-                errev = single_tree
-        except Exception as exc:
-            message = f"{type(exc).__name__}: {exc}"
-            failures.append(SweepFailure(p=p, gamma=gamma, series=series, message=message))
-            if report is not None:
-                report(f"gamma={gamma} p={p} {series}: FAILED ({message})")
-            continue
-        points.append(SweepPoint(p=p, gamma=gamma, series=series, errev=errev))
-    return points
-
-
 def assemble_sweep_result(
     config: "SweepConfig",
-    outcomes: Dict[Tuple[int, int, int], PointOutcome],
-    report: Optional[Callable[[str], None]],
+    records: Mapping[GridKey, PointRecord],
     *,
     description: str,
 ) -> SweepResult:
-    """Assemble collected attack outcomes and inline baselines into a sweep result.
+    """Place collected attack records and the baselines into a sweep result.
 
-    The closed-form baseline series are evaluated here, in the calling process,
-    and ``outcomes`` -- keyed by ``(gamma_index, p_index, attack_index)`` grid
+    The closed-form baseline series are evaluated here, in the calling
+    process, the single tree once for the whole ``(gamma, p)`` grid.
+    ``records`` -- keyed by ``(gamma_index, p_index, attack_index)`` grid
     coordinates, however they were computed (in-process or on the pool) --
-    are re-ordered into the canonical ``gamma -> p -> series`` order with
-    failures isolated, so inline and pool runs produce an identically shaped
-    :class:`SweepResult`.  A grid key with no collected outcome at all
-    becomes a :class:`SweepFailure` instead of a crash that would discard
-    every point that *was* collected.
+    are placed in the canonical ``gamma -> p -> series`` order, so inline and
+    pool runs produce an identically shaped :class:`SweepResult`.  A grid key
+    with no record at all becomes a :class:`SweepFailure` instead of a crash
+    that would discard every point that *was* collected.
     """
     points: List[SweepPoint] = []
     failures: List[SweepFailure] = []
-    single_tree = _single_tree_series(config)
+    single_tree = single_tree_errev_table(config.gammas, config.p_values, DEFAULT_SINGLE_TREE)
     for gamma_index, gamma in enumerate(config.gammas):
         for p_index, p in enumerate(config.p_values):
-            points.extend(
-                _baseline_points(
-                    p,
-                    gamma,
-                    None if single_tree is None else single_tree[gamma_index][p_index],
-                    failures,
-                    report,
+            honest = honest_errev(ProtocolParams(p=p, gamma=gamma))
+            points.append(SweepPoint(p=p, gamma=gamma, series="honest", errev=honest))
+            points.append(
+                SweepPoint(
+                    p=p,
+                    gamma=gamma,
+                    series=SINGLE_TREE_SERIES,
+                    errev=single_tree[gamma_index][p_index],
                 )
             )
             for attack_index, attack in enumerate(config.attack_configs):
-                outcome = outcomes.get((gamma_index, p_index, attack_index))
-                if outcome is None:
-                    failures.append(
-                        SweepFailure(
-                            p=p,
-                            gamma=gamma,
-                            series=attack_series_name(attack),
-                            message="outcome never reported (worker lost)",
-                        )
+                record = records.get((gamma_index, p_index, attack_index))
+                if record is None:
+                    record = SweepFailure(
+                        p=p,
+                        gamma=gamma,
+                        series=attack_series_name(attack),
+                        message="outcome never reported (worker lost)",
                     )
-                    continue
-                if outcome.error is not None:
-                    failures.append(
-                        SweepFailure(
-                            p=outcome.p,
-                            gamma=outcome.gamma,
-                            series=outcome.series,
-                            message=outcome.error,
-                        )
-                    )
-                    continue
-                points.append(
-                    SweepPoint(
-                        p=outcome.p,
-                        gamma=outcome.gamma,
-                        series=outcome.series,
-                        errev=outcome.errev,
-                        seconds=outcome.seconds,
-                        solver_iterations=outcome.solver_iterations,
-                        beta_low=outcome.beta_low,
-                        beta_up=outcome.beta_up,
-                        scenario=outcome.scenario,
-                    )
-                )
+                if isinstance(record, SweepFailure):
+                    failures.append(record)
+                else:
+                    points.append(record)
     return SweepResult(points=points, description=description, failures=failures)

@@ -12,15 +12,17 @@
    order when ``workers == 1``, otherwise on a
    :class:`~concurrent.futures.ProcessPoolExecutor` configured by
    :func:`pool_kwargs`, whose workers install the parent's skeletons and
-   return outcomes through their futures.
+   return each unit's records through its future.
 
 3. :class:`MergeSink` -- the single merge pipeline: idempotent grid-key merge,
    journal append (a no-op for replayed keys), synthesized failures for
    crashed units, progress reporting through an optional ``progress``
    callable, and final assembly into a
-   :class:`~repro.core.results.SweepResult`.  Every outcome flows through
-   :meth:`MergeSink.accept` the moment it exists, so the journal is
-   crash-safe mid-sweep.
+   :class:`~repro.core.results.SweepResult`.  A unit's records are the
+   :class:`~repro.core.results.SweepPoint` or
+   :class:`~repro.core.results.SweepFailure` of each of its points, the ones
+   the result holds; every one flows through :meth:`MergeSink.accept` the
+   moment it exists, so the journal is crash-safe mid-sweep.
 
 ``tests/test_source_invariants.py`` pins the design: no module outside this
 one may append to a sweep journal, mutate sweep-result metadata or call
@@ -42,20 +44,20 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
 from ..attacks.structure import replace_structure_cache
 from . import engine as _engine
-from .journal import GridKey, SweepJournal
-from .results import SweepResult
+from .engine import AttackTask, GridKey, PointRecord
+from .journal import SweepJournal
+from .results import SweepFailure, SweepPoint, SweepResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles broken at runtime
-    from .engine import AttackTask, PointOutcome
     from .sweep import SweepConfig
 
 
@@ -77,7 +79,7 @@ class SweepPlan:
     """
 
     config: "SweepConfig"
-    tasks: Tuple["AttackTask", ...]
+    tasks: Tuple[AttackTask, ...]
     replayed_units: FrozenSet[int] = frozenset()
 
     @classmethod
@@ -92,7 +94,7 @@ class SweepPlan:
             (task.gamma_index, p_index, task.attack_index) for p_index in task.p_indices
         )
 
-    def pending_tasks(self) -> List["AttackTask"]:
+    def pending_tasks(self) -> List[AttackTask]:
         """Tasks of the units still to be executed (everything not replayed), in order."""
         return [
             task
@@ -100,7 +102,7 @@ class SweepPlan:
             if unit_id not in self.replayed_units
         ]
 
-    def with_replayed(self, replayed: Mapping[GridKey, "PointOutcome"]) -> "SweepPlan":
+    def with_replayed(self, replayed: Mapping[GridKey, SweepPoint]) -> "SweepPlan":
         """Resume filter: mark every unit whose grid keys are all replayed.
 
         A *partially* journaled unit (a chained series interrupted mid-block)
@@ -126,14 +128,13 @@ class SweepPlan:
 class MergeSink:
     """The one merge pipeline: journal, crashed-unit failures, assembly.
 
-    Every computed :class:`~repro.core.engine.PointOutcome` -- computed inline
-    or on the pool -- flows through this object exactly once.  The sink owns the
-    idempotent grid-key merge (last write wins at key level), the durable
-    journal append (``record`` is a no-op for replayed keys), synthesized
-    failures for units whose worker died, and progress reporting: one line
-    per outcome to ``progress``, if given.  Baseline
-    synthesis happens in :meth:`assemble`, which re-orders the merged
-    outcomes into the canonical ``gamma -> p -> series``
+    Every record a unit returns -- computed inline or on the pool -- flows
+    through this object exactly once.  The sink owns the idempotent grid-key
+    merge (last write wins at key level), the durable journal append
+    (``record`` is a no-op for replayed keys), synthesized failures for units
+    whose worker died, and progress reporting: one line per record to
+    ``progress``, if given.  :meth:`assemble` adds the baseline series and
+    places the merged records into the canonical ``gamma -> p -> series``
     :class:`~repro.core.results.SweepResult`.
     """
 
@@ -148,56 +149,41 @@ class MergeSink:
         self.plan = plan
         self.progress = progress
         self.journal = journal
-        self.outcomes: Dict[GridKey, "PointOutcome"] = {}
+        self.records: Dict[GridKey, PointRecord] = {}
 
-    @staticmethod
-    def key_of(outcome: "PointOutcome") -> GridKey:
-        """Grid key ``(gamma_index, p_index, attack_index)`` of one outcome."""
-        return (outcome.gamma_index, outcome.p_index, outcome.attack_index)
+    def replay(self, replayed: Mapping[GridKey, SweepPoint]) -> None:
+        """Seed journal-replayed points: merged silently, never re-journaled."""
+        self.records.update(replayed)
 
-    def replay(self, replayed: Mapping[GridKey, "PointOutcome"]) -> None:
-        """Seed journal-replayed outcomes: merged silently, never re-journaled."""
-        self.outcomes.update(replayed)
+    def _merge(self, key: GridKey, record: PointRecord) -> None:
+        self.records[key] = record
+        if self.journal is not None:
+            self.journal.record(key, record)
+        if self.progress is not None:
+            self.progress(_engine.describe_record(record))
 
-    def accept(self, outcomes: Iterable["PointOutcome"]) -> None:
-        """Merge computed outcomes at key level: journal and report each one."""
-        for outcome in outcomes:
-            self.outcomes[self.key_of(outcome)] = outcome
-            if self.journal is not None:
-                self.journal.record(outcome)
-            if self.progress is not None:
-                self.progress(_engine.describe_outcome(outcome))
+    def accept(self, task: AttackTask, records: Sequence[PointRecord]) -> None:
+        """Merge a unit's records, given in ``task.p_indices`` order: journal and report each."""
+        for p_index, record in zip(task.p_indices, records):
+            self._merge((task.gamma_index, p_index, task.attack_index), record)
 
-    def synthesize_missing(self, task: "AttackTask", message: str) -> None:
+    def synthesize_missing(self, task: AttackTask, message: str) -> None:
         """Record synthesized failures for a crashed unit's unreported keys.
 
         Only grid keys that never made it anywhere become failures, so each
         key is merged exactly once.
         """
-        self.accept(
-            [
-                _engine.PointOutcome(
-                    gamma_index=task.gamma_index,
-                    p_index=p_index,
-                    attack_index=task.attack_index,
-                    p=p,
-                    gamma=task.gamma,
-                    series=task.series,
-                    errev=None,
-                    seconds=0.0,
-                    solver_iterations=0,
-                    num_states=0,
-                    error=message,
+        for p, p_index in zip(task.p_values, task.p_indices):
+            key = (task.gamma_index, p_index, task.attack_index)
+            if key not in self.records:
+                self._merge(
+                    key, SweepFailure(p=p, gamma=task.gamma, series=task.series, message=message)
                 )
-                for p, p_index in zip(task.p_values, task.p_indices)
-                if (task.gamma_index, p_index, task.attack_index) not in self.outcomes
-            ]
-        )
 
     def assemble(self, *, description: str) -> SweepResult:
-        """Assemble the merged outcomes (plus inline baselines) into the result."""
+        """Place the merged records (plus inline baselines) into the result."""
         return _engine.assemble_sweep_result(
-            self.plan.config, self.outcomes, self.progress, description=description
+            self.plan.config, self.records, description=description
         )
 
     def journal_metadata(self) -> Optional[Dict[str, object]]:
@@ -244,9 +230,9 @@ def execute_sweep(
 
     ``config.workers == 1`` runs every pending unit in-process in submission
     order; ``workers > 1`` fans them over a process pool (:func:`pool_kwargs`)
-    and merges each unit's outcomes as its future completes.  A unit whose
+    and merges each unit's records as its future completes.  A unit whose
     worker died (OOM kill, segfault, broken pool) must not discard the
-    outcomes already collected from the others: its unreported points become
+    records already collected from the others: its unreported points become
     synthesized "worker crashed" failures once the pool has joined.
 
     The only function in the package that opens a sweep journal, constructs a
@@ -266,12 +252,10 @@ def execute_sweep(
         (honest, single-tree, attacks...)`` independent of worker scheduling,
         with per-point timings attached and failures isolated.
     """
-    workers = int(config.workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {config.workers}")
+    workers = config.workers
     plan = SweepPlan.build(config)
     journal: Optional[SweepJournal] = None
-    replayed: Mapping[GridKey, "PointOutcome"] = {}
+    replayed: Mapping[GridKey, SweepPoint] = {}
     if config.journal_path is not None:
         journal = SweepJournal.open(
             config.journal_path,
@@ -279,7 +263,7 @@ def execute_sweep(
             resume=config.journal_resume,
             fsync=config.journal_fsync,
         )
-        replayed = journal.replayed_outcomes()
+        replayed = journal.replayed_points()
         plan = plan.with_replayed(replayed)
     sink = MergeSink(plan, progress=progress, journal=journal)
     sink.replay(replayed)
@@ -287,20 +271,19 @@ def execute_sweep(
         pending = plan.pending_tasks()
         if workers == 1:
             for task in pending:
-                sink.accept(_engine._run_attack_task(task))
+                sink.accept(task, _engine._run_attack_task(task))
         elif pending:
-            crashed: List[Tuple["AttackTask", str]] = []
+            crashed: List[Tuple[AttackTask, str]] = []
             with ProcessPoolExecutor(max_workers=workers, **pool_kwargs(config)) as pool:  # type: ignore[arg-type]
                 futures = {pool.submit(_engine._run_attack_task, task): task for task in pending}
                 for future in as_completed(futures):
+                    task = futures[future]
                     try:
-                        outcomes = future.result()
+                        records = future.result()
                     except Exception as exc:
-                        crashed.append(
-                            (futures[future], f"worker crashed: {type(exc).__name__}: {exc}")
-                        )
+                        crashed.append((task, f"worker crashed: {type(exc).__name__}: {exc}"))
                         continue
-                    sink.accept(outcomes)
+                    sink.accept(task, records)
             for task, message in crashed:
                 sink.synthesize_missing(task, message)
     finally:

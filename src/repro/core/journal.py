@@ -3,18 +3,20 @@
 The engine's certified bounds make sweeps idempotent by grid key: recomputing
 a ``(gamma, p, attack)`` point yields bit-for-bit the value it produced the
 first time (the engine's core determinism invariant).  The journal turns that
-idempotence into crash safety -- every computed
-:class:`~repro.core.engine.PointOutcome` is appended to a JSONL file as it
-lands, and a restarted sweep (``repro sweep --journal PATH --resume``) replays
-the journaled points through the same :func:`assemble_sweep_result` merge the
-live sweep uses, computing only the delta.  The resumed result is therefore
-indistinguishable from an uninterrupted run.
+idempotence into crash safety -- the record of every computed attack point,
+the :class:`~repro.core.results.SweepPoint` or
+:class:`~repro.core.results.SweepFailure` the result holds, is appended to a
+JSONL file as it lands, and a restarted sweep (``repro sweep --journal PATH
+--resume``) replays the journaled points through the same
+:func:`assemble_sweep_result` merge the live sweep uses, computing only the
+delta.  The resumed result is therefore indistinguishable from an
+uninterrupted run.
 
 Record format
 -------------
 One JSON object per line::
 
-    {"crc": "89abcdef", "record": {"kind": "meta" | "point", ...}}
+    {"crc": "89abcdef", "record": {"kind": "meta" | "point" | "failure", ...}}
 
 ``crc`` is the CRC-32 of the canonical JSON encoding (sorted keys, no
 whitespace) of ``record``, so every record self-validates.  The first record
@@ -23,8 +25,17 @@ of a journal is a ``meta`` record carrying the journal format version and a
 versioned scenario ids and package version -- and every resume refuses a
 journal whose fingerprint differs: replaying points of a different grid or
 code version would silently violate the bit-for-bit contract.  Every later
-record is a ``point`` holding one serialised ``PointOutcome`` (JSON round-trips
-floats exactly, so replayed bounds are bit-for-bit identical).
+record is one attack point::
+
+    {"kind": "point" | "failure", "key": [g, p, a], "value": {...}}
+
+``key`` is the point's grid coordinates ``(gamma_index, p_index,
+attack_index)`` and ``value`` the fields of its
+:class:`~repro.core.results.SweepPoint` (kind ``point``) or
+:class:`~repro.core.results.SweepFailure` (kind ``failure``).  JSON
+round-trips floats exactly, so a replayed ``SweepPoint`` equals the live
+one.  Format version 4 introduced these records; journals of earlier
+versions are refused on resume.
 
 Crash model
 -----------
@@ -42,9 +53,9 @@ power loss at per-record cost.
 
 Resume semantics
 ----------------
-:meth:`SweepJournal.replayed_outcomes` returns the journaled *successful*
-points keyed by grid coordinates.  Records carrying an ``error`` are replayed
-as absent so failed points get a fresh chance on resume.  The engine skips a
+:meth:`SweepJournal.replayed_points` returns the journaled *successful*
+points keyed by grid coordinates.  ``failure`` records are replayed as absent
+so failed points get a fresh chance on resume.  The engine skips a
 unit of work only when **all** of its grid keys are replayed; a partially
 journaled chained series (``warm_start_across_points`` /
 ``reuse_p_axis_bounds``) is recomputed whole, which is safe because the
@@ -58,19 +69,19 @@ import io
 import json
 import os
 import zlib
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union, cast
 
-from ..exceptions import ConfigurationError, ModelError
-from .engine import PointOutcome
+from ..exceptions import ModelError
+from .engine import GridKey, PointRecord
+from .results import SweepFailure, SweepPoint
 
 #: Supported ``fsync`` policies, least to most durable.
 FSYNC_POLICIES = ("never", "close", "always")
 
 #: Format version stamped into (and checked against) every journal's meta record.
-JOURNAL_VERSION = 3
-
-GridKey = Tuple[int, int, int]
+JOURNAL_VERSION = 4
 
 
 def _canonical(record: Dict[str, object]) -> str:
@@ -172,12 +183,12 @@ def _scan(data: bytes) -> Tuple[List[Dict[str, object]], int]:
 
 
 class SweepJournal:
-    """Append-only crash-safe journal of one sweep's computed point outcomes.
+    """Append-only crash-safe journal of one sweep's computed attack points.
 
-    Create via :meth:`open`; call :meth:`record` per computed outcome and
+    Create via :meth:`open`; call :meth:`record` per computed record and
     :meth:`close` (or use as a context manager) when the sweep finishes.
     Instances are process-local and must only be written from the process that
-    owns the sweep (the engine parent) -- workers ship outcomes to the owner,
+    owns the sweep (the engine parent) -- workers ship records to the owner,
     which journals them exactly once.
     """
 
@@ -186,7 +197,7 @@ class SweepJournal:
         path: Path,
         handle: io.BufferedWriter,
         fsync: str,
-        replayed: Dict[GridKey, PointOutcome],
+        replayed: Dict[GridKey, SweepPoint],
     ) -> None:
         self.path = path
         self._handle: Optional[io.BufferedWriter] = handle
@@ -208,22 +219,19 @@ class SweepJournal:
 
         Without ``resume`` any existing file is truncated and a fresh meta
         record written.  With ``resume`` the file is scanned: a torn tail is
-        truncated, intact point records become :meth:`replayed_outcomes`, and
-        the meta fingerprint must match ``config`` exactly.  Resuming a
+        truncated, intact ``point`` records become :meth:`replayed_points`,
+        and the meta fingerprint must match ``config`` exactly.  Resuming a
         missing or empty journal is a fresh start, so the first run of a
-        restart loop needs no special casing.
+        restart loop needs no special casing.  ``fsync`` is one of
+        :data:`FSYNC_POLICIES`, which :class:`~repro.core.sweep.SweepConfig`
+        checks.
 
         Raises:
-            ConfigurationError: On an unknown ``fsync`` policy.
             ModelError: On mid-file corruption or a fingerprint mismatch.
         """
-        if fsync not in FSYNC_POLICIES:
-            raise ConfigurationError(
-                f"journal fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}"
-            )
         path = Path(path)
         fingerprint = journal_fingerprint(config)
-        replayed: Dict[GridKey, PointOutcome] = {}
+        replayed: Dict[GridKey, SweepPoint] = {}
         records: List[Dict[str, object]] = []
         validated = 0
         if resume and path.exists():
@@ -247,17 +255,17 @@ class SweepJournal:
                     "contract.  Use a fresh journal path."
                 )
             for record in records[1:]:
-                if record.get("kind") != "point":
+                kind = record.get("kind")
+                if kind not in ("point", "failure"):
                     raise ModelError(
                         f"journal {path} contains an unknown record kind "
-                        f"{record.get('kind')!r}; refusing to resume"
+                        f"{kind!r}; refusing to resume"
                     )
-                outcome = PointOutcome(**record["outcome"])  # type: ignore[arg-type]
-                if outcome.error is not None:
-                    # Failed points get a fresh chance on resume.
-                    continue
-                key = (outcome.gamma_index, outcome.p_index, outcome.attack_index)
-                replayed[key] = outcome
+                if kind == "point":
+                    # Failed points are not replayed: they get a fresh chance.
+                    gamma_index, p_index, attack_index = cast(List[int], record["key"])
+                    value = cast(Dict[str, Any], record["value"])
+                    replayed[(gamma_index, p_index, attack_index)] = SweepPoint(**value)
             handle = open(path, "ab")
         else:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -270,15 +278,15 @@ class SweepJournal:
 
     @property
     def replayed(self) -> int:
-        """Number of successful point outcomes replayed from the journal."""
+        """Number of certified points replayed from the journal."""
         return len(self._replayed)
 
-    def replayed_outcomes(self) -> Dict[GridKey, PointOutcome]:
-        """Successful journaled outcomes, keyed by grid coordinates (a copy)."""
+    def replayed_points(self) -> Dict[GridKey, SweepPoint]:
+        """Journaled certified points, keyed by grid coordinates (a copy)."""
         return dict(self._replayed)
 
-    def record(self, outcome: PointOutcome) -> None:
-        """Append one computed outcome (no-op for keys already replayed).
+    def record(self, key: GridKey, record: PointRecord) -> None:
+        """Append one computed point's record (no-op for keys already replayed).
 
         The replayed no-op keeps the journal canonical across restarts: a
         recomputed chained series re-reports keys the journal already holds
@@ -288,12 +296,10 @@ class SweepJournal:
         handle = self._handle
         if handle is None:
             raise ModelError(f"journal {self.path} is closed")
-        key = (outcome.gamma_index, outcome.p_index, outcome.attack_index)
         if key in self._replayed:
             return
-        from dataclasses import asdict
-
-        handle.write(encode_record({"kind": "point", "outcome": asdict(outcome)}))
+        kind = "failure" if isinstance(record, SweepFailure) else "point"
+        handle.write(encode_record({"kind": kind, "key": list(key), "value": asdict(record)}))
         handle.flush()
         if self.fsync == "always":
             os.fsync(handle.fileno())
@@ -320,7 +326,6 @@ class SweepJournal:
 __all__ = [
     "FSYNC_POLICIES",
     "JOURNAL_VERSION",
-    "GridKey",
     "SweepJournal",
     "decode_record",
     "encode_record",

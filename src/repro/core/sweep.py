@@ -14,13 +14,15 @@ fields away.
 :func:`run_sweep` is :func:`repro.core.execution.execute_sweep`: it plans the
 grid, runs the units in-process (``workers=1``) or on a local process pool,
 refills every point from the cached model skeleton and can chain solver warm
-starts along the ``p`` axis (``warm_start_across_points``).
+starts along the ``p`` axis (``warm_start_across_points``).  Each attack point
+of the result is the :class:`~repro.core.results.SweepPoint` or
+:class:`~repro.core.results.SweepFailure` its worker returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 from .._validation import check_positive_int, check_probability
 from ..config import AnalysisConfig, AttackParams
@@ -43,12 +45,14 @@ DEFAULT_ATTACK_CONFIGS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     """Configuration of a Figure 2 style sweep.
 
     The honest and single-tree baseline series are part of every sweep; only
-    the attack series are configured here.
+    the attack series are configured here.  A config is validated when it is
+    built and is frozen, with its grids stored as tuples (any sequence is
+    accepted), so every sweep runs a valid grid.
 
     Attributes:
         p_values: Grid of adversarial resource fractions, each in [0, 1] and
@@ -77,9 +81,9 @@ class SweepConfig:
             ``epsilon``; the computed values can differ from cold-interval
             results by at most ``epsilon``.
         journal_path: Path of the durable sweep journal
-            (:mod:`repro.core.journal`).  When set, every computed
-            :class:`~repro.core.engine.PointOutcome` is appended to this
-            crash-safe JSONL file as it lands.  ``None`` (default) disables
+            (:mod:`repro.core.journal`).  When set, the record of every
+            computed attack point (its ``SweepPoint`` or ``SweepFailure``)
+            is appended to this crash-safe JSONL file as it lands.  ``None`` (default) disables
             journaling.  CLI: ``repro sweep --journal PATH``.
         journal_resume: Resume from an existing journal at ``journal_path``:
             intact journaled points are replayed through the normal result
@@ -91,9 +95,9 @@ class SweepConfig:
             (fsync per record).  CLI: ``--journal-fsync``.
     """
 
-    p_values: Sequence[float] = tuple(round(0.05 * i, 2) for i in range(0, 7))
-    gammas: Sequence[float] = (0.0, 0.5, 1.0)
-    attack_configs: Sequence[AttackParams] = DEFAULT_ATTACK_CONFIGS
+    p_values: Tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(0, 7))
+    gammas: Tuple[float, ...] = (0.0, 0.5, 1.0)
+    attack_configs: Tuple[AttackParams, ...] = DEFAULT_ATTACK_CONFIGS
     analysis: AnalysisConfig = field(default_factory=lambda: AnalysisConfig(epsilon=1e-3))
     workers: int = 1
     warm_start_across_points: bool = False
@@ -103,6 +107,8 @@ class SweepConfig:
     journal_fsync: str = "close"
 
     def __post_init__(self) -> None:
+        for name in ("p_values", "gammas", "attack_configs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         check_positive_int(self.workers, "workers")
         for name, values in (("p_values", self.p_values), ("gammas", self.gammas)):
             if not values:

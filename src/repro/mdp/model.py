@@ -158,8 +158,8 @@ class MDP:
 
     # ------------------------------------------------------------------ utilities
 
-    def uniform_random_row_choice(self) -> np.ndarray:
-        """Return a policy choosing the first row of every state (deterministic)."""
+    def first_row_choice(self) -> np.ndarray:
+        """Each state's first row: policy iteration's "first-action" start (a fresh array)."""
         return self.state_row_offsets[:-1].astype(np.int64).copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

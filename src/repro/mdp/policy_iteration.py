@@ -206,7 +206,7 @@ def policy_iteration(
         )
     row_rewards = row_table(mdp).expected_rewards @ weights
     if initial_strategy is None:
-        rows = mdp.uniform_random_row_choice()
+        rows = mdp.first_row_choice()
     elif initial_strategy.mdp is mdp:
         rows = initial_strategy.rows
     else:

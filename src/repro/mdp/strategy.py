@@ -77,7 +77,7 @@ class Strategy:
 
         States absent from the mapping default to their first available action.
         """
-        rows = mdp.uniform_random_row_choice()
+        rows = mdp.first_row_choice()
         for state_label, action in actions.items():
             state = mdp.state_of_label(state_label)
             rows[state] = mdp.row_index(state, action)
@@ -86,7 +86,7 @@ class Strategy:
     @classmethod
     def first_action(cls, mdp: MDP) -> "Strategy":
         """Return the strategy that always picks the first listed action."""
-        return cls(mdp, mdp.uniform_random_row_choice())
+        return cls(mdp, mdp.first_row_choice())
 
     # ------------------------------------------------------------------- queries
 

@@ -5,7 +5,8 @@ A sweep (:func:`repro.core.execution.execute_sweep`) runs its units inline
 observable contract: bit-for-bit equality with the serial
 reference on every certified value, zero structure builds inside worker
 processes, journal resume that recomputes only the missing delta, per-point
-failure isolation, a hard worker crash that loses no grid point silently, and
+failure isolation (on a valid grid point whose refill really raises), a hard
+worker crash that loses no grid point silently, and
 graceful cancellation that leaves no worker process and a resumable journal
 behind.
 
@@ -137,13 +138,23 @@ def chained_grid() -> dict:
     return base_grid(warm_start_across_points=True, reuse_p_axis_bounds=True)
 
 
-def failing_grid() -> dict:
-    """A grid whose middle point (p = 1.5) raises in the worker and in both baselines."""
+#: The attack of :func:`failing_grid`: overpaying ``sm-actions`` rewards diverge at ``p >= 0.5``.
+FAILING_ATTACK = _ATTACKS["sm-actions"][1]
+
+
+def failing_grid(chained: bool = False) -> dict:
+    """A valid grid whose middle point (p = 0.5) raises ``ModelError`` at refill, in its worker.
+
+    ``chained`` chains warm starts and bounds along p, so the failing point
+    sits inside a unit between two that certify.
+    """
     return dict(
-        unchecked_p_values=(0.1, 1.5, 0.3),
+        p_values=(0.1, 0.5, 0.3),
         gammas=(0.5,),
-        attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
+        attack_configs=(FAILING_ATTACK,),
         analysis=AnalysisConfig(epsilon=1e-2),
+        warm_start_across_points=chained,
+        reuse_p_axis_bounds=chained,
     )
 
 
@@ -152,6 +163,12 @@ def serial_reference(chained: bool = False, scenario: str = "selfish-forks") -> 
     """The uninterrupted serial run every execution path must reproduce bit-for-bit."""
     grid = chained_grid() if chained else base_grid(scenario)
     return run_sweep(SweepConfig(**grid, workers=1))
+
+
+@lru_cache(maxsize=None)
+def failing_reference(chained: bool) -> SweepResult:
+    """The serial run of :func:`failing_grid`."""
+    return run_sweep(SweepConfig(**failing_grid(chained), workers=1))
 
 
 def attack_keys(result: SweepResult) -> List[tuple]:
@@ -183,20 +200,11 @@ def assert_bit_for_bit(reference: SweepResult, result: SweepResult) -> None:
 
 
 def _config(grid: dict, *, journal_path=None, resume: bool = False, **extra) -> SweepConfig:
-    """The grid's :class:`SweepConfig`.
-
-    ``SweepConfig`` rejects a p outside [0, 1], so ``unchecked_p_values`` is
-    set after validation: such a point then raises inside the engine.
-    """
-    kwargs = dict(grid)
-    kwargs.update(extra)
-    unchecked_p_values = kwargs.pop("unchecked_p_values", None)
+    """The grid's :class:`SweepConfig`."""
+    kwargs = dict(grid, **extra)
     if journal_path is not None:
         kwargs.update(journal_path=str(journal_path), journal_resume=resume)
-    config = SweepConfig(**kwargs)
-    if unchecked_p_values is not None:
-        config.p_values = unchecked_p_values
-    return config
+    return SweepConfig(**kwargs)
 
 
 # --------------------------------------------------------------------- serial

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import AnalysisConfig, AttackParams, ProtocolParams, SweepConfig
@@ -206,3 +208,26 @@ class TestSweepConfigValidation:
 
         with pytest.raises(ConfigurationError, match="AnalysisConfig"):
             SweepConfig(analysis={"epsilon": 1e-3})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p_values", (1.5,)),
+            ("gammas", (0.5,)),
+            ("workers", 2),
+            ("warm_start_across_points", True),
+        ],
+    )
+    def test_frozen(self, field, value):
+        """A validated grid stays valid: no field can be set afterwards."""
+        config = SweepConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
+
+    def test_sequences_are_stored_as_tuples(self):
+        attack = AttackParams(depth=1, forks=1)
+        config = SweepConfig(p_values=[0.1, 0.2], gammas=[0.5], attack_configs=[attack])
+        assert config.p_values == (0.1, 0.2)
+        assert config.gammas == (0.5,)
+        assert config.attack_configs == (attack,)
+        assert config == SweepConfig(p_values=(0.1, 0.2), gammas=(0.5,), attack_configs=(attack,))

@@ -29,15 +29,22 @@ from repro.core.engine import DEFAULT_SINGLE_TREE, _build_tasks
 PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-def with_unchecked_p_values(config: SweepConfig, p_values) -> SweepConfig:
-    """``config`` with a p grid set after validation.
+#: The overpaying ``sm-actions`` variant, whose refill raises ``ModelError`` at ``p >= 0.5``.
+OVERPAYING = AttackParams(
+    depth=1, forks=1, max_fork_length=4, scenario="sm-actions", variant="overpaying"
+)
+OVERPAYING_SERIES = "sm-actions(l=4,overpaying)"
 
-    ``SweepConfig`` rejects a p outside [0, 1]; set afterwards, such a point
-    raises inside the engine instead, which is what the failure-isolation
-    tests need.
-    """
-    config.p_values = p_values
-    return config
+
+def failing_grid(**engine_kwargs) -> SweepConfig:
+    """A valid grid whose middle point (p = 0.5) raises in its worker."""
+    return SweepConfig(
+        p_values=(0.1, 0.5, 0.3),
+        gammas=(0.5,),
+        attack_configs=(OVERPAYING,),
+        analysis=AnalysisConfig(epsilon=1e-2),
+        **engine_kwargs,
+    )
 
 
 def small_grid(**engine_kwargs) -> SweepConfig:
@@ -55,6 +62,12 @@ def small_grid(**engine_kwargs) -> SweepConfig:
 
 def point_tuples(sweep):
     return [(point.p, point.gamma, point.series, point.errev) for point in sweep.points]
+
+
+def certified(point):
+    """A certified point's values, its solver work included (no timings)."""
+    return (point.p, point.series, point.errev, point.beta_low, point.beta_up,
+            point.solver_iterations)
 
 
 class TestParallelEqualsSerial:
@@ -111,39 +124,31 @@ class TestParallelEqualsSerial:
 
 
 class TestFailureIsolation:
-    def failing_grid(self, workers: int) -> SweepConfig:
-        # p = 1.5 is invalid: it raises inside the worker and in the parent's
-        # baselines.
-        config = SweepConfig(
-            p_values=(0.1, 0.3),
-            gammas=(0.5,),
-            attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
-            analysis=AnalysisConfig(epsilon=1e-2),
-            workers=workers,
-        )
-        return with_unchecked_p_values(config, (0.1, 1.5, 0.3))
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_point_is_isolated(self, workers):
-        sweep = run_sweep(self.failing_grid(workers))
-        assert [point.p for point in sweep.series("ours(d=1,f=1)")] == [0.1, 0.3]
-        (failure,) = [f for f in sweep.failures if f.series == "ours(d=1,f=1)"]
-        assert failure.p == 1.5
-        assert "ConfigurationError" in failure.message
+        sweep = run_sweep(failing_grid(workers=workers))
+        assert [point.p for point in sweep.series(OVERPAYING_SERIES)] == [0.1, 0.3]
+        (failure,) = sweep.failures
+        assert (failure.p, failure.series) == (0.5, OVERPAYING_SERIES)
+        assert failure.message.startswith("ModelError: the overpaying settlement rewards diverge")
+        # The baselines of the failing point still compute.
+        assert [point.p for point in sweep.series("honest")] == [0.1, 0.5, 0.3]
+        assert [point.p for point in sweep.series("single-tree(f=5)")] == [0.1, 0.5, 0.3]
 
     def test_failure_reported_via_progress(self):
         messages = []
-        run_sweep(self.failing_grid(1), progress=messages.append)
-        failed = [message for message in messages if "FAILED" in message]
-        assert len(failed) == 3
-        assert all(message.startswith("gamma=0.5 p=1.5 ") for message in failed)
+        run_sweep(failing_grid(), progress=messages.append)
+        (failed,) = [message for message in messages if "FAILED" in message]
+        assert failed.startswith(f"gamma=0.5 p=0.5 {OVERPAYING_SERIES}: FAILED (ModelError: ")
+        assert len(messages) == 3
 
     def test_warm_chain_restarts_after_failure(self):
-        config = self.failing_grid(1)
-        config.warm_start_across_points = True
-        sweep = run_sweep(config)
-        assert [point.p for point in sweep.series("ours(d=1,f=1)")] == [0.1, 0.3]
-        assert len(sweep.failures) == 3
+        """After the failed point the chain starts cold: p = 0.3 certifies as it does alone."""
+        cold = run_sweep(failing_grid())
+        sweep = run_sweep(failing_grid(warm_start_across_points=True))
+        assert [point.p for point in sweep.series(OVERPAYING_SERIES)] == [0.1, 0.3]
+        assert len(sweep.failures) == 1
+        assert certified(sweep.points[-1]) == certified(cold.points[-1])
 
     def test_crashed_worker_recorded_as_failures(self, monkeypatch):
         """A worker that dies (not merely raises) must not abort the sweep."""
@@ -170,22 +175,8 @@ class TestFailureIsolation:
         # Baselines computed in the parent survive.
         assert {point.series for point in sweep.points} == {"honest", "single-tree(f=5)"}
 
-    def test_baseline_failures_isolated_too(self):
-        sweep = run_sweep(self.failing_grid(1))
-        # The bad point fails once per series (honest, single-tree, attack)
-        # instead of aborting the sweep in the parent.
-        assert {failure.series for failure in sweep.failures} == {
-            "honest",
-            "single-tree(f=5)",
-            "ours(d=1,f=1)",
-        }
-        assert all(failure.p == 1.5 for failure in sweep.failures)
-        assert [point.p for point in sweep.points if point.series == "honest"] == [0.1, 0.3]
-        single_tree = [point.p for point in sweep.points if point.series == "single-tree(f=5)"]
-        assert single_tree == [0.1, 0.3]
 
-
-def test_single_tree_series_is_one_evaluation_per_sweep(monkeypatch):
+def test_single_tree_baseline_is_one_evaluation_per_sweep(monkeypatch):
     """The baseline evaluates its round graph once per sweep, to every point's own value."""
     from repro.core import engine as engine_module
 
@@ -388,18 +379,12 @@ class TestMonotonePAxisBoundReuse:
         assert reused.total_solver_iterations < cold.total_solver_iterations
 
     def test_failure_resets_the_bound_chain(self):
-        config = SweepConfig(
-            p_values=(0.1, 0.3),
-            gammas=(0.5,),
-            attack_configs=(AttackParams(depth=1, forks=1, max_fork_length=4),),
-            analysis=AnalysisConfig(epsilon=1e-2),
-            reuse_p_axis_bounds=True,
-        )
-        sweep = run_sweep(with_unchecked_p_values(config, (0.1, 1.5, 0.3)))
-        assert [point.p for point in sweep.series("ours(d=1,f=1)")] == [0.1, 0.3]
-        assert [f.series for f in sweep.failures if f.series.startswith("ours")] == [
-            "ours(d=1,f=1)"
-        ]
+        """After the failed point the search starts at 0 again, as the point does alone."""
+        cold = run_sweep(failing_grid())
+        sweep = run_sweep(failing_grid(reuse_p_axis_bounds=True))
+        assert [point.p for point in sweep.series(OVERPAYING_SERIES)] == [0.1, 0.3]
+        assert [(f.p, f.series) for f in sweep.failures] == [(0.5, OVERPAYING_SERIES)]
+        assert certified(sweep.points[-1]) == certified(cold.points[-1])
 
 
 class TestAssembleMissingOutcomes:
@@ -413,14 +398,13 @@ class TestAssembleMissingOutcomes:
         from repro.core.engine import _run_attack_task, assemble_sweep_result
 
         config = small_grid(workers=1)
-        tasks = _build_tasks(config)
-        outcomes = {}
-        for task in tasks:
-            for outcome in _run_attack_task(task):
-                outcomes[(outcome.gamma_index, outcome.p_index, outcome.attack_index)] = outcome
+        records = {}
+        for task in _build_tasks(config):
+            for p_index, record in zip(task.p_indices, _run_attack_task(task)):
+                records[(task.gamma_index, p_index, task.attack_index)] = record
         lost = (0, 1, 1)  # gamma=0.0, p=0.15, second attack
-        del outcomes[lost]
-        sweep = assemble_sweep_result(config, outcomes, lambda _: None, description="test")
+        del records[lost]
+        sweep = assemble_sweep_result(config, records, description="test")
         (failure,) = sweep.failures
         assert "outcome never reported" in failure.message
         assert (failure.p, failure.gamma, failure.series) == (0.15, 0.0, "ours(d=2,f=1)")

@@ -25,6 +25,7 @@ from execution_conformance import (
     chained_grid,
     crash_skeletons,
     failing_grid,
+    failing_reference,
     serial_reference,
 )
 
@@ -89,18 +90,22 @@ class TestJournalResume:
 
 
 class TestFailureIsolation:
-    def test_bad_point_is_isolated(self, kind):
-        """One invalid grid point fails alone in every series; its neighbours still certify."""
+    @pytest.mark.parametrize("chained", [False, True], ids=["unchained", "chained"])
+    def test_bad_point_is_isolated(self, kind, start_method, chained):
+        """A point that raises fails alone; its neighbours and its baselines still certify."""
         contract = CONTRACTS[kind]
-        result = contract.execute(failing_grid())
-        series = ["honest", "single-tree(f=5)", "ours(d=1,f=1)"]
+        result = contract.execute(failing_grid(chained))
+        attack = "sm-actions(l=4,overpaying)"
         assert [(point.p, point.series) for point in result.points] == [
-            (p, name) for p in (0.1, 0.3) for name in series
+            (p, name)
+            for p in (0.1, 0.5, 0.3)
+            for name in ("honest", "single-tree(f=5)", attack)
+            if (p, name) != (0.5, attack)
         ]
-        assert [(failure.p, failure.series) for failure in result.failures] == [
-            (1.5, name) for name in series
-        ]
-        assert all("ConfigurationError" in failure.message for failure in result.failures)
+        (failure,) = result.failures
+        assert (failure.p, failure.series) == (0.5, attack)
+        assert failure.message.startswith("ModelError: the overpaying settlement rewards diverge")
+        assert_bit_for_bit(failing_reference(chained), result)
 
 
 class TestHardWorkerCrash:

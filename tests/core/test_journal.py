@@ -23,7 +23,6 @@ import pytest
 from repro.attacks.structure import SelfishForksStructure
 from repro.cli import main
 from repro.config import AnalysisConfig, AttackParams
-from repro.core.engine import PointOutcome
 from repro.core.journal import (
     FSYNC_POLICIES,
     JOURNAL_VERSION,
@@ -32,6 +31,7 @@ from repro.core.journal import (
     encode_record,
     journal_fingerprint,
 )
+from repro.core.results import SweepFailure, SweepPoint
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.exceptions import ConfigurationError, ModelError
 
@@ -105,7 +105,7 @@ def _truncate_to_points(path: Path, keep: int) -> None:
 
 
 def test_record_roundtrip_and_checksum_rejection():
-    record = {"kind": "point", "outcome": {"p": 0.30000000000000004, "n": None}}
+    record = {"kind": "point", "key": [0, 1, 0], "value": {"p": 0.30000000000000004, "n": None}}
     line = encode_record(record)
     assert line.endswith(b"\n")
     assert decode_record(line[:-1]) == record
@@ -126,9 +126,9 @@ def test_fingerprint_pins_values_not_scheduling():
     assert fingerprint != journal_fingerprint(SweepConfig(**_grid(p_values=(0.0, 0.2))))
 
 
-def test_open_rejects_unknown_fsync_policy(tmp_path):
-    with pytest.raises(ConfigurationError, match="fsync"):
-        SweepJournal.open(tmp_path / "j", SweepConfig(**_grid()), fsync="sometimes")
+def test_config_rejects_unknown_fsync_policy():
+    with pytest.raises(ConfigurationError, match="journal_fsync must be one of"):
+        SweepConfig(**_grid(), journal_fsync="sometimes")
     assert FSYNC_POLICIES == ("never", "close", "always")
 
 
@@ -136,12 +136,8 @@ def test_record_after_close_raises(tmp_path):
     journal = SweepJournal.open(tmp_path / "j", SweepConfig(**_grid()))
     journal.close()
     journal.close()  # idempotent
-    outcome = PointOutcome(
-        gamma_index=0, p_index=0, attack_index=0, p=0.0, gamma=0.5,
-        series="s", errev=0.0, seconds=0.0, solver_iterations=0, num_states=1,
-    )
     with pytest.raises(ModelError, match="closed"):
-        journal.record(outcome)
+        journal.record((0, 0, 0), SweepPoint(p=0.0, gamma=0.5, series="s", errev=0.0))
 
 
 # ------------------------------------------------- torn tails and corruption
@@ -291,34 +287,78 @@ def test_resume_refuses_other_scenario_version(tmp_path, monkeypatch):
         run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
 
 
-def test_resume_refuses_version_1_journal(tmp_path):
-    """Format-1 and format-2 journals are foreign: refused before any replay.
+def _rewrite_as_old_version(path: Path, version: int) -> None:
+    """Rewrite a journal in the format of an earlier ``version`` (1, 2 or 3).
 
-    Format 1 fingerprinted the structure-cache switch; format-2 point records
-    carry a ``recovery_retries`` key that ``PointOutcome`` no longer has.
+    Before version 4 a point record held the worker's outcome: its grid key,
+    its point fields and ``num_states`` and ``error``.  Version 1 also
+    fingerprinted the structure-cache switch, and version-2 outcomes carried
+    a ``recovery_retries`` counter.
     """
+    written = _journal_lines(path)
+    meta = decode_record(written[0])
+    assert meta is not None and meta["fingerprint"]["journal_version"] == JOURNAL_VERSION == 4
+    meta["fingerprint"]["journal_version"] = version
+    if version == 1:
+        meta["fingerprint"]["use_structure_cache"] = True
+    lines = [encode_record(meta)[:-1]]
+    for line in written[1:]:
+        record = decode_record(line)
+        assert record is not None and record["kind"] == "point"
+        gamma_index, p_index, attack_index = record["key"]
+        outcome = dict(
+            gamma_index=gamma_index, p_index=p_index, attack_index=attack_index,
+            **record["value"], num_states=14, error=None,
+        )
+        if version == 2:
+            outcome["recovery_retries"] = None
+        lines.append(encode_record({"kind": "point", "outcome": outcome})[:-1])
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_resume_refuses_an_older_journal_version(tmp_path, version):
+    """Journals of format versions 1 to 3 are foreign: refused before any replay."""
     path = tmp_path / "sweep.journal"
     grid = _grid()
     run_sweep(SweepConfig(**grid, journal_path=str(path)))
-    written = _journal_lines(path)
-    meta = decode_record(written[0])
-    assert meta is not None and meta["fingerprint"]["journal_version"] == JOURNAL_VERSION == 3
-    points = [decode_record(line) for line in written[1:]]
-    assert points and all(point is not None for point in points)
-    for version, fingerprint_extra, outcome_extra in (
-        (1, {"use_structure_cache": True}, {}),
-        (2, {}, {"recovery_retries": None}),
-    ):
-        old_meta = json.loads(json.dumps(meta))
-        old_meta["fingerprint"].update(journal_version=version, **fingerprint_extra)
-        lines = [encode_record(old_meta)[:-1]]
-        for point in points:
-            old_point = json.loads(json.dumps(point))
-            old_point["outcome"].update(outcome_extra)
-            lines.append(encode_record(old_point)[:-1])
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(ModelError, match="different sweep"):
-            run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+    _rewrite_as_old_version(path, version)
+    with pytest.raises(ModelError, match="different sweep"):
+        run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+
+
+def test_cli_refuses_a_version_3_journal_in_one_error_line(tmp_path, capsys):
+    """``repro sweep --resume`` on a journal of the previous format: exit 2, no traceback."""
+    path = tmp_path / "sweep.journal"
+    argv = [
+        "sweep", "--p-max", "0.1", "--p-step", "0.1", "--epsilon", "0.05",
+        "--grid", "max-depth=1", "--quiet", "--journal", str(path),
+    ]
+    assert main(argv) == 0
+    _rewrite_as_old_version(path, 3)
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: journal") and "was written by a different sweep" in line
+    assert path.read_bytes() == before
+
+
+def test_replayed_points_equal_the_live_ones(tmp_path):
+    """JSON round-trips every field, so a replayed ``SweepPoint`` is ``==`` the live one."""
+    path = tmp_path / "sweep.journal"
+    grid = _grid(attack_configs=(AttackParams(depth=1, forks=1), AttackParams(depth=2, forks=1)))
+    live = run_sweep(SweepConfig(**grid, journal_path=str(path)))
+    attack_points = [point for point in live.points if point.beta_low is not None]
+    with SweepJournal.open(path, SweepConfig(**grid), resume=True) as journal:
+        replayed = journal.replayed_points()
+    assert [replayed[key] for key in sorted(replayed)] == attack_points
+    # Resuming the complete journal replays every attack point, timings included.
+    resumed = run_sweep(SweepConfig(**grid, journal_path=str(path), journal_resume=True))
+    assert resumed.metadata["journal"]["recorded"] == 0
+    assert resumed.points == live.points
 
 
 def test_structure_cache_switch_is_gone():
@@ -334,11 +374,8 @@ def test_errored_records_are_recomputed_on_resume(tmp_path):
     config = SweepConfig(**grid)
     with SweepJournal.open(path, config) as journal:
         journal.record(
-            PointOutcome(
-                gamma_index=0, p_index=0, attack_index=0, p=0.0, gamma=0.5,
-                series="ours(d=1,f=1)", errev=None, seconds=0.0,
-                solver_iterations=0, num_states=0, error="worker crashed",
-            )
+            (0, 0, 0),
+            SweepFailure(p=0.0, gamma=0.5, series="ours(d=1,f=1)", message="worker crashed"),
         )
     resumed = run_sweep(
         SweepConfig(**grid, journal_path=str(path), journal_resume=True)
@@ -412,7 +449,7 @@ def test_fsync_policies_produce_identical_journals(tmp_path):
         records = [decode_record(line) for line in _journal_lines(path)]
         assert all(record is not None for record in records)
         for record in records:
-            record.get("outcome", {}).pop("seconds", None)  # wall clock varies
+            record.get("value", {}).pop("seconds", None)  # wall clock varies
         return records
 
     grid = _grid()

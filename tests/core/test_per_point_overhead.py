@@ -85,7 +85,7 @@ def warm_sizes(config: SweepConfig) -> set:
             protocol = ProtocolParams(p=p, gamma=gamma)
             for attack in config.attack_configs:
                 mdp = get_model_structure(attack, protocol).instantiate(protocol)
-                MarkovChain(mdp, mdp.uniform_random_row_choice()).column_rank()
+                MarkovChain(mdp, mdp.first_row_choice()).column_rank()
                 sizes.add(mdp.num_states)
     single_tree_errev_table(config.gammas, config.p_values, DEFAULT_SINGLE_TREE)
     return sizes

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import csv
 import importlib
 import inspect
@@ -212,18 +211,33 @@ def test_report_formats_take_no_options(function, parameters):
 
 
 class TestProbabilityArgument:
-    """``--p``, ``--gamma`` and ``--p-max`` take a probability in [0, 1]."""
+    """``--p``, ``--gamma`` and ``--p-max`` take a probability in [0, 1].
+
+    Each flag checks its value with the library's ``check_probability``.
+    """
+
+    FLAGS = [
+        ("analyze", "--p", "p"),
+        ("analyze", "--gamma", "gamma"),
+        ("sweep", "--p-max", "p_max"),
+    ]
 
     @pytest.mark.parametrize(
         "text, value", [("0", 0.0), ("1", 1.0), ("0.25", 0.25), ("1e-1", 0.1)]
     )
     def test_accepts_the_closed_unit_interval(self, text, value):
-        assert cli._probability(text) == value
+        for command, flag, dest in self.FLAGS:
+            args = cli._build_parser().parse_args([command, f"{flag}={text}"])
+            assert getattr(args, dest) == value
 
     @pytest.mark.parametrize("text", ["-0.1", "1.0000001", "nan", "inf", "-inf"])
-    def test_rejects_everything_else(self, text):
-        with pytest.raises(argparse.ArgumentTypeError, match=r"must be a probability in \[0, 1\]"):
-            cli._probability(text)
+    def test_rejects_everything_else(self, text, capsys):
+        for command, flag, _ in self.FLAGS:
+            with pytest.raises(SystemExit) as excinfo:
+                cli._build_parser().parse_args([command, f"{flag}={text}"])
+            assert excinfo.value.code == 2
+            message = f"argument {flag}: {flag[2:]} must be in [0, 1], got {float(text)!r}"
+            assert message in capsys.readouterr().err
 
     def test_non_number_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -494,13 +508,23 @@ class TestCli:
             ["sweep", "--epsilon", "-1"],
             ["sweep", "--workers", "0"],
             ["analyze", "--epsilon", "0"],
+            ["analyze", "--epsilon", "inf"],
+            ["sweep", "--epsilon", "inf"],
         ],
     )
     def test_invalid_numeric_flags_rejected_cleanly(self, argv, capsys):
+        """Each flag is checked by the library's rule, whose message names it."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "must be a positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        flag, text = argv[1:]
+        if flag == "--workers":
+            expected = f"workers must be >= 1, got {text}"
+        else:
+            expected = f"epsilon must be a positive finite number, got {float(text)!r}"
+        assert f"argument {flag}: {expected}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -517,7 +541,8 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "must be a probability in [0, 1]" in capsys.readouterr().err
+        flag = argv[1]
+        assert f"argument {flag}: {flag[2:]} must be in [0, 1]" in capsys.readouterr().err
 
     def test_no_lint_subcommand(self, capsys):
         """The source invariants are a tier-1 test, not a shipped command."""
@@ -528,14 +553,22 @@ class TestCli:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.lint")
 
-    @pytest.mark.parametrize("p_step", ["0.00003", "0.00009", "0", "-0.05", "nan"])
+    @pytest.mark.parametrize("p_step", ["0.00003", "0.00009", "0", "-0.05", "nan", "inf"])
     def test_p_step_below_grid_resolution_rejected(self, monkeypatch, capsys, p_step):
-        """The grid is rounded to 4 decimals: a finer step would repeat p values."""
+        """The grid is rounded to 4 decimals: a finer step would repeat p values.
+
+        A step that is not finite would make p = 0 * inf = nan.
+        """
         monkeypatch.setattr(cli, "run_sweep", pytest.fail)
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--p-max", "0.0001", "--p-step", p_step])
         assert excinfo.value.code == 2
-        assert "must be at least 0.0001" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        expected = (
+            "must be a positive finite number" if p_step == "inf" else "must be at least 0.0001"
+        )
+        assert f"argument --p-step: p-step {expected}, got {float(p_step)!r}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "p_max, p_step, expected",

@@ -160,9 +160,9 @@ class TestMDPQueries:
         double = expected_row_rewards(mdp, [2.0])
         assert np.allclose(double, 2.0 * single)
 
-    def test_uniform_random_row_choice_picks_first_rows(self):
+    def test_first_row_choice_picks_first_rows(self):
         mdp = build_two_state_mdp()
-        rows = mdp.uniform_random_row_choice()
+        rows = mdp.first_row_choice()
         assert np.array_equal(mdp.row_state[rows], np.arange(mdp.num_states))
 
     def test_multi_component_rewards(self):

@@ -68,7 +68,7 @@ class RoundRecorder:
             record = {
                 "mdp": mdp,
                 "weights": np.asarray(reward_weights, dtype=float),
-                "start": mdp.uniform_random_row_choice() if start is None else start.rows,
+                "start": mdp.first_row_choice() if start is None else start.rows,
                 "gains": [],
                 "rows": [],
             }

@@ -65,7 +65,7 @@ class TestStrategy:
         assert not strategy.rows.flags.writeable
 
     def test_rows_are_a_copy_of_the_source(self, mdp):
-        source = mdp.uniform_random_row_choice()
+        source = mdp.first_row_choice()
         strategy = Strategy(mdp, source)
         source[mdp.state_of_label("a")] = mdp.row_index(mdp.state_of_label("a"), "go")
         assert strategy.action_of_label("a") == "stay"

@@ -53,12 +53,6 @@ def test_positive_int_rejects(value, message):
         check_positive_int(value, "depth")
 
 
-def test_positive_int_maximum_is_inclusive():
-    assert check_positive_int(8, "forks", maximum=8) == 8
-    with pytest.raises(ConfigurationError, match="forks must be <= 8, got 9"):
-        check_positive_int(9, "forks", maximum=8)
-
-
 @pytest.mark.parametrize("value", [1e-300, 0.5, 3, 1e300])
 def test_positive_float_accepts(value):
     result = check_positive_float(value, "epsilon")
